@@ -42,6 +42,7 @@ from .errors import (
     GridError,
     GridMismatchError,
     InadmissibleFieldError,
+    InadmissibleStateError,
     LinearSolveError,
     MaxIterError,
     NonConvergenceError,

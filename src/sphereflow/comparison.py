@@ -18,53 +18,20 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CornerNodeError, GridError, NonTouchingNodeError, VacuumError
-from .ellipticity import Z_GE_C_SLACK, _segment_density
-from .gas import GasModel
+from .ellipticity import Z_GE_C_SLACK
+from .errors import CornerNodeError, GridError, NonTouchingNodeError
+from .gas import GasModel, bernoulli_density, require_admissible
 from .grid import ScalarField, SphericalGrid, require_same_grid
 from .operators import (
-    _first_derivative,
-    _shift,
-    _shifted,
+    CoefficientFields,
     field_density,
-    field_state,
     flow_residual,
+    linearized_diag,  # noqa: F401  (kept importable from here)
+    linearized_operator,
     spherical_gradient,
 )
 
 WEAK_FORM_TOL = 1e-10
-
-
-@dataclass(eq=False)
-class CoefficientFields:
-    """Mean-value linearization coefficients on a shared grid.
-
-    a is the 2x2 principal block, (b1, b2) the flux sensitivity to the
-    potential value, (c1, c2) the source sensitivity to the gradient and d
-    the source sensitivity to the value; all are t-averages over the
-    segment between the two fields.  a12 = a21 by construction.
-    """
-
-    grid: SphericalGrid
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    d: np.ndarray
-
-    @classmethod
-    def isotropic(cls, grid, a=1.0, d=0.0):
-        """Constant-coefficient fields a*I principal part, zero b/c, d."""
-        one = np.full(grid.shape, float(a))
-        zero = np.zeros(grid.shape)
-        return cls(grid, a11=one.copy(), a12=zero.copy(), a21=zero.copy(),
-                   a22=one.copy(), b1=zero.copy(), b2=zero.copy(),
-                   c1=zero.copy(), c2=zero.copy(),
-                   d=np.full(grid.shape, float(d)))
 
 
 def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
@@ -96,7 +63,9 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
         q1 = t * gm.v_theta + (1.0 - t) * gp.v_theta
         q2 = t * gm.v_phi + (1.0 - t) * gp.v_phi
         z = t * f_minus.values + (1.0 - t) * f_plus.values
-        rho, c2 = _segment_density(gas, q1, q2, z, mask, float(t))
+        rho, c2, ok = bernoulli_density(gas, q1 * q1 + q2 * q2, z)
+        require_admissible(gas, c2, ok, mask, float(t))
+        rho = np.where(mask, rho, 0.0)
         scale = np.where(mask, rho / np.where(mask, c2, 1.0), 0.0)
         a11 += wt * (rho - q1 * q1 * scale)
         a12 += wt * (-q1 * q2 * scale)
@@ -108,93 +77,6 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
         grid, a11=a11, a12=a12, a21=a12.copy(), a22=a22,
         b1=b1, b2=b2, c1=2.0 * b1, c2=2.0 * b2, d=d,
     )
-
-
-def linearized_operator(coeffs: CoefficientFields, interior_only: bool = False):
-    """Closure applying the conservative linearized stencil to value arrays.
-
-    The second-order part goes through face-averaged coefficients (so the
-    divergence structure of the nonlinear operator is preserved); patch
-    edges and mask boundaries fall back to one-sided derivatives of the
-    node fluxes unless interior_only skips them (the solver path).
-    """
-    grid = coeffs.grid
-    m = grid.mask_array
-    st = grid.sin_theta[:, None]
-    hth, hph = grid.h_theta, grid.h_phi
-    per = grid.phi_periodic
-
-    a11f = 0.5 * (coeffs.a11 + _shift(coeffs.a11, 0, 1))
-    a12f = 0.5 * (coeffs.a12 + _shift(coeffs.a12, 0, 1))
-    b1f = 0.5 * (coeffs.b1 + _shift(coeffs.b1, 0, 1))
-    sin_face = np.sin(grid.thetas + 0.5 * hth)[:, None]
-    ok_th = _shift(m, 0, 1) & _shift(m, 0, -1)
-
-    a21f = 0.5 * (coeffs.a21 + _shifted(coeffs.a21, 1, 1, per))
-    a22f = 0.5 * (coeffs.a22 + _shifted(coeffs.a22, 1, 1, per))
-    b2f = 0.5 * (coeffs.b2 + _shifted(coeffs.b2, 1, 1, per))
-    ok_ph = _shifted(m, 1, 1, per) & _shifted(m, 1, -1, per)
-
-    def apply(hvals):
-        g1 = _first_derivative(hvals, m, 0, hth, False)
-        g2 = _first_derivative(hvals, m, 1, hph, per) / st
-
-        hp = _shift(hvals, 0, 1)
-        flux = sin_face * (
-            a11f * (hp - hvals) / hth
-            + a12f * 0.5 * (g2 + _shift(g2, 0, 1))
-            + b1f * 0.5 * (hvals + hp)
-        )
-        th = (flux - _shift(flux, 0, -1)) / (st * hth)
-
-        hpj = _shifted(hvals, 1, 1, per)
-        gphi = (
-            a21f * 0.5 * (g1 + _shifted(g1, 1, 1, per))
-            + a22f * (hpj - hvals) / (hph * st)
-            + b2f * 0.5 * (hvals + hpj)
-        )
-        ph = (gphi - _shifted(gphi, 1, -1, per)) / (st * hph)
-
-        out = coeffs.c1 * g1 + coeffs.c2 * g2 + coeffs.d * hvals
-        if interior_only:
-            out = out + np.where(ok_th, th, 0.0) + np.where(ok_ph, ph, 0.0)
-        else:
-            v1 = coeffs.a11 * g1 + coeffs.a12 * g2 + coeffs.b1 * hvals
-            v2 = coeffs.a21 * g1 + coeffs.a22 * g2 + coeffs.b2 * hvals
-            fb_th = _first_derivative(st * v1, m, 0, hth, False) / st
-            fb_ph = _first_derivative(v2, m, 1, hph, per) / st
-            out = out + np.where(ok_th, th, fb_th) + np.where(ok_ph, ph, fb_ph)
-        return np.where(m, out, 0.0)
-
-    return apply
-
-
-def linearized_diag(coeffs: CoefficientFields) -> np.ndarray:
-    """Diagonal (center-weight) of the conservative linearized stencil.
-
-    Valid at interior nodes; used as the Jacobi preconditioner.
-    """
-    grid = coeffs.grid
-    st = grid.sin_theta[:, None]
-    hth, hph = grid.h_theta, grid.h_phi
-    per = grid.phi_periodic
-
-    a11f = 0.5 * (coeffs.a11 + _shift(coeffs.a11, 0, 1))
-    b1f = 0.5 * (coeffs.b1 + _shift(coeffs.b1, 0, 1))
-    a11fm = _shift(a11f, 0, -1)
-    b1fm = _shift(b1f, 0, -1)
-    sin_p = np.sin(grid.thetas + 0.5 * hth)[:, None]
-    sin_m = np.sin(grid.thetas - 0.5 * hth)[:, None]
-    center = (sin_p * (-a11f / hth + 0.5 * b1f)
-              - sin_m * (a11fm / hth + 0.5 * b1fm)) / (st * hth)
-
-    a22f = 0.5 * (coeffs.a22 + _shifted(coeffs.a22, 1, 1, per))
-    b2f = 0.5 * (coeffs.b2 + _shifted(coeffs.b2, 1, 1, per))
-    a22fm = _shifted(a22f, 1, -1, per)
-    b2fm = _shifted(b2f, 1, -1, per)
-    center += ((-a22f / (hph * st) + 0.5 * b2f)
-               - (a22fm / (hph * st) + 0.5 * b2fm)) / (st * hph)
-    return center + coeffs.d
 
 
 def apply_linearized(coeffs: CoefficientFields, h: ScalarField) -> ScalarField:
@@ -219,15 +101,11 @@ def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
         raise ValueError("beta must lie in (0, 1]")
     co = mean_value_coefficients(gas, f_minus, f_plus, n_quad)
     m = grid.mask_array
-    st = grid.sin_theta[:, None]
     hplus = np.where(m, np.maximum(f_minus.values - f_plus.values, 0.0), 0.0)
     pos = hplus > 0.0
-    g1 = np.where(pos, _first_derivative(hplus, m, 0, grid.h_theta, False), 0.0)
-    g2 = np.where(
-        pos,
-        _first_derivative(hplus, m, 1, grid.h_phi, grid.phi_periodic) / st,
-        0.0,
-    )
+    grad = spherical_gradient(ScalarField(grid, hplus))
+    g1 = np.where(pos, grad.v_theta, 0.0)
+    g2 = np.where(pos, grad.v_phi, 0.0)
     quad = (
         co.a11 * g1 * g1 + (co.a12 + co.a21) * g1 * g2 + co.a22 * g2 * g2
         + co.b1 * hplus * g1 + co.b2 * hplus * g2
@@ -380,12 +258,7 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     v, node = _extreme(l2_a, m, minimize=False)
     hyp["mach_elliptic_plus_reading_a"] = HypothesisResult(v < 1.0, node, v)
 
-    if gas.gamma == 1.0:
-        c2_mixed = np.ones_like(c2_p)
-    else:
-        zm = f_minus.values
-        c2_mixed = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * (
-            gas.bernoulli - zm * zm - qsq_p)
+    c2_mixed = bernoulli_density(gas, qsq_p, f_minus.values)[1]
     ok = c2_mixed > 0.0
     l2_b = np.where(ok, qsq_p / np.where(ok, c2_mixed, 1.0), np.inf)
     v, node = _extreme(l2_b, m, minimize=False)
@@ -475,8 +348,12 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
         )
     diff = f_minus.values - f_plus.values
 
-    _, _, _, c2m = field_state(gas, f_minus)
-    _, _, _, c2p = field_state(gas, f_plus)
+    states = []
+    for f in (f_minus, f_plus):
+        g = spherical_gradient(f)
+        _, c2, ok = bernoulli_density(
+            gas, g.v_theta * g.v_theta + g.v_phi * g.v_phi, f.values)
+        states.append((c2, ok))
 
     def inner(i, j, di, dj, steps):
         ii = i - di * steps
@@ -494,9 +371,10 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
             raise NonTouchingNodeError(
                 f"fields differ by {abs(diff[i, j]):.3e} at node ({i}, {j})"
             )
-        if gas.gamma != 1.0 and (c2m[i, j] <= 0.0 or c2p[i, j] <= 0.0):
-            raise VacuumError(f"vacuum state at node ({i}, {j})",
-                              node=(i, j))
+        at = np.zeros(grid.shape, dtype=bool)
+        at[i, j] = True
+        for c2, ok in states:
+            require_admissible(gas, c2, ok, at)
         dirs = _outward_directions(grid, i, j)
         if len(dirs) != 1:
             raise CornerNodeError(

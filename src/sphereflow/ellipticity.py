@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VacuumError
-from .gas import EXP_CAP, FlowState, GasModel, GasOverflowError, density, \
+from .gas import FlowState, GasModel, bernoulli_density, density, \
     density_partials, sound_speed_sq
 from .grid import ScalarField, require_same_grid
 from .operators import field_density, spherical_gradient
@@ -102,31 +101,6 @@ class SegmentCheckReport:
         return len(self.violations) == 0
 
 
-def _segment_density(gas, q1, q2, z, mask, t):
-    """Density arrays on a segment state; errors carry (node, t)."""
-    qsq = q1 * q1 + q2 * q2
-    if gas.gamma == 1.0:
-        arg = 0.5 * (gas.bernoulli - z * z - qsq)
-        bad = (np.abs(arg) > EXP_CAP) & mask
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise GasOverflowError(
-                f"isothermal exponent out of range at node ({i}, {j}), t={t}"
-            )
-        rho = gas.rho0 * np.exp(np.where(mask, arg, 0.0))
-        return np.where(mask, rho, 0.0), np.ones_like(z)
-    c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * (gas.bernoulli - z * z - qsq)
-    bad = (c2 <= 0.0) & mask
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise VacuumError(
-            f"vacuum on segment at node ({i}, {j}), t={t}: "
-            f"c^2 = {c2[i, j]:.6g}", node=(int(i), int(j)), t=t,
-        )
-    base = np.where(mask & ~bad, c2, 1.0)
-    return np.where(mask, base ** (1.0 / (gas.gamma - 1.0)), 0.0), c2
-
-
 def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
                              f_plus: ScalarField, n_t: int = 9,
                              n_xi: int = 64, seed: int = 0) -> SegmentCheckReport:
@@ -166,19 +140,8 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
         q2 = t * gm.v_phi + (1.0 - t) * gp.v_phi
         z = t * f_minus.values + (1.0 - t) * f_plus.values
         qsq = q1 * q1 + q2 * q2
-        if gas.gamma == 1.0:
-            c2 = np.ones_like(z)
-            rho_ok = np.abs(0.5 * (gas.bernoulli - z * z - qsq)) <= EXP_CAP
-            rho = np.where(rho_ok & mask,
-                           gas.rho0 * np.exp(np.where(rho_ok & mask,
-                                                      0.5 * (gas.bernoulli - z * z - qsq),
-                                                      0.0)),
-                           0.0)
-        else:
-            c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * (gas.bernoulli - z * z - qsq)
-            rho_ok = c2 > 0.0
-            base = np.where(rho_ok & mask, c2, 1.0)
-            rho = np.where(rho_ok & mask, base ** (1.0 / (gas.gamma - 1.0)), 0.0)
+        rho, c2, rho_ok = bernoulli_density(gas, qsq, z)
+        rho = np.where(rho_ok & mask, rho, 0.0)
         record(mask & ~rho_ok, t, "rho_positive", c2)
 
         safe_c2 = np.where(rho_ok, c2, 1.0)

@@ -5,8 +5,8 @@ class SphereflowError(Exception):
     """Base class for every error raised by this package."""
 
 
-class VacuumError(SphereflowError):
-    """Density is undefined: the sound-speed base c^2 dropped to <= 0.
+class InadmissibleStateError(SphereflowError):
+    """Base class for states where the Bernoulli density is undefined.
 
     ``node`` is the (i, j) grid index of the first offending node when the
     error arises from a field sweep, None for pointwise calls.  ``t`` is the
@@ -20,7 +20,11 @@ class VacuumError(SphereflowError):
         self.t = t
 
 
-class GasOverflowError(SphereflowError):
+class VacuumError(InadmissibleStateError):
+    """Density is undefined: the sound-speed base c^2 dropped to <= 0."""
+
+
+class GasOverflowError(InadmissibleStateError):
     """Isothermal density exponent exceeds the double-precision guard."""
 
 

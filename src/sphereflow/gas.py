@@ -85,28 +85,56 @@ def sound_speed_sq(gas: GasModel, s: FlowState):
     )
 
 
-def _isothermal_exponent(gas: GasModel, s: FlowState):
-    return 0.5 * (gas.bernoulli - s.z * s.z - s.speed_sq())
+def bernoulli_density(gas: GasModel, q_sq, z):
+    """(rho, c^2, admissible) from the Bernoulli relation, elementwise.
+
+    gamma != 1: rho = (c^2)^(1/(gamma-1)), admissible where c^2 > 0.
+    gamma  = 1: rho = rho0 * exp((B - z^2 - |q|^2)/2), the pointwise limit
+    of the power law, admissible where the exponent stays within +/-EXP_CAP;
+    c^2 is identically 1.  Inadmissible entries carry a finite placeholder
+    density; require_admissible turns them into errors.
+    """
+    head = gas.bernoulli - z * z - q_sq
+    if gas.gamma == 1.0:
+        arg = 0.5 * head
+        ok = np.abs(arg) <= EXP_CAP
+        return gas.rho0 * np.exp(np.where(ok, arg, 0.0)), np.ones_like(arg), ok
+    c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
+    ok = c2 > 0.0
+    return np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0)), c2, ok
+
+
+def require_admissible(gas: GasModel, c2, ok, where=True, t=None):
+    """Raise at the first node of `where` that bernoulli_density rejected.
+
+    VacuumError for c^2 <= 0, GasOverflowError for the isothermal exp()
+    guard; both carry the node index (None for pointwise states) and the
+    segment parameter t.
+    """
+    bad = np.logical_and(where, np.logical_not(ok))
+    if not np.any(bad):
+        return
+    node = tuple(int(k) for k in np.argwhere(bad)[0]) or None
+    at = f" at node {node}" if node else ""
+    if t is not None:
+        at += f", t={t}"
+    if gas.gamma == 1.0:
+        raise GasOverflowError(
+            f"isothermal density exponent exceeds +/-{EXP_CAP:g}{at}",
+            node=node, t=t)
+    value = np.asarray(c2)[node or ()]
+    raise VacuumError(f"vacuum{at}: c^2 = {value:.6g} <= 0", node=node, t=t)
 
 
 def density(gas: GasModel, s: FlowState):
-    """Density from the Bernoulli relation.
+    """Density from the Bernoulli relation (see bernoulli_density).
 
-    gamma != 1: rho = (c^2)^(1/(gamma-1)); raises VacuumError if c^2 <= 0.
-    gamma  = 1: rho = rho0 * exp((B - z^2 - |q|^2)/2), the pointwise limit
-    of the power law; raises GasOverflowError past the exp() guard.
+    Raises VacuumError if c^2 <= 0 and, for gamma = 1, GasOverflowError
+    past the exp() guard.
     """
-    if gas.gamma == 1.0:
-        arg = _isothermal_exponent(gas, s)
-        if np.any(np.abs(arg) > EXP_CAP):
-            raise GasOverflowError(
-                f"isothermal density exponent exceeds +/-{EXP_CAP:g}"
-            )
-        return gas.rho0 * np.exp(arg)
-    c2 = sound_speed_sq(gas, s)
-    if np.any(c2 <= 0.0):
-        raise VacuumError(f"vacuum state: c^2 = {np.min(c2):.6g} <= 0")
-    return c2 ** (1.0 / (gas.gamma - 1.0))
+    rho, c2, ok = bernoulli_density(gas, s.speed_sq(), s.z)
+    require_admissible(gas, c2, ok)
+    return rho
 
 
 def density_partials(gas: GasModel, s: FlowState):
@@ -140,12 +168,7 @@ def classify_codes(gas: GasModel, s: FlowState, eps_type: float = DEFAULT_EPS_TY
         raise ValueError("eps_type must be > 0")
     q_sq = np.asarray(s.speed_sq(), dtype=float)
     codes = np.full(q_sq.shape, int(FlowType.VACUUM), dtype=np.int8)
-    if gas.gamma == 1.0:
-        c2 = np.ones_like(q_sq)
-        ok = np.abs(_isothermal_exponent(gas, s)) <= EXP_CAP
-    else:
-        c2 = np.asarray(sound_speed_sq(gas, s), dtype=float)
-        ok = c2 > 0.0
+    _, c2, ok = bernoulli_density(gas, q_sq, s.z)
     with np.errstate(divide="ignore", invalid="ignore"):
         l2 = np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)
     codes[ok & (np.abs(l2 - 1.0) <= eps_type)] = int(FlowType.PARABOLIC)

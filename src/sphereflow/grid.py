@@ -16,6 +16,23 @@ from .errors import GridError, GridMismatchError
 
 DEFAULT_SIN_FLOOR = 1e-3
 
+# Derivative stencils in order of preference, each as (offsets, first-
+# derivative weights in units of 1/(2h), second-derivative weights in units
+# of 1/h^2) on the differences f[k + offset] - f[k].  Difference form makes
+# constants exact zeros.  The 4-point one-sided first derivative
+# (-4 f0 + 7 f1 - 4 f2 + f3)/(2h) has the central stencil's leading error
+# term (+h^2 f'''/6), so derivative fields keep a smooth error across
+# stencil switches and compositions (divergence of a gradient) stay second
+# order up to the boundary.  Three-node lines fall back to the classical
+# (-3, 4, -1)/(2h) stencil.  Offset 0 pads a stencil to three points.
+STENCILS = (
+    ((1, -1, 0), (1, -1, 0), (1, 1, 0)),        # central
+    ((1, 2, 3), (7, -4, 1), (-5, 4, -1)),       # forward, 4 points
+    ((-1, -2, -3), (-7, 4, -1), (-5, 4, -1)),   # backward, 4 points
+    ((1, 2, 0), (4, -1, 0), (-2, 1, 0)),        # forward, 3 points
+    ((-1, -2, 0), (-4, 1, 0), (-2, 1, 0)),      # backward, 3 points
+)
+
 
 @dataclass(frozen=True, eq=False)
 class SphericalGrid:
@@ -124,6 +141,48 @@ class SphericalGrid:
     @cached_property
     def interior_mask(self):
         return self.mask_array & ~self.boundary_mask
+
+    @cached_property
+    def stencils(self):
+        """Per-axis derivative stencil tables, chosen once from the mask.
+
+        Entry `axis` (0 = theta, 1 = phi, wrapping when phi_periodic) is
+        (nodes, idx, w1, w2): the flat indices of the masked nodes, then
+        (3, len(nodes)) arrays holding the flat index of each node's three
+        stencil points and their first- and second-derivative weights from
+        STENCILS.  Every stencil point is a masked node.  int32 indices and
+        int8 weights keep the table small (about 9 MB at 513 x 513).  Raises
+        GridError naming the first masked node that has no usable stencil.
+        """
+        m = self.mask_array
+        nodes = np.flatnonzero(m).astype(np.int32)
+        flat = np.arange(m.size, dtype=np.int32).reshape(self.shape)
+        tables = []
+        for axis in (0, 1):
+            pad = [(0, 0), (0, 0)]
+            pad[axis] = (3, 3)
+            mode = "wrap" if axis == 1 and self.phi_periodic else "constant"
+            m_pad, flat_pad = np.pad(m, pad, mode=mode), np.pad(flat, pad, mode=mode)
+            span = np.arange(3, 3 + self.shape[axis])
+
+            def near(a, off):
+                return np.take(a, span + off, axis=axis)[m]
+
+            kind = np.full(nodes.size, -1)
+            for s in reversed(range(len(STENCILS))):
+                kind[np.logical_and.reduce([near(m_pad, o) for o in STENCILS[s][0]])] = s
+            if np.any(kind < 0):
+                i, j = np.unravel_index(nodes[np.argmax(kind < 0)], self.shape)
+                raise GridError(f"mask too thin for a derivative stencil at node "
+                                f"({int(i)}, {int(j)})")
+            offsets, w1, w2 = (np.array(col, dtype=np.int8)[kind].T.copy()
+                               for col in zip(*STENCILS))
+            idx = np.empty(offsets.shape, dtype=np.int32)
+            for off in range(-3, 4):
+                at = offsets == off
+                idx[at] = np.broadcast_to(near(flat_pad, off), at.shape)[at]
+            tables.append((nodes, idx, w1, w2))
+        return tuple(tables)
 
     def same_geometry(self, other: "SphericalGrid") -> bool:
         if self is other:

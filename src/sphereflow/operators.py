@@ -20,20 +20,21 @@ exact solutions.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError, VacuumError
+from .errors import GridError
 from .gas import (
-    EXP_CAP,
     FlowState,
     FlowType,
     GasModel,
-    GasOverflowError,
+    bernoulli_density,
     classify_codes,
+    require_admissible,
     sound_speed_sq,
 )
-from .grid import ScalarField, VectorField
+from .grid import ScalarField, SphericalGrid, VectorField
 
 
 def _shift(a, axis, off):
@@ -62,107 +63,41 @@ def _shifted(a, axis, off, periodic):
     return _shift(a, axis, off)
 
 
-def _first_derivative(vals, avail, axis, h, periodic):
-    """Mask-aware d/dx along axis: central where possible, else one-sided.
+def _derivative(vals, grid: SphericalGrid, axis, order):
+    """d/dx (order 1) or d2/dx2 (order 2) along axis at every masked node.
 
-    The preferred one-sided stencil is the 4-point variant
-    (-4 f0 + 7 f1 - 4 f2 + f3)/(2h) whose leading error term equals the
-    central stencil's (+h^2 f'''/6), so derivative fields keep a smooth
-    error across stencil switches and compositions (divergence of a
-    gradient) stay second order up to the boundary.  Three-node lines fall
-    back to the classical (-3, 4, -1)/(2h) stencil.  All stencils are
-    written in difference form so constants are annihilated exactly.
-    Raises GridError if an available node has no usable stencil.
+    Applies the stencil the grid's table chose for each node (central where
+    possible, else one-sided; see grid.STENCILS); zero off the mask.
     """
-    sh = {off: _shifted(vals, axis, off, periodic)
-          for off in (-3, -2, -1, 1, 2, 3)}
-    av = {off: _shifted(avail, axis, off, periodic)
-          for off in (-3, -2, -1, 1, 2, 3)}
-    two_h = 2.0 * h
-
-    central = av[1] & av[-1]
-    fwd4 = av[1] & av[2] & av[3]
-    bwd4 = av[-1] & av[-2] & av[-3]
-    fwd3 = av[1] & av[2]
-    bwd3 = av[-1] & av[-2]
-
-    d = np.where(central, (sh[1] - sh[-1]) / two_h, 0.0)
-    done = central
-    pick = ~done & fwd4
-    d = np.where(pick, (7.0 * (sh[1] - vals) - 4.0 * (sh[2] - vals)
-                        + (sh[3] - vals)) / two_h, d)
-    done = done | fwd4
-    pick = ~done & bwd4
-    d = np.where(pick, (7.0 * (vals - sh[-1]) - 4.0 * (vals - sh[-2])
-                        + (vals - sh[-3])) / two_h, d)
-    done = done | bwd4
-    pick = ~done & fwd3
-    d = np.where(pick, (4.0 * (sh[1] - vals) - (sh[2] - vals)) / two_h, d)
-    done = done | fwd3
-    pick = ~done & bwd3
-    d = np.where(pick, (4.0 * (vals - sh[-1]) - (vals - sh[-2])) / two_h, d)
-
-    uncovered = avail & ~(done | bwd3)
-    if np.any(uncovered):
-        i, j = np.argwhere(uncovered)[0]
-        raise GridError(f"mask too thin for a derivative stencil at node "
-                        f"({int(i)}, {int(j)})")
-    return np.where(avail, d, 0.0)
-
-
-def _second_derivative(vals, avail, axis, h, periodic):
-    """Mask-aware d2/dx2: central 3-point, else one-sided 4-point (second
-    order), degrading to the shifted 3-point stencil on 3-node lines."""
-    sh = {off: _shifted(vals, axis, off, periodic) for off in (-3, -2, -1, 1, 2, 3)}
-    av = {off: _shifted(avail, axis, off, periodic) for off in (-3, -2, -1, 1, 2, 3)}
-    h2 = h * h
-
-    central = av[1] & av[-1]
-    fwd4 = av[1] & av[2] & av[3]
-    bwd4 = av[-1] & av[-2] & av[-3]
-    fwd3 = av[1] & av[2]
-    bwd3 = av[-1] & av[-2]
-
-    d = np.where(central, ((sh[1] - vals) - (vals - sh[-1])) / h2, 0.0)
-    pick = ~central & fwd4
-    d = np.where(pick, (-5.0 * (sh[1] - vals) + 4.0 * (sh[2] - vals)
-                        - (sh[3] - vals)) / h2, d)
-    done = central | fwd4
-    pick = ~done & bwd4
-    d = np.where(pick, (5.0 * (vals - sh[-1]) - 4.0 * (vals - sh[-2])
-                        + (vals - sh[-3])) / h2, d)
-    done = done | bwd4
-    pick = ~done & fwd3
-    d = np.where(pick, ((sh[2] - vals) - 2.0 * (sh[1] - vals)) / h2, d)
-    done = done | fwd3
-    pick = ~done & bwd3
-    d = np.where(pick, (2.0 * (vals - sh[-1]) - (vals - sh[-2])) / h2, d)
-
-    uncovered = avail & ~(done | bwd3)
-    if np.any(uncovered):
-        i, j = np.argwhere(uncovered)[0]
-        raise GridError(f"mask too thin for a second-derivative stencil at "
-                        f"node ({int(i)}, {int(j)})")
-    return np.where(avail, d, 0.0)
+    nodes, idx, w1, w2 = grid.stencils[axis]
+    flat = np.asarray(vals, dtype=float).ravel()
+    terms = flat[idx]
+    terms -= flat[nodes]
+    terms *= w1 if order == 1 else w2
+    d = terms[0] + terms[1]
+    d += terms[2]
+    h = grid.h_theta if axis == 0 else grid.h_phi
+    d /= 2.0 * h if order == 1 else h * h
+    out = np.zeros(flat.size)
+    out[nodes] = d
+    return out.reshape(vals.shape)
 
 
 def spherical_gradient(f: ScalarField) -> VectorField:
     """D f = (df/dtheta, df/dphi / sin(theta)) at every masked node."""
     grid = f.grid
-    avail = grid.mask_array
-    dth = _first_derivative(f.values, avail, 0, grid.h_theta, False)
-    dph = _first_derivative(f.values, avail, 1, grid.h_phi, grid.phi_periodic)
+    dth = _derivative(f.values, grid, 0, 1)
+    dph = _derivative(f.values, grid, 1, 1)
     return VectorField(grid, dth, dph / grid.sin_theta[:, None])
 
 
 def spherical_divergence(v: VectorField) -> ScalarField:
     """(1/sin) d/dtheta (sin * v_theta) + (1/sin) d/dphi (v_phi)."""
     grid = v.grid
-    avail = grid.mask_array
     st = grid.sin_theta[:, None]
-    dth = _first_derivative(st * v.v_theta, avail, 0, grid.h_theta, False)
-    dph = _first_derivative(v.v_phi, avail, 1, grid.h_phi, grid.phi_periodic)
-    return ScalarField(grid, np.where(avail, (dth + dph) / st, 0.0))
+    dth = _derivative(st * v.v_theta, grid, 0, 1)
+    dph = _derivative(v.v_phi, grid, 1, 1)
+    return ScalarField(grid, np.where(grid.mask_array, (dth + dph) / st, 0.0))
 
 
 def field_state(gas: GasModel, f: ScalarField):
@@ -173,38 +108,136 @@ def field_state(gas: GasModel, f: ScalarField):
     return q1, q2, z, c2
 
 
-def _first_node(flagged):
-    i, j = np.argwhere(flagged)[0]
-    return (int(i), int(j))
-
-
 def field_density(gas: GasModel, f: ScalarField):
     """(rho, c2, q1, q2) node arrays; rho is zero off the mask.
 
-    Raises VacuumError naming the first masked node where c^2 <= 0
-    (GasOverflowError for the isothermal exp() guard).
+    Raises VacuumError (GasOverflowError for the isothermal exp() guard)
+    naming the first inadmissible masked node.
     """
-    q1, q2, z, c2 = field_state(gas, f)
+    vf = spherical_gradient(f)
+    q1, q2 = vf.v_theta, vf.v_phi
     m = f.grid.mask_array
-    if gas.gamma == 1.0:
-        arg = 0.5 * (gas.bernoulli - z * z - q1 * q1 - q2 * q2)
-        bad = np.abs(arg) > EXP_CAP
-        if np.any(bad & m):
-            node = _first_node(bad & m)
-            raise GasOverflowError(
-                f"isothermal density exponent out of range at node {node}"
-            )
-        rho = np.where(m, gas.rho0 * np.exp(np.where(m, arg, 0.0)), 0.0)
-    else:
-        bad = c2 <= 0.0
-        if np.any(bad & m):
-            node = _first_node(bad & m)
-            raise VacuumError(
-                f"vacuum at node {node}: c^2 = {c2[node]:.6g} <= 0", node=node
-            )
-        base = np.where(m & ~bad, c2, 1.0)
-        rho = np.where(m, base ** (1.0 / (gas.gamma - 1.0)), 0.0)
-    return rho, c2, q1, q2
+    rho, c2, ok = bernoulli_density(gas, q1 * q1 + q2 * q2, f.values)
+    require_admissible(gas, c2, ok, m)
+    return np.where(m, rho, 0.0), c2, q1, q2
+
+
+@dataclass(eq=False)
+class CoefficientFields:
+    """Coefficients of the linear divergence-form operator on a shared grid.
+
+    a is the 2x2 principal block, (b1, b2) the flux sensitivity to the
+    potential value, (c1, c2) the source sensitivity to the gradient and d
+    the source sensitivity to the value.  For the comparison theory they
+    are t-averages over the segment between two fields (a12 = a21 by
+    construction); the flow operator itself is the frozen-density case
+    isotropic(grid, rho, 2 rho).  The arrays are read as immutable once the
+    operator has been applied.
+    """
+
+    grid: SphericalGrid
+    a11: np.ndarray
+    a12: np.ndarray
+    a21: np.ndarray
+    a22: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    d: np.ndarray
+
+    @classmethod
+    def isotropic(cls, grid, a=1.0, d=0.0):
+        """a*I principal part, zero b/c, and d; a and d are constants or
+        node arrays.  The fields are read-only views of a and d."""
+        a, d, zero = (np.broadcast_to(np.asarray(v, dtype=float), grid.shape)
+                      for v in (a, d, 0.0))
+        return cls(grid, a11=a, a12=zero, a21=zero, a22=a, b1=zero, b2=zero,
+                   c1=zero, c2=zero, d=d)
+
+    @cached_property
+    def faces(self):
+        """Arithmetic-mean (a11, a12, b1) on theta faces i + 1/2 and
+        (a21, a22, b2) on phi faces j + 1/2."""
+        per = self.grid.phi_periodic
+        theta = [0.5 * (a + _shift(a, 0, 1)) for a in (self.a11, self.a12, self.b1)]
+        phi = [0.5 * (a + _shifted(a, 1, 1, per)) for a in (self.a21, self.a22, self.b2)]
+        return (*theta, *phi)
+
+
+def linearized_operator(coeffs: CoefficientFields, interior_only: bool = False):
+    """Closure applying the conservative linearized stencil to value arrays.
+
+    The second-order part goes through face-averaged coefficients (so the
+    divergence structure of the nonlinear operator is preserved); patch
+    edges and mask boundaries fall back to the divergence of the node
+    fluxes unless interior_only skips them (the solver path).
+    """
+    grid = coeffs.grid
+    m = grid.mask_array
+    st = grid.sin_theta[:, None]
+    hth, hph = grid.h_theta, grid.h_phi
+    per = grid.phi_periodic
+    a11f, a12f, b1f, a21f, a22f, b2f = coeffs.faces
+    sin_face = np.sin(grid.thetas + 0.5 * hth)[:, None]
+    ok_th = _shift(m, 0, 1) & _shift(m, 0, -1)
+    ok_ph = _shifted(m, 1, 1, per) & _shifted(m, 1, -1, per)
+
+    def apply(hvals):
+        g1 = _derivative(hvals, grid, 0, 1)
+        g2 = _derivative(hvals, grid, 1, 1) / st
+        fb_th = fb_ph = 0.0
+        if not interior_only:
+            zero = np.zeros(grid.shape)
+            v1 = coeffs.a11 * g1 + coeffs.a12 * g2 + coeffs.b1 * hvals
+            fb_th = spherical_divergence(VectorField(grid, v1, zero)).values
+            v2 = coeffs.a21 * g1 + coeffs.a22 * g2 + coeffs.b2 * hvals
+            fb_ph = spherical_divergence(VectorField(grid, zero, v2)).values
+
+        hp = _shift(hvals, 0, 1)
+        flux = sin_face * (
+            a11f * (hp - hvals) / hth
+            + a12f * 0.5 * (g2 + _shift(g2, 0, 1))
+            + b1f * 0.5 * (hvals + hp)
+        )
+        th = (flux - _shift(flux, 0, -1)) / (st * hth)
+
+        hpj = _shifted(hvals, 1, 1, per)
+        gphi = (
+            a21f * 0.5 * (g1 + _shifted(g1, 1, 1, per))
+            + a22f * (hpj - hvals) / (hph * st)
+            + b2f * 0.5 * (hvals + hpj)
+        )
+        ph = (gphi - _shifted(gphi, 1, -1, per)) / (st * hph)
+
+        out = coeffs.c1 * g1 + coeffs.c2 * g2 + coeffs.d * hvals
+        out += np.where(ok_th, th, fb_th)
+        out += np.where(ok_ph, ph, fb_ph)
+        return np.where(m, out, 0.0)
+
+    return apply
+
+
+def linearized_diag(coeffs: CoefficientFields) -> np.ndarray:
+    """Diagonal (center-weight) of the conservative linearized stencil.
+
+    Valid at interior nodes; used as the Jacobi preconditioner.
+    """
+    grid = coeffs.grid
+    st = grid.sin_theta[:, None]
+    hth, hph = grid.h_theta, grid.h_phi
+    per = grid.phi_periodic
+    a11f, _, b1f, _, a22f, b2f = coeffs.faces
+
+    sin_p = np.sin(grid.thetas + 0.5 * hth)[:, None]
+    sin_m = np.sin(grid.thetas - 0.5 * hth)[:, None]
+    center = (sin_p * (-a11f / hth + 0.5 * b1f)
+              - sin_m * (_shift(a11f, 0, -1) / hth + 0.5 * _shift(b1f, 0, -1))
+              ) / (st * hth)
+    center += ((-a22f / (hph * st) + 0.5 * b2f)
+               - (_shifted(a22f, 1, -1, per) / (hph * st)
+                  + 0.5 * _shifted(b2f, 1, -1, per))) / (st * hph)
+    return center + coeffs.d
 
 
 class ResidualForm(Enum):
@@ -216,74 +249,32 @@ def flow_residual(gas: GasModel, f: ScalarField,
                   form: ResidualForm = ResidualForm.DIVERGENCE) -> ScalarField:
     """Evaluate the potential-flow operator div(rho D f) + 2 rho f.
 
-    DIVERGENCE uses the conservative flux stencil with arithmetic-mean face
-    densities, falling back to one-sided derivatives of the node fluxes at
-    patch edges and mask boundaries.  EXPANDED evaluates the second-order
-    termwise expansion (which carries the c^2/rho factor noted in the
-    module docstring).
+    DIVERGENCE applies the conservative linearized operator with the
+    frozen-density coefficients a = rho I, b = c = 0, d = 2 rho, which is
+    the flux stencil with arithmetic-mean face densities, falling back to
+    one-sided derivatives of the node fluxes at patch edges and mask
+    boundaries.  EXPANDED evaluates the second-order termwise expansion
+    (which carries the c^2/rho factor noted in the module docstring).
     """
     grid = f.grid
     if min(np.sin(grid.theta_min), np.sin(grid.theta_max)) < grid.sin_floor:
         raise GridError("pole proximity: sin(theta) below floor")
     rho, c2, q1, q2 = field_density(gas, f)
     if form is ResidualForm.EXPANDED:
-        return _expanded_residual(gas, f, c2, q1, q2)
-    return _divergence_residual(gas, f, rho, q1, q2)
+        return _expanded_residual(f, c2, q1, q2)
+    frozen = CoefficientFields.isotropic(grid, a=rho, d=2.0 * rho)
+    return ScalarField(grid, linearized_operator(frozen)(f.values))
 
 
-def _divergence_residual(gas, f, rho, q1, q2):
+def _expanded_residual(f, c2, q1, q2):
     grid = f.grid
     m = grid.mask_array
     st = grid.sin_theta[:, None]
-    hth, hph = grid.h_theta, grid.h_phi
-    per = grid.phi_periodic
     vals = f.values
 
-    # theta direction, conservative faces at i +/- 1/2
-    mp = _shift(m, 0, 1)
-    mm = _shift(m, 0, -1)
-    vp = _shift(vals, 0, 1)
-    vm = _shift(vals, 0, -1)
-    rp = _shift(rho, 0, 1)
-    rm = _shift(rho, 0, -1)
-    sin_face_p = np.sin(grid.thetas + 0.5 * hth)[:, None]
-    sin_face_m = np.sin(grid.thetas - 0.5 * hth)[:, None]
-    flux_p = sin_face_p * 0.5 * (rho + rp) * (vp - vals) / hth
-    flux_m = sin_face_m * 0.5 * (rho + rm) * (vals - vm) / hth
-    th_central = (flux_p - flux_m) / (st * hth)
-    th_fallback = _first_derivative(st * rho * q1, m, 0, hth, False) / st
-    th_part = np.where(mp & mm, th_central, th_fallback)
-
-    # phi direction
-    mpj = _shifted(m, 1, 1, per)
-    mmj = _shifted(m, 1, -1, per)
-    vpj = _shifted(vals, 1, 1, per)
-    vmj = _shifted(vals, 1, -1, per)
-    rpj = _shifted(rho, 1, 1, per)
-    rmj = _shifted(rho, 1, -1, per)
-    g_p = 0.5 * (rho + rpj) * (vpj - vals) / hph
-    g_m = 0.5 * (rho + rmj) * (vals - vmj) / hph
-    ph_central = (g_p - g_m) / (st * st * hph)
-    ph_fallback = _first_derivative(rho * q2, m, 1, hph, per) / st
-    ph_part = np.where(mpj & mmj, ph_central, ph_fallback)
-
-    out = np.where(m, th_part + ph_part + 2.0 * rho * vals, 0.0)
-    return ScalarField(grid, out)
-
-
-def _expanded_residual(gas, f, c2, q1, q2):
-    grid = f.grid
-    m = grid.mask_array
-    st = grid.sin_theta[:, None]
-    per = grid.phi_periodic
-    vals = f.values
-
-    f_tt = _second_derivative(vals, m, 0, grid.h_theta, False)
-    f_pp = _second_derivative(vals, m, 1, grid.h_phi, per)
-    f_tp = _first_derivative(
-        _first_derivative(vals, m, 0, grid.h_theta, False),
-        m, 1, grid.h_phi, per,
-    )
+    f_tt = _derivative(vals, grid, 0, 2)
+    f_pp = _derivative(vals, grid, 1, 2)
+    f_tp = _derivative(_derivative(vals, grid, 0, 1), grid, 1, 1)
     cot = (np.cos(grid.thetas) / grid.sin_theta)[:, None]
     out = (
         (c2 - q1 * q1) * f_tt

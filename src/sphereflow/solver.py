@@ -2,13 +2,14 @@
 
 Damped Newton iteration on the conservative discretization, so discrete
 solutions inherit the divergence structure the comparison checks rely on.
-The Jacobian is the analytically linearized operator (mean-value
-coefficients collapsed at zero gap), applied matrix-free; inner systems go
-through a Jacobi-preconditioned BiCGSTAB.  The line search halves the step
-until the residual sup-norm decreases and the iterate stays admissible
-(rho > 0 everywhere on the mask); vacuum is a hard wall.  If Newton cannot
-make progress in the first iterations, a damped Picard (frozen-density)
-step is tried instead.
+The Jacobian is the zero-gap mean-value linearization (the continuum
+linearization discretized with the flux stencil), applied matrix-free.  It
+is not the derivative of the discrete flux residual, so convergence is
+linear.  Inner systems go through a Jacobi-preconditioned BiCGSTAB.  The
+line search halves the step until the residual sup-norm decreases and the
+iterate stays admissible (rho > 0 everywhere on the mask); vacuum is a hard
+wall.  If Newton cannot make progress in the first iterations, a damped
+Picard (frozen-density) step is tried instead.
 """
 
 import warnings
@@ -16,26 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparison import (
-    CoefficientFields,
-    linearized_diag,
-    linearized_operator,
-    mean_value_coefficients,
-)
+from .comparison import mean_value_coefficients
 from .ellipticity import EllipticityCertificate, certify_uniform_ellipticity
 from .errors import (
     BreakdownError,
     GridError,
     InadmissibleFieldError,
+    InadmissibleStateError,
     LinearSolveError,
     MaxIterError,
     NonConvergenceError,
     VacuumEncounteredError,
-    VacuumError,
 )
-from .gas import GasModel, GasOverflowError
+from .gas import GasModel
 from .grid import ScalarField, SphericalGrid
-from .operators import field_density, flow_residual
+from .operators import (
+    CoefficientFields,
+    field_density,
+    flow_residual,
+    linearized_diag,
+    linearized_operator,
+)
 
 
 @dataclass
@@ -73,28 +75,37 @@ class SolveReport:
         }
 
 
-def _count_interior_components(grid: SphericalGrid) -> int:
+def _interior_connected(grid: SphericalGrid) -> bool:
+    """Whether the interior nodes form one 4-connected set (phi wraps).
+
+    Flood fill from the first interior node: each round spreads the reached
+    set along whole theta-runs and phi-runs of interior nodes, then across
+    the periodic seam, so a round costs a few array passes and the rounds
+    needed grow with the number of turns a path takes, not its length.
+    """
     im = grid.interior_mask
-    seen = np.zeros_like(im)
-    nth, nph = grid.shape
-    comps = 0
-    for i0, j0 in np.argwhere(im):
-        if seen[i0, j0]:
-            continue
-        comps += 1
-        stack = [(int(i0), int(j0))]
-        seen[i0, j0] = True
-        while stack:
-            i, j = stack.pop()
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = i + di, j + dj
-                if grid.phi_periodic:
-                    jj %= nph
-                if 0 <= ii < nth and 0 <= jj < nph and im[ii, jj] \
-                        and not seen[ii, jj]:
-                    seen[ii, jj] = True
-                    stack.append((ii, jj))
-    return comps
+
+    def run_labels(a):
+        starts = a.copy()
+        starts[:, 1:] &= ~a[:, :-1]
+        return np.cumsum(starts).reshape(a.shape) * a
+
+    along_phi, along_theta = run_labels(im), run_labels(im.T).T
+    reached = np.zeros_like(im)
+    reached[np.unravel_index(np.argmax(im), im.shape)] = True
+    while True:
+        grown = reached
+        for labels in (along_theta, along_phi):
+            hit = np.zeros(labels.max() + 1, dtype=bool)
+            hit[labels[grown]] = True
+            hit[0] = False
+            grown = hit[labels]
+        if grid.phi_periodic:
+            seam = im[:, 0] & im[:, -1] & (grown[:, 0] | grown[:, -1])
+            grown[seam, 0] = grown[seam, -1] = True
+        if np.array_equal(grown, reached):
+            return bool(np.array_equal(reached, im))
+        reached = grown
 
 
 @dataclass
@@ -115,7 +126,7 @@ class BVProblem:
             raise GridError("grid has no discrete boundary nodes")
         if not np.all(np.isfinite(self.boundary.values[bm])):
             raise GridError("boundary datum not finite on the boundary")
-        if _count_interior_components(self.grid) > 1:
+        if not _interior_connected(self.grid):
             warnings.warn("interior of the mask is disconnected",
                           stacklevel=2)
 
@@ -254,19 +265,8 @@ def _admissible(gas, f):
     try:
         field_density(gas, f)
         return True, None
-    except (VacuumError, GasOverflowError) as err:
-        return False, getattr(err, "node", None)
-
-
-def _frozen_density_coefficients(gas, f):
-    rho = field_density(gas, f)[0]
-    grid = f.grid
-    zero = np.zeros(grid.shape)
-    return CoefficientFields(
-        grid, a11=rho.copy(), a12=zero.copy(), a21=zero.copy(),
-        a22=rho.copy(), b1=zero.copy(), b2=zero.copy(), c1=zero.copy(),
-        c2=zero.copy(), d=2.0 * rho,
-    )
+    except InadmissibleStateError as err:
+        return False, err.node
 
 
 def _line_search(grid, phi, delta, idx, res, interior_residual, max_damping):
@@ -278,7 +278,7 @@ def _line_search(grid, phi, delta, idx, res, interior_residual, max_damping):
         cand = ScalarField(grid, vals.reshape(grid.shape))
         try:
             r_new = interior_residual(cand)
-        except (VacuumError, GasOverflowError):
+        except InadmissibleStateError:
             lam *= 0.5
             continue
         all_vacuum = False
@@ -360,7 +360,8 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
             # frozen-density fallback: solve the linear problem with rho
             # held at the current iterate and step toward its solution
             picard_left -= 1
-            pc = _frozen_density_coefficients(gas, phi)
+            rho = field_density(gas, phi)[0]
+            pc = CoefficientFields.isotropic(grid, a=rho, d=2.0 * rho)
             picard_vals = _linear_dirichlet(
                 linearized_operator(pc, interior_only=True),
                 linearized_diag(pc), grid, problem.boundary.values,
@@ -401,7 +402,7 @@ def manufactured_problem(gas: GasModel, grid: SphericalGrid,
         raise GridError("f_exact does not live on the given grid")
     try:
         _, c2, q1, q2 = field_density(gas, f_exact)
-    except (VacuumError, GasOverflowError) as err:
+    except InadmissibleStateError as err:
         raise InadmissibleFieldError(
             f"exact field is inadmissible: {err}") from err
     m = grid.mask_array

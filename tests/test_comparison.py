@@ -155,11 +155,9 @@ def test_weak_form_algebraic_identity(gas_b4):
     beta = 0.5
     co = sf.mean_value_coefficients(gas_b4, lo, hi)
     F = weak_form_field(gas_b4, lo, hi, beta=beta)
-    from sphereflow.operators import _first_derivative
-    m = g.mask_array
     hplus = np.maximum(lo.values - hi.values, 0.0)
-    g1 = _first_derivative(hplus, m, 0, g.h_theta, False)
-    g2 = _first_derivative(hplus, m, 1, g.h_phi, False) / g.sin_theta[:, None]
+    grad = sf.spherical_gradient(ScalarField(g, hplus))
+    g1, g2 = grad.v_theta, grad.v_phi
     quad = (co.a11 * g1 * g1 + (co.a12 + co.a21) * g1 * g2
             + co.a22 * g2 * g2 + co.b1 * hplus * g1 + co.b2 * hplus * g2
             - beta * (co.c1 * hplus * g1 + co.c2 * hplus * g2)
@@ -222,6 +220,17 @@ def test_hopf_corner_and_nontouching_errors(solver_pair):
     # margin pair does not touch on the boundary
     with pytest.raises(sf.NonTouchingNodeError):
         sf.hopf_indicator(gas, f_minus, f_plus, [(0, 16)])
+
+
+def test_hopf_isothermal_overflow_names_node():
+    gas = GasModel(1.0, 1.0, 4.0)
+    g = SphericalGrid(*WIDE_PATCH, 17, 17)
+    vals = np.full(g.shape, 1.0)
+    vals[0, 8] = 40.0  # density exponent (B - z^2 - |q|^2)/2 < -700
+    f = ScalarField(g, vals)
+    with pytest.raises(sf.GasOverflowError) as err:
+        sf.hopf_indicator(gas, f, f.copy(), [(0, 8)])
+    assert err.value.node == (0, 8)
 
 
 def test_hopf_one_dimensional_sanity(gas_b4):

@@ -10,7 +10,9 @@ from sphereflow.fieldio import (
     read_mask_csv,
     write_field_csv,
     write_json_report,
+    write_l2_csv,
     write_pgm,
+    write_type_map_csv,
 )
 
 
@@ -32,6 +34,34 @@ def test_field_csv_rejects_wrong_grid(tmp_path):
     write_field_csv(path, ScalarField.constant(g, 1.0))
     with pytest.raises(sf.GridError):
         read_field_csv(path, other)
+
+
+def test_map_writers_match_per_node_format(tmp_path):
+    # reference: one f-string per node, non-finite L^2 written as nan
+    g = SphericalGrid(*WIDE_PATCH, 4, 3)
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=g.shape) * 1e5
+    vals[0, 0] = -0.0
+    l2 = rng.random(g.shape)
+    l2[1, 1], l2[2, 2], l2[3, 0] = np.nan, np.inf, -np.inf
+    letters = np.array(list("EPHV"))[rng.integers(0, 4, g.shape)]
+    nodes = [(i, j) for i in range(g.n_theta) for j in range(g.n_phi)]
+    coords = {(i, j): f"{g.thetas[i]:.17g},{g.phis[j]:.17g}" for i, j in nodes}
+    expected = {
+        "field.csv": ["theta,phi,value"] + [
+            f"{coords[n]},{vals[n]:.17g}" for n in nodes],
+        "type.csv": ["i,j,theta,phi,type"] + [
+            f"{i},{j},{coords[i, j]},{letters[i, j]}" for i, j in nodes],
+        "l2.csv": ["i,j,theta,phi,l2"] + [
+            f"{i},{j},{coords[i, j]},"
+            + (f"{l2[i, j]:.17g}" if np.isfinite(l2[i, j]) else "nan")
+            for i, j in nodes],
+    }
+    write_field_csv(tmp_path / "field.csv", ScalarField(g, vals))
+    write_type_map_csv(tmp_path / "type.csv", g, letters)
+    write_l2_csv(tmp_path / "l2.csv", g, l2)
+    for name, lines in expected.items():
+        assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
 
 
 def test_mask_csv(tmp_path):

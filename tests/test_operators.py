@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,26 @@ def test_residual_vacuum_reports_node(gas_b4, wide_grid_33):
     with pytest.raises(sf.VacuumError) as err:
         sf.flow_residual(gas_b4, ScalarField(wide_grid_33, vals))
     assert err.value.node is not None
+
+
+def test_residual_isothermal_overflow_reports_node(wide_grid_33):
+    gas = GasModel(1.0, 1.0, 4.0)
+    vals = np.full(wide_grid_33.shape, 1.0)
+    vals[0, 0] = 40.0  # density exponent (B - z^2 - |q|^2)/2 < -700
+    with pytest.raises(sf.GasOverflowError) as err:
+        sf.flow_residual(gas, ScalarField(wide_grid_33, vals))
+    assert err.value.node == (0, 0)
+    assert "(0, 0)" in str(err.value)
+
+
+def test_thin_mask_names_node():
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[3:5, :] = True  # a strip two theta-nodes wide
+    g = SphericalGrid(*WIDE_PATCH, 9, 9, mask=mask)
+    with pytest.raises(sf.GridError, match="too thin") as err:
+        sf.spherical_gradient(ScalarField.constant(g, 1.0))
+    i, j = (int(k) for k in re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
+    assert mask[i, j]
 
 
 def test_residual_forms_agree_at_second_order(gas_b4):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,18 @@ def test_disconnected_interior_warns(gas_b4):
     mask[5, :] = False  # split the patch into two bands
     g = SphericalGrid(*WIDE_PATCH, 11, 11, mask=mask)
     with pytest.warns(UserWarning):
+        BVProblem(gas=gas_b4, grid=g,
+                  boundary=ScalarField.constant(g, 2.0),
+                  source=ScalarField.constant(g, 4.0))
+
+
+def test_interior_joined_across_seam_does_not_warn(gas_b4):
+    mask = np.ones((9, 12), dtype=bool)
+    mask[:, 5:7] = False  # one band, closed up through phi = 0 = 2*pi
+    g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, 9, 12,
+                      mask=mask, phi_periodic=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         BVProblem(gas=gas_b4, grid=g,
                   boundary=ScalarField.constant(g, 2.0),
                   source=ScalarField.constant(g, 4.0))
