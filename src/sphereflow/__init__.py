@@ -74,6 +74,7 @@ from .operators import (
     eigenvalue_ratio,
     field_density,
     field_state,
+    flow_jacobian,
     flow_residual,
     principal_matrix,
     spherical_divergence,

@@ -101,6 +101,21 @@ class SegmentCheckReport:
         return len(self.violations) == 0
 
 
+def _form_minima(xs, q1, q2, z, c2, scale):
+    """Per-node minima of the form scale (c2 |x_t|^2 - (q . x_t)^2
+    + (z^2 - c2) x3^2), x_t = (x1, x2), over the directions xs (nodes, n_xi,
+    3), normalized here in place, and the six signed basis vectors (closed
+    form): (over all, over those with x_t != 0).  Node data are (nodes, 1)."""
+    x1, x2, x3 = xs[:, :, 0], xs[:, :, 1], xs[:, :, 2]
+    xs /= np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)[:, :, None]
+    tan_sq = x1 * x1 + x2 * x2
+    form = scale * (c2 * tan_sq - (q1 * x1 + q2 * x2) ** 2 + (z * z - c2) * x3 * x3)
+    basis_tan = np.minimum(scale * (c2 - q1 * q1), scale * (c2 - q2 * q2))[:, 0]
+    basis_all = np.minimum(basis_tan, (scale * (z * z - c2))[:, 0])
+    return (np.minimum(form.min(axis=1), basis_all),
+            np.minimum(np.where(tan_sq > 0.0, form, np.inf).min(axis=1), basis_tan))
+
+
 def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
                              f_plus: ScalarField, n_t: int = 9,
                              n_xi: int = 64, seed: int = 0) -> SegmentCheckReport:
@@ -120,7 +135,6 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
     gm = spherical_gradient(f_minus)
     gp = spherical_gradient(f_plus)
     rng = np.random.default_rng(seed)
-    basis = np.vstack([np.eye(3), -np.eye(3)])
 
     pass_mask = mask.copy()
     recorded = ~mask  # off-mask nodes never report
@@ -157,25 +171,10 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
         if not np.any(live):
             continue
         idx = np.argwhere(live)
-        n_live = idx.shape[0]
-        xs = rng.normal(size=(n_live, n_xi, 3))
-        xs /= np.linalg.norm(xs, axis=2, keepdims=True)
-        xs = np.concatenate(
-            [xs, np.broadcast_to(basis, (n_live, 6, 3)).copy()], axis=1)
-        q1v = q1[live][:, None]
-        q2v = q2[live][:, None]
-        zv = z[live][:, None]
-        c2v = safe_c2[live][:, None]
-        scale = (rho[live] / safe_c2[live])[:, None]
-        x1, x2, x3 = xs[:, :, 0], xs[:, :, 1], xs[:, :, 2]
-        form = scale * (
-            c2v * (x1 * x1 + x2 * x2)
-            - (q1v * x1 + q2v * x2) ** 2
-            + (zv * zv - c2v) * x3 * x3
-        )
-        tangential = (x1 * x1 + x2 * x2) > 0.0
-        min_nonneg = np.min(form, axis=1)
-        strict = np.where(tangential, form, np.inf).min(axis=1)
+        min_nonneg, strict = _form_minima(
+            rng.normal(size=(idx.shape[0], n_xi, 3)),
+            *(a[live][:, None] for a in (q1, q2, z, safe_c2)),
+            (rho[live] / safe_c2[live])[:, None])
         bad_flat = (min_nonneg < -Z_GE_C_SLACK) | (strict <= 0.0)
         if np.any(bad_flat):
             bad = np.zeros_like(mask)

@@ -110,6 +110,11 @@ class SphericalGrid:
         return np.sin(self.thetas)
 
     @cached_property
+    def sin_theta_face(self):
+        """sin(theta) on the theta faces i + 1/2, as a column."""
+        return np.sin(self.thetas + 0.5 * self.h_theta)[:, None]
+
+    @cached_property
     def theta_mesh(self):
         return np.broadcast_to(self.thetas[:, None], self.shape).copy()
 

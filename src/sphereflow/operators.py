@@ -15,7 +15,8 @@ in conservative (flux) form with arithmetic-mean face densities, or the
 termwise second-order expansion of the same equation.  Note the expanded
 display carries an overall factor c^2/rho relative to the flux form; the
 two evaluations agree pointwise only for gamma = 2 (where rho = c^2) or on
-exact solutions.
+exact solutions.  flow_jacobian is the exact derivative of the flux form at
+interior nodes, applied matrix-free.
 """
 
 from dataclasses import dataclass
@@ -37,30 +38,53 @@ from .gas import (
 from .grid import ScalarField, SphericalGrid, VectorField
 
 
-def _shift(a, axis, off):
-    """Array whose entry at index i is a[i + off]; zero-filled off the patch."""
-    if off == 0:
-        return a.copy()
+def _shifted(a, grid, axis, off):
+    """Array whose entry at node k is a[k + off] along axis (off = +-1),
+    wrapped across a periodic phi seam, else zero-filled off the patch."""
+    if axis == 1 and grid.phi_periodic:
+        return np.roll(a, -off, axis=1)
     out = np.zeros_like(a)
-    n = a.shape[axis]
-    if abs(off) >= n:
-        return out
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if off > 0:
-        dst[axis] = slice(0, n - off)
-        src[axis] = slice(off, n)
-    else:
-        dst[axis] = slice(-off, n)
-        src[axis] = slice(0, n + off)
+    lo, hi = slice(0, -1), slice(1, None)
+    dst, src = [slice(None)] * 2, [slice(None)] * 2
+    dst[axis], src[axis] = (lo, hi) if off > 0 else (hi, lo)
     out[tuple(dst)] = a[tuple(src)]
     return out
 
 
-def _shifted(a, axis, off, periodic):
-    if periodic and axis == 1:
-        return np.roll(a, -off, axis=1)
-    return _shift(a, axis, off)
+def _face_mean(a, grid, axis):
+    """Arithmetic mean of a node array on the faces k + 1/2 along axis."""
+    return 0.5 * (a + _shifted(a, grid, axis, 1))
+
+
+def _face_step(a, grid, axis):
+    """a[k + 1] - a[k] on the faces k + 1/2 along axis."""
+    return _shifted(a, grid, axis, 1) - a
+
+
+def _add_divergence(out, grid, flux_th, flux_ph, node_flux=None):
+    """out += the divergence of face fluxes (theta faces sin-weighted).
+
+    A node missing a masked neighbor along an axis takes the one-sided
+    divergence of node_flux = (v_theta, v_phi) there, if given (without it
+    the result is exact at interior nodes only).
+    """
+    st = grid.sin_theta[:, None]
+    m = grid.mask_array
+    for axis, h, flux in ((0, grid.h_theta, flux_th), (1, grid.h_phi, flux_ph)):
+        div = (flux - _shifted(flux, grid, axis, -1)) / (st * h)
+        if node_flux is not None:
+            node = st * node_flux[0] if axis == 0 else node_flux[1]
+            div = np.where(_shifted(m, grid, axis, 1) & _shifted(m, grid, axis, -1),
+                           div, _derivative(node, grid, axis, 1) / st)
+        out += div
+    return out
+
+
+def _face_fluxes(grid, rho_th, rho_ph, vals):
+    """Face fluxes of rho D v for face densities rho_th (theta faces
+    i + 1/2) and rho_ph (phi faces j + 1/2), weighted by sin on theta faces."""
+    return (grid.sin_theta_face * (rho_th * _face_step(vals, grid, 0) / grid.h_theta),
+            rho_ph * _face_step(vals, grid, 1) / (grid.h_phi * grid.sin_theta[:, None]))
 
 
 def _derivative(vals, grid: SphericalGrid, axis, order):
@@ -159,9 +183,8 @@ class CoefficientFields:
     def faces(self):
         """Arithmetic-mean (a11, a12, b1) on theta faces i + 1/2 and
         (a21, a22, b2) on phi faces j + 1/2."""
-        per = self.grid.phi_periodic
-        theta = [0.5 * (a + _shift(a, 0, 1)) for a in (self.a11, self.a12, self.b1)]
-        phi = [0.5 * (a + _shifted(a, 1, 1, per)) for a in (self.a21, self.a22, self.b2)]
+        theta = [_face_mean(a, self.grid, 0) for a in (self.a11, self.a12, self.b1)]
+        phi = [_face_mean(a, self.grid, 1) for a in (self.a21, self.a22, self.b2)]
         return (*theta, *phi)
 
 
@@ -173,47 +196,25 @@ def linearized_operator(coeffs: CoefficientFields, interior_only: bool = False):
     edges and mask boundaries fall back to the divergence of the node
     fluxes unless interior_only skips them (the solver path).
     """
-    grid = coeffs.grid
-    m = grid.mask_array
+    grid, c = coeffs.grid, coeffs
     st = grid.sin_theta[:, None]
-    hth, hph = grid.h_theta, grid.h_phi
-    per = grid.phi_periodic
-    a11f, a12f, b1f, a21f, a22f, b2f = coeffs.faces
-    sin_face = np.sin(grid.thetas + 0.5 * hth)[:, None]
-    ok_th = _shift(m, 0, 1) & _shift(m, 0, -1)
-    ok_ph = _shifted(m, 1, 1, per) & _shifted(m, 1, -1, per)
+    a11f, a12f, b1f, a21f, a22f, b2f = c.faces
 
     def apply(hvals):
         g1 = _derivative(hvals, grid, 0, 1)
         g2 = _derivative(hvals, grid, 1, 1) / st
-        fb_th = fb_ph = 0.0
-        if not interior_only:
-            zero = np.zeros(grid.shape)
-            v1 = coeffs.a11 * g1 + coeffs.a12 * g2 + coeffs.b1 * hvals
-            fb_th = spherical_divergence(VectorField(grid, v1, zero)).values
-            v2 = coeffs.a21 * g1 + coeffs.a22 * g2 + coeffs.b2 * hvals
-            fb_ph = spherical_divergence(VectorField(grid, zero, v2)).values
-
-        hp = _shift(hvals, 0, 1)
-        flux = sin_face * (
-            a11f * (hp - hvals) / hth
-            + a12f * 0.5 * (g2 + _shift(g2, 0, 1))
-            + b1f * 0.5 * (hvals + hp)
-        )
-        th = (flux - _shift(flux, 0, -1)) / (st * hth)
-
-        hpj = _shifted(hvals, 1, 1, per)
-        gphi = (
-            a21f * 0.5 * (g1 + _shifted(g1, 1, 1, per))
-            + a22f * (hpj - hvals) / (hph * st)
-            + b2f * 0.5 * (hvals + hpj)
-        )
-        ph = (gphi - _shifted(gphi, 1, -1, per)) / (st * hph)
-
-        out = coeffs.c1 * g1 + coeffs.c2 * g2 + coeffs.d * hvals
-        out += np.where(ok_th, th, fb_th)
-        out += np.where(ok_ph, ph, fb_ph)
-        return np.where(m, out, 0.0)
+        flux_th = grid.sin_theta_face * (
+            a11f * _face_step(hvals, grid, 0) / grid.h_theta
+            + a12f * _face_mean(g2, grid, 0) + b1f * _face_mean(hvals, grid, 0))
+        flux_ph = (a21f * _face_mean(g1, grid, 1)
+                   + a22f * _face_step(hvals, grid, 1) / (grid.h_phi * st)
+                   + b2f * _face_mean(hvals, grid, 1))
+        node_flux = None if interior_only else (
+            c.a11 * g1 + c.a12 * g2 + c.b1 * hvals,
+            c.a21 * g1 + c.a22 * g2 + c.b2 * hvals)
+        out = _add_divergence(c.c1 * g1 + c.c2 * g2 + c.d * hvals, grid,
+                              flux_th, flux_ph, node_flux)
+        return np.where(grid.mask_array, out, 0.0)
 
     return apply
 
@@ -226,17 +227,15 @@ def linearized_diag(coeffs: CoefficientFields) -> np.ndarray:
     grid = coeffs.grid
     st = grid.sin_theta[:, None]
     hth, hph = grid.h_theta, grid.h_phi
-    per = grid.phi_periodic
     a11f, _, b1f, _, a22f, b2f = coeffs.faces
 
-    sin_p = np.sin(grid.thetas + 0.5 * hth)[:, None]
     sin_m = np.sin(grid.thetas - 0.5 * hth)[:, None]
-    center = (sin_p * (-a11f / hth + 0.5 * b1f)
-              - sin_m * (_shift(a11f, 0, -1) / hth + 0.5 * _shift(b1f, 0, -1))
-              ) / (st * hth)
+    center = (grid.sin_theta_face * (-a11f / hth + 0.5 * b1f)
+              - sin_m * (_shifted(a11f, grid, 0, -1) / hth
+                         + 0.5 * _shifted(b1f, grid, 0, -1))) / (st * hth)
     center += ((-a22f / (hph * st) + 0.5 * b2f)
-               - (_shifted(a22f, 1, -1, per) / (hph * st)
-                  + 0.5 * _shifted(b2f, 1, -1, per))) / (st * hph)
+               - (_shifted(a22f, grid, 1, -1) / (hph * st)
+                  + 0.5 * _shifted(b2f, grid, 1, -1))) / (st * hph)
     return center + coeffs.d
 
 
@@ -249,12 +248,11 @@ def flow_residual(gas: GasModel, f: ScalarField,
                   form: ResidualForm = ResidualForm.DIVERGENCE) -> ScalarField:
     """Evaluate the potential-flow operator div(rho D f) + 2 rho f.
 
-    DIVERGENCE applies the conservative linearized operator with the
-    frozen-density coefficients a = rho I, b = c = 0, d = 2 rho, which is
-    the flux stencil with arithmetic-mean face densities, falling back to
-    one-sided derivatives of the node fluxes at patch edges and mask
-    boundaries.  EXPANDED evaluates the second-order termwise expansion
-    (which carries the c^2/rho factor noted in the module docstring).
+    DIVERGENCE is the conservative flux stencil with arithmetic-mean face
+    densities, falling back to one-sided derivatives of the node fluxes
+    rho D f at patch edges and mask boundaries.  EXPANDED evaluates the
+    second-order termwise expansion (which carries the c^2/rho factor noted
+    in the module docstring).
     """
     grid = f.grid
     if min(np.sin(grid.theta_min), np.sin(grid.theta_max)) < grid.sin_floor:
@@ -262,8 +260,42 @@ def flow_residual(gas: GasModel, f: ScalarField,
     rho, c2, q1, q2 = field_density(gas, f)
     if form is ResidualForm.EXPANDED:
         return _expanded_residual(f, c2, q1, q2)
-    frozen = CoefficientFields.isotropic(grid, a=rho, d=2.0 * rho)
-    return ScalarField(grid, linearized_operator(frozen)(f.values))
+    flux_th, flux_ph = _face_fluxes(grid, _face_mean(rho, grid, 0),
+                                    _face_mean(rho, grid, 1), f.values)
+    out = _add_divergence(2.0 * rho * f.values, grid, flux_th, flux_ph,
+                          (rho * q1, rho * q2))
+    return ScalarField(grid, np.where(grid.mask_array, out, 0.0))
+
+
+def flow_jacobian(gas: GasModel, f: ScalarField):
+    """(apply, diag): the exact derivative of the flux residual at f.
+
+    apply(v) = D_face(rho_face grad_face v + drho_face grad_face f)
+    + 2 (rho v + drho f) on value arrays, exact at interior nodes, with the
+    face averages and differences of flow_residual and the chain rule
+    drho = -(rho/c^2)(q1 dv/dtheta + q2 dv/dphi / sin + z v) through the
+    Bernoulli density.  diag is the frozen-density center weight, for
+    Jacobi preconditioning.  Raises like field_density if f is inadmissible.
+    """
+    grid, vals = f.grid, f.values
+    rho, c2, q1, q2 = field_density(gas, f)
+    scale = -rho / np.where(grid.mask_array, c2, 1.0)
+    s1, s2, sz = scale * q1, scale * q2 / grid.sin_theta[:, None], scale * vals
+    rho_th, rho_ph = _face_mean(rho, grid, 0), _face_mean(rho, grid, 1)
+    df_th, df_ph = _face_fluxes(grid, 1.0, 1.0, vals)
+
+    def apply(v):
+        drho = s1 * _derivative(v, grid, 0, 1)
+        drho += s2 * _derivative(v, grid, 1, 1)
+        drho += sz * v
+        flux_th, flux_ph = _face_fluxes(grid, rho_th, rho_ph, v)
+        flux_th += df_th * _face_mean(drho, grid, 0)
+        flux_ph += df_ph * _face_mean(drho, grid, 1)
+        return _add_divergence(2.0 * (rho * v + drho * vals), grid,
+                               flux_th, flux_ph)
+
+    diag = linearized_diag(CoefficientFields.isotropic(grid, a=rho, d=2.0 * rho))
+    return apply, diag
 
 
 def _expanded_residual(f, c2, q1, q2):

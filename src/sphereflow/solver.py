@@ -2,14 +2,12 @@
 
 Damped Newton iteration on the conservative discretization, so discrete
 solutions inherit the divergence structure the comparison checks rely on.
-The Jacobian is the zero-gap mean-value linearization (the continuum
-linearization discretized with the flux stencil), applied matrix-free.  It
-is not the derivative of the discrete flux residual, so convergence is
-linear.  Inner systems go through a Jacobi-preconditioned BiCGSTAB.  The
-line search halves the step until the residual sup-norm decreases and the
-iterate stays admissible (rho > 0 everywhere on the mask); vacuum is a hard
-wall.  If Newton cannot make progress in the first iterations, a damped
-Picard (frozen-density) step is tried instead.
+The Jacobian is the exact derivative of the discrete flux residual
+(operators.flow_jacobian), applied matrix-free, so convergence is
+quadratic near the solution.  Inner systems go through a Jacobi-
+preconditioned BiCGSTAB.  The line search halves the step until the
+residual sup-norm decreases and the iterate stays admissible (rho > 0
+everywhere on the mask); vacuum is a hard wall.
 """
 
 import warnings
@@ -17,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comparison import mean_value_coefficients
 from .ellipticity import EllipticityCertificate, certify_uniform_ellipticity
 from .errors import (
     BreakdownError,
@@ -34,6 +31,7 @@ from .grid import ScalarField, SphericalGrid
 from .operators import (
     CoefficientFields,
     field_density,
+    flow_jacobian,
     flow_residual,
     linearized_diag,
     linearized_operator,
@@ -238,35 +236,33 @@ def linear_solve(op, rhs, tol, max_iter, diag=None):
             ) from None
 
 
-def _interior_index(grid: SphericalGrid):
-    return np.flatnonzero(grid.interior_mask.ravel())
-
-
-def _linear_dirichlet(apply_full, diag_full, grid, boundary_vals, rhs_full,
-                      tol, max_iter):
-    """Solve the linear operator = rhs on interior nodes, datum elsewhere."""
-    idx = _interior_index(grid)
-    base = np.where(grid.interior_mask, 0.0, boundary_vals)
-    rhs_int = (rhs_full - apply_full(base)).ravel()[idx]
-
+def _on_interior(apply_full, grid, idx):
+    """apply_full as a map from interior values (zero elsewhere) to interior values."""
     def matvec(x):
         full = np.zeros(grid.shape).ravel()
         full[idx] = x
         return apply_full(full.reshape(grid.shape)).ravel()[idx]
 
-    w = linear_solve(matvec, rhs_int, tol, max_iter,
-                     diag=diag_full.ravel()[idx])
-    out = base.ravel().copy()
-    out[idx] = w
-    return out.reshape(grid.shape)
+    return matvec
 
 
-def _admissible(gas, f):
-    try:
-        field_density(gas, f)
-        return True, None
-    except InadmissibleStateError as err:
-        return False, err.node
+def _harmonic_extension(grid, idx, boundary_vals, tol, max_iter):
+    """Laplace-Beltrami solution on the interior nodes idx, datum elsewhere."""
+    lb = CoefficientFields.isotropic(grid, a=1.0, d=0.0)
+    apply_full = linearized_operator(lb, interior_only=True)
+    out = np.where(grid.interior_mask, 0.0, boundary_vals)
+    out.flat[idx] = linear_solve(_on_interior(apply_full, grid, idx),
+                                 -apply_full(out).ravel()[idx], tol, max_iter,
+                                 diag=linearized_diag(lb).ravel()[idx])
+    return out
+
+
+def _newton_direction(gas, phi, r, idx, opts):
+    """Solve J delta = -r with the exact Jacobian at phi on the interior; the
+    operator is freed on return, before the next step builds its own."""
+    jac, diag = flow_jacobian(gas, phi)
+    return linear_solve(_on_interior(jac, phi.grid, idx), -r, opts.lin_tol,
+                        opts.lin_max_iter, diag=diag.ravel()[idx])
 
 
 def _line_search(grid, phi, delta, idx, res, interior_residual, max_damping):
@@ -299,31 +295,26 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
     if opts is None:
         opts = SolveOptions()
     gas, grid = problem.gas, problem.grid
-    idx = _interior_index(grid)
+    idx = np.flatnonzero(grid.interior_mask.ravel())
     if idx.size == 0:
         raise GridError("no interior nodes to solve for")
     source_int = problem.source.values.ravel()[idx]
 
-    lb = CoefficientFields.isotropic(grid, a=1.0, d=0.0)
-    guess_vals = _linear_dirichlet(
-        linearized_operator(lb, interior_only=True), linearized_diag(lb),
-        grid, problem.boundary.values, np.zeros(grid.shape),
-        opts.lin_tol, opts.lin_max_iter,
-    )
-    phi = ScalarField(grid, guess_vals)
-    ok, node = _admissible(gas, phi)
-    if not ok:
-        raise VacuumEncounteredError(
-            f"initial iterate already inadmissible at node {node}", node=node)
+    phi = ScalarField(grid, _harmonic_extension(
+        grid, idx, problem.boundary.values, opts.lin_tol, opts.lin_max_iter))
 
     def interior_residual(f):
         return flow_residual(gas, f).values.ravel()[idx] - source_int
 
-    r = interior_residual(phi)
+    try:
+        r = interior_residual(phi)
+    except InadmissibleStateError as err:
+        raise VacuumEncounteredError(
+            f"initial iterate already inadmissible at node {err.node}",
+            node=err.node) from err
     res = float(np.max(np.abs(r)))
     history = [res]
     iterations = 0
-    picard_left = 3
 
     while res > opts.newton_tol:
         if iterations >= opts.max_newton:
@@ -332,18 +323,8 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
                 f"Newton cap {opts.max_newton} reached, residual {res:.3e}",
                 field=phi, report=report,
             )
-        coeffs = mean_value_coefficients(gas, phi, phi, n_quad=1)
-        jac = linearized_operator(coeffs, interior_only=True)
-        jdiag = linearized_diag(coeffs).ravel()[idx]
-
-        def matvec(x):
-            full = np.zeros(grid.shape).ravel()
-            full[idx] = x
-            return jac(full.reshape(grid.shape)).ravel()[idx]
-
         try:
-            delta = linear_solve(matvec, -r, opts.lin_tol,
-                                 opts.lin_max_iter, diag=jdiag)
+            delta = _newton_direction(gas, phi, r, idx, opts)
         except LinearSolveError as err:
             if err.best is None:
                 report = SolveReport(False, iterations, history)
@@ -355,24 +336,6 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
 
         cand, r_new, res_new, all_vacuum = _line_search(
             grid, phi, delta, idx, res, interior_residual, opts.max_damping)
-
-        if cand is None and picard_left > 0 and iterations < 3:
-            # frozen-density fallback: solve the linear problem with rho
-            # held at the current iterate and step toward its solution
-            picard_left -= 1
-            rho = field_density(gas, phi)[0]
-            pc = CoefficientFields.isotropic(grid, a=rho, d=2.0 * rho)
-            picard_vals = _linear_dirichlet(
-                linearized_operator(pc, interior_only=True),
-                linearized_diag(pc), grid, problem.boundary.values,
-                problem.source.values, opts.lin_tol, opts.lin_max_iter,
-            )
-            delta = (picard_vals - phi.values).ravel()[idx]
-            cand, r_new, res_new, av2 = _line_search(
-                grid, phi, delta, idx, res, interior_residual,
-                opts.max_damping)
-            all_vacuum = all_vacuum and av2
-
         if cand is None:
             if all_vacuum:
                 raise VacuumEncounteredError(

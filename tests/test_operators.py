@@ -3,7 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import WIDE_PATCH, observed_orders, random_admissible_state, random_gas
+from helpers import (
+    PAIR_SCENARIOS,
+    SMALL_PATCH,
+    WIDE_PATCH,
+    observed_orders,
+    random_admissible_state,
+    random_gas,
+)
 
 import sphereflow as sf
 from sphereflow import FlowState, GasModel, ResidualForm, ScalarField, SphericalGrid
@@ -153,6 +160,57 @@ def test_residual_forms_agree_at_second_order(gas_b4):
         diffs.append(np.abs(rd.values - re.values)[g.interior_mask].max())
     assert diffs[0] / diffs[1] >= 3.6
     assert diffs[1] / diffs[2] >= 3.6
+
+
+def _jacobian_grid(kind, n=17):
+    if kind == "periodic":
+        return SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, n, n - 1,
+                             phi_periodic=True)
+    mask = None
+    if kind == "masked":
+        mask = np.ones((n, n), dtype=bool)
+        mask[:5, :5] = False  # corner notch
+    return SphericalGrid(*SMALL_PATCH, n, n, mask=mask)
+
+
+def _interior_matrix(grid, apply, idx):
+    """Dense matrix of a value-array map restricted to interior nodes."""
+    cols = []
+    for k in idx:
+        e = np.zeros(grid.shape)
+        e.flat[k] = 1.0
+        cols.append(apply(e).ravel()[idx])
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("kind", ["plain", "masked", "periodic"])
+@pytest.mark.parametrize("gamma", sorted(PAIR_SCENARIOS))
+def test_flow_jacobian_matches_finite_differences(kind, gamma):
+    data = PAIR_SCENARIOS[gamma]
+    gas = GasModel(gamma, 1.0, data["bernoulli"])
+    g = _jacobian_grid(kind)
+    f = ScalarField.from_function(
+        g, lambda th, ph: data["level"] + 0.05 * np.cos(2 * th)
+        + 0.04 * np.sin(th) * np.sin(ph + 0.3))
+    idx = np.flatnonzero(g.interior_mask.ravel())
+    apply, _ = sf.flow_jacobian(gas, f)
+    exact = _interior_matrix(g, apply, idx)
+
+    h = 1e-6
+    fd = np.empty_like(exact)
+    for col, k in enumerate(idx):
+        vp, vm = f.values.copy(), f.values.copy()
+        vp.flat[k] += h
+        vm.flat[k] -= h
+        fd[:, col] = (sf.flow_residual(gas, ScalarField(g, vp)).values
+                      - sf.flow_residual(gas, ScalarField(g, vm)).values
+                      ).ravel()[idx] / (2.0 * h)
+    scale = np.linalg.norm(fd)
+    assert np.linalg.norm(exact - fd) <= 1e-7 * scale
+    # the zero-gap mean-value linearization is not this derivative
+    mean_value = sf.mean_value_coefficients(gas, f, f, n_quad=1)
+    borrowed = _interior_matrix(g, sf.comparison.linearized_operator(mean_value), idx)
+    assert np.linalg.norm(borrowed - fd) > 1e-4 * scale
 
 
 def test_principal_matrix_examples(gas_b4):

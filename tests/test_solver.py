@@ -155,6 +155,22 @@ def test_residual_history_monotone(gas_b4):
     assert rep.converged and hist[-1] <= 1e-10
 
 
+@pytest.mark.parametrize("n", [17, 33, 65])
+def test_readme_scenario_converges_quadratically(gas_b4, n):
+    # Newton on the exact Jacobian: a step count flat in n and residuals
+    # that square once they are small
+    g = SphericalGrid(*SMALL_PATCH, n, n)
+    bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    prob = BVProblem(gas=gas_b4, grid=g, boundary=bnd,
+                     source=ScalarField.constant(g, 0.0))
+    _, rep = sf.solve_dirichlet(prob)
+    assert rep.converged and rep.iterations <= 6
+    hist = rep.residual_history
+    for r_old, r_new in zip(hist, hist[1:]):
+        if r_new > 1e-9:
+            assert r_new <= 10.0 * r_old ** 2
+
+
 def test_solve_with_mask(gas_b4):
     mask = np.ones((21, 21), dtype=bool)
     mask[:6, :6] = False  # notch one corner
