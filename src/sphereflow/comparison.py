@@ -26,7 +26,6 @@ from .operators import (
     CoefficientFields,
     field_density,
     flow_residual,
-    linearized_diag,  # noqa: F401  (kept importable from here)
     linearized_operator,
     spherical_gradient,
 )

@@ -21,7 +21,6 @@ interior nodes, applied matrix-free.
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -179,26 +178,19 @@ class CoefficientFields:
         return cls(grid, a11=a, a12=zero, a21=zero, a22=a, b1=zero, b2=zero,
                    c1=zero, c2=zero, d=d)
 
-    @cached_property
-    def faces(self):
-        """Arithmetic-mean (a11, a12, b1) on theta faces i + 1/2 and
-        (a21, a22, b2) on phi faces j + 1/2."""
-        theta = [_face_mean(a, self.grid, 0) for a in (self.a11, self.a12, self.b1)]
-        phi = [_face_mean(a, self.grid, 1) for a in (self.a21, self.a22, self.b2)]
-        return (*theta, *phi)
 
-
-def linearized_operator(coeffs: CoefficientFields, interior_only: bool = False):
+def linearized_operator(coeffs: CoefficientFields):
     """Closure applying the conservative linearized stencil to value arrays.
 
     The second-order part goes through face-averaged coefficients (so the
     divergence structure of the nonlinear operator is preserved); patch
     edges and mask boundaries fall back to the divergence of the node
-    fluxes unless interior_only skips them (the solver path).
+    fluxes.
     """
     grid, c = coeffs.grid, coeffs
     st = grid.sin_theta[:, None]
-    a11f, a12f, b1f, a21f, a22f, b2f = c.faces
+    a11f, a12f, b1f = (_face_mean(a, grid, 0) for a in (c.a11, c.a12, c.b1))
+    a21f, a22f, b2f = (_face_mean(a, grid, 1) for a in (c.a21, c.a22, c.b2))
 
     def apply(hvals):
         g1 = _derivative(hvals, grid, 0, 1)
@@ -209,9 +201,8 @@ def linearized_operator(coeffs: CoefficientFields, interior_only: bool = False):
         flux_ph = (a21f * _face_mean(g1, grid, 1)
                    + a22f * _face_step(hvals, grid, 1) / (grid.h_phi * st)
                    + b2f * _face_mean(hvals, grid, 1))
-        node_flux = None if interior_only else (
-            c.a11 * g1 + c.a12 * g2 + c.b1 * hvals,
-            c.a21 * g1 + c.a22 * g2 + c.b2 * hvals)
+        node_flux = (c.a11 * g1 + c.a12 * g2 + c.b1 * hvals,
+                     c.a21 * g1 + c.a22 * g2 + c.b2 * hvals)
         out = _add_divergence(c.c1 * g1 + c.c2 * g2 + c.d * hvals, grid,
                               flux_th, flux_ph, node_flux)
         return np.where(grid.mask_array, out, 0.0)
@@ -219,24 +210,68 @@ def linearized_operator(coeffs: CoefficientFields, interior_only: bool = False):
     return apply
 
 
-def linearized_diag(coeffs: CoefficientFields) -> np.ndarray:
-    """Diagonal (center-weight) of the conservative linearized stencil.
+def laplace_beltrami(grid: SphericalGrid, v):
+    """D_face(grad_face v) for a value array v, exact at interior nodes: the
+    flux stencil of flow_residual at unit density, which
+    principal_preconditioner(grid, 1.0) inverts."""
+    flux_th, flux_ph = _face_fluxes(grid, 1.0, 1.0, v)
+    return _add_divergence(np.zeros(grid.shape), grid, flux_th, flux_ph)
 
-    Valid at interior nodes; used as the Jacobi preconditioner.
-    """
-    grid = coeffs.grid
-    st = grid.sin_theta[:, None]
-    hth, hph = grid.h_theta, grid.h_phi
-    a11f, _, b1f, _, a22f, b2f = coeffs.faces
 
-    sin_m = np.sin(grid.thetas - 0.5 * hth)[:, None]
-    center = (grid.sin_theta_face * (-a11f / hth + 0.5 * b1f)
-              - sin_m * (_shifted(a11f, grid, 0, -1) / hth
-                         + 0.5 * _shifted(b1f, grid, 0, -1))) / (st * hth)
-    center += ((-a22f / (hph * st) + 0.5 * b2f)
-               - (_shifted(a22f, grid, 1, -1) / (hph * st)
-                  + 0.5 * _shifted(b2f, grid, 1, -1))) / (st * hph)
-    return center + coeffs.d
+def _phi_modes(m, periodic):
+    """Orthonormal eigenvectors (as columns) and eigenvalues of the phi second
+    difference on m nodes, zero-ended (sine modes) or periodic (Fourier)."""
+    k, j = np.arange(m), np.arange(m)[:, None]
+    if periodic:
+        freq = (k + 1) // 2
+        angle = 2.0 * np.pi * freq / m
+        basis = np.where((k % 2 == 1) | (k == 0), np.cos(j * angle), np.sin(j * angle))
+        basis *= np.where((freq == 0) | (2 * freq == m), 1.0, np.sqrt(2.0)) / np.sqrt(m)
+    else:
+        angle = np.pi * (k + 1) / (m + 1)
+        basis = np.sqrt(2.0 / (m + 1)) * np.sin((j + 1) * angle)
+    lam = -4.0 * np.sin(0.5 * angle) ** 2
+    return basis, lam
+
+
+def principal_preconditioner(grid: SphericalGrid, rho):
+    """Approximate inverse, on interior values in flat order, of the flux
+    stencil v -> D_face(rho_face grad_face v) with face densities from the
+    per-row means of rho (node array or constant) over the masked nodes.
+    That stencil is separable on the bounding box of the interior (the
+    whole ring when phi is periodic): phi modes of the second difference,
+    then one negative definite theta-tridiagonal solve per mode.  Box nodes
+    off the interior are solved for and dropped, so it is exact for rho
+    depending on theta only and an interior that fills its box."""
+    im = grid.interior_mask
+    rows = np.flatnonzero(im.any(axis=1))
+    cols = np.flatnonzero(im.any(axis=0) | grid.phi_periodic)
+    box = im[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    basis, lam = _phi_modes(box.shape[1], grid.phi_periodic)
+    m = grid.mask_array
+    rho_row = np.where(m, rho, 0.0).sum(axis=1) / np.maximum(m.sum(axis=1), 1)
+    face = grid.sin_theta_face[:-1, 0] * (rho_row[:-1] + rho_row[1:])
+    i = np.arange(rows[0], rows[-1] + 1)
+    st = grid.sin_theta[i, None]
+    lower, upper = (face[i + k, None] / (2.0 * st * grid.h_theta ** 2) for k in (-1, 0))
+    inv = rho_row[i, None] / (st * grid.h_phi) ** 2 * lam - lower - upper
+    inv[0] = 1.0 / inv[0]
+    for r in range(1, i.size):
+        inv[r] = 1.0 / (inv[r] - lower[r] * upper[r - 1] * inv[r - 1])
+    ratio = upper * inv
+
+    def precondition(x):
+        y = np.zeros(box.shape)
+        y[box] = x
+        y = y @ basis
+        y[0] *= inv[0]
+        for r in range(1, i.size):
+            y[r] = (y[r] - lower[r] * y[r - 1]) * inv[r]
+        for r in range(i.size - 2, -1, -1):
+            y[r] -= ratio[r] * y[r + 1]
+        return (y @ basis.T)[box]
+
+    return precondition
 
 
 class ResidualForm(Enum):
@@ -268,14 +303,14 @@ def flow_residual(gas: GasModel, f: ScalarField,
 
 
 def flow_jacobian(gas: GasModel, f: ScalarField):
-    """(apply, diag): the exact derivative of the flux residual at f.
+    """(apply, precondition): the exact derivative of the flux residual at f.
 
     apply(v) = D_face(rho_face grad_face v + drho_face grad_face f)
     + 2 (rho v + drho f) on value arrays, exact at interior nodes, with the
     face averages and differences of flow_residual and the chain rule
     drho = -(rho/c^2)(q1 dv/dtheta + q2 dv/dphi / sin + z v) through the
-    Bernoulli density.  diag is the frozen-density center weight, for
-    Jacobi preconditioning.  Raises like field_density if f is inadmissible.
+    Bernoulli density.  precondition is principal_preconditioner(grid, rho).
+    Raises like field_density if f is inadmissible.
     """
     grid, vals = f.grid, f.values
     rho, c2, q1, q2 = field_density(gas, f)
@@ -294,8 +329,7 @@ def flow_jacobian(gas: GasModel, f: ScalarField):
         return _add_divergence(2.0 * (rho * v + drho * vals), grid,
                                flux_th, flux_ph)
 
-    diag = linearized_diag(CoefficientFields.isotropic(grid, a=rho, d=2.0 * rho))
-    return apply, diag
+    return apply, principal_preconditioner(grid, rho)
 
 
 def _expanded_residual(f, c2, q1, q2):

@@ -4,14 +4,16 @@ Damped Newton iteration on the conservative discretization, so discrete
 solutions inherit the divergence structure the comparison checks rely on.
 The Jacobian is the exact derivative of the discrete flux residual
 (operators.flow_jacobian), applied matrix-free, so convergence is
-quadratic near the solution.  Inner systems go through a Jacobi-
-preconditioned BiCGSTAB.  The line search halves the step until the
-residual sup-norm decreases and the iterate stays admissible (rho > 0
-everywhere on the mask); vacuum is a hard wall.
+quadratic near the solution.  Inner solves are BiCGSTAB preconditioned by
+operators.principal_preconditioner.  The line search halves the step until
+the residual sup-norm decreases and the iterate stays admissible (rho > 0
+everywhere on the mask); vacuum is a hard wall.  Steps are logged at DEBUG.
 """
 
+import logging
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,13 +31,14 @@ from .errors import (
 from .gas import GasModel
 from .grid import ScalarField, SphericalGrid
 from .operators import (
-    CoefficientFields,
     field_density,
     flow_jacobian,
     flow_residual,
-    linearized_diag,
-    linearized_operator,
+    laplace_beltrami,
+    principal_preconditioner,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -135,7 +138,7 @@ class _Breakdown(Exception):
         self.best = best
 
 
-def _bicgstab_core(op, b, x0, minv, target, iter_cap):
+def _bicgstab_core(op, b, x0, precondition, target, iter_cap):
     """One BiCGSTAB run; returns (x, iterations, converged_recursive)."""
     x = x0.copy()
     r = b - op(x)
@@ -161,7 +164,7 @@ def _bicgstab_core(op, b, x0, minv, target, iter_cap):
                 raise _Breakdown(x)
             beta = (rho / rho_old) * (alpha / omega)
             p = r + beta * (p - omega * v)
-        phat = minv * p
+        phat = precondition(p)
         v = op(phat)
         denom = float(rhat @ v)
         if not np.isfinite(denom) or abs(denom) < tiny:
@@ -170,7 +173,7 @@ def _bicgstab_core(op, b, x0, minv, target, iter_cap):
         s = r - alpha * v
         if np.linalg.norm(s) <= target:
             return x + alpha * phat, k, True
-        shat = minv * s
+        shat = precondition(s)
         t = op(shat)
         tt = float(t @ t)
         if not np.isfinite(tt) or tt < tiny:
@@ -184,8 +187,8 @@ def _bicgstab_core(op, b, x0, minv, target, iter_cap):
     return x, iter_cap, False
 
 
-def linear_solve(op, rhs, tol, max_iter, diag=None):
-    """Matrix-free Jacobi-preconditioned BiCGSTAB for op(x) = rhs.
+def linear_solve(op, rhs, tol, max_iter, precondition=None):
+    """Matrix-free BiCGSTAB for op(x) = rhs, right-preconditioned by precondition.
 
     Runs to relative residual <= tol or MaxIterError.  Recursive-residual
     exits are re-verified against the true residual (warm restarts absorb
@@ -197,20 +200,14 @@ def linear_solve(op, rhs, tol, max_iter, diag=None):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    if diag is None:
-        minv = np.ones_like(b)
-    else:
-        dg = np.abs(np.asarray(diag, dtype=float).ravel())
-        top = float(np.max(dg)) if dg.size else 0.0
-        floor = 1e-14 * top if top > 0.0 else 1.0
-        minv = 1.0 / np.maximum(dg, floor)
+    precondition = precondition or (lambda x: x)
     target = tol * bnorm
 
     def run(x_start):
         x = x_start
         used = 0
         while True:
-            x, it, _ = _bicgstab_core(op, b, x, minv, target, max_iter - used)
+            x, it, _ = _bicgstab_core(op, b, x, precondition, target, max_iter - used)
             used += it
             res = float(np.linalg.norm(b - op(x)))
             if res <= target * (1.0 + 1e-9):
@@ -237,32 +234,42 @@ def linear_solve(op, rhs, tol, max_iter, diag=None):
 
 
 def _on_interior(apply_full, grid, idx):
-    """apply_full as a map from interior values (zero elsewhere) to interior values."""
+    """apply_full on interior values; .calls[0] counts its uses (a shared list,
+    so matvec never refers to itself and is freed without the cycle gc)."""
+    calls = [0]
+
     def matvec(x):
+        calls[0] += 1
         full = np.zeros(grid.shape).ravel()
         full[idx] = x
         return apply_full(full.reshape(grid.shape)).ravel()[idx]
 
+    matvec.calls = calls
     return matvec
 
 
 def _harmonic_extension(grid, idx, boundary_vals, tol, max_iter):
     """Laplace-Beltrami solution on the interior nodes idx, datum elsewhere."""
-    lb = CoefficientFields.isotropic(grid, a=1.0, d=0.0)
-    apply_full = linearized_operator(lb, interior_only=True)
+    apply_full = partial(laplace_beltrami, grid)
     out = np.where(grid.interior_mask, 0.0, boundary_vals)
     out.flat[idx] = linear_solve(_on_interior(apply_full, grid, idx),
                                  -apply_full(out).ravel()[idx], tol, max_iter,
-                                 diag=linearized_diag(lb).ravel()[idx])
+                                 principal_preconditioner(grid, 1.0))
     return out
 
 
 def _newton_direction(gas, phi, r, idx, opts):
-    """Solve J delta = -r with the exact Jacobian at phi on the interior; the
-    operator is freed on return, before the next step builds its own."""
-    jac, diag = flow_jacobian(gas, phi)
-    return linear_solve(_on_interior(jac, phi.grid, idx), -r, opts.lin_tol,
-                        opts.lin_max_iter, diag=diag.ravel()[idx])
+    """(delta, inner matvecs) for J delta = -r, J the exact Jacobian at phi, or
+    the failed inner solve's best iterate; frees J before the next step."""
+    jac, precondition = flow_jacobian(gas, phi)
+    matvec = _on_interior(jac, phi.grid, idx)
+    try:
+        delta = linear_solve(matvec, -r, opts.lin_tol, opts.lin_max_iter, precondition)
+    except LinearSolveError as err:
+        if err.best is None:
+            raise
+        delta = err.best
+    return delta, matvec.calls[0]
 
 
 def _line_search(grid, phi, delta, idx, res, interior_residual, max_damping):
@@ -280,9 +287,9 @@ def _line_search(grid, phi, delta, idx, res, interior_residual, max_damping):
         all_vacuum = False
         res_new = float(np.max(np.abs(r_new)))
         if np.isfinite(res_new) and res_new < res:
-            return cand, r_new, res_new, all_vacuum
+            return cand, r_new, res_new, lam, all_vacuum
         lam *= 0.5
-    return None, None, None, all_vacuum
+    return None, None, None, lam, all_vacuum
 
 
 def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
@@ -324,17 +331,15 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
                 field=phi, report=report,
             )
         try:
-            delta = _newton_direction(gas, phi, r, idx, opts)
+            delta, matvecs = _newton_direction(gas, phi, r, idx, opts)
         except LinearSolveError as err:
-            if err.best is None:
-                report = SolveReport(False, iterations, history)
-                raise NonConvergenceError(
-                    "inner linear solve failed with no usable direction",
-                    field=phi, report=report,
-                ) from err
-            delta = err.best  # inexact direction; the line search decides
+            report = SolveReport(False, iterations, history)
+            raise NonConvergenceError(
+                "inner linear solve failed with no usable direction",
+                field=phi, report=report,
+            ) from err
 
-        cand, r_new, res_new, all_vacuum = _line_search(
+        cand, r_new, res_new, lam, all_vacuum = _line_search(
             grid, phi, delta, idx, res, interior_residual, opts.max_damping)
         if cand is None:
             if all_vacuum:
@@ -348,6 +353,8 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
         phi, r, res = cand, r_new, res_new
         history.append(res)
         iterations += 1
+        log.debug("newton step %d: residual %.3e, lambda %g, %d inner matvecs",
+                  iterations, res, lam, matvecs)
 
     cert = certify_uniform_ellipticity(gas, phi, opts.cert_eps)
     return phi, SolveReport(True, iterations, history, cert)

@@ -1,6 +1,10 @@
-"""No sphereflow module reaches into another module's private names."""
+"""No sphereflow module reaches into another module's private names, and
+the package imports no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sphereflow"
@@ -24,3 +28,14 @@ def test_no_private_cross_module_imports():
     assert modules
     found = [hit for path in modules for hit in _private_imports(path)]
     assert found == []
+
+
+def test_import_loads_no_scipy():
+    # a scipy import alone costs about 32 MB of peak RSS, so the package
+    # stays numpy-only; checked in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = ("import sys, sphereflow; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -213,6 +213,24 @@ def test_flow_jacobian_matches_finite_differences(kind, gamma):
     assert np.linalg.norm(borrowed - fd) > 1e-4 * scale
 
 
+@pytest.mark.parametrize("n_phi,periodic", [(21, False), (16, True), (15, True)],
+                         ids=["plain", "periodic-even", "periodic-odd"])
+def test_principal_preconditioner_inverts_theta_only_density(n_phi, periodic):
+    # with rho a function of theta alone the frozen-density principal part
+    # is separable on a grid whose interior fills its box, so the
+    # preconditioner is its exact inverse
+    span = (0.0, 2 * np.pi) if periodic else (0.0, np.pi / 4)
+    g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, *span, 17, n_phi,
+                      phi_periodic=periodic)
+    rho = np.broadcast_to((1.0 + 0.3 * np.cos(3 * g.thetas))[:, None], g.shape)
+    idx = np.flatnonzero(g.interior_mask.ravel())
+    principal = sf.comparison.linearized_operator(sf.CoefficientFields.isotropic(g, a=rho))
+    v = np.zeros(g.shape)
+    v.flat[idx] = np.random.default_rng(7).normal(size=idx.size)
+    back = sf.operators.principal_preconditioner(g, rho)(principal(v).ravel()[idx])
+    assert np.abs(back - v.flat[idx]).max() <= 1e-12 * np.abs(v.flat[idx]).max()
+
+
 def test_principal_matrix_examples(gas_b4):
     iso = sf.principal_matrix(GasModel(2.0, 1.0, 0.0), FlowState(0.0, 0.0, 0.0))
     np.testing.assert_allclose(iso, np.eye(3 - 1), atol=1e-15)

@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -36,7 +37,8 @@ def test_linear_solve_diagonal():
     def op(x):
         return d * x
 
-    x = linear_solve(op, np.ones(n), tol=1e-12, max_iter=500, diag=d)
+    x = linear_solve(op, np.ones(n), tol=1e-12, max_iter=500,
+                     precondition=lambda v: v / d)
     np.testing.assert_allclose(x, 1.0 / d, rtol=1e-10)
 
 
@@ -169,6 +171,78 @@ def test_readme_scenario_converges_quadratically(gas_b4, n):
     for r_old, r_new in zip(hist, hist[1:]):
         if r_new > 1e-9:
             assert r_new <= 10.0 * r_old ** 2
+
+
+def _counting_inner_solves(monkeypatch):
+    """Matvec count of every inner solve, in call order."""
+    counts = []
+    inner = sf.solver.linear_solve
+
+    def counted(op, *args, **kwargs):
+        counts.append(0)
+
+        def matvec(x):
+            counts[-1] += 1
+            return op(x)
+
+        return inner(matvec, *args, **kwargs)
+
+    monkeypatch.setattr(sf.solver, "linear_solve", counted)
+    return counts
+
+
+def _notched_grid(n):
+    mask = np.ones((n, n), dtype=bool)
+    mask[:n // 4, :n // 4] = False  # corner notch
+    return SphericalGrid(*SMALL_PATCH, n, n, mask=mask)
+
+
+def _periodic_band():
+    return SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, 48, 64,
+                         phi_periodic=True)
+
+
+@pytest.mark.parametrize("n", [17, 33, 65])
+def test_inner_solve_is_mesh_independent(gas_b4, monkeypatch, n):
+    # the separable principal-part preconditioner keeps every inner solve
+    # (the harmonic initial guess and each Newton step) at a matvec count
+    # flat in n
+    counts = _counting_inner_solves(monkeypatch)
+    g = SphericalGrid(*SMALL_PATCH, n, n)
+    bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    _, rep = sf.solve_dirichlet(BVProblem(gas=gas_b4, grid=g, boundary=bnd,
+                                          source=ScalarField.constant(g, 0.0)))
+    assert rep.converged and len(counts) == rep.iterations + 1
+    assert max(counts) <= 40
+    assert counts[0] <= 3  # exact inverse for the harmonic extension
+
+
+@pytest.mark.parametrize("grid", [_notched_grid(65), _periodic_band()],
+                         ids=["notched", "periodic"])
+def test_inner_solve_bound_on_masked_and_periodic_grids(gas_b4, monkeypatch, grid):
+    counts = _counting_inner_solves(monkeypatch)
+    exact = ScalarField.from_function(
+        grid, lambda th, ph: 1.55 + 0.05 * np.cos(2 * th)
+        + 0.04 * np.sin(th) * np.sin(ph + 0.3))
+    phi, rep = sf.solve_dirichlet(sf.manufactured_problem(gas_b4, grid, exact))
+    assert rep.converged and len(counts) == rep.iterations + 1
+    assert max(counts) <= 40
+    assert np.abs(phi.values - exact.values).max() <= 1e-10
+
+
+def test_newton_steps_logged_at_debug(gas_b4, caplog):
+    g = SphericalGrid(*SMALL_PATCH, 17, 17)
+    bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    with caplog.at_level(logging.DEBUG, logger="sphereflow"):
+        _, rep = sf.solve_dirichlet(BVProblem(gas=gas_b4, grid=g, boundary=bnd,
+                                              source=ScalarField.constant(g, 0.0)))
+    steps = [r for r in caplog.records if r.name.startswith("sphereflow")
+             and r.levelno == logging.DEBUG]
+    assert len(steps) == rep.iterations
+    for k, (record, res) in enumerate(zip(steps, rep.residual_history[1:]), 1):
+        msg = record.getMessage()
+        assert msg.startswith(f"newton step {k}: residual {res:.3e}, lambda ")
+        assert msg.endswith(" inner matvecs")
 
 
 def test_solve_with_mask(gas_b4):
