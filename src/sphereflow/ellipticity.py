@@ -91,42 +91,48 @@ class NodeViolation:
 
 @dataclass
 class SegmentCheckReport:
-    """Per-node verdicts for the hypotheses along the segment [f-, f+]."""
+    """Per-node verdicts for the hypotheses along the segment [f-, f+].
+
+    ``worst`` locates the smallest quadratic-form minimum over every
+    (node, t) the witness evaluated, as {"i", "j", "t", "value"}, or is
+    None when the witness evaluated no node.
+    """
 
     pass_mask: np.ndarray
     violations: list[NodeViolation] = field(default_factory=list)
+    worst: dict | None = None
 
     @property
     def all_pass(self) -> bool:
         return len(self.violations) == 0
 
 
-def _form_minima(xs, q1, q2, z, c2, scale):
-    """Per-node minima of the form scale (c2 |x_t|^2 - (q . x_t)^2
-    + (z^2 - c2) x3^2), x_t = (x1, x2), over the directions xs (nodes, n_xi,
-    3), normalized here in place, and the six signed basis vectors (closed
-    form): (over all, over those with x_t != 0).  Node data are (nodes, 1)."""
-    x1, x2, x3 = xs[:, :, 0], xs[:, :, 1], xs[:, :, 2]
-    xs /= np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)[:, :, None]
-    tan_sq = x1 * x1 + x2 * x2
-    form = scale * (c2 * tan_sq - (q1 * x1 + q2 * x2) ** 2 + (z * z - c2) * x3 * x3)
-    basis_tan = np.minimum(scale * (c2 - q1 * q1), scale * (c2 - q2 * q2))[:, 0]
-    basis_all = np.minimum(basis_tan, (scale * (z * z - c2))[:, 0])
-    return (np.minimum(form.min(axis=1), basis_all),
-            np.minimum(np.where(tan_sq > 0.0, form, np.inf).min(axis=1), basis_tan))
+def _form_minima(q1, q2, z, c2, scale):
+    """Exact minima of the form scale (c2 |x_t|^2 - (q . x_t)^2
+    + (z^2 - c2) x3^2), x_t = (x1, x2), over unit vectors x: (over all x,
+    over those with x3 = 0).  Elementwise in the node data.
+
+    The form is x^T H x for the beta = 1/2 comparison matrix H.  The
+    symmetric part of H is block diagonal, with eigenvalues
+    scale (c2 - |q|^2) and scale c2 on the tangential block and
+    scale (z^2 - c2) on the radial one, so both minima are eigenvalues.
+    """
+    tan = scale * (c2 - (q1 * q1 + q2 * q2))
+    return np.minimum(tan, scale * (z * z - c2)), tan
 
 
 def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
-                             f_plus: ScalarField, n_t: int = 9,
-                             n_xi: int = 64, seed: int = 0) -> SegmentCheckReport:
+                             f_plus: ScalarField, n_t: int = 9) -> SegmentCheckReport:
     """Sweep t in [0, 1] and verify the matrix hypotheses at every node.
 
     At each of n_t uniformly spaced t the convex combination
     phi_t = t f- + (1-t) f+ is checked for rho > 0, L^2 < 1 and z >= c
-    (within roundoff slack), and the quadratic form is sampled at n_xi
-    random unit vectors plus the six signed basis vectors.  The analytic
-    hypotheses are the primary check; the xi sampling is a witness.
-    Records the first violation per node.
+    (within roundoff slack).  At nodes that pass those, the quadratic form
+    is a witness: its exact minimum over unit vectors (the smallest
+    eigenvalue of the comparison matrix's symmetric part) must not fall
+    below -slack, and its tangential minimum must be positive.  Records
+    the first violation per node, and the smallest form minimum in
+    ``worst``.
     """
     grid = require_same_grid(f_minus, f_plus)
     if n_t < 2:
@@ -134,11 +140,11 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
     mask = grid.mask_array
     gm = spherical_gradient(f_minus)
     gp = spherical_gradient(f_plus)
-    rng = np.random.default_rng(seed)
 
     pass_mask = mask.copy()
     recorded = ~mask  # off-mask nodes never report
     violations: dict[tuple[int, int], NodeViolation] = {}
+    worst = None
 
     def record(bad, t, condition, value_arr):
         nonlocal recorded
@@ -170,24 +176,17 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
         live = mask & ~recorded
         if not np.any(live):
             continue
-        idx = np.argwhere(live)
-        min_nonneg, strict = _form_minima(
-            rng.normal(size=(idx.shape[0], n_xi, 3)),
-            *(a[live][:, None] for a in (q1, q2, z, safe_c2)),
-            (rho[live] / safe_c2[live])[:, None])
-        bad_flat = (min_nonneg < -Z_GE_C_SLACK) | (strict <= 0.0)
-        if np.any(bad_flat):
-            bad = np.zeros_like(mask)
-            value = np.zeros(mask.shape)
-            worst = np.minimum(min_nonneg, strict)
-            for k in np.argwhere(bad_flat).ravel():
-                i, j = idx[k]
-                bad[i, j] = True
-                value[i, j] = worst[k]
-            record(bad, t, "form_positive", value)
+        form_min, tan = _form_minima(q1, q2, z, safe_c2, rho / safe_c2)
+        form_min = np.where(live, form_min, np.inf)
+        i, j = np.unravel_index(np.argmin(form_min), mask.shape)
+        if worst is None or form_min[i, j] < worst["value"]:
+            worst = {"i": int(i), "j": int(j), "t": float(t),
+                     "value": float(form_min[i, j])}
+        record(live & ((form_min < -Z_GE_C_SLACK) | (tan <= 0.0)), t,
+               "form_positive", form_min)
 
     out = sorted(violations.values(), key=lambda v: (v.i, v.j))
-    return SegmentCheckReport(pass_mask=pass_mask, violations=out)
+    return SegmentCheckReport(pass_mask=pass_mask, violations=out, worst=worst)
 
 
 @dataclass

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (WIDE_PATCH, random_admissible_state, random_gas,
                      random_gas_with_supersonic_radial)
 
 import sphereflow as sf
 from sphereflow import FlowState, GasModel, ScalarField, SphericalGrid
+from sphereflow.ellipticity import _form_minima
 from sphereflow.gas import density, density_partials, sound_speed_sq
+from sphereflow.operators import spherical_gradient
 
 
 def closed_form_matrix(gas, s):
@@ -166,6 +170,79 @@ def test_segment_vacuum_in_coefficients(gas_b4):
         gas_b4, ScalarField.constant(g, 2.6), ScalarField.constant(g, 2.6))
     assert not rep.all_pass
     assert rep.violations[0].condition == "rho_positive"
+
+
+def _symmetric_part(gas, s):
+    H = sf.comparison_matrix(gas, s, 0.5).entries
+    return 0.5 * (H + H.T)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gamma=st.sampled_from([-1.0, 1.0, 1.4, 2.0]),
+       rho0=st.floats(0.5, 2.0), bernoulli=st.floats(1.0, 5.0),
+       speed=st.floats(0.0, 1.5), angle=st.floats(0.0, 2.0 * np.pi),
+       z=st.floats(0.05, 3.0))
+def test_form_minima_is_smallest_eigenvalue(gamma, rho0, bernoulli, speed,
+                                            angle, z):
+    # the witness is exact: the smallest eigenvalue of the symmetric part
+    # of the beta = 1/2 comparison matrix, and of its tangential block
+    gas = GasModel(gamma, rho0, bernoulli)
+    s = FlowState(speed * np.cos(angle), speed * np.sin(angle), z)
+    c2 = sound_speed_sq(gas, s)
+    assume(c2 > 0.05)  # admissible and away from vacuum, as in helpers
+    sym = _symmetric_part(gas, s)
+    eig = np.linalg.eigvalsh(sym)
+    form_min, tan = _form_minima(s.q1, s.q2, s.z, c2, density(gas, s) / c2)
+    tol = 1e-12 * np.abs(eig).max()
+    assert abs(form_min - eig[0]) <= tol
+    assert abs(tan - np.linalg.eigvalsh(sym[:2, :2])[0]) <= tol
+
+
+def test_segment_worst_is_brute_force_eigenvalue_minimum(gas_b4):
+    g = SphericalGrid(*WIDE_PATCH, 9, 9)
+    f_minus = ScalarField.from_function(
+        g, lambda th, ph: 2.0 + 0.1 * np.cos(2 * th) * np.sin(ph))
+    f_plus = ScalarField.from_function(
+        g, lambda th, ph: 2.2 + 0.15 * np.sin(th) * np.cos(3 * ph))
+    ts = np.linspace(0.0, 1.0, 9)
+    rep = sf.check_segment_conditions(gas_b4, f_minus, f_plus, n_t=ts.size)
+    assert rep.all_pass  # so the witness evaluated every (node, t)
+
+    gm, gp = spherical_gradient(f_minus), spherical_gradient(f_plus)
+    brute = {}
+    for t in ts:
+        q1 = t * gm.v_theta + (1.0 - t) * gp.v_theta
+        q2 = t * gm.v_phi + (1.0 - t) * gp.v_phi
+        z = t * f_minus.values + (1.0 - t) * f_plus.values
+        for i, j in np.ndindex(g.shape):
+            s = FlowState(q1[i, j], q2[i, j], z[i, j])
+            brute[(i, j, float(t))] = np.linalg.eigvalsh(
+                _symmetric_part(gas_b4, s))[0]
+    lowest = min(brute.values())
+    w = rep.worst
+    assert set(w) == {"i", "j", "t", "value"}
+    assert abs(w["value"] - lowest) <= 1e-12 * abs(lowest)
+    assert abs(brute[(w["i"], w["j"], w["t"])] - lowest) <= 1e-12 * abs(lowest)
+
+    # every node fails an analytic check first: the witness evaluates none
+    low = ScalarField.constant(g, 1.0)
+    assert sf.check_segment_conditions(gas_b4, low, low).worst is None
+
+
+def test_segment_form_positive_in_slack_band(gas_b4):
+    # z just below c = sqrt(2): z >= c holds within its slack, but the
+    # radial eigenvalue z^2 - c^2 falls below -slack only for the lower z
+    g = SphericalGrid(*WIDE_PATCH, 9, 9)
+    f = ScalarField.constant(g, np.sqrt(2.0) - 3e-13)
+    rep = sf.check_segment_conditions(gas_b4, f, f)
+    assert len(rep.violations) == g.shape[0] * g.shape[1]
+    assert not rep.pass_mask.any()
+    for v in rep.violations:
+        assert (v.t, v.condition) == (0.0, "form_positive")
+        assert v.value == pytest.approx(-1.2723e-12, abs=1e-15)
+
+    f = ScalarField.constant(g, np.sqrt(2.0) - 1e-13)
+    assert sf.check_segment_conditions(gas_b4, f, f).all_pass
 
 
 def test_certify_examples(gas_b4, wide_grid_33):
