@@ -149,6 +149,8 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
     def record(bad, t, condition, value_arr):
         nonlocal recorded
         fresh = bad & ~recorded
+        if not fresh.any():
+            return
         for i, j in np.argwhere(fresh):
             violations[(int(i), int(j))] = NodeViolation(
                 int(i), int(j), float(t), condition, float(value_arr[i, j]))

@@ -16,28 +16,22 @@ from .errors import ConfigError, GridError
 from .grid import ScalarField, SphericalGrid
 
 
-# Rows formatted per block: np.savetxt formats through numpy scalars (1.5 to
-# 2.5 times slower here) or needs every row as Python objects at once.
-_BLOCK_ROWS = 1 << 14
-
-
-def _write_rows(path, header, fmt, *columns):
-    """CSV with a header line and one row per grid node (theta index outer).
-
-    fmt is a printf-style row format such as "%.17g,%.17g,%.17g"."""
-    cols = [np.ravel(col) for col in columns]
-    line = fmt + "\n"
+def _write_rows(path, header, grid, values, value_fmt="%.17g", indexed=False):
+    """CSV with a header line and one `[i,j,]theta,phi,value` row per grid
+    node (theta index outer).  Coordinates and indices are formatted once
+    per grid line; only the value is formatted per node."""
+    phis = ["%.17g" % p for p in grid.phis.tolist()]
+    cols = list(zip(map(str, range(grid.n_phi)), phis)) if indexed else [(p,) for p in phis]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, cols[0].size, _BLOCK_ROWS):
-            block = zip(*(col[start:start + _BLOCK_ROWS].tolist() for col in cols))
-            fh.write("".join(map(line.__mod__, block)))
+        for i, (theta, row) in enumerate(zip(grid.thetas.tolist(), values)):
+            theta = "%.17g" % theta
+            line = (f"{i},%s,{theta},%s," if indexed else f"{theta},%s,") + value_fmt + "\n"
+            fh.write("".join([line % (*col, v) for col, v in zip(cols, row.tolist())]))
 
 
 def write_field_csv(path, f: ScalarField):
-    grid = f.grid
-    _write_rows(path, "theta,phi,value", "%.17g,%.17g,%.17g",
-                grid.theta_mesh, grid.phi_mesh, f.values)
+    _write_rows(path, "theta,phi,value", f.grid, f.values)
 
 
 def read_field_csv(path, grid: SphericalGrid) -> ScalarField:
@@ -71,17 +65,13 @@ def read_field_csv(path, grid: SphericalGrid) -> ScalarField:
 
 
 def write_type_map_csv(path, grid: SphericalGrid, letters: np.ndarray):
-    i, j = np.indices(grid.shape)
-    _write_rows(path, "i,j,theta,phi,type", "%d,%d,%.17g,%.17g,%s",
-                i, j, grid.theta_mesh, grid.phi_mesh, letters)
+    _write_rows(path, "i,j,theta,phi,type", grid, letters, "%s", indexed=True)
 
 
 def write_l2_csv(path, grid: SphericalGrid, l2: np.ndarray):
     """Non-finite L^2 values (vacuum) are written as nan."""
-    i, j = np.indices(grid.shape)
     l2 = np.where(np.isfinite(l2), l2, np.nan)
-    _write_rows(path, "i,j,theta,phi,l2", "%d,%d,%.17g,%.17g,%.17g",
-                i, j, grid.theta_mesh, grid.phi_mesh, l2)
+    _write_rows(path, "i,j,theta,phi,l2", grid, l2, indexed=True)
 
 
 def write_pgm(path, values: np.ndarray):
@@ -100,7 +90,7 @@ def write_pgm(path, values: np.ndarray):
     rows, cols = arr.shape
     lines = [f"P2", f"{cols} {rows}", "255"]
     for i in range(rows):
-        lines.append(" ".join(str(g) for g in gray[i]))
+        lines.append(" ".join(map(str, gray[i].tolist())))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

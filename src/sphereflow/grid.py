@@ -149,15 +149,18 @@ class SphericalGrid:
 
     @cached_property
     def stencils(self):
-        """Per-axis derivative stencil tables, chosen once from the mask.
+        """Per-axis stencil tables of the masked nodes whose derivative
+        stencil is not central, chosen once from the mask.
 
         Entry `axis` (0 = theta, 1 = phi, wrapping when phi_periodic) is
-        (nodes, idx, w1, w2): the flat indices of the masked nodes, then
-        (3, len(nodes)) arrays holding the flat index of each node's three
-        stencil points and their first- and second-derivative weights from
-        STENCILS.  Every stencil point is a masked node.  int32 indices and
-        int8 weights keep the table small (about 9 MB at 513 x 513).  Raises
-        GridError naming the first masked node that has no usable stencil.
+        (nodes, idx, w1, w2): the flat indices of the masked nodes without
+        two masked neighbors along the axis, then (3, len(nodes)) arrays
+        holding the flat index of each node's three stencil points and their
+        first- and second-derivative weights from STENCILS.  Every stencil
+        point is a masked node.  The other masked nodes are central, which
+        operators._derivative applies by slicing, so a table has O(perimeter)
+        rows.  Raises GridError naming the first masked node that has no
+        usable stencil.
         """
         m = self.mask_array
         nodes = np.flatnonzero(m).astype(np.int32)
@@ -180,13 +183,14 @@ class SphericalGrid:
                 i, j = np.unravel_index(nodes[np.argmax(kind < 0)], self.shape)
                 raise GridError(f"mask too thin for a derivative stencil at node "
                                 f"({int(i)}, {int(j)})")
-            offsets, w1, w2 = (np.array(col, dtype=np.int8)[kind].T.copy()
+            edge = kind > 0
+            offsets, w1, w2 = (np.array(col, dtype=np.int8)[kind[edge]].T.copy()
                                for col in zip(*STENCILS))
             idx = np.empty(offsets.shape, dtype=np.int32)
             for off in range(-3, 4):
                 at = offsets == off
-                idx[at] = np.broadcast_to(near(flat_pad, off), at.shape)[at]
-            tables.append((nodes, idx, w1, w2))
+                idx[at] = np.broadcast_to(near(flat_pad, off)[edge], at.shape)[at]
+            tables.append((nodes[edge], idx, w1, w2))
         return tuple(tables)
 
     def same_geometry(self, other: "SphericalGrid") -> bool:

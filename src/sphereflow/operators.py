@@ -89,21 +89,33 @@ def _face_fluxes(grid, rho_th, rho_ph, vals):
 def _derivative(vals, grid: SphericalGrid, axis, order):
     """d/dx (order 1) or d2/dx2 (order 2) along axis at every masked node.
 
-    Applies the stencil the grid's table chose for each node (central where
-    possible, else one-sided; see grid.STENCILS); zero off the mask.
+    Central differences (f[k+1] - f[k]) +- (f[k] - f[k-1]) over the whole
+    array, wrapping across a periodic phi seam, then the one-sided stencils
+    of the grid's table at patch edges and mask boundaries (see
+    grid.STENCILS); zero off the mask.
     """
+    vals = np.asarray(vals, dtype=float)
+    h = grid.h_theta if axis == 0 else grid.h_phi
+    div = 2.0 * h if order == 1 else h * h
+    combine = np.add if order == 1 else np.subtract
+    out = np.zeros(vals.shape)
+    f, o = (vals, out) if axis == 0 else (vals.T, out.T)  # axis first
+    step = f[1:] - f[:-1]
+    combine(step[1:], step[:-1], out=o[1:-1])
+    if axis == 1 and grid.phi_periodic:
+        seam = f[0] - f[-1]
+        combine(step[0], seam, out=o[0])
+        combine(seam, step[-1], out=o[-1])
+    if order == 2:
+        out += 0.0  # a zero second difference is +0.0, as in the table stencils
+    out /= div
     nodes, idx, w1, w2 = grid.stencils[axis]
-    flat = np.asarray(vals, dtype=float).ravel()
+    flat = vals.ravel()
     terms = flat[idx]
     terms -= flat[nodes]
     terms *= w1 if order == 1 else w2
-    d = terms[0] + terms[1]
-    d += terms[2]
-    h = grid.h_theta if axis == 0 else grid.h_phi
-    d /= 2.0 * h if order == 1 else h * h
-    out = np.zeros(flat.size)
-    out[nodes] = d
-    return out.reshape(vals.shape)
+    out.ravel()[nodes] = (terms[0] + terms[1] + terms[2]) / div
+    return out if grid.mask is None else np.where(grid.mask, out, 0.0)
 
 
 def spherical_gradient(f: ScalarField) -> VectorField:
@@ -239,10 +251,15 @@ def principal_preconditioner(grid: SphericalGrid, rho):
     stencil v -> D_face(rho_face grad_face v) with face densities from the
     per-row means of rho (node array or constant) over the masked nodes.
     That stencil is separable on the bounding box of the interior (the
-    whole ring when phi is periodic): phi modes of the second difference,
-    then one negative definite theta-tridiagonal solve per mode.  Box nodes
-    off the interior are solved for and dropped, so it is exact for rho
-    depending on theta only and an interior that fills its box."""
+    whole ring when phi is periodic), where fast diagonalization (Lynch,
+    Rice & Thomas, Numer. Math. 6 (1964) 185-199) inverts it: per phi mode
+    of the second difference (eigenvalue lam_k <= 0) the theta system times
+    sin(theta) is lam_k W - G, with G = C C^T tridiagonal positive definite
+    and W = diag(rho_row / (sin(theta) h_phi^2)) >= 0.  If C^-1 W C^-T =
+    Q diag(nu) Q^T, its inverse is P diag(1 / (lam_k nu - 1)) P^T with
+    P = C^-T Q: four matrix products and a divide per application.  Box
+    nodes off the interior are solved for and dropped, so it is exact for
+    rho depending on theta only and an interior that fills its box."""
     im = grid.interior_mask
     rows = np.flatnonzero(im.any(axis=1))
     cols = np.flatnonzero(im.any(axis=0) | grid.phi_periodic)
@@ -250,26 +267,26 @@ def principal_preconditioner(grid: SphericalGrid, rho):
     basis, lam = _phi_modes(box.shape[1], grid.phi_periodic)
     m = grid.mask_array
     rho_row = np.where(m, rho, 0.0).sum(axis=1) / np.maximum(m.sum(axis=1), 1)
-    face = grid.sin_theta_face[:-1, 0] * (rho_row[:-1] + rho_row[1:])
+    face = (grid.sin_theta_face[:-1, 0] * (rho_row[:-1] + rho_row[1:])
+            / (2.0 * grid.h_theta ** 2))
     i = np.arange(rows[0], rows[-1] + 1)
-    st = grid.sin_theta[i, None]
-    lower, upper = (face[i + k, None] / (2.0 * st * grid.h_theta ** 2) for k in (-1, 0))
-    inv = rho_row[i, None] / (st * grid.h_phi) ** 2 * lam - lower - upper
-    inv[0] = 1.0 / inv[0]
-    for r in range(1, i.size):
-        inv[r] = 1.0 / (inv[r] - lower[r] * upper[r - 1] * inv[r - 1])
-    ratio = upper * inv
+    st = grid.sin_theta[i]
+    # W is 0 on rows without masked nodes, and G on a row inside three of them
+    diag = face[i - 1] + face[i]
+    off = np.diag(face[i[:-1]], 1)
+    g = np.diag(np.where(diag > 0.0, diag, 1.0)) - off - off.T
+    c_inv = np.linalg.inv(np.linalg.cholesky(g))
+    nu, q = np.linalg.eigh((c_inv * (rho_row[i] / (st * grid.h_phi ** 2))) @ c_inv.T)
+    right = c_inv.T @ q
+    left = right.T * st
+    denom = nu[:, None] * lam - 1.0
 
     def precondition(x):
         y = np.zeros(box.shape)
         y[box] = x
-        y = y @ basis
-        y[0] *= inv[0]
-        for r in range(1, i.size):
-            y[r] = (y[r] - lower[r] * y[r - 1]) * inv[r]
-        for r in range(i.size - 2, -1, -1):
-            y[r] -= ratio[r] * y[r + 1]
-        return (y @ basis.T)[box]
+        y = left @ (y @ basis)
+        y /= denom
+        return (right @ y @ basis.T)[box]
 
     return precondition
 

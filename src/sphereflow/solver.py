@@ -5,7 +5,8 @@ solutions inherit the divergence structure the comparison checks rely on.
 The Jacobian is the exact derivative of the discrete flux residual
 (operators.flow_jacobian), applied matrix-free, so convergence is
 quadratic near the solution.  Inner solves are BiCGSTAB preconditioned by
-operators.principal_preconditioner.  The line search halves the step until
+operators.principal_preconditioner, a fast-diagonalization inverse of the
+frozen-density principal part.  The line search halves the step until
 the residual sup-norm decreases and the iterate stays admissible (rho > 0
 everywhere on the mask); vacuum is a hard wall.  Steps are logged at DEBUG.
 """

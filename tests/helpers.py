@@ -3,7 +3,9 @@ oracles kept independent of the library code paths they check."""
 
 import numpy as np
 
-from sphereflow import FlowState, GasModel, density, sound_speed_sq
+from sphereflow import FlowState, GasModel, GridError, density, sound_speed_sq
+from sphereflow.grid import STENCILS
+from sphereflow.operators import _phi_modes
 
 # Per-gas scenario data for solver-built comparison pairs.  Boundary levels
 # sit inside the corridor where z >= c holds and the homogeneous solution
@@ -86,3 +88,67 @@ def observed_orders(errors):
     """log2 ratios of successive errors from a dyadic refinement."""
     return [float(np.log2(errors[k] / errors[k + 1]))
             for k in range(len(errors) - 1)]
+
+
+def per_node_derivative(vals, grid, axis, order):
+    """_derivative by a per-node gather: each masked node applies the first
+    usable stencil of STENCILS, term by term in table order, with the
+    neighbors wrapping across a periodic phi seam."""
+    m = grid.mask_array
+    n = grid.shape[axis]
+    wrap = axis == 1 and grid.phi_periodic
+    h = grid.h_theta if axis == 0 else grid.h_phi
+    div = 2.0 * h if order == 1 else h * h
+    out = np.zeros(grid.shape)
+    for node in zip(*np.nonzero(m)):
+        def at(off):
+            k = node[axis] + off
+            if wrap:
+                k %= n
+            elif not 0 <= k < n:
+                return None
+            return node[:axis] + (k,) + node[axis + 1:]
+        for offsets, w1, w2 in STENCILS:
+            points = [at(off) for off in offsets]
+            if all(p is not None and m[p] for p in points):
+                break
+        else:
+            raise GridError(f"no stencil at node {node}")
+        w = w1 if order == 1 else w2
+        terms = [(vals[p] - vals[node]) * float(wk) for p, wk in zip(points, w)]
+        out[node] = (terms[0] + terms[1] + terms[2]) / div
+    return out
+
+
+def thomas_preconditioner(grid, rho):
+    """principal_preconditioner by one Thomas sweep per phi mode, row by
+    row: the same separable stencil on the interior's bounding box."""
+    im = grid.interior_mask
+    rows = np.flatnonzero(im.any(axis=1))
+    cols = np.flatnonzero(im.any(axis=0) | grid.phi_periodic)
+    box = im[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    basis, lam = _phi_modes(box.shape[1], grid.phi_periodic)
+    m = grid.mask_array
+    rho_row = np.where(m, rho, 0.0).sum(axis=1) / np.maximum(m.sum(axis=1), 1)
+    face = grid.sin_theta_face[:-1, 0] * (rho_row[:-1] + rho_row[1:])
+    i = np.arange(rows[0], rows[-1] + 1)
+    st = grid.sin_theta[i, None]
+    lower, upper = (face[i + k, None] / (2.0 * st * grid.h_theta ** 2) for k in (-1, 0))
+    inv = rho_row[i, None] / (st * grid.h_phi) ** 2 * lam - lower - upper
+    inv[0] = 1.0 / inv[0]
+    for r in range(1, i.size):
+        inv[r] = 1.0 / (inv[r] - lower[r] * upper[r - 1] * inv[r - 1])
+    ratio = upper * inv
+
+    def precondition(x):
+        y = np.zeros(box.shape)
+        y[box] = x
+        y = y @ basis
+        y[0] *= inv[0]
+        for r in range(1, i.size):
+            y[r] = (y[r] - lower[r] * y[r - 1]) * inv[r]
+        for r in range(i.size - 2, -1, -1):
+            y[r] -= ratio[r] * y[r + 1]
+        return (y @ basis.T)[box]
+
+    return precondition

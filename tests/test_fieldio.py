@@ -64,6 +64,28 @@ def test_map_writers_match_per_node_format(tmp_path):
         assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
 
 
+def test_map_writers_match_per_node_format_non_square(tmp_path):
+    # grid lines are formatted once each: rows must still pair every node
+    # with its own i, j, theta and phi on a grid with n_theta != n_phi
+    g = SphericalGrid(*WIDE_PATCH, 41, 7)
+    rng = np.random.default_rng(6)
+    vals = rng.normal(size=g.shape) * 10.0 ** rng.integers(-300, 300, g.shape)
+    vals[0, :3] = -1e-310, 5e-324, -1.7976931348623157e308
+    l2 = np.where(rng.random(g.shape) < 0.1, np.nan, vals)
+    letters = np.array(list("EPHV"))[rng.integers(0, 4, g.shape)]
+    write_field_csv(tmp_path / "field.csv", ScalarField(g, vals))
+    write_type_map_csv(tmp_path / "type.csv", g, letters)
+    write_l2_csv(tmp_path / "l2.csv", g, l2)
+    rows = {name: (tmp_path / name).read_text().splitlines()[1:]
+            for name in ("field.csv", "type.csv", "l2.csv")}
+    for k, (i, j) in enumerate(np.ndindex(g.shape)):
+        at = f"{g.thetas[i]:.17g},{g.phis[j]:.17g}"
+        assert rows["field.csv"][k] == f"{at},{vals[i, j]:.17g}"
+        assert rows["type.csv"][k] == f"{i},{j},{at},{letters[i, j]}"
+        assert rows["l2.csv"][k] == f"{i},{j},{at},{l2[i, j]:.17g}"
+    assert len(rows["field.csv"]) == g.n_theta * g.n_phi
+
+
 def test_mask_csv(tmp_path):
     path = tmp_path / "mask.csv"
     path.write_text("1,1,0\n1,1,1\n0,1,1\n")

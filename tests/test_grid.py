@@ -55,3 +55,11 @@ def test_field_shape_check():
     f = sf.ScalarField.constant(g, 2.5)
     assert f.values.shape == (5, 4)
     assert np.all(f.values == 2.5)
+
+
+def test_stencil_table_holds_edge_nodes_only():
+    n = 129
+    g = sf.SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, np.pi / 2, n, n)
+    for nodes, idx, w1, w2 in g.stencils:
+        assert nodes.size <= 4 * n
+        assert idx.shape == w1.shape == w2.shape == (3, nodes.size)

@@ -1,15 +1,21 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     PAIR_SCENARIOS,
     SMALL_PATCH,
     WIDE_PATCH,
     observed_orders,
+    per_node_derivative,
     random_admissible_state,
     random_gas,
+    thomas_preconditioner,
 )
 
 import sphereflow as sf
@@ -229,6 +235,104 @@ def test_principal_preconditioner_inverts_theta_only_density(n_phi, periodic):
     v.flat[idx] = np.random.default_rng(7).normal(size=idx.size)
     back = sf.operators.principal_preconditioner(g, rho)(principal(v).ravel()[idx])
     assert np.abs(back - v.flat[idx]).max() <= 1e-12 * np.abs(v.flat[idx]).max()
+
+
+def _stencil_grid(kind, periodic, n_theta, n_phi, rng):
+    mask = np.ones((n_theta, n_phi), dtype=bool)
+    if kind == "random":  # a union of rectangles of 3 x 3 nodes or more, minus others
+        mask[:] = False
+        for keep in [True] * rng.integers(1, 4) + [False] * rng.integers(0, 3):
+            i, j = rng.integers(0, n_theta - 2), rng.integers(0, n_phi - 2)
+            mask[i:i + rng.integers(3, n_theta), j:j + rng.integers(3, n_phi)] = keep
+    elif kind == "notched":
+        mask[:rng.integers(1, n_theta // 2), :rng.integers(1, n_phi // 2)] = False
+    elif kind == "holed":
+        i, j = rng.integers(1, n_theta - 3), rng.integers(1, n_phi - 3)
+        mask[i:i + rng.integers(1, 3), j:j + rng.integers(1, 3)] = False
+    span = (0.0, 2 * np.pi) if periodic else (0.0, np.pi / 2)
+    return SphericalGrid(np.pi / 3, 2 * np.pi / 3, *span, n_theta, n_phi,
+                         mask=mask if mask.any() else None, phi_periodic=periodic)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["plain", "random", "notched", "holed"]),
+       periodic=st.booleans(), n_theta=st.integers(5, 14),
+       n_phi=st.integers(5, 14), seed=st.integers(0, 2 ** 32 - 1))
+def test_derivative_matches_per_node_stencils(kind, periodic, n_theta, n_phi, seed):
+    # slices for the central stencil, the table only at edge nodes: the
+    # same bits as applying every node's stencil on its own, signed zeros
+    # included
+    rng = np.random.default_rng(seed)
+    g = _stencil_grid(kind, periodic, n_theta, n_phi, rng)
+    vals = np.where(rng.random(g.shape) < 0.3, rng.choice([0.0, -0.0], g.shape),
+                    rng.normal(size=g.shape))
+    try:
+        g.stencils
+    except sf.GridError:
+        with pytest.raises(sf.GridError):
+            for axis in (0, 1):
+                per_node_derivative(vals, g, axis, 1)
+        return
+    for axis in (0, 1):
+        for order in (1, 2):
+            got = sf.operators._derivative(vals, g, axis, order)
+            want = per_node_derivative(vals, g, axis, order)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _split_mask(n, gap):
+    mask = np.ones((n, n), dtype=bool)
+    mask[n // 2:n // 2 + gap, :] = False
+    return mask
+
+
+@pytest.mark.parametrize("kind", ["plain", "masked", "split", "periodic-even",
+                                  "periodic-odd"])
+@pytest.mark.parametrize("n", [17, 65])
+def test_principal_preconditioner_matches_thomas(kind, n):
+    # split: the empty row has rho_row = 0 inside the interior's box
+    mask = None
+    if kind == "masked":
+        mask = np.ones((n, n), dtype=bool)
+        mask[:n // 3, :n // 4] = False
+    elif kind == "split":
+        mask = _split_mask(n, 1)
+    if kind.startswith("periodic"):
+        g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, n,
+                          n - (kind == "periodic-even"), phi_periodic=True)
+    else:
+        g = SphericalGrid(*WIDE_PATCH, n, n, mask=mask)
+    rng = np.random.default_rng(n)
+    rho = rng.uniform(0.2, 2.0, g.shape)
+    x = rng.normal(size=int(g.interior_mask.sum()))
+    want = thomas_preconditioner(g, rho)(x)
+    got = sf.operators.principal_preconditioner(g, rho)(x)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_principal_preconditioner_across_three_empty_rows():
+    # the middle empty row has no theta coupling at all, which the Thomas
+    # sweep divides by
+    g = SphericalGrid(*WIDE_PATCH, 17, 17, mask=_split_mask(17, 3))
+    x = np.random.default_rng(3).normal(size=int(g.interior_mask.sum()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(thomas_preconditioner(g, 1.0)(x)).all()
+    assert np.isfinite(sf.operators.principal_preconditioner(g, 1.0)(x)).all()
+
+
+def test_operators_keep_no_grid_alive(gas_b4):
+    # per-grid tables live on the grid, not in a module-level cache
+    g = SphericalGrid(*WIDE_PATCH, 17, 17)
+    f = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
+    sf.flow_residual(gas_b4, f)
+    apply, precondition = sf.flow_jacobian(gas_b4, f)
+    apply(f.values)
+    precondition(np.ones(int(g.interior_mask.sum())))
+    ref = weakref.ref(g)
+    del g, f, apply, precondition
+    gc.collect()
+    assert ref() is None
 
 
 def test_principal_matrix_examples(gas_b4):
