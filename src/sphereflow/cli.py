@@ -7,6 +7,7 @@ byte-identical files (fixed key order, no timestamps).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -91,16 +92,20 @@ def _field_from_spec(spec, grid, base_dir: Path, where: str):
         key=where)
 
 
-def _solve_options(block) -> SolveOptions:
+def _number(block, key, default):
+    """block[key], or default, converted to the type of default."""
     try:
-        return SolveOptions(
-            newton_tol=float(block.get("newton_tol", 1e-10)),
-            max_newton=int(block.get("max_newton", 50)),
-            max_damping=int(block.get("max_damping", 30)),
-            lin_tol=float(block.get("lin_tol", 1e-12)),
-            lin_max_iter=int(block.get("lin_max_iter", 5000)),
-            cert_eps=float(block.get("cert_eps", 1e-8)),
-        )
+        return type(default)(block.get(key, default))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad value for 'command.{key}': {err}",
+                          key=f"command.{key}") from err
+
+
+def _solve_options(block) -> SolveOptions:
+    values = {f.name: _number(block, f.name, f.default)
+              for f in dataclasses.fields(SolveOptions)}
+    try:
+        return SolveOptions(**values)
     except ValueError as err:
         raise ConfigError(f"bad solver option: {err}", key="command") from err
 
@@ -113,7 +118,7 @@ def _say(quiet, message):
 def _cmd_classify(gas, grid, block, base, out, quiet):
     f = _field_from_spec(_require(block, "field", "command"), grid, base,
                          "command.field")
-    eps_type = float(block.get("eps_type", 1e-8))
+    eps_type = _number(block, "eps_type", 1e-8)
     tm = classify_field(gas, f, eps_type)
     write_type_map_csv(out / "type_map.csv", grid, tm.letters())
     write_l2_csv(out / "l2.csv", grid, tm.l2)
@@ -139,15 +144,17 @@ def _cmd_solve(gas, grid, block, base, out, quiet):
     phi, report = solve_dirichlet(problem, opts)
     write_field_csv(out / "solution.csv", phi)
     write_json_report(out / "report.json", report.to_dict())
+    passed = report.final_certificate.passed
     _say(quiet, f"converged in {report.iterations} Newton iterations, "
-                f"residual {report.residual_history[-1]:.3e}")
-    return 0
+                f"residual {report.residual_history[-1]:.3e}, "
+                f"certificate {'pass' if passed else 'fail'}")
+    return 0 if passed else 2
 
 
 def _cmd_certify(gas, grid, block, base, out, quiet):
     f = _field_from_spec(_require(block, "field", "command"), grid, base,
                          "command.field")
-    eps = float(block.get("eps", 1e-8))
+    eps = _number(block, "eps", 1e-8)
     cert = certify_uniform_ellipticity(gas, f, eps)
     write_json_report(out / "report.json", cert.to_dict())
     _say(quiet, f"certificate {'pass' if cert.passed else 'fail'}: "
@@ -155,20 +162,25 @@ def _cmd_certify(gas, grid, block, base, out, quiet):
     return 0 if cert.passed else 2
 
 
-def _cmd_compare(gas, grid, block, base, out, quiet):
-    f_minus = _field_from_spec(_require(block, "field_minus", "command"),
-                               grid, base, "command.field_minus")
-    f_plus = _field_from_spec(_require(block, "field_plus", "command"),
-                              grid, base, "command.field_plus")
+def _verified_pair(gas, grid, block, base):
+    """(f_minus, f_plus, verify_weak_comparison report) of a command block."""
+    f_minus, f_plus = (_field_from_spec(_require(block, key, "command"), grid,
+                                        base, f"command.{key}")
+                       for key in ("field_minus", "field_plus"))
     report = verify_weak_comparison(
         gas, f_minus, f_plus,
-        tol_sub=float(block.get("tol_sub", 1e-9)),
-        tol_order=float(block.get("tol_order", 1e-8)),
-        beta=float(block.get("beta", 0.5)),
-        n_quad=int(block.get("n_quad", 8)),
+        tol_sub=_number(block, "tol_sub", 1e-9),
+        tol_order=_number(block, "tol_order", 1e-8),
+        beta=_number(block, "beta", 0.5),
+        n_quad=_number(block, "n_quad", 8),
     )
+    return f_minus, f_plus, report
+
+
+def _cmd_compare(gas, grid, block, base, out, quiet):
+    _, _, report = _verified_pair(gas, grid, block, base)
     if report.applicable and report.ordering_pass:
-        strong_comparison_check(report, float(block.get("gap_tol", 1e-10)))
+        strong_comparison_check(report, _number(block, "gap_tol", 1e-10))
     write_json_report(out / "report.json", report.to_dict())
     _say(quiet, f"comparison verdict: {report.verdict}"
                 + (f", dichotomy {report.dichotomy.value}"
@@ -178,16 +190,8 @@ def _cmd_compare(gas, grid, block, base, out, quiet):
 
 
 def _cmd_hopf(gas, grid, block, base, out, quiet):
-    f_minus = _field_from_spec(_require(block, "field_minus", "command"),
-                               grid, base, "command.field_minus")
-    f_plus = _field_from_spec(_require(block, "field_plus", "command"),
-                              grid, base, "command.field_plus")
-    tol_touch = float(block.get("tol_touch", 1e-9))
-    report = verify_weak_comparison(
-        gas, f_minus, f_plus,
-        tol_sub=float(block.get("tol_sub", 1e-9)),
-        tol_order=float(block.get("tol_order", 1e-8)),
-    )
+    f_minus, f_plus, report = _verified_pair(gas, grid, block, base)
+    tol_touch = _number(block, "tol_touch", 1e-9)
     if "nodes" in block:
         nodes = [(int(i), int(j)) for i, j in block["nodes"]]
     else:

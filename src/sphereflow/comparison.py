@@ -292,32 +292,9 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     )
 
 
-def _outward_directions(grid: SphericalGrid, i: int, j: int):
-    """Directions in which node (i, j) has no masked neighbor."""
-    m = grid.mask_array
-    nth, nph = grid.shape
-    per = grid.phi_periodic
-    dirs = []
-    if i + 1 >= nth or not m[i + 1, j]:
-        dirs.append((1, 0))
-    if i - 1 < 0 or not m[i - 1, j]:
-        dirs.append((-1, 0))
-    jp = (j + 1) % nph if per else j + 1
-    jm = (j - 1) % nph if per else j - 1
-    if jp >= nph or not m[i, jp]:
-        dirs.append((0, 1))
-    if jm < 0 or not m[i, jm]:
-        dirs.append((0, -1))
-    return dirs
-
-
 def straight_edge_nodes(grid: SphericalGrid) -> list:
     """Boundary nodes with exactly one outward direction (no corners)."""
-    out = []
-    for i, j in np.argwhere(grid.boundary_mask):
-        if len(_outward_directions(grid, int(i), int(j))) == 1:
-            out.append((int(i), int(j)))
-    return out
+    return [(int(i), int(j)) for i, j in np.argwhere(grid.open_sides.sum(0) == 1)]
 
 
 def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
@@ -335,12 +312,9 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     grid = require_same_grid(f_minus, f_plus)
     m = grid.mask_array
     bm = grid.boundary_mask
-    im = grid.interior_mask
-    per = grid.phi_periodic
-    nth, nph = grid.shape
 
     gap = f_plus.values - f_minus.values
-    min_gap, node = _extreme(gap, im, minimize=True)
+    min_gap, node = _extreme(gap, grid.interior_mask, minimize=True)
     if min_gap < -tol_order:
         raise ValueError(
             f"f_minus exceeds f_plus at interior node {node} by {-min_gap:.3e}"
@@ -354,13 +328,6 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
             gas, g.v_theta * g.v_theta + g.v_phi * g.v_phi, f.values)
         states.append((c2, ok))
 
-    def inner(i, j, di, dj, steps):
-        ii = i - di * steps
-        jj = j - dj * steps
-        if per:
-            jj %= nph
-        return ii, jj
-
     results = []
     for raw in boundary_nodes:
         i, j = int(raw[0]), int(raw[1])
@@ -370,30 +337,25 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
             raise NonTouchingNodeError(
                 f"fields differ by {abs(diff[i, j]):.3e} at node ({i}, {j})"
             )
-        at = np.zeros(grid.shape, dtype=bool)
-        at[i, j] = True
         for c2, ok in states:
-            require_admissible(gas, c2, ok, at)
-        dirs = _outward_directions(grid, i, j)
-        if len(dirs) != 1:
+            if not ok[i, j]:
+                at = np.zeros(grid.shape, dtype=bool)
+                at[i, j] = True
+                require_admissible(gas, c2, ok, at)
+        sides = np.flatnonzero(grid.open_sides[:, i, j])
+        if sides.size != 1:
             raise CornerNodeError(
-                f"node ({i}, {j}) has {len(dirs)} outward directions; "
+                f"node ({i}, {j}) has {sides.size} outward directions; "
                 "interior sphere condition unverifiable"
             )
-        di, dj = dirs[0]
-        i1, j1 = inner(i, j, di, dj, 1)
-        i2, j2 = inner(i, j, di, dj, 2)
-
-        def in_patch(ii, jj):
-            return 0 <= ii < nth and 0 <= jj < nph
-
-        if not (in_patch(i1, j1) and in_patch(i2, j2)
-                and m[i1, j1] and m[i2, j2]):
+        axis, backward = divmod(int(sides[0]), 2)  # +th, -th, +ph, -ph
+        p1, p2 = (grid.neighbor(i, j, axis, k if backward else -k) for k in (1, 2))
+        if p1 is None or p2 is None or not (m[p1] and m[p2]):
             raise GridError(
                 f"mask too thin for a one-sided normal stencil at ({i}, {j})"
             )
-        h = grid.h_theta if di != 0 else grid.h_phi * grid.sin_theta[i]
-        deriv = (3.0 * diff[i, j] - 4.0 * diff[i1, j1] + diff[i2, j2]) / (2.0 * h)
+        h = grid.h_theta if axis == 0 else grid.h_phi * grid.sin_theta[i]
+        deriv = (3.0 * diff[i, j] - 4.0 * diff[p1] + diff[p2]) / (2.0 * h)
         results.append(HopfResult(
             i=i, j=j, theta=float(grid.thetas[i]), phi=float(grid.phis[j]),
             derivative=float(deriv),

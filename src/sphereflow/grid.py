@@ -129,19 +129,43 @@ class SphericalGrid:
             return np.ones(self.shape, dtype=bool)
         return self.mask
 
+    def shifted(self, a, axis, off):
+        """Array whose entry at node k is a[k + off] along axis, wrapped
+        across a periodic phi seam, else zero (False) off the patch."""
+        if axis == 1 and self.phi_periodic:
+            return np.roll(a, -off, axis=1)
+        out = np.zeros_like(a)
+        n = a.shape[axis]
+        k = min(abs(off), n)
+        lo, hi = slice(0, n - k), slice(k, n)
+        dst, src = [slice(None)] * 2, [slice(None)] * 2
+        dst[axis], src[axis] = (lo, hi) if off > 0 else (hi, lo)
+        out[tuple(dst)] = a[tuple(src)]
+        return out
+
+    def neighbor(self, i, j, axis, off):
+        """The node off steps from (i, j) along axis, wrapped across a
+        periodic phi seam; None off the patch."""
+        node = [i, j]
+        node[axis] += off
+        if axis == 1 and self.phi_periodic:
+            node[1] %= self.n_phi
+        elif not 0 <= node[axis] < self.shape[axis]:
+            return None
+        return tuple(node)
+
+    @cached_property
+    def open_sides(self):
+        """(4, n_theta, n_phi) bools: masked nodes without a masked neighbor
+        at +theta, -theta, +phi and -phi, in that order."""
+        m = self.mask_array
+        return np.array([m & ~self.shifted(m, axis, off)
+                         for axis in (0, 1) for off in (1, -1)])
+
     @cached_property
     def boundary_mask(self):
         """Masked nodes on the patch edge or touching an unmasked node."""
-        m = self.mask_array
-        pad = np.zeros((self.n_theta + 2, self.n_phi + 2), dtype=bool)
-        pad[1:-1, 1:-1] = m
-        if self.phi_periodic:
-            pad[1:-1, 0] = m[:, -1]
-            pad[1:-1, -1] = m[:, 0]
-        surrounded = (
-            pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2] & pad[1:-1, 2:]
-        )
-        return m & ~surrounded
+        return self.open_sides.any(0)
 
     @cached_property
     def interior_mask(self):
@@ -167,18 +191,12 @@ class SphericalGrid:
         flat = np.arange(m.size, dtype=np.int32).reshape(self.shape)
         tables = []
         for axis in (0, 1):
-            pad = [(0, 0), (0, 0)]
-            pad[axis] = (3, 3)
-            mode = "wrap" if axis == 1 and self.phi_periodic else "constant"
-            m_pad, flat_pad = np.pad(m, pad, mode=mode), np.pad(flat, pad, mode=mode)
-            span = np.arange(3, 3 + self.shape[axis])
-
             def near(a, off):
-                return np.take(a, span + off, axis=axis)[m]
+                return self.shifted(a, axis, off)[m]
 
             kind = np.full(nodes.size, -1)
             for s in reversed(range(len(STENCILS))):
-                kind[np.logical_and.reduce([near(m_pad, o) for o in STENCILS[s][0]])] = s
+                kind[np.logical_and.reduce([near(m, o) for o in STENCILS[s][0]])] = s
             if np.any(kind < 0):
                 i, j = np.unravel_index(nodes[np.argmax(kind < 0)], self.shape)
                 raise GridError(f"mask too thin for a derivative stencil at node "
@@ -189,7 +207,7 @@ class SphericalGrid:
             idx = np.empty(offsets.shape, dtype=np.int32)
             for off in range(-3, 4):
                 at = offsets == off
-                idx[at] = np.broadcast_to(near(flat_pad, off)[edge], at.shape)[at]
+                idx[at] = np.broadcast_to(near(flat, off)[edge], at.shape)[at]
             tables.append((nodes[edge], idx, w1, w2))
         return tuple(tables)
 

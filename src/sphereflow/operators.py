@@ -37,27 +37,14 @@ from .gas import (
 from .grid import ScalarField, SphericalGrid, VectorField
 
 
-def _shifted(a, grid, axis, off):
-    """Array whose entry at node k is a[k + off] along axis (off = +-1),
-    wrapped across a periodic phi seam, else zero-filled off the patch."""
-    if axis == 1 and grid.phi_periodic:
-        return np.roll(a, -off, axis=1)
-    out = np.zeros_like(a)
-    lo, hi = slice(0, -1), slice(1, None)
-    dst, src = [slice(None)] * 2, [slice(None)] * 2
-    dst[axis], src[axis] = (lo, hi) if off > 0 else (hi, lo)
-    out[tuple(dst)] = a[tuple(src)]
-    return out
-
-
 def _face_mean(a, grid, axis):
     """Arithmetic mean of a node array on the faces k + 1/2 along axis."""
-    return 0.5 * (a + _shifted(a, grid, axis, 1))
+    return 0.5 * (a + grid.shifted(a, axis, 1))
 
 
 def _face_step(a, grid, axis):
     """a[k + 1] - a[k] on the faces k + 1/2 along axis."""
-    return _shifted(a, grid, axis, 1) - a
+    return grid.shifted(a, axis, 1) - a
 
 
 def _add_divergence(out, grid, flux_th, flux_ph, node_flux=None):
@@ -68,13 +55,12 @@ def _add_divergence(out, grid, flux_th, flux_ph, node_flux=None):
     the result is exact at interior nodes only).
     """
     st = grid.sin_theta[:, None]
-    m = grid.mask_array
     for axis, h, flux in ((0, grid.h_theta, flux_th), (1, grid.h_phi, flux_ph)):
-        div = (flux - _shifted(flux, grid, axis, -1)) / (st * h)
+        div = (flux - grid.shifted(flux, axis, -1)) / (st * h)
         if node_flux is not None:
             node = st * node_flux[0] if axis == 0 else node_flux[1]
-            div = np.where(_shifted(m, grid, axis, 1) & _shifted(m, grid, axis, -1),
-                           div, _derivative(node, grid, axis, 1) / st)
+            div = np.where(grid.open_sides[2 * axis:2 * axis + 2].any(0),
+                           _derivative(node, grid, axis, 1) / st, div)
         out += div
     return out
 

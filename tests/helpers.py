@@ -152,3 +152,48 @@ def thomas_preconditioner(grid, rho):
         return (y @ basis.T)[box]
 
     return precondition
+
+
+def padded_boundary_mask(grid):
+    """SphericalGrid.boundary_mask from a zero-padded copy of the mask, with
+    the phi columns wrapped across a periodic seam."""
+    m = grid.mask_array
+    pad = np.zeros((grid.n_theta + 2, grid.n_phi + 2), dtype=bool)
+    pad[1:-1, 1:-1] = m
+    if grid.phi_periodic:
+        pad[1:-1, 0] = m[:, -1]
+        pad[1:-1, -1] = m[:, 0]
+    surrounded = (
+        pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2] & pad[1:-1, 2:]
+    )
+    return m & ~surrounded
+
+
+def stepped_node(grid, i, j, di, dj):
+    """(i + di, j + dj) with j wrapped on a periodic grid; None off the patch."""
+    ii, jj = i + di, j + dj
+    if grid.phi_periodic:
+        jj %= grid.n_phi
+    if 0 <= ii < grid.n_theta and 0 <= jj < grid.n_phi:
+        return ii, jj
+    return None
+
+
+def outward_directions(grid, i, j):
+    """Directions (di, dj) in which node (i, j) has no masked neighbor, in
+    the order +theta, -theta, +phi, -phi."""
+    m = grid.mask_array
+    nth, nph = grid.shape
+    per = grid.phi_periodic
+    dirs = []
+    if i + 1 >= nth or not m[i + 1, j]:
+        dirs.append((1, 0))
+    if i - 1 < 0 or not m[i - 1, j]:
+        dirs.append((-1, 0))
+    jp = (j + 1) % nph if per else j + 1
+    jm = (j - 1) % nph if per else j - 1
+    if jp >= nph or not m[i, jp]:
+        dirs.append((0, 1))
+    if jm < 0 or not m[i, jm]:
+        dirs.append((0, -1))
+    return dirs

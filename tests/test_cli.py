@@ -86,6 +86,25 @@ def test_hopf_command(tmp_path):
     assert all(entry["derivative"] > 0 for entry in rep["hopf"])
 
 
+def test_hopf_reads_beta_like_compare(tmp_path):
+    # f- - f+ = 4e-9 at every node, within tol_touch and tol_order, so the
+    # weak-form minimum -d (h+)^(1/beta + 1) > 0 depends on beta
+    fields = {"field_minus": "1.5 + 4e-9", "field_plus": "1.5"}
+    runs = {"compare": {"name": "compare", "beta": 1.0},
+            "half": {"name": "compare", "beta": 0.5},
+            "hopf": {"name": "hopf", "beta": 1.0, "nodes": [[0, 16]],
+                     "tol_touch": 1e-8}}
+    values = {}
+    for name, command in runs.items():
+        sc = write_scenario(tmp_path / f"{name}.json",
+                            command={**command, **fields})
+        cli.run(sc, tmp_path / name, quiet=True)
+        rep = json.loads((tmp_path / name / "report.json").read_text())
+        values[name] = rep["hypotheses"]["weak_form_nonnegative"]["value"]
+    assert values["hopf"] == values["compare"] > 0.0
+    assert values["half"] != values["compare"]
+
+
 def test_classify_command(tmp_path):
     sc = write_scenario(
         tmp_path / "cls.json",
@@ -115,6 +134,21 @@ def test_certify_exit_codes(tmp_path):
     assert cli.run(hard, tmp_path / "hard", quiet=True) == 2
 
 
+def test_solve_exits_two_when_certificate_fails(tmp_path, capsys):
+    # Newton converges, but L^2 > 1 at the theta_min edge
+    sc = write_scenario(tmp_path / "hyp.json", command={
+        "name": "solve", "boundary": "1.6 + 0.2*cos(theta)*cos(4*phi)",
+    })
+    assert cli.run(sc, tmp_path / "out") == 2
+    assert "certificate fail" in capsys.readouterr().out
+    assert (tmp_path / "out" / "solution.csv").exists()
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["converged"] is True
+    assert rep["certificate"]["pass"] is False
+    assert rep["certificate"]["eps_L"] < 0.0
+    assert rep["certificate"]["worst_node"]["i"] == 0
+
+
 def test_manufacture_command(tmp_path):
     sc = write_scenario(tmp_path / "man.json", command={
         "name": "manufacture", "exact": "2 + 0.1*cos(theta)",
@@ -134,6 +168,18 @@ def test_missing_gamma_names_the_key(tmp_path, capsys):
     }))
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1
     assert "gas.gamma" in capsys.readouterr().err
+
+
+def test_malformed_numbers_name_the_key(tmp_path, capsys):
+    for key, command in (
+            ("newton_tol", {"name": "solve", "boundary": "1.6",
+                            "newton_tol": None}),
+            ("eps_type", {"name": "classify", "field": "1.6",
+                          "eps_type": "abc"})):
+        sc = write_scenario(tmp_path / f"{key}.json", command=command)
+        assert cli.run(sc, tmp_path / key, quiet=True) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"command.{key}" in err
 
 
 def test_bad_expression_exits_one(tmp_path, capsys):

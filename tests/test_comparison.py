@@ -233,6 +233,24 @@ def test_hopf_isothermal_overflow_names_node():
     assert err.value.node == (0, 8)
 
 
+def test_hopf_across_the_periodic_seam(gas_b4):
+    # (7, 0) opens onto a hole at +phi, so its inward steps wrap to (7, 17)
+    # and (7, 16)
+    mask = np.ones((17, 18), dtype=bool)
+    mask[6:9, 1:3] = False
+    g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, 17, 18,
+                      mask=mask, phi_periodic=True)
+    f_plus = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    f_minus = ScalarField(g, f_plus.values - 0.01 * np.sin(g.phi_mesh / 2))
+    assert (7, 0) in sf.straight_edge_nodes(g)
+    (out,) = sf.hopf_indicator(gas_b4, f_minus, f_plus, [(7, 0)])
+    d = f_minus.values - f_plus.values
+    expect = ((3 * d[7, 0] - 4 * d[7, 17] + d[7, 16])
+              / (2 * g.h_phi * np.sin(g.thetas[7])))
+    assert expect > 0.0
+    assert out.derivative == pytest.approx(expect, rel=1e-14)
+
+
 def test_hopf_one_dimensional_sanity(gas_b4):
     g = SphericalGrid(*WIDE_PATCH, 65, 65)
     a, b = g.theta_min, g.theta_max

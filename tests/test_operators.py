@@ -12,9 +12,12 @@ from helpers import (
     SMALL_PATCH,
     WIDE_PATCH,
     observed_orders,
+    outward_directions,
+    padded_boundary_mask,
     per_node_derivative,
     random_admissible_state,
     random_gas,
+    stepped_node,
     thomas_preconditioner,
 )
 
@@ -279,6 +282,38 @@ def test_derivative_matches_per_node_stencils(kind, periodic, n_theta, n_phi, se
             want = per_node_derivative(vals, g, axis, order)
             assert np.array_equal(got, want)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["plain", "random", "notched", "holed"]),
+       periodic=st.booleans(), n_theta=st.integers(5, 14),
+       n_phi=st.integers(5, 14), seed=st.integers(0, 2 ** 32 - 1))
+def test_neighbor_rule_matches_per_node_references(kind, periodic, n_theta,
+                                                   n_phi, seed):
+    rng = np.random.default_rng(seed)
+    g = _stencil_grid(kind, periodic, n_theta, n_phi, rng)
+    sides = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    want = np.zeros((4,) + g.shape, dtype=bool)
+    for i, j in zip(*np.nonzero(g.mask_array)):
+        for d in outward_directions(g, i, j):
+            want[sides.index(d), i, j] = True
+    assert np.array_equal(g.open_sides, want)
+    bm = padded_boundary_mask(g)
+    assert np.array_equal(g.boundary_mask, bm)
+    assert sf.straight_edge_nodes(g) == [
+        (int(i), int(j)) for i, j in np.argwhere(bm)
+        if len(outward_directions(g, i, j)) == 1]
+    vals = rng.normal(size=g.shape)
+    for axis in (0, 1):
+        n = g.shape[axis]
+        for off in [*range(-3, 4), n + 1, -n - 1]:
+            moved = g.shifted(vals, axis, off)
+            moved_mask = g.shifted(g.mask_array, axis, off)
+            for i, j in np.ndindex(g.shape):
+                k = stepped_node(g, i, j, *((off, 0) if axis == 0 else (0, off)))
+                assert g.neighbor(i, j, axis, off) == k
+                assert moved[i, j] == (0.0 if k is None else vals[k])
+                assert moved_mask[i, j] == (k is not None and g.mask_array[k])
 
 
 def _split_mask(n, gap):
