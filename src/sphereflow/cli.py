@@ -1,13 +1,13 @@
 """Scenario runner: parse a JSON config, dispatch one command, emit artifacts.
 
-Exit codes: 0 for pass/converged, 2 when hypotheses are Inapplicable or a
-certificate fails, 1 for hard errors (vacuum, non-convergence, bad config,
-I/O).  Outputs are deterministic: rerunning an identical scenario yields
+Exit codes: 0 for pass/converged, 2 when hypotheses are Inapplicable, a
+certificate fails or hopf's interior ordering fails, 1 for hard errors
+(vacuum, non-convergence, bad config, I/O).  Outputs are deterministic: rerunning an identical scenario yields
 byte-identical files (fixed key order, no timestamps).
 """
 
 import argparse
-import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -43,8 +43,6 @@ from .grid import SphericalGrid
 from .operators import classify_field
 from .solver import BVProblem, SolveOptions, manufactured_problem, solve_dirichlet
 
-COMMANDS = ("classify", "solve", "compare", "certify", "hopf", "manufacture")
-
 
 def _require(block, key, where):
     if key not in block:
@@ -52,34 +50,38 @@ def _require(block, key, where):
     return block[key]
 
 
+def _options(fn, block, where="command") -> dict:
+    """Keyword arguments of fn (a function or a dataclass) read from block.
+
+    Every parameter of fn annotated int, float or bool is read under its own
+    name and converted to that type; it is required when fn gives it no
+    default, and otherwise falls back to that default.
+    """
+    kwargs = {}
+    for name, param in inspect.signature(fn).parameters.items():
+        if param.annotation not in (int, float, bool):
+            continue
+        value = (_require(block, name, where) if param.default is param.empty
+                 else block.get(name, param.default))
+        try:
+            kwargs[name] = param.annotation(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad value for '{where}.{name}': {err}",
+                              key=f"{where}.{name}") from err
+    return kwargs
+
+
 def _build_gas(cfg) -> GasModel:
-    block = _require(cfg, "gas", "scenario")
-    gamma = _require(block, "gamma", "gas")
-    try:
-        return GasModel(
-            gamma=float(gamma),
-            rho0=float(block.get("rho0", 1.0)),
-            bernoulli=float(block.get("bernoulli", 0.0)),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad gas block: {err}", key="gas") from err
+    return GasModel(**_options(GasModel, _require(cfg, "gas", "scenario"), "gas"))
 
 
 def _build_grid(cfg, base_dir: Path) -> SphericalGrid:
     block = _require(cfg, "grid", "scenario")
-    kwargs = {}
-    for key in ("theta_min", "theta_max", "phi_min", "phi_max"):
-        kwargs[key] = float(_require(block, key, "grid"))
-    for key in ("n_theta", "n_phi"):
-        kwargs[key] = int(_require(block, key, "grid"))
-    kwargs["phi_periodic"] = bool(block.get("phi_periodic", False))
-    if "sin_floor" in block:
-        kwargs["sin_floor"] = float(block["sin_floor"])
-    mask = None
+    kwargs = _options(SphericalGrid, block, "grid")
     if "mask" in block:
-        mask = read_mask_csv(base_dir / block["mask"], kwargs["n_theta"],
-                             kwargs["n_phi"])
-    return SphericalGrid(mask=mask, **kwargs)
+        kwargs["mask"] = read_mask_csv(base_dir / block["mask"],
+                                       kwargs["n_theta"], kwargs["n_phi"])
+    return SphericalGrid(**kwargs)
 
 
 def _field_from_spec(spec, grid, base_dir: Path, where: str):
@@ -92,24 +94,6 @@ def _field_from_spec(spec, grid, base_dir: Path, where: str):
         key=where)
 
 
-def _number(block, key, default):
-    """block[key], or default, converted to the type of default."""
-    try:
-        return type(default)(block.get(key, default))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad value for 'command.{key}': {err}",
-                          key=f"command.{key}") from err
-
-
-def _solve_options(block) -> SolveOptions:
-    values = {f.name: _number(block, f.name, f.default)
-              for f in dataclasses.fields(SolveOptions)}
-    try:
-        return SolveOptions(**values)
-    except ValueError as err:
-        raise ConfigError(f"bad solver option: {err}", key="command") from err
-
-
 def _say(quiet, message):
     if not quiet:
         print(message)
@@ -118,8 +102,8 @@ def _say(quiet, message):
 def _cmd_classify(gas, grid, block, base, out, quiet):
     f = _field_from_spec(_require(block, "field", "command"), grid, base,
                          "command.field")
-    eps_type = _number(block, "eps_type", 1e-8)
-    tm = classify_field(gas, f, eps_type)
+    opts = _options(classify_field, block)
+    tm = classify_field(gas, f, **opts)
     write_type_map_csv(out / "type_map.csv", grid, tm.letters())
     write_l2_csv(out / "l2.csv", grid, tm.l2)
     if block.get("pgm", False):
@@ -127,7 +111,7 @@ def _cmd_classify(gas, grid, block, base, out, quiet):
     counts = tm.counts()
     write_json_report(out / "report.json", {
         "command": "classify",
-        "eps_type": eps_type,
+        "eps_type": opts["eps_type"],
         "counts": counts,
     })
     _say(quiet, f"classified {grid.n_theta * grid.n_phi} nodes: {counts}")
@@ -139,7 +123,7 @@ def _cmd_solve(gas, grid, block, base, out, quiet):
                                 base, "command.boundary")
     source = _field_from_spec(block.get("source", "0"), grid, base,
                               "command.source")
-    opts = _solve_options(block)
+    opts = SolveOptions(**_options(SolveOptions, block))
     problem = BVProblem(gas=gas, grid=grid, boundary=boundary, source=source)
     phi, report = solve_dirichlet(problem, opts)
     write_field_csv(out / "solution.csv", phi)
@@ -154,8 +138,8 @@ def _cmd_solve(gas, grid, block, base, out, quiet):
 def _cmd_certify(gas, grid, block, base, out, quiet):
     f = _field_from_spec(_require(block, "field", "command"), grid, base,
                          "command.field")
-    eps = _number(block, "eps", 1e-8)
-    cert = certify_uniform_ellipticity(gas, f, eps)
+    cert = certify_uniform_ellipticity(
+        gas, f, **_options(certify_uniform_ellipticity, block))
     write_json_report(out / "report.json", cert.to_dict())
     _say(quiet, f"certificate {'pass' if cert.passed else 'fail'}: "
                 f"eps_rho={cert.eps_rho:.4g} eps_L={cert.eps_L:.4g}")
@@ -167,20 +151,16 @@ def _verified_pair(gas, grid, block, base):
     f_minus, f_plus = (_field_from_spec(_require(block, key, "command"), grid,
                                         base, f"command.{key}")
                        for key in ("field_minus", "field_plus"))
-    report = verify_weak_comparison(
-        gas, f_minus, f_plus,
-        tol_sub=_number(block, "tol_sub", 1e-9),
-        tol_order=_number(block, "tol_order", 1e-8),
-        beta=_number(block, "beta", 0.5),
-        n_quad=_number(block, "n_quad", 8),
-    )
+    report = verify_weak_comparison(gas, f_minus, f_plus,
+                                    **_options(verify_weak_comparison, block))
     return f_minus, f_plus, report
 
 
 def _cmd_compare(gas, grid, block, base, out, quiet):
     _, _, report = _verified_pair(gas, grid, block, base)
     if report.applicable and report.ordering_pass:
-        strong_comparison_check(report, _number(block, "gap_tol", 1e-10))
+        strong_comparison_check(
+            report, **_options(strong_comparison_check, block))
     write_json_report(out / "report.json", report.to_dict())
     _say(quiet, f"comparison verdict: {report.verdict}"
                 + (f", dichotomy {report.dichotomy.value}"
@@ -191,18 +171,27 @@ def _cmd_compare(gas, grid, block, base, out, quiet):
 
 def _cmd_hopf(gas, grid, block, base, out, quiet):
     f_minus, f_plus, report = _verified_pair(gas, grid, block, base)
-    tol_touch = _number(block, "tol_touch", 1e-9)
+    opts = _options(hopf_indicator, block)
+    if not report.ordering_pass:
+        write_json_report(out / "report.json", report.to_dict())
+        _say(quiet, "interior ordering fails: hopf indicators skipped")
+        return 2
     if "nodes" in block:
-        nodes = [(int(i), int(j)) for i, j in block["nodes"]]
+        nodes = block["nodes"]
     else:
         diff = f_minus.values - f_plus.values
         nodes = [(i, j) for i, j in straight_edge_nodes(grid)
-                 if abs(diff[i, j]) <= tol_touch]
-    if not nodes:
-        raise ConfigError("no touching straight-edge boundary nodes found",
+                 if abs(diff[i, j]) <= opts["tol_touch"]]
+    if not isinstance(nodes, list) or not nodes:
+        raise ConfigError("'command.nodes' must be a nonempty list of pairs"
+                          if "nodes" in block else
+                          "no touching straight-edge boundary nodes found",
                           key="command.nodes")
-    report.hopf = hopf_indicator(gas, f_minus, f_plus, nodes,
-                                 tol_touch=tol_touch)
+    try:
+        report.hopf = hopf_indicator(gas, f_minus, f_plus, nodes, **opts)
+    except ConfigError as err:
+        raise ConfigError(f"bad entry in 'command.nodes': {err}",
+                          key="command.nodes") from err
     write_json_report(out / "report.json", report.to_dict())
     positive = all(h.derivative > 0.0 for h in report.hopf)
     _say(quiet, f"hopf indicators at {len(report.hopf)} nodes, "
@@ -254,9 +243,9 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
         grid = _build_grid(cfg, path.parent)
         block = _require(cfg, "command", "scenario")
         name = _require(block, "name", "command")
-        if name not in COMMANDS:
+        if name not in tuple(_HANDLERS):
             raise ConfigError(
-                f"unknown command '{name}' (expected one of {COMMANDS})",
+                f"unknown command '{name}' (expected one of {tuple(_HANDLERS)})",
                 key="command.name")
         return _HANDLERS[name](gas, grid, block, path.parent, out, quiet)
     except ConfigError as err:

@@ -13,13 +13,14 @@ are conditional, and the harness must not claim a counterexample when the
 premises are unmet.
 """
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 import numpy as np
 
 from .ellipticity import Z_GE_C_SLACK
-from .errors import CornerNodeError, GridError, NonTouchingNodeError
+from .errors import ConfigError, CornerNodeError, GridError, NonTouchingNodeError
 from .gas import GasModel, bernoulli_density, require_admissible
 from .grid import ScalarField, SphericalGrid, require_same_grid
 from .operators import (
@@ -43,7 +44,7 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
     """
     grid = require_same_grid(f_minus, f_plus)
     if n_quad < 1:
-        raise ValueError("n_quad must be >= 1")
+        raise ConfigError("n_quad must be >= 1", "n_quad")
     mask = grid.mask_array
     gm = spherical_gradient(f_minus)
     gp = spherical_gradient(f_plus)
@@ -97,7 +98,7 @@ def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     """
     grid = require_same_grid(f_minus, f_plus)
     if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
+        raise ConfigError("beta must lie in (0, 1]", "beta")
     co = mean_value_coefficients(gas, f_minus, f_plus, n_quad)
     m = grid.mask_array
     hplus = np.where(m, np.maximum(f_minus.values - f_plus.values, 0.0), 0.0)
@@ -330,9 +331,14 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
 
     results = []
     for raw in boundary_nodes:
-        i, j = int(raw[0]), int(raw[1])
-        if not bm[i, j]:
-            raise ValueError(f"node ({i}, {j}) is not a boundary node")
+        try:
+            i, j = (operator.index(k) for k in raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"node {raw!r} is not a pair of integers",
+                              "boundary_nodes") from None
+        if not (0 <= i < grid.n_theta and 0 <= j < grid.n_phi and bm[i, j]):
+            raise ConfigError(f"node ({i}, {j}) is not a boundary node of the "
+                              f"{grid.shape} grid", "boundary_nodes")
         if abs(diff[i, j]) > tol_touch:
             raise NonTouchingNodeError(
                 f"fields differ by {abs(diff[i, j]):.3e} at node ({i}, {j})"

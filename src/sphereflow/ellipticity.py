@@ -219,7 +219,7 @@ MAX_REPORTED_VIOLATIONS = 100
 
 
 def certify_uniform_ellipticity(gas: GasModel, f: ScalarField,
-                                eps: float) -> EllipticityCertificate:
+                                eps: float = 1e-8) -> EllipticityCertificate:
     """Certify min rho >= eps and max L^2 <= 1 - eps over masked nodes.
 
     The certificate records the attained margins and, when the field is

@@ -95,8 +95,8 @@ class ExpressionDomainError(SphereflowError):
     """Expression evaluation produced a non-finite value at some node."""
 
 
-class ConfigError(SphereflowError):
-    """Scenario config is malformed; ``key`` names the offending entry."""
+class ConfigError(SphereflowError, ValueError):
+    """Malformed or out-of-range config entry or argument; ``key`` names it."""
 
     def __init__(self, message, key=None):
         super().__init__(message)

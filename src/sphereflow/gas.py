@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import GasOverflowError, VacuumError
+from .errors import ConfigError, GasOverflowError, VacuumError
 
 # |exponent| bound for the isothermal density exp(); keeps exp() inside
 # double-precision range.
@@ -38,9 +38,9 @@ class GasModel:
 
     def __post_init__(self):
         if self.gamma < -1.0:
-            raise ValueError(f"gamma must be >= -1, got {self.gamma}")
+            raise ConfigError(f"gamma must be >= -1, got {self.gamma}", "gamma")
         if self.rho0 <= 0.0:
-            raise ValueError(f"rho0 must be > 0, got {self.rho0}")
+            raise ConfigError(f"rho0 must be > 0, got {self.rho0}", "rho0")
         if self.gamma == 1.0:
             c0 = 1.0
         else:
@@ -165,7 +165,7 @@ def classify_codes(gas: GasModel, s: FlowState, eps_type: float = DEFAULT_EPS_TY
     c^2 <= 0 or (gamma = 1) the density exponent is out of range.
     """
     if eps_type <= 0.0:
-        raise ValueError("eps_type must be > 0")
+        raise ConfigError("eps_type must be > 0", "eps_type")
     q_sq = np.asarray(s.speed_sq(), dtype=float)
     codes = np.full(q_sq.shape, int(FlowType.VACUUM), dtype=np.int8)
     _, c2, ok = bernoulli_density(gas, q_sq, s.z)

@@ -24,7 +24,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GridError
 from .gas import (
     FlowState,
     FlowType,
@@ -293,8 +292,6 @@ def flow_residual(gas: GasModel, f: ScalarField,
     in the module docstring).
     """
     grid = f.grid
-    if min(np.sin(grid.theta_min), np.sin(grid.theta_max)) < grid.sin_floor:
-        raise GridError("pole proximity: sin(theta) below floor")
     rho, c2, q1, q2 = field_density(gas, f)
     if form is ResidualForm.EXPANDED:
         return _expanded_residual(f, c2, q1, q2)

@@ -21,6 +21,7 @@ import numpy as np
 from .ellipticity import EllipticityCertificate, certify_uniform_ellipticity
 from .errors import (
     BreakdownError,
+    ConfigError,
     GridError,
     InadmissibleFieldError,
     InadmissibleStateError,
@@ -53,11 +54,11 @@ class SolveOptions:
 
     def __post_init__(self):
         if self.newton_tol < 1e-14:
-            raise ValueError("newton_tol must be >= 1e-14")
+            raise ConfigError("newton_tol must be >= 1e-14", "newton_tol")
         for name in ("newton_tol", "max_newton", "max_damping", "lin_tol",
                      "lin_max_iter", "cert_eps"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive", name)
 
 
 @dataclass
@@ -140,13 +141,11 @@ class _Breakdown(Exception):
 
 
 def _bicgstab_core(op, b, x0, precondition, target, iter_cap):
-    """One BiCGSTAB run; returns (x, iterations, converged_recursive)."""
+    """One BiCGSTAB run; returns (x, iterations)."""
     x = x0.copy()
     r = b - op(x)
     if np.linalg.norm(r) <= target:
-        return x, 0, True
-    if iter_cap <= 0:
-        return x, 0, False
+        return x, 0
     rhat = r.copy()
     rho_old = 1.0
     alpha = 1.0
@@ -173,7 +172,7 @@ def _bicgstab_core(op, b, x0, precondition, target, iter_cap):
         alpha = rho / denom
         s = r - alpha * v
         if np.linalg.norm(s) <= target:
-            return x + alpha * phat, k, True
+            return x + alpha * phat, k
         shat = precondition(s)
         t = op(shat)
         tt = float(t @ t)
@@ -183,9 +182,9 @@ def _bicgstab_core(op, b, x0, precondition, target, iter_cap):
         x = x + alpha * phat + omega * shat
         r = s - omega * t
         if np.linalg.norm(r) <= target:
-            return x, k, True
+            return x, k
         rho_old = rho
-    return x, iter_cap, False
+    return x, iter_cap
 
 
 def linear_solve(op, rhs, tol, max_iter, precondition=None):
@@ -208,7 +207,7 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
         x = x_start
         used = 0
         while True:
-            x, it, _ = _bicgstab_core(op, b, x, precondition, target, max_iter - used)
+            x, it = _bicgstab_core(op, b, x, precondition, target, max_iter - used)
             used += it
             res = float(np.linalg.norm(b - op(x)))
             if res <= target * (1.0 + 1e-9):

@@ -1,6 +1,9 @@
+import functools
+import inspect
 import json
 
 import numpy as np
+import pytest
 
 from helpers import SMALL_PATCH
 
@@ -19,6 +22,12 @@ def write_scenario(path, gas=None, grid=None, command=None):
     }
     path.write_text(json.dumps(cfg, indent=1))
     return path
+
+
+def grid_block(n, **extra):
+    return {"theta_min": SMALL_PATCH[0], "theta_max": SMALL_PATCH[1],
+            "phi_min": SMALL_PATCH[2], "phi_max": SMALL_PATCH[3],
+            "n_theta": n, "n_phi": n, **extra}
 
 
 def test_version_command(capsys):
@@ -182,6 +191,15 @@ def test_malformed_numbers_name_the_key(tmp_path, capsys):
         assert "config error" in err and f"command.{key}" in err
 
 
+def test_unknown_command_lists_the_commands(tmp_path, capsys):
+    for name in ("plot", ["solve"]):
+        sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                            command={"name": name})
+        assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+        err = capsys.readouterr().err
+        assert "config error: unknown command" in err and "'hopf'" in err
+
+
 def test_bad_expression_exits_one(tmp_path, capsys):
     sc = write_scenario(tmp_path / "bad.json", command={
         "name": "certify", "field": "1/(theta-theta)",
@@ -233,3 +251,152 @@ def test_mask_file_round(tmp_path):
         command={"name": "certify", "field": "1.6", "eps": 0.1},
     )
     assert cli.run(sc, tmp_path / "out", quiet=True) == 0
+
+
+# The scalar keys a scenario block may carry, per library call they feed.
+SCENARIO_KEYS = {
+    "GasModel": {"gamma", "rho0", "bernoulli"},
+    "SphericalGrid": {"theta_min", "theta_max", "phi_min", "phi_max",
+                      "n_theta", "n_phi", "phi_periodic", "sin_floor"},
+    "SolveOptions": {"newton_tol", "max_newton", "max_damping", "lin_tol",
+                     "lin_max_iter", "cert_eps"},
+    "classify_field": {"eps_type"},
+    "certify_uniform_ellipticity": {"eps"},
+    "verify_weak_comparison": {"tol_sub", "tol_order", "beta", "n_quad"},
+    "strong_comparison_check": {"gap_tol"},
+    "hopf_indicator": {"tol_touch", "tol_order"},
+}
+
+
+def test_scenario_keys_are_pinned():
+    for name, keys in SCENARIO_KEYS.items():
+        read = cli._options(getattr(cli, name), dict.fromkeys(keys, 1))
+        assert set(read) == keys, name
+
+
+def test_every_key_reaches_its_library_call(tmp_path, monkeypatch):
+    calls = {}
+    for name in SCENARIO_KEYS:
+        real = getattr(cli, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.setdefault(_name, []).append(kwargs)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, functools.wraps(real, updated=())(spy))
+
+    def run(tag, command, gas=None, grid=None):
+        calls.clear()
+        sc = write_scenario(tmp_path / f"{tag}.json", gas=gas,
+                            grid=grid or grid_block(9), command=command)
+        assert cli.run(sc, tmp_path / tag, quiet=True) in (0, 2)
+        return {name: kwargs for name, (kwargs,) in calls.items()}
+
+    gas = {"gamma": 1.4, "rho0": 1.2, "bernoulli": 3.5}
+    grid = {"theta_min": 1.0, "theta_max": 2.0, "phi_min": 0.0,
+            "phi_max": 2 * np.pi, "n_theta": 9, "n_phi": 12,
+            "phi_periodic": True, "sin_floor": 1e-4}
+    solve = {"newton_tol": 1e-9, "max_newton": 30, "max_damping": 20,
+             "lin_tol": 1e-11, "lin_max_iter": 4000, "cert_eps": 1e-7}
+    verify = {"tol_sub": 1e-8, "tol_order": 1e-7, "beta": 0.75, "n_quad": 6}
+    pair = {"field_minus": {"file": str(tmp_path / "touch" / "solution.csv")},
+            "field_plus": {"file": str(tmp_path / "plus" / "solution.csv")}}
+    seen = [
+        (run("classify", {"name": "classify", "field": "1.6",
+                          "eps_type": 1e-6}, gas, grid),
+         {"GasModel": gas, "SphericalGrid": grid,
+          "classify_field": {"eps_type": 1e-6}}),
+        (run("certify", {"name": "certify", "field": "1.6", "eps": 1e-3}),
+         {"certify_uniform_ellipticity": {"eps": 1e-3}}),
+        (run("plus", {"name": "solve", "boundary": "1.6 + 0.1*cos(theta)",
+                      **solve}),
+         {"SolveOptions": solve}),
+        (run("touch", {"name": "solve", "source": "0.05",
+                       "boundary": "1.6 + 0.1*cos(theta)"}), {}),
+        (run("compare", {"name": "compare", **pair, **verify,
+                         "gap_tol": 1e-9}),
+         {"verify_weak_comparison": verify,
+          "strong_comparison_check": {"gap_tol": 1e-9}}),
+        (run("hopf", {"name": "hopf", **pair, **verify, "tol_touch": 1e-8}),
+         {"verify_weak_comparison": verify,
+          "hopf_indicator": {"tol_touch": 1e-8, "tol_order": 1e-7}}),
+    ]
+    for got, expected in seen:
+        for name, values in expected.items():
+            assert got[name] == values, name
+            assert set(values) == SCENARIO_KEYS[name]
+            params = inspect.signature(getattr(cli, name)).parameters
+            for key, value in values.items():
+                default = params[key].default
+                assert default is params[key].empty or value != default, key
+    assert (tmp_path / "hopf" / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, command", [
+    ("beta", {"name": "compare", "beta": 2.0}),
+    ("n_quad", {"name": "compare", "n_quad": 0}),
+    ("eps_type", {"name": "classify", "field": "1.5", "eps_type": 0}),
+    ("command.nodes", {"name": "hopf", "nodes": [[4, 4]]}),
+])
+def test_out_of_range_values_name_the_key(tmp_path, capsys, key, command):
+    command = {"field_minus": "1.5", "field_plus": "1.5", **command}
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                        command=command)
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+
+
+@pytest.mark.parametrize("nodes, named", [
+    ([[20, 4]], "(20, 4)"), ([[-1, 4]], "(-1, 4)"), ([[4]], "[4]"),
+    (5, "list"),
+])
+def test_hopf_rejects_nodes_off_the_grid(tmp_path, capsys, nodes, named):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "hopf", "field_minus": "1.5", "field_plus": "1.5",
+        "nodes": nodes})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "command.nodes" in err and named in err
+
+
+WAVE = "sin(4*(theta-pi/3)*3)*sin(4*phi)"  # zero on the patch edges
+
+
+def test_hopf_skips_the_indicator_when_ordering_fails(tmp_path, capsys):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "hopf", "field_plus": "1.5",
+        "field_minus": f"1.5 + 1e-3*{WAVE}"})
+    assert cli.run(sc, tmp_path / "out") == 2
+    assert "skipped" in capsys.readouterr().out
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["ordering_pass"] is False and rep["hopf"] == []
+
+
+def test_hopf_indicator_reads_tol_order(tmp_path):
+    # f- exceeds f+ by 2e-6 inside: within tol_order, so both the
+    # comparison and the indicator accept the ordering
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "hopf", "field_plus": "1.5",
+        "field_minus": f"1.5 - 2e-6*{WAVE}", "tol_order": 1e-5})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 2
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["ordering_pass"] is True and len(rep["hopf"]) > 0
+
+
+def test_null_grid_number_is_a_config_error(tmp_path, capsys):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9, n_theta=None),
+                        command={"name": "certify", "field": "1.6"})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid.n_theta" in err
+
+
+def test_nonconvergence_writes_report_and_solution(tmp_path, capsys):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(17), command={
+        "name": "solve", "boundary": "1.6 + 0.1*cos(theta)", "max_newton": 1})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    assert "solver failed" in capsys.readouterr().err
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "Newton cap 1" in rep["error"] and rep["converged"] is False
+    assert len(rep["residuals"]) == 2
+    assert (tmp_path / "out" / "solution.csv").exists()

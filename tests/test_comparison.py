@@ -222,6 +222,15 @@ def test_hopf_corner_and_nontouching_errors(solver_pair):
         sf.hopf_indicator(gas, f_minus, f_plus, [(0, 16)])
 
 
+def test_hopf_rejects_nodes_off_the_grid(solver_pair):
+    gas, grid, f_plus, _, f_touch = solver_pair
+    for node in [(33, 16), (-1, 16), (16, 16), (0,), (0.0, 16)]:
+        with pytest.raises(sf.ConfigError) as err:
+            sf.hopf_indicator(gas, f_touch, f_plus, [node])
+        assert err.value.key == "boundary_nodes"
+        assert isinstance(err.value, ValueError)
+
+
 def test_hopf_isothermal_overflow_names_node():
     gas = GasModel(1.0, 1.0, 4.0)
     g = SphericalGrid(*WIDE_PATCH, 17, 17)

@@ -146,6 +146,21 @@ def test_nonconvergence_payload(gas_b4):
         assert not err.value.report.converged
 
 
+def test_newton_cap_attaches_field_and_report(gas_b4):
+    g = SphericalGrid(*SMALL_PATCH, 17, 17)
+    bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    prob = BVProblem(gas=gas_b4, grid=g, boundary=bnd,
+                     source=ScalarField.constant(g, 0.0))
+    with pytest.raises(sf.NonConvergenceError) as err:
+        sf.solve_dirichlet(prob, SolveOptions(max_newton=1))
+    report = err.value.report
+    assert not report.converged and report.iterations == 1
+    assert len(report.residual_history) == 2
+    assert report.residual_history[1] < report.residual_history[0]
+    np.testing.assert_array_equal(err.value.field.values[g.boundary_mask],
+                                  bnd.values[g.boundary_mask])
+
+
 def test_residual_history_monotone(gas_b4):
     g = SphericalGrid(*SMALL_PATCH, 33, 33)
     bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.05 * np.cos(th))
