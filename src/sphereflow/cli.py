@@ -7,6 +7,7 @@ byte-identical files (fixed key order, no timestamps).
 """
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -44,10 +45,41 @@ from .operators import classify_field
 from .solver import BVProblem, SolveOptions, manufactured_problem, solve_dirichlet
 
 
+# Command keys the handlers read themselves; every other key of a scenario
+# block is a scalar parameter of the library call the block feeds.
+_HANDLER_KEYS = ("name", "boundary", "source", "field", "field_minus",
+                 "field_plus", "exact", "nodes", "pgm")
+_COMMAND_CALLS = (SolveOptions, classify_field, certify_uniform_ellipticity,
+                  verify_weak_comparison, strong_comparison_check,
+                  hopf_indicator)
+
+
 def _require(block, key, where):
     if key not in block:
         raise ConfigError(f"missing key '{where}.{key}'", key=f"{where}.{key}")
     return block[key]
+
+
+@functools.cache
+def _scalar_params(fn) -> dict:
+    """The parameters of fn (a function or a dataclass) annotated int, float
+    or bool, by name."""
+    return {name: param
+            for name, param in inspect.signature(fn).parameters.items()
+            if param.annotation in (int, float, bool)}
+
+
+def _block(cfg, key, allowed):
+    """cfg[key], which must be a JSON object whose keys are all in allowed."""
+    block = _require(cfg, key, "scenario")
+    if not isinstance(block, dict):
+        raise ConfigError(f"'scenario.{key}' must be a JSON object",
+                          key=f"scenario.{key}")
+    for name in block:
+        if name not in allowed:
+            raise ConfigError(f"unknown key '{key}.{name}': no command or "
+                              f"library call reads it", key=f"{key}.{name}")
+    return block
 
 
 def _options(fn, block, where="command") -> dict:
@@ -58,9 +90,7 @@ def _options(fn, block, where="command") -> dict:
     default, and otherwise falls back to that default.
     """
     kwargs = {}
-    for name, param in inspect.signature(fn).parameters.items():
-        if param.annotation not in (int, float, bool):
-            continue
+    for name, param in _scalar_params(fn).items():
         value = (_require(block, name, where) if param.default is param.empty
                  else block.get(name, param.default))
         try:
@@ -72,11 +102,16 @@ def _options(fn, block, where="command") -> dict:
 
 
 def _build_gas(cfg) -> GasModel:
-    return GasModel(**_options(GasModel, _require(cfg, "gas", "scenario"), "gas"))
+    block = _block(cfg, "gas", _scalar_params(GasModel))
+    try:
+        return GasModel(**_options(GasModel, block, "gas"))
+    except ConfigError as err:
+        raise ConfigError(f"bad value for 'gas.{err.key}': {err}",
+                          key=f"gas.{err.key}") from err
 
 
 def _build_grid(cfg, base_dir: Path) -> SphericalGrid:
-    block = _require(cfg, "grid", "scenario")
+    block = _block(cfg, "grid", {*_scalar_params(SphericalGrid), "mask"})
     kwargs = _options(SphericalGrid, block, "grid")
     if "mask" in block:
         kwargs["mask"] = read_mask_csv(base_dir / block["mask"],
@@ -239,9 +274,14 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
               file=sys.stderr)
         return 1
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError("the scenario must be a JSON object",
+                              key="scenario")
         gas = _build_gas(cfg)
         grid = _build_grid(cfg, path.parent)
-        block = _require(cfg, "command", "scenario")
+        block = _block(cfg, "command", {
+            *_HANDLER_KEYS, *(key for fn in _COMMAND_CALLS
+                              for key in _scalar_params(fn))})
         name = _require(block, "name", "command")
         if name not in tuple(_HANDLERS):
             raise ConfigError(

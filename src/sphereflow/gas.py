@@ -8,6 +8,7 @@ velocity components and the radial component z.  Everything here is a pure
 function of the state; array-valued states broadcast elementwise.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -41,11 +42,14 @@ class GasModel:
             raise ConfigError(f"gamma must be >= -1, got {self.gamma}", "gamma")
         if self.rho0 <= 0.0:
             raise ConfigError(f"rho0 must be > 0, got {self.rho0}", "rho0")
-        if self.gamma == 1.0:
-            c0 = 1.0
-        else:
-            c0 = self.rho0 ** (self.gamma - 1.0)
-        object.__setattr__(self, "c0_sq", float(c0))
+        try:
+            c0 = 1.0 if self.gamma == 1.0 else float(self.rho0) ** (self.gamma - 1.0)
+        except OverflowError:
+            c0 = math.inf
+        if not math.isfinite(c0):
+            raise ConfigError(f"rho0^(gamma - 1) is not a finite double for "
+                              f"rho0 = {self.rho0}, gamma = {self.gamma}", "rho0")
+        object.__setattr__(self, "c0_sq", c0)
 
 
 @dataclass(frozen=True)

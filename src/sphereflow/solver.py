@@ -6,14 +6,18 @@ The Jacobian is the exact derivative of the discrete flux residual
 (operators.flow_jacobian), applied matrix-free, so convergence is
 quadratic near the solution.  Inner solves are BiCGSTAB preconditioned by
 operators.principal_preconditioner, a fast-diagonalization inverse of the
-frozen-density principal part.  The line search halves the step until
-the residual sup-norm decreases and the iterate stays admissible (rho > 0
-everywhere on the mask); vacuum is a hard wall.  Steps are logged at DEBUG.
+frozen-density principal part, and are inexact: each runs only to the
+Eisenstat-Walker forcing term of its Newton step.  The line search halves
+the step until the residual sup-norm decreases and the iterate stays
+admissible (rho > 0 everywhere on the mask); vacuum is a hard wall.  The
+iteration stops at newton_tol, or where a step stalls at the residual's
+roundoff floor; it raises on the Newton cap, on stagnation and when the line
+search stalls above that floor.  Steps are logged at DEBUG.
 """
 
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -38,13 +42,35 @@ from .operators import (
     flow_residual,
     laplace_beltrami,
     principal_preconditioner,
+    residual_roundoff,
 )
 
 log = logging.getLogger(__name__)
 
+# Eisenstat-Walker choice 2 forcing (SIAM J. Sci. Comput. 17 (1996) 16-32)
+# with the safeguards of Kelley, Iterative Methods for Linear and Nonlinear
+# Equations (SIAM 1995), ch. 6: eta_0 = FORCING_MAX.
+FORCING_GAMMA = 0.9
+FORCING_ALPHA = 2.0
+FORCING_MAX = 0.1
+# Units of roundoff in the residual's floor (operators.residual_roundoff).
+ROUNDOFF_ULPS = 4.0
+# A step that keeps more than STALL_RATIO of the residual has stalled: at
+# the roundoff floor the solve ends there.  STAGNATION_STEPS steps that
+# together keep more than STALL_RATIO of it end the solve with an error.
+STALL_RATIO = 0.9
+STAGNATION_STEPS = 5
+
 
 @dataclass
 class SolveOptions:
+    """Newton and inner-solve settings.
+
+    newton_tol bounds the interior residual's sup-norm.  lin_tol is the floor
+    of the forcing term (each inner solve's relative tolerance) and the
+    relative tolerance of the harmonic extension that starts Newton.
+    """
+
     newton_tol: float = 1e-10
     max_newton: int = 50
     max_damping: int = 30
@@ -63,10 +89,17 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
+    """Outcome of solve_dirichlet.  residual_history has one entry more than
+    the per-step forcing terms and inner matvec counts; stop_reason is
+    "newton_tol" or "roundoff_floor" once converged, else None."""
+
     converged: bool
     iterations: int
     residual_history: list
     final_certificate: EllipticityCertificate | None = None
+    forcing: list = field(default_factory=list)
+    inner_matvecs: list = field(default_factory=list)
+    stop_reason: str | None = None
 
     def to_dict(self):
         cert = self.final_certificate
@@ -74,6 +107,9 @@ class SolveReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "residuals": [float(r) for r in self.residual_history],
+            "forcing": [float(eta) for eta in self.forcing],
+            "inner_matvecs": list(self.inner_matvecs),
+            "stop_reason": self.stop_reason,
             "certificate": cert.to_dict() if cert is not None else None,
         }
 
@@ -258,13 +294,14 @@ def _harmonic_extension(grid, idx, boundary_vals, tol, max_iter):
     return out
 
 
-def _newton_direction(gas, phi, r, idx, opts):
-    """(delta, inner matvecs) for J delta = -r, J the exact Jacobian at phi, or
-    the failed inner solve's best iterate; frees J before the next step."""
+def _newton_direction(gas, phi, r, idx, eta, lin_max_iter):
+    """(delta, inner matvecs) for J delta = -r to relative residual eta, J the
+    exact Jacobian at phi, or the failed inner solve's best iterate; frees J
+    before the next step."""
     jac, precondition = flow_jacobian(gas, phi)
     matvec = _on_interior(jac, phi.grid, idx)
     try:
-        delta = linear_solve(matvec, -r, opts.lin_tol, opts.lin_max_iter, precondition)
+        delta = linear_solve(matvec, -r, eta, lin_max_iter, precondition)
     except LinearSolveError as err:
         if err.best is None:
             raise
@@ -292,12 +329,35 @@ def _line_search(grid, phi, delta, idx, res, interior_residual, max_damping):
     return None, None, None, lam, all_vacuum
 
 
+def _forcing(history, forcing, opts):
+    """Eisenstat-Walker choice 2 forcing term of the next inner solve.
+
+    The ratio is taken of the sup-norm Newton residuals in history and is
+    used as BiCGSTAB's relative 2-norm tolerance.  The two norms of a vector
+    differ by up to sqrt(N), but on the README scenario at 129^2 (sqrt(N) ~
+    127) each inner solve leaves a linear residual whose sup-norm is 0.3-1.3
+    eta times the Newton residual's, so eta reads alike in either norm.
+    """
+    res = history[-1]
+    if not forcing:
+        eta = FORCING_MAX
+    else:
+        eta = FORCING_GAMMA * (res / history[-2]) ** FORCING_ALPHA
+        safeguard = FORCING_GAMMA * forcing[-1] ** FORCING_ALPHA
+        if safeguard > 0.1:
+            eta = max(eta, safeguard)
+    return max(min(eta, FORCING_MAX), 0.5 * opts.newton_tol / res, opts.lin_tol)
+
+
 def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
     """Solve the Dirichlet problem; returns (field, SolveReport).
 
     The initial guess is the harmonic (Laplace-Beltrami) extension of the
     boundary datum.  Boundary nodes carry the datum bit-exactly.  The
     returned report embeds an ellipticity certificate of the solution.
+    Raises NonConvergenceError, carrying the last iterate and the report,
+    on the Newton cap, on stagnation (naming the node of max |residual|)
+    and when the line search stalls above the residual's roundoff floor.
     """
     if opts is None:
         opts = SolveOptions()
@@ -320,44 +380,60 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
             f"initial iterate already inadmissible at node {err.node}",
             node=err.node) from err
     res = float(np.max(np.abs(r)))
-    history = [res]
-    iterations = 0
+    report = SolveReport(False, 0, [res])
+    history = report.residual_history
+    stop_reason = "newton_tol"
+
+    def failure(message):
+        return NonConvergenceError(message, field=phi, report=report)
 
     while res > opts.newton_tol:
-        if iterations >= opts.max_newton:
-            report = SolveReport(False, iterations, history)
-            raise NonConvergenceError(
-                f"Newton cap {opts.max_newton} reached, residual {res:.3e}",
-                field=phi, report=report,
-            )
+        if report.iterations >= opts.max_newton:
+            raise failure(f"Newton cap {opts.max_newton} reached, "
+                          f"residual {res:.3e}")
+        if (len(history) > STAGNATION_STEPS
+                and res > STALL_RATIO * history[-1 - STAGNATION_STEPS]):
+            i, j = np.unravel_index(idx[np.argmax(np.abs(r))], grid.shape)
+            raise failure(f"Newton stagnated: {STAGNATION_STEPS} steps cut the "
+                          f"residual only to {res:.3e}, max at node "
+                          f"({i}, {j})")
+        eta = _forcing(history, report.forcing, opts)
         try:
-            delta, matvecs = _newton_direction(gas, phi, r, idx, opts)
+            delta, matvecs = _newton_direction(gas, phi, r, idx, eta,
+                                               opts.lin_max_iter)
         except LinearSolveError as err:
-            report = SolveReport(False, iterations, history)
-            raise NonConvergenceError(
-                "inner linear solve failed with no usable direction",
-                field=phi, report=report,
-            ) from err
+            raise failure("inner linear solve failed with no usable "
+                          "direction") from err
 
         cand, r_new, res_new, lam, all_vacuum = _line_search(
             grid, phi, delta, idx, res, interior_residual, opts.max_damping)
-        if cand is None:
-            if all_vacuum:
-                raise VacuumEncounteredError(
-                    "damping exhausted without an admissible iterate")
-            report = SolveReport(False, iterations, history)
-            raise NonConvergenceError(
-                f"line search stalled at residual {res:.3e}",
-                field=phi, report=report,
-            )
-        phi, r, res = cand, r_new, res_new
-        history.append(res)
-        iterations += 1
-        log.debug("newton step %d: residual %.3e, lambda %g, %d inner matvecs",
-                  iterations, res, lam, matvecs)
+        if cand is None and all_vacuum:
+            raise VacuumEncounteredError(
+                "damping exhausted without an admissible iterate")
+        stalled = cand is None or res_new > STALL_RATIO * res
+        if cand is not None:
+            phi, r, res = cand, r_new, res_new
+            history.append(res)
+            report.forcing.append(eta)
+            report.inner_matvecs.append(matvecs)
+            report.iterations += 1
+            log.debug("newton step %d: residual %.3e, lambda %g, eta %.2e, "
+                      "%d inner matvecs", report.iterations, res, lam, eta,
+                      matvecs)
+        if stalled and res > opts.newton_tol:
+            floor = ROUNDOFF_ULPS * float(
+                residual_roundoff(gas, phi).ravel()[idx].max())
+            if res <= floor:
+                stop_reason = "roundoff_floor"
+                break
+            if cand is None:
+                raise failure(f"line search stalled at residual {res:.3e}, "
+                              f"above its roundoff floor {floor:.3e}")
 
-    cert = certify_uniform_ellipticity(gas, phi, opts.cert_eps)
-    return phi, SolveReport(True, iterations, history, cert)
+    report.converged, report.stop_reason = True, stop_reason
+    report.final_certificate = certify_uniform_ellipticity(gas, phi,
+                                                           opts.cert_eps)
+    return phi, report
 
 
 def manufactured_problem(gas: GasModel, grid: SphericalGrid,

@@ -400,3 +400,45 @@ def test_nonconvergence_writes_report_and_solution(tmp_path, capsys):
     assert "Newton cap 1" in rep["error"] and rep["converged"] is False
     assert len(rep["residuals"]) == 2
     assert (tmp_path / "out" / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda cfg: cfg["command"].update(max_newtn=1), "command.max_newtn"),
+    (lambda cfg: cfg["grid"].update(n_thta=9), "grid.n_thta"),
+    (lambda cfg: cfg["gas"].update(gama=2.0), "gas.gama"),
+    (lambda cfg: cfg.update(grid=5), "scenario.grid"),
+    (lambda cfg: cfg.update(command=["solve"]), "scenario.command"),
+    (lambda cfg: cfg["gas"].update(gamma=3.0, rho0=1e300), "gas.rho0"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_scenario_errors_name_the_key(tmp_path, capsys, edit, key):
+    # a misspelt key, a block that is not an object and a gas whose
+    # reference sound speed overflows are config errors, not tracebacks or
+    # silently ignored
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(17), command={
+        "name": "solve", "boundary": "1.6 + 0.1*cos(theta)"})
+    cfg = json.loads(sc.read_text())
+    edit(cfg)
+    sc.write_text(json.dumps(cfg))
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+
+
+def test_scenario_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    sc = tmp_path / "sc.json"
+    sc.write_text("5")
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    assert capsys.readouterr().err.startswith("config error")
+
+
+def test_solve_report_is_deterministic(tmp_path):
+    sc = write_scenario(tmp_path / "sc.json", command={
+        "name": "solve", "boundary": "1.6 + 0.1*cos(theta)"})
+    assert cli.run(sc, tmp_path / "a", quiet=True) == 0
+    assert cli.run(sc, tmp_path / "b", quiet=True) == 0
+    for name in ("report.json", "solution.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+    rep = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert rep["stop_reason"] == "newton_tol"
+    assert len(rep["forcing"]) == len(rep["inner_matvecs"]) == rep["iterations"]

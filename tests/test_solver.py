@@ -300,6 +300,58 @@ def test_report_to_dict(gas_b4, wide_grid_33):
                      source=ScalarField.constant(wide_grid_33, 4.0))
     phi, rep = sf.solve_dirichlet(prob)
     d = rep.to_dict()
-    assert set(d) == {"converged", "iterations", "residuals", "certificate"}
-    assert d["converged"] is True
+    assert set(d) == {"converged", "iterations", "residuals", "certificate",
+                      "forcing", "inner_matvecs", "stop_reason"}
+    assert d["converged"] is True and d["stop_reason"] == "newton_tol"
     assert d["certificate"]["pass"] is True
+
+
+def _readme_problem(gas, n):
+    g = SphericalGrid(*SMALL_PATCH, n, n)
+    bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    return BVProblem(gas=gas, grid=g, boundary=bnd,
+                     source=ScalarField.constant(g, 0.0))
+
+
+@pytest.mark.parametrize("n", [193, 257])
+def test_readme_scenario_stops_at_the_roundoff_floor(gas_b4, n):
+    # newton_tol = 1e-10 lies below what double precision resolves at these
+    # n: the solve stops where its steps stall at the residual's floor
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, n))
+    assert rep.converged and rep.iterations <= 7
+    assert rep.stop_reason in ("newton_tol", "roundoff_floor")
+    assert rep.residual_history[-1] <= 1e-9
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+def test_inner_solve_total_is_flat_in_n(gas_b4, monkeypatch, n):
+    # Eisenstat-Walker forcing: early inner solves stop at a loose tolerance,
+    # so the whole solve, harmonic extension included, stays cheap
+    counts = _counting_inner_solves(monkeypatch)
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, n))
+    assert rep.converged and rep.stop_reason == "newton_tol"
+    assert sum(counts) <= 60
+    assert rep.inner_matvecs == counts[1:]
+    assert rep.forcing[0] == sf.solver.FORCING_MAX
+    assert all(1e-12 <= eta <= 0.5 for eta in rep.forcing)
+
+
+def test_stagnation_names_the_worst_node(gas_b4):
+    n = 65
+    mask = np.ones((n, n), dtype=bool)
+    mask[:16, :16] = False
+    g = SphericalGrid(*SMALL_PATCH, n, n, mask=mask)
+    bnd = ScalarField.from_function(
+        g, lambda th, ph: 1.6 + 0.1 * np.cos(th) + 0.02 * np.sin(th) * np.sin(ph))
+    prob = BVProblem(gas=gas_b4, grid=g, boundary=bnd,
+                     source=ScalarField.constant(g, 0.0))
+    with pytest.raises(sf.NonConvergenceError, match="stagnated") as err:
+        sf.solve_dirichlet(prob)
+    report = err.value.report
+    assert not report.converged and report.iterations <= 15
+    assert len(report.residual_history) == report.iterations + 1
+    assert err.value.field is not None
+    r = np.where(g.interior_mask,
+                 np.abs(sf.flow_residual(gas_b4, err.value.field).values), 0.0)
+    i, j = np.unravel_index(np.argmax(r), r.shape)
+    assert str(err.value).endswith(f"max at node ({i}, {j})")
