@@ -10,6 +10,7 @@ import argparse
 import functools
 import inspect
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -82,20 +83,35 @@ def _block(cfg, key, allowed):
     return block
 
 
+def _convert(kind, value):
+    """value as kind, from a JSON value of that kind: a bool is true, false,
+    1 or 0, an int is an integral number and a float is any number.  Strings,
+    and booleans where a number is due, are refused."""
+    if kind is bool:
+        ok = isinstance(value, int) and value in (0, 1)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int)
+                   or value.is_integer()))
+    if not ok:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _options(fn, block, where="command") -> dict:
     """Keyword arguments of fn (a function or a dataclass) read from block.
 
     Every parameter of fn annotated int, float or bool is read under its own
-    name and converted to that type; it is required when fn gives it no
-    default, and otherwise falls back to that default.
+    name and converted to that type by _convert; it is required when fn
+    gives it no default, and otherwise falls back to that default.
     """
     kwargs = {}
     for name, param in _scalar_params(fn).items():
         value = (_require(block, name, where) if param.default is param.empty
                  else block.get(name, param.default))
         try:
-            kwargs[name] = param.annotation(value)
-        except (TypeError, ValueError) as err:
+            kwargs[name] = _convert(param.annotation, value)
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad value for '{where}.{name}': {err}",
                               key=f"{where}.{name}") from err
     return kwargs
@@ -240,7 +256,7 @@ def _cmd_manufacture(gas, grid, block, base, out, quiet):
     problem = manufactured_problem(gas, grid, exact)
     write_field_csv(out / "exact.csv", exact)
     write_field_csv(out / "source.csv", problem.source)
-    write_field_csv(out / "boundary.csv", problem.boundary)
+    shutil.copyfile(out / "exact.csv", out / "boundary.csv")  # same field
     write_json_report(out / "report.json", {
         "command": "manufacture",
         "admissible": True,
@@ -268,6 +284,9 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
         cfg = json.loads(path.read_text())
     except OSError as err:
         print(f"cannot read scenario: {err}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as err:
+        print(f"cannot read scenario: {path}: {err}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as err:
         print(f"config parse error at line {err.lineno}: {err.msg}",

@@ -3,7 +3,10 @@
 ScalarField CSV carries a `theta,phi,value` header and one node per row in
 theta-outer row-major order, printed with 17 significant digits so values
 round-trip bit-identically.  Grid geometry lives in the scenario config,
-not in the CSV.
+not in the CSV.  Fields are written with one format call and read with one
+np.loadtxt call per theta line.  A coordinate is accepted when its text is
+the grid's own %.17g text, or else when it reads within 1e-9 of its node.
+`manufacture` writes boundary.csv as a byte copy of exact.csv.
 """
 
 import json
@@ -16,52 +19,100 @@ from .errors import ConfigError, GridError
 from .grid import ScalarField, SphericalGrid
 
 
+def _coord_text(values) -> list:
+    """The %.17g text of each coordinate: what the writers print and what
+    read_field_csv accepts without converting."""
+    return ["%.17g" % v for v in values.tolist()]
+
+
 def _write_rows(path, header, grid, values, value_fmt="%.17g", indexed=False):
     """CSV with a header line and one `[i,j,]theta,phi,value` row per grid
-    node (theta index outer).  Coordinates and indices are formatted once
-    per grid line; only the value is formatted per node."""
-    phis = ["%.17g" % p for p in grid.phis.tolist()]
-    cols = list(zip(map(str, range(grid.n_phi)), phis)) if indexed else [(p,) for p in phis]
+    node (theta index outer), written with one `%` call per theta line.
+
+    The phi (and j) text fills fixed slots of one argument list and each
+    line's values fill its value slots."""
+    phis = _coord_text(grid.phis)
+    fixed = [list(map(str, range(grid.n_phi))), phis] if indexed else [phis]
+    width = len(fixed) + 1  # argument slots per row
+    args = [None] * (width * grid.n_phi)
+    for k, texts in enumerate(fixed):
+        args[k::width] = texts
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i, (theta, row) in enumerate(zip(grid.thetas.tolist(), values)):
-            theta = "%.17g" % theta
-            line = (f"{i},%s,{theta},%s," if indexed else f"{theta},%s,") + value_fmt + "\n"
-            fh.write("".join([line % (*col, v) for col, v in zip(cols, row.tolist())]))
+        for i, (theta, row) in enumerate(zip(_coord_text(grid.thetas), values)):
+            line = f"{i},%s,{theta},%s," if indexed else f"{theta},%s,"
+            args[width - 1::width] = row.tolist()
+            fh.write((line + value_fmt + "\n") * grid.n_phi % tuple(args))
 
 
 def write_field_csv(path, f: ScalarField):
     _write_rows(path, "theta,phi,value", f.grid, f.values)
 
 
-def read_field_csv(path, grid: SphericalGrid) -> ScalarField:
-    """Read a field written by write_field_csv onto a matching grid."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "theta,phi,value":
-            raise GridError(f"{path}: expected header 'theta,phi,value', "
-                            f"got {header!r}")
-        try:
-            with warnings.catch_warnings():  # no rows is reported below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as err:
-            raise GridError(f"{path}: {err}") from None
-    expected = grid.n_theta * grid.n_phi
-    if data.shape[0] != expected:
-        raise GridError(f"{path}: {data.shape[0]} data rows, expected {expected}")
-    if data.shape[1] != 3:
-        raise GridError(f"{path}: {data.shape[1]} columns per row, expected 3")
-    data = data.reshape(grid.n_theta, grid.n_phi, 3)
-    off = ((np.abs(data[..., 0] - grid.thetas[:, None]) > 1e-9)
-           | (np.abs(data[..., 1] - grid.phis) > 1e-9))
-    if np.any(off):
-        i, j = np.argwhere(off)[0]
+# Coordinates are read as text of at most this many characters; text that
+# fills the field may have been cut.  %.17g text has at most 24.
+_COORD_WIDTH = 32
+_ROW = np.dtype([("theta", f"U{_COORD_WIDTH}"), ("phi", f"U{_COORD_WIDTH}"),
+                 ("value", "f8")])
+
+
+def _load_rows(fh, max_rows):
+    with warnings.catch_warnings():  # blank lines and missing rows
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None,
+                          max_rows=max_rows, ndmin=1)
+
+
+def _check_node(path, grid, i, j, texts):
+    """Raise GridError unless texts, the (theta, phi) text of node (i, j)'s
+    row, read as floats within 1e-9 of the node.  np.loadtxt reads them, as
+    it reads the values."""
+    row = i * grid.n_phi + j + 2
+    try:
+        if max(map(len, texts)) >= _COORD_WIDTH:
+            raise ValueError(f"text of {_COORD_WIDTH} or more characters "
+                             "may have been cut")
+        theta, phi = np.loadtxt([",".join(texts)], delimiter=",",
+                                comments=None)
+    except ValueError as err:
+        raise GridError(f"{path}: row {row} coordinates {texts} do not read "
+                        f"as floats: {err}") from None
+    if abs(theta - grid.thetas[i]) > 1e-9 or abs(phi - grid.phis[j]) > 1e-9:
         raise GridError(
-            f"{path}: row {i * grid.n_phi + j + 2} coordinates "
-            f"({data[i, j, 0]}, {data[i, j, 1]}) do not match grid node "
-            f"({grid.thetas[i]}, {grid.phis[j]})")
-    return ScalarField(grid, data[..., 2].copy())
+            f"{path}: row {row} coordinates ({theta}, {phi}) do not match "
+            f"grid node ({grid.thetas[i]}, {grid.phis[j]})")
+
+
+def read_field_csv(path, grid: SphericalGrid) -> ScalarField:
+    """Read a field written by write_field_csv onto a matching grid.
+
+    One np.loadtxt call per theta line.  A coordinate whose text is the
+    grid's own %.17g text matches by construction; only other text is
+    converted and checked."""
+    values = np.empty(grid.shape)
+    phis = np.array(_coord_text(grid.phis))
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != "theta,phi,value":
+                raise GridError(f"{path}: expected header 'theta,phi,value', "
+                                f"got {header!r}")
+            for i, theta in enumerate(_coord_text(grid.thetas)):
+                line = _load_rows(fh, grid.n_phi)
+                if line.size < grid.n_phi:
+                    raise GridError(f"{path}: {i * grid.n_phi + line.size} "
+                                    f"data rows, expected {values.size}")
+                for j in np.flatnonzero((line["theta"] != theta)
+                                        | (line["phi"] != phis)):
+                    _check_node(path, grid, i, j, line[j].item()[:2])
+                values[i] = line["value"]
+            extra = _load_rows(fh, None).size
+    except ValueError as err:  # a malformed row, or text that is not UTF-8
+        raise GridError(f"{path}: {err}") from None
+    if extra:
+        raise GridError(f"{path}: {values.size + extra} data rows, "
+                        f"expected {values.size}")
+    return ScalarField(grid, values)
 
 
 def write_type_map_csv(path, grid: SphericalGrid, letters: np.ndarray):
@@ -97,8 +148,11 @@ def write_pgm(path, values: np.ndarray):
 
 def read_mask_csv(path, n_theta: int, n_phi: int) -> np.ndarray:
     """Mask file: n_theta lines of n_phi comma-separated 0/1 entries."""
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            rows = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: {err}", key="grid.mask") from None
     if len(rows) != n_theta:
         raise ConfigError(f"{path}: {len(rows)} mask rows, expected {n_theta}",
                           key="grid.mask")

@@ -442,3 +442,65 @@ def test_solve_report_is_deterministic(tmp_path):
     rep = json.loads((tmp_path / "a" / "report.json").read_text())
     assert rep["stop_reason"] == "newton_tol"
     assert len(rep["forcing"]) == len(rep["inner_matvecs"]) == rep["iterations"]
+
+
+def test_manufacture_boundary_is_the_exact_field(tmp_path):
+    sc = write_scenario(tmp_path / "man.json", grid=grid_block(17), command={
+        "name": "manufacture", "exact": "2 + 0.1*cos(theta)*sin(2*phi)"})
+    assert cli.run(sc, tmp_path / "man", quiet=True) == 0
+    exact = (tmp_path / "man" / "exact.csv").read_bytes()
+    assert exact.startswith(b"theta,phi,value\n")
+    assert (tmp_path / "man" / "boundary.csv").read_bytes() == exact
+
+
+@pytest.mark.parametrize("bad", ["field", "mask", "scenario"])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, bad):
+    # a byte that is not UTF-8 is an error naming the file, not a traceback
+    (tmp_path / "field.csv").write_bytes(
+        b"theta,phi,value\n1.0,0,\xff2\n" if bad == "field" else
+        b"theta,phi,value\n")
+    (tmp_path / "mask.csv").write_bytes(
+        b"1,1,1\n1,\xff,1\n1,1,1\n" if bad == "mask" else b"1,1,1\n" * 3)
+    sc = write_scenario(
+        tmp_path / "scenario.json",
+        grid={"theta_min": 1.0, "theta_max": 2.0, "phi_min": 0.0,
+              "phi_max": 1.0, "n_theta": 3, "n_phi": 3, "mask": "mask.csv"},
+        command={"name": "certify", "field": {"file": "field.csv"}})
+    if bad == "scenario":
+        sc.write_bytes(sc.read_bytes().replace(b'"certify"', b'"\xffcertify"'))
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    named = "scenario.json" if bad == "scenario" else f"{bad}.csv"
+    err = capsys.readouterr().err
+    assert str(tmp_path / named) in err and "utf-8" in err
+
+
+@pytest.mark.parametrize("block, value, key", [
+    ("grid", {"phi_periodic": "false"}, "grid.phi_periodic"),
+    ("grid", {"phi_periodic": 2}, "grid.phi_periodic"),
+    ("grid", {"n_theta": 33.9}, "grid.n_theta"),
+    ("grid", {"n_phi": "33"}, "grid.n_phi"),
+    ("grid", {"n_phi": True}, "grid.n_phi"),
+    ("command", {"max_newton": 1.5}, "command.max_newton"),
+    ("command", {"newton_tol": False}, "command.newton_tol"),
+    ("command", {"newton_tol": "1e-9"}, "command.newton_tol"),
+], ids=["bool_text", "bool_two", "int_fraction", "int_text", "int_bool",
+        "newton_fraction", "float_bool", "float_text"])
+def test_scalar_keys_take_only_their_json_type(tmp_path, capsys, block,
+                                              value, key):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "solve", "boundary": "1.6 + 0.1*cos(theta)"})
+    cfg = json.loads(sc.read_text())
+    cfg[block].update(value)
+    sc.write_text(json.dumps(cfg))
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{key}'" in err
+
+
+def test_integral_numbers_and_zero_one_are_accepted():
+    block = {**grid_block(9), "n_theta": 9.0, "phi_periodic": 0}
+    read = cli._options(cli.SphericalGrid, block, "grid")
+    assert read["n_theta"] == 9 and type(read["n_theta"]) is int
+    assert read["phi_periodic"] is False
+    assert type(read["theta_min"]) is float
+    assert cli._options(cli.SolveOptions, {"max_newton": 7})["max_newton"] == 7

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,153 @@ def test_json_report_sanitizes_nonfinite(tmp_path):
     import json
     data = json.loads(path.read_text())
     assert data == {"a": None, "b": [2.0, None], "c": True, "d": 3}
+
+
+# --- the reader's contract ------------------------------------------------
+
+def _contract_grid():
+    return SphericalGrid(*WIDE_PATCH, 5, 4)
+
+
+def _field_lines(tmp_path):
+    """A valid field file on _contract_grid() and its lines."""
+    g = _contract_grid()
+    vals = np.arange(g.n_theta * g.n_phi, dtype=float).reshape(g.shape) / 7
+    path = tmp_path / "field.csv"
+    write_field_csv(path, ScalarField(g, vals))
+    return g, vals, path, path.read_text().splitlines()
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: ["theta,phi,val"] + lines[1:],
+    lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+    lambda lines: lines[:3] + [lines[3] + ",1"] + lines[4:],
+    lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",abc"] + lines[4:],
+    lambda lines: lines[:1],
+    lambda lines: lines[:-1],
+    lambda lines: lines + [lines[-1]],
+    lambda lines: [],
+    # float() reads this as the node; np.loadtxt, whose float syntax the
+    # reader keeps, does not
+    lambda lines: lines[:1] + [lines[1].replace("1.047", "1.047_", 1)]
+    + lines[2:],
+], ids=["header", "two_columns", "four_columns", "non_numeric",
+        "header_only", "too_few_rows", "too_many_rows", "empty",
+        "digit_separator"])
+def test_field_csv_rejects_malformed_files(tmp_path, edit):
+    g, _, path, lines = _field_lines(tmp_path)
+    _write_lines(path, edit(lines))
+    with pytest.raises(sf.GridError, match="field.csv"):
+        read_field_csv(path, g)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_field_csv_off_grid_coordinate_names_the_file_row(tmp_path, column):
+    g, _, path, lines = _field_lines(tmp_path)
+    row = 7  # file row, 1-based; row 1 is the header
+    parts = lines[row - 1].split(",")
+    parts[column] = repr(float(parts[column]) + 3e-9)
+    lines[row - 1] = ",".join(parts)
+    _write_lines(path, lines)
+    with pytest.raises(sf.GridError, match=f"row {row} coordinates"):
+        read_field_csv(path, g)
+
+
+def test_field_csv_accepts_coordinates_in_other_text(tmp_path):
+    # coordinates within 1e-9 of the node in any float syntax are accepted
+    g, vals, path, lines = _field_lines(tmp_path)
+    theta = f"{g.thetas[0]:.17g}"
+    assert theta == "1.0471975511965976"
+    lines[1] = lines[1].replace(theta, "1.04719755119659760", 1)
+    lines[2] = lines[2].replace(theta, " 1.047197551", 1)
+    t, p, v = lines[3].split(",")
+    lines[3] = f"{float(t) - 4e-10!r},{float(p):.12e},{v}"
+    _write_lines(path, lines)
+    assert np.array_equal(read_field_csv(path, g).values, vals)
+
+
+def test_field_csv_accepts_blank_lines_and_crlf(tmp_path):
+    g, vals, path, lines = _field_lines(tmp_path)
+    lines = lines[:6] + [""] + lines[6:] + ["", ""]
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert np.array_equal(read_field_csv(path, g).values, vals)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_field_csv_never_truncates_a_long_coordinate(tmp_path, column):
+    # the node's own text padded with zeros, then scaled a thousandfold:
+    # any prefix of it reads as the node, the whole text does not
+    g, _, path, lines = _field_lines(tmp_path)
+    parts = lines[5].split(",")
+    parts[column] = parts[column] + "0" * 40 + "1e3"
+    lines[5] = ",".join(parts)
+    _write_lines(path, lines)
+    with pytest.raises(sf.GridError, match="row 6"):
+        read_field_csv(path, g)
+
+
+def test_field_csv_round_trips_nan_and_inf(tmp_path):
+    g = _contract_grid()
+    vals = np.linspace(-1.0, 1.0, g.n_theta * g.n_phi).reshape(g.shape)
+    vals[0, 0], vals[1, 2], vals[4, 3] = np.nan, np.inf, -np.inf
+    path = tmp_path / "field.csv"
+    write_field_csv(path, ScalarField(g, vals))
+    assert "\n1.0471975511965976,0,nan\n" in "\n" + path.read_text()
+    back = read_field_csv(path, g).values
+    assert np.array_equal(back, vals, equal_nan=True)
+
+
+def test_field_csv_read_peak_memory_is_flat(tmp_path):
+    # reading goes one theta line at a time: the peak stays a small multiple
+    # of the returned array, where a whole-file parse holds every row
+    g = SphericalGrid(*WIDE_PATCH, 257, 257)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, ScalarField(g, np.random.default_rng(3).normal(
+        size=g.shape)))
+    read_field_csv(path, g)  # warm numpy's lazy imports
+    tracemalloc.start()
+    try:
+        values = read_field_csv(path, g).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured 1.40 per line; the whole-file parse it replaced measured 5.1
+    assert peak <= 2.0 * values.nbytes
+
+
+# --- the writers' bytes ---------------------------------------------------
+
+def test_map_writers_match_per_node_format_two_digit_indices(tmp_path):
+    # i and j run past 9, so every index slot is exercised at two digits
+    g = SphericalGrid(*WIDE_PATCH, 12, 13)
+    rng = np.random.default_rng(8)
+    l2 = rng.random(g.shape)
+    l2[10, 11], l2[3, 12] = np.nan, np.inf
+    letters = np.array(list("EPHV"))[rng.integers(0, 4, g.shape)]
+    write_type_map_csv(tmp_path / "type.csv", g, letters)
+    write_l2_csv(tmp_path / "l2.csv", g, l2)
+    nodes = list(np.ndindex(g.shape))
+    at = {(i, j): f"{i},{j},{g.thetas[i]:.17g},{g.phis[j]:.17g}"
+          for i, j in nodes}
+    assert (tmp_path / "type.csv").read_text() == "".join(
+        ["i,j,theta,phi,type\n"] + [f"{at[n]},{letters[n]}\n" for n in nodes])
+    assert (tmp_path / "l2.csv").read_text() == "".join(
+        ["i,j,theta,phi,l2\n"] + [
+            f"{at[n]}," + (f"{l2[n]:.17g}" if np.isfinite(l2[n]) else "nan")
+            + "\n" for n in nodes])
+
+
+@pytest.mark.parametrize("arr, text", [
+    ([[0.0, 1.0, 0.25], [np.nan, 0.5, -np.inf]],
+     "P2\n3 2\n255\n0 255 64\n0 128 0\n"),
+    ([[2.5, 2.5], [2.5, 2.5], [2.5, 2.5]], "P2\n2 3\n255\n0 0\n0 0\n0 0\n"),
+    ([[np.nan, np.nan]], "P2\n2 1\n255\n0 0\n"),
+], ids=["nan", "constant", "all_nan"])
+def test_pgm_writer_bytes(tmp_path, arr, text):
+    path = tmp_path / "map.pgm"
+    write_pgm(path, np.array(arr))
+    assert path.read_bytes() == text.encode()
