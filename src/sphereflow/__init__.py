@@ -14,7 +14,6 @@ from .comparison import (
     Dichotomy,
     HopfResult,
     HypothesisResult,
-    apply_linearized,
     hopf_indicator,
     mean_value_coefficients,
     straight_edge_nodes,
@@ -77,6 +76,7 @@ from .operators import (
     flow_jacobian,
     flow_residual,
     principal_matrix,
+    segment_jacobian,
     spherical_divergence,
     spherical_gradient,
 )

@@ -3,9 +3,9 @@
 Given a sub/supersolution pair (f-, f+) of the potential-flow equation,
 this module evaluates every hypothesis of the comparison theorems at the
 discrete level (residual signs, boundary ordering, admissibility and
-ellipticity of both fields, z >= c), the mean-value linearization
-coefficients averaged over the segment between the fields, the sign of the
-weak-form integrand, one-sided Hopf boundary indicators, and the
+ellipticity of both fields, z >= c), the pointwise mean-value coefficients
+of the weak-form integrand averaged over the segment between the fields,
+the sign of that integrand, one-sided Hopf boundary indicators, and the
 strict-or-identical dichotomy.
 
 Hypothesis failures mark a report Inapplicable, never Failed: the theorems
@@ -20,24 +20,32 @@ from enum import Enum
 import numpy as np
 
 from .ellipticity import Z_GE_C_SLACK
-from .errors import ConfigError, CornerNodeError, GridError, NonTouchingNodeError
+from .errors import ConfigError, CornerNodeError, NonTouchingNodeError
 from .gas import GasModel, bernoulli_density, require_admissible
 from .grid import ScalarField, SphericalGrid, require_same_grid
-from .operators import (
-    CoefficientFields,
-    field_density,
-    flow_residual,
-    linearized_operator,
-    spherical_gradient,
-)
+from .operators import field_density, flow_residual, spherical_gradient
 
 WEAK_FORM_TOL = 1e-10
+
+
+@dataclass(eq=False)
+class CoefficientFields:
+    """t-averaged pointwise linearization coefficients as node arrays: the
+    principal block (a11, a12 = a21, a22), the flux sensitivity b to the
+    value (the source sensitivity to the gradient is 2 b) and d."""
+
+    a11: np.ndarray
+    a12: np.ndarray
+    a22: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    d: np.ndarray
 
 
 def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
                             f_plus: ScalarField,
                             n_quad: int = 8) -> CoefficientFields:
-    """Gauss-Legendre t-averages of the flux Jacobian over [f-, f+].
+    """Gauss-Legendre t-averages of the pointwise flux Jacobian over [f-, f+].
 
     Every quadrature state phi_t = t f- + (1-t) f+ must be admissible;
     a vacuum state raises with the offending (node, t).
@@ -73,17 +81,7 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
         b1 += wt * (-q1 * z * scale)
         b2 += wt * (-q2 * z * scale)
         d += wt * 2.0 * (rho - z * z * scale)
-    return CoefficientFields(
-        grid, a11=a11, a12=a12, a21=a12.copy(), a22=a22,
-        b1=b1, b2=b2, c1=2.0 * b1, c2=2.0 * b2, d=d,
-    )
-
-
-def apply_linearized(coeffs: CoefficientFields, h: ScalarField) -> ScalarField:
-    """(1/sin) d_i(sin (a_ij d_j h + b_i h)) + c_i d_i h + d h."""
-    if not coeffs.grid.same_geometry(h.grid):
-        raise GridError("coefficient fields and h do not share a grid")
-    return ScalarField(coeffs.grid, linearized_operator(coeffs)(h.values))
+    return CoefficientFields(a11=a11, a12=a12, a22=a22, b1=b1, b2=b2, d=d)
 
 
 def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
@@ -91,7 +89,8 @@ def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     """Weak-form integrand F at every node.
 
     F = (1/beta) (h+)^(1/beta - 1) (a_ij di h+ dj h+ + b_i h+ di h+
-        - beta c_i h+ di h+ - beta d (h+)^2)  with h+ = max(f- - f+, 0).
+        - beta c_i h+ di h+ - beta d (h+)^2)  with h+ = max(f- - f+, 0),
+    a, b, d from mean_value_coefficients and c_i = 2 b_i.
 
     Gradients of h+ are taken where h+ > 0 and set to zero elsewhere
     (h+ is only Lipschitz across its free boundary).
@@ -107,9 +106,9 @@ def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     g1 = np.where(pos, grad.v_theta, 0.0)
     g2 = np.where(pos, grad.v_phi, 0.0)
     quad = (
-        co.a11 * g1 * g1 + (co.a12 + co.a21) * g1 * g2 + co.a22 * g2 * g2
+        co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
         + co.b1 * hplus * g1 + co.b2 * hplus * g2
-        - beta * (co.c1 * hplus * g1 + co.c2 * hplus * g2)
+        - beta * (2.0 * co.b1 * hplus * g1 + 2.0 * co.b2 * hplus * g2)
         - beta * co.d * hplus * hplus
     )
     prefactor = np.where(pos, hplus ** (1.0 / beta - 1.0), 0.0) / beta
@@ -306,12 +305,14 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     Every requested node must be a boundary node with exactly one outward
     direction (straight mask edge; corners fail the interior sphere
     condition), must carry equal field values within tol_touch, and both
-    fields must be vacuum-free there.  When f- < f+ holds inside and the
-    ellipticity hypotheses are met, the returned derivatives are the
-    quantities the Hopf lemma asserts to be strictly positive.
+    fields must be vacuum-free there.  f- > f+ at an interior node raises
+    ValueError; a mask too thin for the two inward stencil nodes raises
+    GridError from the gradients, naming a masked node.  When f- < f+
+    holds inside and the ellipticity hypotheses are met, the returned
+    derivatives are the quantities the Hopf lemma asserts to be strictly
+    positive.
     """
     grid = require_same_grid(f_minus, f_plus)
-    m = grid.mask_array
     bm = grid.boundary_mask
 
     gap = f_plus.values - f_minus.values
@@ -356,10 +357,6 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
             )
         axis, backward = divmod(int(sides[0]), 2)  # +th, -th, +ph, -ph
         p1, p2 = (grid.neighbor(i, j, axis, k if backward else -k) for k in (1, 2))
-        if p1 is None or p2 is None or not (m[p1] and m[p2]):
-            raise GridError(
-                f"mask too thin for a one-sided normal stencil at ({i}, {j})"
-            )
         h = grid.h_theta if axis == 0 else grid.h_phi * grid.sin_theta[i]
         deriv = (3.0 * diff[i, j] - 4.0 * diff[p1] + diff[p2]) / (2.0 * h)
         results.append(HopfResult(

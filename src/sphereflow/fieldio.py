@@ -77,7 +77,7 @@ def _check_node(path, grid, i, j, texts):
     except ValueError as err:
         raise GridError(f"{path}: row {row} coordinates {texts} do not read "
                         f"as floats: {err}") from None
-    if abs(theta - grid.thetas[i]) > 1e-9 or abs(phi - grid.phis[j]) > 1e-9:
+    if not (abs(theta - grid.thetas[i]) <= 1e-9 and abs(phi - grid.phis[j]) <= 1e-9):
         raise GridError(
             f"{path}: row {row} coordinates ({theta}, {phi}) do not match "
             f"grid node ({grid.thetas[i]}, {grid.phis[j]})")

@@ -16,7 +16,8 @@ termwise second-order expansion of the same equation.  Note the expanded
 display carries an overall factor c^2/rho relative to the flux form; the
 two evaluations agree pointwise only for gamma = 2 (where rho = c^2) or on
 exact solutions.  flow_jacobian is the exact derivative of the flux form at
-interior nodes, applied matrix-free.
+interior nodes, applied matrix-free; segment_jacobian averages it over the
+segment between two fields.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ConfigError, NotEllipticError
 from .gas import (
     FlowState,
     FlowType,
@@ -33,7 +35,7 @@ from .gas import (
     require_admissible,
     sound_speed_sq,
 )
-from .grid import ScalarField, SphericalGrid, VectorField
+from .grid import ScalarField, SphericalGrid, VectorField, require_same_grid
 
 
 def _face_mean(a, grid, axis):
@@ -128,83 +130,18 @@ def field_state(gas: GasModel, f: ScalarField):
     return q1, q2, z, c2
 
 
-def field_density(gas: GasModel, f: ScalarField):
+def field_density(gas: GasModel, f: ScalarField, t=None):
     """(rho, c2, q1, q2) node arrays; rho is zero off the mask.
 
     Raises VacuumError (GasOverflowError for the isothermal exp() guard)
-    naming the first inadmissible masked node.
+    naming the first inadmissible masked node (and t, if given).
     """
     vf = spherical_gradient(f)
     q1, q2 = vf.v_theta, vf.v_phi
     m = f.grid.mask_array
     rho, c2, ok = bernoulli_density(gas, q1 * q1 + q2 * q2, f.values)
-    require_admissible(gas, c2, ok, m)
+    require_admissible(gas, c2, ok, m, t)
     return np.where(m, rho, 0.0), c2, q1, q2
-
-
-@dataclass(eq=False)
-class CoefficientFields:
-    """Coefficients of the linear divergence-form operator on a shared grid.
-
-    a is the 2x2 principal block, (b1, b2) the flux sensitivity to the
-    potential value, (c1, c2) the source sensitivity to the gradient and d
-    the source sensitivity to the value.  For the comparison theory they
-    are t-averages over the segment between two fields (a12 = a21 by
-    construction); the flow operator itself is the frozen-density case
-    isotropic(grid, rho, 2 rho).  The arrays are read as immutable once the
-    operator has been applied.
-    """
-
-    grid: SphericalGrid
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    d: np.ndarray
-
-    @classmethod
-    def isotropic(cls, grid, a=1.0, d=0.0):
-        """a*I principal part, zero b/c, and d; a and d are constants or
-        node arrays.  The fields are read-only views of a and d."""
-        a, d, zero = (np.broadcast_to(np.asarray(v, dtype=float), grid.shape)
-                      for v in (a, d, 0.0))
-        return cls(grid, a11=a, a12=zero, a21=zero, a22=a, b1=zero, b2=zero,
-                   c1=zero, c2=zero, d=d)
-
-
-def linearized_operator(coeffs: CoefficientFields):
-    """Closure applying the conservative linearized stencil to value arrays.
-
-    The second-order part goes through face-averaged coefficients (so the
-    divergence structure of the nonlinear operator is preserved); patch
-    edges and mask boundaries fall back to the divergence of the node
-    fluxes.
-    """
-    grid, c = coeffs.grid, coeffs
-    st = grid.sin_theta[:, None]
-    a11f, a12f, b1f = (_face_mean(a, grid, 0) for a in (c.a11, c.a12, c.b1))
-    a21f, a22f, b2f = (_face_mean(a, grid, 1) for a in (c.a21, c.a22, c.b2))
-
-    def apply(hvals):
-        g1 = _derivative(hvals, grid, 0, 1)
-        g2 = _derivative(hvals, grid, 1, 1) / st
-        flux_th = grid.sin_theta_face * (
-            a11f * _face_step(hvals, grid, 0) / grid.h_theta
-            + a12f * _face_mean(g2, grid, 0) + b1f * _face_mean(hvals, grid, 0))
-        flux_ph = (a21f * _face_mean(g1, grid, 1)
-                   + a22f * _face_step(hvals, grid, 1) / (grid.h_phi * st)
-                   + b2f * _face_mean(hvals, grid, 1))
-        node_flux = (c.a11 * g1 + c.a12 * g2 + c.b1 * hvals,
-                     c.a21 * g1 + c.a22 * g2 + c.b2 * hvals)
-        out = _add_divergence(c.c1 * g1 + c.c2 * g2 + c.d * hvals, grid,
-                              flux_th, flux_ph, node_flux)
-        return np.where(grid.mask_array, out, 0.0)
-
-    return apply
 
 
 def laplace_beltrami(grid: SphericalGrid, v):
@@ -324,18 +261,10 @@ def residual_roundoff(gas: GasModel, f: ScalarField):
     return np.finfo(float).eps * out
 
 
-def flow_jacobian(gas: GasModel, f: ScalarField):
-    """(apply, precondition): the exact derivative of the flux residual at f.
-
-    apply(v) = D_face(rho_face grad_face v + drho_face grad_face f)
-    + 2 (rho v + drho f) on value arrays, exact at interior nodes, with the
-    face averages and differences of flow_residual and the chain rule
-    drho = -(rho/c^2)(q1 dv/dtheta + q2 dv/dphi / sin + z v) through the
-    Bernoulli density.  precondition is principal_preconditioner(grid, rho).
-    Raises like field_density if f is inadmissible.
-    """
+def _jacobian(gas, f, t=None):
+    """(apply, rho): flow_jacobian's apply at f and the node densities."""
     grid, vals = f.grid, f.values
-    rho, c2, q1, q2 = field_density(gas, f)
+    rho, c2, q1, q2 = field_density(gas, f, t)
     scale = -rho / np.where(grid.mask_array, c2, 1.0)
     s1, s2, sz = scale * q1, scale * q2 / grid.sin_theta[:, None], scale * vals
     rho_th, rho_ph = _face_mean(rho, grid, 0), _face_mean(rho, grid, 1)
@@ -351,7 +280,43 @@ def flow_jacobian(gas: GasModel, f: ScalarField):
         return _add_divergence(2.0 * (rho * v + drho * vals), grid,
                                flux_th, flux_ph)
 
-    return apply, principal_preconditioner(grid, rho)
+    return apply, rho
+
+
+def flow_jacobian(gas: GasModel, f: ScalarField):
+    """(apply, precondition): the exact derivative of the flux residual at f.
+
+    apply(v) = D_face(rho_face grad_face v + drho_face grad_face f)
+    + 2 (rho v + drho f) on value arrays, exact at interior nodes, with the
+    face averages and differences of flow_residual and the chain rule
+    drho = -(rho/c^2)(q1 dv/dtheta + q2 dv/dphi / sin + z v) through the
+    Bernoulli density.  precondition is principal_preconditioner(grid, rho).
+    Raises like field_density if f is inadmissible.
+    """
+    apply, rho = _jacobian(gas, f)
+    return apply, principal_preconditioner(f.grid, rho)
+
+
+def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
+                     n_quad: int = 8):
+    """apply(v) on value arrays: flow_jacobian's apply averaged over phi_t =
+    t f- + (1-t) f+ by n_quad-point Gauss-Legendre in t, so apply(f- - f+)
+    = flow_residual(f-) - flow_residual(f+) at interior nodes up to the
+    quadrature error.  Raises like field_density, with t, if some phi_t is
+    inadmissible."""
+    grid = require_same_grid(f_minus, f_plus)
+    if n_quad < 1:
+        raise ConfigError("n_quad must be >= 1", "n_quad")
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    parts = []
+    for t, wt in zip(0.5 * (x + 1.0), 0.5 * w):
+        phi = ScalarField(grid, t * f_minus.values + (1.0 - t) * f_plus.values)
+        parts.append((wt, _jacobian(gas, phi, float(t))[0]))
+
+    def apply(v):
+        return sum(wt * jac(v) for wt, jac in parts)
+
+    return apply
 
 
 def _expanded_residual(f, c2, q1, q2):
@@ -389,8 +354,6 @@ def eigenvalue_ratio(gas: GasModel, s: FlowState) -> float:
     Only defined for strictly elliptic states; raises NotEllipticError
     otherwise.
     """
-    from .errors import NotEllipticError
-
     c2 = sound_speed_sq(gas, s)
     if c2 <= 0.0:
         raise NotEllipticError(f"c^2 = {c2:.6g} <= 0")

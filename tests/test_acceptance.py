@@ -259,8 +259,7 @@ def test_criterion_11_linearization_consistency():
     phi = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
     h = ScalarField.from_function(
         g, lambda th, ph: 0.05 * (np.sin(th) * np.sin(ph) + np.cos(th)))
-    co = sf.mean_value_coefficients(gas, phi, phi, n_quad=1)
-    lin = sf.apply_linearized(co, h).values
+    lin = sf.segment_jacobian(gas, phi, phi)(h.values)
     eps = 1e-6
     r0 = sf.flow_residual(gas, phi).values
     r1 = sf.flow_residual(gas, ScalarField(g, phi.values + eps * h.values)).values

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from helpers import SMALL_PATCH, WIDE_PATCH
 
 import sphereflow as sf
 from sphereflow import (
-    CoefficientFields,
     Dichotomy,
     GasModel,
     ScalarField,
@@ -39,10 +40,9 @@ def test_mean_value_coefficients_constant(gas_b4, wide_grid_33):
     np.testing.assert_allclose(co.a22, 1.0, atol=1e-14)
     np.testing.assert_allclose(co.a12, 0.0, atol=1e-15)
     np.testing.assert_allclose(co.b1, 0.0, atol=1e-15)
-    np.testing.assert_allclose(co.c2, 0.0, atol=1e-15)
+    np.testing.assert_allclose(co.b2, 0.0, atol=1e-15)
     # d = 2 rho + 2 z (d rho/d z) = 2 - 8
     np.testing.assert_allclose(co.d, -6.0, atol=1e-14)
-    np.testing.assert_array_equal(co.a12, co.a21)
 
 
 def test_mean_value_zero_gap_any_quadrature(gas_b4, wide_grid_33):
@@ -50,7 +50,7 @@ def test_mean_value_zero_gap_any_quadrature(gas_b4, wide_grid_33):
                                   lambda th, ph: 2 + 0.1 * np.cos(th))
     c1 = sf.mean_value_coefficients(gas_b4, f, f, n_quad=1)
     c8 = sf.mean_value_coefficients(gas_b4, f, f, n_quad=8)
-    for name in ("a11", "a12", "a22", "b1", "b2", "c1", "c2", "d"):
+    for name in ("a11", "a12", "a22", "b1", "b2", "d"):
         np.testing.assert_allclose(getattr(c1, name), getattr(c8, name),
                                    rtol=0, atol=1e-13)
 
@@ -60,43 +60,69 @@ def test_mean_value_gauss_convergence(gas_b4, wide_grid_33):
     hi = ScalarField.constant(wide_grid_33, 2.2)
     c8 = sf.mean_value_coefficients(gas_b4, lo, hi, n_quad=8)
     c16 = sf.mean_value_coefficients(gas_b4, lo, hi, n_quad=16)
-    for name in ("a11", "a12", "a22", "b1", "b2", "c1", "c2", "d"):
+    for name in ("a11", "a12", "a22", "b1", "b2", "d"):
         np.testing.assert_allclose(getattr(c8, name), getattr(c16, name),
                                    rtol=0, atol=1e-12)
 
 
-def test_mean_value_vacuum_on_segment(gas_b4, wide_grid_33):
+SEGMENT_AVERAGES = [sf.mean_value_coefficients, sf.segment_jacobian]
+
+
+@pytest.mark.parametrize("average", SEGMENT_AVERAGES, ids=lambda fn: fn.__name__)
+def test_mean_value_vacuum_on_segment(gas_b4, wide_grid_33, average):
     lo = ScalarField.constant(wide_grid_33, 2.6)
     hi = ScalarField.constant(wide_grid_33, 2.6)
     with pytest.raises(sf.VacuumError) as err:
-        sf.mean_value_coefficients(gas_b4, lo, hi)
+        average(gas_b4, lo, hi)
     assert err.value.t is not None
 
 
-def test_mean_value_grid_mismatch(gas_b4):
+@pytest.mark.parametrize("average", SEGMENT_AVERAGES, ids=lambda fn: fn.__name__)
+def test_mean_value_grid_mismatch(gas_b4, average):
     g1 = SphericalGrid(*WIDE_PATCH, 9, 9)
     g2 = SphericalGrid(*WIDE_PATCH, 11, 9)
     with pytest.raises(sf.GridMismatchError):
-        sf.mean_value_coefficients(gas_b4, ScalarField.constant(g1, 2.0),
-                                   ScalarField.constant(g2, 2.0))
+        average(gas_b4, ScalarField.constant(g1, 2.0),
+                ScalarField.constant(g2, 2.0))
 
 
-def test_apply_linearized_zero(gas_b4, wide_grid_33):
-    co = CoefficientFields.isotropic(wide_grid_33, a=1.0, d=-6.0)
-    out = sf.apply_linearized(co, ScalarField.constant(wide_grid_33, 0.0))
-    assert np.all(out.values == 0.0)
+@pytest.mark.parametrize("average", SEGMENT_AVERAGES, ids=lambda fn: fn.__name__)
+def test_mean_value_needs_a_quadrature_node(gas_b4, wide_grid_33, average):
+    f = ScalarField.constant(wide_grid_33, 2.0)
+    with pytest.raises(sf.ConfigError) as err:
+        average(gas_b4, f, f, n_quad=0)
+    assert err.value.key == "n_quad"
 
 
-def test_apply_linearized_laplacian_plus_zeroth_order():
+def test_segment_jacobian_zero(gas_b4, wide_grid_33):
+    f = ScalarField.constant(wide_grid_33, 2.0)
+    out = sf.segment_jacobian(gas_b4, f, f)(np.zeros(wide_grid_33.shape))
+    assert np.all(out == 0.0)
+
+
+def test_segment_jacobian_laplacian_plus_zeroth_order(gas_b4):
+    # at the uniform state f = 2, rho = c^2 = 1 and the Jacobian is Delta - 6
     g = SphericalGrid(np.pi / 4, 3 * np.pi / 4, 0.0, np.pi / 2, 49, 49)
-    co = CoefficientFields.isotropic(g, a=1.0, d=-6.0)
+    f = ScalarField.constant(g, 2.0)
     h = ScalarField.from_function(g, lambda th, ph: np.cos(th))
-    out = sf.apply_linearized(co, h)
+    out = sf.segment_jacobian(gas_b4, f, f)(h.values)
     i = 8  # node at theta = pi/3
     assert g.thetas[i] == pytest.approx(np.pi / 3, abs=1e-12)
     j = 24
     # Delta cos = -2 cos, so the operator gives -8 cos(pi/3) = -4
-    assert out.values[i, j] == pytest.approx(-4.0, abs=5e-3)
+    assert out[i, j] == pytest.approx(-4.0, abs=5e-3)
+
+
+def test_segment_jacobian_is_the_discrete_mean_value_operator(pair_suite):
+    # N(f-) - N(f+) = J(f- - f+) with J the segment average of the exact
+    # Jacobian, up to the 8-point quadrature error
+    for sc in pair_suite:
+        im = sc.grid.interior_mask
+        dn = (sf.flow_residual(sc.gas, sc.f_minus).values
+              - sf.flow_residual(sc.gas, sc.f_plus).values)
+        jv = sf.segment_jacobian(sc.gas, sc.f_minus, sc.f_plus)(
+            sc.f_minus.values - sc.f_plus.values)
+        assert np.abs(jv - dn)[im].max() <= 1e-10 * np.abs(dn)[im].max()
 
 
 def test_linearization_matches_frechet_derivative(gas_b4, wide_grid_33):
@@ -104,8 +130,7 @@ def test_linearization_matches_frechet_derivative(gas_b4, wide_grid_33):
     phi = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
     h = ScalarField.from_function(
         g, lambda th, ph: 0.1 * (np.sin(th) * np.sin(ph) + np.cos(th)))
-    co = sf.mean_value_coefficients(gas_b4, phi, phi, n_quad=1)
-    lin = sf.apply_linearized(co, h).values
+    lin = sf.segment_jacobian(gas_b4, phi, phi)(h.values)
     eps = 1e-6
     r0 = sf.flow_residual(gas_b4, phi).values
     r1 = sf.flow_residual(
@@ -158,9 +183,9 @@ def test_weak_form_algebraic_identity(gas_b4):
     hplus = np.maximum(lo.values - hi.values, 0.0)
     grad = sf.spherical_gradient(ScalarField(g, hplus))
     g1, g2 = grad.v_theta, grad.v_phi
-    quad = (co.a11 * g1 * g1 + (co.a12 + co.a21) * g1 * g2
+    quad = (co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2
             + co.a22 * g2 * g2 + co.b1 * hplus * g1 + co.b2 * hplus * g2
-            - beta * (co.c1 * hplus * g1 + co.c2 * hplus * g2)
+            - beta * (2.0 * co.b1 * hplus * g1 + 2.0 * co.b2 * hplus * g2)
             - beta * co.d * hplus * hplus)
     pos = hplus > 0
     lhs = beta * F[pos] * hplus[pos] ** (1.0 - 1.0 / beta)
@@ -231,6 +256,29 @@ def test_hopf_rejects_nodes_off_the_grid(solver_pair):
         assert isinstance(err.value, ValueError)
 
 
+def test_hopf_unordered_pair_names_the_interior_node(solver_pair):
+    gas, grid, f_plus, f_minus, _ = solver_pair
+    with pytest.raises(ValueError, match="at interior node") as err:
+        sf.hopf_indicator(gas, f_plus, f_minus, [(0, 16)])  # swapped
+    i, j = (int(k) for k in re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
+    assert grid.interior_mask[i, j]
+
+
+def test_hopf_thin_mask_names_a_masked_node(gas_b4):
+    # a strip two theta-nodes wide leaves the straight-edge node (7, 12)
+    # one inward node, too few for any theta stencil
+    mask = np.zeros((17, 17), dtype=bool)
+    mask[2:15, 2:9] = True
+    mask[7:9, 9:15] = True
+    g = SphericalGrid(*WIDE_PATCH, 17, 17, mask=mask)
+    assert (7, 12) in sf.straight_edge_nodes(g)
+    f = ScalarField.constant(g, 2.0)
+    with pytest.raises(sf.GridError, match="too thin") as err:
+        sf.hopf_indicator(gas_b4, f, f.copy(), [(7, 12)])
+    i, j = (int(k) for k in re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
+    assert mask[i, j]
+
+
 def test_hopf_isothermal_overflow_names_node():
     gas = GasModel(1.0, 1.0, 4.0)
     g = SphericalGrid(*WIDE_PATCH, 17, 17)
@@ -295,5 +343,10 @@ def test_anomalous_fixture_detected(gas_b4):
 def test_strong_check_precondition_error(solver_pair):
     gas, grid, f_plus, f_minus, _ = solver_pair
     rep = sf.verify_weak_comparison(gas, f_plus, f_minus)  # swapped
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hypotheses failed"):
+        sf.strong_comparison_check(rep)
+    for h in rep.hypotheses.values():
+        h.passed = True
+    assert rep.applicable and not rep.ordering_pass
+    with pytest.raises(ValueError, match="interior ordering violated"):
         sf.strong_comparison_check(rep)

@@ -160,12 +160,15 @@ def test_field_csv_rejects_malformed_files(tmp_path, edit):
         read_field_csv(path, g)
 
 
-@pytest.mark.parametrize("column", [0, 1])
-def test_field_csv_off_grid_coordinate_names_the_file_row(tmp_path, column):
+@pytest.mark.parametrize("column,offset",
+                         [(0, 3e-9), (1, 3e-9), (0, np.nan), (1, np.nan)],
+                         ids=["0", "1", "0-nan", "1-nan"])
+def test_field_csv_off_grid_coordinate_names_the_file_row(tmp_path, column,
+                                                          offset):
     g, _, path, lines = _field_lines(tmp_path)
     row = 7  # file row, 1-based; row 1 is the header
     parts = lines[row - 1].split(",")
-    parts[column] = repr(float(parts[column]) + 3e-9)
+    parts[column] = repr(float(parts[column]) + offset)
     lines[row - 1] = ",".join(parts)
     _write_lines(path, lines)
     with pytest.raises(sf.GridError, match=f"row {row} coordinates"):
