@@ -20,7 +20,6 @@ from .comparison import (
     strong_comparison_check,
     verify_weak_comparison,
     weak_form_field,
-    weak_form_integrand,
 )
 from .ellipticity import (
     ComparisonMatrix,
@@ -72,11 +71,11 @@ from .operators import (
     classify_field,
     eigenvalue_ratio,
     field_density,
-    field_state,
     flow_jacobian,
     flow_residual,
     principal_matrix,
     segment_jacobian,
+    segment_states,
     spherical_divergence,
     spherical_gradient,
 )

@@ -23,7 +23,8 @@ from .ellipticity import Z_GE_C_SLACK
 from .errors import ConfigError, CornerNodeError, NonTouchingNodeError
 from .gas import GasModel, bernoulli_density, require_admissible
 from .grid import ScalarField, SphericalGrid, require_same_grid
-from .operators import field_density, flow_residual, spherical_gradient
+from .operators import (field_density, flow_residual, segment_states,
+                        spherical_gradient)
 
 WEAK_FORM_TOL = 1e-10
 
@@ -54,11 +55,7 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
     if n_quad < 1:
         raise ConfigError("n_quad must be >= 1", "n_quad")
     mask = grid.mask_array
-    gm = spherical_gradient(f_minus)
-    gp = spherical_gradient(f_plus)
     x, w = np.polynomial.legendre.leggauss(n_quad)
-    ts = 0.5 * (x + 1.0)
-    ws = 0.5 * w
 
     shape = grid.shape
     a11 = np.zeros(shape)
@@ -67,13 +64,9 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
     b1 = np.zeros(shape)
     b2 = np.zeros(shape)
     d = np.zeros(shape)
-    for t, wt in zip(ts, ws):
-        q1 = t * gm.v_theta + (1.0 - t) * gp.v_theta
-        q2 = t * gm.v_phi + (1.0 - t) * gp.v_phi
-        z = t * f_minus.values + (1.0 - t) * f_plus.values
-        rho, c2, ok = bernoulli_density(gas, q1 * q1 + q2 * q2, z)
+    states = segment_states(gas, f_minus, f_plus, 0.5 * (x + 1.0))
+    for wt, (t, q1, q2, z, rho, c2, ok) in zip(0.5 * w, states):
         require_admissible(gas, c2, ok, mask, float(t))
-        rho = np.where(mask, rho, 0.0)
         scale = np.where(mask, rho / np.where(mask, c2, 1.0), 0.0)
         a11 += wt * (rho - q1 * q1 * scale)
         a12 += wt * (-q1 * q2 * scale)
@@ -113,15 +106,6 @@ def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     )
     prefactor = np.where(pos, hplus ** (1.0 / beta - 1.0), 0.0) / beta
     return np.where(m, prefactor * quad, 0.0)
-
-
-def weak_form_integrand(gas: GasModel, f_minus: ScalarField,
-                        f_plus: ScalarField, beta: float, node,
-                        n_quad: int = 8) -> float:
-    """F at a single (i, j) node; see weak_form_field."""
-    F = weak_form_field(gas, f_minus, f_plus, beta, n_quad)
-    i, j = node
-    return float(F[int(i), int(j)])
 
 
 class Dichotomy(Enum):
@@ -169,10 +153,16 @@ class ComparisonReport:
     min_gap_node: tuple
     min_gap_grad: tuple
     ordering_pass: bool
-    typo_reading_a_pass: bool
-    typo_reading_b_pass: bool
     dichotomy: Dichotomy | None = None
     hopf: list = dc_field(default_factory=list)
+
+    @property
+    def typo_reading_a_pass(self) -> bool:
+        return self.hypotheses["mach_elliptic_plus_reading_a"].passed
+
+    @property
+    def typo_reading_b_pass(self) -> bool:
+        return self.hypotheses["mach_elliptic_plus_reading_b"].passed
 
     @property
     def applicable(self) -> bool:
@@ -287,8 +277,6 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
         min_gap_node=gap_node,
         min_gap_grad=grad_at,
         ordering_pass=min_gap >= -tol_order,
-        typo_reading_a_pass=hyp["mach_elliptic_plus_reading_a"].passed,
-        typo_reading_b_pass=hyp["mach_elliptic_plus_reading_b"].passed,
     )
 
 
@@ -323,12 +311,8 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
         )
     diff = f_minus.values - f_plus.values
 
-    states = []
-    for f in (f_minus, f_plus):
-        g = spherical_gradient(f)
-        _, c2, ok = bernoulli_density(
-            gas, g.v_theta * g.v_theta + g.v_phi * g.v_phi, f.values)
-        states.append((c2, ok))
+    states = [(c2, ok) for *_, c2, ok
+              in segment_states(gas, f_minus, f_plus, (1.0, 0.0))]
 
     results = []
     for raw in boundary_nodes:

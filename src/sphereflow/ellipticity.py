@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gas import FlowState, GasModel, bernoulli_density, density, \
-    density_partials, sound_speed_sq
+from .gas import FlowState, GasModel, density, density_partials, sound_speed_sq
 from .grid import ScalarField, require_same_grid
-from .operators import field_density, spherical_gradient
+from .operators import field_density, segment_states
 
 # Roundoff slack for the z >= c hypothesis (equality is permitted).
 Z_GE_C_SLACK = 1e-12
@@ -138,8 +137,6 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
     if n_t < 2:
         raise ValueError("n_t must be >= 2")
     mask = grid.mask_array
-    gm = spherical_gradient(f_minus)
-    gp = spherical_gradient(f_plus)
 
     pass_mask = mask.copy()
     recorded = ~mask  # off-mask nodes never report
@@ -157,13 +154,9 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
         recorded |= fresh
         pass_mask[fresh] = False
 
-    for t in np.linspace(0.0, 1.0, n_t):
-        q1 = t * gm.v_theta + (1.0 - t) * gp.v_theta
-        q2 = t * gm.v_phi + (1.0 - t) * gp.v_phi
-        z = t * f_minus.values + (1.0 - t) * f_plus.values
+    ts = np.linspace(0.0, 1.0, n_t)
+    for t, q1, q2, z, rho, c2, rho_ok in segment_states(gas, f_minus, f_plus, ts):
         qsq = q1 * q1 + q2 * q2
-        rho, c2, rho_ok = bernoulli_density(gas, qsq, z)
-        rho = np.where(rho_ok & mask, rho, 0.0)
         record(mask & ~rho_ok, t, "rho_positive", c2)
 
         safe_c2 = np.where(rho_ok, c2, 1.0)

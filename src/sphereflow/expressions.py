@@ -19,6 +19,10 @@ _ID_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
+# Levels of parentheses, calls, prefix signs and exponents; a level costs the
+# parser up to five Python frames, well inside the default recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -52,9 +56,9 @@ class _Evaluator:
     """Recursive-descent parse-and-evaluate over theta/phi node arrays."""
 
     def __init__(self, text, variables):
-        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
         self.variables = variables
 
     def peek(self):
@@ -110,11 +114,19 @@ class _Evaluator:
 
     def unary(self):
         kind, sym, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionParseError(
+                f"expression nested deeper than {MAX_NESTING} levels at "
+                f"position {pos}", position=pos)
         if kind == "op" and sym in "+-":
             self.take()
             value = self.unary()
-            return value if sym == "+" else -value
-        return self.power()
+            value = value if sym == "+" else -value
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self):
         base = self.atom()

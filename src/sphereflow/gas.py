@@ -76,19 +76,6 @@ class FlowType(IntEnum):
         return "EPHV"[int(self)]
 
 
-def sound_speed_sq(gas: GasModel, s: FlowState):
-    """Squared sound speed c^2 = c0^2 + (gamma-1)/2 (B - z^2 - |q|^2).
-
-    For gamma = 1 this is identically 1 (c^2 = rho^0).  May return
-    nonpositive values; callers decide whether that is vacuum.
-    """
-    if gas.gamma == 1.0:
-        return np.ones_like(np.asarray(s.z, dtype=float)) if np.ndim(s.z) else 1.0
-    return gas.c0_sq + 0.5 * (gas.gamma - 1.0) * (
-        gas.bernoulli - s.z * s.z - s.speed_sq()
-    )
-
-
 def bernoulli_density(gas: GasModel, q_sq, z):
     """(rho, c^2, admissible) from the Bernoulli relation, elementwise.
 
@@ -106,6 +93,14 @@ def bernoulli_density(gas: GasModel, q_sq, z):
     c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
     ok = c2 > 0.0
     return np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0)), c2, ok
+
+
+def sound_speed_sq(gas: GasModel, s: FlowState):
+    """Squared sound speed c^2 = c0^2 + (gamma-1)/2 (B - z^2 - |q|^2), the
+    c^2 of bernoulli_density (identically 1 for gamma = 1).  May return
+    nonpositive values; callers decide whether that is vacuum.
+    """
+    return bernoulli_density(gas, s.speed_sq(), s.z)[1]
 
 
 def require_admissible(gas: GasModel, c2, ok, where=True, t=None):
@@ -148,8 +143,8 @@ def density_partials(gas: GasModel, s: FlowState):
     c^2/rho, which is exact under c^2 = rho^(gamma-1) and also covers
     gamma = 1 (where the partials are -x * rho).
     """
-    rho = density(gas, s)
-    c2 = sound_speed_sq(gas, s)
+    rho, c2, ok = bernoulli_density(gas, s.speed_sq(), s.z)
+    require_admissible(gas, c2, ok)
     scale = rho / c2
     return (-s.q1 * scale, -s.q2 * scale, -s.z * scale)
 

@@ -5,7 +5,8 @@ the divergence of v = (v_theta, v_phi) is
 (1/sin)(d/dtheta)(sin * v_theta) + (1/sin)(d/dphi) v_phi.  All stencils are
 second-order central at nodes with two masked neighbors and second-order
 one-sided at patch edges and mask boundaries, so derivatives (and hence
-boundary residuals for the Hopf checks) are defined up to the boundary.
+the flow states rho, c^2 of field_density and segment_states) are defined
+up to the boundary.
 
 The nonlinear operator evaluated by flow_residual is
 
@@ -122,14 +123,6 @@ def spherical_divergence(v: VectorField) -> ScalarField:
     return ScalarField(grid, np.where(grid.mask_array, (dth + dph) / st, 0.0))
 
 
-def field_state(gas: GasModel, f: ScalarField):
-    """Node arrays (q1, q2, z, c2) for a potential field."""
-    vf = spherical_gradient(f)
-    q1, q2, z = vf.v_theta, vf.v_phi, f.values
-    c2 = np.asarray(sound_speed_sq(gas, FlowState(q1, q2, z)), dtype=float)
-    return q1, q2, z, c2
-
-
 def field_density(gas: GasModel, f: ScalarField, t=None):
     """(rho, c2, q1, q2) node arrays; rho is zero off the mask.
 
@@ -142,6 +135,21 @@ def field_density(gas: GasModel, f: ScalarField, t=None):
     rho, c2, ok = bernoulli_density(gas, q1 * q1 + q2 * q2, f.values)
     require_admissible(gas, c2, ok, m, t)
     return np.where(m, rho, 0.0), c2, q1, q2
+
+
+def segment_states(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField, ts):
+    """Yield (t, q1, q2, z, rho, c2, ok) node arrays of phi_t = t f- + (1-t) f+
+    for each t in ts, from bernoulli_density at the interpolated gradients
+    of the two fields; rho is zero off the mask and where ok is false.
+    Callers decide what an inadmissible node means."""
+    grid = require_same_grid(f_minus, f_plus)
+    gm, gp = spherical_gradient(f_minus), spherical_gradient(f_plus)
+    for t in ts:
+        q1 = t * gm.v_theta + (1.0 - t) * gp.v_theta
+        q2 = t * gm.v_phi + (1.0 - t) * gp.v_phi
+        z = t * f_minus.values + (1.0 - t) * f_plus.values
+        rho, c2, ok = bernoulli_density(gas, q1 * q1 + q2 * q2, z)
+        yield t, q1, q2, z, np.where(ok & grid.mask_array, rho, 0.0), c2, ok
 
 
 def laplace_beltrami(grid: SphericalGrid, v):
@@ -381,11 +389,10 @@ class TypeMap:
 def classify_field(gas: GasModel, f: ScalarField,
                    eps_type: float = 1e-8) -> TypeMap:
     """Classify every node of a potential field by its local flow type."""
-    q1, q2, z, c2 = field_state(gas, f)
-    s = FlowState(q1, q2, z)
+    vf = spherical_gradient(f)
+    s = FlowState(vf.v_theta, vf.v_phi, f.values)
     codes = classify_codes(gas, s, eps_type)
-    qsq = q1 * q1 + q2 * q2
     defined = codes != int(FlowType.VACUUM)
     with np.errstate(divide="ignore", invalid="ignore"):
-        l2 = np.where(defined, qsq / np.where(defined, c2, 1.0), np.nan)
+        l2 = np.where(defined, s.speed_sq() / sound_speed_sq(gas, s), np.nan)
     return TypeMap(codes=codes, l2=l2)

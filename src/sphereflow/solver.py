@@ -303,8 +303,6 @@ def _newton_direction(gas, phi, r, idx, eta, lin_max_iter):
     try:
         delta = linear_solve(matvec, -r, eta, lin_max_iter, precondition)
     except LinearSolveError as err:
-        if err.best is None:
-            raise
         delta = err.best
     return delta, matvec.calls[0]
 
@@ -398,12 +396,8 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
                           f"residual only to {res:.3e}, max at node "
                           f"({i}, {j})")
         eta = _forcing(history, report.forcing, opts)
-        try:
-            delta, matvecs = _newton_direction(gas, phi, r, idx, eta,
-                                               opts.lin_max_iter)
-        except LinearSolveError as err:
-            raise failure("inner linear solve failed with no usable "
-                          "direction") from err
+        delta, matvecs = _newton_direction(gas, phi, r, idx, eta,
+                                           opts.lin_max_iter)
 
         cand, r_new, res_new, lam, all_vacuum = _line_search(
             grid, phi, delta, idx, res, interior_residual, opts.max_damping)

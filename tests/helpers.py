@@ -20,6 +20,14 @@ PAIR_SCENARIOS = {
 SMALL_PATCH = (np.pi / 3, np.pi / 2, 0.0, np.pi / 4)
 WIDE_PATCH = (np.pi / 3, 2 * np.pi / 3, 0.0, np.pi / 2)
 
+# Expressions nested past the parser's cap, each deep enough to exhaust
+# the interpreter's recursion limit without it.
+DEEP_EXPRESSIONS = {
+    "parentheses": "(" * 400 + "1" + ")" * 400,
+    "signs": "-" * 3000 + "1",
+    "powers": "2^" * 2000 + "2",
+}
+
 
 def random_gas(rng, gamma):
     return GasModel(gamma=gamma, rho0=rng.uniform(0.5, 2.0),

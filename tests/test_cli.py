@@ -1,11 +1,15 @@
 import functools
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import SMALL_PATCH
+from helpers import DEEP_EXPRESSIONS, SMALL_PATCH
 
 from sphereflow import cli
 
@@ -208,6 +212,22 @@ def test_bad_expression_exits_one(tmp_path, capsys):
     assert "expression" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", sorted(DEEP_EXPRESSIONS))
+def test_deeply_nested_expression_exits_one(tmp_path, name):
+    # a fresh interpreter, so the run sees the command line's own stack
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "certify", "field": DEEP_EXPRESSIONS[name]})
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "sphereflow.cli", "run", str(sc),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("expression error: expression nested")
+    assert "Traceback" not in done.stderr
+
+
 def test_unparsable_json_exits_one(tmp_path, capsys):
     sc = tmp_path / "broken.json"
     sc.write_text("{not json")
@@ -381,6 +401,35 @@ def test_hopf_indicator_reads_tol_order(tmp_path):
     assert cli.run(sc, tmp_path / "out", quiet=True) == 2
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["ordering_pass"] is True and len(rep["hopf"]) > 0
+
+
+THIN_MASK = "".join(",".join(["1" if i in (3, 4) else "0"] * 9) + "\n"
+                    for i in range(9))  # theta rows 3-4 only
+
+
+@pytest.mark.parametrize("gamma, command, message", [
+    (1.0, {"name": "certify", "field": "40"},
+     "isothermal density exponent exceeds +/-700 at node (0, 0)"),
+    (2.0, {"name": "classify", "field": "1.6"},
+     "mask too thin for a derivative stencil at node (3, 0)"),
+    (2.0, {"name": "hopf", "field_minus": "1.6", "field_plus": "1.6",
+           "nodes": [[0, 0]]},
+     "node (0, 0) has 2 outward directions"),
+    (2.0, {"name": "hopf", "field_minus": "1.6 - 0.01", "field_plus": "1.6",
+           "nodes": [[0, 4]]},
+     "fields differ by 1.000e-02 at node (0, 4)"),
+], ids=["isothermal_overflow", "thin_mask", "corner_node", "non_touching_node"])
+def test_failure_exits_one_naming_the_node(tmp_path, capsys, gamma, command,
+                                           message):
+    grid = grid_block(9)
+    if command["name"] == "classify":
+        (tmp_path / "mask.csv").write_text(THIN_MASK)
+        grid["mask"] = "mask.csv"
+    sc = write_scenario(tmp_path / "sc.json", grid=grid, command=command,
+                        gas={"gamma": gamma, "rho0": 1.0, "bernoulli": 4.0})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_null_grid_number_is_a_config_error(tmp_path, capsys):

@@ -144,7 +144,7 @@ def test_weak_form_zero_when_ordered(gas_b4, wide_grid_33):
     hi = ScalarField.constant(wide_grid_33, 2.2)
     F = weak_form_field(gas_b4, lo, hi, beta=0.5)
     assert np.all(F == 0.0)
-    assert sf.weak_form_integrand(gas_b4, lo, hi, 0.5, (3, 3)) == 0.0
+    assert weak_form_field(gas_b4, lo, hi, 0.5)[3, 3] == 0.0
 
 
 def test_weak_form_positive_from_zeroth_order(gas_b4, wide_grid_33):
@@ -152,7 +152,7 @@ def test_weak_form_positive_from_zeroth_order(gas_b4, wide_grid_33):
     lo = ScalarField.constant(wide_grid_33, 2.2)
     hi = ScalarField.constant(wide_grid_33, 2.0)
     co = sf.mean_value_coefficients(gas_b4, lo, hi, n_quad=8)
-    F = sf.weak_form_integrand(gas_b4, lo, hi, 0.5, (5, 5))
+    F = weak_form_field(gas_b4, lo, hi, 0.5)[5, 5]
     d_val = co.d[5, 5]
     assert d_val < 0.0
     expected = 2.0 * 0.2 * (-0.5 * d_val * 0.04)

@@ -258,8 +258,7 @@ def test_certify_examples(gas_b4, wide_grid_33):
     cert2 = sf.certify_uniform_ellipticity(gas_b4, f, eps=0.5)
     assert cert2.passed
     # |Df| <= 0.1, so max L^2 is bounded by 0.01 / min c^2 (node sweep)
-    from sphereflow.operators import field_state
-    q1, q2, z, c2 = field_state(gas_b4, f)
+    c2 = sf.field_density(gas_b4, f)[1]
     assert 1.0 - cert2.eps_L <= 0.01 / c2.min() + 1e-12
 
 
@@ -281,8 +280,8 @@ def test_certify_pass_bounds_eigen_ratio(gas_b4, wide_grid_33):
                                   lambda th, ph: 2 + 0.1 * np.cos(th))
     cert = sf.certify_uniform_ellipticity(gas_b4, f, eps)
     assert cert.passed
-    from sphereflow.operators import field_state
-    q1, q2, z, c2 = field_state(gas_b4, f)
+    _, _, q1, q2 = sf.field_density(gas_b4, f)
+    z = f.values
     m = wide_grid_33.mask_array
     for i, j in np.argwhere(m)[::37]:
         s = FlowState(q1[i, j], q2[i, j], z[i, j])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import WIDE_PATCH
+from helpers import DEEP_EXPRESSIONS, WIDE_PATCH
 
 from sphereflow import SphericalGrid, evaluate_expression
 from sphereflow.errors import ExpressionDomainError, ExpressionParseError
+from sphereflow.expressions import MAX_NESTING
 
 
 @pytest.fixture()
@@ -67,3 +68,25 @@ def test_evaluation_is_deterministic(grid):
     a = evaluate_expression("exp(0.2*theta)*sin(phi) - theta^2", grid)
     b = evaluate_expression("exp(0.2*theta)*sin(phi) - theta^2", grid)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("name, position", [
+    ("parentheses", MAX_NESTING), ("signs", MAX_NESTING),
+    ("powers", 2 * MAX_NESTING)])
+def test_nesting_past_the_cap_is_a_parse_error(grid, name, position):
+    with pytest.raises(ExpressionParseError) as err:
+        evaluate_expression(DEEP_EXPRESSIONS[name], grid)
+    assert err.value.position == position
+    assert f"nested deeper than {MAX_NESTING} levels at position {position}" \
+        in str(err.value)
+
+
+def test_nesting_up_to_the_cap_evaluates(grid):
+    depth = MAX_NESTING - 1  # the outermost level is the expression itself
+    f = evaluate_expression("(" * depth + "1" + ")" * depth, grid)
+    assert np.all(f.values == 1.0)
+    g = evaluate_expression("-" * depth + "1", grid)
+    assert np.all(g.values == (-1.0) ** depth)
+    # the cap counts open levels, not the terms of a flat sum
+    h = evaluate_expression("+".join(["(1)"] * 3 * MAX_NESTING), grid)
+    assert np.all(h.values == 3.0 * MAX_NESTING)

@@ -1,5 +1,5 @@
-"""No sphereflow module reaches into another module's private names, and
-the package imports no scipy."""
+"""No sphereflow module reaches into another module's private names, the
+Bernoulli c^2 is written once, and the package imports no scipy."""
 
 import ast
 import os
@@ -27,6 +27,30 @@ def test_no_private_cross_module_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = [hit for path in modules for hit in _private_imports(path)]
+    assert found == []
+
+
+def _gas_law_reads(path):
+    """Reads of GasModel.bernoulli or GasModel.c0_sq outside
+    gas.bernoulli_density and the GasModel class body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exempt = set()
+    for node in ast.walk(tree):
+        if (path.name == "gas.py" and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name in ("bernoulli_density", "GasModel")):
+            exempt.update(range(node.lineno, node.end_lineno + 1))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in ("bernoulli", "c0_sq")
+                and node.lineno not in exempt):
+            yield f"{path.name}:{node.lineno} reads .{node.attr}"
+
+
+def test_sound_speed_is_written_once():
+    # every c^2 comes from bernoulli_density, so no second formula can
+    # drift from the density it must match
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in _gas_law_reads(path)]
     assert found == []
 
 

@@ -183,6 +183,31 @@ def _jacobian_grid(kind, n=17):
     return SphericalGrid(*SMALL_PATCH, n, n, mask=mask)
 
 
+def test_segment_states_are_the_states_of_phi_t(gas_b4):
+    g = _jacobian_grid("masked")
+    m = g.mask_array
+    f_minus = ScalarField.from_function(
+        g, lambda th, ph: 1.5 + 0.1 * np.cos(th) * np.sin(2 * ph))
+    f_plus = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.05 * np.sin(3 * th))
+    states = list(sf.segment_states(gas_b4, f_minus, f_plus, (1.0, 0.3, 0.0)))
+    assert [s[0] for s in states] == [1.0, 0.3, 0.0]
+    for (t, q1, q2, z, rho, c2, ok), end in zip(states, (f_minus, None, f_plus)):
+        phi = ScalarField(g, t * f_minus.values + (1.0 - t) * f_plus.values)
+        want = sf.field_density(gas_b4, phi)
+        np.testing.assert_array_equal(z, phi.values)
+        if end is not None:  # the endpoints are the fields' own states
+            for got, ref in zip((rho, c2, q1, q2), want):
+                np.testing.assert_array_equal(got, ref)
+        else:  # interpolated gradients, not the gradient of phi_t
+            np.testing.assert_allclose((rho, c2, q1, q2), want,
+                                       rtol=1e-12, atol=1e-12)
+        assert ok[m].all() and not rho[~m].any()
+    # an inadmissible state is flagged with zero density, not raised
+    vacuum = ScalarField.constant(g, 3.0)  # c^2 = 1 + (4 - 9)/2 < 0
+    *_, rho, c2, ok = next(sf.segment_states(gas_b4, f_minus, vacuum, (0.0,)))
+    assert not ok[m].any() and not rho.any() and (c2[m] < 0.0).all()
+
+
 def _interior_matrix(grid, apply, idx):
     """Dense matrix of a value-array map restricted to interior nodes."""
     cols = []
