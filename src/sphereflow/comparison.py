@@ -23,8 +23,8 @@ from .ellipticity import Z_GE_C_SLACK
 from .errors import ConfigError, CornerNodeError, NonTouchingNodeError
 from .gas import GasModel, bernoulli_density, require_admissible
 from .grid import ScalarField, SphericalGrid, require_same_grid
-from .operators import (field_density, flow_residual, segment_states,
-                        spherical_gradient)
+from .operators import (field_density, flow_residual, gauss_legendre,
+                        segment_states, spherical_gradient)
 
 WEAK_FORM_TOL = 1e-10
 
@@ -52,20 +52,11 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
     a vacuum state raises with the offending (node, t).
     """
     grid = require_same_grid(f_minus, f_plus)
-    if n_quad < 1:
-        raise ConfigError("n_quad must be >= 1", "n_quad")
+    ts, ws = gauss_legendre(n_quad)
     mask = grid.mask_array
-    x, w = np.polynomial.legendre.leggauss(n_quad)
-
-    shape = grid.shape
-    a11 = np.zeros(shape)
-    a12 = np.zeros(shape)
-    a22 = np.zeros(shape)
-    b1 = np.zeros(shape)
-    b2 = np.zeros(shape)
-    d = np.zeros(shape)
-    states = segment_states(gas, f_minus, f_plus, 0.5 * (x + 1.0))
-    for wt, (t, q1, q2, z, rho, c2, ok) in zip(0.5 * w, states):
+    a11, a12, a22, b1, b2, d = np.zeros((6,) + grid.shape)
+    states = segment_states(gas, f_minus, f_plus, ts)
+    for wt, (t, q1, q2, z, rho, c2, ok) in zip(ws, states):
         require_admissible(gas, c2, ok, mask, float(t))
         scale = np.where(mask, rho / np.where(mask, c2, 1.0), 0.0)
         a11 += wt * (rho - q1 * q1 * scale)

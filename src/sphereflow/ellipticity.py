@@ -83,10 +83,6 @@ class NodeViolation:
     condition: str
     value: float
 
-    def to_dict(self):
-        return {"i": self.i, "j": self.j, "t": self.t,
-                "condition": self.condition, "value": self.value}
-
 
 @dataclass
 class SegmentCheckReport:

@@ -23,6 +23,7 @@ segment between two fields.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -189,7 +190,8 @@ def principal_preconditioner(grid: SphericalGrid, rho):
     Q diag(nu) Q^T, its inverse is P diag(1 / (lam_k nu - 1)) P^T with
     P = C^-T Q: four matrix products and a divide per application.  Box
     nodes off the interior are solved for and dropped, so it is exact for
-    rho depending on theta only and an interior that fills its box."""
+    rho depending on theta only and an interior that fills its box.  A build
+    costs 5-15 applications, so the solver builds it once per solve."""
     im = grid.interior_mask
     rows = np.flatnonzero(im.any(axis=1))
     cols = np.flatnonzero(im.any(axis=0) | grid.phi_periodic)
@@ -269,8 +271,14 @@ def residual_roundoff(gas: GasModel, f: ScalarField):
     return np.finfo(float).eps * out
 
 
-def _jacobian(gas, f, t=None):
-    """(apply, rho): flow_jacobian's apply at f and the node densities."""
+def flow_jacobian(gas: GasModel, f: ScalarField, t=None):
+    """apply(v) = D_face(rho_face grad_face v + drho_face grad_face f)
+    + 2 (rho v + drho f): the exact derivative of the flux residual at f, on
+    value arrays and exact at interior nodes, with the face averages and
+    differences of flow_residual and the chain rule
+    drho = -(rho/c^2)(q1 dv/dtheta + q2 dv/dphi / sin + z v) through the
+    Bernoulli density.  Raises like field_density (naming t, if given) if f
+    is inadmissible."""
     grid, vals = f.grid, f.values
     rho, c2, q1, q2 = field_density(gas, f, t)
     scale = -rho / np.where(grid.mask_array, c2, 1.0)
@@ -288,21 +296,18 @@ def _jacobian(gas, f, t=None):
         return _add_divergence(2.0 * (rho * v + drho * vals), grid,
                                flux_th, flux_ph)
 
-    return apply, rho
+    return apply
 
 
-def flow_jacobian(gas: GasModel, f: ScalarField):
-    """(apply, precondition): the exact derivative of the flux residual at f.
-
-    apply(v) = D_face(rho_face grad_face v + drho_face grad_face f)
-    + 2 (rho v + drho f) on value arrays, exact at interior nodes, with the
-    face averages and differences of flow_residual and the chain rule
-    drho = -(rho/c^2)(q1 dv/dtheta + q2 dv/dphi / sin + z v) through the
-    Bernoulli density.  precondition is principal_preconditioner(grid, rho).
-    Raises like field_density if f is inadmissible.
-    """
-    apply, rho = _jacobian(gas, f)
-    return apply, principal_preconditioner(f.grid, rho)
+@cache
+def gauss_legendre(n_quad: int):
+    """Read-only n_quad-point Gauss-Legendre (nodes, weights) on [0, 1]."""
+    if n_quad < 1:
+        raise ConfigError("n_quad must be >= 1", "n_quad")
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
@@ -313,13 +318,10 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     quadrature error.  Raises like field_density, with t, if some phi_t is
     inadmissible."""
     grid = require_same_grid(f_minus, f_plus)
-    if n_quad < 1:
-        raise ConfigError("n_quad must be >= 1", "n_quad")
-    x, w = np.polynomial.legendre.leggauss(n_quad)
     parts = []
-    for t, wt in zip(0.5 * (x + 1.0), 0.5 * w):
+    for t, wt in zip(*gauss_legendre(n_quad)):
         phi = ScalarField(grid, t * f_minus.values + (1.0 - t) * f_plus.values)
-        parts.append((wt, _jacobian(gas, phi, float(t))[0]))
+        parts.append((wt, flow_jacobian(gas, phi, float(t))))
 
     def apply(v):
         return sum(wt * jac(v) for wt, jac in parts)

@@ -5,20 +5,20 @@ solutions inherit the divergence structure the comparison checks rely on.
 The Jacobian is the exact derivative of the discrete flux residual
 (operators.flow_jacobian), applied matrix-free, so convergence is
 quadratic near the solution.  Inner solves are BiCGSTAB preconditioned by
-operators.principal_preconditioner, a fast-diagonalization inverse of the
-frozen-density principal part, and are inexact: each runs only to the
-Eisenstat-Walker forcing term of its Newton step.  The line search halves
-the step until the residual sup-norm decreases and the iterate stays
-admissible (rho > 0 everywhere on the mask); vacuum is a hard wall.  The
-iteration stops at newton_tol, or where a step stalls at the residual's
-roundoff floor; it raises on the Newton cap, on stagnation and when the line
-search stalls above that floor.  Steps are logged at DEBUG.
+operators.principal_preconditioner, built once per solve from the initial
+iterate's density, and are inexact: each runs only to the Eisenstat-Walker
+forcing term of its Newton step.  The line search halves the step until
+the residual sup-norm decreases and the iterate stays admissible (rho > 0
+on the mask); vacuum is a hard wall.  The iteration stops at newton_tol,
+or where a step stalls at the residual's roundoff floor; it raises on the
+Newton cap, on stagnation and when the line search stalls above that
+floor.  Steps and their inner-solve outcomes are logged at DEBUG.
 """
 
 import logging
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class SolveOptions:
 @dataclass
 class SolveReport:
     """Outcome of solve_dirichlet.  residual_history has one entry more than
-    the per-step forcing terms and inner matvec counts; stop_reason is
-    "newton_tol" or "roundoff_floor" once converged, else None."""
+    the per-step forcing, inner_matvecs and inner_outcome lists; stop_reason
+    is "newton_tol" or "roundoff_floor" once converged, else None."""
 
     converged: bool
     iterations: int
@@ -99,6 +99,7 @@ class SolveReport:
     final_certificate: EllipticityCertificate | None = None
     forcing: list = field(default_factory=list)
     inner_matvecs: list = field(default_factory=list)
+    inner_outcome: list = field(default_factory=list)
     stop_reason: str | None = None
 
     def to_dict(self):
@@ -109,6 +110,7 @@ class SolveReport:
             "residuals": [float(r) for r in self.residual_history],
             "forcing": [float(eta) for eta in self.forcing],
             "inner_matvecs": list(self.inner_matvecs),
+            "inner_outcome": list(self.inner_outcome),
             "stop_reason": self.stop_reason,
             "certificate": cert.to_dict() if cert is not None else None,
         }
@@ -294,26 +296,27 @@ def _harmonic_extension(grid, idx, boundary_vals, tol, max_iter):
     return out
 
 
-def _newton_direction(gas, phi, r, idx, eta, lin_max_iter):
-    """(delta, inner matvecs) for J delta = -r to relative residual eta, J the
-    exact Jacobian at phi, or the failed inner solve's best iterate; frees J
-    before the next step."""
-    jac, precondition = flow_jacobian(gas, phi)
-    matvec = _on_interior(jac, phi.grid, idx)
+def _newton_direction(gas, phi, r, idx, eta, lin_max_iter, precondition):
+    """(delta, inner matvecs, outcome) for J delta = -r to relative residual
+    eta, J the exact Jacobian at phi (freed on return); a failed inner solve
+    gives its best iterate and outcome "max_iter" or "breakdown"."""
+    matvec = _on_interior(flow_jacobian(gas, phi), phi.grid, idx)
+    outcome = "converged"
     try:
         delta = linear_solve(matvec, -r, eta, lin_max_iter, precondition)
     except LinearSolveError as err:
         delta = err.best
-    return delta, matvec.calls[0]
+        outcome = "max_iter" if isinstance(err, MaxIterError) else "breakdown"
+    return delta, matvec.calls[0], outcome
 
 
-def _line_search(grid, phi, delta, idx, res, interior_residual, max_damping):
+def _line_search(phi, delta, idx, res, interior_residual, max_damping, floor):
     lam = 1.0
     all_vacuum = True
     for _ in range(max_damping + 1):
         vals = phi.values.ravel().copy()
         vals[idx] += lam * delta
-        cand = ScalarField(grid, vals.reshape(grid.shape))
+        cand = ScalarField(phi.grid, vals.reshape(phi.values.shape))
         try:
             r_new = interior_residual(cand)
         except InadmissibleStateError:
@@ -323,6 +326,8 @@ def _line_search(grid, phi, delta, idx, res, interior_residual, max_damping):
         res_new = float(np.max(np.abs(r_new)))
         if np.isfinite(res_new) and res_new < res:
             return cand, r_new, res_new, lam, all_vacuum
+        if lam == 1.0 and res <= floor():  # no shorter step resolves a drop
+            break
         lam *= 0.5
     return None, None, None, lam, all_vacuum
 
@@ -371,7 +376,11 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
     def interior_residual(f):
         return flow_residual(gas, f).values.ravel()[idx] - source_int
 
+    def roundoff_floor(f):
+        return ROUNDOFF_ULPS * float(residual_roundoff(gas, f).ravel()[idx].max())
+
     try:
+        precondition = principal_preconditioner(grid, field_density(gas, phi)[0])
         r = interior_residual(phi)
     except InadmissibleStateError as err:
         raise VacuumEncounteredError(
@@ -396,11 +405,12 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
                           f"residual only to {res:.3e}, max at node "
                           f"({i}, {j})")
         eta = _forcing(history, report.forcing, opts)
-        delta, matvecs = _newton_direction(gas, phi, r, idx, eta,
-                                           opts.lin_max_iter)
+        delta, matvecs, outcome = _newton_direction(
+            gas, phi, r, idx, eta, opts.lin_max_iter, precondition)
 
+        floor = cache(partial(roundoff_floor, phi))
         cand, r_new, res_new, lam, all_vacuum = _line_search(
-            grid, phi, delta, idx, res, interior_residual, opts.max_damping)
+            phi, delta, idx, res, interior_residual, opts.max_damping, floor)
         if cand is None and all_vacuum:
             raise VacuumEncounteredError(
                 "damping exhausted without an admissible iterate")
@@ -410,19 +420,19 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
             history.append(res)
             report.forcing.append(eta)
             report.inner_matvecs.append(matvecs)
+            report.inner_outcome.append(outcome)
             report.iterations += 1
             log.debug("newton step %d: residual %.3e, lambda %g, eta %.2e, "
-                      "%d inner matvecs", report.iterations, res, lam, eta,
-                      matvecs)
+                      "inner solve %s, %d inner matvecs", report.iterations,
+                      res, lam, eta, outcome, matvecs)
         if stalled and res > opts.newton_tol:
-            floor = ROUNDOFF_ULPS * float(
-                residual_roundoff(gas, phi).ravel()[idx].max())
-            if res <= floor:
+            level = floor() if cand is None else roundoff_floor(phi)
+            if res <= level:
                 stop_reason = "roundoff_floor"
                 break
             if cand is None:
                 raise failure(f"line search stalled at residual {res:.3e}, "
-                              f"above its roundoff floor {floor:.3e}")
+                              f"above its roundoff floor {level:.3e}")
 
     report.converged, report.stop_reason = True, stop_reason
     report.final_certificate = certify_uniform_ellipticity(gas, phi,

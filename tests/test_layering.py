@@ -1,5 +1,6 @@
 """No sphereflow module reaches into another module's private names, the
-Bernoulli c^2 is written once, and the package imports no scipy."""
+Bernoulli c^2 is written once, only the solver builds the preconditioner,
+and the package imports no scipy."""
 
 import ast
 import os
@@ -52,6 +53,26 @@ def test_sound_speed_is_written_once():
     found = [hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in _gas_law_reads(path)]
     assert found == []
+
+
+def _preconditioner_uses(path):
+    """Loads of principal_preconditioner, by name or as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name == "principal_preconditioner" and isinstance(node.ctx, ast.Load):
+            yield f"{path.name}:{node.lineno} uses principal_preconditioner"
+
+
+def test_preconditioner_is_built_only_by_the_solver():
+    # its build costs several applications, so solve_dirichlet builds it
+    # once per solve; a build inside flow_jacobian would come back per step
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "solver.py"
+             for hit in _preconditioner_uses(path)]
+    assert found == []
+    assert list(_preconditioner_uses(PACKAGE / "solver.py"))
 
 
 def test_import_loads_no_scipy():

@@ -228,7 +228,7 @@ def test_flow_jacobian_matches_finite_differences(kind, gamma):
         g, lambda th, ph: data["level"] + 0.05 * np.cos(2 * th)
         + 0.04 * np.sin(th) * np.sin(ph + 0.3))
     idx = np.flatnonzero(g.interior_mask.ravel())
-    apply, _ = sf.flow_jacobian(gas, f)
+    apply = sf.flow_jacobian(gas, f)
     exact = _interior_matrix(g, apply, idx)
 
     h = 1e-6
@@ -384,7 +384,9 @@ def test_operators_keep_no_grid_alive(gas_b4):
     g = SphericalGrid(*WIDE_PATCH, 17, 17)
     f = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
     sf.flow_residual(gas_b4, f)
-    apply, precondition = sf.flow_jacobian(gas_b4, f)
+    apply = sf.flow_jacobian(gas_b4, f)
+    precondition = sf.operators.principal_preconditioner(
+        g, sf.field_density(gas_b4, f)[0])
     apply(f.values)
     precondition(np.ones(int(g.interior_mask.sum())))
     ref = weakref.ref(g)
@@ -465,3 +467,17 @@ def test_classify_field_paints_types(gas_b4):
     assert "H" in letters and "E" in letters
     counts = tm.counts()
     assert sum(counts.values()) == 23 * 11
+
+
+def test_gauss_legendre_rule_is_shared_and_read_only():
+    # one rule per n_quad for mean_value_coefficients and segment_jacobian:
+    # the leggauss nodes and weights mapped to [0, 1], bit for bit
+    x, w = np.polynomial.legendre.leggauss(8)
+    t, wt = sf.operators.gauss_legendre(8)
+    np.testing.assert_array_equal(t, 0.5 * (x + 1.0))
+    np.testing.assert_array_equal(wt, 0.5 * w)
+    assert sf.operators.gauss_legendre(8)[0] is t
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(sf.ConfigError):
+        sf.operators.gauss_legendre(0)

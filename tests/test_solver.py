@@ -301,8 +301,10 @@ def test_report_to_dict(gas_b4, wide_grid_33):
     phi, rep = sf.solve_dirichlet(prob)
     d = rep.to_dict()
     assert set(d) == {"converged", "iterations", "residuals", "certificate",
-                      "forcing", "inner_matvecs", "stop_reason"}
+                      "forcing", "inner_matvecs", "inner_outcome",
+                      "stop_reason"}
     assert d["converged"] is True and d["stop_reason"] == "newton_tol"
+    assert d["inner_outcome"] == ["converged"] * d["iterations"]
     assert d["certificate"]["pass"] is True
 
 
@@ -355,3 +357,73 @@ def test_stagnation_names_the_worst_node(gas_b4):
                  np.abs(sf.flow_residual(gas_b4, err.value.field).values), 0.0)
     i, j = np.unravel_index(np.argmax(r), r.shape)
     assert str(err.value).endswith(f"max at node ({i}, {j})")
+
+
+def test_preconditioner_is_built_once_per_solve(gas_b4, monkeypatch):
+    # one build for the harmonic extension and one for every Newton step,
+    # whatever the step count; both modules are watched, so a build moved
+    # back into flow_jacobian is counted too
+    builds = []
+    build = sf.operators.principal_preconditioner
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sf.operators, "principal_preconditioner", counted)
+    monkeypatch.setattr(sf.solver, "principal_preconditioner", counted)
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33))
+    assert rep.converged and rep.iterations >= 5
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_reused_preconditioner_keeps_the_inner_total(gas_b4, n):
+    # the preconditioner of the initial density serves every step: the
+    # Newton steps' inner matvecs stay near those of per-step rebuilds
+    # (33 and 36)
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, n))
+    assert rep.converged and rep.iterations <= 6
+    assert sum(rep.inner_matvecs) <= 40
+    assert rep.inner_outcome == ["converged"] * rep.iterations
+
+
+def test_roundoff_floor_stop_takes_one_residual(gas_b4, monkeypatch):
+    # newton_tol = 1e-14 lies below the floor at 33^2: the full step that
+    # fails to lower the residual there ends the line search at once,
+    # instead of max_damping more halvings
+    evals = []
+    search = sf.solver._line_search
+
+    def counted(phi, delta, idx, res, interior_residual, *rest):
+        evals.append(0)
+
+        def residual(f):
+            evals[-1] += 1
+            return interior_residual(f)
+
+        return search(phi, delta, idx, res, residual, *rest)
+
+    monkeypatch.setattr(sf.solver, "_line_search", counted)
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33),
+                                SolveOptions(newton_tol=1e-14))
+    assert rep.converged and rep.stop_reason == "roundoff_floor"
+    assert rep.residual_history[-1] > 1e-14
+    assert evals[-1] <= 2
+
+
+def test_failed_inner_solve_is_recorded(gas_b4, caplog):
+    # a lin_max_iter too small for the forcing term: Newton goes on with
+    # the best iterate, and the report and DEBUG lines say which steps did
+    opts = SolveOptions(lin_max_iter=2)
+    with caplog.at_level(logging.DEBUG, logger="sphereflow"):
+        _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 17), opts)
+    assert rep.converged
+    assert "max_iter" in rep.inner_outcome
+    assert set(rep.inner_outcome) <= {"converged", "max_iter"}
+    assert rep.to_dict()["inner_outcome"] == rep.inner_outcome
+    steps = [r.getMessage() for r in caplog.records
+             if r.name == "sphereflow.solver" and r.levelno == logging.DEBUG]
+    assert len(steps) == rep.iterations
+    assert all(f"inner solve {outcome}," in msg
+               for outcome, msg in zip(rep.inner_outcome, steps))
