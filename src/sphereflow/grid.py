@@ -111,8 +111,8 @@ class SphericalGrid:
 
     @cached_property
     def sin_theta_face(self):
-        """sin(theta) on the theta faces i + 1/2, as a column."""
-        return np.sin(self.thetas + 0.5 * self.h_theta)[:, None]
+        """sin(theta) on the n_theta - 1 theta faces i + 1/2, as a column."""
+        return np.sin(self.thetas[:-1] + 0.5 * self.h_theta)[:, None]
 
     @cached_property
     def theta_mesh(self):
@@ -174,7 +174,7 @@ class SphericalGrid:
     @cached_property
     def stencils(self):
         """Per-axis stencil tables of the masked nodes whose derivative
-        stencil is not central, chosen once from the mask.
+        stencil is not central, chosen once from the runs of masked neighbors.
 
         Entry `axis` (0 = theta, 1 = phi, wrapping when phi_periodic) is
         (nodes, idx, w1, w2): the flat indices of the masked nodes without
@@ -187,28 +187,29 @@ class SphericalGrid:
         usable stencil.
         """
         m = self.mask_array
-        nodes = np.flatnonzero(m).astype(np.int32)
-        flat = np.arange(m.size, dtype=np.int32).reshape(self.shape)
         tables = []
         for axis in (0, 1):
-            def near(a, off):
-                return self.shifted(a, axis, off)[m]
-
+            # consecutive masked neighbors after and before each node, up to 3
+            runs = np.zeros((2,) + self.shape, dtype=np.int8)
+            for run, sign in zip(runs, (1, -1)):
+                alive = m
+                for off in (1, 2, 3):
+                    alive = alive & self.shifted(m, axis, sign * off)
+                    run += alive
+            nodes = np.flatnonzero(m & ((runs[0] == 0) | (runs[1] == 0))).astype(np.int32)
+            after, before = (run.ravel()[nodes] for run in runs)
             kind = np.full(nodes.size, -1)
-            for s in reversed(range(len(STENCILS))):
-                kind[np.logical_and.reduce([near(m, o) for o in STENCILS[s][0]])] = s
+            for s, (offs, _, _) in reversed(list(enumerate(STENCILS))):
+                kind[(after >= max(offs)) & (before >= -min(offs))] = s
             if np.any(kind < 0):
                 i, j = np.unravel_index(nodes[np.argmax(kind < 0)], self.shape)
                 raise GridError(f"mask too thin for a derivative stencil at node "
                                 f"({int(i)}, {int(j)})")
-            edge = kind > 0
-            offsets, w1, w2 = (np.array(col, dtype=np.int8)[kind[edge]].T.copy()
+            offsets, w1, w2 = (np.array(col, dtype=np.int8)[kind].T.copy()
                                for col in zip(*STENCILS))
-            idx = np.empty(offsets.shape, dtype=np.int32)
-            for off in range(-3, 4):
-                at = offsets == off
-                idx[at] = np.broadcast_to(near(flat, off)[edge], at.shape)[at]
-            tables.append((nodes[edge], idx, w1, w2))
+            i, j = np.divmod(nodes, self.n_phi)  # the modulo wraps a periodic seam
+            i, j = (i + offsets, j) if axis == 0 else (i, (j + offsets) % self.n_phi)
+            tables.append((nodes, (i * self.n_phi + j).astype(np.int32), w1, w2))
         return tuple(tables)
 
     def same_geometry(self, other: "SphericalGrid") -> bool:

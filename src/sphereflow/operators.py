@@ -40,18 +40,30 @@ from .gas import (
 from .grid import ScalarField, SphericalGrid, VectorField, require_same_grid
 
 
+def _face_pairs(a, grid, axis):
+    """Views of a[k + 1] and a[k] on the faces k + 1/2 along axis: n - 1
+    faces, or n across a periodic phi seam (the seam face last)."""
+    if axis == 0:
+        return a[1:], a[:-1]
+    if grid.phi_periodic:
+        return np.roll(a, -1, axis=1), a
+    return a[:, 1:], a[:, :-1]
+
+
 def _face_mean(a, grid, axis):
     """Arithmetic mean of a node array on the faces k + 1/2 along axis."""
-    return 0.5 * (a + grid.shifted(a, axis, 1))
+    return 0.5 * np.add(*_face_pairs(a, grid, axis))
 
 
 def _face_step(a, grid, axis):
     """a[k + 1] - a[k] on the faces k + 1/2 along axis."""
-    return grid.shifted(a, axis, 1) - a
+    return np.subtract(*_face_pairs(a, grid, axis))
 
 
-def _add_divergence(out, grid, flux_th, flux_ph, node_flux=None):
-    """out += the divergence of face fluxes (theta faces sin-weighted).
+def _add_divergence(out, grid, flux_th, flux_ph, node_flux=None, combine=np.subtract):
+    """out += the divergence of face fluxes (theta faces sin-weighted):
+    combine(flux[k + 1/2], flux[k - 1/2]) / (sin(theta) h) along each axis,
+    nothing at the ends of a non-periodic axis (no face pair surrounds them).
 
     A node missing a masked neighbor along an axis takes the one-sided
     divergence of node_flux = (v_theta, v_phi) there, if given (without it
@@ -59,7 +71,12 @@ def _add_divergence(out, grid, flux_th, flux_ph, node_flux=None):
     """
     st = grid.sin_theta[:, None]
     for axis, h, flux in ((0, grid.h_theta, flux_th), (1, grid.h_phi, flux_ph)):
-        div = (flux - grid.shifted(flux, axis, -1)) / (st * h)
+        div = np.zeros(grid.shape)
+        f, d = (flux, div) if axis == 0 else (flux.T, div.T)  # axis first
+        combine(f[1:], f[:-1], out=d[1:len(f)])
+        if len(f) == len(d):  # periodic phi: the seam face closes the ring
+            combine(f[0], f[-1], out=d[0])
+        div /= st * h
         if node_flux is not None:
             node = st * node_flux[0] if axis == 0 else node_flux[1]
             div = np.where(grid.open_sides[2 * axis:2 * axis + 2].any(0),
@@ -191,7 +208,7 @@ def principal_preconditioner(grid: SphericalGrid, rho):
     P = C^-T Q: four matrix products and a divide per application.  Box
     nodes off the interior are solved for and dropped, so it is exact for
     rho depending on theta only and an interior that fills its box.  A build
-    costs 5-15 applications, so the solver builds it once per solve."""
+    costs 5-15 applications, so the solver builds one, at unit density, per solve."""
     im = grid.interior_mask
     rows = np.flatnonzero(im.any(axis=1))
     cols = np.flatnonzero(im.any(axis=0) | grid.phi_periodic)
@@ -199,7 +216,7 @@ def principal_preconditioner(grid: SphericalGrid, rho):
     basis, lam = _phi_modes(box.shape[1], grid.phi_periodic)
     m = grid.mask_array
     rho_row = np.where(m, rho, 0.0).sum(axis=1) / np.maximum(m.sum(axis=1), 1)
-    face = (grid.sin_theta_face[:-1, 0] * (rho_row[:-1] + rho_row[1:])
+    face = (grid.sin_theta_face[:, 0] * (rho_row[:-1] + rho_row[1:])
             / (2.0 * grid.h_theta ** 2))
     i = np.arange(rows[0], rows[-1] + 1)
     st = grid.sin_theta[i]
@@ -228,18 +245,18 @@ class ResidualForm(Enum):
     EXPANDED = "expanded"
 
 
-def flow_residual(gas: GasModel, f: ScalarField,
-                  form: ResidualForm = ResidualForm.DIVERGENCE) -> ScalarField:
+def flow_residual(gas: GasModel, f: ScalarField, form=ResidualForm.DIVERGENCE, *,
+                  state=None) -> ScalarField:
     """Evaluate the potential-flow operator div(rho D f) + 2 rho f.
 
     DIVERGENCE is the conservative flux stencil with arithmetic-mean face
     densities, falling back to one-sided derivatives of the node fluxes
     rho D f at patch edges and mask boundaries.  EXPANDED evaluates the
     second-order termwise expansion (which carries the c^2/rho factor noted
-    in the module docstring).
+    in the module docstring).  state is field_density(gas, f), if known.
     """
     grid = f.grid
-    rho, c2, q1, q2 = field_density(gas, f)
+    rho, c2, q1, q2 = field_density(gas, f) if state is None else state
     if form is ResidualForm.EXPANDED:
         return _expanded_residual(f, c2, q1, q2)
     flux_th, flux_ph = _face_fluxes(grid, _face_mean(rho, grid, 0),
@@ -249,7 +266,13 @@ def flow_residual(gas: GasModel, f: ScalarField,
     return ScalarField(grid, np.where(grid.mask_array, out, 0.0))
 
 
-def residual_roundoff(gas: GasModel, f: ScalarField):
+def _face_weights(grid):
+    """Flux weights of the unit-density stencil on theta and phi faces."""
+    st = grid.sin_theta[:, None]
+    return grid.sin_theta_face / grid.h_theta, 1.0 / (grid.h_phi * st)
+
+
+def residual_roundoff(gas: GasModel, f: ScalarField, *, state=None):
     """Node array of the rounding scale of flow_residual at interior nodes.
 
     The interior flux stencil applied to |f| with absolute weights: every
@@ -257,44 +280,40 @@ def residual_roundoff(gas: GasModel, f: ScalarField):
     difference a sum, times the unit roundoff.  It is the size of the change
     that rounding f to double precision makes in the residual: a random
     1-ulp perturbation of the README solution moves the residual by about
-    1.2 times its maximum at n = 33 to 257.
+    1.2 times its maximum at n = 33 to 257.  state is as in flow_residual.
     """
     grid = f.grid
-    rho = field_density(gas, f)[0]
+    rho = (field_density(gas, f) if state is None else state)[0]
     a = np.abs(f.values)
-    st = grid.sin_theta[:, None]
-    out = 2.0 * rho * a
-    for axis, h, weight in ((0, grid.h_theta, grid.sin_theta_face / grid.h_theta),
-                            (1, grid.h_phi, 1.0 / (grid.h_phi * st))):
-        flux = weight * _face_mean(rho, grid, axis) * (a + grid.shifted(a, axis, 1))
-        out += (flux + grid.shifted(flux, axis, -1)) / (st * h)
-    return np.finfo(float).eps * out
+    fluxes = [w * _face_mean(rho, grid, axis) * np.add(*_face_pairs(a, grid, axis))
+              for axis, w in enumerate(_face_weights(grid))]
+    return np.finfo(float).eps * _add_divergence(2.0 * rho * a, grid, *fluxes,
+                                                 combine=np.add)
 
 
-def flow_jacobian(gas: GasModel, f: ScalarField, t=None):
+def flow_jacobian(gas: GasModel, f: ScalarField, t=None, *, state=None):
     """apply(v) = D_face(rho_face grad_face v + drho_face grad_face f)
     + 2 (rho v + drho f): the exact derivative of the flux residual at f, on
     value arrays and exact at interior nodes, with the face averages and
     differences of flow_residual and the chain rule
     drho = -(rho/c^2)(q1 dv/dtheta + q2 dv/dphi / sin + z v) through the
     Bernoulli density.  Raises like field_density (naming t, if given) if f
-    is inadmissible."""
+    is inadmissible; state is field_density(gas, f, t), if known."""
     grid, vals = f.grid, f.values
-    rho, c2, q1, q2 = field_density(gas, f, t)
+    rho, c2, q1, q2 = field_density(gas, f, t) if state is None else state
     scale = -rho / np.where(grid.mask_array, c2, 1.0)
     s1, s2, sz = scale * q1, scale * q2 / grid.sin_theta[:, None], scale * vals
-    rho_th, rho_ph = _face_mean(rho, grid, 0), _face_mean(rho, grid, 1)
-    df_th, df_ph = _face_fluxes(grid, 1.0, 1.0, vals)
+    # per axis, flux = a (v[k+1] - v[k]) + b (drho[k+1] + drho[k]) on the faces
+    faces = [(w * _face_mean(rho, grid, axis), 0.5 * w * _face_step(vals, grid, axis))
+             for axis, w in enumerate(_face_weights(grid))]
 
     def apply(v):
         drho = s1 * _derivative(v, grid, 0, 1)
         drho += s2 * _derivative(v, grid, 1, 1)
         drho += sz * v
-        flux_th, flux_ph = _face_fluxes(grid, rho_th, rho_ph, v)
-        flux_th += df_th * _face_mean(drho, grid, 0)
-        flux_ph += df_ph * _face_mean(drho, grid, 1)
-        return _add_divergence(2.0 * (rho * v + drho * vals), grid,
-                               flux_th, flux_ph)
+        fluxes = [a * _face_step(v, grid, axis) + b * np.add(*_face_pairs(drho, grid, axis))
+                  for axis, (a, b) in enumerate(faces)]
+        return _add_divergence(2.0 * (rho * v + drho * vals), grid, *fluxes)
 
     return apply
 

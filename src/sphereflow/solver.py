@@ -4,15 +4,17 @@ Damped Newton iteration on the conservative discretization, so discrete
 solutions inherit the divergence structure the comparison checks rely on.
 The Jacobian is the exact derivative of the discrete flux residual
 (operators.flow_jacobian), applied matrix-free, so convergence is
-quadratic near the solution.  Inner solves are BiCGSTAB preconditioned by
-operators.principal_preconditioner, built once per solve from the initial
-iterate's density, and are inexact: each runs only to the Eisenstat-Walker
-forcing term of its Newton step.  The line search halves the step until
-the residual sup-norm decreases and the iterate stays admissible (rho > 0
-on the mask); vacuum is a hard wall.  The iteration stops at newton_tol,
-or where a step stalls at the residual's roundoff floor; it raises on the
-Newton cap, on stagnation and when the line search stalls above that
-floor.  Steps and their inner-solve outcomes are logged at DEBUG.
+quadratic near the solution.  Each iterate's flow state (field_density)
+is evaluated once, with its residual, and feeds its Jacobian and roundoff
+floor.  One unit-density operators.principal_preconditioner per solve
+serves the harmonic initial guess and every Newton step's BiCGSTAB, which
+runs only to the Eisenstat-Walker forcing term and goes on from its best
+iterate if it fails.  The line search halves the step until the residual
+sup-norm decreases and the iterate stays admissible (rho > 0 on the mask);
+vacuum is a hard wall.  The iteration stops at newton_tol, or where a step
+stalls at the residual's roundoff floor; it raises on the Newton cap, on
+stagnation and when the line search stalls above that floor.  Steps, step
+lengths and inner-solve outcomes are logged at DEBUG.
 """
 
 import logging
@@ -90,8 +92,8 @@ class SolveOptions:
 @dataclass
 class SolveReport:
     """Outcome of solve_dirichlet.  residual_history has one entry more than
-    the per-step forcing, inner_matvecs and inner_outcome lists; stop_reason
-    is "newton_tol" or "roundoff_floor" once converged, else None."""
+    the per-step forcing, inner_matvecs, inner_outcome and step_length lists;
+    stop_reason is "newton_tol" or "roundoff_floor" once converged, else None."""
 
     converged: bool
     iterations: int
@@ -100,6 +102,7 @@ class SolveReport:
     forcing: list = field(default_factory=list)
     inner_matvecs: list = field(default_factory=list)
     inner_outcome: list = field(default_factory=list)
+    step_length: list = field(default_factory=list)  # accepted line-search lambda
     stop_reason: str | None = None
 
     def to_dict(self):
@@ -111,6 +114,7 @@ class SolveReport:
             "forcing": [float(eta) for eta in self.forcing],
             "inner_matvecs": list(self.inner_matvecs),
             "inner_outcome": list(self.inner_outcome),
+            "step_length": [float(lam) for lam in self.step_length],
             "stop_reason": self.stop_reason,
             "certificate": cert.to_dict() if cert is not None else None,
         }
@@ -286,28 +290,26 @@ def _on_interior(apply_full, grid, idx):
     return matvec
 
 
-def _harmonic_extension(grid, idx, boundary_vals, tol, max_iter):
-    """Laplace-Beltrami solution on the interior nodes idx, datum elsewhere."""
+def _inner_solve(apply_full, grid, idx, rhs, tol, max_iter, precondition):
+    """(x, matvecs, outcome) of linear_solve for apply_full on the interior
+    nodes idx (freed on return); a failed solve gives its best iterate and
+    outcome "max_iter" or "breakdown"."""
+    matvec = _on_interior(apply_full, grid, idx)
+    try:
+        x, outcome = linear_solve(matvec, rhs, tol, max_iter, precondition), "converged"
+    except LinearSolveError as err:
+        x, outcome = err.best, "max_iter" if isinstance(err, MaxIterError) else "breakdown"
+    return x, matvec.calls[0], outcome
+
+
+def _harmonic_extension(grid, idx, boundary_vals, opts, precondition):
+    """Laplace-Beltrami solution on the interior nodes idx, datum elsewhere
+    (a failed inner solve's best iterate, as for a Newton step)."""
     apply_full = partial(laplace_beltrami, grid)
     out = np.where(grid.interior_mask, 0.0, boundary_vals)
-    out.flat[idx] = linear_solve(_on_interior(apply_full, grid, idx),
-                                 -apply_full(out).ravel()[idx], tol, max_iter,
-                                 principal_preconditioner(grid, 1.0))
+    out.flat[idx] = _inner_solve(apply_full, grid, idx, -apply_full(out).ravel()[idx],
+                                 opts.lin_tol, opts.lin_max_iter, precondition)[0]
     return out
-
-
-def _newton_direction(gas, phi, r, idx, eta, lin_max_iter, precondition):
-    """(delta, inner matvecs, outcome) for J delta = -r to relative residual
-    eta, J the exact Jacobian at phi (freed on return); a failed inner solve
-    gives its best iterate and outcome "max_iter" or "breakdown"."""
-    matvec = _on_interior(flow_jacobian(gas, phi), phi.grid, idx)
-    outcome = "converged"
-    try:
-        delta = linear_solve(matvec, -r, eta, lin_max_iter, precondition)
-    except LinearSolveError as err:
-        delta = err.best
-        outcome = "max_iter" if isinstance(err, MaxIterError) else "breakdown"
-    return delta, matvec.calls[0], outcome
 
 
 def _line_search(phi, delta, idx, res, interior_residual, max_damping, floor):
@@ -318,14 +320,14 @@ def _line_search(phi, delta, idx, res, interior_residual, max_damping, floor):
         vals[idx] += lam * delta
         cand = ScalarField(phi.grid, vals.reshape(phi.values.shape))
         try:
-            r_new = interior_residual(cand)
+            evaluated = interior_residual(cand)
         except InadmissibleStateError:
             lam *= 0.5
             continue
         all_vacuum = False
-        res_new = float(np.max(np.abs(r_new)))
+        res_new = float(np.max(np.abs(evaluated[0])))
         if np.isfinite(res_new) and res_new < res:
-            return cand, r_new, res_new, lam, all_vacuum
+            return cand, evaluated, res_new, lam, all_vacuum
         if lam == 1.0 and res <= floor():  # no shorter step resolves a drop
             break
         lam *= 0.5
@@ -370,18 +372,19 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
         raise GridError("no interior nodes to solve for")
     source_int = problem.source.values.ravel()[idx]
 
-    phi = ScalarField(grid, _harmonic_extension(
-        grid, idx, problem.boundary.values, opts.lin_tol, opts.lin_max_iter))
+    precondition = principal_preconditioner(grid, 1.0)
+    phi = ScalarField(grid, _harmonic_extension(grid, idx, problem.boundary.values,
+                                                opts, precondition))
 
-    def interior_residual(f):
-        return flow_residual(gas, f).values.ravel()[idx] - source_int
+    def interior_residual(f):  # with f's flow state, its one field_density
+        state = field_density(gas, f)
+        return flow_residual(gas, f, state=state).values.flat[idx] - source_int, state
 
-    def roundoff_floor(f):
-        return ROUNDOFF_ULPS * float(residual_roundoff(gas, f).ravel()[idx].max())
+    def roundoff_floor(f, state):
+        return ROUNDOFF_ULPS * float(residual_roundoff(gas, f, state=state).flat[idx].max())
 
     try:
-        precondition = principal_preconditioner(grid, field_density(gas, phi)[0])
-        r = interior_residual(phi)
+        r, state = interior_residual(phi)
     except InadmissibleStateError as err:
         raise VacuumEncounteredError(
             f"initial iterate already inadmissible at node {err.node}",
@@ -405,28 +408,30 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
                           f"residual only to {res:.3e}, max at node "
                           f"({i}, {j})")
         eta = _forcing(history, report.forcing, opts)
-        delta, matvecs, outcome = _newton_direction(
-            gas, phi, r, idx, eta, opts.lin_max_iter, precondition)
+        delta, matvecs, outcome = _inner_solve(  # J delta = -r, J at phi
+            flow_jacobian(gas, phi, state=state), grid, idx, -r, eta,
+            opts.lin_max_iter, precondition)
 
-        floor = cache(partial(roundoff_floor, phi))
-        cand, r_new, res_new, lam, all_vacuum = _line_search(
+        floor = cache(partial(roundoff_floor, phi, state))
+        cand, evaluated, res_new, lam, all_vacuum = _line_search(
             phi, delta, idx, res, interior_residual, opts.max_damping, floor)
         if cand is None and all_vacuum:
             raise VacuumEncounteredError(
                 "damping exhausted without an admissible iterate")
         stalled = cand is None or res_new > STALL_RATIO * res
         if cand is not None:
-            phi, r, res = cand, r_new, res_new
+            phi, (r, state), res = cand, evaluated, res_new
             history.append(res)
             report.forcing.append(eta)
             report.inner_matvecs.append(matvecs)
             report.inner_outcome.append(outcome)
+            report.step_length.append(lam)
             report.iterations += 1
             log.debug("newton step %d: residual %.3e, lambda %g, eta %.2e, "
                       "inner solve %s, %d inner matvecs", report.iterations,
                       res, lam, eta, outcome, matvecs)
         if stalled and res > opts.newton_tol:
-            level = floor() if cand is None else roundoff_floor(phi)
+            level = floor() if cand is None else roundoff_floor(phi, state)
             if res <= level:
                 stop_reason = "roundoff_floor"
                 break

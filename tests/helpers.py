@@ -138,7 +138,7 @@ def thomas_preconditioner(grid, rho):
     basis, lam = _phi_modes(box.shape[1], grid.phi_periodic)
     m = grid.mask_array
     rho_row = np.where(m, rho, 0.0).sum(axis=1) / np.maximum(m.sum(axis=1), 1)
-    face = grid.sin_theta_face[:-1, 0] * (rho_row[:-1] + rho_row[1:])
+    face = grid.sin_theta_face[:, 0] * (rho_row[:-1] + rho_row[1:])
     i = np.arange(rows[0], rows[-1] + 1)
     st = grid.sin_theta[i, None]
     lower, upper = (face[i + k, None] / (2.0 * st * grid.h_theta ** 2) for k in (-1, 0))

@@ -1,6 +1,7 @@
 """No sphereflow module reaches into another module's private names, the
 Bernoulli c^2 is written once, only the solver builds the preconditioner,
-and the package imports no scipy."""
+the flux stencil makes no zero-padded copies, and the package imports no
+scipy."""
 
 import ast
 import os
@@ -73,6 +74,19 @@ def test_preconditioner_is_built_only_by_the_solver():
              for hit in _preconditioner_uses(path)]
     assert found == []
     assert list(_preconditioner_uses(PACKAGE / "solver.py"))
+
+
+def test_operators_make_no_padded_copies():
+    # the flux stencil works on face slices: a SphericalGrid.shifted copy
+    # per face average would bring back a zero-filled node array and the
+    # arithmetic on its padding
+    path = PACKAGE / "operators.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"operators.py:{node.lineno} calls .shifted"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "shifted"]
+    assert found == []
 
 
 def test_import_loads_no_scipy():

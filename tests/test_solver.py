@@ -302,9 +302,10 @@ def test_report_to_dict(gas_b4, wide_grid_33):
     d = rep.to_dict()
     assert set(d) == {"converged", "iterations", "residuals", "certificate",
                       "forcing", "inner_matvecs", "inner_outcome",
-                      "stop_reason"}
+                      "step_length", "stop_reason"}
     assert d["converged"] is True and d["stop_reason"] == "newton_tol"
     assert d["inner_outcome"] == ["converged"] * d["iterations"]
+    assert d["step_length"] == [1.0] * d["iterations"]
     assert d["certificate"]["pass"] is True
 
 
@@ -360,9 +361,9 @@ def test_stagnation_names_the_worst_node(gas_b4):
 
 
 def test_preconditioner_is_built_once_per_solve(gas_b4, monkeypatch):
-    # one build for the harmonic extension and one for every Newton step,
-    # whatever the step count; both modules are watched, so a build moved
-    # back into flow_jacobian is counted too
+    # one unit-density build serves the harmonic extension and every Newton
+    # step, whatever the step count; both modules are watched, so a build
+    # moved back into flow_jacobian is counted too
     builds = []
     build = sf.operators.principal_preconditioner
 
@@ -374,14 +375,36 @@ def test_preconditioner_is_built_once_per_solve(gas_b4, monkeypatch):
     monkeypatch.setattr(sf.solver, "principal_preconditioner", counted)
     _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33))
     assert rep.converged and rep.iterations >= 5
-    assert len(builds) == 2
+    assert len(builds) == 1 and builds[0][1:] == (1.0,)
+
+
+def test_flow_state_is_evaluated_once_per_iterate(gas_b4, monkeypatch):
+    # one field_density per residual evaluation: the accepted iterate's
+    # state also feeds its Jacobian and its roundoff floor, and the
+    # preconditioner needs none
+    calls = []
+    density = sf.operators.field_density
+
+    def counted(*args):
+        calls.append(args)
+        return density(*args)
+
+    monkeypatch.setattr(sf.operators, "field_density", counted)
+    monkeypatch.setattr(sf.solver, "field_density", counted)
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33))
+    assert rep.converged and rep.iterations >= 5
+    assert rep.step_length == [1.0] * rep.iterations  # one residual a step
+    assert len(calls) == len(rep.residual_history)
+    # the public Jacobian still evaluates the state itself
+    sf.flow_jacobian(gas_b4, ScalarField.constant(_readme_problem(gas_b4, 9).grid, 1.6))
+    assert len(calls) == len(rep.residual_history) + 1
 
 
 @pytest.mark.parametrize("n", [33, 65])
 def test_reused_preconditioner_keeps_the_inner_total(gas_b4, n):
-    # the preconditioner of the initial density serves every step: the
-    # Newton steps' inner matvecs stay near those of per-step rebuilds
-    # (33 and 36)
+    # the unit-density preconditioner serves every step: the Newton steps'
+    # inner matvecs (31 and 36) stay near those of per-step rebuilds of the
+    # iterate's density (33 and 36)
     _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, n))
     assert rep.converged and rep.iterations <= 6
     assert sum(rep.inner_matvecs) <= 40
@@ -427,3 +450,19 @@ def test_failed_inner_solve_is_recorded(gas_b4, caplog):
     assert len(steps) == rep.iterations
     assert all(f"inner solve {outcome}," in msg
                for outcome, msg in zip(rep.inner_outcome, steps))
+
+
+def test_harmonic_extension_goes_on_from_its_best_iterate(gas_b4):
+    # a lin_max_iter too small for the initial guess: the extension keeps its
+    # best iterate, as a Newton step does, and the solve then names the node
+    # where that guess is inadmissible
+    mask = np.ones((33, 33), dtype=bool)
+    mask[:8, :8] = False
+    g = SphericalGrid(*SMALL_PATCH, 33, 33, mask=mask)
+    bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    prob = BVProblem(gas=gas_b4, grid=g, boundary=bnd,
+                     source=ScalarField.constant(g, 0.0))
+    with pytest.raises(sf.VacuumEncounteredError) as err:
+        sf.solve_dirichlet(prob, SolveOptions(lin_max_iter=2))
+    assert err.value.node == (1, 8)
+    assert str(err.value).endswith("at node (1, 8)")
