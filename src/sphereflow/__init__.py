@@ -22,7 +22,6 @@ from .comparison import (
     weak_form_field,
 )
 from .ellipticity import (
-    ComparisonMatrix,
     EllipticityCertificate,
     SegmentCheckReport,
     certify_uniform_ellipticity,
@@ -66,10 +65,10 @@ from .gas import (
 )
 from .grid import ScalarField, SphericalGrid, VectorField
 from .operators import (
-    ResidualForm,
     TypeMap,
     classify_field,
     eigenvalue_ratio,
+    expanded_residual,
     field_density,
     flow_jacobian,
     flow_residual,

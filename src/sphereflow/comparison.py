@@ -211,11 +211,12 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     bm = grid.boundary_mask
     hyp = {}
 
-    res_minus = flow_residual(gas, f_minus).values
+    state_m, state_p = field_density(gas, f_minus), field_density(gas, f_plus)
+    res_minus = flow_residual(gas, f_minus, state=state_m).values
     v, node = _extreme(res_minus, im, minimize=True)
     hyp["subsolution_sign"] = HypothesisResult(v >= -tol_sub, node, v)
 
-    res_plus = flow_residual(gas, f_plus).values
+    res_plus = flow_residual(gas, f_plus, state=state_p).values
     v, node = _extreme(res_plus, im, minimize=False)
     hyp["supersolution_sign"] = HypothesisResult(v <= tol_sub, node, v)
 
@@ -223,8 +224,8 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     v, node = _extreme(bgap, bm, minimize=False)
     hyp["boundary_ordering"] = HypothesisResult(v <= tol_order, node, v)
 
-    rho_m, c2_m, q1m, q2m = field_density(gas, f_minus)
-    rho_p, c2_p, q1p, q2p = field_density(gas, f_plus)
+    rho_m, c2_m, q1m, q2m = state_m
+    rho_p, c2_p, q1p, q2p = state_p
     for tag, rho in (("minus", rho_m), ("plus", rho_p)):
         v, node = _extreme(rho, m, minimize=True)
         hyp[f"rho_positive_{tag}"] = HypothesisResult(v > 0.0, node, v)

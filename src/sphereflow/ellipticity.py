@@ -21,22 +21,9 @@ from .operators import field_density, segment_states
 Z_GE_C_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class ComparisonMatrix:
-    """3x3 flux-Jacobian matrix with beta-weighted last column."""
-
-    entries: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (3, 3):
-            raise ValueError("comparison matrix must be 3x3")
-        object.__setattr__(self, "entries", e)
-
-
-def comparison_matrix(gas: GasModel, s: FlowState, beta: float = 0.5) -> ComparisonMatrix:
-    """Assemble the matrix from the analytic density partials.
+def comparison_matrix(gas: GasModel, s: FlowState, beta: float = 0.5) -> np.ndarray:
+    """The 3x3 flux-Jacobian matrix with beta-weighted last column at a
+    pointwise state, from the analytic density partials.
 
     Row i holds (d A1, d A2, -beta d B) by q_i (and by z in the last row).
     At beta = 1/2 this reduces to
@@ -48,15 +35,14 @@ def comparison_matrix(gas: GasModel, s: FlowState, beta: float = 0.5) -> Compari
     rho = density(gas, s)
     dq1, dq2, dz = density_partials(gas, s)
     q1, q2, z = s.q1, s.q2, s.z
-    h = np.array([
+    return np.array([
         [rho + q1 * dq1, q2 * dq1, -beta * 2.0 * z * dq1],
         [q1 * dq2, rho + q2 * dq2, -beta * 2.0 * z * dq2],
         [q1 * dz, q2 * dz, -beta * (2.0 * rho + 2.0 * z * dz)],
     ])
-    return ComparisonMatrix(h, beta)
 
 
-def quadratic_form_and_bound(H: ComparisonMatrix, gas: GasModel, s: FlowState,
+def quadratic_form_and_bound(H: np.ndarray, gas: GasModel, s: FlowState,
                              xi) -> tuple[float, float]:
     """(sum H_ij xi_i xi_j, Schwartz lower bound) at a beta = 1/2 matrix.
 
@@ -64,7 +50,7 @@ def quadratic_form_and_bound(H: ComparisonMatrix, gas: GasModel, s: FlowState,
     and form >= bound holds for every xi.
     """
     xi = np.asarray(xi, dtype=float)
-    form = float(xi @ H.entries @ xi)
+    form = float(xi @ H @ xi)
     rho = density(gas, s)
     c2 = sound_speed_sq(gas, s)
     scale = rho / c2  # rho^(2-gamma) under c^2 = rho^(gamma-1)

@@ -55,7 +55,7 @@ class MaxIterError(LinearSolveError):
 
 
 class BreakdownError(LinearSolveError):
-    """Krylov recurrence broke down twice (original and perturbed restart)."""
+    """Krylov recurrence breakdown; linear_solve raises it after one restart."""
 
 
 class NonConvergenceError(SphereflowError):

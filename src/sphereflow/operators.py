@@ -12,17 +12,16 @@ The nonlinear operator evaluated by flow_residual is
 
     div(rho * D f) + 2 * rho * f
 
-in conservative (flux) form with arithmetic-mean face densities, or the
-termwise second-order expansion of the same equation.  Note the expanded
-display carries an overall factor c^2/rho relative to the flux form; the
-two evaluations agree pointwise only for gamma = 2 (where rho = c^2) or on
-exact solutions.  flow_jacobian is the exact derivative of the flux form at
+in conservative (flux) form with arithmetic-mean face densities.
+expanded_residual, a reference that only the tests call, evaluates the
+termwise second-order expansion of the same equation; it carries an
+overall factor c^2/rho relative to the flux form, so the two agree
+pointwise only for gamma = 2 (where rho = c^2) or on exact solutions.  flow_jacobian is the exact derivative of the flux form at
 interior nodes, applied matrix-free; segment_jacobian averages it over the
 segment between two fields.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 
 import numpy as np
@@ -173,7 +172,7 @@ def segment_states(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField, ts)
 def laplace_beltrami(grid: SphericalGrid, v):
     """D_face(grad_face v) for a value array v, exact at interior nodes: the
     flux stencil of flow_residual at unit density, which
-    principal_preconditioner(grid, 1.0) inverts."""
+    principal_preconditioner(grid) inverts."""
     flux_th, flux_ph = _face_fluxes(grid, 1.0, 1.0, v)
     return _add_divergence(np.zeros(grid.shape), grid, flux_th, flux_ph)
 
@@ -194,28 +193,28 @@ def _phi_modes(m, periodic):
     return basis, lam
 
 
-def principal_preconditioner(grid: SphericalGrid, rho):
+def principal_preconditioner(grid: SphericalGrid):
     """Approximate inverse, on interior values in flat order, of the flux
-    stencil v -> D_face(rho_face grad_face v) with face densities from the
-    per-row means of rho (node array or constant) over the masked nodes.
-    That stencil is separable on the bounding box of the interior (the
-    whole ring when phi is periodic), where fast diagonalization (Lynch,
-    Rice & Thomas, Numer. Math. 6 (1964) 185-199) inverts it: per phi mode
-    of the second difference (eigenvalue lam_k <= 0) the theta system times
-    sin(theta) is lam_k W - G, with G = C C^T tridiagonal positive definite
-    and W = diag(rho_row / (sin(theta) h_phi^2)) >= 0.  If C^-1 W C^-T =
+    stencil v -> D_face(rho_face grad_face v) with face densities from
+    rho_row, 1 on the rows holding a masked node and 0 on the others: the
+    unit-density stencil of laplace_beltrami, cut at empty rows.  It is
+    separable on the bounding box of the interior (the whole ring when phi
+    is periodic), where fast diagonalization (Lynch, Rice & Thomas, Numer.
+    Math. 6 (1964) 185-199) inverts it: per phi mode of the second
+    difference (eigenvalue lam_k <= 0) the theta system times sin(theta) is
+    lam_k W - G, with G = C C^T tridiagonal positive definite and
+    W = diag(rho_row / (sin(theta) h_phi^2)) >= 0.  If C^-1 W C^-T =
     Q diag(nu) Q^T, its inverse is P diag(1 / (lam_k nu - 1)) P^T with
     P = C^-T Q: four matrix products and a divide per application.  Box
-    nodes off the interior are solved for and dropped, so it is exact for
-    rho depending on theta only and an interior that fills its box.  A build
-    costs 5-15 applications, so the solver builds one, at unit density, per solve."""
+    nodes off the interior are solved for and dropped, so it is exact on an
+    interior that fills its box.  A build costs 5-15 applications, so the
+    solver builds one per solve."""
     im = grid.interior_mask
     rows = np.flatnonzero(im.any(axis=1))
     cols = np.flatnonzero(im.any(axis=0) | grid.phi_periodic)
     box = im[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     basis, lam = _phi_modes(box.shape[1], grid.phi_periodic)
-    m = grid.mask_array
-    rho_row = np.where(m, rho, 0.0).sum(axis=1) / np.maximum(m.sum(axis=1), 1)
+    rho_row = grid.mask_array.any(axis=1).astype(float)
     face = (grid.sin_theta_face[:, 0] * (rho_row[:-1] + rho_row[1:])
             / (2.0 * grid.h_theta ** 2))
     i = np.arange(rows[0], rows[-1] + 1)
@@ -240,25 +239,13 @@ def principal_preconditioner(grid: SphericalGrid, rho):
     return precondition
 
 
-class ResidualForm(Enum):
-    DIVERGENCE = "divergence"
-    EXPANDED = "expanded"
-
-
-def flow_residual(gas: GasModel, f: ScalarField, form=ResidualForm.DIVERGENCE, *,
-                  state=None) -> ScalarField:
-    """Evaluate the potential-flow operator div(rho D f) + 2 rho f.
-
-    DIVERGENCE is the conservative flux stencil with arithmetic-mean face
-    densities, falling back to one-sided derivatives of the node fluxes
-    rho D f at patch edges and mask boundaries.  EXPANDED evaluates the
-    second-order termwise expansion (which carries the c^2/rho factor noted
-    in the module docstring).  state is field_density(gas, f), if known.
-    """
+def flow_residual(gas: GasModel, f: ScalarField, *, state=None) -> ScalarField:
+    """Evaluate the potential-flow operator div(rho D f) + 2 rho f by the
+    conservative flux stencil with arithmetic-mean face densities, falling
+    back to one-sided derivatives of the node fluxes rho D f at patch edges
+    and mask boundaries.  state is field_density(gas, f), if known."""
     grid = f.grid
-    rho, c2, q1, q2 = field_density(gas, f) if state is None else state
-    if form is ResidualForm.EXPANDED:
-        return _expanded_residual(f, c2, q1, q2)
+    rho, _, q1, q2 = field_density(gas, f) if state is None else state
     flux_th, flux_ph = _face_fluxes(grid, _face_mean(rho, grid, 0),
                                     _face_mean(rho, grid, 1), f.values)
     out = _add_divergence(2.0 * rho * f.values, grid, flux_th, flux_ph,
@@ -272,18 +259,18 @@ def _face_weights(grid):
     return grid.sin_theta_face / grid.h_theta, 1.0 / (grid.h_phi * st)
 
 
-def residual_roundoff(gas: GasModel, f: ScalarField, *, state=None):
-    """Node array of the rounding scale of flow_residual at interior nodes.
+def residual_roundoff(f: ScalarField, rho):
+    """Node array of the rounding scale of flow_residual at interior nodes,
+    for f's density rho (field_density(gas, f)[0]).
 
     The interior flux stencil applied to |f| with absolute weights: every
     difference f[k+1] - f[k] becomes |f[k+1]| + |f[k]| and every flux
     difference a sum, times the unit roundoff.  It is the size of the change
     that rounding f to double precision makes in the residual: a random
     1-ulp perturbation of the README solution moves the residual by about
-    1.2 times its maximum at n = 33 to 257.  state is as in flow_residual.
+    1.2 times its maximum at n = 33 to 257.
     """
     grid = f.grid
-    rho = (field_density(gas, f) if state is None else state)[0]
     a = np.abs(f.values)
     fluxes = [w * _face_mean(rho, grid, axis) * np.add(*_face_pairs(a, grid, axis))
               for axis, w in enumerate(_face_weights(grid))]
@@ -348,8 +335,12 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     return apply
 
 
-def _expanded_residual(f, c2, q1, q2):
+def expanded_residual(gas: GasModel, f: ScalarField) -> ScalarField:
+    """The termwise second-order expansion of the flow equation at f's
+    field_density state: a reference for flow_residual, from which it
+    differs by the c^2/rho factor noted in the module docstring."""
     grid = f.grid
+    _, c2, q1, q2 = field_density(gas, f)
     m = grid.mask_array
     st = grid.sin_theta[:, None]
     vals = f.values

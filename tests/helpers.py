@@ -128,16 +128,17 @@ def per_node_derivative(vals, grid, axis, order):
     return out
 
 
-def thomas_preconditioner(grid, rho):
+def thomas_preconditioner(grid):
     """principal_preconditioner by one Thomas sweep per phi mode, row by
-    row: the same separable stencil on the interior's bounding box."""
+    row: the same separable stencil on the interior's bounding box, with
+    rho_row the unit density's mean over each row's masked nodes."""
     im = grid.interior_mask
     rows = np.flatnonzero(im.any(axis=1))
     cols = np.flatnonzero(im.any(axis=0) | grid.phi_periodic)
     box = im[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     basis, lam = _phi_modes(box.shape[1], grid.phi_periodic)
     m = grid.mask_array
-    rho_row = np.where(m, rho, 0.0).sum(axis=1) / np.maximum(m.sum(axis=1), 1)
+    rho_row = np.where(m, 1.0, 0.0).sum(axis=1) / np.maximum(m.sum(axis=1), 1)
     face = grid.sin_theta_face[:, 0] * (rho_row[:-1] + rho_row[1:])
     i = np.arange(rows[0], rows[-1] + 1)
     st = grid.sin_theta[i, None]

@@ -21,7 +21,6 @@ from sphereflow import (
     Dichotomy,
     FlowState,
     GasModel,
-    ResidualForm,
     ScalarField,
     SolveOptions,
     SphericalGrid,
@@ -146,8 +145,8 @@ def test_criterion_5_operator_convergence():
         eig_errors.append(
             np.abs(lap.values + 2 * np.cos(g.theta_mesh))[g.interior_mask].max())
         f2 = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
-        rd = sf.flow_residual(gas, f2, ResidualForm.DIVERGENCE)
-        re = sf.flow_residual(gas, f2, ResidualForm.EXPANDED)
+        rd = sf.flow_residual(gas, f2)
+        re = sf.expanded_residual(gas, f2)
         form_diffs.append(np.abs(rd.values - re.values)[g.interior_mask].max())
     orders = observed_orders(eig_errors)
     ratios = [form_diffs[0] / form_diffs[1], form_diffs[1] / form_diffs[2]]

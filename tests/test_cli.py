@@ -235,6 +235,36 @@ def test_unparsable_json_exits_one(tmp_path, capsys):
     assert "parse" in capsys.readouterr().err
 
 
+def test_field_that_is_no_spec_names_the_key(tmp_path, capsys):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                        command={"name": "certify", "field": 5})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'command.field'" in err
+
+
+def test_missing_scenario_file_exits_one(tmp_path, capsys):
+    assert cli.run(tmp_path / "absent.json", tmp_path / "out", quiet=True) == 1
+    assert capsys.readouterr().err.startswith("cannot read scenario")
+
+
+def test_unwritable_report_is_an_io_error(tmp_path, capsys):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                        command={"name": "certify", "field": "1.6"})
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    assert capsys.readouterr().err.startswith("i/o error")
+
+
+def test_main_runs_a_scenario(tmp_path, capsys):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                        command={"name": "certify", "field": "1.6"})
+    assert cli.main(["run", str(sc), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["pass"]
+    assert capsys.readouterr().out == ""
+
+
 def test_vacuum_solve_exits_one(tmp_path, capsys):
     sc = write_scenario(tmp_path / "vac.json",
                         gas={"gamma": 2.0, "rho0": 1.0, "bernoulli": -10.0},

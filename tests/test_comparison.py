@@ -350,3 +350,38 @@ def test_strong_check_precondition_error(solver_pair):
     assert rep.applicable and not rep.ordering_pass
     with pytest.raises(ValueError, match="interior ordering violated"):
         sf.strong_comparison_check(rep)
+
+
+def test_verify_evaluates_each_flow_state_once(gas_b4, monkeypatch):
+    # one field_density per field, minus then plus, feeds both the residual
+    # sign and the admissibility hypotheses
+    g = SphericalGrid(*WIDE_PATCH, 17, 17)
+    lo = ScalarField.constant(g, 2.0)
+    hi = ScalarField.from_function(g, lambda th, ph: 2.0 + 0.01 * np.cos(th))
+    calls = []
+    density = sf.operators.field_density
+
+    def counted(gas, f, *rest):
+        calls.append(f)
+        return density(gas, f, *rest)
+
+    monkeypatch.setattr(sf.operators, "field_density", counted)
+    monkeypatch.setattr(sf.comparison, "field_density", counted)
+    sf.verify_weak_comparison(gas_b4, lo, hi)
+    assert len(calls) == 2 and calls[0] is lo and calls[1] is hi
+
+
+def test_verify_names_the_minus_field_first(gas_b4):
+    g = SphericalGrid(*WIDE_PATCH, 17, 17)
+    good = ScalarField.constant(g, 2.0)
+    bad_minus, bad_plus = good.copy(), good.copy()
+    bad_minus.values[4, 5] = 2.6  # z^2 > B + 2 c0^2/(gamma-1) = 6
+    bad_plus.values[6, 7] = 2.6
+    for f_minus, f_plus, named in ((good, bad_plus, bad_plus),
+                                   (bad_minus, bad_plus, bad_minus)):
+        with pytest.raises(sf.VacuumError) as want:
+            sf.field_density(gas_b4, named)
+        with pytest.raises(sf.VacuumError) as err:
+            sf.verify_weak_comparison(gas_b4, f_minus, f_plus)
+        assert str(err.value) == str(want.value)
+        assert err.value.node == want.value.node

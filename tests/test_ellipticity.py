@@ -28,11 +28,11 @@ def closed_form_matrix(gas, s):
 
 def test_matrix_examples(gas_b4):
     H = sf.comparison_matrix(gas_b4, FlowState(0.0, 0.0, 2.0), 0.5)
-    np.testing.assert_allclose(H.entries, np.diag([1.0, 1.0, 3.0]), atol=1e-14)
+    np.testing.assert_allclose(H, np.diag([1.0, 1.0, 3.0]), atol=1e-14)
 
     H2 = sf.comparison_matrix(gas_b4, FlowState(0.5, 0.0, 2.0), 0.5)
     np.testing.assert_allclose(
-        H2.entries,
+        H2,
         [[0.625, 0.0, 1.0], [0.0, 0.875, 0.0], [-1.0, 0.0, 3.125]],
         atol=1e-14)
 
@@ -43,7 +43,7 @@ def test_matrix_examples(gas_b4):
         rho = density(gas, s0)
         c2 = sound_speed_sq(gas, s0)
         np.testing.assert_allclose(
-            H0.entries, np.diag([rho, rho, -c2 * rho / c2]), atol=1e-14)
+            H0, np.diag([rho, rho, -c2 * rho / c2]), atol=1e-14)
 
 
 def test_matrix_matches_closed_form():
@@ -54,7 +54,7 @@ def test_matrix_matches_closed_form():
             gas = random_gas(rng, gamma)
             s = random_admissible_state(rng, gas)
             H = sf.comparison_matrix(gas, s, 0.5)
-            np.testing.assert_allclose(H.entries, closed_form_matrix(gas, s),
+            np.testing.assert_allclose(H, closed_form_matrix(gas, s),
                                        rtol=1e-12, atol=1e-12)
 
 
@@ -63,7 +63,7 @@ def test_matrix_general_beta_is_flux_jacobian():
     gas = GasModel(1.4, 1.2, 3.0)
     s = FlowState(0.3, -0.2, 1.1)
     beta = 0.8
-    H = sf.comparison_matrix(gas, s, beta).entries
+    H = sf.comparison_matrix(gas, s, beta)
     rho = density(gas, s)
     dq1, dq2, dz = density_partials(gas, s)
     expected = np.array([
@@ -84,7 +84,7 @@ def test_upper_block_matches_principal_matrix():
         for _ in range(100):
             gas = random_gas(rng, gamma)
             s = random_admissible_state(rng, gas)
-            H = sf.comparison_matrix(gas, s, 0.5).entries
+            H = sf.comparison_matrix(gas, s, 0.5)
             rho = density(gas, s)
             c2 = sound_speed_sq(gas, s)
             block = (rho / c2) * sf.principal_matrix(gas, s)
@@ -173,7 +173,7 @@ def test_segment_vacuum_in_coefficients(gas_b4):
 
 
 def _symmetric_part(gas, s):
-    H = sf.comparison_matrix(gas, s, 0.5).entries
+    H = sf.comparison_matrix(gas, s, 0.5)
     return 0.5 * (H + H.T)
 
 

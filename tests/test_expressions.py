@@ -62,6 +62,18 @@ def test_parse_errors_carry_position(grid):
         evaluate_expression("tan(theta)", grid)  # unknown function
     with pytest.raises(ExpressionParseError):
         evaluate_expression("2 $ 3", grid)
+    with pytest.raises(ExpressionParseError, match="unexpected token") as err3:
+        evaluate_expression("1 2", grid)  # two numbers, no operator
+    assert err3.value.position == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    ("exp(1000)", r"exp\(\) produced a non-finite value"),
+    ("1e400", "non-finite at some node"),
+])
+def test_overflow_is_domain_error(grid, text, message):
+    with pytest.raises(ExpressionDomainError, match=message):
+        evaluate_expression(text, grid)
 
 
 def test_evaluation_is_deterministic(grid):

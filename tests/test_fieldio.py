@@ -97,6 +97,10 @@ def test_mask_csv(tmp_path):
                              [False, True, True]]
     with pytest.raises(sf.ConfigError):
         read_mask_csv(path, 4, 3)
+    path.write_text("1,1,0\n1,1\n0,1,1\n")
+    with pytest.raises(sf.ConfigError, match="row 2 has 2 entries, expected 3") as err:
+        read_mask_csv(path, 3, 3)
+    assert err.value.key == "grid.mask"
 
 
 def test_pgm_writer(tmp_path):

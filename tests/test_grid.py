@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphereflow as sf
 from sphereflow.errors import GridError
@@ -63,3 +65,36 @@ def test_stencil_table_holds_edge_nodes_only():
     for nodes, idx, w1, w2 in g.stencils:
         assert nodes.size <= 4 * n
         assert idx.shape == w1.shape == w2.shape == (3, nodes.size)
+
+
+def test_grid_refuses_bad_phi_span_and_masks():
+    with pytest.raises(GridError, match="phi_min < phi_max"):
+        sf.SphericalGrid(1.0, 2.0, 1.0, 1.0, 5, 5)
+    with pytest.raises(GridError, match=r"mask shape \(4, 5\) != grid shape \(5, 5\)"):
+        sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 5, 5, mask=np.ones((4, 5), dtype=bool))
+    with pytest.raises(GridError, match="mask selects no nodes"):
+        sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 5, 5, mask=np.zeros((5, 5), dtype=bool))
+
+
+def test_vector_field_shape_check():
+    g = sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 5, 4)
+    with pytest.raises(GridError, match="vector component shape"):
+        sf.VectorField(g, np.zeros((5, 4)), np.zeros((4, 5)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(periodic=st.booleans(), n_theta=st.integers(3, 12),
+       n_phi=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_mask_has_boundary_nodes(periodic, n_theta, n_phi, seed):
+    # the masked nodes of the lowest masked theta row have no -theta
+    # neighbour, so a grid (whose mask is never empty) always has boundary
+    # nodes for a Dirichlet datum
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_theta, n_phi)) < rng.uniform(0.05, 1.0)
+    mask[rng.integers(n_theta), rng.integers(n_phi)] = True
+    span = (0.0, 2 * np.pi) if periodic else (0.0, 1.0)
+    g = sf.SphericalGrid(1.0, 2.0, *span, n_theta, n_phi, mask=mask,
+                         phi_periodic=periodic)
+    low = np.flatnonzero(mask.any(axis=1))[0]
+    assert g.open_sides[1][low][mask[low]].all()
+    assert g.boundary_mask[low][mask[low]].all()

@@ -22,8 +22,7 @@ from helpers import (
 )
 
 import sphereflow as sf
-from sphereflow import FlowState, GasModel, ResidualForm, ScalarField, SphericalGrid
-from sphereflow.operators import _add_divergence, _face_fluxes, _face_mean
+from sphereflow import FlowState, GasModel, ScalarField, SphericalGrid
 
 
 def _grid(n=33, patch=WIDE_PATCH):
@@ -118,15 +117,15 @@ def test_laplace_beltrami_eigenfunction_convergence():
 
 def test_residual_zero_field(gas_b4, wide_grid_33):
     zero = ScalarField.constant(wide_grid_33, 0.0)
-    for form in (ResidualForm.DIVERGENCE, ResidualForm.EXPANDED):
-        r = sf.flow_residual(gas_b4, zero, form)
+    for residual in (sf.flow_residual, sf.expanded_residual):
+        r = residual(gas_b4, zero)
         assert np.all(r.values == 0.0)
 
 
 def test_residual_constant_field(gas_b4, wide_grid_33):
     f = ScalarField.constant(wide_grid_33, 2.0)
-    for form in (ResidualForm.DIVERGENCE, ResidualForm.EXPANDED):
-        r = sf.flow_residual(gas_b4, f, form)
+    for residual in (sf.flow_residual, sf.expanded_residual):
+        r = residual(gas_b4, f)
         np.testing.assert_allclose(r.values, 4.0, rtol=1e-14)
 
 
@@ -165,8 +164,8 @@ def test_residual_forms_agree_at_second_order(gas_b4):
     for n in (33, 65, 129):
         g = _grid(n)
         f = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
-        rd = sf.flow_residual(gas_b4, f, ResidualForm.DIVERGENCE)
-        re = sf.flow_residual(gas_b4, f, ResidualForm.EXPANDED)
+        rd = sf.flow_residual(gas_b4, f)
+        re = sf.expanded_residual(gas_b4, f)
         diffs.append(np.abs(rd.values - re.values)[g.interior_mask].max())
     assert diffs[0] / diffs[1] >= 3.6
     assert diffs[1] / diffs[2] >= 3.6
@@ -280,19 +279,18 @@ def test_flow_jacobian_columns_match_finite_differences(kind, periodic, gamma,
 @pytest.mark.parametrize("n_phi,periodic", [(21, False), (16, True), (15, True)],
                          ids=["plain", "periodic-even", "periodic-odd"])
 def test_principal_preconditioner_inverts_theta_only_density(n_phi, periodic):
-    # with rho a function of theta alone the frozen-density principal part
-    # is separable on a grid whose interior fills its box, so the
-    # preconditioner is its exact inverse
+    # at unit density (the theta-only density the preconditioner is built
+    # for) the principal part, laplace_beltrami, is separable on a grid
+    # whose interior fills its box, so the preconditioner is its exact
+    # inverse
     span = (0.0, 2 * np.pi) if periodic else (0.0, np.pi / 4)
     g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, *span, 17, n_phi,
                       phi_periodic=periodic)
-    rho = np.broadcast_to((1.0 + 0.3 * np.cos(3 * g.thetas))[:, None], g.shape)
     idx = np.flatnonzero(g.interior_mask.ravel())
-    faces = (_face_mean(rho, g, 0), _face_mean(rho, g, 1))
     v = np.zeros(g.shape)
     v.flat[idx] = np.random.default_rng(7).normal(size=idx.size)
-    principal = _add_divergence(np.zeros(g.shape), g, *_face_fluxes(g, *faces, v))
-    back = sf.operators.principal_preconditioner(g, rho)(principal.ravel()[idx])
+    principal = sf.operators.laplace_beltrami(g, v)
+    back = sf.operators.principal_preconditioner(g)(principal.ravel()[idx])
     assert np.abs(back - v.flat[idx]).max() <= 1e-12 * np.abs(v.flat[idx]).max()
 
 
@@ -394,11 +392,9 @@ def test_principal_preconditioner_matches_thomas(kind, n):
                           n - (kind == "periodic-even"), phi_periodic=True)
     else:
         g = SphericalGrid(*WIDE_PATCH, n, n, mask=mask)
-    rng = np.random.default_rng(n)
-    rho = rng.uniform(0.2, 2.0, g.shape)
-    x = rng.normal(size=int(g.interior_mask.sum()))
-    want = thomas_preconditioner(g, rho)(x)
-    got = sf.operators.principal_preconditioner(g, rho)(x)
+    x = np.random.default_rng(n).normal(size=int(g.interior_mask.sum()))
+    want = thomas_preconditioner(g)(x)
+    got = sf.operators.principal_preconditioner(g)(x)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -408,8 +404,8 @@ def test_principal_preconditioner_across_three_empty_rows():
     g = SphericalGrid(*WIDE_PATCH, 17, 17, mask=_split_mask(17, 3))
     x = np.random.default_rng(3).normal(size=int(g.interior_mask.sum()))
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert not np.isfinite(thomas_preconditioner(g, 1.0)(x)).all()
-    assert np.isfinite(sf.operators.principal_preconditioner(g, 1.0)(x)).all()
+        assert not np.isfinite(thomas_preconditioner(g)(x)).all()
+    assert np.isfinite(sf.operators.principal_preconditioner(g)(x)).all()
 
 
 def test_operators_keep_no_grid_alive(gas_b4):
@@ -418,8 +414,7 @@ def test_operators_keep_no_grid_alive(gas_b4):
     f = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
     sf.flow_residual(gas_b4, f)
     apply = sf.flow_jacobian(gas_b4, f)
-    precondition = sf.operators.principal_preconditioner(
-        g, sf.field_density(gas_b4, f)[0])
+    precondition = sf.operators.principal_preconditioner(g)
     apply(f.values)
     precondition(np.ones(int(g.interior_mask.sum())))
     ref = weakref.ref(g)

@@ -53,6 +53,25 @@ def test_linear_solve_singular_operator():
         linear_solve(op, np.ones(8), tol=1e-12, max_iter=200)
 
 
+def test_zero_operator_breaks_down_after_one_perturbed_restart():
+    # each run takes the true residual and one Krylov matvec before its
+    # recurrence breaks down; the restart starts from the perturbed guess
+    # and its breakdown raises, carrying that guess as best
+    matvecs = []
+
+    def op(x):
+        matvecs.append(x.copy())
+        return np.zeros_like(x)
+
+    b = np.arange(1.0, 9.0)
+    with pytest.raises(sf.BreakdownError, match="broke down twice") as err:
+        linear_solve(op, b, tol=1e-12, max_iter=50)
+    assert len(matvecs) == 4
+    perturbation = 1e-8 * np.linalg.norm(b) * np.cos(np.arange(b.size, dtype=float))
+    assert np.array_equal(err.value.best, perturbation)
+    assert np.array_equal(matvecs[2], perturbation)
+
+
 def test_linear_solve_zero_rhs():
     x = linear_solve(lambda v: 3.0 * v, np.zeros(5), tol=1e-12, max_iter=10)
     assert np.all(x == 0.0)
@@ -120,6 +139,33 @@ def test_manufactured_rejects_vacuum(gas_b4, wide_grid_33):
     f = ScalarField.constant(wide_grid_33, 2.6)  # beyond sqrt(6)
     with pytest.raises(sf.InadmissibleFieldError):
         sf.manufactured_problem(gas_b4, wide_grid_33, f)
+
+
+def test_problem_fields_must_live_on_the_grid(gas_b4, wide_grid_33):
+    zero = ScalarField.constant(wide_grid_33, 0.0)
+    other = ScalarField.constant(SphericalGrid(*WIDE_PATCH, 17, 17), 1.6)
+    with pytest.raises(sf.GridError, match="do not live on the grid"):
+        BVProblem(gas=gas_b4, grid=wide_grid_33, boundary=other, source=zero)
+    with pytest.raises(sf.GridError, match="f_exact does not live"):
+        sf.manufactured_problem(gas_b4, wide_grid_33, other)
+
+
+def test_nan_boundary_datum_is_refused(gas_b4, wide_grid_33):
+    bnd = ScalarField.constant(wide_grid_33, 1.6)
+    bnd.values[0, 3] = np.nan
+    with pytest.raises(sf.GridError, match="not finite on the boundary"):
+        BVProblem(gas=gas_b4, grid=wide_grid_33, boundary=bnd,
+                  source=ScalarField.constant(wide_grid_33, 0.0))
+
+
+def test_mask_without_interior_nodes_is_refused(gas_b4):
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[3:5, :] = True  # two theta rows: every node is on the boundary
+    g = SphericalGrid(*WIDE_PATCH, 9, 9, mask=mask)
+    prob = BVProblem(gas=gas_b4, grid=g, boundary=ScalarField.constant(g, 1.6),
+                     source=ScalarField.constant(g, 0.0))
+    with pytest.raises(sf.GridError, match="no interior nodes"):
+        sf.solve_dirichlet(prob)
 
 
 def test_vacuum_boundary_data(wide_grid_33):
@@ -361,8 +407,8 @@ def test_stagnation_names_the_worst_node(gas_b4):
 
 
 def test_preconditioner_is_built_once_per_solve(gas_b4, monkeypatch):
-    # one unit-density build serves the harmonic extension and every Newton
-    # step, whatever the step count; both modules are watched, so a build
+    # one build, from the grid alone, serves the harmonic extension and
+    # every Newton step, whatever the step count; both modules are watched, so a build
     # moved back into flow_jacobian is counted too
     builds = []
     build = sf.operators.principal_preconditioner
@@ -375,7 +421,7 @@ def test_preconditioner_is_built_once_per_solve(gas_b4, monkeypatch):
     monkeypatch.setattr(sf.solver, "principal_preconditioner", counted)
     _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33))
     assert rep.converged and rep.iterations >= 5
-    assert len(builds) == 1 and builds[0][1:] == (1.0,)
+    assert len(builds) == 1 and builds[0][1:] == ()
 
 
 def test_flow_state_is_evaluated_once_per_iterate(gas_b4, monkeypatch):
