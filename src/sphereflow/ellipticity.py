@@ -193,17 +193,18 @@ class EllipticityCertificate:
 MAX_REPORTED_VIOLATIONS = 100
 
 
-def certify_uniform_ellipticity(gas: GasModel, f: ScalarField,
-                                eps: float = 1e-8) -> EllipticityCertificate:
+def certify_uniform_ellipticity(gas: GasModel, f: ScalarField, eps: float = 1e-8,
+                                *, state=None) -> EllipticityCertificate:
     """Certify min rho >= eps and max L^2 <= 1 - eps over masked nodes.
 
     The certificate records the attained margins and, when the field is
     elliptic, the worst eigenvalue ratio 1/(1 - max L^2).  Vacuum nodes
-    raise; non-elliptic states merely fail the certificate.
+    raise; non-elliptic states merely fail the certificate.  state is
+    field_density(gas, f), if known.
     """
     grid = f.grid
     mask = grid.mask_array
-    rho, c2, q1, q2 = field_density(gas, f)
+    rho, c2, q1, q2 = field_density(gas, f) if state is None else state
     qsq = q1 * q1 + q2 * q2
     l2 = np.where(mask, qsq / np.where(mask, c2, 1.0), 0.0)
 

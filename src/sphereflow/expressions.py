@@ -180,14 +180,11 @@ class _Evaluator:
 
 
 def evaluate_expression(text: str, grid: SphericalGrid) -> ScalarField:
-    """Evaluate an expression of theta and phi node-wise over the grid."""
-    variables = {"theta": grid.theta_mesh, "phi": grid.phi_mesh}
+    """Evaluate an expression of theta and phi node-wise over the grid, on
+    the theta column and phi row (broadcast only where the two mix)."""
+    variables = {"theta": grid.thetas[:, None], "phi": grid.phis[None, :]}
     value = _Evaluator(text, variables).run()
-    arr = np.asarray(value, dtype=float)
-    if arr.shape == ():
-        arr = np.full(grid.shape, float(arr))
-    else:
-        arr = np.broadcast_to(arr, grid.shape).copy()
+    arr = np.broadcast_to(np.asarray(value, dtype=float), grid.shape).copy()
     if np.any(~np.isfinite(arr)):
         raise ExpressionDomainError("expression is non-finite at some node")
     return ScalarField(grid, arr)

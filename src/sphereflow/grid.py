@@ -196,7 +196,7 @@ class SphericalGrid:
                 for off in (1, 2, 3):
                     alive = alive & self.shifted(m, axis, sign * off)
                     run += alive
-            nodes = np.flatnonzero(m & ((runs[0] == 0) | (runs[1] == 0))).astype(np.int32)
+            nodes = np.flatnonzero(m & ((runs[0] == 0) | (runs[1] == 0)))
             after, before = (run.ravel()[nodes] for run in runs)
             kind = np.full(nodes.size, -1)
             for s, (offs, _, _) in reversed(list(enumerate(STENCILS))):
@@ -209,7 +209,7 @@ class SphericalGrid:
                                for col in zip(*STENCILS))
             i, j = np.divmod(nodes, self.n_phi)  # the modulo wraps a periodic seam
             i, j = (i + offsets, j) if axis == 0 else (i, (j + offsets) % self.n_phi)
-            tables.append((nodes, (i * self.n_phi + j).astype(np.int32), w1, w2))
+            tables.append((nodes, i * self.n_phi + j, w1, w2))
         return tuple(tables)
 
     def same_geometry(self, other: "SphericalGrid") -> bool:

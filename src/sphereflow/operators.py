@@ -39,56 +39,70 @@ from .gas import (
 from .grid import ScalarField, SphericalGrid, VectorField, require_same_grid
 
 
-def _face_pairs(a, grid, axis):
-    """Views of a[k + 1] and a[k] on the faces k + 1/2 along axis: n - 1
-    faces, or n across a periodic phi seam (the seam face last)."""
+def _faces(op, a, grid, axis):
+    """op(a[k + 1], a[k]) on the faces k + 1/2 along axis: n_theta - 1 rows of
+    theta faces, and phi faces as an (n_theta, n_phi) array whose last
+    column holds the seam face of a periodic grid, else zeros."""
     if axis == 0:
-        return a[1:], a[:-1]
-    if grid.phi_periodic:
-        return np.roll(a, -1, axis=1), a
-    return a[:, 1:], a[:, :-1]
+        return op(a[1:], a[:-1])
+    out = np.empty(a.shape)
+    op(a.ravel()[1:], a.ravel()[:-1], out=out.ravel()[:-1])  # flat: rows wrap
+    out[:, -1] = op(a[:, 0], a[:, -1]) if grid.phi_periodic else 0.0
+    return out
+
+
+def _at_nodes(op, faces, grid, axis):
+    """op(faces[k + 1/2], faces[k - 1/2]) at the nodes k along axis, for face
+    values laid out by _faces; zero at the ends of a non-periodic axis."""
+    out, stride = np.empty(grid.shape), grid.n_phi if axis == 0 else 1
+    op(faces.ravel()[stride:], faces.ravel()[:-stride], out=out.ravel()[stride:faces.size])
+    o, f = (out, faces) if axis == 0 else (out.T, faces.T)
+    if axis == 1 and grid.phi_periodic:  # the seam face closes the ring
+        o[0] = op(f[0], f[-1])
+    else:  # no face pair surrounds them (and the flat pass wrapped rows there)
+        o[0] = o[-1] = 0.0
+    return out
 
 
 def _face_mean(a, grid, axis):
     """Arithmetic mean of a node array on the faces k + 1/2 along axis."""
-    return 0.5 * np.add(*_face_pairs(a, grid, axis))
+    return 0.5 * _faces(np.add, a, grid, axis)
 
 
-def _face_step(a, grid, axis):
-    """a[k + 1] - a[k] on the faces k + 1/2 along axis."""
-    return np.subtract(*_face_pairs(a, grid, axis))
-
-
-def _add_divergence(out, grid, flux_th, flux_ph, node_flux=None, combine=np.subtract):
-    """out += the divergence of face fluxes (theta faces sin-weighted):
-    combine(flux[k + 1/2], flux[k - 1/2]) / (sin(theta) h) along each axis,
-    nothing at the ends of a non-periodic axis (no face pair surrounds them).
-
-    A node missing a masked neighbor along an axis takes the one-sided
-    divergence of node_flux = (v_theta, v_phi) there, if given (without it
-    the result is exact at interior nodes only).
-    """
-    st = grid.sin_theta[:, None]
-    for axis, h, flux in ((0, grid.h_theta, flux_th), (1, grid.h_phi, flux_ph)):
-        div = np.zeros(grid.shape)
-        f, d = (flux, div) if axis == 0 else (flux.T, div.T)  # axis first
-        combine(f[1:], f[:-1], out=d[1:len(f)])
-        if len(f) == len(d):  # periodic phi: the seam face closes the ring
-            combine(f[0], f[-1], out=d[0])
-        div /= st * h
-        if node_flux is not None:
-            node = st * node_flux[0] if axis == 0 else node_flux[1]
-            div = np.where(grid.open_sides[2 * axis:2 * axis + 2].any(0),
-                           _derivative(node, grid, axis, 1) / st, div)
-        out += div
+def _add_divergence(out, grid, axis, flux, node_flux=None, combine=np.subtract):
+    """out += the divergence along axis of face fluxes laid out by _faces
+    (theta faces sin-weighted): combine(flux[k + 1/2], flux[k - 1/2]) /
+    (sin(theta) h), in place on a contiguous out, nothing at the ends of a
+    non-periodic axis.  If node_flux = (rho, q1, q2) is given, the rows of
+    the axis's stencil table (its open_sides nodes) take _derivative's
+    one-sided stencil of sin rho q1 or rho q2 over sin(theta) instead;
+    without it the result is exact at interior nodes only."""
+    h = grid.h_theta if axis == 0 else grid.h_phi
+    flat = out.ravel()
+    if node_flux is not None:
+        nodes, idx, w1, _ = grid.stencils[axis]
+        base = flat[nodes]
+    div = _at_nodes(combine, flux, grid, axis)
+    div /= grid.sin_theta[:, None] * h
+    out += div
+    if node_flux is not None:
+        rho, v = node_flux[0].ravel(), node_flux[1 + axis].ravel()
+        sin_nodes = grid.sin_theta[nodes // grid.n_phi]
+        own, points = rho[nodes] * v[nodes], rho[idx] * v[idx]
+        if axis == 0:  # the theta node flux is sin * rho * q1
+            own, points = sin_nodes * own, grid.sin_theta[idx // grid.n_phi] * points
+        terms = (points - own) * w1  # summed in table order, as in _derivative
+        flat[nodes] = base + (terms[0] + terms[1] + terms[2]) / (2.0 * h) / sin_nodes
     return out
 
 
-def _face_fluxes(grid, rho_th, rho_ph, vals):
-    """Face fluxes of rho D v for face densities rho_th (theta faces
-    i + 1/2) and rho_ph (phi faces j + 1/2), weighted by sin on theta faces."""
-    return (grid.sin_theta_face * (rho_th * _face_step(vals, grid, 0) / grid.h_theta),
-            rho_ph * _face_step(vals, grid, 1) / (grid.h_phi * grid.sin_theta[:, None]))
+def _face_flux(grid, axis, rho_face, vals):
+    """Face fluxes of rho D v along axis for face densities rho_face,
+    weighted by sin on theta faces."""
+    flux = _faces(np.subtract, vals, grid, axis)
+    flux *= rho_face
+    flux /= grid.h_theta if axis == 0 else grid.h_phi * grid.sin_theta[:, None]
+    return flux * grid.sin_theta_face if axis == 0 else flux
 
 
 def _derivative(vals, grid: SphericalGrid, axis, order):
@@ -102,23 +116,14 @@ def _derivative(vals, grid: SphericalGrid, axis, order):
     vals = np.asarray(vals, dtype=float)
     h = grid.h_theta if axis == 0 else grid.h_phi
     div = 2.0 * h if order == 1 else h * h
-    combine = np.add if order == 1 else np.subtract
-    out = np.zeros(vals.shape)
-    f, o = (vals, out) if axis == 0 else (vals.T, out.T)  # axis first
-    step = f[1:] - f[:-1]
-    combine(step[1:], step[:-1], out=o[1:-1])
-    if axis == 1 and grid.phi_periodic:
-        seam = f[0] - f[-1]
-        combine(step[0], seam, out=o[0])
-        combine(seam, step[-1], out=o[-1])
+    out = _at_nodes(np.add if order == 1 else np.subtract,
+                    _faces(np.subtract, vals, grid, axis), grid, axis)
     if order == 2:
         out += 0.0  # a zero second difference is +0.0, as in the table stencils
     out /= div
     nodes, idx, w1, w2 = grid.stencils[axis]
     flat = vals.ravel()
-    terms = flat[idx]
-    terms -= flat[nodes]
-    terms *= w1 if order == 1 else w2
+    terms = (flat[idx] - flat[nodes]) * (w1 if order == 1 else w2)
     out.ravel()[nodes] = (terms[0] + terms[1] + terms[2]) / div
     return out if grid.mask is None else np.where(grid.mask, out, 0.0)
 
@@ -173,8 +178,10 @@ def laplace_beltrami(grid: SphericalGrid, v):
     """D_face(grad_face v) for a value array v, exact at interior nodes: the
     flux stencil of flow_residual at unit density, which
     principal_preconditioner(grid) inverts."""
-    flux_th, flux_ph = _face_fluxes(grid, 1.0, 1.0, v)
-    return _add_divergence(np.zeros(grid.shape), grid, flux_th, flux_ph)
+    out = np.zeros(grid.shape)
+    for axis in (0, 1):
+        _add_divergence(out, grid, axis, _face_flux(grid, axis, 1.0, v))
+    return out
 
 
 def _phi_modes(m, periodic):
@@ -246,10 +253,10 @@ def flow_residual(gas: GasModel, f: ScalarField, *, state=None) -> ScalarField:
     and mask boundaries.  state is field_density(gas, f), if known."""
     grid = f.grid
     rho, _, q1, q2 = field_density(gas, f) if state is None else state
-    flux_th, flux_ph = _face_fluxes(grid, _face_mean(rho, grid, 0),
-                                    _face_mean(rho, grid, 1), f.values)
-    out = _add_divergence(2.0 * rho * f.values, grid, flux_th, flux_ph,
-                          (rho * q1, rho * q2))
+    out = 2.0 * rho * f.values
+    for axis in (0, 1):
+        _add_divergence(out, grid, axis, _face_flux(grid, axis, _face_mean(rho, grid, axis),
+                                                    f.values), (rho, q1, q2))
     return ScalarField(grid, np.where(grid.mask_array, out, 0.0))
 
 
@@ -272,10 +279,11 @@ def residual_roundoff(f: ScalarField, rho):
     """
     grid = f.grid
     a = np.abs(f.values)
-    fluxes = [w * _face_mean(rho, grid, axis) * np.add(*_face_pairs(a, grid, axis))
-              for axis, w in enumerate(_face_weights(grid))]
-    return np.finfo(float).eps * _add_divergence(2.0 * rho * a, grid, *fluxes,
-                                                 combine=np.add)
+    out = 2.0 * rho * a
+    for axis, w in enumerate(_face_weights(grid)):
+        _add_divergence(out, grid, axis, w * _face_mean(rho, grid, axis)
+                        * _faces(np.add, a, grid, axis), combine=np.add)
+    return np.finfo(float).eps * out
 
 
 def flow_jacobian(gas: GasModel, f: ScalarField, t=None, *, state=None):
@@ -285,22 +293,41 @@ def flow_jacobian(gas: GasModel, f: ScalarField, t=None, *, state=None):
     differences of flow_residual and the chain rule
     drho = -(rho/c^2)(q1 dv/dtheta + q2 dv/dphi / sin + z v) through the
     Bernoulli density.  Raises like field_density (naming t, if given) if f
-    is inadmissible; state is field_density(gas, f, t), if known."""
+    is inadmissible; state is field_density(gas, f, t), if known.  The chain
+    rule, 1/(2h) and 1/sin fold into per-node coefficients of the central
+    differences, zero at the stencil tables' rows: one gather applies those."""
     grid, vals = f.grid, f.values
     rho, c2, q1, q2 = field_density(gas, f, t) if state is None else state
     scale = -rho / np.where(grid.mask_array, c2, 1.0)
-    s1, s2, sz = scale * q1, scale * q2 / grid.sin_theta[:, None], scale * vals
+    coef = (scale * q1 / (2.0 * grid.h_theta),
+            scale * q2 / (2.0 * grid.h_phi * grid.sin_theta[:, None]))
+    sz, rho2, vals2 = scale * vals, 2.0 * rho, 2.0 * vals
+    tables = grid.stencils
+    own, idx = np.concatenate([t[0] for t in tables]), np.concatenate([t[1] for t in tables], 1)
+    weights = np.concatenate([w1 * c.ravel()[rows]
+                              for (rows, _, w1, _), c in zip(tables, coef)], 1)
+    for (rows, *_), c in zip(tables, coef):
+        c.ravel()[rows] = 0.0
     # per axis, flux = a (v[k+1] - v[k]) + b (drho[k+1] + drho[k]) on the faces
-    faces = [(w * _face_mean(rho, grid, axis), 0.5 * w * _face_step(vals, grid, axis))
+    faces = [(w * _face_mean(rho, grid, axis), 0.5 * w * _faces(np.subtract, vals, grid, axis))
              for axis, w in enumerate(_face_weights(grid))]
 
     def apply(v):
-        drho = s1 * _derivative(v, grid, 0, 1)
-        drho += s2 * _derivative(v, grid, 1, 1)
-        drho += sz * v
-        fluxes = [a * _face_step(v, grid, axis) + b * np.add(*_face_pairs(drho, grid, axis))
-                  for axis, (a, b) in enumerate(faces)]
-        return _add_divergence(2.0 * (rho * v + drho * vals), grid, *fluxes)
+        steps = [_faces(np.subtract, v, grid, axis) for axis in (0, 1)]
+        drho = sz * v
+        for axis, (c, step) in enumerate(zip(coef, steps)):  # central differences
+            central = _at_nodes(np.add, step, grid, axis)
+            central *= c
+            drho += central
+        flat = v.ravel()
+        np.add.at(drho.ravel(), own, ((flat[idx] - flat[own]) * weights).sum(axis=0))
+        out = rho2 * v
+        out += vals2 * drho
+        for axis, ((a, b), flux) in enumerate(zip(faces, steps)):
+            flux *= a
+            flux += b * _faces(np.add, drho, grid, axis)
+            _add_divergence(out, grid, axis, flux)
+        return out
 
     return apply
 

@@ -9,9 +9,10 @@ is evaluated once, with its residual, and feeds its Jacobian and roundoff
 floor.  One unit-density operators.principal_preconditioner per solve
 serves the harmonic initial guess and every Newton step's BiCGSTAB, which
 runs only to the Eisenstat-Walker forcing term and goes on from its best
-iterate if it fails.  The line search halves the step until the residual
-sup-norm decreases and the iterate stays admissible (rho > 0 on the mask);
-vacuum is a hard wall.  The iteration stops at newton_tol, or where a step
+iterate if it fails; it starts from zero, whose residual costs no matvec,
+and its matvecs reuse one interior-embedding array per inner solve.  The
+line search halves the step until the residual sup-norm decreases and the
+iterate stays admissible (rho > 0 on the mask); vacuum is a hard wall.  The iteration stops at newton_tol, or where a step
 stalls at the residual's roundoff floor; it raises on the Newton cap, on
 stagnation and when the line search stalls above that floor.  Steps, step
 lengths and inner-solve outcomes are logged at DEBUG.
@@ -176,9 +177,10 @@ class BVProblem:
 
 def _bicgstab_core(op, b, x0, precondition, target, iter_cap):
     """One BiCGSTAB run; returns (x, iterations), or raises BreakdownError
-    carrying the last iterate as best."""
+    carrying the last iterate as best.  A zero x0 takes r = b without a
+    matvec."""
     x = x0.copy()
-    r = b - op(x)
+    r = b - op(x) if x.any() else b
     if np.linalg.norm(r) <= target:
         return x, 0
     rhat = r.copy()
@@ -263,15 +265,17 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
 
 
 def _on_interior(apply_full, grid, idx):
-    """apply_full on interior values; .calls[0] counts its uses (a shared list,
-    so matvec never refers to itself and is freed without the cycle gc)."""
+    """apply_full on interior values, embedded in one zero array that every
+    call reuses (apply_full must neither keep nor write it); .calls[0] counts
+    its uses (a shared list, so matvec never refers to itself and is freed
+    without the cycle gc)."""
     calls = [0]
+    full = np.zeros(grid.shape)
 
     def matvec(x):
         calls[0] += 1
-        full = np.zeros(grid.shape).ravel()
-        full[idx] = x
-        return apply_full(full.reshape(grid.shape)).ravel()[idx]
+        full.ravel()[idx] = x
+        return apply_full(full).ravel()[idx]
 
     matvec.calls = calls
     return matvec
@@ -431,8 +435,8 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
                               f"above its roundoff floor {level:.3e}")
 
     report.converged, report.stop_reason = True, stop_reason
-    report.final_certificate = certify_uniform_ellipticity(gas, phi,
-                                                           opts.cert_eps)
+    report.final_certificate = certify_uniform_ellipticity(gas, phi, opts.cert_eps,
+                                                           state=state)
     return phi, report
 
 
@@ -447,7 +451,7 @@ def manufactured_problem(gas: GasModel, grid: SphericalGrid,
     if not grid.same_geometry(f_exact.grid):
         raise GridError("f_exact does not live on the given grid")
     try:
-        _, c2, q1, q2 = field_density(gas, f_exact)
+        _, c2, q1, q2 = state = field_density(gas, f_exact)
     except InadmissibleStateError as err:
         raise InadmissibleFieldError(
             f"exact field is inadmissible: {err}") from err
@@ -459,6 +463,6 @@ def manufactured_problem(gas: GasModel, grid: SphericalGrid,
             f"exact field is not elliptic at node ({i}, {j}): "
             f"L^2 = {l2[i, j]:.4g}"
         )
-    source = flow_residual(gas, f_exact)
+    source = flow_residual(gas, f_exact, state=state)
     return BVProblem(gas=gas, grid=grid, boundary=f_exact.copy(),
                      source=source)

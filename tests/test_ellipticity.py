@@ -8,6 +8,7 @@ from helpers import (WIDE_PATCH, random_admissible_state, random_gas,
 
 import sphereflow as sf
 from sphereflow import FlowState, GasModel, ScalarField, SphericalGrid
+from sphereflow.cli import _scalar_params
 from sphereflow.ellipticity import _form_minima
 from sphereflow.gas import density, density_partials, sound_speed_sq
 from sphereflow.operators import spherical_gradient
@@ -286,3 +287,16 @@ def test_certify_pass_bounds_eigen_ratio(gas_b4, wide_grid_33):
     for i, j in np.argwhere(m)[::37]:
         s = FlowState(q1[i, j], q2[i, j], z[i, j])
         assert sf.eigenvalue_ratio(gas_b4, s) <= 1.0 / eps + 1e-12
+
+
+def test_certificate_reads_a_given_state():
+    # state= skips the certificate's own field_density and changes nothing;
+    # the scenario reader leaves it alone, as it is not a scalar option
+    gas = GasModel(2.0, 1.0, 4.0)
+    g = SphericalGrid(*WIDE_PATCH, 17, 17)
+    f = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th)
+                                  + 0.03 * np.sin(th) * np.cos(2 * ph))
+    want = sf.certify_uniform_ellipticity(gas, f, 1e-3)
+    got = sf.certify_uniform_ellipticity(gas, f, 1e-3, state=sf.field_density(gas, f))
+    assert got.to_dict() == want.to_dict()
+    assert "state" not in _scalar_params(sf.certify_uniform_ellipticity)

@@ -5,7 +5,7 @@ from helpers import DEEP_EXPRESSIONS, WIDE_PATCH
 
 from sphereflow import SphericalGrid, evaluate_expression
 from sphereflow.errors import ExpressionDomainError, ExpressionParseError
-from sphereflow.expressions import MAX_NESTING
+from sphereflow.expressions import MAX_NESTING, _Evaluator
 
 
 @pytest.fixture()
@@ -102,3 +102,50 @@ def test_nesting_up_to_the_cap_evaluates(grid):
     # the cap counts open levels, not the terms of a flat sum
     h = evaluate_expression("+".join(["(1)"] * 3 * MAX_NESTING), grid)
     assert np.all(h.values == 3.0 * MAX_NESTING)
+
+
+def _full_mesh_evaluation(text, grid):
+    """evaluate_expression with theta and phi bound to the full node meshes."""
+    value = _Evaluator(text, {"theta": grid.theta_mesh, "phi": grid.phi_mesh}).run()
+    arr = np.broadcast_to(np.asarray(value, dtype=float), grid.shape).copy()
+    if np.any(~np.isfinite(arr)):
+        raise ExpressionDomainError("expression is non-finite at some node")
+    return arr
+
+
+_MESH_EXPRESSIONS = [
+    "2 + 0.1*cos(theta)",                                    # theta only
+    "1.6 + 0.1*cos(theta) - exp(0.3*theta)^2/sin(theta)",
+    "-0.1*(0.1*(2 + 0.1*cos(theta))*sin(theta)^2 + 2*(3 - 0.5*(2 + 0.1*cos(theta))^2)"
+    "*cos(theta)) + 2*(3 - 0.5*(2 + 0.1*cos(theta))^2)*(2 + 0.1*cos(theta))",
+    "0.5*sin(2*phi) + phi^2",                                # phi only
+    "exp(0.2*theta)*sin(phi) - theta^2/(1 + phi)",           # mixed
+    "pi/2 - e^0",                                            # constant
+    "1/(theta - theta)",                                     # division by zero
+    "1/sin(phi)",
+    "theta/(phi - phi)",
+    "(0 - theta)^0.5",                                       # non-finite power
+    "exp(1000*theta)",                                       # non-finite exp()
+    "1e400*theta",                                           # non-finite result
+]
+
+
+@pytest.mark.parametrize("text", _MESH_EXPRESSIONS)
+@pytest.mark.parametrize("shape,periodic", [((9, 9), False), ((33, 33), False),
+                                            ((65, 17), False), ((20, 48), True)])
+def test_column_and_row_evaluation_matches_the_full_mesh(text, shape, periodic):
+    # theta and phi are bound to the theta column and the phi row: the same
+    # bytes as evaluating on the full meshes, and the same error where that
+    # one fails
+    span = (0.0, 2 * np.pi) if periodic else (0.0, np.pi / 2)
+    g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, *span, *shape, phi_periodic=periodic)
+    try:
+        want = _full_mesh_evaluation(text, g)
+    except ExpressionDomainError as err:
+        with pytest.raises(ExpressionDomainError) as got:
+            evaluate_expression(text, g)
+        assert str(got.value) == str(err)
+        return
+    got = evaluate_expression(text, g).values
+    assert got.shape == g.shape and got.flags.writeable
+    assert got.tobytes() == want.tobytes()

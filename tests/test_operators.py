@@ -11,6 +11,7 @@ from helpers import (
     PAIR_SCENARIOS,
     SMALL_PATCH,
     WIDE_PATCH,
+    full_array_flow_residual,
     observed_orders,
     outward_directions,
     padded_boundary_mask,
@@ -509,3 +510,54 @@ def test_gauss_legendre_rule_is_shared_and_read_only():
         t[0] = 0.0
     with pytest.raises(sf.ConfigError):
         sf.operators.gauss_legendre(0)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["plain", "random", "notched", "holed"]),
+       periodic=st.booleans(), gamma=st.sampled_from(sorted(PAIR_SCENARIOS)),
+       n_theta=st.integers(5, 20), n_phi=st.integers(5, 20),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_residual_fallback_matches_the_full_array_formula(kind, periodic, gamma,
+                                                          n_theta, n_phi, seed):
+    # the one-sided divergence written only at the stencil tables' rows is,
+    # bit for bit, the full-array _derivative of the node flux kept at the
+    # open_sides nodes
+    rng = np.random.default_rng(seed)
+    g = _stencil_grid(kind, periodic, n_theta, n_phi, rng)
+    try:
+        g.stencils
+    except sf.GridError:
+        assume(False)
+    data = PAIR_SCENARIOS[gamma]
+    gas = GasModel(gamma, 1.0, data["bernoulli"])
+    a1, a2, phase = rng.uniform(-0.05, 0.05), rng.uniform(-0.04, 0.04), rng.uniform(0, 6)
+    f = ScalarField(g, data["level"] + a1 * np.cos(2 * g.theta_mesh)
+                    + a2 * np.sin(g.theta_mesh) * np.sin(g.phi_mesh + phase)
+                    + 1e-3 * rng.normal(size=g.shape))
+    got = sf.flow_residual(gas, f).values
+    want = full_array_flow_residual(gas, f)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_residual_from_a_state_takes_no_derivative_pass(monkeypatch):
+    # with the flow state given, the fallback gathers its stencil points
+    # instead of differentiating the node fluxes over the whole grid
+    mask = np.ones((17, 17), dtype=bool)
+    mask[:5, :5] = mask[9:11, 8:12] = False
+    g = SphericalGrid(*WIDE_PATCH, 17, 17, mask=mask)
+    gas = GasModel(2.0, 1.0, 4.0)
+    f = ScalarField.from_function(g, lambda th, ph: 1.55 + 0.05 * np.cos(2 * th)
+                                  + 0.04 * np.sin(th) * np.sin(ph + 0.3))
+    state = sf.field_density(gas, f)
+    calls = []
+    derivative = sf.operators._derivative
+
+    def counted(*args):
+        calls.append(args)
+        return derivative(*args)
+
+    monkeypatch.setattr(sf.operators, "_derivative", counted)
+    got = sf.flow_residual(gas, f, state=state).values
+    assert calls == []
+    monkeypatch.undo()
+    assert np.array_equal(got, full_array_flow_residual(gas, f))

@@ -54,9 +54,10 @@ def test_linear_solve_singular_operator():
 
 
 def test_zero_operator_breaks_down_after_one_perturbed_restart():
-    # each run takes the true residual and one Krylov matvec before its
-    # recurrence breaks down; the restart starts from the perturbed guess
-    # and its breakdown raises, carrying that guess as best
+    # the original run starts from zero, so r = b costs no matvec, and its
+    # recurrence breaks down after one Krylov matvec; the restart takes the
+    # true residual of the perturbed guess and one Krylov matvec, and its
+    # breakdown raises, carrying that guess as best
     matvecs = []
 
     def op(x):
@@ -66,10 +67,10 @@ def test_zero_operator_breaks_down_after_one_perturbed_restart():
     b = np.arange(1.0, 9.0)
     with pytest.raises(sf.BreakdownError, match="broke down twice") as err:
         linear_solve(op, b, tol=1e-12, max_iter=50)
-    assert len(matvecs) == 4
+    assert len(matvecs) == 3
     perturbation = 1e-8 * np.linalg.norm(b) * np.cos(np.arange(b.size, dtype=float))
     assert np.array_equal(err.value.best, perturbation)
-    assert np.array_equal(matvecs[2], perturbation)
+    assert np.array_equal(matvecs[1], perturbation)
 
 
 def test_linear_solve_zero_rhs():
@@ -512,3 +513,67 @@ def test_harmonic_extension_goes_on_from_its_best_iterate(gas_b4):
         sf.solve_dirichlet(prob, SolveOptions(lin_max_iter=2))
     assert err.value.node == (1, 8)
     assert str(err.value).endswith("at node (1, 8)")
+
+
+def test_linear_solve_never_applies_op_to_zeros(gas_b4, monkeypatch):
+    # a zero start takes r = b without a matvec, in the unit tests' solves
+    # and in every inner solve of a Newton solve
+    zero_calls = []
+
+    def spied(op):
+        def matvec(x):
+            zero_calls.append(not np.any(x))
+            return op(x)
+        return matvec
+
+    d = np.linspace(1.0, 4.0, 12)
+    linear_solve(spied(lambda v: d * v), np.ones(12), tol=1e-12, max_iter=50)
+    inner = sf.solver.linear_solve
+    monkeypatch.setattr(sf.solver, "linear_solve",
+                        lambda op, *args, **kw: inner(spied(op), *args, **kw))
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 17))
+    assert rep.converged and len(zero_calls) > 2 * rep.iterations
+    assert not any(zero_calls)
+
+
+def test_tolerance_of_one_returns_zeros_after_the_verification_matvec():
+    # the zero start meets a relative tolerance >= 1 at once: the only
+    # matvec is the true-residual check, before the zero iterate is returned
+    seen = []
+
+    def op(x):
+        seen.append(x.copy())
+        return 2.0 * x
+
+    for tol in (1.0, 3.0):
+        seen.clear()
+        x = linear_solve(op, np.arange(1.0, 6.0), tol=tol, max_iter=10)
+        assert np.array_equal(x, np.zeros(5))
+        assert len(seen) == 1 and not seen[0].any()
+
+
+def test_flow_states_are_not_evaluated_again_for_the_certificate(gas_b4, monkeypatch):
+    # the final certificate reads the converged iterate's state, and a
+    # manufactured problem's source reads the state of its exact field
+    calls, residuals = [], []
+    density, residual = sf.operators.field_density, sf.operators.flow_residual
+
+    def counted(*args):
+        calls.append(args)
+        return density(*args)
+
+    def counted_residual(*args, **kwargs):
+        residuals.append(args)
+        return residual(*args, **kwargs)
+
+    for module in (sf.operators, sf.solver, sf.ellipticity):
+        monkeypatch.setattr(module, "field_density", counted)
+    monkeypatch.setattr(sf.solver, "flow_residual", counted_residual)
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33))
+    assert rep.converged and rep.final_certificate.passed
+    assert len(calls) == len(residuals) >= len(rep.residual_history)
+    g = SphericalGrid(*WIDE_PATCH, 17, 17)
+    calls.clear()
+    sf.manufactured_problem(gas_b4, g, ScalarField.from_function(
+        g, lambda th, ph: 2.0 + 0.1 * np.cos(th)))
+    assert len(calls) == 1
