@@ -55,7 +55,7 @@ class MaxIterError(LinearSolveError):
 
 
 class BreakdownError(LinearSolveError):
-    """Krylov recurrence breakdown; linear_solve raises it after one restart."""
+    """The Krylov space stopped growing before the residual target."""
 
 
 class NonConvergenceError(SphereflowError):

@@ -7,18 +7,22 @@ The Jacobian is the exact derivative of the discrete flux residual
 quadratic near the solution.  Each iterate's flow state (field_density)
 is evaluated once, with its residual, and feeds its Jacobian and roundoff
 floor.  One unit-density operators.principal_preconditioner per solve
-serves the harmonic initial guess and every Newton step's BiCGSTAB, which
+serves the harmonic initial guess and every Newton step's GMRES, which
 runs only to the Eisenstat-Walker forcing term and goes on from its best
 iterate if it fails; it starts from zero, whose residual costs no matvec,
 and its matvecs reuse one interior-embedding array per inner solve.  The
-line search halves the step until the residual sup-norm decreases and the
-iterate stays admissible (rho > 0 on the mask); vacuum is a hard wall.  The iteration stops at newton_tol, or where a step
-stalls at the residual's roundoff floor; it raises on the Newton cap, on
-stagnation and when the line search stalls above that floor.  Steps, step
-lengths and inner-solve outcomes are logged at DEBUG.
+line search halves the step until the residual's 2-norm, the norm GMRES
+minimizes, decreases sufficiently and the iterate stays admissible
+(rho > 0 on the mask); vacuum is a hard wall.  newton_tol, the forcing
+ratio, the stall and stagnation tests and the reports use the sup norm.
+The iteration stops at newton_tol, or where a step stalls at the
+residual's roundoff floor; it raises on the Newton cap, on stagnation and
+when the line search stalls above that floor.  Steps, step lengths and
+inner-solve outcomes are logged at DEBUG.
 """
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -63,6 +67,17 @@ ROUNDOFF_ULPS = 4.0
 # together keep more than STALL_RATIO of it end the solve with an error.
 STALL_RATIO = 0.9
 STAGNATION_STEPS = 5
+# Sufficient decrease of the line search's 2-norm test (Eisenstat & Walker,
+# SIAM J. Optim. 4 (1994) 393-422): an inexact Newton step solved to
+# forcing eta is a descent direction for ||r||_2.
+DECREASE = 1e-4
+# Krylov vectors linear_solve's GMRES keeps before it restarts, and the
+# part of ||op(z)|| below which a new Hessenberg entry counts as zero.
+GMRES_RESTART = 50
+KRYLOV_FLOOR = 1e-12
+# Basis vectors allocated at first, doubled as they fill: a freed full
+# basis would raise the C heap's trim threshold, and so resident memory.
+KRYLOV_ROWS = 8
 
 
 @dataclass
@@ -175,93 +190,72 @@ class BVProblem:
                           stacklevel=2)
 
 
-def _bicgstab_core(op, b, x0, precondition, target, iter_cap):
-    """One BiCGSTAB run; returns (x, iterations), or raises BreakdownError
-    carrying the last iterate as best.  A zero x0 takes r = b without a
-    matvec."""
-    x = x0.copy()
-    r = b - op(x) if x.any() else b
-    if np.linalg.norm(r) <= target:
-        return x, 0
-    rhat = r.copy()
-    rho_old = 1.0
-    alpha = 1.0
-    omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    tiny = 1e-290
-    for k in range(1, iter_cap + 1):
-        rho = float(rhat @ r)
-        if not np.isfinite(rho) or abs(rho) < tiny:
-            raise BreakdownError("Krylov recurrence breakdown", best=x)
-        if k == 1:
-            p = r.copy()
-        else:
-            if abs(omega) < tiny:
-                raise BreakdownError("Krylov recurrence breakdown", best=x)
-            beta = (rho / rho_old) * (alpha / omega)
-            p = r + beta * (p - omega * v)
-        phat = precondition(p)
-        v = op(phat)
-        denom = float(rhat @ v)
-        if not np.isfinite(denom) or abs(denom) < tiny:
-            raise BreakdownError("Krylov recurrence breakdown", best=x)
-        alpha = rho / denom
-        s = r - alpha * v
-        if np.linalg.norm(s) <= target:
-            return x + alpha * phat, k
-        shat = precondition(s)
-        t = op(shat)
-        tt = float(t @ t)
-        if not np.isfinite(tt) or tt < tiny:
-            raise BreakdownError("Krylov recurrence breakdown", best=x)
-        omega = float(t @ s) / tt
-        x = x + alpha * phat + omega * shat
-        r = s - omega * t
-        if np.linalg.norm(r) <= target:
-            return x, k
-        rho_old = rho
-    return x, iter_cap
-
-
 def linear_solve(op, rhs, tol, max_iter, precondition=None):
-    """Matrix-free BiCGSTAB for op(x) = rhs, right-preconditioned by precondition.
+    """Matrix-free restarted GMRES for op(x) = rhs, right-preconditioned by
+    precondition (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856-869).
 
-    Runs to relative residual <= tol or MaxIterError.  Recursive-residual
-    exits are re-verified against the true residual (warm restarts absorb
-    drift).  A recurrence breakdown restarts once, with a fresh iteration
-    budget, from its last iterate plus a deterministic perturbation; a
-    second breakdown raises BreakdownError with the restart's last iterate
-    as best.  Deterministic for identical inputs.
+    Classical Gram-Schmidt with one reorthogonalization pass builds the
+    basis and Givens rotations the least-squares residual, which is that of
+    the iterate; the preconditioned vectors are kept for the update.  Runs
+    from zero (no matvec) until that residual is <= tol * ||rhs||.  Raises
+    MaxIterError after max_iter matvecs, and BreakdownError when the Krylov
+    space stops growing first (a zero Hessenberg column or a non-finite
+    value); both carry the best iterate.  Deterministic.
     """
     b = np.asarray(rhs, dtype=float).ravel()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    precondition = precondition or (lambda x: x)
-    target = tol * bnorm
-    x, used, restarted = np.zeros_like(b), 0, False
-    while True:
-        try:
-            x, it = _bicgstab_core(op, b, x, precondition, target, max_iter - used)
-        except BreakdownError as err:
-            if restarted:
-                raise BreakdownError(
-                    "Krylov recurrence broke down twice (original and perturbed "
-                    "restart)", best=err.best) from None
-            x = err.best + (1e-8 * bnorm) * np.cos(np.arange(b.size, dtype=float))
-            used, restarted = 0, True
-            continue
-        used += it
-        res = float(np.linalg.norm(b - op(x)))
-        if res <= target * (1.0 + 1e-9):
+    precondition = precondition or (lambda v: v)
+    target = tol * float(np.linalg.norm(b))
+    m = min(GMRES_RESTART, max_iter)
+    basis = np.empty((min(m, KRYLOV_ROWS) + 1, b.size))
+    x, r, used = np.zeros_like(b), b, 0
+    while not (beta := float(np.linalg.norm(r))) <= target:  # nan goes in
+        np.divide(r, beta, out=basis[0])
+        kept, cols, rot, g = [], [], [], [beta]
+        for k in range(m):
+            if k + 1 == len(basis):  # double the basis, up to m + 1 vectors
+                basis = np.concatenate([basis, np.empty((min(k, m - k), b.size))])
+            kept.append(precondition(basis[k]))
+            w = op(kept[k])
+            used += 1
+            v, w_next = basis[:k + 1], basis[k + 1]
+            h = v @ w
+            np.subtract(w, h @ v, out=w_next)
+            h2 = v @ w_next
+            w_next -= h2 @ v
+            h += h2
+            h_next = math.sqrt(w_next @ w_next)
+            floor = KRYLOV_FLOOR * math.sqrt(h @ h + h_next * h_next)  # ||w||
+            if h_next <= floor:  # w lies in the basis: invariant
+                h_next = 0.0
+            col = h.tolist()
+            for i, (c, s) in enumerate(rot):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            diag = math.hypot(col[k], h_next)
+            if not diag > floor:  # a zero (or non-finite) rotated column
+                break
+            rot.append((col[k] / diag, h_next / diag))
+            col[k] = diag
+            cols.append(col)
+            g[k:] = rot[k][0] * g[k], -rot[k][1] * g[k]
+            if abs(g[-1]) <= target or used == max_iter:
+                break
+            w_next /= h_next
+        y = g[:len(cols)]
+        for j in reversed(range(len(cols))):  # back substitution in R y = g
+            y[j] /= cols[j][j]
+            for i in range(j):
+                y[i] -= cols[j][i] * y[j]
+            x += y[j] * kept[j]
+        res, stopped = abs(g[-1]), len(cols) == k
+        if res <= target:
             return x
-        if used >= max_iter:
-            raise MaxIterError(
-                f"linear solve: {used} iterations, residual {res:.3e} "
-                f"above target {target:.3e}",
-                best=x, residual=res, iterations=used,
-            )
+        if stopped or used == max_iter:
+            raise (BreakdownError if stopped else MaxIterError)(
+                f"linear solve: {used} iterations, residual {res:.3e} above "
+                f"target {target:.3e}" + (", Krylov space stopped growing" if stopped else ""),
+                best=x, residual=res, iterations=used)
+        r = b - op(x)
+    return x
 
 
 def _on_interior(apply_full, grid, idx):
@@ -303,7 +297,11 @@ def _harmonic_extension(grid, idx, boundary_vals, opts, precondition):
     return out
 
 
-def _line_search(phi, delta, idx, res, interior_residual, max_damping, floor):
+def _line_search(phi, delta, idx, r, interior_residual, max_damping, floor, eta):
+    """First of lambda = 1, 1/2, ... whose iterate is admissible and meets
+    ||r(phi + lambda delta)||_2 <= (1 - DECREASE (1 - eta) lambda) ||r||_2,
+    with r the interior residual at phi."""
+    res, norm = float(np.max(np.abs(r))), float(np.linalg.norm(r))
     lam = 1.0
     all_vacuum = True
     for _ in range(max_damping + 1):
@@ -316,9 +314,8 @@ def _line_search(phi, delta, idx, res, interior_residual, max_damping, floor):
             lam *= 0.5
             continue
         all_vacuum = False
-        res_new = float(np.max(np.abs(evaluated[0])))
-        if np.isfinite(res_new) and res_new < res:
-            return cand, evaluated, res_new, lam, all_vacuum
+        if np.linalg.norm(evaluated[0]) <= (1.0 - DECREASE * (1.0 - eta) * lam) * norm:
+            return cand, evaluated, float(np.max(np.abs(evaluated[0]))), lam, all_vacuum
         if lam == 1.0 and res <= floor():  # no shorter step resolves a drop
             break
         lam *= 0.5
@@ -329,14 +326,9 @@ def _forcing(history, forcing, opts):
     """Eisenstat-Walker choice 2 forcing term of the next inner solve.
 
     The ratio is taken of the sup-norm Newton residuals in history and is
-    used as BiCGSTAB's relative 2-norm tolerance.  The two norms of a vector
-    differ by up to sqrt(N).  On the README scenario at 129^2 (sqrt(N) ~
-    127) each inner solve leaves a linear residual whose sup-norm is 0.3-1.3
-    eta times the Newton residual's, so there eta reads alike in either
-    norm.  That is not general: on the wide patch with a centred square
-    hole at 193^2 and 257^2 (gamma = 2, B = 4), the line search stalls above
-    the roundoff floor after inner solves to eta = 0.1 (at 257^2 the solve
-    converges with eta capped at 0.01).
+    used as GMRES's relative 2-norm tolerance, which makes every step a
+    descent direction for the line search's 2-norm.  Kelley's safeguard:
+    after a term above 1/3, the next is not below FORCING_MAX.
     """
     res = history[-1]
     if not forcing:
@@ -409,7 +401,7 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
 
         floor = cache(partial(roundoff_floor, phi, state))
         cand, evaluated, res_new, lam, all_vacuum = _line_search(
-            phi, delta, idx, res, interior_residual, opts.max_damping, floor)
+            phi, delta, idx, r, interior_residual, opts.max_damping, floor, eta)
         if cand is None and all_vacuum:
             raise VacuumEncounteredError(
                 "damping exhausted without an admissible iterate")

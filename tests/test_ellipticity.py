@@ -163,6 +163,12 @@ def test_segment_degenerates_to_pointwise(gas_b4):
     np.testing.assert_array_equal(few.pass_mask, many.pass_mask)
 
 
+def test_segment_conditions_need_two_parameters(gas_b4):
+    f = ScalarField.constant(SphericalGrid(*WIDE_PATCH, 9, 9), 2.0)
+    with pytest.raises(ValueError, match="n_t must be >= 2"):
+        sf.check_segment_conditions(gas_b4, f, f, n_t=1)
+
+
 def test_segment_vacuum_in_coefficients(gas_b4):
     g = SphericalGrid(*WIDE_PATCH, 9, 9)
     # midpoint of the segment between z = -2.6 and z = +2.6 is fine, but

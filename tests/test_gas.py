@@ -78,6 +78,16 @@ def test_classify_examples():
         sf.classify_state(gas, FlowState(0.0, 0.0, 0.0), eps_type=0.0)
 
 
+def test_classify_state_refuses_an_array_state():
+    gas = GasModel(2.0, 1.0, 4.0)
+    s = FlowState(np.array([0.5, 1.0]), np.zeros(2), np.full(2, 2.0))
+    with pytest.raises(ValueError, match="use classify_codes"):
+        sf.classify_state(gas, s)
+    np.testing.assert_array_equal(
+        sf.classify_codes(gas, s),
+        [int(FlowType.ELLIPTIC), int(FlowType.HYPERBOLIC)])
+
+
 def test_classify_rotation_invariance():
     rng = np.random.default_rng(3)
     gas = GasModel(1.4, 1.0, 3.0)

@@ -445,6 +445,12 @@ def test_eigenvalue_ratio_examples(gas_b4):
         sf.eigenvalue_ratio(gas_b4, FlowState(1.0, 0.0, 2.0))
 
 
+def test_eigenvalue_ratio_refuses_a_vacuum_state(gas_b4):
+    # c^2 = 3 - z^2/2 - |q|^2/2 = -1 here, so L^2 is undefined, not large
+    with pytest.raises(sf.NotEllipticError, match=r"c\^2 = -1 <= 0"):
+        sf.eigenvalue_ratio(gas_b4, FlowState(0.0, 0.0, np.sqrt(8.0)))
+
+
 def test_eigenvalue_ratio_identity_random():
     # analytic 1/(1 - L^2) against brute-force eigenvalues
     rng = np.random.default_rng(41)
