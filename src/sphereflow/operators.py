@@ -12,13 +12,16 @@ The nonlinear operator evaluated by flow_residual is
 
     div(rho * D f) + 2 * rho * f
 
-in conservative (flux) form with arithmetic-mean face densities.
-expanded_residual, a reference that only the tests call, evaluates the
-termwise second-order expansion of the same equation; it carries an
-overall factor c^2/rho relative to the flux form, so the two agree
-pointwise only for gamma = 2 (where rho = c^2) or on exact solutions.  flow_jacobian is the exact derivative of the flux form at
-interior nodes, applied matrix-free; segment_jacobian averages it over the
-segment between two fields.
+in conservative (flux) form with arithmetic-mean face densities.  The
+equation holds at interior nodes, with f given at the others, so the flux
+operators (flow_residual, laplace_beltrami, residual_roundoff,
+flow_jacobian) are exact at interior nodes only, and flow_residual is 0.0
+at every other node.  flow_jacobian is its exact derivative there, applied
+matrix-free; segment_jacobian averages it over the segment between two
+fields.  expanded_residual, a reference that only the tests call,
+evaluates the termwise expansion of the same equation; it carries an
+overall factor c^2/rho relative to the flux form, so the two agree only
+for gamma = 2 (where rho = c^2) or on exact solutions.
 """
 
 from dataclasses import dataclass
@@ -69,31 +72,14 @@ def _face_mean(a, grid, axis):
     return 0.5 * _faces(np.add, a, grid, axis)
 
 
-def _add_divergence(out, grid, axis, flux, node_flux=None, combine=np.subtract):
+def _add_divergence(out, grid, axis, flux, combine=np.subtract):
     """out += the divergence along axis of face fluxes laid out by _faces
     (theta faces sin-weighted): combine(flux[k + 1/2], flux[k - 1/2]) /
-    (sin(theta) h), in place on a contiguous out, nothing at the ends of a
-    non-periodic axis.  If node_flux = (rho, q1, q2) is given, the rows of
-    the axis's stencil table (its open_sides nodes) take _derivative's
-    one-sided stencil of sin rho q1 or rho q2 over sin(theta) instead;
-    without it the result is exact at interior nodes only."""
-    h = grid.h_theta if axis == 0 else grid.h_phi
-    flat = out.ravel()
-    if node_flux is not None:
-        nodes, idx, w1, _ = grid.stencils[axis]
-        base = flat[nodes]
+    (sin(theta) h), in place, nothing at the ends of a non-periodic axis;
+    exact at interior nodes only."""
     div = _at_nodes(combine, flux, grid, axis)
-    div /= grid.sin_theta[:, None] * h
+    div /= grid.sin_theta[:, None] * (grid.h_theta if axis == 0 else grid.h_phi)
     out += div
-    if node_flux is not None:
-        rho, v = node_flux[0].ravel(), node_flux[1 + axis].ravel()
-        sin_nodes = grid.sin_theta[nodes // grid.n_phi]
-        own, points = rho[nodes] * v[nodes], rho[idx] * v[idx]
-        if axis == 0:  # the theta node flux is sin * rho * q1
-            own, points = sin_nodes * own, grid.sin_theta[idx // grid.n_phi] * points
-        terms = (points - own) * w1  # summed in table order, as in _derivative
-        flat[nodes] = base + (terms[0] + terms[1] + terms[2]) / (2.0 * h) / sin_nodes
-    return out
 
 
 def _face_flux(grid, axis, rho_face, vals):
@@ -145,17 +131,17 @@ def spherical_divergence(v: VectorField) -> ScalarField:
     return ScalarField(grid, np.where(grid.mask_array, (dth + dph) / st, 0.0))
 
 
-def field_density(gas: GasModel, f: ScalarField, t=None):
+def field_density(gas: GasModel, f: ScalarField):
     """(rho, c2, q1, q2) node arrays; rho is zero off the mask.
 
     Raises VacuumError (GasOverflowError for the isothermal exp() guard)
-    naming the first inadmissible masked node (and t, if given).
+    naming the first inadmissible masked node.
     """
     vf = spherical_gradient(f)
     q1, q2 = vf.v_theta, vf.v_phi
     m = f.grid.mask_array
     rho, c2, ok = bernoulli_density(gas, q1 * q1 + q2 * q2, f.values)
-    require_admissible(gas, c2, ok, m, t)
+    require_admissible(gas, c2, ok, m)
     return np.where(m, rho, 0.0), c2, q1, q2
 
 
@@ -248,16 +234,16 @@ def principal_preconditioner(grid: SphericalGrid):
 
 def flow_residual(gas: GasModel, f: ScalarField, *, state=None) -> ScalarField:
     """Evaluate the potential-flow operator div(rho D f) + 2 rho f by the
-    conservative flux stencil with arithmetic-mean face densities, falling
-    back to one-sided derivatives of the node fluxes rho D f at patch edges
-    and mask boundaries.  state is field_density(gas, f), if known."""
+    conservative flux stencil with arithmetic-mean face densities at the
+    interior nodes, where the equation holds; 0.0 at every other node.
+    state is field_density(gas, f), if known."""
     grid = f.grid
-    rho, _, q1, q2 = field_density(gas, f) if state is None else state
+    rho = (field_density(gas, f) if state is None else state)[0]
     out = 2.0 * rho * f.values
     for axis in (0, 1):
         _add_divergence(out, grid, axis, _face_flux(grid, axis, _face_mean(rho, grid, axis),
-                                                    f.values), (rho, q1, q2))
-    return ScalarField(grid, np.where(grid.mask_array, out, 0.0))
+                                                    f.values))
+    return ScalarField(grid, np.where(grid.interior_mask, out, 0.0))
 
 
 def _face_weights(grid):
@@ -286,18 +272,18 @@ def residual_roundoff(f: ScalarField, rho):
     return np.finfo(float).eps * out
 
 
-def flow_jacobian(gas: GasModel, f: ScalarField, t=None, *, state=None):
+def flow_jacobian(gas: GasModel, f: ScalarField, *, state=None):
     """apply(v) = D_face(rho_face grad_face v + drho_face grad_face f)
     + 2 (rho v + drho f): the exact derivative of the flux residual at f, on
     value arrays and exact at interior nodes, with the face averages and
     differences of flow_residual and the chain rule
     drho = -(rho/c^2)(q1 dv/dtheta + q2 dv/dphi / sin + z v) through the
-    Bernoulli density.  Raises like field_density (naming t, if given) if f
-    is inadmissible; state is field_density(gas, f, t), if known.  The chain
-    rule, 1/(2h) and 1/sin fold into per-node coefficients of the central
-    differences, zero at the stencil tables' rows: one gather applies those."""
+    Bernoulli density.  Raises like field_density if f is inadmissible;
+    state is field_density(gas, f), if known.  The chain rule, 1/(2h) and
+    1/sin fold into per-node coefficients of the central differences, zero
+    at the stencil tables' rows: one gather applies those."""
     grid, vals = f.grid, f.values
-    rho, c2, q1, q2 = field_density(gas, f, t) if state is None else state
+    rho, c2, q1, q2 = field_density(gas, f) if state is None else state
     scale = -rho / np.where(grid.mask_array, c2, 1.0)
     coef = (scale * q1 / (2.0 * grid.h_theta),
             scale * q2 / (2.0 * grid.h_phi * grid.sin_theta[:, None]))
@@ -348,13 +334,14 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     """apply(v) on value arrays: flow_jacobian's apply averaged over phi_t =
     t f- + (1-t) f+ by n_quad-point Gauss-Legendre in t, so apply(f- - f+)
     = flow_residual(f-) - flow_residual(f+) at interior nodes up to the
-    quadrature error.  Raises like field_density, with t, if some phi_t is
-    inadmissible."""
+    quadrature error.  Built on segment_states, so no phi_t is differentiated
+    again; raises like field_density, naming t, if some phi_t is inadmissible."""
     grid = require_same_grid(f_minus, f_plus)
+    ts, ws = gauss_legendre(n_quad)
     parts = []
-    for t, wt in zip(*gauss_legendre(n_quad)):
-        phi = ScalarField(grid, t * f_minus.values + (1.0 - t) * f_plus.values)
-        parts.append((wt, flow_jacobian(gas, phi, float(t))))
+    for wt, (t, q1, q2, z, rho, c2, ok) in zip(ws, segment_states(gas, f_minus, f_plus, ts)):
+        require_admissible(gas, c2, ok, grid.mask_array, float(t))
+        parts.append((wt, flow_jacobian(gas, ScalarField(grid, z), state=(rho, c2, q1, q2))))
 
     def apply(v):
         return sum(wt * jac(v) for wt, jac in parts)

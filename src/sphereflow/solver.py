@@ -64,7 +64,8 @@ FORCING_MAX = 0.1
 ROUNDOFF_ULPS = 4.0
 # A step that keeps more than STALL_RATIO of the residual has stalled: at
 # the roundoff floor the solve ends there.  STAGNATION_STEPS steps that
-# together keep more than STALL_RATIO of it end the solve with an error.
+# together keep more than STALL_RATIO of it end the solve with an error, as
+# does a GMRES restart cycle of linear_solve that keeps that much.
 STALL_RATIO = 0.9
 STAGNATION_STEPS = 5
 # Sufficient decrease of the line search's 2-norm test (Eisenstat & Walker,
@@ -197,10 +198,13 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
     Classical Gram-Schmidt with one reorthogonalization pass builds the
     basis and Givens rotations the least-squares residual, which is that of
     the iterate; the preconditioned vectors are kept for the update.  Runs
-    from zero (no matvec) until that residual is <= tol * ||rhs||.  Raises
-    MaxIterError after max_iter matvecs, and BreakdownError when the Krylov
-    space stops growing first (a zero Hessenberg column or a non-finite
-    value); both carry the best iterate.  Deterministic.
+    from zero (no matvec) until that residual is <= tol * ||rhs||; each
+    restart takes one matvec for its true residual.  Raises MaxIterError
+    when the next restart would pass max_iter matvecs, restarts included,
+    or when a restart cycle leaves more than STALL_RATIO of the residual it
+    started from, and BreakdownError when the Krylov space stops growing
+    first (a zero Hessenberg column or a non-finite value); all carry the
+    best iterate.  Deterministic.
     """
     b = np.asarray(rhs, dtype=float).ravel()
     precondition = precondition or (lambda v: v)
@@ -211,7 +215,7 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
     while not (beta := float(np.linalg.norm(r))) <= target:  # nan goes in
         np.divide(r, beta, out=basis[0])
         kept, cols, rot, g = [], [], [], [beta]
-        for k in range(m):
+        for k in range(min(m, max_iter - used)):
             if k + 1 == len(basis):  # double the basis, up to m + 1 vectors
                 basis = np.concatenate([basis, np.empty((min(k, m - k), b.size))])
             kept.append(precondition(basis[k]))
@@ -237,7 +241,7 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
             col[k] = diag
             cols.append(col)
             g[k:] = rot[k][0] * g[k], -rot[k][1] * g[k]
-            if abs(g[-1]) <= target or used == max_iter:
+            if abs(g[-1]) <= target:
                 break
             w_next /= h_next
         y = g[:len(cols)]
@@ -249,12 +253,15 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
         res, stopped = abs(g[-1]), len(cols) == k
         if res <= target:
             return x
-        if stopped or used == max_iter:
+        stalled = res > STALL_RATIO * beta
+        if stopped or stalled or used + 1 >= max_iter:
+            why = (", Krylov space stopped growing" if stopped
+                   else ", restart stalled" if stalled else "")
             raise (BreakdownError if stopped else MaxIterError)(
                 f"linear solve: {used} iterations, residual {res:.3e} above "
-                f"target {target:.3e}" + (", Krylov space stopped growing" if stopped else ""),
-                best=x, residual=res, iterations=used)
+                f"target {target:.3e}{why}", best=x, residual=res, iterations=used)
         r = b - op(x)
+        used += 1
     return x
 
 

@@ -5,14 +5,7 @@ import numpy as np
 
 from sphereflow import FlowState, GasModel, GridError, density, sound_speed_sq
 from sphereflow.grid import STENCILS
-from sphereflow.operators import (
-    _add_divergence,
-    _derivative,
-    _face_flux,
-    _face_mean,
-    _phi_modes,
-    field_density,
-)
+from sphereflow.operators import _phi_modes
 
 # Per-gas scenario data for solver-built comparison pairs.  Boundary levels
 # sit inside the corridor where z >= c holds and the homogeneous solution
@@ -213,20 +206,3 @@ def outward_directions(grid, i, j):
     if jm < 0 or not m[i, jm]:
         dirs.append((0, -1))
     return dirs
-
-
-def full_array_flow_residual(gas, f):
-    """flow_residual with its one-sided fallback taken over full arrays: the
-    interior flux divergence along each axis, replaced wherever open_sides
-    marks a node along that axis by _derivative of the axis's node flux
-    (sin rho q1 or rho q2) over sin(theta)."""
-    grid = f.grid
-    rho, _, q1, q2 = field_density(gas, f)
-    st = grid.sin_theta[:, None]
-    out = 2.0 * rho * f.values
-    for axis, node in ((0, st * (rho * q1)), (1, rho * q2)):
-        flux = _face_flux(grid, axis, _face_mean(rho, grid, axis), f.values)
-        div = _add_divergence(np.zeros(grid.shape), grid, axis, flux)
-        open_side = grid.open_sides[2 * axis:2 * axis + 2].any(0)
-        out += np.where(open_side, _derivative(node, grid, axis, 1) / st, div)
-    return np.where(grid.mask_array, out, 0.0)

@@ -11,7 +11,7 @@ import pytest
 
 from helpers import DEEP_EXPRESSIONS, SMALL_PATCH
 
-from sphereflow import cli
+from sphereflow import SphericalGrid, cli
 
 
 def write_scenario(path, gas=None, grid=None, command=None):
@@ -272,18 +272,40 @@ def test_vacuum_solve_exits_one(tmp_path, capsys):
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1
 
 
-def test_reports_are_deterministic(tmp_path):
-    sc = write_scenario(
-        tmp_path / "cls.json",
-        grid={"theta_min": np.pi / 2 - 0.32, "theta_max": np.pi / 2 + 0.12,
-              "phi_min": 0.0, "phi_max": 0.2, "n_theta": 23, "n_phi": 11},
-        command={"name": "classify", "field": "2 + (theta - pi/2)"},
-    )
-    assert cli.run(sc, tmp_path / "a", quiet=True) == 0
-    assert cli.run(sc, tmp_path / "b", quiet=True) == 0
-    for name in ("report.json", "type_map.csv", "l2.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+_BASE = "1.6 + 0.1*cos(theta)"
+_BELOW = _BASE + " - 0.01*sin(6*(theta - pi/3))*sin(4*phi)"  # touches on the edges
+DETERMINISTIC_COMMANDS = {
+    "classify": {"field": "2 + (theta - pi/2)", "pgm": True},
+    "solve": {"boundary": _BASE},
+    "compare": {"field_minus": _BELOW, "field_plus": _BASE},
+    "certify": {"field": _BASE},
+    "hopf": {"field_minus": _BELOW, "field_plus": _BASE, "nodes": [[0, 8], [8, 0]]},
+    "manufacture": {"exact": "2 + 0.1*cos(theta)*sin(2*phi)"},
+}
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC_COMMANDS)
+def test_reports_are_deterministic(tmp_path, name):
+    # a repeated run writes the same files, byte for byte
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(17),
+                        command={"name": name, **DETERMINISTIC_COMMANDS[name]})
+    codes = [cli.run(sc, tmp_path / out, quiet=True) for out in ("a", "b")]
+    # the expression pair is ordered, but f+ is no supersolution: exit 2
+    assert codes == [2 if name in ("compare", "hopf") else 0] * 2
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "report.json" in files
+    for file in files:
+        assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+    if name == "solve":
+        rep = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert rep["stop_reason"] == "newton_tol"
+        assert len(rep["forcing"]) == len(rep["inner_matvecs"]) == rep["iterations"]
+    if name == "manufacture":  # the source is the residual, 0 where f is data
+        source = np.loadtxt(tmp_path / "a" / "source.csv", delimiter=",", skiprows=1)
+        boundary = SphericalGrid(*SMALL_PATCH, 17, 17).boundary_mask.ravel()
+        assert np.all(source[boundary, 2] == 0.0)
+        assert np.all(source[~boundary, 2] != 0.0)
 
 
 def test_mask_file_round(tmp_path):
@@ -508,19 +530,6 @@ def test_scenario_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     sc.write_text("5")
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1
     assert capsys.readouterr().err.startswith("config error")
-
-
-def test_solve_report_is_deterministic(tmp_path):
-    sc = write_scenario(tmp_path / "sc.json", command={
-        "name": "solve", "boundary": "1.6 + 0.1*cos(theta)"})
-    assert cli.run(sc, tmp_path / "a", quiet=True) == 0
-    assert cli.run(sc, tmp_path / "b", quiet=True) == 0
-    for name in ("report.json", "solution.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
-    rep = json.loads((tmp_path / "a" / "report.json").read_text())
-    assert rep["stop_reason"] == "newton_tol"
-    assert len(rep["forcing"]) == len(rep["inner_matvecs"]) == rep["iterations"]
 
 
 def test_manufacture_boundary_is_the_exact_field(tmp_path):

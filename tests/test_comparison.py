@@ -100,6 +100,26 @@ def test_segment_jacobian_zero(gas_b4, wide_grid_33):
     assert np.all(out == 0.0)
 
 
+@pytest.mark.parametrize("n_quad", [1, 3, 8])
+def test_segment_jacobian_differentiates_each_field_once(gas_b4, wide_grid_33, n_quad,
+                                                         monkeypatch):
+    # the quadrature states interpolate the gradients of f- and f+, so no
+    # phi_t is differentiated again, neither in the build nor in apply
+    calls = []
+    gradient = sf.operators.spherical_gradient
+
+    def counted(f):
+        calls.append(f)
+        return gradient(f)
+
+    monkeypatch.setattr(sf.operators, "spherical_gradient", counted)
+    f_plus = ScalarField.from_function(wide_grid_33, lambda th, ph: 2 + 0.1 * np.cos(th))
+    f_minus = ScalarField(wide_grid_33, f_plus.values + 0.01 * np.sin(wide_grid_33.phi_mesh))
+    apply = sf.segment_jacobian(gas_b4, f_minus, f_plus, n_quad=n_quad)
+    apply(f_minus.values - f_plus.values)
+    assert len(calls) == 2 and calls[0] is f_minus and calls[1] is f_plus
+
+
 def test_segment_jacobian_laplacian_plus_zeroth_order(gas_b4):
     # at the uniform state f = 2, rho = c^2 = 1 and the Jacobian is Delta - 6
     g = SphericalGrid(np.pi / 4, 3 * np.pi / 4, 0.0, np.pi / 2, 49, 49)

@@ -97,6 +97,42 @@ def test_linear_solve_zero_rhs():
     assert np.all(x == 0.0)
 
 
+def test_restarted_gmres_gives_up_on_a_stalled_cycle():
+    # on the cyclic shift, the Krylov space of e_0 shifted 50 times is
+    # orthogonal to e_0, so GMRES(50) makes no progress at all: the first
+    # cycle keeps the whole residual and the solve raises with its best
+    # iterate, zero, instead of restarting until max_iter
+    n = sf.solver.GMRES_RESTART + 10
+    calls = []
+
+    def shift(x):
+        calls.append(1)
+        return np.roll(x, 1)
+
+    with pytest.raises(sf.MaxIterError, match="restart stalled") as err:
+        linear_solve(shift, np.eye(n)[0], tol=1e-12, max_iter=1000)
+    assert len(calls) == err.value.iterations == sf.solver.GMRES_RESTART
+    assert np.all(err.value.best == 0.0)
+    assert err.value.residual == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("max_iter", [1, 50, 51, 52, 101, 157])
+def test_linear_solve_applies_op_at_most_max_iter_times(max_iter):
+    # restarts take a matvec for their true residual, counted against
+    # max_iter like the Krylov steps; each cycle here cuts the residual
+    # enough that only max_iter stops the solve
+    d = np.linspace(1.0, 1e3, 300)
+    calls = []
+
+    def op(x):
+        calls.append(1)
+        return d * x
+
+    with pytest.raises(sf.MaxIterError) as err:
+        linear_solve(op, np.ones(d.size), tol=1e-15, max_iter=max_iter)
+    assert max_iter - 1 <= len(calls) == err.value.iterations <= max_iter
+
+
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(newton_tol=1e-15)
@@ -121,7 +157,9 @@ def test_constant_solve(gas_b4, wide_grid_33):
 def test_manufactured_constant(gas_b4, wide_grid_33):
     exact = ScalarField.constant(wide_grid_33, 2.0)
     prob = sf.manufactured_problem(gas_b4, wide_grid_33, exact)
-    np.testing.assert_allclose(prob.source.values, 4.0, rtol=1e-14)
+    im = wide_grid_33.interior_mask
+    np.testing.assert_allclose(prob.source.values[im], 4.0, rtol=1e-14)
+    assert np.all(prob.source.values[~im] == 0.0)  # the equation holds on the interior only
     phi, rep = sf.solve_dirichlet(prob)
     assert np.abs(phi.values - 2.0).max() <= 1e-12
 
