@@ -68,7 +68,6 @@ from .operators import (
     TypeMap,
     classify_field,
     eigenvalue_ratio,
-    expanded_residual,
     field_density,
     flow_jacobian,
     flow_residual,
@@ -82,6 +81,7 @@ from .solver import (
     BVProblem,
     SolveOptions,
     SolveReport,
+    interior_solve,
     linear_solve,
     manufactured_problem,
     solve_dirichlet,

@@ -350,8 +350,10 @@ def strong_comparison_check(report: ComparisonReport,
     ordered fields, which cannot occur for exact elliptic solutions; at
     the discrete level it flags a hypothesis breach or discretization
     error, with the near-touching node and the gradient of (f- - f+)
-    there available on the report.
+    there available on the report.  gap_tol < 0 or nan raises ConfigError.
     """
+    if not gap_tol >= 0.0:
+        raise ConfigError(f"gap_tol must be >= 0, got {gap_tol}", "gap_tol")
     if not report.applicable:
         raise ValueError("hypotheses failed; dichotomy undefined (Inapplicable)")
     if not report.ordering_pass:

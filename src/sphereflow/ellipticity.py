@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .gas import FlowState, GasModel, density, density_partials, sound_speed_sq
 from .grid import ScalarField, require_same_grid
 from .operators import field_density, segment_states
@@ -199,9 +200,11 @@ def certify_uniform_ellipticity(gas: GasModel, f: ScalarField, eps: float = 1e-8
 
     The certificate records the attained margins and, when the field is
     elliptic, the worst eigenvalue ratio 1/(1 - max L^2).  Vacuum nodes
-    raise; non-elliptic states merely fail the certificate.  state is
-    field_density(gas, f), if known.
+    raise, as does eps <= 0 or nan (ConfigError); non-elliptic states
+    merely fail the certificate.  state is field_density(gas, f), if known.
     """
+    if not eps > 0.0:
+        raise ConfigError(f"eps must be positive, got {eps}", "eps")
     grid = f.grid
     mask = grid.mask_array
     rho, c2, q1, q2 = field_density(gas, f) if state is None else state

@@ -163,7 +163,11 @@ def read_mask_csv(path, n_theta: int, n_phi: int) -> np.ndarray:
             raise ConfigError(
                 f"{path}: mask row {i + 1} has {len(parts)} entries, "
                 f"expected {n_phi}", key="grid.mask")
-        mask[i] = [p.strip() not in ("0", "") for p in parts]
+        for j, entry in enumerate(p.strip() for p in parts):
+            if entry not in ("0", "1"):
+                raise ConfigError(f"{path}: mask row {i + 1} column {j + 1} is "
+                                  f"{entry!r}, expected 0 or 1", key="grid.mask")
+            mask[i, j] = entry == "1"
     return mask
 
 

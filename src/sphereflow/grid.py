@@ -16,21 +16,20 @@ from .errors import GridError, GridMismatchError
 
 DEFAULT_SIN_FLOOR = 1e-3
 
-# Derivative stencils in order of preference, each as (offsets, first-
-# derivative weights in units of 1/(2h), second-derivative weights in units
-# of 1/h^2) on the differences f[k + offset] - f[k].  Difference form makes
-# constants exact zeros.  The 4-point one-sided first derivative
-# (-4 f0 + 7 f1 - 4 f2 + f3)/(2h) has the central stencil's leading error
-# term (+h^2 f'''/6), so derivative fields keep a smooth error across
+# First-derivative stencils in order of preference, each as (offsets,
+# weights in units of 1/(2h)) on the differences f[k + offset] - f[k].
+# Difference form makes constants exact zeros.  The 4-point one-sided
+# stencil (-4 f0 + 7 f1 - 4 f2 + f3)/(2h) has the central stencil's leading
+# error term (+h^2 f'''/6), so derivative fields keep a smooth error across
 # stencil switches and compositions (divergence of a gradient) stay second
 # order up to the boundary.  Three-node lines fall back to the classical
 # (-3, 4, -1)/(2h) stencil.  Offset 0 pads a stencil to three points.
 STENCILS = (
-    ((1, -1, 0), (1, -1, 0), (1, 1, 0)),        # central
-    ((1, 2, 3), (7, -4, 1), (-5, 4, -1)),       # forward, 4 points
-    ((-1, -2, -3), (-7, 4, -1), (-5, 4, -1)),   # backward, 4 points
-    ((1, 2, 0), (4, -1, 0), (-2, 1, 0)),        # forward, 3 points
-    ((-1, -2, 0), (-4, 1, 0), (-2, 1, 0)),      # backward, 3 points
+    ((1, -1, 0), (1, -1, 0)),        # central
+    ((1, 2, 3), (7, -4, 1)),         # forward, 4 points
+    ((-1, -2, -3), (-7, 4, -1)),     # backward, 4 points
+    ((1, 2, 0), (4, -1, 0)),         # forward, 3 points
+    ((-1, -2, 0), (-4, 1, 0)),       # backward, 3 points
 )
 
 
@@ -177,11 +176,11 @@ class SphericalGrid:
         stencil is not central, chosen once from the runs of masked neighbors.
 
         Entry `axis` (0 = theta, 1 = phi, wrapping when phi_periodic) is
-        (nodes, idx, w1, w2): the flat indices of the masked nodes without
-        two masked neighbors along the axis, then (3, len(nodes)) arrays
-        holding the flat index of each node's three stencil points and their
-        first- and second-derivative weights from STENCILS.  Every stencil
-        point is a masked node.  The other masked nodes are central, which
+        (nodes, idx, w1): the flat indices of the masked nodes without two
+        masked neighbors along the axis, then (3, len(nodes)) arrays holding
+        the flat index of each node's three stencil points and their
+        first-derivative weights from STENCILS.  Every stencil point is a
+        masked node.  The other masked nodes are central, which
         operators._derivative applies by slicing, so a table has O(perimeter)
         rows.  Raises GridError naming the first masked node that has no
         usable stencil.
@@ -199,17 +198,17 @@ class SphericalGrid:
             nodes = np.flatnonzero(m & ((runs[0] == 0) | (runs[1] == 0)))
             after, before = (run.ravel()[nodes] for run in runs)
             kind = np.full(nodes.size, -1)
-            for s, (offs, _, _) in reversed(list(enumerate(STENCILS))):
+            for s, (offs, _) in reversed(list(enumerate(STENCILS))):
                 kind[(after >= max(offs)) & (before >= -min(offs))] = s
             if np.any(kind < 0):
                 i, j = np.unravel_index(nodes[np.argmax(kind < 0)], self.shape)
                 raise GridError(f"mask too thin for a derivative stencil at node "
                                 f"({int(i)}, {int(j)})")
-            offsets, w1, w2 = (np.array(col, dtype=np.int8)[kind].T.copy()
-                               for col in zip(*STENCILS))
+            offsets, w1 = (np.array(col, dtype=np.int8)[kind].T.copy()
+                           for col in zip(*STENCILS))
             i, j = np.divmod(nodes, self.n_phi)  # the modulo wraps a periodic seam
             i, j = (i + offsets, j) if axis == 0 else (i, (j + offsets) % self.n_phi)
-            tables.append((nodes, i * self.n_phi + j, w1, w2))
+            tables.append((nodes, i * self.n_phi + j, w1))
         return tuple(tables)
 
     def same_geometry(self, other: "SphericalGrid") -> bool:

@@ -18,10 +18,8 @@ operators (flow_residual, laplace_beltrami, residual_roundoff,
 flow_jacobian) are exact at interior nodes only, and flow_residual is 0.0
 at every other node.  flow_jacobian is its exact derivative there, applied
 matrix-free; segment_jacobian averages it over the segment between two
-fields.  expanded_residual, a reference that only the tests call,
-evaluates the termwise expansion of the same equation; it carries an
-overall factor c^2/rho relative to the flux form, so the two agree only
-for gamma = 2 (where rho = c^2) or on exact solutions.
+fields.  Only first derivatives are taken: the termwise expansion of the
+equation, with its second derivatives, is a reference kept with the tests.
 """
 
 from dataclasses import dataclass
@@ -91,25 +89,18 @@ def _face_flux(grid, axis, rho_face, vals):
     return flux * grid.sin_theta_face if axis == 0 else flux
 
 
-def _derivative(vals, grid: SphericalGrid, axis, order):
-    """d/dx (order 1) or d2/dx2 (order 2) along axis at every masked node.
-
-    Central differences (f[k+1] - f[k]) +- (f[k] - f[k-1]) over the whole
-    array, wrapping across a periodic phi seam, then the one-sided stencils
-    of the grid's table at patch edges and mask boundaries (see
-    grid.STENCILS); zero off the mask.
-    """
+def _derivative(vals, grid: SphericalGrid, axis):
+    """d/dx along axis at every masked node: central differences
+    ((f[k+1] - f[k]) + (f[k] - f[k-1])) / 2h over the whole array, wrapping
+    across a periodic phi seam, then the grid's table of one-sided stencils
+    (grid.STENCILS) at patch edges and mask boundaries; zero off the mask."""
     vals = np.asarray(vals, dtype=float)
-    h = grid.h_theta if axis == 0 else grid.h_phi
-    div = 2.0 * h if order == 1 else h * h
-    out = _at_nodes(np.add if order == 1 else np.subtract,
-                    _faces(np.subtract, vals, grid, axis), grid, axis)
-    if order == 2:
-        out += 0.0  # a zero second difference is +0.0, as in the table stencils
+    div = 2.0 * (grid.h_theta if axis == 0 else grid.h_phi)
+    out = _at_nodes(np.add, _faces(np.subtract, vals, grid, axis), grid, axis)
     out /= div
-    nodes, idx, w1, w2 = grid.stencils[axis]
+    nodes, idx, w1 = grid.stencils[axis]
     flat = vals.ravel()
-    terms = (flat[idx] - flat[nodes]) * (w1 if order == 1 else w2)
+    terms = (flat[idx] - flat[nodes]) * w1
     out.ravel()[nodes] = (terms[0] + terms[1] + terms[2]) / div
     return out if grid.mask is None else np.where(grid.mask, out, 0.0)
 
@@ -117,8 +108,8 @@ def _derivative(vals, grid: SphericalGrid, axis, order):
 def spherical_gradient(f: ScalarField) -> VectorField:
     """D f = (df/dtheta, df/dphi / sin(theta)) at every masked node."""
     grid = f.grid
-    dth = _derivative(f.values, grid, 0, 1)
-    dph = _derivative(f.values, grid, 1, 1)
+    dth = _derivative(f.values, grid, 0)
+    dph = _derivative(f.values, grid, 1)
     return VectorField(grid, dth, dph / grid.sin_theta[:, None])
 
 
@@ -126,8 +117,8 @@ def spherical_divergence(v: VectorField) -> ScalarField:
     """(1/sin) d/dtheta (sin * v_theta) + (1/sin) d/dphi (v_phi)."""
     grid = v.grid
     st = grid.sin_theta[:, None]
-    dth = _derivative(st * v.v_theta, grid, 0, 1)
-    dph = _derivative(v.v_phi, grid, 1, 1)
+    dth = _derivative(st * v.v_theta, grid, 0)
+    dph = _derivative(v.v_phi, grid, 1)
     return ScalarField(grid, np.where(grid.mask_array, (dth + dph) / st, 0.0))
 
 
@@ -291,7 +282,7 @@ def flow_jacobian(gas: GasModel, f: ScalarField, *, state=None):
     tables = grid.stencils
     own, idx = np.concatenate([t[0] for t in tables]), np.concatenate([t[1] for t in tables], 1)
     weights = np.concatenate([w1 * c.ravel()[rows]
-                              for (rows, _, w1, _), c in zip(tables, coef)], 1)
+                              for (rows, _, w1), c in zip(tables, coef)], 1)
     for (rows, *_), c in zip(tables, coef):
         c.ravel()[rows] = 0.0
     # per axis, flux = a (v[k+1] - v[k]) + b (drho[k+1] + drho[k]) on the faces
@@ -347,30 +338,6 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
         return sum(wt * jac(v) for wt, jac in parts)
 
     return apply
-
-
-def expanded_residual(gas: GasModel, f: ScalarField) -> ScalarField:
-    """The termwise second-order expansion of the flow equation at f's
-    field_density state: a reference for flow_residual, from which it
-    differs by the c^2/rho factor noted in the module docstring."""
-    grid = f.grid
-    _, c2, q1, q2 = field_density(gas, f)
-    m = grid.mask_array
-    st = grid.sin_theta[:, None]
-    vals = f.values
-
-    f_tt = _derivative(vals, grid, 0, 2)
-    f_pp = _derivative(vals, grid, 1, 2)
-    f_tp = _derivative(_derivative(vals, grid, 0, 1), grid, 1, 1)
-    cot = (np.cos(grid.thetas) / grid.sin_theta)[:, None]
-    out = (
-        (c2 - q1 * q1) * f_tt
-        + (c2 - q2 * q2) * f_pp / (st * st)
-        - 2.0 * q1 * q2 * f_tp / st
-        + cot * (c2 + q2 * q2) * q1
-        + (2.0 * c2 - q1 * q1 - q2 * q2) * vals
-    )
-    return ScalarField(grid, np.where(m, out, 0.0))
 
 
 def principal_matrix(gas: GasModel, s: FlowState):

@@ -7,10 +7,10 @@ The Jacobian is the exact derivative of the discrete flux residual
 quadratic near the solution.  Each iterate's flow state (field_density)
 is evaluated once, with its residual, and feeds its Jacobian and roundoff
 floor.  One unit-density operators.principal_preconditioner per solve
-serves the harmonic initial guess and every Newton step's GMRES, which
-runs only to the Eisenstat-Walker forcing term and goes on from its best
-iterate if it fails; it starts from zero, whose residual costs no matvec,
-and its matvecs reuse one interior-embedding array per inner solve.  The
+serves every interior_solve: the harmonic initial guess and each Newton
+step's GMRES, which runs only to the Eisenstat-Walker forcing term and
+goes on from its best iterate if it fails; it starts from zero, whose
+residual costs no matvec, and reuses one interior-embedding array.  The
 line search halves the step until the residual's 2-norm, the norm GMRES
 minimizes, decreases sufficiently and the iterate stays admissible
 (rho > 0 on the mask); vacuum is a hard wall.  newton_tol, the forcing
@@ -102,7 +102,7 @@ class SolveOptions:
             raise ConfigError("newton_tol must be >= 1e-14", "newton_tol")
         for name in ("newton_tol", "max_newton", "max_damping", "lin_tol",
                      "lin_max_iter", "cert_eps"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # nan too
                 raise ConfigError(f"{name} must be positive", name)
 
 
@@ -265,42 +265,40 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
     return x
 
 
-def _on_interior(apply_full, grid, idx):
-    """apply_full on interior values, embedded in one zero array that every
-    call reuses (apply_full must neither keep nor write it); .calls[0] counts
-    its uses (a shared list, so matvec never refers to itself and is freed
-    without the cycle gc)."""
-    calls = [0]
+def interior_solve(grid: SphericalGrid, apply_full, rhs, tol, max_iter,
+                   precondition=None):
+    """(x, matvecs, outcome) of linear_solve for apply_full(v) = rhs on the
+    interior values of grid (flat order), with v zero at the other nodes.
+
+    apply_full maps value arrays to value arrays; every matvec hands it one
+    reused array, which it must neither keep nor write.  precondition acts
+    on interior values; None builds principal_preconditioner(grid).  A failed
+    solve gives its best iterate and outcome "max_iter" or "breakdown"."""
+    idx = np.flatnonzero(grid.interior_mask)
     full = np.zeros(grid.shape)
+    matvecs = 0
 
     def matvec(x):
-        calls[0] += 1
+        nonlocal matvecs
+        matvecs += 1
         full.ravel()[idx] = x
         return apply_full(full).ravel()[idx]
 
-    matvec.calls = calls
-    return matvec
-
-
-def _inner_solve(apply_full, grid, idx, rhs, tol, max_iter, precondition):
-    """(x, matvecs, outcome) of linear_solve for apply_full on the interior
-    nodes idx (freed on return); a failed solve gives its best iterate and
-    outcome "max_iter" or "breakdown"."""
-    matvec = _on_interior(apply_full, grid, idx)
+    precondition = precondition or principal_preconditioner(grid)
     try:
         x, outcome = linear_solve(matvec, rhs, tol, max_iter, precondition), "converged"
     except LinearSolveError as err:
         x, outcome = err.best, "max_iter" if isinstance(err, MaxIterError) else "breakdown"
-    return x, matvec.calls[0], outcome
+    return x, matvecs, outcome
 
 
-def _harmonic_extension(grid, idx, boundary_vals, opts, precondition):
-    """Laplace-Beltrami solution on the interior nodes idx, datum elsewhere
-    (a failed inner solve's best iterate, as for a Newton step)."""
-    apply_full = partial(laplace_beltrami, grid)
-    out = np.where(grid.interior_mask, 0.0, boundary_vals)
-    out.flat[idx] = _inner_solve(apply_full, grid, idx, -apply_full(out).ravel()[idx],
-                                 opts.lin_tol, opts.lin_max_iter, precondition)[0]
+def _harmonic_extension(grid, boundary_vals, opts, precondition):
+    """Laplace-Beltrami solution on the interior nodes, datum elsewhere (a
+    failed inner solve's best iterate, as for a Newton step)."""
+    apply_full, im = partial(laplace_beltrami, grid), grid.interior_mask
+    out = np.where(im, 0.0, boundary_vals)
+    out[im] = interior_solve(grid, apply_full, -apply_full(out)[im], opts.lin_tol,
+                             opts.lin_max_iter, precondition)[0]
     return out
 
 
@@ -367,7 +365,7 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
     source_int = problem.source.values.ravel()[idx]
 
     precondition = principal_preconditioner(grid)
-    phi = ScalarField(grid, _harmonic_extension(grid, idx, problem.boundary.values,
+    phi = ScalarField(grid, _harmonic_extension(grid, problem.boundary.values,
                                                 opts, precondition))
 
     def interior_residual(f):  # with f's flow state, its one field_density
@@ -402,8 +400,8 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
                           f"residual only to {res:.3e}, max at node "
                           f"({i}, {j})")
         eta = _forcing(history, report.forcing, opts)
-        delta, matvecs, outcome = _inner_solve(  # J delta = -r, J at phi
-            flow_jacobian(gas, phi, state=state), grid, idx, -r, eta,
+        delta, matvecs, outcome = interior_solve(  # J delta = -r, J at phi
+            grid, flow_jacobian(gas, phi, state=state), -r, eta,
             opts.lin_max_iter, precondition)
 
         floor = cache(partial(roundoff_floor, phi, state))

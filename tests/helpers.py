@@ -3,7 +3,15 @@ oracles kept independent of the library code paths they check."""
 
 import numpy as np
 
-from sphereflow import FlowState, GasModel, GridError, density, sound_speed_sq
+from sphereflow import (
+    FlowState,
+    GasModel,
+    GridError,
+    ScalarField,
+    density,
+    field_density,
+    sound_speed_sq,
+)
 from sphereflow.grid import STENCILS
 from sphereflow.operators import _phi_modes
 
@@ -98,10 +106,23 @@ def observed_orders(errors):
             for k in range(len(errors) - 1)]
 
 
+# Second-derivative weights in units of 1/h^2 on the differences
+# f[k + offset] - f[k], one row per stencil of grid.STENCILS and on its
+# offsets: the library takes first derivatives only.
+SECOND_DERIVATIVE_WEIGHTS = (
+    (1, 1, 0),       # central
+    (-5, 4, -1),     # forward, 4 points
+    (-5, 4, -1),     # backward, 4 points
+    (-2, 1, 0),      # forward, 3 points
+    (-2, 1, 0),      # backward, 3 points
+)
+
+
 def per_node_derivative(vals, grid, axis, order):
-    """_derivative by a per-node gather: each masked node applies the first
-    usable stencil of STENCILS, term by term in table order, with the
-    neighbors wrapping across a periodic phi seam."""
+    """d/dx (order 1, operators._derivative) or d2/dx2 (order 2) by a
+    per-node gather: each masked node applies the first usable stencil of
+    STENCILS, term by term in table order, with the neighbors wrapping
+    across a periodic phi seam; zero off the mask."""
     m = grid.mask_array
     n = grid.shape[axis]
     wrap = axis == 1 and grid.phi_periodic
@@ -116,7 +137,7 @@ def per_node_derivative(vals, grid, axis, order):
             elif not 0 <= k < n:
                 return None
             return node[:axis] + (k,) + node[axis + 1:]
-        for offsets, w1, w2 in STENCILS:
+        for (offsets, w1), w2 in zip(STENCILS, SECOND_DERIVATIVE_WEIGHTS):
             points = [at(off) for off in offsets]
             if all(p is not None and m[p] for p in points):
                 break
@@ -126,6 +147,30 @@ def per_node_derivative(vals, grid, axis, order):
         terms = [(vals[p] - vals[node]) * float(wk) for p, wk in zip(points, w)]
         out[node] = (terms[0] + terms[1] + terms[2]) / div
     return out
+
+
+def expanded_residual(gas, f):
+    """The termwise second-order expansion of the flow equation at f's
+    field_density state, with every derivative from per_node_derivative: a
+    reference for flow_residual.  It carries an overall factor c^2/rho
+    relative to the flux form, so the two agree only for gamma = 2 (where
+    rho = c^2) or on exact solutions."""
+    grid = f.grid
+    _, c2, q1, q2 = field_density(gas, f)
+    st = grid.sin_theta[:, None]
+    vals = f.values
+    f_tt = per_node_derivative(vals, grid, 0, 2)
+    f_pp = per_node_derivative(vals, grid, 1, 2)
+    f_tp = per_node_derivative(per_node_derivative(vals, grid, 0, 1), grid, 1, 1)
+    cot = (np.cos(grid.thetas) / grid.sin_theta)[:, None]
+    out = (
+        (c2 - q1 * q1) * f_tt
+        + (c2 - q2 * q2) * f_pp / (st * st)
+        - 2.0 * q1 * q2 * f_tp / st
+        + cot * (c2 + q2 * q2) * q1
+        + (2.0 * c2 - q1 * q1 - q2 * q2) * vals
+    )
+    return ScalarField(grid, np.where(grid.mask_array, out, 0.0))
 
 
 def thomas_preconditioner(grid):

@@ -8,6 +8,7 @@ import numpy as np
 
 from helpers import (
     WIDE_PATCH,
+    expanded_residual,
     fd_hessian,
     observed_orders,
     random_admissible_state,
@@ -146,7 +147,7 @@ def test_criterion_5_operator_convergence():
             np.abs(lap.values + 2 * np.cos(g.theta_mesh))[g.interior_mask].max())
         f2 = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
         rd = sf.flow_residual(gas, f2)
-        re = sf.expanded_residual(gas, f2)
+        re = expanded_residual(gas, f2)
         form_diffs.append(np.abs(rd.values - re.values)[g.interior_mask].max())
     orders = observed_orders(eig_errors)
     ratios = [form_diffs[0] / form_diffs[1], form_diffs[1] / form_diffs[2]]

@@ -145,6 +145,12 @@ def test_certify_exit_codes(tmp_path):
         "name": "certify", "field": "1.6 + 0.3*cos(theta)", "eps": 0.9999,
     })
     assert cli.run(hard, tmp_path / "hard", quiet=True) == 2
+    # max L^2 = 3.37 on this field would pass a negative margin
+    negative = write_scenario(tmp_path / "negative.json", grid=grid_block(9), command={
+        "name": "certify", "field": "1.6 + 1.2*(theta - 1.3)", "eps": -5.0,
+    })
+    assert cli.run(negative, tmp_path / "negative", quiet=True) == 1
+    assert not (tmp_path / "negative" / "report.json").exists()
 
 
 def test_solve_exits_two_when_certificate_fails(tmp_path, capsys):

@@ -239,6 +239,11 @@ def test_verify_identical_fields(solver_pair):
     assert rep.verdict == "Pass"
     assert rep.interior_min_gap == 0.0
     assert rep.hypotheses["weak_form_nonnegative"].value == 0.0
+    # a negative tolerance would read these fields as Strict
+    for gap_tol in (-1e-3, float("nan")):
+        with pytest.raises(sf.ConfigError, match="gap_tol must be >= 0") as err:
+            sf.strong_comparison_check(rep, gap_tol=gap_tol)
+        assert err.value.key == "gap_tol" and rep.dichotomy is None
     assert sf.strong_comparison_check(rep) is Dichotomy.IDENTICAL
 
 

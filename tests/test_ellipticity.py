@@ -279,6 +279,11 @@ def test_certify_fails_on_hyperbolic_node(gas_b4):
     assert len(cert.violations) > 0
     d = cert.to_dict()
     assert d["pass"] is False and "worst_node" in d
+    # a margin eps <= 0 would pass this field (eps_L > -5), so it is refused
+    for eps in (-5.0, 0.0, float("nan")):
+        with pytest.raises(sf.ConfigError, match="eps must be positive") as err:
+            sf.certify_uniform_ellipticity(gas_b4, f, eps=eps)
+        assert err.value.key == "eps"
 
 
 def test_certify_pass_bounds_eigen_ratio(gas_b4, wide_grid_33):

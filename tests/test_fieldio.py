@@ -101,6 +101,14 @@ def test_mask_csv(tmp_path):
     with pytest.raises(sf.ConfigError, match="row 2 has 2 entries, expected 3") as err:
         read_mask_csv(path, 3, 3)
     assert err.value.key == "grid.mask"
+    path.write_text(" 1 ,1,0\n1,1, 1\n0\t,1,1\n")  # whitespace is ignored
+    assert read_mask_csv(path, 3, 3).tolist() == mask.tolist()
+    for entry in ("0.0", "x", "2", "", "1.0"):  # refused, not read as masked
+        path.write_text(f"1,1,0\n1,{entry},1\n0,1,1\n")
+        with pytest.raises(sf.ConfigError, match=f"row 2 column 2 is '{entry}', "
+                                                 "expected 0 or 1") as err:
+            read_mask_csv(path, 3, 3)
+        assert err.value.key == "grid.mask"
 
 
 def test_pgm_writer(tmp_path):

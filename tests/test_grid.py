@@ -62,9 +62,9 @@ def test_field_shape_check():
 def test_stencil_table_holds_edge_nodes_only():
     n = 129
     g = sf.SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, np.pi / 2, n, n)
-    for nodes, idx, w1, w2 in g.stencils:
+    for nodes, idx, w1 in g.stencils:
         assert nodes.size <= 4 * n
-        assert idx.shape == w1.shape == w2.shape == (3, nodes.size)
+        assert idx.shape == w1.shape == (3, nodes.size)
 
 
 def test_grid_refuses_bad_phi_span_and_masks():

@@ -1,7 +1,7 @@
 """No sphereflow module reaches into another module's private names, the
 Bernoulli c^2 is written once, only the solver builds the preconditioner,
-the flux stencil makes no zero-padded copies, and the package imports no
-scipy."""
+every linear solve goes through solver.interior_solve, the flux stencil
+makes no zero-padded copies, and the package imports no scipy."""
 
 import ast
 import os
@@ -74,6 +74,30 @@ def test_preconditioner_is_built_only_by_the_solver():
              for hit in _preconditioner_uses(path)]
     assert found == []
     assert list(_preconditioner_uses(PACKAGE / "solver.py"))
+
+
+def _linear_solve_calls(path):
+    """Lines that call linear_solve, by name or as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "linear_solve":
+                yield node.lineno
+
+
+def test_linear_solve_has_one_caller():
+    # interior_solve owns the interior embedding, the matvec count and the
+    # fallback to the best iterate; a second caller would copy them
+    calls = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := list(_linear_solve_calls(path)))}
+    solver = PACKAGE / "solver.py"
+    owner = next(node for node in ast.parse(solver.read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "interior_solve")
+    assert list(calls) == ["solver.py"] and len(calls["solver.py"]) == 1
+    assert owner.lineno <= calls["solver.py"][0] <= owner.end_lineno
 
 
 def test_operators_make_no_padded_copies():

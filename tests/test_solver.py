@@ -138,6 +138,9 @@ def test_solve_options_validation():
         SolveOptions(newton_tol=1e-15)
     with pytest.raises(ValueError):
         SolveOptions(max_newton=0)
+    with pytest.raises(sf.ConfigError) as err:
+        SolveOptions(cert_eps=float("nan"))
+    assert err.value.key == "cert_eps"
 
 
 def test_constant_solve(gas_b4, wide_grid_33):
@@ -480,6 +483,44 @@ def test_preconditioner_is_built_once_per_solve(gas_b4, monkeypatch):
     _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33))
     assert rep.converged and rep.iterations >= 5
     assert len(builds) == 1 and builds[0][1:] == ()
+
+
+def _spied_laplace_beltrami(grid, seen):
+    """laplace_beltrami on grid, recording whether each argument is zero
+    off the interior."""
+    def apply_full(v):
+        seen.append(not np.any(v[~grid.interior_mask]))
+        return sf.operators.laplace_beltrami(grid, v)
+    return apply_full
+
+
+def test_interior_solve_builds_an_exact_preconditioner():
+    # with no preconditioner given, interior_solve builds the grid's own,
+    # which inverts laplace_beltrami on a plain patch: its Dirichlet problem
+    # takes at most 3 matvecs, each applied to zeros off the interior
+    g = SphericalGrid(*SMALL_PATCH, 33, 33)
+    im, seen = g.interior_mask, []
+    datum = np.where(im, 0.0, 1.6 + 0.1 * np.cos(g.theta_mesh) * np.sin(3 * g.phi_mesh))
+    apply_full = _spied_laplace_beltrami(g, seen)
+    rhs = -sf.operators.laplace_beltrami(g, datum)[im]
+    x, matvecs, outcome = sf.interior_solve(g, apply_full, rhs, 1e-12, 50)
+    assert outcome == "converged" and 1 <= matvecs <= 3 and len(seen) == matvecs
+    assert all(seen)
+    full = datum.copy()
+    full[im] = x
+    residual = sf.operators.laplace_beltrami(g, full)[im]
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_interior_solve_gives_its_best_iterate_at_max_iter():
+    # one matvec cannot reach the target on a notched grid, where the
+    # preconditioner is not exact: the outcome says so and x is finite
+    g, seen = _notched_grid(33), []
+    rhs = np.ones(int(g.interior_mask.sum()))
+    x, matvecs, outcome = sf.interior_solve(g, _spied_laplace_beltrami(g, seen),
+                                            rhs, 1e-12, 1)
+    assert (outcome, matvecs, seen) == ("max_iter", 1, [True])
+    assert x.shape == rhs.shape and np.all(np.isfinite(x)) and np.any(x)
 
 
 def test_flow_state_is_evaluated_once_per_iterate(gas_b4, monkeypatch):
