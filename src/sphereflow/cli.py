@@ -1,8 +1,11 @@
 """Scenario runner: parse a JSON config, dispatch one command, emit artifacts.
 
-Exit codes: 0 for pass/converged, 2 when hypotheses are Inapplicable, a
-certificate fails or hopf's interior ordering fails, 1 for hard errors
-(vacuum, non-convergence, bad config, I/O).  Outputs are deterministic: rerunning an identical scenario yields
+Each command is one row of _COMMANDS.  run refuses any key its row does not
+list and reads every key before the handler runs: the handlers only call
+the library and write outputs.  Exit codes: 0 for pass/converged, 2 when
+hypotheses are Inapplicable, a certificate fails or hopf's interior ordering
+fails, 1 for hard errors (vacuum, non-convergence, bad config, I/O).
+Outputs are deterministic: rerunning an identical scenario yields
 byte-identical files (fixed key order, no timestamps).
 """
 
@@ -10,6 +13,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -46,15 +50,6 @@ from .operators import classify_field
 from .solver import BVProblem, SolveOptions, manufactured_problem, solve_dirichlet
 
 
-# Command keys the handlers read themselves; every other key of a scenario
-# block is a scalar parameter of the library call the block feeds.
-_HANDLER_KEYS = ("name", "boundary", "source", "field", "field_minus",
-                 "field_plus", "exact", "nodes", "pgm")
-_COMMAND_CALLS = (SolveOptions, classify_field, certify_uniform_ellipticity,
-                  verify_weak_comparison, strong_comparison_check,
-                  hopf_indicator)
-
-
 def _require(block, key, where):
     if key not in block:
         raise ConfigError(f"missing key '{where}.{key}'", key=f"{where}.{key}")
@@ -70,29 +65,34 @@ def _scalar_params(fn) -> dict:
             if param.annotation in (int, float, bool)}
 
 
-def _block(cfg, key, allowed):
-    """cfg[key], which must be a JSON object whose keys are all in allowed."""
+def _block(cfg, key):
+    """cfg[key], which must be a JSON object."""
     block = _require(cfg, key, "scenario")
     if not isinstance(block, dict):
         raise ConfigError(f"'scenario.{key}' must be a JSON object",
                           key=f"scenario.{key}")
+    return block
+
+
+def _refuse_unknown_keys(block, where, calls, other, reader):
+    """Refuse a key that is not in other or a scalar parameter of calls."""
+    allowed = {*other, *(key for fn in calls for key in _scalar_params(fn))}
     for name in block:
         if name not in allowed:
-            raise ConfigError(f"unknown key '{key}.{name}': no command or "
-                              f"library call reads it", key=f"{key}.{name}")
-    return block
+            raise ConfigError(f"unknown key '{where}.{name}': {reader} does "
+                              f"not read it", key=f"{where}.{name}")
 
 
 def _convert(kind, value):
     """value as kind, from a JSON value of that kind: a bool is true, false,
-    1 or 0, an int is an integral number and a float is any number.  Strings,
-    and booleans where a number is due, are refused."""
+    1 or 0, an int is an integral number and a float is any finite number.
+    Strings, and booleans where a number is due, are refused."""
     if kind is bool:
         ok = isinstance(value, int) and value in (0, 1)
     else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and (kind is float or isinstance(value, int)
-                   or value.is_integer()))
+        ok = (isinstance(value, int) and not isinstance(value, bool)
+              or isinstance(value, float) and math.isfinite(value)
+              and (kind is float or value.is_integer()))
     if not ok:
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return kind(value)
@@ -118,7 +118,8 @@ def _options(fn, block, where="command") -> dict:
 
 
 def _build_gas(cfg) -> GasModel:
-    block = _block(cfg, "gas", _scalar_params(GasModel))
+    block = _block(cfg, "gas")
+    _refuse_unknown_keys(block, "gas", (GasModel,), (), "GasModel")
     try:
         return GasModel(**_options(GasModel, block, "gas"))
     except ConfigError as err:
@@ -127,7 +128,9 @@ def _build_gas(cfg) -> GasModel:
 
 
 def _build_grid(cfg, base_dir: Path) -> SphericalGrid:
-    block = _block(cfg, "grid", {*_scalar_params(SphericalGrid), "mask"})
+    block = _block(cfg, "grid")
+    _refuse_unknown_keys(block, "grid", (SphericalGrid,), ("mask",),
+                         "SphericalGrid")
     kwargs = _options(SphericalGrid, block, "grid")
     if "mask" in block:
         kwargs["mask"] = read_mask_csv(base_dir / block["mask"],
@@ -140,138 +143,123 @@ def _field_from_spec(spec, grid, base_dir: Path, where: str):
         return evaluate_expression(spec, grid)
     if isinstance(spec, dict) and "file" in spec:
         return read_field_csv(base_dir / spec["file"], grid)
-    raise ConfigError(
-        f"'{where}' must be an expression string or {{\"file\": <path>}}",
-        key=where)
+    raise ConfigError(f"'{where}' must be given as an expression string or "
+                      f"{{\"file\": <path>}}", key=where)
 
 
-def _say(quiet, message):
-    if not quiet:
-        print(message)
-
-
-def _cmd_classify(gas, grid, block, base, out, quiet):
-    f = _field_from_spec(_require(block, "field", "command"), grid, base,
-                         "command.field")
-    opts = _options(classify_field, block)
-    tm = classify_field(gas, f, **opts)
+def _cmd_classify(gas, grid, args, out, classify, pgm: bool = False):
+    tm = classify_field(gas, args["field"], **classify)
     write_type_map_csv(out / "type_map.csv", grid, tm.letters())
     write_l2_csv(out / "l2.csv", grid, tm.l2)
-    if block.get("pgm", False):
+    if pgm:
         write_pgm(out / "l2.pgm", tm.l2)
     counts = tm.counts()
     write_json_report(out / "report.json", {
         "command": "classify",
-        "eps_type": opts["eps_type"],
+        "eps_type": classify["eps_type"],
         "counts": counts,
     })
-    _say(quiet, f"classified {grid.n_theta * grid.n_phi} nodes: {counts}")
-    return 0
+    return 0, f"classified {grid.n_theta * grid.n_phi} nodes: {counts}"
 
 
-def _cmd_solve(gas, grid, block, base, out, quiet):
-    boundary = _field_from_spec(_require(block, "boundary", "command"), grid,
-                                base, "command.boundary")
-    source = _field_from_spec(block.get("source", "0"), grid, base,
-                              "command.source")
-    opts = SolveOptions(**_options(SolveOptions, block))
-    problem = BVProblem(gas=gas, grid=grid, boundary=boundary, source=source)
-    phi, report = solve_dirichlet(problem, opts)
+def _cmd_solve(gas, grid, args, out, solve):
+    problem = BVProblem(gas=gas, grid=grid, boundary=args["boundary"],
+                        source=args["source"])
+    phi, report = solve_dirichlet(problem, SolveOptions(**solve))
     write_field_csv(out / "solution.csv", phi)
     write_json_report(out / "report.json", report.to_dict())
     passed = report.final_certificate.passed
-    _say(quiet, f"converged in {report.iterations} Newton iterations, "
-                f"residual {report.residual_history[-1]:.3e}, "
-                f"certificate {'pass' if passed else 'fail'}")
-    return 0 if passed else 2
+    return (0 if passed else 2,
+            f"converged in {report.iterations} Newton iterations, "
+            f"residual {report.residual_history[-1]:.3e}, "
+            f"certificate {'pass' if passed else 'fail'}")
 
 
-def _cmd_certify(gas, grid, block, base, out, quiet):
-    f = _field_from_spec(_require(block, "field", "command"), grid, base,
-                         "command.field")
-    cert = certify_uniform_ellipticity(
-        gas, f, **_options(certify_uniform_ellipticity, block))
+def _cmd_certify(gas, grid, args, out, certify):
+    cert = certify_uniform_ellipticity(gas, args["field"], **certify)
     write_json_report(out / "report.json", cert.to_dict())
-    _say(quiet, f"certificate {'pass' if cert.passed else 'fail'}: "
-                f"eps_rho={cert.eps_rho:.4g} eps_L={cert.eps_L:.4g}")
-    return 0 if cert.passed else 2
+    return (0 if cert.passed else 2,
+            f"certificate {'pass' if cert.passed else 'fail'}: "
+            f"eps_rho={cert.eps_rho:.4g} eps_L={cert.eps_L:.4g}")
 
 
-def _verified_pair(gas, grid, block, base):
-    """(f_minus, f_plus, verify_weak_comparison report) of a command block."""
-    f_minus, f_plus = (_field_from_spec(_require(block, key, "command"), grid,
-                                        base, f"command.{key}")
-                       for key in ("field_minus", "field_plus"))
-    report = verify_weak_comparison(gas, f_minus, f_plus,
-                                    **_options(verify_weak_comparison, block))
-    return f_minus, f_plus, report
-
-
-def _cmd_compare(gas, grid, block, base, out, quiet):
-    _, _, report = _verified_pair(gas, grid, block, base)
-    if report.applicable and report.ordering_pass:
-        strong_comparison_check(
-            report, **_options(strong_comparison_check, block))
+def _cmd_compare(gas, grid, args, out, verify, strong):
+    report = verify_weak_comparison(gas, args["field_minus"],
+                                    args["field_plus"], **verify)
+    try:
+        strong_comparison_check(report, **strong)
+    except ConfigError as err:
+        raise ConfigError(f"bad value for 'command.gap_tol': {err}",
+                          key="command.gap_tol") from err
+    except ValueError:
+        pass  # Inapplicable or unordered: the dichotomy stays undefined
     write_json_report(out / "report.json", report.to_dict())
-    _say(quiet, f"comparison verdict: {report.verdict}"
-                + (f", dichotomy {report.dichotomy.value}"
-                   if report.dichotomy else ""))
     ok = report.verdict == "Pass" and report.dichotomy is not Dichotomy.ANOMALOUS
-    return 0 if ok else 2
+    return (0 if ok else 2, f"comparison verdict: {report.verdict}"
+            + (f", dichotomy {report.dichotomy.value}"
+               if report.dichotomy else ""))
 
 
-def _cmd_hopf(gas, grid, block, base, out, quiet):
-    f_minus, f_plus, report = _verified_pair(gas, grid, block, base)
-    opts = _options(hopf_indicator, block)
+def _cmd_hopf(gas, grid, args, out, verify, hopf):
+    f_minus, f_plus = args["field_minus"], args["field_plus"]
+    report = verify_weak_comparison(gas, f_minus, f_plus, **verify)
     if not report.ordering_pass:
         write_json_report(out / "report.json", report.to_dict())
-        _say(quiet, "interior ordering fails: hopf indicators skipped")
-        return 2
-    if "nodes" in block:
-        nodes = block["nodes"]
+        return 2, "interior ordering fails: hopf indicators skipped"
+    if "nodes" in args:
+        nodes = args["nodes"]
     else:
         diff = f_minus.values - f_plus.values
         nodes = [(i, j) for i, j in straight_edge_nodes(grid)
-                 if abs(diff[i, j]) <= opts["tol_touch"]]
+                 if abs(diff[i, j]) <= hopf["tol_touch"]]
     if not isinstance(nodes, list) or not nodes:
         raise ConfigError("'command.nodes' must be a nonempty list of pairs"
-                          if "nodes" in block else
+                          if "nodes" in args else
                           "no touching straight-edge boundary nodes found",
                           key="command.nodes")
     try:
-        report.hopf = hopf_indicator(gas, f_minus, f_plus, nodes, **opts)
+        report.hopf = hopf_indicator(gas, f_minus, f_plus, nodes, **hopf)
     except ConfigError as err:
         raise ConfigError(f"bad entry in 'command.nodes': {err}",
                           key="command.nodes") from err
     write_json_report(out / "report.json", report.to_dict())
     positive = all(h.derivative > 0.0 for h in report.hopf)
-    _say(quiet, f"hopf indicators at {len(report.hopf)} nodes, "
-                f"min {min(h.derivative for h in report.hopf):.4g}")
-    return 0 if (report.applicable and positive) else 2
+    return (0 if report.applicable and positive else 2,
+            f"hopf indicators at {len(report.hopf)} nodes, "
+            f"min {min(h.derivative for h in report.hopf):.4g}")
 
 
-def _cmd_manufacture(gas, grid, block, base, out, quiet):
-    exact = _field_from_spec(_require(block, "exact", "command"), grid, base,
-                             "command.exact")
-    problem = manufactured_problem(gas, grid, exact)
-    write_field_csv(out / "exact.csv", exact)
+def _cmd_manufacture(gas, grid, args, out):
+    problem = manufactured_problem(gas, grid, args["exact"])
+    write_field_csv(out / "exact.csv", args["exact"])
     write_field_csv(out / "source.csv", problem.source)
     shutil.copyfile(out / "exact.csv", out / "boundary.csv")  # same field
     write_json_report(out / "report.json", {
         "command": "manufacture",
         "admissible": True,
     })
-    _say(quiet, "manufactured problem written (exact/source/boundary)")
-    return 0
+    return 0, "manufactured problem written (exact/source/boundary)"
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "solve": _cmd_solve,
-    "compare": _cmd_compare,
-    "certify": _cmd_certify,
-    "hopf": _cmd_hopf,
-    "manufacture": _cmd_manufacture,
+# One row per command: (handler, the library calls whose int, float and bool
+# parameters are its scalar keys, its field keys with their default specs
+# (None: required), its other keys).  The handler's own int, float and bool
+# parameters (pgm) are scalar keys too.  run reads every key, then calls
+# handler(gas, grid, args, out, *options, **flags): args maps the field keys
+# to their fields and the other keys given to their values, options holds a
+# dict of keyword arguments per call.  It returns (exit code, summary line).
+_FIELD = {"field": None}
+_PAIR = {"field_minus": None, "field_plus": None}
+_COMMANDS = {
+    "classify": (_cmd_classify, (classify_field,), _FIELD, ()),
+    "solve": (_cmd_solve, (SolveOptions,),
+              {"boundary": None, "source": "0"}, ()),
+    "compare": (_cmd_compare,
+                (verify_weak_comparison, strong_comparison_check), _PAIR, ()),
+    "certify": (_cmd_certify, (certify_uniform_ellipticity,), _FIELD, ()),
+    "hopf": (_cmd_hopf, (verify_weak_comparison, hopf_indicator), _PAIR,
+             ("nodes",)),
+    "manufacture": (_cmd_manufacture, (), {"exact": None}, ()),
 }
 
 
@@ -298,15 +286,25 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
                               key="scenario")
         gas = _build_gas(cfg)
         grid = _build_grid(cfg, path.parent)
-        block = _block(cfg, "command", {
-            *_HANDLER_KEYS, *(key for fn in _COMMAND_CALLS
-                              for key in _scalar_params(fn))})
+        block = _block(cfg, "command")
         name = _require(block, "name", "command")
-        if name not in tuple(_HANDLERS):
+        if name not in tuple(_COMMANDS):
             raise ConfigError(
-                f"unknown command '{name}' (expected one of {tuple(_HANDLERS)})",
+                f"unknown command '{name}' (expected one of {tuple(_COMMANDS)})",
                 key="command.name")
-        return _HANDLERS[name](gas, grid, block, path.parent, out, quiet)
+        handler, calls, fields, other = _COMMANDS[name]
+        _refuse_unknown_keys(block, "command", (*calls, handler),
+                             ("name", *fields, *other), f"command '{name}'")
+        options = [_options(fn, block) for fn in calls]
+        flags = _options(handler, block)
+        args = {key: block[key] for key in other if key in block}
+        for key, default in fields.items():
+            args[key] = _field_from_spec(block.get(key, default), grid,
+                                         path.parent, f"command.{key}")
+        code, summary = handler(gas, grid, args, out, *options, **flags)
+        if not quiet:
+            print(summary)
+        return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -163,8 +163,8 @@ def classify_codes(gas: GasModel, s: FlowState, eps_type: float = DEFAULT_EPS_TY
     Vacuum is a classification here, not an error: it marks nodes where
     c^2 <= 0 or (gamma = 1) the density exponent is out of range.
     """
-    if eps_type <= 0.0:
-        raise ConfigError("eps_type must be > 0", "eps_type")
+    if not eps_type > 0.0:
+        raise ConfigError(f"eps_type must be > 0, got {eps_type}", "eps_type")
     q_sq = np.asarray(s.speed_sq(), dtype=float)
     codes = np.full(q_sq.shape, int(FlowType.VACUUM), dtype=np.int8)
     _, c2, ok = bernoulli_density(gas, q_sq, s.z)

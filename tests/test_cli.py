@@ -416,7 +416,8 @@ def test_every_key_reaches_its_library_call(tmp_path, monkeypatch):
     ("command.nodes", {"name": "hopf", "nodes": [[4, 4]]}),
 ])
 def test_out_of_range_values_name_the_key(tmp_path, capsys, key, command):
-    command = {"field_minus": "1.5", "field_plus": "1.5", **command}
+    if command["name"] in ("compare", "hopf"):
+        command = {"field_minus": "1.5", "field_plus": "1.5", **command}
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
                         command=command)
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1
@@ -598,3 +599,116 @@ def test_integral_numbers_and_zero_one_are_accepted():
     assert read["phi_periodic"] is False
     assert type(read["theta_min"]) is float
     assert cli._options(cli.SolveOptions, {"max_newton": 7})["max_newton"] == 7
+
+
+# A valid command block per command, and a key that only another command
+# reads.
+COMMAND_BLOCKS = {
+    "solve": ({"boundary": "1.6 + 0.1*cos(theta)"}, "eps"),
+    "classify": ({"field": "1.6"}, "field_minus"),
+    "compare": ({"field_minus": "1.6", "field_plus": "1.6"}, "nodes"),
+    "hopf": ({"field_minus": "1.6", "field_plus": "1.6"}, "gap_tol"),
+    "certify": ({"field": "1.6"}, "boundary"),
+    "manufacture": ({"exact": "1.6"}, "pgm"),
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_BLOCKS)
+def test_a_key_of_another_command_is_refused(tmp_path, capsys, name,
+                                             monkeypatch):
+    block, key = COMMAND_BLOCKS[name]
+    value = {"eps": -5.0, "nodes": [[0, 4]], "gap_tol": -1.0,
+             "pgm": True}.get(key, "1.6")
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                        command={"name": name, **block, key: value})
+    # refused before any field is read
+    monkeypatch.setattr(cli, "evaluate_expression", None)
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'command.{key}'" in err
+    assert f"command '{name}' does not read it" in err
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("pgm, written", [
+    (True, True), (False, False), (1, True), (0, False), ("no", None),
+    (2, None),
+])
+def test_pgm_is_a_bool_key(tmp_path, capsys, pgm, written):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "classify", "field": "1.6", "pgm": pgm})
+    code = cli.run(sc, tmp_path / "out", quiet=True)
+    if written is None:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "'command.pgm'" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+    else:
+        assert code == 0
+        assert (tmp_path / "out" / "l2.pgm").exists() is written
+
+
+# A solved field compared with itself passes; the constant 1.6 is no
+# supersolution, so that pair is Inapplicable; the wave puts f- above f+
+# inside, so that pair fails the interior ordering.
+GAP_PAIRS = {
+    "pass": ({"file": "solved/solution.csv"},) * 2,
+    "inapplicable": ("1.6", "1.6"),
+    "unordered": (f"1.5 + 1e-3*{WAVE}", "1.5"),
+}
+
+
+@pytest.mark.parametrize("pair", GAP_PAIRS)
+@pytest.mark.parametrize("gap_tol", [-1.0, float("nan"), "abc"])
+def test_gap_tol_is_checked_on_every_compare(tmp_path, capsys, pair,
+                                             gap_tol):
+    solve = write_scenario(tmp_path / "solve.json", grid=grid_block(9),
+                           command={"name": "solve",
+                                    "boundary": "1.6 + 0.1*cos(theta)"})
+    assert cli.run(solve, tmp_path / "solved", quiet=True) == 0
+    f_minus, f_plus = GAP_PAIRS[pair]
+    command = {"name": "compare", "field_minus": f_minus, "field_plus": f_plus}
+    good = write_scenario(tmp_path / "good.json", grid=grid_block(9),
+                          command=command)
+    assert cli.run(good, tmp_path / "good", quiet=True) == (
+        0 if pair == "pass" else 2)
+    rep = json.loads((tmp_path / "good" / "report.json").read_text())
+    assert rep["applicable"] is (pair == "pass")
+    assert rep["ordering_pass"] is (pair != "unordered")
+    bad = write_scenario(tmp_path / "bad.json", grid=grid_block(9),
+                         command={**command, "gap_tol": gap_tol})
+    assert cli.run(bad, tmp_path / "bad", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'command.gap_tol'" in err
+    assert not (tmp_path / "bad" / "report.json").exists()
+
+
+def test_nan_eps_type_is_refused(tmp_path, capsys):
+    # a NaN band width classified every node of this elliptic field as V
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "classify", "field": "1.6", "eps_type": float("nan")})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'command.eps_type'" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("gas", "gamma", float("nan")),
+    ("gas", "bernoulli", float("inf")),
+    ("grid", "theta_max", float("inf")),
+    ("grid", "sin_floor", float("nan")),
+    ("command", "newton_tol", float("nan")),
+    ("command", "cert_eps", float("-inf")),
+])
+def test_non_finite_numbers_are_refused(tmp_path, capsys, block, key, value):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "solve", "boundary": "1.6 + 0.1*cos(theta)"})
+    cfg = json.loads(sc.read_text())
+    cfg[block][key] = value
+    sc.write_text(json.dumps(cfg))
+    assert ("NaN" if value != value else "Infinity") in sc.read_text()
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{block}.{key}'" in err
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -78,6 +78,15 @@ def test_classify_examples():
         sf.classify_state(gas, FlowState(0.0, 0.0, 0.0), eps_type=0.0)
 
 
+def test_classify_codes_refuses_a_nan_band():
+    # with eps_type = NaN no band test holds, so every node read as vacuum
+    gas = GasModel(gamma=2.0, rho0=1.0, bernoulli=4.0)
+    s = FlowState(np.array([0.1, 0.5]), np.zeros(2), np.full(2, 1.6))
+    with pytest.raises(sf.ConfigError, match="eps_type must be > 0") as err:
+        sf.classify_codes(gas, s, float("nan"))
+    assert err.value.key == "eps_type"
+
+
 def test_classify_state_refuses_an_array_state():
     gas = GasModel(2.0, 1.0, 4.0)
     s = FlowState(np.array([0.5, 1.0]), np.zeros(2), np.full(2, 2.0))
