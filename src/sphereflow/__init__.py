@@ -30,7 +30,6 @@ from .ellipticity import (
     quadratic_form_and_bound,
 )
 from .errors import (
-    BreakdownError,
     ConfigError,
     CornerNodeError,
     ExpressionDomainError,
@@ -40,8 +39,6 @@ from .errors import (
     GridMismatchError,
     InadmissibleFieldError,
     InadmissibleStateError,
-    LinearSolveError,
-    MaxIterError,
     NonConvergenceError,
     NonTouchingNodeError,
     NotEllipticError,

@@ -120,11 +120,7 @@ def _options(fn, block, where="command") -> dict:
 def _build_gas(cfg) -> GasModel:
     block = _block(cfg, "gas")
     _refuse_unknown_keys(block, "gas", (GasModel,), (), "GasModel")
-    try:
-        return GasModel(**_options(GasModel, block, "gas"))
-    except ConfigError as err:
-        raise ConfigError(f"bad value for 'gas.{err.key}': {err}",
-                          key=f"gas.{err.key}") from err
+    return GasModel(**_options(GasModel, block, "gas"))
 
 
 def _build_grid(cfg, base_dir: Path) -> SphericalGrid:
@@ -188,9 +184,8 @@ def _cmd_compare(gas, grid, args, out, verify, strong):
                                     args["field_plus"], **verify)
     try:
         strong_comparison_check(report, **strong)
-    except ConfigError as err:
-        raise ConfigError(f"bad value for 'command.gap_tol': {err}",
-                          key="command.gap_tol") from err
+    except ConfigError:  # a ValueError too
+        raise
     except ValueError:
         pass  # Inapplicable or unordered: the dichotomy stays undefined
     write_json_report(out / "report.json", report.to_dict())
@@ -280,6 +275,7 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
         print(f"config parse error at line {err.lineno}: {err.msg}",
               file=sys.stderr)
         return 1
+    block_of = dict.fromkeys(_scalar_params(GasModel), "gas")
     try:
         if not isinstance(cfg, dict):
             raise ConfigError("the scenario must be a JSON object",
@@ -293,6 +289,8 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
                 f"unknown command '{name}' (expected one of {tuple(_COMMANDS)})",
                 key="command.name")
         handler, calls, fields, other = _COMMANDS[name]
+        block_of.update(dict.fromkeys((key for fn in (*calls, handler)
+                                       for key in _scalar_params(fn)), "command"))
         _refuse_unknown_keys(block, "command", (*calls, handler),
                              ("name", *fields, *other), f"command '{name}'")
         options = [_options(fn, block) for fn in calls]
@@ -306,6 +304,8 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
             print(summary)
         return code
     except ConfigError as err:
+        if err.key in block_of:  # a library refusal names its bare key
+            err = f"bad value for '{block_of[err.key]}.{err.key}': {err}"
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (ExpressionParseError, ExpressionDomainError) as err:

@@ -40,26 +40,14 @@ class GridMismatchError(GridError):
     """Two fields that must share a grid do not."""
 
 
-class LinearSolveError(SphereflowError):
-    """Base class for iterative linear-solver failures."""
-
-    def __init__(self, message, best=None, residual=None, iterations=None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
-        self.iterations = iterations
-
-
-class MaxIterError(LinearSolveError):
-    """Linear iteration cap reached before the residual target."""
-
-
-class BreakdownError(LinearSolveError):
-    """The Krylov space stopped growing before the residual target."""
-
-
 class NonConvergenceError(SphereflowError):
-    """Newton cap reached; the best iterate rides along in the payload."""
+    """Newton stopped short of newton_tol: on its cap, on stagnation or on a
+    line-search stall above the roundoff floor.
+
+    ``field`` is the last accepted iterate, which has the smallest ||r||_2
+    of the solve (every accepted step lowers it) but not always the smallest
+    sup-norm residual; ``report`` is the SolveReport so far.
+    """
 
     def __init__(self, message, field=None, report=None):
         super().__init__(message)

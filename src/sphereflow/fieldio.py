@@ -125,25 +125,25 @@ def write_l2_csv(path, grid: SphericalGrid, l2: np.ndarray):
     _write_rows(path, "i,j,theta,phi,l2", grid, l2, indexed=True)
 
 
+# The text of each gray level, which write_pgm looks up per pixel.
+_GRAY_TEXT = np.array([str(level) for level in range(256)], dtype=object)
+
+
 def write_pgm(path, values: np.ndarray):
     """8-bit ASCII PGM of a scalar map, linearly scaled over finite values."""
     arr = np.asarray(values, dtype=float)
     finite = np.isfinite(arr)
+    gray = np.zeros(arr.shape, dtype=int)
     if finite.any():
         lo = float(arr[finite].min())
         hi = float(arr[finite].max())
         span = hi - lo if hi > lo else 1.0
-        gray = np.zeros(arr.shape, dtype=int)
         gray[finite] = np.clip(
             np.round(255.0 * (arr[finite] - lo) / span), 0, 255).astype(int)
-    else:
-        gray = np.zeros(arr.shape, dtype=int)
     rows, cols = arr.shape
-    lines = [f"P2", f"{cols} {rows}", "255"]
-    for i in range(rows):
-        lines.append(" ".join(map(str, gray[i].tolist())))
+    body = "\n".join(map(" ".join, _GRAY_TEXT[gray].tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"P2\n{cols} {rows}\n255\n{body}\n")
 
 
 def read_mask_csv(path, n_theta: int, n_phi: int) -> np.ndarray:

@@ -8,13 +8,14 @@ quadratic near the solution.  Each iterate's flow state (field_density)
 is evaluated once, with its residual, and feeds its Jacobian and roundoff
 floor.  One unit-density operators.principal_preconditioner per solve
 serves every interior_solve: the harmonic initial guess and each Newton
-step's GMRES, which runs only to the Eisenstat-Walker forcing term and
-goes on from its best iterate if it fails; it starts from zero, whose
-residual costs no matvec, and reuses one interior-embedding array.  The
-line search halves the step until the residual's 2-norm, the norm GMRES
-minimizes, decreases sufficiently and the iterate stays admissible
-(rho > 0 on the mask); vacuum is a hard wall.  newton_tol, the forcing
-ratio, the stall and stagnation tests and the reports use the sup norm.
+step's GMRES, which runs only to the Eisenstat-Walker forcing term; a
+failed inner solve is an outcome, not an error, and Newton goes on from
+its best iterate.  GMRES starts from zero, whose residual costs no matvec,
+and interior_solve reuses one interior-embedding array.  The line search
+halves the step until the residual's 2-norm, the norm GMRES minimizes,
+decreases sufficiently and the iterate stays admissible (rho > 0 on the
+mask); vacuum is a hard wall.  newton_tol, the forcing ratio, the stall
+and stagnation tests and the reports use the sup norm.
 The iteration stops at newton_tol, or where a step stalls at the
 residual's roundoff floor; it raises on the Newton cap, on stagnation and
 when the line search stalls above that floor.  Steps, step lengths and
@@ -31,13 +32,10 @@ import numpy as np
 
 from .ellipticity import EllipticityCertificate, certify_uniform_ellipticity
 from .errors import (
-    BreakdownError,
     ConfigError,
     GridError,
     InadmissibleFieldError,
     InadmissibleStateError,
-    LinearSolveError,
-    MaxIterError,
     NonConvergenceError,
     VacuumEncounteredError,
 )
@@ -64,8 +62,9 @@ FORCING_MAX = 0.1
 ROUNDOFF_ULPS = 4.0
 # A step that keeps more than STALL_RATIO of the residual has stalled: at
 # the roundoff floor the solve ends there.  STAGNATION_STEPS steps that
-# together keep more than STALL_RATIO of it end the solve with an error, as
-# does a GMRES restart cycle of linear_solve that keeps that much.
+# together keep more than STALL_RATIO of it end the solve with an error; a
+# GMRES restart cycle of linear_solve that keeps that much ends it with
+# outcome "max_iter".
 STALL_RATIO = 0.9
 STAGNATION_STEPS = 5
 # Sufficient decrease of the line search's 2-norm test (Eisenstat & Walker,
@@ -199,12 +198,13 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
     basis and Givens rotations the least-squares residual, which is that of
     the iterate; the preconditioned vectors are kept for the update.  Runs
     from zero (no matvec) until that residual is <= tol * ||rhs||; each
-    restart takes one matvec for its true residual.  Raises MaxIterError
-    when the next restart would pass max_iter matvecs, restarts included,
-    or when a restart cycle leaves more than STALL_RATIO of the residual it
-    started from, and BreakdownError when the Krylov space stops growing
-    first (a zero Hessenberg column or a non-finite value); all carry the
-    best iterate.  Deterministic.
+    restart takes one matvec for its true residual.  Returns (x, matvecs,
+    outcome): the best iterate, the number of op calls, and "converged",
+    "max_iter" when the next restart would pass max_iter matvecs, restarts
+    included, or a restart cycle keeps more than STALL_RATIO of the
+    residual it started from, or "breakdown" when the Krylov space stops
+    growing first (a zero Hessenberg column or a non-finite value).  Never
+    raises on a failed solve.  Deterministic.
     """
     b = np.asarray(rhs, dtype=float).ravel()
     precondition = precondition or (lambda v: v)
@@ -250,19 +250,16 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
             for i in range(j):
                 y[i] -= cols[j][i] * y[j]
             x += y[j] * kept[j]
-        res, stopped = abs(g[-1]), len(cols) == k
+        res = abs(g[-1])
         if res <= target:
-            return x
-        stalled = res > STALL_RATIO * beta
-        if stopped or stalled or used + 1 >= max_iter:
-            why = (", Krylov space stopped growing" if stopped
-                   else ", restart stalled" if stalled else "")
-            raise (BreakdownError if stopped else MaxIterError)(
-                f"linear solve: {used} iterations, residual {res:.3e} above "
-                f"target {target:.3e}{why}", best=x, residual=res, iterations=used)
+            break
+        if len(cols) < len(kept):  # the last column was zero or not finite
+            return x, used, "breakdown"
+        if res > STALL_RATIO * beta or used + 1 >= max_iter:
+            return x, used, "max_iter"
         r = b - op(x)
         used += 1
-    return x
+    return x, used, "converged"
 
 
 def interior_solve(grid: SphericalGrid, apply_full, rhs, tol, max_iter,
@@ -273,23 +270,17 @@ def interior_solve(grid: SphericalGrid, apply_full, rhs, tol, max_iter,
     apply_full maps value arrays to value arrays; every matvec hands it one
     reused array, which it must neither keep nor write.  precondition acts
     on interior values; None builds principal_preconditioner(grid).  A failed
-    solve gives its best iterate and outcome "max_iter" or "breakdown"."""
+    solve is no error: x is its best iterate, with outcome "max_iter" or
+    "breakdown"."""
     idx = np.flatnonzero(grid.interior_mask)
     full = np.zeros(grid.shape)
-    matvecs = 0
 
     def matvec(x):
-        nonlocal matvecs
-        matvecs += 1
         full.ravel()[idx] = x
         return apply_full(full).ravel()[idx]
 
-    precondition = precondition or principal_preconditioner(grid)
-    try:
-        x, outcome = linear_solve(matvec, rhs, tol, max_iter, precondition), "converged"
-    except LinearSolveError as err:
-        x, outcome = err.best, "max_iter" if isinstance(err, MaxIterError) else "breakdown"
-    return x, matvecs, outcome
+    return linear_solve(matvec, rhs, tol, max_iter,
+                        precondition or principal_preconditioner(grid))
 
 
 def _harmonic_extension(grid, boundary_vals, opts, precondition):

@@ -712,3 +712,24 @@ def test_non_finite_numbers_are_refused(tmp_path, capsys, block, key, value):
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"'{block}.{key}'" in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, command", [
+    ("eps", {"name": "certify", "field": "1.6", "eps": -5.0}),
+    ("n_quad", {"name": "compare", "field_minus": "1.6", "field_plus": "1.6",
+                "n_quad": 0}),
+    ("eps_type", {"name": "classify", "field": "1.6", "eps_type": 0.0}),
+    ("newton_tol", {"name": "solve", "boundary": "1.6 + 0.1*cos(theta)",
+                    "newton_tol": 1e-20}),
+    ("beta", {"name": "compare", "field_minus": "1.6", "field_plus": "1.6",
+              "beta": 2.0}),
+])
+def test_library_refusals_name_the_command_key(tmp_path, capsys, key, command):
+    # the library names the key it refuses by its parameter name; the CLI
+    # names it by its place in the scenario
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                        command=command)
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad value for 'command.{key}': ")
+    assert not (tmp_path / "out" / "report.json").exists()

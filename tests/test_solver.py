@@ -25,9 +25,10 @@ def test_linear_solve_identity():
         return x
 
     rhs = np.array([3.0, -1.0, 2.5])
-    x = linear_solve(op, rhs, tol=1e-12, max_iter=50)
+    x, matvecs, outcome = linear_solve(op, rhs, tol=1e-12, max_iter=50)
     np.testing.assert_allclose(x, rhs, rtol=1e-12)
-    assert len(calls) <= 3  # one residual, one Krylov step, one verify
+    assert outcome == "converged"
+    assert matvecs == len(calls) <= 3  # one residual, one Krylov step, one verify
 
 
 def test_linear_solve_diagonal():
@@ -37,38 +38,38 @@ def test_linear_solve_diagonal():
     def op(x):
         return d * x
 
-    x = linear_solve(op, np.ones(n), tol=1e-12, max_iter=500,
-                     precondition=lambda v: v / d)
+    x, _, outcome = linear_solve(op, np.ones(n), tol=1e-12, max_iter=500,
+                                 precondition=lambda v: v / d)
     np.testing.assert_allclose(x, 1.0 / d, rtol=1e-10)
+    assert outcome == "converged"
 
 
 def test_linear_solve_singular_operator():
-    # zero row: no solution, must fail loudly
+    # zero row: no solution, the solve must say it failed
     def op(x):
         out = 2.0 * x
         out[0] = 0.0
         return out
 
-    with pytest.raises((sf.MaxIterError, sf.BreakdownError)):
-        linear_solve(op, np.ones(8), tol=1e-12, max_iter=200)
+    _, _, outcome = linear_solve(op, np.ones(8), tol=1e-12, max_iter=200)
+    assert outcome in ("max_iter", "breakdown")
 
 
 def test_singular_operator_keeps_a_finite_best_iterate():
     # the Krylov space of the zero-row operator stops growing after two
-    # matvecs, with b[0] out of reach: the failure carries a least-squares
-    # iterate, which matches b off row 0, and reports its residual
+    # matvecs, with b[0] out of reach: the failed solve returns a
+    # least-squares iterate, which matches b off row 0, with residual 1
     def op(x):
         out = 2.0 * x
         out[0] = 0.0
         return out
 
     b = np.ones(8)
-    with pytest.raises(sf.LinearSolveError) as err:
-        linear_solve(op, b, tol=1e-12, max_iter=200)
-    best = err.value.best
+    best, _, outcome = linear_solve(op, b, tol=1e-12, max_iter=200)
+    assert outcome in ("max_iter", "breakdown")
     assert np.all(np.isfinite(best))
     np.testing.assert_allclose(b - op(best), np.eye(8)[0], atol=1e-12)
-    assert err.value.residual == pytest.approx(1.0, rel=1e-9)
+    assert np.linalg.norm(b - op(best)) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_zero_operator_breaks_down_after_one_matvec():
@@ -79,28 +80,29 @@ def test_zero_operator_breaks_down_after_one_matvec():
     b = np.arange(1.0, 9.0)
     for op, rhs in ((np.zeros_like, b), (lambda x: np.nan * x, b),
                     (lambda x: 2.0 * x, np.where(b > 7.0, np.nan, b))):
-        matvecs = []
+        calls = []
 
         def counted(x):
-            matvecs.append(x.copy())
+            calls.append(x.copy())
             return op(x)
 
-        with pytest.raises(sf.BreakdownError, match="stopped growing") as err:
-            linear_solve(counted, rhs, tol=1e-12, max_iter=50)
-        assert len(matvecs) == 1
-        assert np.array_equal(err.value.best, np.zeros(b.size))
-    assert err.value.iterations == 1
+        x, matvecs, outcome = linear_solve(counted, rhs, tol=1e-12, max_iter=50)
+        assert outcome == "breakdown"
+        assert matvecs == len(calls) == 1
+        assert np.array_equal(x, np.zeros(b.size))
 
 
 def test_linear_solve_zero_rhs():
-    x = linear_solve(lambda v: 3.0 * v, np.zeros(5), tol=1e-12, max_iter=10)
+    x, matvecs, outcome = linear_solve(lambda v: 3.0 * v, np.zeros(5),
+                                       tol=1e-12, max_iter=10)
     assert np.all(x == 0.0)
+    assert (matvecs, outcome) == (0, "converged")
 
 
 def test_restarted_gmres_gives_up_on_a_stalled_cycle():
     # on the cyclic shift, the Krylov space of e_0 shifted 50 times is
     # orthogonal to e_0, so GMRES(50) makes no progress at all: the first
-    # cycle keeps the whole residual and the solve raises with its best
+    # cycle keeps the whole residual and the solve returns its best
     # iterate, zero, instead of restarting until max_iter
     n = sf.solver.GMRES_RESTART + 10
     calls = []
@@ -109,14 +111,14 @@ def test_restarted_gmres_gives_up_on_a_stalled_cycle():
         calls.append(1)
         return np.roll(x, 1)
 
-    with pytest.raises(sf.MaxIterError, match="restart stalled") as err:
-        linear_solve(shift, np.eye(n)[0], tol=1e-12, max_iter=1000)
-    assert len(calls) == err.value.iterations == sf.solver.GMRES_RESTART
-    assert np.all(err.value.best == 0.0)
-    assert err.value.residual == pytest.approx(1.0)
+    x, matvecs, outcome = linear_solve(shift, np.eye(n)[0], tol=1e-12,
+                                       max_iter=1000)
+    assert outcome == "max_iter"
+    assert len(calls) == matvecs == sf.solver.GMRES_RESTART
+    assert np.all(x == 0.0)
 
 
-@pytest.mark.parametrize("max_iter", [1, 50, 51, 52, 101, 157])
+@pytest.mark.parametrize("max_iter", [0, 1, 50, 51, 52, 101, 157])
 def test_linear_solve_applies_op_at_most_max_iter_times(max_iter):
     # restarts take a matvec for their true residual, counted against
     # max_iter like the Krylov steps; each cycle here cuts the residual
@@ -128,9 +130,10 @@ def test_linear_solve_applies_op_at_most_max_iter_times(max_iter):
         calls.append(1)
         return d * x
 
-    with pytest.raises(sf.MaxIterError) as err:
-        linear_solve(op, np.ones(d.size), tol=1e-15, max_iter=max_iter)
-    assert max_iter - 1 <= len(calls) == err.value.iterations <= max_iter
+    _, matvecs, outcome = linear_solve(op, np.ones(d.size), tol=1e-15,
+                                       max_iter=max_iter)
+    assert outcome == "max_iter"
+    assert max_iter - 1 <= len(calls) == matvecs <= max_iter
 
 
 def test_solve_options_validation():
@@ -465,6 +468,15 @@ def test_stagnation_names_the_worst_node(gas_b4):
                  np.abs(sf.flow_residual(gas_b4, err.value.field).values), 0.0)
     i, j = np.unravel_index(np.argmax(r), r.shape)
     assert str(err.value).endswith(f"max at node ({i}, {j})")
+    # the attached field is the last accepted iterate: every accepted step
+    # lowered ||r||_2 below the harmonic start's, though not its sup norm
+    start = sf.solver._harmonic_extension(g, bnd.values, SolveOptions(),
+                                          sf.operators.principal_preconditioner(g))
+
+    def interior_norm(values):
+        r = sf.flow_residual(gas_b4, ScalarField(g, values)).values
+        return np.linalg.norm(r[g.interior_mask])
+    assert interior_norm(err.value.field.values) < interior_norm(start)
 
 
 def test_preconditioner_is_built_once_per_solve(gas_b4, monkeypatch):
@@ -521,6 +533,29 @@ def test_interior_solve_gives_its_best_iterate_at_max_iter():
                                             rhs, 1e-12, 1)
     assert (outcome, matvecs, seen) == ("max_iter", 1, [True])
     assert x.shape == rhs.shape and np.all(np.isfinite(x)) and np.any(x)
+
+
+@pytest.mark.parametrize("max_iter", [7, 5000])
+@pytest.mark.parametrize("holed", [False, True], ids=["plain", "holed"])
+def test_interior_solve_counts_every_apply_full_call(gas_b4, holed, max_iter):
+    # the returned matvecs is linear_solve's own count: it must equal the
+    # apply_full calls, whether the solve converges or stops at max_iter
+    if holed:
+        g = _holed_problem(gas_b4, 33, 2)[0].grid
+    else:
+        g = SphericalGrid(*WIDE_PATCH, 33, 33)
+    jacobian = sf.flow_jacobian(gas_b4, ScalarField.from_function(
+        g, lambda th, ph: 2 + 0.1 * np.cos(th) + 0.03 * np.sin(th) * np.cos(2 * ph)))
+    calls = []
+
+    def apply_full(v):
+        calls.append(1)
+        return jacobian(v)
+
+    rhs = np.ones(int(g.interior_mask.sum()))
+    _, matvecs, outcome = sf.interior_solve(g, apply_full, rhs, 1e-12, max_iter)
+    assert outcome == ("max_iter" if max_iter == 7 else "converged")
+    assert matvecs == len(calls) > 1
 
 
 def test_flow_state_is_evaluated_once_per_iterate(gas_b4, monkeypatch):
@@ -657,8 +692,10 @@ def test_tolerance_of_one_returns_zeros_without_a_matvec():
         return 2.0 * x
 
     for tol in (1.0, 3.0):
-        x = linear_solve(op, np.arange(1.0, 6.0), tol=tol, max_iter=10)
+        x, matvecs, outcome = linear_solve(op, np.arange(1.0, 6.0), tol=tol,
+                                           max_iter=10)
         assert np.array_equal(x, np.zeros(5))
+        assert (matvecs, outcome) == (0, "converged")
     assert seen == []
 
 
@@ -720,9 +757,10 @@ def _true_residual_ratios(monkeypatch):
     inner = sf.solver.linear_solve
 
     def checked(op, rhs, tol, *args, **kwargs):
-        x = inner(op, rhs, tol, *args, **kwargs)
-        ratios.append(np.linalg.norm(rhs - op(x)) / (tol * np.linalg.norm(rhs)))
-        return x
+        x, matvecs, outcome = inner(op, rhs, tol, *args, **kwargs)
+        if outcome == "converged":
+            ratios.append(np.linalg.norm(rhs - op(x)) / (tol * np.linalg.norm(rhs)))
+        return x, matvecs, outcome
 
     monkeypatch.setattr(sf.solver, "linear_solve", checked)
     return ratios
