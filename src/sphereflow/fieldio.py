@@ -3,14 +3,17 @@
 ScalarField CSV carries a `theta,phi,value` header and one node per row in
 theta-outer row-major order, printed with 17 significant digits so values
 round-trip bit-identically.  Grid geometry lives in the scenario config,
-not in the CSV.  Fields are written with one format call and read with one
-np.loadtxt call per theta line.  A coordinate is accepted when its text is
-the grid's own %.17g text, or else when it reads within 1e-9 of its node.
+not in the CSV.  Fields are written with one format call per theta line and
+read with one np.loadtxt call per block of whole theta lines.  A coordinate
+is accepted when its text is the grid's own %.17g text, or else when it
+reads within 1e-9 of its node.  A row np.loadtxt refuses is named by its
+line in the file.
 `manufacture` writes boundary.csv as a byte copy of exact.csv.
 """
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -83,32 +86,61 @@ def _check_node(path, grid, i, j, texts):
             f"grid node ({grid.thetas[i]}, {grid.phis[j]})")
 
 
+def _refused_row(path, start):
+    """'row <line>: <reason>', lines counted from 1, for the first line of
+    path from data row `start` on that np.loadtxt refuses when it reads that
+    line alone.  Skipping `start` lines after the header skips no later data
+    row, as a blank line is no data row (nor, read alone, a refusal)."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if number < start + 2:
+                continue
+            try:
+                _load_rows([line], 1)
+            except ValueError as err:  # its own "at row" counts from 0 or 1
+                return f"row {number}: " + re.sub(r" at row \d+", "", str(err))
+
+
+# Rows per np.loadtxt call, in whole theta lines and at least one: few calls
+# on small grids, and on large ones a peak a small multiple of the result.
+_BLOCK_ROWS = 512
+
+
 def read_field_csv(path, grid: SphericalGrid) -> ScalarField:
     """Read a field written by write_field_csv onto a matching grid.
 
-    One np.loadtxt call per theta line.  A coordinate whose text is the
-    grid's own %.17g text matches by construction; only other text is
-    converted and checked."""
+    One np.loadtxt call per block of whole theta lines, at most _BLOCK_ROWS
+    rows.  A coordinate whose text is the grid's own %.17g text matches by
+    construction; only other text is converted and checked."""
     values = np.empty(grid.shape)
+    thetas = np.array(_coord_text(grid.thetas))[:, None]
     phis = np.array(_coord_text(grid.phis))
+    step = max(1, _BLOCK_ROWS // grid.n_phi)  # theta lines per block
+    start = 0  # a malformed row lies at or after this data row
     try:
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "theta,phi,value":
                 raise GridError(f"{path}: expected header 'theta,phi,value', "
                                 f"got {header!r}")
-            for i, theta in enumerate(_coord_text(grid.thetas)):
-                line = _load_rows(fh, grid.n_phi)
-                if line.size < grid.n_phi:
-                    raise GridError(f"{path}: {i * grid.n_phi + line.size} "
-                                    f"data rows, expected {values.size}")
-                for j in np.flatnonzero((line["theta"] != theta)
-                                        | (line["phi"] != phis)):
-                    _check_node(path, grid, i, j, line[j].item()[:2])
-                values[i] = line["value"]
+            for i0 in range(0, grid.n_theta, step):
+                block = values[i0:i0 + step]
+                start = i0 * grid.n_phi
+                rows = _load_rows(fh, block.size)
+                if rows.size < block.size:
+                    raise GridError(f"{path}: {start + rows.size} data rows, "
+                                    f"expected {values.size}")
+                rows = rows.reshape(block.shape)
+                off = ((rows["theta"] != thetas[i0:i0 + step])
+                       | (rows["phi"] != phis))
+                for i, j in zip(*np.nonzero(off)):
+                    _check_node(path, grid, i0 + i, j, rows[i, j].item()[:2])
+                block[...] = rows["value"]
             extra = _load_rows(fh, None).size
-    except ValueError as err:  # a malformed row, or text that is not UTF-8
+    except UnicodeDecodeError as err:
         raise GridError(f"{path}: {err}") from None
+    except ValueError:  # a malformed row
+        raise GridError(f"{path}: {_refused_row(path, start)}") from None
     if extra:
         raise GridError(f"{path}: {values.size + extra} data rows, "
                         f"expected {values.size}")

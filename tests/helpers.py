@@ -1,6 +1,8 @@
 """Shared test utilities: random admissible states and finite-difference
 oracles kept independent of the library code paths they check."""
 
+import warnings
+
 import numpy as np
 
 from sphereflow import (
@@ -206,6 +208,67 @@ def thomas_preconditioner(grid):
         return (y @ basis.T)[box]
 
     return precondition
+
+
+# A field row as the reader below reads it: coordinates as text of fewer
+# than 32 characters, the value as a float.
+_FIELD_ROW = np.dtype([("theta", "U32"), ("phi", "U32"), ("value", "f8")])
+
+
+def _field_rows(fh, max_rows):
+    with warnings.catch_warnings():  # blank lines and missing rows
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, dtype=_FIELD_ROW, delimiter=",", comments=None,
+                          max_rows=max_rows, ndmin=1)
+
+
+def _check_field_node(path, grid, i, j, texts):
+    row = i * grid.n_phi + j + 2
+    try:
+        if max(map(len, texts)) >= 32:
+            raise ValueError("text of 32 or more characters may have been cut")
+        theta, phi = np.loadtxt([",".join(texts)], delimiter=",",
+                                comments=None)
+    except ValueError as err:
+        raise GridError(f"{path}: row {row} coordinates {texts} do not read "
+                        f"as floats: {err}") from None
+    if not (abs(theta - grid.thetas[i]) <= 1e-9
+            and abs(phi - grid.phis[j]) <= 1e-9):
+        raise GridError(f"{path}: row {row} coordinates ({theta}, {phi}) do "
+                        f"not match grid node ({grid.thetas[i]}, "
+                        f"{grid.phis[j]})")
+
+
+def per_line_read_field_csv(path, grid):
+    """fieldio.read_field_csv with one np.loadtxt call per theta line, the
+    reference for its blocks of lines.  Its parsing and node check are its
+    own copies, so they pin what the reader accepted before the blocks.  A
+    malformed row's message gives np.loadtxt's own row count, not the file
+    line."""
+    values = np.empty(grid.shape)
+    phis = np.array(["%.17g" % v for v in grid.phis.tolist()])
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != "theta,phi,value":
+                raise GridError(f"{path}: expected header 'theta,phi,value', "
+                                f"got {header!r}")
+            for i, theta in enumerate(grid.thetas.tolist()):
+                line = _field_rows(fh, grid.n_phi)
+                if line.size < grid.n_phi:
+                    raise GridError(f"{path}: {i * grid.n_phi + line.size} "
+                                    f"data rows, expected {values.size}")
+                for j in np.flatnonzero((line["theta"] != "%.17g" % theta)
+                                        | (line["phi"] != phis)):
+                    _check_field_node(path, grid, i, j, line[j].item()[:2])
+                values[i] = line["value"]
+            extra = _field_rows(fh, None).size
+    except ValueError as err:  # a malformed row, or text that is not UTF-8
+        raise GridError(f"{path}: {err}") from None
+    if extra:
+        raise GridError(f"{path}: {values.size + extra} data rows, "
+                        f"expected {values.size}")
+    return ScalarField(grid, values)
 
 
 def padded_boundary_mask(grid):

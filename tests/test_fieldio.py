@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import WIDE_PATCH
+from helpers import WIDE_PATCH, per_line_read_field_csv
 
 import sphereflow as sf
 from sphereflow import ScalarField, SphericalGrid
@@ -231,9 +233,159 @@ def test_field_csv_round_trips_nan_and_inf(tmp_path):
     assert np.array_equal(back, vals, equal_nan=True)
 
 
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan
+
+
+# Edits of a field file: the new text of a data row from its three fields,
+# or the new lines with data row k >= 1 edited.
+_ROW_EDITS = {
+    "crlf_in_line": lambda t, p, v: f"{t},{p},{v}\r",
+    "two_columns": lambda t, p, v: f"{t},{p}",
+    "four_columns": lambda t, p, v: f"{t},{p},{v},1",
+    "spaces": lambda t, p, v: "  ",
+    "nan": lambda t, p, v: f"{t},{p},nan",
+    "inf": lambda t, p, v: f"{t},{p},inf",
+    "-inf": lambda t, p, v: f"{t},{p},-inf",
+    "non_numeric": lambda t, p, v: f"{t},{p},abc",
+    "digit_separator": lambda t, p, v: f"{t},{p},1_0",
+    "theta_leading_space": lambda t, p, v: f" {t},{p},{v}",
+    "theta_other_text": lambda t, p, v: f"{_float(t) - 4e-10!r},{p},{v}",
+    "phi_other_text": lambda t, p, v: f"{t},{_float(p):.12e},{v}",
+    "theta_off_grid": lambda t, p, v: f"{_float(t) + 3e-9!r},{p},{v}",
+    "phi_off_grid": lambda t, p, v: f"{t},{_float(p) + 3e-9!r},{v}",
+    "coordinate_nan": lambda t, p, v: f"nan,{p},{v}",
+    "theta_31": lambda t, p, v: f"{t:0<31},{p},{v}",
+    "theta_32": lambda t, p, v: f"{t:0<32},{p},{v}",
+    "phi_40": lambda t, p, v: f"{t},{p:0<40},{v}",
+    "not_utf8": lambda t, p, v: f"{t},{p},\udcff{v}",
+}
+_LINES_EDITS = {
+    "blank": lambda lines, k: lines[:k] + [""] + lines[k:],
+    "drop_row": lambda lines, k: lines[:k] + lines[k + 1:],
+    "repeat_row": lambda lines, k: lines[:k + 1] + lines[k:],
+    "append_row": lambda lines, k: lines + [lines[k]],
+    "truncate": lambda lines, k: lines[:k],
+    "header": lambda lines, k: ["theta,phi"] + lines[1:],
+}
+_FIELD_EDITS = [*_ROW_EDITS, *_LINES_EDITS]
+
+
+def _edit_field_lines(lines, edit, k):
+    if edit in _LINES_EDITS:
+        return _LINES_EDITS[edit](lines, k)
+    fields = (lines[k].split(",") + ["", ""])[:3]
+    return lines[:k] + [_ROW_EDITS[edit](*fields)] + lines[k + 1:]
+
+
+@pytest.mark.parametrize("edit", [None] + _FIELD_EDITS)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(3, 48), st.integers(3, 60)),
+                       st.tuples(st.integers(3, 4), st.integers(257, 520))),
+       at=st.integers(0, 10 ** 6),
+       edits=st.lists(st.tuples(st.sampled_from(_FIELD_EDITS),
+                                st.integers(0, 10 ** 6)), max_size=2),
+       crlf=st.booleans())
+def test_field_csv_reads_as_the_per_line_reader(tmp_path_factory, edit, shape,
+                                                at, edits, crlf):
+    # grids of one to several blocks of theta lines: the blocks accept and
+    # refuse what one np.loadtxt call per theta line did, with the same bits
+    # and the same exception class
+    g = SphericalGrid(*WIDE_PATCH, *shape)
+    vals = np.random.default_rng(shape).normal(size=g.shape)
+    path = tmp_path_factory.mktemp("field") / "field.csv"
+    write_field_csv(path, ScalarField(g, vals))
+    lines = path.read_text().splitlines()
+    edits = ([(edit, at)] if edit else []) + edits
+    for name, k in edits:
+        if len(lines) > 1:  # a data row is left to edit
+            lines = _edit_field_lines(lines, name, 1 + k % (len(lines) - 1))
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode(
+        errors="surrogateescape") + b"\n")
+
+    def outcome(reader):
+        try:
+            return reader(path, g).values.view(np.uint64).tolist()
+        except Exception as err:
+            return type(err), "None" in str(err)
+
+    got = outcome(read_field_csv)
+    assert got == outcome(per_line_read_field_csv)
+    if not edits:
+        assert got == vals.view(np.uint64).tolist()
+
+
+@pytest.fixture
+def loadtxt_rows(monkeypatch):
+    """The max_rows of each np.loadtxt call made from here on."""
+    rows = []
+    load = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: rows.append(
+        kwargs.get("max_rows")) or load(*args, **kwargs))
+    return rows
+
+
+def test_field_csv_read_makes_few_loadtxt_calls(tmp_path, loadtxt_rows):
+    # a 33^2 read took 34 calls, one per theta line and one for extra rows
+    g = SphericalGrid(*WIDE_PATCH, 33, 33)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, ScalarField.constant(g, 1.5))
+    assert np.all(read_field_csv(path, g).values == 1.5)
+    *blocks, extra = loadtxt_rows
+    assert len(blocks) <= 3 and extra is None
+    assert sum(blocks) == g.n_theta * g.n_phi
+    assert all(n % g.n_phi == 0 for n in blocks)  # whole theta lines
+
+
+@pytest.mark.parametrize("line, edit, reason", [
+    (600, lambda t, p, v: f"{t},{p},abc", "could not convert string 'abc'"),
+    (1000, lambda t, p, v: f"{t},{p},{v},1", "requires 3 columns but 4 were"),
+    (800, lambda t, p, v: f"{t},{p}", "requires 3 columns but 2 were"),
+    (1092, lambda t, p, v: "x", "requires 3 columns but 1 were"),
+    (2, lambda t, p, v: f"{t},{p},abc", "could not convert string 'abc'"),
+], ids=["non_numeric", "four_columns", "value_missing", "extra_row",
+        "first_row"])
+def test_field_csv_names_a_malformed_row_by_its_file_line(tmp_path, line,
+                                                          edit, reason,
+                                                          loadtxt_rows):
+    # 33^2 reads in blocks of 15 theta lines: all edits but the last lie in
+    # a block after the first, and a blank line sets file lines apart from
+    # data rows
+    g = SphericalGrid(*WIDE_PATCH, 33, 33)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, ScalarField.constant(g, 1.5))
+    lines = path.read_text().splitlines()
+    lines.insert(5, "")
+    parts = lines[min(line, len(lines)) - 1].split(",")
+    lines[line - 1:line] = [edit(*parts)]  # past the end: one more row
+    _write_lines(path, lines)
+    with pytest.raises(sf.GridError) as err:
+        read_field_csv(path, g)
+    assert str(err.value).startswith(f"{path}: row {line}: ")
+    assert reason in str(err.value) and str(err.value).count("row") == 1
+    # the lines are read one at a time from the refused block's start only
+    assert len(loadtxt_rows) <= 4 + 15 * 33
+
+
+@pytest.mark.parametrize("rows", [1, 495, 700, 1088])
+def test_field_csv_short_file_counts_its_data_rows(tmp_path, rows):
+    g = SphericalGrid(*WIDE_PATCH, 33, 33)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, ScalarField.constant(g, 1.5))
+    lines = path.read_text().splitlines()[:1 + rows]
+    _write_lines(path, lines[:3] + [""] + lines[3:])
+    with pytest.raises(sf.GridError) as err:
+        read_field_csv(path, g)
+    assert str(err.value) == f"{path}: {rows} data rows, expected 1089"
+
+
 def test_field_csv_read_peak_memory_is_flat(tmp_path):
-    # reading goes one theta line at a time: the peak stays a small multiple
-    # of the returned array, where a whole-file parse holds every row
+    # at 257^2 a block of at most 512 rows is one theta line: the peak stays
+    # a small multiple of the returned array, where a whole-file parse holds
+    # every row
     g = SphericalGrid(*WIDE_PATCH, 257, 257)
     path = tmp_path / "field.csv"
     write_field_csv(path, ScalarField(g, np.random.default_rng(3).normal(
