@@ -97,8 +97,8 @@ def _refused_row(path, start):
                 continue
             try:
                 _load_rows([line], 1)
-            except ValueError as err:  # its own "at row" counts from 0 or 1
-                return f"row {number}: " + re.sub(r" at row \d+", "", str(err))
+            except ValueError as err:  # drop its "at row" (from 0 or 1) and advice
+                return f"row {number}: " + re.sub(r" at row \d+|; use .*", "", str(err))
 
 
 # Rows per np.loadtxt call, in whole theta lines and at least one: few calls

@@ -18,8 +18,8 @@ mask); vacuum is a hard wall.  newton_tol, the forcing ratio, the stall
 and stagnation tests and the reports use the sup norm.
 The iteration stops at newton_tol, or where a step stalls at the
 residual's roundoff floor; it raises on the Newton cap, on stagnation and
-when the line search stalls above that floor.  Steps, step lengths and
-inner-solve outcomes are logged at DEBUG.
+when the line search stalls above that floor.  Each accepted step is one
+NewtonStep record of the SolveReport and one DEBUG line.
 """
 
 import logging
@@ -106,20 +106,35 @@ class SolveOptions:
 
 
 @dataclass
+class NewtonStep:
+    """One accepted Newton step: its iterate's sup-norm residual, its inner
+    solve's forcing term, matvecs and outcome, and its line-search lambda."""
+
+    residual: float
+    forcing: float
+    inner_matvecs: int
+    inner_outcome: str
+    step_length: float
+
+
+@dataclass
 class SolveReport:
-    """Outcome of solve_dirichlet.  residual_history has one entry more than
-    the per-step forcing, inner_matvecs, inner_outcome and step_length lists;
-    stop_reason is "newton_tol" or "roundoff_floor" once converged, else None."""
+    """Outcome of solve_dirichlet: the initial sup-norm residual, one NewtonStep per
+    accepted step, and stop_reason "newton_tol" or "roundoff_floor" once converged."""
 
     converged: bool
-    iterations: int
-    residual_history: list
+    initial_residual: float
+    steps: list[NewtonStep] = field(default_factory=list)
     final_certificate: EllipticityCertificate | None = None
-    forcing: list = field(default_factory=list)
-    inner_matvecs: list = field(default_factory=list)
-    inner_outcome: list = field(default_factory=list)
-    step_length: list = field(default_factory=list)  # accepted line-search lambda
     stop_reason: str | None = None
+
+    @property
+    def iterations(self):
+        return len(self.steps)
+
+    @property
+    def residual_history(self):
+        return [self.initial_residual] + [s.residual for s in self.steps]
 
     def to_dict(self):
         cert = self.final_certificate
@@ -127,10 +142,10 @@ class SolveReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "residuals": [float(r) for r in self.residual_history],
-            "forcing": [float(eta) for eta in self.forcing],
-            "inner_matvecs": list(self.inner_matvecs),
-            "inner_outcome": list(self.inner_outcome),
-            "step_length": [float(lam) for lam in self.step_length],
+            "forcing": [float(s.forcing) for s in self.steps],
+            "inner_matvecs": [s.inner_matvecs for s in self.steps],
+            "inner_outcome": [s.inner_outcome for s in self.steps],
+            "step_length": [float(s.step_length) for s in self.steps],
             "stop_reason": self.stop_reason,
             "certificate": cert.to_dict() if cert is not None else None,
         }
@@ -296,26 +311,27 @@ def _harmonic_extension(grid, boundary_vals, opts, precondition):
 def _line_search(phi, delta, idx, r, interior_residual, max_damping, floor, eta):
     """First of lambda = 1, 1/2, ... whose iterate is admissible and meets
     ||r(phi + lambda delta)||_2 <= (1 - DECREASE (1 - eta) lambda) ||r||_2,
-    with r the interior residual at phi."""
+    with r the interior residual at phi: (iterate, its (residual, state),
+    its sup-norm residual, lambda), or None when none does.  Raises
+    VacuumEncounteredError when no trial iterate is admissible."""
     res, norm = float(np.max(np.abs(r))), float(np.linalg.norm(r))
-    lam = 1.0
-    all_vacuum = True
-    for _ in range(max_damping + 1):
+    evaluated = None
+    for k in range(max_damping + 1):
+        lam = 0.5 ** k
         vals = phi.values.ravel().copy()
         vals[idx] += lam * delta
         cand = ScalarField(phi.grid, vals.reshape(phi.values.shape))
         try:
             evaluated = interior_residual(cand)
         except InadmissibleStateError:
-            lam *= 0.5
             continue
-        all_vacuum = False
         if np.linalg.norm(evaluated[0]) <= (1.0 - DECREASE * (1.0 - eta) * lam) * norm:
-            return cand, evaluated, float(np.max(np.abs(evaluated[0]))), lam, all_vacuum
-        if lam == 1.0 and res <= floor():  # no shorter step resolves a drop
-            break
-        lam *= 0.5
-    return None, None, None, lam, all_vacuum
+            return cand, evaluated, float(np.max(np.abs(evaluated[0]))), lam
+        if k == 0 and res <= floor():  # no shorter step resolves a drop
+            return None
+    if evaluated is None:
+        raise VacuumEncounteredError("damping exhausted without an admissible iterate")
+    return None
 
 
 def _forcing(history, forcing, opts):
@@ -347,8 +363,7 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
     on the Newton cap, on stagnation (naming the node of max |residual|)
     and when the line search stalls above the residual's roundoff floor.
     """
-    if opts is None:
-        opts = SolveOptions()
+    opts = opts or SolveOptions()
     gas, grid = problem.gas, problem.grid
     idx = np.flatnonzero(grid.interior_mask.ravel())
     if idx.size == 0:
@@ -373,56 +388,42 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
             f"initial iterate already inadmissible at node {err.node}",
             node=err.node) from err
     res = float(np.max(np.abs(r)))
-    report = SolveReport(False, 0, [res])
-    history = report.residual_history
-    stop_reason = "newton_tol"
-
-    def failure(message):
-        return NonConvergenceError(message, field=phi, report=report)
-
+    report = SolveReport(False, res)
     while res > opts.newton_tol:
         if report.iterations >= opts.max_newton:
-            raise failure(f"Newton cap {opts.max_newton} reached, "
-                          f"residual {res:.3e}")
-        if (len(history) > STAGNATION_STEPS
-                and res > STALL_RATIO * history[-1 - STAGNATION_STEPS]):
+            raise NonConvergenceError(f"Newton cap {opts.max_newton} reached, residual "
+                                      f"{res:.3e}", field=phi, report=report)
+        if (report.iterations >= STAGNATION_STEPS
+                and res > STALL_RATIO * report.residual_history[-1 - STAGNATION_STEPS]):
             i, j = np.unravel_index(idx[np.argmax(np.abs(r))], grid.shape)
-            raise failure(f"Newton stagnated: {STAGNATION_STEPS} steps cut the "
-                          f"residual only to {res:.3e}, max at node "
-                          f"({i}, {j})")
-        eta = _forcing(history, report.forcing, opts)
+            raise NonConvergenceError(f"Newton stagnated: {STAGNATION_STEPS} steps cut "
+                                      f"the residual only to {res:.3e}, max at node "
+                                      f"({i}, {j})", field=phi, report=report)
+        eta = _forcing(report.residual_history, [s.forcing for s in report.steps], opts)
         delta, matvecs, outcome = interior_solve(  # J delta = -r, J at phi
             grid, flow_jacobian(gas, phi, state=state), -r, eta,
             opts.lin_max_iter, precondition)
 
         floor = cache(partial(roundoff_floor, phi, state))
-        cand, evaluated, res_new, lam, all_vacuum = _line_search(
-            phi, delta, idx, r, interior_residual, opts.max_damping, floor, eta)
-        if cand is None and all_vacuum:
-            raise VacuumEncounteredError(
-                "damping exhausted without an admissible iterate")
-        stalled = cand is None or res_new > STALL_RATIO * res
-        if cand is not None:
-            phi, (r, state), res = cand, evaluated, res_new
-            history.append(res)
-            report.forcing.append(eta)
-            report.inner_matvecs.append(matvecs)
-            report.inner_outcome.append(outcome)
-            report.step_length.append(lam)
-            report.iterations += 1
-            log.debug("newton step %d: residual %.3e, lambda %g, eta %.2e, "
-                      "inner solve %s, %d inner matvecs", report.iterations,
-                      res, lam, eta, outcome, matvecs)
-        if stalled and res > opts.newton_tol:
-            level = floor() if cand is None else roundoff_floor(phi, state)
-            if res <= level:
-                stop_reason = "roundoff_floor"
-                break
-            if cand is None:
-                raise failure(f"line search stalled at residual {res:.3e}, "
-                              f"above its roundoff floor {level:.3e}")
+        step = _line_search(phi, delta, idx, r, interior_residual,
+                            opts.max_damping, floor, eta)
+        if step is None:
+            if res > floor():
+                raise NonConvergenceError(f"line search stalled at residual {res:.3e}, above "
+                                          f"its roundoff floor {floor():.3e}",
+                                          field=phi, report=report)
+            report.stop_reason = "roundoff_floor"
+            break
+        previous, (phi, (r, state), res, lam) = res, step
+        report.steps.append(NewtonStep(res, eta, matvecs, outcome, lam))
+        log.debug("newton step %d: residual %.3e, lambda %g, eta %.2e, inner solve %s, "
+                  "%d inner matvecs", report.iterations, res, lam, eta, outcome, matvecs)
+        if (res > max(opts.newton_tol, STALL_RATIO * previous)
+                and res <= roundoff_floor(phi, state)):
+            report.stop_reason = "roundoff_floor"
+            break
 
-    report.converged, report.stop_reason = True, stop_reason
+    report.converged, report.stop_reason = True, report.stop_reason or "newton_tol"
     report.final_certificate = certify_uniform_ellipticity(gas, phi, opts.cert_eps,
                                                            state=state)
     return phi, report
@@ -445,12 +446,10 @@ def manufactured_problem(gas: GasModel, grid: SphericalGrid,
             f"exact field is inadmissible: {err}") from err
     m = grid.mask_array
     l2 = (q1 * q1 + q2 * q2) / np.where(m, c2, 1.0)
-    if np.any(m & (l2 >= 1.0)):
-        i, j = np.argwhere(m & (l2 >= 1.0))[0]
-        raise InadmissibleFieldError(
-            f"exact field is not elliptic at node ({i}, {j}): "
-            f"L^2 = {l2[i, j]:.4g}"
-        )
-    source = flow_residual(gas, f_exact, state=state)
+    hyperbolic = np.argwhere(m & (l2 >= 1.0))
+    if hyperbolic.size:
+        i, j = hyperbolic[0]
+        raise InadmissibleFieldError(f"exact field is not elliptic at node ({i}, {j}): "
+                                     f"L^2 = {l2[i, j]:.4g}")
     return BVProblem(gas=gas, grid=grid, boundary=f_exact.copy(),
-                     source=source)
+                     source=flow_residual(gas, f_exact, state=state))

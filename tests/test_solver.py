@@ -265,10 +265,34 @@ def test_newton_cap_attaches_field_and_report(gas_b4):
         sf.solve_dirichlet(prob, SolveOptions(max_newton=1))
     report = err.value.report
     assert not report.converged and report.iterations == 1
-    assert len(report.residual_history) == 2
+    _assert_views_follow_the_steps(report)
     assert report.residual_history[1] < report.residual_history[0]
     np.testing.assert_array_equal(err.value.field.values[g.boundary_mask],
                                   bnd.values[g.boundary_mask])
+
+
+def _assert_views_follow_the_steps(report):
+    # iterations and residual_history are read from the NewtonStep records
+    assert len(report.steps) == report.iterations == report.to_dict()["iterations"]
+    assert len(report.residual_history) == len(report.steps) + 1
+    assert report.residual_history == [report.initial_residual] + [
+        step.residual for step in report.steps]
+
+
+def test_report_views_match_its_json(gas_b4):
+    # the two views a benchmark tracer reads agree with report.json
+    g = SphericalGrid(*SMALL_PATCH, 17, 17)
+    bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    _, rep = sf.solve_dirichlet(BVProblem(gas=gas_b4, grid=g, boundary=bnd,
+                                          source=ScalarField.constant(g, 0.0)))
+    d = rep.to_dict()
+    assert rep.converged and rep.iterations == d["iterations"] > 0
+    assert rep.residual_history == d["residuals"]
+    _assert_views_follow_the_steps(rep)
+    assert [s.forcing for s in rep.steps] == d["forcing"]
+    assert [s.inner_matvecs for s in rep.steps] == d["inner_matvecs"]
+    assert [s.inner_outcome for s in rep.steps] == d["inner_outcome"]
+    assert [s.step_length for s in rep.steps] == d["step_length"]
 
 
 def test_residual_history_monotone(gas_b4):
@@ -444,9 +468,9 @@ def test_inner_solve_total_is_flat_in_n(gas_b4, monkeypatch, n):
     _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, n))
     assert rep.converged and rep.stop_reason == "newton_tol"
     assert sum(counts) <= 60
-    assert rep.inner_matvecs == counts[1:]
-    assert rep.forcing[0] == sf.solver.FORCING_MAX
-    assert all(1e-12 <= eta <= 0.5 for eta in rep.forcing)
+    assert [s.inner_matvecs for s in rep.steps] == counts[1:]
+    assert rep.steps[0].forcing == sf.solver.FORCING_MAX
+    assert all(1e-12 <= s.forcing <= 0.5 for s in rep.steps)
 
 
 def test_stagnation_names_the_worst_node(gas_b4):
@@ -573,7 +597,7 @@ def test_flow_state_is_evaluated_once_per_iterate(gas_b4, monkeypatch):
     monkeypatch.setattr(sf.solver, "field_density", counted)
     _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33))
     assert rep.converged and rep.iterations >= 5
-    assert rep.step_length == [1.0] * rep.iterations  # one residual a step
+    assert all(s.step_length == 1.0 for s in rep.steps)  # one residual a step
     assert len(calls) == len(rep.residual_history)
     # the public Jacobian still evaluates the state itself
     sf.flow_jacobian(gas_b4, ScalarField.constant(_readme_problem(gas_b4, 9).grid, 1.6))
@@ -599,8 +623,8 @@ def test_reused_preconditioner_keeps_the_inner_total(gas_b4, n, empty_rows):
                 g, prob.boundary.values), source=ScalarField.constant(g, 0.0))
     _, rep = sf.solve_dirichlet(prob)
     assert rep.converged and rep.iterations <= 6
-    assert sum(rep.inner_matvecs) <= 40
-    assert rep.inner_outcome == ["converged"] * rep.iterations
+    assert sum(s.inner_matvecs for s in rep.steps) <= 40
+    assert all(s.inner_outcome == "converged" for s in rep.steps)
 
 
 def test_roundoff_floor_stop_takes_one_residual(gas_b4, monkeypatch):
@@ -634,14 +658,15 @@ def test_failed_inner_solve_is_recorded(gas_b4, caplog):
     with caplog.at_level(logging.DEBUG, logger="sphereflow"):
         _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 17), opts)
     assert rep.converged
-    assert "max_iter" in rep.inner_outcome
-    assert set(rep.inner_outcome) <= {"converged", "max_iter"}
-    assert rep.to_dict()["inner_outcome"] == rep.inner_outcome
+    outcomes = [s.inner_outcome for s in rep.steps]
+    assert "max_iter" in outcomes
+    assert set(outcomes) <= {"converged", "max_iter"}
+    assert rep.to_dict()["inner_outcome"] == outcomes
     steps = [r.getMessage() for r in caplog.records
              if r.name == "sphereflow.solver" and r.levelno == logging.DEBUG]
     assert len(steps) == rep.iterations
     assert all(f"inner solve {outcome}," in msg
-               for outcome, msg in zip(rep.inner_outcome, steps))
+               for outcome, msg in zip(outcomes, steps))
 
 
 def test_harmonic_extension_goes_on_from_its_best_iterate(gas_b4):
@@ -799,7 +824,7 @@ def test_line_search_exits_name_their_cause(gas_b4):
         sf.solve_dirichlet(prob, SolveOptions(max_damping=3))
     report = err.value.report
     assert not report.converged and report.iterations == 2
-    assert len(report.residual_history) == 3
+    _assert_views_follow_the_steps(report)
 
 
 def test_forcing_safeguard_keeps_a_loose_term_loose(gas_b4):
@@ -812,4 +837,4 @@ def test_forcing_safeguard_keeps_a_loose_term_loose(gas_b4):
     # reaches the safeguard; Newton still converges, on one matvec a step
     _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 17), SolveOptions(lin_tol=0.5))
     assert rep.converged and rep.iterations > 1
-    assert rep.forcing == [0.5] * rep.iterations
+    assert all(s.forcing == 0.5 for s in rep.steps)
