@@ -24,7 +24,7 @@ from .errors import ConfigError, CornerNodeError, NonTouchingNodeError
 from .gas import GasModel, bernoulli_density, require_admissible
 from .grid import ScalarField, SphericalGrid, require_same_grid
 from .operators import (field_density, flow_residual, gauss_legendre,
-                        segment_states, spherical_gradient)
+                        segment_algebra, segment_states, spherical_gradient)
 
 WEAK_FORM_TOL = 1e-10
 
@@ -48,24 +48,30 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
                             n_quad: int = 8) -> CoefficientFields:
     """Gauss-Legendre t-averages of the pointwise flux Jacobian over [f-, f+].
 
-    Every quadrature state phi_t = t f- + (1-t) f+ must be admissible;
-    a vacuum state raises with the offending (node, t).
+    The gradient q+ + t dq and value z+ + t dz of phi_t = t f- + (1-t) f+ are
+    affine in t (segment_algebra), so each coefficient is R = sum w rho less
+    a quadratic form in the moments S_k = sum w t^k rho/c^2, k = 0, 1, 2: e.g.
+    a11 = R - (q1+^2 S0 + 2 q1+ dq1 S1 + dq1^2 S2).  Every quadrature state
+    must be admissible; a vacuum state raises with the offending (node, t).
     """
     grid = require_same_grid(f_minus, f_plus)
     ts, ws = gauss_legendre(n_quad)
     mask = grid.mask_array
-    a11, a12, a22, b1, b2, d = np.zeros((6,) + grid.shape)
-    states = segment_states(gas, f_minus, f_plus, ts)
-    for wt, (t, q1, q2, z, rho, c2, ok) in zip(ws, states):
+    q1, q2, z, dq1, dq2, dz, h0, h1, h2 = segment_algebra(gas, f_minus, f_plus)
+    r, s = np.zeros(grid.shape), np.zeros((3,) + grid.shape)
+    for t, wt in zip(ts, ws):
+        rho, c2, ok = bernoulli_density(gas, h0 + t * (h1 + t * h2))
         require_admissible(gas, c2, ok, mask, float(t))
-        scale = np.where(mask, rho / np.where(mask, c2, 1.0), 0.0)
-        a11 += wt * (rho - q1 * q1 * scale)
-        a12 += wt * (-q1 * q2 * scale)
-        a22 += wt * (rho - q2 * q2 * scale)
-        b1 += wt * (-q1 * z * scale)
-        b2 += wt * (-q2 * z * scale)
-        d += wt * 2.0 * (rho - z * z * scale)
-    return CoefficientFields(a11=a11, a12=a12, a22=a22, b1=b1, b2=b2, d=d)
+        rho = np.where(mask, wt * rho, 0.0)
+        r += rho
+        s += np.multiply.outer((1.0, t, t * t), rho / np.where(mask, c2, 1.0))
+
+    def moment(a, da, b, db):  # sum w a_t b_t rho/c^2 for a_t = a + t da, b_t = b + t db
+        return a * b * s[0] + (a * db + da * b) * s[1] + da * db * s[2]
+
+    return CoefficientFields(a11=r - moment(q1, dq1, q1, dq1), a12=-moment(q1, dq1, q2, dq2),
+                             a22=r - moment(q2, dq2, q2, dq2), b1=-moment(q1, dq1, z, dz),
+                             b2=-moment(q2, dq2, z, dz), d=2.0 * (r - moment(z, dz, z, dz)))
 
 
 def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
@@ -239,7 +245,7 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     v, node = _extreme(l2_a, m, minimize=False)
     hyp["mach_elliptic_plus_reading_a"] = HypothesisResult(v < 1.0, node, v)
 
-    c2_mixed = bernoulli_density(gas, qsq_p, f_minus.values)[1]
+    c2_mixed = bernoulli_density(gas, gas.head(qsq_p, f_minus.values))[1]
     ok = c2_mixed > 0.0
     l2_b = np.where(ok, qsq_p / np.where(ok, c2_mixed, 1.0), np.inf)
     v, node = _extreme(l2_b, m, minimize=False)

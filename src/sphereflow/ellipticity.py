@@ -1,5 +1,5 @@
-"""Ellipticity algebra: the 3x3 comparison matrix, its lower bound,
-segment-set condition sweeps, and uniform-ellipticity certificates.
+"""Ellipticity algebra: the 3x3 comparison matrix, its lower bound, exact
+segment-condition checks, and uniform-ellipticity certificates.
 
 The comparison matrix packs the (q, z)-Jacobian of the flow fluxes
 A = rho * q (tangential mass flux) and B = 2 * rho * z (radial source),
@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .gas import FlowState, GasModel, density, density_partials, sound_speed_sq
+from .gas import (EXP_CAP, FlowState, GasModel, bernoulli_density, density,
+                  density_partials, sound_speed_sq)
 from .grid import ScalarField, require_same_grid
-from .operators import field_density, segment_states
+from .operators import field_density, segment_algebra
 
 # Roundoff slack for the z >= c hypothesis (equality is permitted).
 Z_GE_C_SLACK = 1e-12
@@ -75,9 +76,9 @@ class NodeViolation:
 class SegmentCheckReport:
     """Per-node verdicts for the hypotheses along the segment [f-, f+].
 
-    ``worst`` locates the smallest quadratic-form minimum over every
-    (node, t) the witness evaluated, as {"i", "j", "t", "value"}, or is
-    None when the witness evaluated no node.
+    ``worst`` locates the smallest quadratic-form minimum over the nodes
+    the witness evaluated, each at its t, as {"i", "j", "t", "value"}, or
+    is None when the witness evaluated no node.
     """
 
     pass_mask: np.ndarray
@@ -103,68 +104,65 @@ def _form_minima(q1, q2, z, c2, scale):
     return np.minimum(tan, scale * (z * z - c2)), tan
 
 
+def _least(p0, p1, p2):
+    """(min, argmin) over t in [0, 1] of p0 + p1 t + p2 t^2, elementwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(p2 > 0.0, np.clip(-0.5 * p1 / p2, 0.0, 1.0), p1 + p2 < 0.0)
+    return p0 + t * (p1 + t * p2), t
+
+
 def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
-                             f_plus: ScalarField, n_t: int = 9) -> SegmentCheckReport:
-    """Sweep t in [0, 1] and verify the matrix hypotheses at every node.
+                             f_plus: ScalarField) -> SegmentCheckReport:
+    """Decide the matrix hypotheses at every node for all t in [0, 1] at once.
 
-    At each of n_t uniformly spaced t the convex combination
-    phi_t = t f- + (1-t) f+ is checked for rho > 0, L^2 < 1 and z >= c
-    (within roundoff slack).  At nodes that pass those, the quadratic form
-    is a witness: its exact minimum over unit vectors (the smallest
-    eigenvalue of the comparison matrix's symmetric part) must not fall
-    below -slack, and its tangential minimum must be positive.  Records
-    the first violation per node, and the smallest form minimum in
-    ``worst``.
+    On phi_t = t f- + (1-t) f+ the head, c^2, c^2 - |q|^2 and z^2 - c^2 are
+    quadratics in t (segment_algebra), with least values in closed form.  A
+    node records its first failed condition as a NodeViolation at the
+    minimizing t, valued by the least margin: rho_positive, c^2 <= 0 (at
+    gamma = 1, where c^2 = 1, the exp() guard's EXP_CAP - |head/2| < 0);
+    mach_elliptic, c^2 - |q|^2 <= 0 (L^2 >= 1); z_above_sound, z - c below
+    -slack (least at t = 0, 1 or where z^2 - c^2 is); form_positive, where
+    those pass, the form's exact minimum over unit vectors (the smallest
+    eigenvalue of the comparison matrix's symmetric part) below -slack, or
+    a tangential minimum <= 0, at the t where min(c^2 - |q|^2, z^2 - c^2)
+    is least, so with that minimum's sign.  ``worst`` holds the smallest.
     """
-    grid = require_same_grid(f_minus, f_plus)
-    if n_t < 2:
-        raise ValueError("n_t must be >= 2")
-    mask = grid.mask_array
+    mask = require_same_grid(f_minus, f_plus).mask_array
+    q1, q2, z, dq1, dq2, dz, h0, h1, h2 = segment_algebra(gas, f_minus, f_plus)
+    k = 0.5 * (gas.gamma - 1.0)  # c^2 = c0^2 + k head, so 1 at gamma = 1
+    c2 = (bernoulli_density(gas, h0)[1], k * h1, k * h2)  # coefficients of 1, t, t^2
+    admit = _least(*c2)
+    if gas.gamma == 1.0:  # EXP_CAP - |head/2| is least where head is least or largest
+        (lo, t_lo), (hi, t_hi) = _least(h0, h1, h2), _least(-h0, -h1, -h2)
+        admit = EXP_CAP + 0.5 * np.minimum(lo, hi), np.where(lo <= hi, t_lo, t_hi)
+    mach = _least(c2[0] - (q1 * q1 + q2 * q2), c2[1] - 2.0 * (q1 * dq1 + q2 * dq2),
+                  c2[2] - (dq1 * dq1 + dq2 * dq2))
+    rad = _least(z * z - c2[0], 2.0 * z * dz - c2[1], dz * dz - c2[2])
+    ends = [z + t * dz - np.sqrt(np.maximum(c2[0] + t * (c2[1] + t * c2[2]), 0.0))
+            for t in (0.0, 1.0, rad[1])]
+    gap = np.minimum(np.minimum(ends[0], ends[1]), ends[2])
+    gap = gap, np.where(ends[0] == gap, 0.0, np.where(ends[1] == gap, 1.0, rad[1]))
+    t = np.where(mach[0] <= rad[0], mach[1], rad[1])
+    rho, c2_t, _ = bernoulli_density(gas, h0 + t * (h1 + t * h2))
+    c2_t = np.where(c2_t > 0.0, c2_t, 1.0)
+    form, tan = _form_minima(q1 + t * dq1, q2 + t * dq2, z + t * dz, c2_t, rho / c2_t)
+    bad = (admit[0] < 0.0 if gas.gamma == 1.0 else admit[0] <= 0.0, mach[0] <= 0.0,
+           gap[0] < -Z_GE_C_SLACK, (form < -Z_GE_C_SLACK) | (tan <= 0.0))
+    live = mask & ~(bad[0] | bad[1] | bad[2])
 
-    pass_mask = mask.copy()
-    recorded = ~mask  # off-mask nodes never report
-    violations: dict[tuple[int, int], NodeViolation] = {}
+    names = ("rho_positive", "mach_elliptic", "z_above_sound", "form_positive")
+    failed, violations = ~mask, []  # off-mask nodes never report
+    for condition, nodes, (value, at) in zip(names, bad, (admit, mach, gap, (form, t))):
+        nodes = nodes & ~failed
+        violations += [NodeViolation(int(i), int(j), float(at[i, j]), condition,
+                                     float(value[i, j])) for i, j in np.argwhere(nodes)]
+        failed |= nodes
     worst = None
-
-    def record(bad, t, condition, value_arr):
-        nonlocal recorded
-        fresh = bad & ~recorded
-        if not fresh.any():
-            return
-        for i, j in np.argwhere(fresh):
-            violations[(int(i), int(j))] = NodeViolation(
-                int(i), int(j), float(t), condition, float(value_arr[i, j]))
-        recorded |= fresh
-        pass_mask[fresh] = False
-
-    ts = np.linspace(0.0, 1.0, n_t)
-    for t, q1, q2, z, rho, c2, rho_ok in segment_states(gas, f_minus, f_plus, ts):
-        qsq = q1 * q1 + q2 * q2
-        record(mask & ~rho_ok, t, "rho_positive", c2)
-
-        safe_c2 = np.where(rho_ok, c2, 1.0)
-        l2 = np.where(rho_ok, qsq / safe_c2, np.inf)
-        record(mask & rho_ok & (l2 >= 1.0), t, "mach_elliptic", l2)
-
-        c = np.sqrt(np.maximum(safe_c2, 0.0))
-        z_gap = z - c
-        record(mask & rho_ok & (z_gap < -Z_GE_C_SLACK), t, "z_above_sound", z_gap)
-
-        # Quadratic-form witness at nodes still clean for this t.
-        live = mask & ~recorded
-        if not np.any(live):
-            continue
-        form_min, tan = _form_minima(q1, q2, z, safe_c2, rho / safe_c2)
-        form_min = np.where(live, form_min, np.inf)
-        i, j = np.unravel_index(np.argmin(form_min), mask.shape)
-        if worst is None or form_min[i, j] < worst["value"]:
-            worst = {"i": int(i), "j": int(j), "t": float(t),
-                     "value": float(form_min[i, j])}
-        record(live & ((form_min < -Z_GE_C_SLACK) | (tan <= 0.0)), t,
-               "form_positive", form_min)
-
-    out = sorted(violations.values(), key=lambda v: (v.i, v.j))
-    return SegmentCheckReport(pass_mask=pass_mask, violations=out, worst=worst)
+    if live.any():
+        i, j = np.unravel_index(np.argmin(np.where(live, form, np.inf)), mask.shape)
+        worst = {"i": int(i), "j": int(j), "t": float(t[i, j]), "value": float(form[i, j])}
+    violations.sort(key=lambda v: (v.i, v.j))
+    return SegmentCheckReport(pass_mask=~failed, violations=violations, worst=worst)
 
 
 @dataclass

@@ -51,6 +51,10 @@ class GasModel:
                               f"rho0 = {self.rho0}, gamma = {self.gamma}", "rho0")
         object.__setattr__(self, "c0_sq", c0)
 
+    def head(self, q_sq, z):
+        """The Bernoulli head B - z^2 - |q|^2 that bernoulli_density reads."""
+        return self.bernoulli - z * z - q_sq
+
 
 @dataclass(frozen=True)
 class FlowState:
@@ -76,16 +80,15 @@ class FlowType(IntEnum):
         return "EPHV"[int(self)]
 
 
-def bernoulli_density(gas: GasModel, q_sq, z):
-    """(rho, c^2, admissible) from the Bernoulli relation, elementwise.
+def bernoulli_density(gas: GasModel, head):
+    """(rho, c^2, admissible) at the Bernoulli head gas.head(|q|^2, z), elementwise.
 
     gamma != 1: rho = (c^2)^(1/(gamma-1)), admissible where c^2 > 0.
-    gamma  = 1: rho = rho0 * exp((B - z^2 - |q|^2)/2), the pointwise limit
-    of the power law, admissible where the exponent stays within +/-EXP_CAP;
-    c^2 is identically 1.  Inadmissible entries carry a finite placeholder
-    density; require_admissible turns them into errors.
+    gamma  = 1: rho = rho0 * exp(head/2), the pointwise limit of the power
+    law, admissible where the exponent stays within +/-EXP_CAP; c^2 is
+    identically 1.  Inadmissible entries carry a finite placeholder density;
+    require_admissible turns them into errors.
     """
-    head = gas.bernoulli - z * z - q_sq
     if gas.gamma == 1.0:
         arg = 0.5 * head
         ok = np.abs(arg) <= EXP_CAP
@@ -100,7 +103,7 @@ def sound_speed_sq(gas: GasModel, s: FlowState):
     c^2 of bernoulli_density (identically 1 for gamma = 1).  May return
     nonpositive values; callers decide whether that is vacuum.
     """
-    return bernoulli_density(gas, s.speed_sq(), s.z)[1]
+    return bernoulli_density(gas, gas.head(s.speed_sq(), s.z))[1]
 
 
 def require_admissible(gas: GasModel, c2, ok, where=True, t=None):
@@ -131,7 +134,7 @@ def density(gas: GasModel, s: FlowState):
     Raises VacuumError if c^2 <= 0 and, for gamma = 1, GasOverflowError
     past the exp() guard.
     """
-    rho, c2, ok = bernoulli_density(gas, s.speed_sq(), s.z)
+    rho, c2, ok = bernoulli_density(gas, gas.head(s.speed_sq(), s.z))
     require_admissible(gas, c2, ok)
     return rho
 
@@ -143,7 +146,7 @@ def density_partials(gas: GasModel, s: FlowState):
     c^2/rho, which is exact under c^2 = rho^(gamma-1) and also covers
     gamma = 1 (where the partials are -x * rho).
     """
-    rho, c2, ok = bernoulli_density(gas, s.speed_sq(), s.z)
+    rho, c2, ok = bernoulli_density(gas, gas.head(s.speed_sq(), s.z))
     require_admissible(gas, c2, ok)
     scale = rho / c2
     return (-s.q1 * scale, -s.q2 * scale, -s.z * scale)
@@ -167,7 +170,7 @@ def classify_codes(gas: GasModel, s: FlowState, eps_type: float = DEFAULT_EPS_TY
         raise ConfigError(f"eps_type must be > 0, got {eps_type}", "eps_type")
     q_sq = np.asarray(s.speed_sq(), dtype=float)
     codes = np.full(q_sq.shape, int(FlowType.VACUUM), dtype=np.int8)
-    _, c2, ok = bernoulli_density(gas, q_sq, s.z)
+    _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z))
     with np.errstate(divide="ignore", invalid="ignore"):
         l2 = np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)
     codes[ok & (np.abs(l2 - 1.0) <= eps_type)] = int(FlowType.PARABOLIC)

@@ -131,7 +131,7 @@ def field_density(gas: GasModel, f: ScalarField):
     vf = spherical_gradient(f)
     q1, q2 = vf.v_theta, vf.v_phi
     m = f.grid.mask_array
-    rho, c2, ok = bernoulli_density(gas, q1 * q1 + q2 * q2, f.values)
+    rho, c2, ok = bernoulli_density(gas, gas.head(q1 * q1 + q2 * q2, f.values))
     require_admissible(gas, c2, ok, m)
     return np.where(m, rho, 0.0), c2, q1, q2
 
@@ -147,8 +147,21 @@ def segment_states(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField, ts)
         q1 = t * gm.v_theta + (1.0 - t) * gp.v_theta
         q2 = t * gm.v_phi + (1.0 - t) * gp.v_phi
         z = t * f_minus.values + (1.0 - t) * f_plus.values
-        rho, c2, ok = bernoulli_density(gas, q1 * q1 + q2 * q2, z)
+        rho, c2, ok = bernoulli_density(gas, gas.head(q1 * q1 + q2 * q2, z))
         yield t, q1, q2, z, np.where(ok & grid.mask_array, rho, 0.0), c2, ok
+
+
+def segment_algebra(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField):
+    """(q1, q2, z, dq1, dq2, dz, h0, h1, h2) node arrays of phi_t = f+ + t (f- - f+)
+    from one gradient of each field: f+'s gradient and value, their increments
+    to f-, and the Bernoulli head B - z_t^2 - |q_t|^2 = h0 + h1 t + h2 t^2 of
+    bernoulli_density, so c^2 = c0^2 + (gamma-1)/2 head is quadratic in t."""
+    require_same_grid(f_minus, f_plus)
+    gm, gp = spherical_gradient(f_minus), spherical_gradient(f_plus)
+    q1, q2, z = gp.v_theta, gp.v_phi, f_plus.values
+    dq1, dq2, dz = gm.v_theta - q1, gm.v_phi - q2, f_minus.values - z
+    return (q1, q2, z, dq1, dq2, dz, gas.head(q1 * q1 + q2 * q2, z),
+            -2.0 * (q1 * dq1 + q2 * dq2 + z * dz), -(dq1 * dq1 + dq2 * dq2 + dz * dz))
 
 
 def laplace_beltrami(grid: SphericalGrid, v):

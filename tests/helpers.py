@@ -14,8 +14,9 @@ from sphereflow import (
     field_density,
     sound_speed_sq,
 )
+from sphereflow.gas import EXP_CAP
 from sphereflow.grid import STENCILS
-from sphereflow.operators import _phi_modes
+from sphereflow.operators import _phi_modes, spherical_gradient
 
 # Per-gas scenario data for solver-built comparison pairs.  Boundary levels
 # sit inside the corridor where z >= c holds and the homogeneous solution
@@ -314,3 +315,82 @@ def outward_directions(grid, i, j):
     if jm < 0 or not m[i, jm]:
         dirs.append((0, -1))
     return dirs
+
+
+# Reference copies of the segment sweeps that check_segment_conditions and
+# mean_value_coefficients made before their closed forms: per value of t,
+# the full state of phi_t = t f- + (1-t) f+ from the endpoint gradients,
+# with the Bernoulli law written out here.  Roundoff slack of z >= c.
+SEGMENT_SLACK = 1e-12
+
+
+def reference_bernoulli(gas, q_sq, z):
+    """(rho, c^2, admissible) of the Bernoulli law, elementwise."""
+    head = gas.bernoulli - z * z - q_sq
+    if gas.gamma == 1.0:
+        ok = np.abs(0.5 * head) <= EXP_CAP
+        return gas.rho0 * np.exp(np.where(ok, 0.5 * head, 0.0)), np.ones_like(head), ok
+    c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
+    ok = c2 > 0.0
+    return np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0)), c2, ok
+
+
+def field_state(f):
+    """(q1, q2, z) node arrays of a field: its gradient and value."""
+    grad = spherical_gradient(f)
+    return grad.v_theta, grad.v_phi, f.values
+
+
+SEGMENT_CONDITIONS = ("rho_positive", "mach_elliptic", "z_above_sound", "form_positive")
+
+
+def segment_failures(gas, minus, plus, t, band=0.0):
+    """Where each of SEGMENT_CONDITIONS fails at the states (q1, q2, z) =
+    t minus + (1-t) plus, for t broadcast against the node arrays, and the
+    form minimum there.  The thresholds of L^2 < 1, z >= c and the form move
+    by band: a state fails only beyond it (band > 0) or already within it
+    (band < 0).  The form fails wherever it is evaluated; callers gate it."""
+    q1, q2, z = (t * m + (1.0 - t) * p for m, p in zip(minus, plus))
+    q_sq = q1 * q1 + q2 * q2
+    rho, c2, ok = reference_bernoulli(gas, q_sq, z)
+    c2 = np.where(ok, c2, 1.0)
+    tan = rho / c2 * (c2 - q_sq)
+    form = np.minimum(tan, rho / c2 * (z * z - c2))
+    slack = SEGMENT_SLACK + band
+    return (~ok, ok & (q_sq / c2 >= 1.0 + band),
+            ok & (z - np.sqrt(np.maximum(c2, 0.0)) < -slack),
+            (form < -slack) | (tan <= 0.0)), form
+
+
+def segment_sweep(gas, minus, plus, n_t, band=0.0):
+    """check_segment_conditions by sampling n_t uniform values of t, for
+    endpoint states (q1, q2, z) of node arrays: (failed, the first failed
+    condition of each node, in SEGMENT_CONDITIONS order, and the least form
+    minimum over the (node, t) that pass the first three)."""
+    t = np.linspace(0.0, 1.0, n_t).reshape((n_t,) + (1,) * np.ndim(plus[2]))
+    (rho, mach, z_gap, form_bad), form = segment_failures(gas, minus, plus, t, band)
+    live = ~(rho | mach | z_gap)
+    first = np.full(np.shape(plus[2]), "", dtype=object)
+    for name, bad in zip(SEGMENT_CONDITIONS, (rho, mach, z_gap, live & form_bad)):
+        first = np.where((first == "") & bad.any(axis=0), name, first)
+    return first != "", first, np.where(live, form, np.inf).min(axis=0)
+
+
+def per_t_mean_value_coefficients(gas, f_minus, f_plus, n_quad):
+    """mean_value_coefficients by accumulating the six coefficients at each
+    Gauss-Legendre node of phi_t, off the mask zero."""
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    mask = f_plus.grid.mask_array
+    minus, plus = field_state(f_minus), field_state(f_plus)
+    acc = dict.fromkeys(("a11", "a12", "a22", "b1", "b2", "d"), 0.0)
+    for t, wt in zip(0.5 * (x + 1.0), 0.5 * w):
+        q1, q2, z = (t * m + (1.0 - t) * p for m, p in zip(minus, plus))
+        rho, c2, ok = reference_bernoulli(gas, q1 * q1 + q2 * q2, z)
+        assert ok[mask].all()
+        rho = np.where(mask, rho, 0.0)
+        scale = np.where(mask, rho / np.where(mask, c2, 1.0), 0.0)
+        for name, term in (("a11", rho - q1 * q1 * scale), ("a12", -q1 * q2 * scale),
+                           ("a22", rho - q2 * q2 * scale), ("b1", -q1 * z * scale),
+                           ("b2", -q2 * z * scale), ("d", 2.0 * (rho - z * z * scale))):
+            acc[name] = acc[name] + wt * term
+    return acc

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import SMALL_PATCH, WIDE_PATCH
+from helpers import SMALL_PATCH, WIDE_PATCH, per_t_mean_value_coefficients
 
 import sphereflow as sf
 from sphereflow import (
@@ -13,6 +13,7 @@ from sphereflow import (
     SphericalGrid,
 )
 from sphereflow.comparison import weak_form_field
+from sphereflow.operators import gauss_legendre
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,36 @@ def test_mean_value_needs_a_quadrature_node(gas_b4, wide_grid_33, average):
     with pytest.raises(sf.ConfigError) as err:
         average(gas_b4, f, f, n_quad=0)
     assert err.value.key == "n_quad"
+
+
+@pytest.mark.parametrize("n_quad", [1, 8, 16])
+def test_mean_value_moments_match_the_per_t_sum(pair_suite, gas_b4, wide_grid_33, n_quad):
+    # the moment form against the coefficients accumulated at each Gauss t,
+    # on one solver-built pair per gas and on a pair whose gradients change
+    # sign along the segment (q_t = (1 - 2t) q+), where the moment terms
+    # cancel down to a small coefficient (a12 = 0 at n_quad = 1, t = 1/2):
+    # to within 1e-13 of the largest coefficient of the pair
+    g = wide_grid_33
+    bump = ScalarField.from_function(g, lambda th, ph: 0.1 * np.cos(2 * th) * np.sin(ph))
+    pairs = [(sc.gas, sc.f_minus, sc.f_plus) for sc in pair_suite[:4]]
+    pairs.append((gas_b4, ScalarField(g, 2.05 - bump.values),
+                  ScalarField(g, 2.0 + bump.values)))
+    for gas, f_minus, f_plus in pairs:
+        got = sf.mean_value_coefficients(gas, f_minus, f_plus, n_quad)
+        want = per_t_mean_value_coefficients(gas, f_minus, f_plus, n_quad)
+        scale = max(np.abs(coef).max() for coef in want.values())
+        for name, coef in want.items():
+            assert np.abs(getattr(got, name) - coef).max() <= 1e-13 * scale, name
+
+
+def test_mean_value_overflow_names_node_and_gauss_t(wide_grid_33):
+    # the isothermal exp() guard fails at every t: the first Gauss node is named
+    gas = GasModel(1.0, 1.0, 2000.0)
+    f = ScalarField.constant(wide_grid_33, 1.0)
+    with pytest.raises(sf.GasOverflowError) as err:
+        sf.mean_value_coefficients(gas, f, f, n_quad=3)
+    assert err.value.node == (0, 0)
+    assert err.value.t == float(gauss_legendre(3)[0][0])
 
 
 def test_segment_jacobian_zero(gas_b4, wide_grid_33):

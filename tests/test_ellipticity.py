@@ -1,17 +1,21 @@
+import contextlib
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (WIDE_PATCH, random_admissible_state, random_gas,
-                     random_gas_with_supersonic_radial)
+from helpers import (SEGMENT_CONDITIONS, WIDE_PATCH, field_state,
+                     random_admissible_state, random_gas,
+                     random_gas_with_supersonic_radial, segment_failures,
+                     segment_sweep)
 
 import sphereflow as sf
-from sphereflow import FlowState, GasModel, ScalarField, SphericalGrid
+from sphereflow import FlowState, GasModel, ScalarField, SphericalGrid, VectorField
 from sphereflow.cli import _scalar_params
 from sphereflow.ellipticity import _form_minima
-from sphereflow.gas import density, density_partials, sound_speed_sq
-from sphereflow.operators import spherical_gradient
+from sphereflow.gas import EXP_CAP, density, density_partials, sound_speed_sq
 
 
 def closed_form_matrix(gas, s):
@@ -138,8 +142,7 @@ def test_form_positive_under_hypotheses():
 def test_segment_conditions_pass_case(gas_b4):
     g = SphericalGrid(*WIDE_PATCH, 17, 17)
     rep = sf.check_segment_conditions(
-        gas_b4, ScalarField.constant(g, 2.0), ScalarField.constant(g, 2.2),
-        n_t=9)
+        gas_b4, ScalarField.constant(g, 2.0), ScalarField.constant(g, 2.2))
     assert rep.all_pass
     assert rep.pass_mask.all()
 
@@ -155,18 +158,22 @@ def test_segment_conditions_z_below_c(gas_b4):
 
 
 def test_segment_degenerates_to_pointwise(gas_b4):
+    # with f- = f+ every t has the endpoint state, so the exact check is the
+    # pointwise one: a sweep over the two endpoints reads the same
     g = SphericalGrid(*WIDE_PATCH, 9, 9)
-    f = ScalarField.constant(g, 2.0)
-    few = sf.check_segment_conditions(gas_b4, f, f, n_t=2)
-    many = sf.check_segment_conditions(gas_b4, f, f, n_t=9)
-    assert few.all_pass == many.all_pass
-    np.testing.assert_array_equal(few.pass_mask, many.pass_mask)
+    for f in (ScalarField.constant(g, 2.0), ScalarField.constant(g, 1.0),
+              ScalarField.constant(g, 2.6),
+              ScalarField.from_function(g, lambda th, ph: 1.42 + 0.02 * np.cos(3 * ph))):
+        rep = sf.check_segment_conditions(gas_b4, f, f)
+        failed, first, _ = segment_sweep(gas_b4, field_state(f), field_state(f), 2)
+        np.testing.assert_array_equal(rep.pass_mask, ~failed)
+        assert [v.condition for v in rep.violations] == list(first[failed])
 
 
-def test_segment_conditions_need_two_parameters(gas_b4):
-    f = ScalarField.constant(SphericalGrid(*WIDE_PATCH, 9, 9), 2.0)
-    with pytest.raises(ValueError, match="n_t must be >= 2"):
-        sf.check_segment_conditions(gas_b4, f, f, n_t=1)
+def test_segment_conditions_take_no_t_samples():
+    # the minima over t are exact, so there is no sample count to choose
+    assert list(inspect.signature(sf.check_segment_conditions).parameters) == [
+        "gas", "f_minus", "f_plus"]
 
 
 def test_segment_vacuum_in_coefficients(gas_b4):
@@ -211,25 +218,30 @@ def test_segment_worst_is_brute_force_eigenvalue_minimum(gas_b4):
         g, lambda th, ph: 2.0 + 0.1 * np.cos(2 * th) * np.sin(ph))
     f_plus = ScalarField.from_function(
         g, lambda th, ph: 2.2 + 0.15 * np.sin(th) * np.cos(3 * ph))
-    ts = np.linspace(0.0, 1.0, 9)
-    rep = sf.check_segment_conditions(gas_b4, f_minus, f_plus, n_t=ts.size)
-    assert rep.all_pass  # so the witness evaluated every (node, t)
-
-    gm, gp = spherical_gradient(f_minus), spherical_gradient(f_plus)
-    brute = {}
-    for t in ts:
-        q1 = t * gm.v_theta + (1.0 - t) * gp.v_theta
-        q2 = t * gm.v_phi + (1.0 - t) * gp.v_phi
-        z = t * f_minus.values + (1.0 - t) * f_plus.values
-        for i, j in np.ndindex(g.shape):
-            s = FlowState(q1[i, j], q2[i, j], z[i, j])
-            brute[(i, j, float(t))] = np.linalg.eigvalsh(
-                _symmetric_part(gas_b4, s))[0]
-    lowest = min(brute.values())
+    rep = sf.check_segment_conditions(gas_b4, f_minus, f_plus)
+    assert rep.all_pass  # so the witness evaluated every node
     w = rep.worst
     assert set(w) == {"i", "j", "t", "value"}
-    assert abs(w["value"] - lowest) <= 1e-12 * abs(lowest)
-    assert abs(brute[(w["i"], w["j"], w["t"])] - lowest) <= 1e-12 * abs(lowest)
+
+    # the value is the smallest eigenvalue at the reported (node, t)
+    minus, plus = field_state(f_minus), field_state(f_plus)
+    i, j, t = w["i"], w["j"], w["t"]
+    s = FlowState(*(t * m[i, j] + (1.0 - t) * p[i, j] for m, p in zip(minus, plus)))
+    eig = np.linalg.eigvalsh(_symmetric_part(gas_b4, s))[0]
+    assert abs(w["value"] - eig) <= 1e-12 * abs(eig)
+
+    # t is where the form's sign-setting margin min(c^2 - |q|^2, z^2 - c^2)
+    # is least at that node, and a dense sweep finds no smaller form value
+    # anywhere than the worst one, up to how far the form moves with t
+    ts = np.linspace(0.0, 1.0, 2001)
+    states = [FlowState(*(u * m[i, j] + (1.0 - u) * p[i, j]
+                          for m, p in zip(minus, plus))) for u in (t, *ts)]
+    margins = [min(sound_speed_sq(gas_b4, x) - x.speed_sq(),
+                   x.z * x.z - sound_speed_sq(gas_b4, x)) for x in states]
+    assert margins[0] <= min(margins[1:]) + 1e-12
+    _, _, swept = segment_sweep(gas_b4, minus, plus, ts.size)
+    assert swept.min() <= w["value"] + 1e-12
+    assert swept.min() >= w["value"] - 1e-3 * abs(w["value"])
 
     # every node fails an analytic check first: the witness evaluates none
     low = ScalarField.constant(g, 1.0)
@@ -250,6 +262,117 @@ def test_segment_form_positive_in_slack_band(gas_b4):
 
     f = ScalarField.constant(g, np.sqrt(2.0) - 1e-13)
     assert sf.check_segment_conditions(gas_b4, f, f).all_pass
+
+
+def test_segment_isothermal_overflow_reports_the_exponent_margin():
+    # gamma = 1 has c^2 = 1, so the exp() guard's margin is the value: the
+    # exponent (2000 - 1)/2 = 999.5 lies 299.5 past EXP_CAP = 700
+    gas = GasModel(1.0, 1.0, 2000.0)
+    f = ScalarField.constant(SphericalGrid(*WIDE_PATCH, 9, 9), 1.0)
+    rep = sf.check_segment_conditions(gas, f, f)
+    assert len(rep.violations) == 81
+    for v in rep.violations:
+        assert (v.condition, v.t, v.value) == ("rho_positive", 0.0, EXP_CAP - 999.5)
+
+
+@contextlib.contextmanager
+def pointwise_pair(minus, plus):
+    """Fields whose gradients read as the given node arrays: the segment
+    check then sees the endpoint states (q1, q2, z) node by node."""
+    grid = SphericalGrid(*WIDE_PATCH, *np.shape(plus[2]))
+    fields = [ScalarField(grid, np.array(state[2], dtype=float)) for state in (minus, plus)]
+    grads = {id(f): VectorField(grid, *(np.array(q, dtype=float) for q in state[:2]))
+             for f, state in zip(fields, (minus, plus))}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sf.operators, "spherical_gradient", lambda f: grads[id(f)])
+        yield fields
+
+
+def _uniform(state, shape=(3, 3)):
+    return tuple(np.full(shape, x) for x in state)
+
+
+@pytest.mark.parametrize("gas, minus, plus, condition, t, value", [
+    # gamma = 2, B = 4: q runs from (v, 0) to (-v, 0) with v^2 = 0.6 at
+    # z^2 = 1.9.  Both ends have z >= c, but at q = 0 (t = 1/2, the vertex
+    # of z^2 - c^2) c^2 = 2.05 > z^2
+    (GasModel(2.0, 1.0, 4.0), (-np.sqrt(0.6), 0.0, np.sqrt(1.9)),
+     (np.sqrt(0.6), 0.0, np.sqrt(1.9)), "z_above_sound", 0.5,
+     np.sqrt(1.9) - np.sqrt(2.05)),
+    # gamma = 1, B = 1401.5, z = c = 1: the ends have |q|^2 = 0.81 and the
+    # head 1399.69 within the guard, but the head peaks at the vertex
+    # t = 1/2, where exp() overflows
+    (GasModel(1.0, 1.0, 1401.5), (0.0, -0.9, 1.0), (0.0, 0.9, 1.0),
+     "rho_positive", 0.5, EXP_CAP - 700.25),
+    # gamma = 1: the head falls below -1400 at the t = 1 end, not inside
+    (GasModel(1.0, 1.0, 2.0), (0.0, 0.0, 37.5), (0.0, 0.1, 1.5),
+     "rho_positive", 1.0, EXP_CAP - 0.5 * (37.5 ** 2 - 2.0)),
+])
+def test_segment_minimum_at_the_vertex_or_an_end(gas, minus, plus, condition, t, value):
+    with pointwise_pair(_uniform(minus), _uniform(plus)) as (f_minus, f_plus):
+        rep = sf.check_segment_conditions(gas, f_minus, f_plus)
+    assert len(rep.violations) == 9
+    for v in rep.violations:
+        assert (v.condition, v.t) == (condition, t)
+        assert v.value == pytest.approx(value, rel=1e-12)
+    # the endpoints alone pass the vertex cases: a sweep of t = 0, 1 misses them
+    failed, _, _ = segment_sweep(gas, _uniform(minus), _uniform(plus), 2)
+    assert failed.all() == (t == 1.0)
+
+
+def _segment_pairs(rng, gas, shape):
+    """(minus, plus) endpoint states (q1, q2, z) as node arrays, three kinds
+    in turn: free draws (q ~ N(0, s^2) with s in [0.05, 2], z in [0, 3]);
+    pairs whose ends both meet rho > 0, L^2 < 1 and z >= c; and pairs from
+    (v, z) to (-w v, z), w in [0.2, 1], with z between the z >= c
+    thresholds of |q| = w |v| and of q = 0, which cross z = c inside the
+    segment for gamma > 1, around t = 1/(1 + w)."""
+    k = 0.5 * (gas.gamma - 1.0)
+    pairs = []
+    for kind in range(int(np.prod(shape))):
+        if kind % 3 == 0:
+            s = rng.uniform(0.05, 2.0)
+            pair = [(*rng.normal(0.0, s, 2), rng.uniform(0.0, 3.0)) for _ in range(2)]
+        elif kind % 3 == 1:
+            pair = [(x.q1, x.q2, x.z) for x in (random_admissible_state(
+                rng, gas, elliptic=True, z_above_c=True) for _ in range(2))]
+        else:  # z >= c reads (1 + k) z^2 >= c0^2 + k (B - |q|^2)
+            v, w = rng.uniform(0.0, 1.2), rng.uniform(0.2, 1.0)
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            lo, hi = sorted((gas.c0_sq + k * (gas.bernoulli - q_sq)) / (1.0 + k)
+                            for q_sq in ((w * v) ** 2, 0.0)) if k != -1.0 else (0.0, 9.0)
+            z = np.sqrt(max(rng.uniform(lo, hi), 0.0))
+            pair = [(a * np.cos(angle), a * np.sin(angle), z) for a in (-w * v, v)]
+        pairs.append(pair)
+    ends = np.moveaxis(np.array(pairs), 0, -1).reshape((2, 3) + shape)
+    return tuple(ends[0]), tuple(ends[1])
+
+
+SEGMENT_BAND = 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gamma=st.sampled_from([-1.0, 1.0, 1.4, 2.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_segment_check_is_sound_against_a_dense_sweep(gamma, seed):
+    rng = np.random.default_rng(seed)
+    gas = random_gas_with_supersonic_radial(rng, gamma)
+    minus, plus = _segment_pairs(rng, gas, (12, 20))
+    with pointwise_pair(minus, plus) as (f_minus, f_plus):
+        rep = sf.check_segment_conditions(gas, f_minus, f_plus)
+    # no pair passes that a 2001-point sweep rejects beyond the band, and
+    # none is reported under a later condition than the sweep's first ...
+    swept, first, _ = segment_sweep(gas, minus, plus, 2001, band=SEGMENT_BAND)
+    assert not (swept & rep.pass_mask).any()
+    for v in rep.violations:
+        if swept[v.i, v.j]:
+            order = SEGMENT_CONDITIONS.index
+            assert order(v.condition) <= order(first[v.i, v.j]), v
+    # ... and each rejection is real: the reported condition fails at the
+    # reported t, or lies within the band of its threshold
+    for v in rep.violations:
+        fails, _ = segment_failures(gas, [x[v.i, v.j] for x in minus],
+                                    [x[v.i, v.j] for x in plus], v.t, band=-SEGMENT_BAND)
+        assert fails[SEGMENT_CONDITIONS.index(v.condition)], v
 
 
 def test_certify_examples(gas_b4, wide_grid_33):
