@@ -70,7 +70,6 @@ from .operators import (
     flow_residual,
     principal_matrix,
     segment_jacobian,
-    segment_states,
     spherical_divergence,
     spherical_gradient,
 )

@@ -24,7 +24,7 @@ from .errors import ConfigError, CornerNodeError, NonTouchingNodeError
 from .gas import GasModel, bernoulli_density, require_admissible
 from .grid import ScalarField, SphericalGrid, require_same_grid
 from .operators import (field_density, flow_residual, gauss_legendre,
-                        segment_algebra, segment_states, spherical_gradient)
+                        segment_algebra, spherical_gradient)
 
 WEAK_FORM_TOL = 1e-10
 
@@ -291,7 +291,9 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     Every requested node must be a boundary node with exactly one outward
     direction (straight mask edge; corners fail the interior sphere
     condition), must carry equal field values within tol_touch, and both
-    fields must be vacuum-free there.  f- > f+ at an interior node raises
+    fields must be admissible there, each by its own gradient's state: f-
+    is checked first, and a vacuum or isothermal overflow at a node not
+    requested does not raise.  f- > f+ at an interior node raises
     ValueError; a mask too thin for the two inward stencil nodes raises
     GridError from the gradients, naming a masked node.  When f- < f+
     holds inside and the ellipticity hypotheses are met, the returned
@@ -309,8 +311,11 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
         )
     diff = f_minus.values - f_plus.values
 
-    states = [(c2, ok) for *_, c2, ok
-              in segment_states(gas, f_minus, f_plus, (1.0, 0.0))]
+    states = []  # (c2, ok) of f- and of f+, checked only at requested nodes
+    for f in (f_minus, f_plus):
+        vf = spherical_gradient(f)
+        q1, q2 = vf.v_theta, vf.v_phi
+        states.append(bernoulli_density(gas, gas.head(q1 * q1 + q2 * q2, f.values))[1:])
 
     results = []
     for raw in boundary_nodes:

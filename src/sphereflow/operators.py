@@ -5,8 +5,8 @@ the divergence of v = (v_theta, v_phi) is
 (1/sin)(d/dtheta)(sin * v_theta) + (1/sin)(d/dphi) v_phi.  All stencils are
 second-order central at nodes with two masked neighbors and second-order
 one-sided at patch edges and mask boundaries, so derivatives (and hence
-the flow states rho, c^2 of field_density and segment_states) are defined
-up to the boundary.
+the flow states rho, c^2 of field_density and segment_algebra) are
+defined up to the boundary.
 
 The nonlinear operator evaluated by flow_residual is
 
@@ -134,21 +134,6 @@ def field_density(gas: GasModel, f: ScalarField):
     rho, c2, ok = bernoulli_density(gas, gas.head(q1 * q1 + q2 * q2, f.values))
     require_admissible(gas, c2, ok, m)
     return np.where(m, rho, 0.0), c2, q1, q2
-
-
-def segment_states(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField, ts):
-    """Yield (t, q1, q2, z, rho, c2, ok) node arrays of phi_t = t f- + (1-t) f+
-    for each t in ts, from bernoulli_density at the interpolated gradients
-    of the two fields; rho is zero off the mask and where ok is false.
-    Callers decide what an inadmissible node means."""
-    grid = require_same_grid(f_minus, f_plus)
-    gm, gp = spherical_gradient(f_minus), spherical_gradient(f_plus)
-    for t in ts:
-        q1 = t * gm.v_theta + (1.0 - t) * gp.v_theta
-        q2 = t * gm.v_phi + (1.0 - t) * gp.v_phi
-        z = t * f_minus.values + (1.0 - t) * f_plus.values
-        rho, c2, ok = bernoulli_density(gas, gas.head(q1 * q1 + q2 * q2, z))
-        yield t, q1, q2, z, np.where(ok & grid.mask_array, rho, 0.0), c2, ok
 
 
 def segment_algebra(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField):
@@ -338,14 +323,20 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     """apply(v) on value arrays: flow_jacobian's apply averaged over phi_t =
     t f- + (1-t) f+ by n_quad-point Gauss-Legendre in t, so apply(f- - f+)
     = flow_residual(f-) - flow_residual(f+) at interior nodes up to the
-    quadrature error.  Built on segment_states, so no phi_t is differentiated
-    again; raises like field_density, naming t, if some phi_t is inadmissible."""
+    quadrature error.  The state of each phi_t, at gradient q+ + t dq and
+    value z+ + t dz, comes from segment_algebra's head, so no phi_t is
+    differentiated again; raises like field_density, naming t, if some phi_t
+    is inadmissible."""
     grid = require_same_grid(f_minus, f_plus)
+    mask = grid.mask_array
+    q1, q2, z, dq1, dq2, dz, h0, h1, h2 = segment_algebra(gas, f_minus, f_plus)
     ts, ws = gauss_legendre(n_quad)
     parts = []
-    for wt, (t, q1, q2, z, rho, c2, ok) in zip(ws, segment_states(gas, f_minus, f_plus, ts)):
-        require_admissible(gas, c2, ok, grid.mask_array, float(t))
-        parts.append((wt, flow_jacobian(gas, ScalarField(grid, z), state=(rho, c2, q1, q2))))
+    for t, wt in zip(ts, ws):
+        rho, c2, ok = bernoulli_density(gas, h0 + t * (h1 + t * h2))
+        require_admissible(gas, c2, ok, mask, float(t))
+        state = np.where(mask, rho, 0.0), c2, q1 + t * dq1, q2 + t * dq2
+        parts.append((wt, flow_jacobian(gas, ScalarField(grid, z + t * dz), state=state)))
 
     def apply(v):
         return sum(wt * jac(v) for wt, jac in parts)

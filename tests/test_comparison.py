@@ -346,6 +346,29 @@ def test_hopf_isothermal_overflow_names_node():
     assert err.value.node == (0, 8)
 
 
+@pytest.mark.parametrize("gas, level, spike, error", [
+    (GasModel(2.0, 1.0, 4.0), 1.5, 3.0, sf.VacuumError),  # c^2 = 1 + (4 - 9)/2 < 0
+    (GasModel(1.0, 1.0, 4.0), 1.0, 40.0, sf.GasOverflowError),  # exponent < -700
+])
+def test_hopf_checks_admissibility_at_requested_nodes_only(gas, level, spike, error):
+    # on the notched 17^2 grid, a spike at (0, 13) makes the states at
+    # (0, 12), (0, 13) and (0, 14) inadmissible: no error while only (0, 8)
+    # is requested, and (0, 12) is named once it is, whichever field spikes
+    mask = np.ones((17, 17), dtype=bool)
+    mask[:5, :5] = False
+    g = SphericalGrid(*SMALL_PATCH, 17, 17, mask=mask)
+    assert {(0, 8), (0, 12)} <= set(sf.straight_edge_nodes(g))
+    vals = np.full(g.shape, level)
+    vals[0, 13] = spike
+    spiked, flat = ScalarField(g, vals), ScalarField.constant(g, level)
+    (out,) = sf.hopf_indicator(gas, spiked, spiked.copy(), [(0, 8)])
+    assert out.derivative == 0.0
+    for f_minus, f_plus in ((spiked, flat), (flat, spiked)):
+        with pytest.raises(error) as err:
+            sf.hopf_indicator(gas, f_minus, f_plus, [(0, 8), (0, 12)])
+        assert err.value.node == (0, 12)
+
+
 def test_hopf_across_the_periodic_seam(gas_b4):
     # (7, 0) opens onto a hole at +phi, so its inward steps wrap to (7, 17)
     # and (7, 16)

@@ -1,7 +1,8 @@
 """No sphereflow module reaches into another module's private names, the
-Bernoulli c^2 is written once, only the solver builds the preconditioner,
-every linear solve goes through solver.interior_solve, the flux stencil
-makes no zero-padded copies, and the package imports no scipy."""
+Bernoulli c^2 is written once, the segment phi_t is formed in one place,
+only the solver builds the preconditioner, every linear solve goes through
+solver.interior_solve, the flux stencil makes no zero-padded copies, and
+the package imports no scipy."""
 
 import ast
 import os
@@ -54,6 +55,33 @@ def test_sound_speed_is_written_once():
     found = [hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in _gas_law_reads(path)]
     assert found == []
+
+
+def _called_names(node):
+    """Names called inside node, by name or as an attribute."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            yield (func.id if isinstance(func, ast.Name) else
+                   func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def test_segment_is_formed_once():
+    # segment_algebra differentiates each field once and is the only place
+    # phi_t is formed; a per-t copy would round differently from it
+    functions = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            assert name != "segment_states", f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = set(_called_names(node))
+    for name in ("segment_jacobian", "mean_value_coefficients", "check_segment_conditions"):
+        assert "segment_algebra" in functions[name], name
+        assert "spherical_gradient" not in functions[name], name
 
 
 def _preconditioner_uses(path):

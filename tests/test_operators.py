@@ -24,6 +24,8 @@ from helpers import (
 
 import sphereflow as sf
 from sphereflow import FlowState, GasModel, ScalarField, SphericalGrid
+from sphereflow.gas import bernoulli_density
+from sphereflow.operators import segment_algebra
 
 
 def _grid(n=33, patch=WIDE_PATCH):
@@ -187,29 +189,33 @@ def _jacobian_grid(kind, n=17):
     return SphericalGrid(*SMALL_PATCH, n, n, mask=mask)
 
 
-def test_segment_states_are_the_states_of_phi_t(gas_b4):
+def test_segment_algebra_gives_the_states_of_phi_t(gas_b4):
+    # head -> bernoulli_density, q+ + t dq and z+ + t dz are the state of
+    # phi_t = t f- + (1-t) f+: exactly f+'s own state at t = 0, and within
+    # rounding of field_density(phi_t) elsewhere (interpolated gradients,
+    # not the gradient of phi_t)
     g = _jacobian_grid("masked")
     m = g.mask_array
     f_minus = ScalarField.from_function(
         g, lambda th, ph: 1.5 + 0.1 * np.cos(th) * np.sin(2 * ph))
     f_plus = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.05 * np.sin(3 * th))
-    states = list(sf.segment_states(gas_b4, f_minus, f_plus, (1.0, 0.3, 0.0)))
-    assert [s[0] for s in states] == [1.0, 0.3, 0.0]
-    for (t, q1, q2, z, rho, c2, ok), end in zip(states, (f_minus, None, f_plus)):
+    q1, q2, z, dq1, dq2, dz, h0, h1, h2 = segment_algebra(gas_b4, f_minus, f_plus)
+    for t in (0.0, 0.3, 1.0):
         phi = ScalarField(g, t * f_minus.values + (1.0 - t) * f_plus.values)
-        want = sf.field_density(gas_b4, phi)
-        np.testing.assert_array_equal(z, phi.values)
-        if end is not None:  # the endpoints are the fields' own states
-            for got, ref in zip((rho, c2, q1, q2), want):
-                np.testing.assert_array_equal(got, ref)
-        else:  # interpolated gradients, not the gradient of phi_t
-            np.testing.assert_allclose((rho, c2, q1, q2), want,
-                                       rtol=1e-12, atol=1e-12)
-        assert ok[m].all() and not rho[~m].any()
-    # an inadmissible state is flagged with zero density, not raised
+        rho, c2, ok = bernoulli_density(gas_b4, h0 + t * (h1 + t * h2))
+        assert ok[m].all()
+        got = (np.where(m, rho, 0.0), c2, q1 + t * dq1, q2 + t * dq2, z + t * dz)
+        want = (*sf.field_density(gas_b4, phi), phi.values)
+        if t == 0.0:
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # an inadmissible head is flagged, not raised
     vacuum = ScalarField.constant(g, 3.0)  # c^2 = 1 + (4 - 9)/2 < 0
-    *_, rho, c2, ok = next(sf.segment_states(gas_b4, f_minus, vacuum, (0.0,)))
-    assert not ok[m].any() and not rho.any() and (c2[m] < 0.0).all()
+    h0 = segment_algebra(gas_b4, f_minus, vacuum)[6]
+    _, c2, ok = bernoulli_density(gas_b4, h0)
+    assert not ok[m].any() and (c2[m] < 0.0).all()
 
 
 def _interior_matrix(grid, apply, idx):
