@@ -109,6 +109,7 @@ class Dichotomy(Enum):
     STRICT = "Strict"
     IDENTICAL = "Identical"
     ANOMALOUS = "Anomalous"
+    MIXED = "Mixed"  # Strict on some interior components, Identical on the rest
 
 
 @dataclass
@@ -150,7 +151,9 @@ class ComparisonReport:
     min_gap_node: tuple
     min_gap_grad: tuple
     ordering_pass: bool
+    gap: ScalarField = dc_field(repr=False, compare=False)  # f+ - f-
     dichotomy: Dichotomy | None = None
+    components: list = dc_field(default_factory=list)
     hopf: list = dc_field(default_factory=list)
 
     @property
@@ -173,6 +176,7 @@ class ComparisonReport:
         return "Pass" if self.ordering_pass else "Failed"
 
     def to_dict(self):
+        parts = {"components": self.components} if self.components else {}
         return {
             "verdict": self.verdict,
             "applicable": self.applicable,
@@ -184,6 +188,7 @@ class ComparisonReport:
             "min_gap_grad": list(self.min_gap_grad),
             "ordering_pass": self.ordering_pass,
             "dichotomy": self.dichotomy.value if self.dichotomy else None,
+            **parts,
             "hopf": [h.to_dict() for h in self.hopf],
             "typo_reading_A_pass": self.typo_reading_a_pass,
             "typo_reading_B_pass": self.typo_reading_b_pass,
@@ -275,6 +280,7 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
         min_gap_node=gap_node,
         min_gap_grad=grad_at,
         ordering_pass=min_gap >= -tol_order,
+        gap=ScalarField(grid, gap),
     )
 
 
@@ -353,6 +359,12 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     return results
 
 
+def _dichotomy(min_gap, max_abs_gap, gap_tol):
+    if max_abs_gap <= gap_tol:
+        return Dichotomy.IDENTICAL
+    return Dichotomy.STRICT if min_gap > gap_tol else Dichotomy.ANOMALOUS
+
+
 def strong_comparison_check(report: ComparisonReport,
                             gap_tol: float = 1e-10) -> Dichotomy:
     """Classify an ordered pair as Strict, Identical or Anomalous.
@@ -361,7 +373,12 @@ def strong_comparison_check(report: ComparisonReport,
     ordered fields, which cannot occur for exact elliptic solutions; at
     the discrete level it flags a hypothesis breach or discretization
     error, with the near-touching node and the gradient of (f- - f+)
-    there available on the report.  gap_tol < 0 or nan raises ConfigError.
+    there available on the report.  The strong principle holds on each
+    connected domain, so when the whole interior reads Anomalous each of
+    its components (grid.interior_labels) is classified too.  If their
+    classes differ, report.components lists each one (class, min gap, max
+    |gap| and its min-gap node), and the pair is Anomalous if some
+    component is, else Mixed.  gap_tol < 0 or nan raises ConfigError.
     """
     if not gap_tol >= 0.0:
         raise ConfigError(f"gap_tol must be >= 0, got {gap_tol}", "gap_tol")
@@ -369,10 +386,20 @@ def strong_comparison_check(report: ComparisonReport,
         raise ValueError("hypotheses failed; dichotomy undefined (Inapplicable)")
     if not report.ordering_pass:
         raise ValueError("interior ordering violated; dichotomy undefined")
-    if report.interior_max_abs_gap <= gap_tol:
-        report.dichotomy = Dichotomy.IDENTICAL
-    elif report.interior_min_gap > gap_tol:
-        report.dichotomy = Dichotomy.STRICT
-    else:
-        report.dichotomy = Dichotomy.ANOMALOUS
+    report.dichotomy = _dichotomy(report.interior_min_gap, report.interior_max_abs_gap, gap_tol)
+    report.components = []
+    if report.dichotomy is not Dichotomy.ANOMALOUS:
+        return report.dichotomy
+    gap, labels = report.gap.values, report.gap.grid.interior_labels
+    for k in range(1, labels.max() + 1):
+        min_gap, (i, j) = _extreme(gap, labels == k, minimize=True)
+        max_abs = float(np.abs(gap[labels == k]).max())
+        report.components.append({
+            "dichotomy": _dichotomy(min_gap, max_abs, gap_tol).value,
+            "min_gap": min_gap, "max_abs_gap": max_abs, "node": {"i": i, "j": j}})
+    classes = {part["dichotomy"] for part in report.components}
+    if len(classes) == 1:  # one component, or every one Anomalous
+        report.components = []
+    elif Dichotomy.ANOMALOUS.value not in classes:
+        report.dichotomy = Dichotomy.MIXED
     return report.dichotomy

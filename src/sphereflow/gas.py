@@ -153,11 +153,14 @@ def density_partials(gas: GasModel, s: FlowState):
 
 
 def pseudo_mach_sq(gas: GasModel, s: FlowState):
-    """Tangential pseudo-Mach number squared, L^2 = |q|^2 / c^2."""
-    c2 = sound_speed_sq(gas, s)
-    if np.any(c2 <= 0.0):
-        raise VacuumError(f"vacuum state: c^2 = {np.min(c2):.6g} <= 0")
-    return s.speed_sq() / c2
+    """Tangential pseudo-Mach number squared, L^2 = |q|^2 / c^2.
+
+    Raises like density() at a state that bernoulli_density rejects.
+    """
+    q_sq = s.speed_sq()
+    _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z))
+    require_admissible(gas, c2, ok)
+    return q_sq / c2
 
 
 def classify_codes(gas: GasModel, s: FlowState, eps_type: float = DEFAULT_EPS_TYPE):

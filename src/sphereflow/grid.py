@@ -171,6 +171,42 @@ class SphericalGrid:
         return self.mask_array & ~self.boundary_mask
 
     @cached_property
+    def interior_labels(self):
+        """Node labels of the interior's 4-connected components (phi wraps
+        on a periodic grid): 1, 2, ... in flat order of each component's
+        first node, 0 off the interior.
+
+        Every node lies on one theta-run and one phi-run of interior nodes.
+        Each round gives every theta-run the least number of the phi-runs
+        it crosses and then every phi-run the least of the theta-runs it
+        crosses, joining the two phi-runs that meet at a periodic seam, so
+        the rounds grow with the turns a path takes, not its length.
+        """
+        im = self.interior_mask
+
+        def runs(a):  # each node's run along axis 1, and where the runs start
+            starts = a.copy()
+            starts[:, 1:] &= ~a[:, :-1]
+            return (np.cumsum(starts) - 1).reshape(a.shape), np.flatnonzero(starts[a])
+
+        phi_run, phi_starts = runs(im)
+        theta_run, theta_starts = runs(im.T)
+        across, along = theta_run.T[im], phi_run.T[im.T]
+        seam = im[:, 0] & im[:, -1] & self.phi_periodic
+        ends = phi_run[seam][:, [0, -1]].T
+        lab = np.arange(phi_starts.size)
+        while lab.size:
+            new = np.minimum.reduceat(lab[along], theta_starts)[across]
+            new = np.minimum.reduceat(new, phi_starts)
+            new[ends] = new[ends].min(axis=0)
+            if np.array_equal(new, lab):
+                break
+            lab = new
+        out = np.zeros(self.shape, dtype=np.intp)
+        out[im] = np.cumsum(lab == np.arange(lab.size))[lab][phi_run[im]]
+        return out
+
+    @cached_property
     def stencils(self):
         """Per-axis stencil tables of the masked nodes whose derivative
         stencil is not central, chosen once from the runs of masked neighbors.

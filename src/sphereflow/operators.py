@@ -80,13 +80,12 @@ def _add_divergence(out, grid, axis, flux, combine=np.subtract):
     out += div
 
 
-def _face_flux(grid, axis, rho_face, vals):
-    """Face fluxes of rho D v along axis for face densities rho_face,
-    weighted by sin on theta faces."""
-    flux = _faces(np.subtract, vals, grid, axis)
-    flux *= rho_face
-    flux /= grid.h_theta if axis == 0 else grid.h_phi * grid.sin_theta[:, None]
-    return flux * grid.sin_theta_face if axis == 0 else flux
+def _face_weights(grid):
+    """Flux weights w of the unit-density stencil, as columns: the face flux
+    of rho D v is w * rho_face * (v[k + 1] - v[k]) on the faces of _faces,
+    with w = sin(theta_face) / h_theta on theta faces (sin-weighted) and
+    1 / (sin(theta) h_phi) on phi faces.  Every flux operator reads them."""
+    return grid.sin_theta_face / grid.h_theta, 1.0 / (grid.h_phi * grid.sin_theta[:, None])
 
 
 def _derivative(vals, grid: SphericalGrid, axis):
@@ -154,8 +153,8 @@ def laplace_beltrami(grid: SphericalGrid, v):
     flux stencil of flow_residual at unit density, which
     principal_preconditioner(grid) inverts."""
     out = np.zeros(grid.shape)
-    for axis in (0, 1):
-        _add_divergence(out, grid, axis, _face_flux(grid, axis, 1.0, v))
+    for axis, w in enumerate(_face_weights(grid)):
+        _add_divergence(out, grid, axis, w * _faces(np.subtract, v, grid, axis))
     return out
 
 
@@ -197,8 +196,8 @@ def principal_preconditioner(grid: SphericalGrid):
     box = im[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     basis, lam = _phi_modes(box.shape[1], grid.phi_periodic)
     rho_row = grid.mask_array.any(axis=1).astype(float)
-    face = (grid.sin_theta_face[:, 0] * (rho_row[:-1] + rho_row[1:])
-            / (2.0 * grid.h_theta ** 2))
+    w_theta, w_phi = (w[:, 0] for w in _face_weights(grid))
+    face = w_theta * _face_mean(rho_row, grid, 0) / grid.h_theta
     i = np.arange(rows[0], rows[-1] + 1)
     st = grid.sin_theta[i]
     # W is 0 on rows without masked nodes, and G on a row inside three of them
@@ -206,7 +205,7 @@ def principal_preconditioner(grid: SphericalGrid):
     off = np.diag(face[i[:-1]], 1)
     g = np.diag(np.where(diag > 0.0, diag, 1.0)) - off - off.T
     c_inv = np.linalg.inv(np.linalg.cholesky(g))
-    nu, q = np.linalg.eigh((c_inv * (rho_row[i] / (st * grid.h_phi ** 2))) @ c_inv.T)
+    nu, q = np.linalg.eigh((c_inv * (rho_row[i] * w_phi[i] / grid.h_phi)) @ c_inv.T)
     right = c_inv.T @ q
     left = right.T * st
     denom = nu[:, None] * lam - 1.0
@@ -229,16 +228,10 @@ def flow_residual(gas: GasModel, f: ScalarField, *, state=None) -> ScalarField:
     grid = f.grid
     rho = (field_density(gas, f) if state is None else state)[0]
     out = 2.0 * rho * f.values
-    for axis in (0, 1):
-        _add_divergence(out, grid, axis, _face_flux(grid, axis, _face_mean(rho, grid, axis),
-                                                    f.values))
+    for axis, w in enumerate(_face_weights(grid)):
+        _add_divergence(out, grid, axis, w * _face_mean(rho, grid, axis)
+                        * _faces(np.subtract, f.values, grid, axis))
     return ScalarField(grid, np.where(grid.interior_mask, out, 0.0))
-
-
-def _face_weights(grid):
-    """Flux weights of the unit-density stencil on theta and phi faces."""
-    st = grid.sin_theta[:, None]
-    return grid.sin_theta_face / grid.h_theta, 1.0 / (grid.h_phi * st)
 
 
 def residual_roundoff(f: ScalarField, rho):

@@ -151,39 +151,6 @@ class SolveReport:
         }
 
 
-def _interior_connected(grid: SphericalGrid) -> bool:
-    """Whether the interior nodes form one 4-connected set (phi wraps).
-
-    Flood fill from the first interior node: each round spreads the reached
-    set along whole theta-runs and phi-runs of interior nodes, then across
-    the periodic seam, so a round costs a few array passes and the rounds
-    needed grow with the number of turns a path takes, not its length.
-    """
-    im = grid.interior_mask
-
-    def run_labels(a):
-        starts = a.copy()
-        starts[:, 1:] &= ~a[:, :-1]
-        return np.cumsum(starts).reshape(a.shape) * a
-
-    along_phi, along_theta = run_labels(im), run_labels(im.T).T
-    reached = np.zeros_like(im)
-    reached[np.unravel_index(np.argmax(im), im.shape)] = True
-    while True:
-        grown = reached
-        for labels in (along_theta, along_phi):
-            hit = np.zeros(labels.max() + 1, dtype=bool)
-            hit[labels[grown]] = True
-            hit[0] = False
-            grown = hit[labels]
-        if grid.phi_periodic:
-            seam = im[:, 0] & im[:, -1] & (grown[:, 0] | grown[:, -1])
-            grown[seam, 0] = grown[seam, -1] = True
-        if np.array_equal(grown, reached):
-            return bool(np.array_equal(reached, im))
-        reached = grown
-
-
 @dataclass
 class BVProblem:
     """Dirichlet problem: flow operator = source on the masked interior."""
@@ -200,7 +167,7 @@ class BVProblem:
         bm = self.grid.boundary_mask
         if not np.all(np.isfinite(self.boundary.values[bm])):
             raise GridError("boundary datum not finite on the boundary")
-        if not _interior_connected(self.grid):
+        if self.grid.interior_labels.max() > 1:
             warnings.warn("interior of the mask is disconnected",
                           stacklevel=2)
 

@@ -2,6 +2,7 @@
 oracles kept independent of the library code paths they check."""
 
 import warnings
+from collections import deque
 
 import numpy as np
 
@@ -295,6 +296,26 @@ def stepped_node(grid, i, j, di, dj):
     if 0 <= ii < grid.n_theta and 0 <= jj < grid.n_phi:
         return ii, jj
     return None
+
+
+def bfs_interior_labels(grid):
+    """SphericalGrid.interior_labels by a breadth-first search from each
+    unlabelled interior node in flat order, one 4-neighbour step at a time."""
+    im = grid.interior_mask
+    out = np.zeros(grid.shape, dtype=int)
+    for start in zip(*np.nonzero(im)):
+        if out[start]:
+            continue
+        out[start] = out.max() + 1
+        queue = deque([start])
+        while queue:
+            i, j = queue.popleft()
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                nb = stepped_node(grid, i, j, di, dj)
+                if nb is not None and im[nb] and not out[nb]:
+                    out[nb] = out[start]
+                    queue.append(nb)
+    return out
 
 
 def outward_directions(grid, i, j):

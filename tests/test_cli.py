@@ -11,7 +11,8 @@ import pytest
 
 from helpers import DEEP_EXPRESSIONS, SMALL_PATCH
 
-from sphereflow import SphericalGrid, cli
+from sphereflow import ScalarField, SphericalGrid, cli
+from sphereflow.fieldio import write_field_csv
 
 
 def write_scenario(path, gas=None, grid=None, command=None):
@@ -733,3 +734,34 @@ def test_library_refusals_name_the_command_key(tmp_path, capsys, key, command):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: bad value for 'command.{key}': ")
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_two_island_pair_is_strict_on_one_and_identical_on_the_other(tmp_path):
+    # the strong principle holds per connected domain: with phi columns
+    # 15-17 masked out, raising the datum on the right island alone leaves
+    # the left one Identical, which is no interior touching point
+    mask = np.ones((33, 33), dtype=bool)
+    mask[:, 15:18] = False
+    (tmp_path / "mask.csv").write_text(
+        "".join(",".join("1" if m else "0" for m in row) + "\n" for row in mask))
+    grid = grid_block(33, mask="mask.csv")
+    g = SphericalGrid(*SMALL_PATCH, 33, 33, mask=mask)
+    datum = 1.6 + 0.1 * np.cos(g.theta_mesh) + np.where(g.phi_mesh > g.phis[17], 0.01, 0.0)
+    write_field_csv(tmp_path / "plus_datum.csv", ScalarField(g, datum))
+    for name, boundary in (("minus", "1.6 + 0.1*cos(theta)"),
+                           ("plus", {"file": "plus_datum.csv"})):
+        sc = write_scenario(tmp_path / f"{name}.json", grid=grid,
+                            command={"name": "solve", "boundary": boundary})
+        with pytest.warns(UserWarning, match="disconnected"):
+            assert cli.run(sc, tmp_path / name, quiet=True) == 0
+    sc = write_scenario(tmp_path / "cmp.json", grid=grid, command={
+        "name": "compare", "field_minus": {"file": "minus/solution.csv"},
+        "field_plus": {"file": "plus/solution.csv"}})
+    assert cli.run(sc, tmp_path / "cmp", quiet=True) == 0
+    rep = json.loads((tmp_path / "cmp" / "report.json").read_text())
+    assert rep["verdict"] == "Pass" and rep["dichotomy"] == "Mixed"
+    left, right = rep["components"]
+    assert left["dichotomy"] == "Identical" and left["node"]["j"] < 15
+    assert right["dichotomy"] == "Strict" and right["node"]["j"] > 17
+    assert right["min_gap"] > 0.009 and right["max_abs_gap"] < 0.011
+    assert left["max_abs_gap"] < 1e-12

@@ -419,6 +419,51 @@ def test_anomalous_fixture_detected(gas_b4):
     assert np.hypot(*rep.min_gap_grad) < 1e-10
 
 
+def _hypotheses_forced_green(gas, lo, hi):
+    # hand-built fields are not discrete sub/supersolutions; force the
+    # hypotheses green to exercise the dichotomy alone
+    rep = sf.verify_weak_comparison(gas, lo, hi)
+    for h in rep.hypotheses.values():
+        h.passed = True
+    return rep
+
+
+def test_ring_cut_into_two_arcs_is_classified_per_arc(gas_b4):
+    # a field raised on the arc away from the seam: the arc through
+    # phi = 0 = 2*pi stays Identical, so the pair is Mixed, not Anomalous
+    mask = np.ones((9, 24), dtype=bool)
+    mask[:, 5:7] = mask[:, 15:17] = False
+    g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, 9, 24,
+                      mask=mask, phi_periodic=True)
+    lo = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    hi = ScalarField(g, lo.values + np.where((g.phis > g.phis[6]) & (g.phis < g.phis[15]),
+                                             0.01, 0.0))
+    rep = _hypotheses_forced_green(gas_b4, lo, hi)
+    assert rep.verdict == "Pass" and rep.interior_min_gap == 0.0
+    assert sf.strong_comparison_check(rep) is Dichotomy.MIXED
+    seam_arc, raised_arc = rep.components
+    assert seam_arc == {"dichotomy": "Identical", "min_gap": 0.0, "max_abs_gap": 0.0,
+                        "node": {"i": 1, "j": 0}}
+    assert raised_arc["dichotomy"] == "Strict" and raised_arc["min_gap"] == pytest.approx(0.01)
+    assert 6 < raised_arc["node"]["j"] < 15
+    assert rep.to_dict()["components"] == rep.components
+    # with a gap_tol above the raise both arcs are Identical: no list
+    assert sf.strong_comparison_check(rep, gap_tol=0.02) is Dichotomy.IDENTICAL
+    assert "components" not in rep.to_dict()
+    # an interior touching point on the raised arc makes it Anomalous
+    hi.values[4, 10] = lo.values[4, 10]
+    rep = _hypotheses_forced_green(gas_b4, lo, hi)
+    assert sf.strong_comparison_check(rep) is Dichotomy.ANOMALOUS
+    assert [c["dichotomy"] for c in rep.components] == ["Identical", "Anomalous"]
+    assert rep.components[1]["node"] == {"i": 4, "j": 10}
+    # raised and touched on both arcs, every arc is Anomalous: none is listed
+    hi.values[:, 1:4] += 0.01
+    hi.values[4, 2] = lo.values[4, 2]
+    rep = _hypotheses_forced_green(gas_b4, lo, hi)
+    assert sf.strong_comparison_check(rep) is Dichotomy.ANOMALOUS
+    assert rep.components == [] and "components" not in rep.to_dict()
+
+
 def test_strong_check_precondition_error(solver_pair):
     gas, grid, f_plus, f_minus, _ = solver_pair
     rep = sf.verify_weak_comparison(gas, f_plus, f_minus)  # swapped

@@ -63,6 +63,11 @@ def test_pseudo_mach_examples():
     assert sf.pseudo_mach_sq(gas, FlowState(1.0, 0.0, 2.0)) == pytest.approx(2.0, rel=1e-14)
     with pytest.raises(sf.VacuumError):
         sf.pseudo_mach_sq(gas, FlowState(3.0, 0.0, 0.0))
+    # past the isothermal exp() guard the state is Vacuum, not L^2 = 0.25
+    iso = GasModel(1.0, 1.0, 2000.0)
+    assert sf.classify_state(iso, FlowState(0.5, 0.0, 0.1)) is FlowType.VACUUM
+    with pytest.raises(sf.GasOverflowError):
+        sf.pseudo_mach_sq(iso, FlowState(0.5, 0.0, 0.1))
 
 
 def test_classify_examples():

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bfs_interior_labels
+
 import sphereflow as sf
 from sphereflow.errors import GridError
 
@@ -98,3 +100,34 @@ def test_every_mask_has_boundary_nodes(periodic, n_theta, n_phi, seed):
     low = np.flatnonzero(mask.any(axis=1))[0]
     assert g.open_sides[1][low][mask[low]].all()
     assert g.boundary_mask[low][mask[low]].all()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(periodic=st.booleans(), n_theta=st.integers(3, 14),
+       n_phi=st.integers(3, 14), seed=st.integers(0, 2 ** 32 - 1))
+def test_interior_labels_match_a_breadth_first_search(periodic, n_theta, n_phi, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_theta, n_phi)) < rng.uniform(0.4, 1.0)
+    mask[rng.integers(n_theta), rng.integers(n_phi)] = True
+    span = (0.0, 2 * np.pi) if periodic else (0.0, 1.0)
+    g = sf.SphericalGrid(1.0, 2.0, *span, n_theta, n_phi, mask=mask,
+                         phi_periodic=periodic)
+    assert np.array_equal(g.interior_labels, bfs_interior_labels(g))
+
+
+def test_periodic_ring_cut_twice_has_two_arcs():
+    # one cut leaves a single band closed through phi = 0 = 2*pi; a second
+    # cut splits it into two arcs, the second of them across the seam
+    mask = np.ones((9, 24), dtype=bool)
+    mask[:, 5:7] = False
+    g = sf.SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, 9, 24,
+                         mask=mask, phi_periodic=True)
+    assert g.interior_labels.max() == 1
+    mask[:, 15:17] = False
+    g = sf.SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, 9, 24,
+                         mask=mask, phi_periodic=True)
+    labels = g.interior_labels
+    assert labels.max() == 2
+    assert np.all(labels[1:-1, 1:4] == 1) and np.all(labels[1:-1, 18:23] == 1)
+    assert np.all(labels[1:-1, 8:14] == 2)
+    assert np.all(labels[~g.interior_mask] == 0)

@@ -1,8 +1,10 @@
 """No sphereflow module reaches into another module's private names, the
 Bernoulli c^2 is written once, the segment phi_t is formed in one place,
-only the solver builds the preconditioner, every linear solve goes through
-solver.interior_solve, the flux stencil makes no zero-padded copies, and
-the package imports no scipy."""
+every face flux takes its weights from one place, the interior's
+connectivity is computed only by the grid, only the solver builds the
+preconditioner, every linear solve goes through solver.interior_solve, the
+flux stencil makes no zero-padded copies, and the package imports no
+scipy."""
 
 import ast
 import os
@@ -82,6 +84,48 @@ def test_segment_is_formed_once():
     for name in ("segment_jacobian", "mean_value_coefficients", "check_segment_conditions"):
         assert "segment_algebra" in functions[name], name
         assert "spherical_gradient" not in functions[name], name
+
+
+def _functions(path):
+    """The module-level functions and class methods of path, by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def _attribute_reads(node, attr):
+    return [sub.lineno for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr == attr]
+
+
+def test_face_fluxes_are_weighted_in_one_place():
+    # the residual, its Jacobian, the rounding scale, the unit-density
+    # stencil and its preconditioner weight their face fluxes alike, so a
+    # change to the face states lands in all of them at once
+    modules = {path.name: _functions(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert not [name for name, functions in modules.items() if "_face_flux" in functions]
+    operators = modules["operators.py"]
+    for name in ("flow_residual", "laplace_beltrami", "residual_roundoff",
+                 "flow_jacobian", "principal_preconditioner"):
+        assert "_face_weights" in set(_called_names(operators[name])), name
+    readers = {path.name: _attribute_reads(ast.parse(path.read_text()), "sin_theta_face")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, lines in readers.items() if lines] == ["operators.py"]
+    weights = operators["_face_weights"]
+    assert all(weights.lineno <= line <= weights.end_lineno for line in readers["operators.py"])
+
+
+def test_interior_connectivity_is_computed_by_the_grid():
+    # one labelling, cached on the grid, serves the solver's warning and
+    # the per-component dichotomy; a second flood fill could disagree
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in _functions(path):
+            if any(word in name for word in ("connect", "component", "flood")):
+                assert path.name == "grid.py", f"{path.name} defines {name}"
+        if path.name != "grid.py":
+            assert "interior_labels" not in _functions(path), path.name
+    assert "interior_labels" in _functions(PACKAGE / "grid.py")
+    for name in ("solver.py", "comparison.py"):  # BVProblem and strong_comparison_check
+        assert _attribute_reads(ast.parse((PACKAGE / name).read_text()), "interior_labels"), name
 
 
 def _preconditioner_uses(path):

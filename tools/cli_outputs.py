@@ -1,45 +1,190 @@
-"""Run every distinct CLI op of the benchmark workloads and keep its files.
+"""Run every distinct CLI op of the benchmark workloads and keep its files,
+or compare two such output trees number by number.
 
     python tools/cli_outputs.py OUT [--seed 7]
+    python tools/cli_outputs.py --compare A B [--rtol 1e-12] [--atol 1e-13]
+        [--csv-rtol 1e-14] [--key-rtol forcing=1e-4 ...]
 
 For each workload of perfbench/workloads.py, writes its inputs with
 `generate(workload, seed, OUT/<workload>)` and runs, in this process with
 `sphereflow.cli.run`, each `cli` op of its plan once, in plan order:
 the warm-ups, then every phase (an op repeated across phases runs once).
 Each op writes into its own `out` directory there, and its workload, id
-and exit code are printed one line each.  `diff -r` of the OUT trees of
-two checkouts, made with the same seed, shows every output byte that
-differs between them.
+and exit code are printed one line each; the exit codes are also kept in
+OUT/<workload>/exit_codes.json.  `diff -r` of the OUT trees of two
+checkouts, made with the same seed, shows every output byte that differs.
+
+--compare A B tells a roundoff change from a change of behaviour.  Both
+trees must hold the same files.  In JSON files (reports, exit codes) the
+keys, their order, every string, bool, null and integer (exit codes, step
+and matvec counts) must match exactly, and a float x against y within
+|x - y| <= atol or <= rtol max(|x|, |y|); --key-rtol gives the floats under
+a key another rtol.  In CSV files the header, the row count, the
+coordinate columns (theta, phi, i, j) and every text that is not a number
+must match exactly, and a number within csv-rtol relative.  nan matches
+nan.  Other files must be byte-identical.  Prints, per file that differs,
+the largest absolute and relative difference (and per --key-rtol key its
+own), then each mismatch; exits 1 on any mismatch, else 0.
 """
 
 import argparse
+import json
+import math
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+COORDINATES = ("theta", "phi", "i", "j")
 
 
-def main(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("out", type=Path, help="output directory")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="workload seed (default 7)")
-    args = parser.parse_args(argv)
-
+def run_ops(out, seed):
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from sphereflow import cli
     from workloads import WORKLOADS, generate
 
     for workload in WORKLOADS:
-        directory = args.out / workload
-        plan = generate(workload, args.seed, directory)
+        directory = out / workload
+        plan = generate(workload, seed, directory)
         ops = {op["id"]: op for phase in [plan["warmup"], *plan["phases"]]
                for op in phase if op.get("kind", "cli") == "cli"}
+        codes = {}
         for op_id, op in ops.items():
-            code = cli.run(directory / op["scenario"], directory / op["out"],
-                           quiet=True)
-            print(f"{workload} {op_id} {code}", flush=True)
+            codes[op_id] = cli.run(directory / op["scenario"], directory / op["out"],
+                                   quiet=True)
+            print(f"{workload} {op_id} {codes[op_id]}", flush=True)
+        (directory / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
     return 0
+
+
+class FileDiff:
+    """Largest differences and mismatches found in one file."""
+
+    def __init__(self, args):
+        self.args, self.mismatches = args, []
+        self.largest = {None: [0.0, 0.0]}  # key -> [abs, rel]; None: all numbers
+
+    def exact(self, x, y, where):
+        if x != y:
+            self.mismatches.append(f"{where}: {x!r} != {y!r}")
+
+    def number(self, x, y, where, rtol, atol=0.0, key=None):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            return
+        d = abs(x - y)
+        r = d / max(abs(x), abs(y)) if math.isfinite(d) else math.inf
+        for k in {None, key}:
+            top = self.largest.setdefault(k, [0.0, 0.0])
+            top[:] = max(top[0], d), max(top[1], r)
+        if not (d <= atol or r <= rtol):
+            self.mismatches.append(f"{where}: {x!r} vs {y!r} (abs {d:.3g}, rel {r:.3g})")
+
+    def json(self, x, y, where="", key=None):
+        if isinstance(x, dict) and isinstance(y, dict):
+            if list(x) != list(y):
+                return self.exact(list(x), list(y), f"{where} keys")
+            for k in x:
+                self.json(x[k], y[k], f"{where}.{k}", k)
+        elif isinstance(x, list) and isinstance(y, list):
+            if len(x) != len(y):
+                return self.exact(len(x), len(y), f"{where} length")
+            for i, (u, v) in enumerate(zip(x, y)):
+                self.json(u, v, f"{where}[{i}]", key)
+        elif isinstance(x, float) or isinstance(y, float):
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+                return self.exact(x, y, where)
+            rtol = self.args.key_rtol.get(key, self.args.rtol)
+            self.number(float(x), float(y), where, rtol, self.args.atol,
+                        key if key in self.args.key_rtol else None)
+        else:
+            self.exact(x, y, where)
+
+    def csv(self, a, b):
+        rows_a, rows_b = a.splitlines(), b.splitlines()
+        self.exact(rows_a[:1], rows_b[:1], "header")
+        self.exact(len(rows_a), len(rows_b), "rows")
+        if self.mismatches:
+            return
+        columns = rows_a[0].split(",")
+        for line, (u, v) in enumerate(zip(rows_a[1:], rows_b[1:]), start=2):
+            if u == v:
+                continue
+            fields_u, fields_v = u.split(","), v.split(",")
+            if len(fields_u) != len(fields_v):
+                self.exact(u, v, f"line {line}")
+                continue
+            for column, s, t in zip(columns, fields_u, fields_v):
+                where = f"line {line} {column}"
+                x, y = (None, None) if column in COORDINATES else (_float(s), _float(t))
+                if x is None or y is None:
+                    self.exact(s, t, where)
+                else:
+                    self.number(x, y, where, self.args.csv_rtol)
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def compare_trees(args):
+    a, b = args.compare
+    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (a, b)]
+    failed = False
+    for rel in sorted(files[0] ^ files[1]):
+        print(f"{rel}: only in {a if rel in files[0] else b}")
+        failed = True
+    for rel in sorted(files[0] & files[1]):
+        x, y = (a / rel).read_bytes(), (b / rel).read_bytes()
+        if x == y:
+            continue
+        diff = FileDiff(args)
+        if rel.suffix == ".json":
+            diff.json(json.loads(x), json.loads(y))
+        elif rel.suffix == ".csv":
+            diff.csv(x.decode(), y.decode())
+        else:
+            diff.mismatches.append("bytes differ")
+        largest = ", ".join(f"{k or 'max'} abs {d:.3g} rel {r:.3g}"
+                            for k, (d, r) in diff.largest.items())
+        print(f"{rel}: {largest}" + (f", {len(diff.mismatches)} mismatches"
+                                      if diff.mismatches else ""))
+        for problem in diff.mismatches[:10]:
+            print(f"  {problem}")
+        failed |= bool(diff.mismatches)
+    print("FAIL" if failed else "match within tolerance")
+    return 1 if failed else 0
+
+
+def key_rtol(text):
+    key, _, rtol = text.partition("=")
+    return key, float(rtol)
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out", type=Path, nargs="?", help="output directory")
+    parser.add_argument("--seed", type=int, default=7,
+                        help="workload seed (default 7)")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two output trees instead of running")
+    parser.add_argument("--rtol", type=float, default=1e-12,
+                        help="relative tolerance of JSON floats (default 1e-12)")
+    parser.add_argument("--atol", type=float, default=1e-13,
+                        help="absolute tolerance of JSON floats (default 1e-13)")
+    parser.add_argument("--csv-rtol", type=float, default=1e-14,
+                        help="relative tolerance of CSV numbers (default 1e-14)")
+    parser.add_argument("--key-rtol", type=key_rtol, action="append", default=[],
+                        metavar="KEY=RTOL", help="relative tolerance of the JSON "
+                        "floats under KEY, reported on their own (repeatable)")
+    args = parser.parse_args(argv)
+    args.key_rtol = dict(args.key_rtol)
+    if args.compare:
+        return compare_trees(args)
+    if args.out is None:
+        parser.error("give OUT, or --compare A B")
+    return run_ops(args.out, args.seed)
 
 
 if __name__ == "__main__":
