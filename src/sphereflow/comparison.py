@@ -390,13 +390,18 @@ def strong_comparison_check(report: ComparisonReport,
     report.components = []
     if report.dichotomy is not Dichotomy.ANOMALOUS:
         return report.dichotomy
-    gap, labels = report.gap.values, report.gap.grid.interior_labels
-    for k in range(1, labels.max() + 1):
-        min_gap, (i, j) = _extreme(gap, labels == k, minimize=True)
-        max_abs = float(np.abs(gap[labels == k]).max())
+    labels = report.gap.grid.interior_labels
+    nodes = np.flatnonzero(labels)
+    lab, gap = labels.flat[nodes], report.gap.values.flat[nodes]
+    order = np.lexsort((gap, lab))  # by component, then gap; stable on ties
+    first = np.flatnonzero(np.diff(lab[order], prepend=0))  # each one's min gap
+    max_abs = np.maximum.reduceat(np.abs(gap[order]), first)
+    for k, m in zip(order[first], max_abs):
+        i, j = np.unravel_index(nodes[k], labels.shape)
         report.components.append({
-            "dichotomy": _dichotomy(min_gap, max_abs, gap_tol).value,
-            "min_gap": min_gap, "max_abs_gap": max_abs, "node": {"i": i, "j": j}})
+            "dichotomy": _dichotomy(gap[k], m, gap_tol).value,
+            "min_gap": float(gap[k]), "max_abs_gap": float(m),
+            "node": {"i": int(i), "j": int(j)}})
     classes = {part["dichotomy"] for part in report.components}
     if len(classes) == 1:  # one component, or every one Anomalous
         report.components = []

@@ -464,6 +464,37 @@ def test_ring_cut_into_two_arcs_is_classified_per_arc(gas_b4):
     assert rep.components == [] and "components" not in rep.to_dict()
 
 
+def test_many_components_are_classified_each_by_its_own_nodes(gas_b4):
+    # 12 x 12 islands of 5 x 5 masked nodes, each with a 3 x 3 interior:
+    # raised by a step that varies from column to column, left equal, or
+    # touched at one node; every entry matches its own nodes' extremes
+    mask = np.ones((71, 71), dtype=bool)
+    mask[5::6] = False
+    mask[:, 5::6] = False
+    g = SphericalGrid(*WIDE_PATCH, 71, 71, mask=mask)
+    labels = g.interior_labels
+    assert labels.max() == 144
+    lo = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
+    # the step repeats down each column, so a component's min gap is tied
+    # on its rows: the first node in flat order is named, as for the pair
+    step = np.where(labels % 5 == 0, 0.0, 1e-4 + 1e-6 * np.cos(7.0 * labels + np.arange(71)))
+    step[labels == 0] = 0.0
+    step[tuple(np.argwhere(labels == 77)[4])] = 0.0  # the centre of island 77
+    hi = ScalarField(g, lo.values + step)
+    rep = _hypotheses_forced_green(gas_b4, lo, hi)
+    assert sf.strong_comparison_check(rep) is Dichotomy.ANOMALOUS
+    assert len(rep.components) == 144
+    gap = hi.values - lo.values
+    for part, label in zip(rep.components, range(1, 145)):
+        own = np.where(labels == label, gap, np.inf)
+        i, j = np.unravel_index(np.argmin(own), own.shape)
+        assert part["min_gap"] == own[i, j] and part["node"] == {"i": i, "j": j}
+        assert part["max_abs_gap"] == np.abs(gap[labels == label]).max()
+        expected = ("Identical" if label % 5 == 0 else
+                    "Anomalous" if label == 77 else "Strict")
+        assert part["dichotomy"] == expected
+
+
 def test_strong_check_precondition_error(solver_pair):
     gas, grid, f_plus, f_minus, _ = solver_pair
     rep = sf.verify_weak_comparison(gas, f_plus, f_minus)  # swapped

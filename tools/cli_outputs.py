@@ -2,8 +2,7 @@
 or compare two such output trees number by number.
 
     python tools/cli_outputs.py OUT [--seed 7]
-    python tools/cli_outputs.py --compare A B [--rtol 1e-12] [--atol 1e-13]
-        [--csv-rtol 1e-14] [--key-rtol forcing=1e-4 ...]
+    python tools/cli_outputs.py --compare A B [--key-rtol forcing=1e-4 ...]
 
 For each workload of perfbench/workloads.py, writes its inputs with
 `generate(workload, seed, OUT/<workload>)` and runs, in this process with
@@ -18,10 +17,11 @@ checkouts, made with the same seed, shows every output byte that differs.
 trees must hold the same files.  In JSON files (reports, exit codes) the
 keys, their order, every string, bool, null and integer (exit codes, step
 and matvec counts) must match exactly, and a float x against y within
-|x - y| <= atol or <= rtol max(|x|, |y|); --key-rtol gives the floats under
-a key another rtol.  In CSV files the header, the row count, the
-coordinate columns (theta, phi, i, j) and every text that is not a number
-must match exactly, and a number within csv-rtol relative.  nan matches
+|x - y| <= ATOL = 1e-13 or <= RTOL max(|x|, |y|), RTOL = 1e-12;
+--key-rtol gives the floats under a key another RTOL.  In CSV files the
+header, the row count, the coordinate columns (theta, phi, i, j) and
+every text that is not a number must match exactly, and a number within
+CSV_RTOL = 1e-14 relative.  nan matches
 nan.  Other files must be byte-identical.  Prints, per file that differs,
 the largest absolute and relative difference (and per --key-rtol key its
 own), then each mismatch; exits 1 on any mismatch, else 0.
@@ -35,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COORDINATES = ("theta", "phi", "i", "j")
+RTOL, ATOL, CSV_RTOL = 1e-12, 1e-13, 1e-14  # JSON floats; CSV numbers
 
 
 def run_ops(out, seed):
@@ -59,8 +60,8 @@ def run_ops(out, seed):
 class FileDiff:
     """Largest differences and mismatches found in one file."""
 
-    def __init__(self, args):
-        self.args, self.mismatches = args, []
+    def __init__(self, key_rtol):
+        self.key_rtol, self.mismatches = key_rtol, []
         self.largest = {None: [0.0, 0.0]}  # key -> [abs, rel]; None: all numbers
 
     def exact(self, x, y, where):
@@ -92,9 +93,9 @@ class FileDiff:
         elif isinstance(x, float) or isinstance(y, float):
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
                 return self.exact(x, y, where)
-            rtol = self.args.key_rtol.get(key, self.args.rtol)
-            self.number(float(x), float(y), where, rtol, self.args.atol,
-                        key if key in self.args.key_rtol else None)
+            rtol = self.key_rtol.get(key, RTOL)
+            self.number(float(x), float(y), where, rtol, ATOL,
+                        key if key in self.key_rtol else None)
         else:
             self.exact(x, y, where)
 
@@ -118,7 +119,7 @@ class FileDiff:
                 if x is None or y is None:
                     self.exact(s, t, where)
                 else:
-                    self.number(x, y, where, self.args.csv_rtol)
+                    self.number(x, y, where, CSV_RTOL)
 
 
 def _float(text):
@@ -128,8 +129,7 @@ def _float(text):
         return None
 
 
-def compare_trees(args):
-    a, b = args.compare
+def compare_trees(a, b, key_rtol):
     files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (a, b)]
     failed = False
     for rel in sorted(files[0] ^ files[1]):
@@ -139,7 +139,7 @@ def compare_trees(args):
         x, y = (a / rel).read_bytes(), (b / rel).read_bytes()
         if x == y:
             continue
-        diff = FileDiff(args)
+        diff = FileDiff(key_rtol)
         if rel.suffix == ".json":
             diff.json(json.loads(x), json.loads(y))
         elif rel.suffix == ".csv":
@@ -169,19 +169,12 @@ def main(argv) -> int:
                         help="workload seed (default 7)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                         help="compare two output trees instead of running")
-    parser.add_argument("--rtol", type=float, default=1e-12,
-                        help="relative tolerance of JSON floats (default 1e-12)")
-    parser.add_argument("--atol", type=float, default=1e-13,
-                        help="absolute tolerance of JSON floats (default 1e-13)")
-    parser.add_argument("--csv-rtol", type=float, default=1e-14,
-                        help="relative tolerance of CSV numbers (default 1e-14)")
     parser.add_argument("--key-rtol", type=key_rtol, action="append", default=[],
                         metavar="KEY=RTOL", help="relative tolerance of the JSON "
                         "floats under KEY, reported on their own (repeatable)")
     args = parser.parse_args(argv)
-    args.key_rtol = dict(args.key_rtol)
     if args.compare:
-        return compare_trees(args)
+        return compare_trees(*args.compare, dict(args.key_rtol))
     if args.out is None:
         parser.error("give OUT, or --compare A B")
     return run_ops(args.out, args.seed)
