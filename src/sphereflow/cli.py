@@ -196,27 +196,27 @@ def _cmd_compare(gas, grid, args, out, verify, strong):
 
 
 def _cmd_hopf(gas, grid, args, out, verify, hopf):
-    f_minus, f_plus = args["field_minus"], args["field_plus"]
-    report = verify_weak_comparison(gas, f_minus, f_plus, **verify)
-    if not report.ordering_pass:
-        write_json_report(out / "report.json", report.to_dict())
-        return 2, "interior ordering fails: hopf indicators skipped"
-    if "nodes" in args:
-        nodes = args["nodes"]
-    else:
-        diff = f_minus.values - f_plus.values
-        nodes = [(i, j) for i, j in straight_edge_nodes(grid)
-                 if abs(diff[i, j]) <= hopf["tol_touch"]]
-    if not isinstance(nodes, list) or not nodes:
-        raise ConfigError("'command.nodes' must be a nonempty list of pairs"
-                          if "nodes" in args else
-                          "no touching straight-edge boundary nodes found",
-                          key="command.nodes")
-    try:
-        report.hopf = hopf_indicator(gas, f_minus, f_plus, nodes, **hopf)
-    except ConfigError as err:
+    report = verify_weak_comparison(gas, args["field_minus"],
+                                    args["field_plus"], **verify)
+    given = "nodes" in args
+    nodes = args["nodes"] if given else [
+        (i, j) for i, j in straight_edge_nodes(grid)
+        if abs(report.gap.values[i, j]) <= hopf["tol_touch"]]
+    try:  # an empty list still has tol_touch and the ordering checked
+        report.hopf = hopf_indicator(report, nodes if isinstance(nodes, list)
+                                     else [], **hopf)
+    except ConfigError as err:  # a ValueError too
+        if err.key != "boundary_nodes":
+            raise
         raise ConfigError(f"bad entry in 'command.nodes': {err}",
                           key="command.nodes") from err
+    except ValueError:  # the interior ordering fails
+        write_json_report(out / "report.json", report.to_dict())
+        return 2, "interior ordering fails: hopf indicators skipped"
+    if not report.hopf:
+        raise ConfigError("'command.nodes' must be a nonempty list of pairs" if given
+                          else "no touching straight-edge boundary nodes found",
+                          key="command.nodes")
     write_json_report(out / "report.json", report.to_dict())
     positive = all(h.derivative > 0.0 for h in report.hopf)
     return (0 if report.applicable and positive else 2,

@@ -4,9 +4,10 @@ Given a sub/supersolution pair (f-, f+) of the potential-flow equation,
 this module evaluates every hypothesis of the comparison theorems at the
 discrete level (residual signs, boundary ordering, admissibility and
 ellipticity of both fields, z >= c), the pointwise mean-value coefficients
-of the weak-form integrand averaged over the segment between the fields,
-the sign of that integrand, one-sided Hopf boundary indicators, and the
-strict-or-identical dichotomy.
+of the weak-form integrand averaged over the segment between the fields
+and the sign of that integrand, into one ComparisonReport; the strict-or-
+identical dichotomy and the one-sided Hopf boundary indicators read that
+report, so a pair's ordering and admissibility are checked once.
 
 Hypothesis failures mark a report Inapplicable, never Failed: the theorems
 are conditional, and the harness must not claim a counterexample when the
@@ -289,40 +290,25 @@ def straight_edge_nodes(grid: SphericalGrid) -> list:
     return [(int(i), int(j)) for i, j in np.argwhere(grid.open_sides.sum(0) == 1)]
 
 
-def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
-                   boundary_nodes, tol_touch: float = 1e-9,
-                   tol_order: float = 1e-8) -> list:
+def hopf_indicator(report: ComparisonReport, boundary_nodes,
+                   tol_touch: float = 1e-9) -> list:
     """One-sided outward-normal derivative of (f- - f+) at touching nodes.
 
-    Every requested node must be a boundary node with exactly one outward
-    direction (straight mask edge; corners fail the interior sphere
-    condition), must carry equal field values within tol_touch, and both
-    fields must be admissible there, each by its own gradient's state: f-
-    is checked first, and a vacuum or isothermal overflow at a node not
-    requested does not raise.  f- > f+ at an interior node raises
-    ValueError; a mask too thin for the two inward stencil nodes raises
-    GridError from the gradients, naming a masked node.  When f- < f+
+    Reads the pair's verify_weak_comparison report, which has checked both
+    fields' admissibility and stencils.  Every requested node must be a
+    boundary node with exactly one outward direction (straight mask edge;
+    corners fail the interior sphere condition) and must carry equal field
+    values within tol_touch.  tol_touch < 0 or nan raises ConfigError, and
+    an unordered report ValueError naming its interior node.  When f- < f+
     holds inside and the ellipticity hypotheses are met, the returned
-    derivatives are the quantities the Hopf lemma asserts to be strictly
-    positive.
+    derivatives are what the Hopf lemma asserts to be strictly positive.
     """
-    grid = require_same_grid(f_minus, f_plus)
-    bm = grid.boundary_mask
-
-    gap = f_plus.values - f_minus.values
-    min_gap, node = _extreme(gap, grid.interior_mask, minimize=True)
-    if min_gap < -tol_order:
-        raise ValueError(
-            f"f_minus exceeds f_plus at interior node {node} by {-min_gap:.3e}"
-        )
-    diff = f_minus.values - f_plus.values
-
-    states = []  # (c2, ok) of f- and of f+, checked only at requested nodes
-    for f in (f_minus, f_plus):
-        vf = spherical_gradient(f)
-        q1, q2 = vf.v_theta, vf.v_phi
-        states.append(bernoulli_density(gas, gas.head(q1 * q1 + q2 * q2, f.values))[1:])
-
+    if not tol_touch >= 0.0:
+        raise ConfigError(f"tol_touch must be >= 0, got {tol_touch}", "tol_touch")
+    if not report.ordering_pass:
+        raise ValueError(f"f_minus exceeds f_plus at interior node "
+                         f"{report.min_gap_node} by {-report.interior_min_gap:.3e}")
+    grid, diff = report.gap.grid, -report.gap.values  # f- - f+
     results = []
     for raw in boundary_nodes:
         try:
@@ -330,18 +316,14 @@ def hopf_indicator(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
         except (TypeError, ValueError):
             raise ConfigError(f"node {raw!r} is not a pair of integers",
                               "boundary_nodes") from None
-        if not (0 <= i < grid.n_theta and 0 <= j < grid.n_phi and bm[i, j]):
+        if not (0 <= i < grid.n_theta and 0 <= j < grid.n_phi
+                and grid.boundary_mask[i, j]):
             raise ConfigError(f"node ({i}, {j}) is not a boundary node of the "
                               f"{grid.shape} grid", "boundary_nodes")
         if abs(diff[i, j]) > tol_touch:
             raise NonTouchingNodeError(
                 f"fields differ by {abs(diff[i, j]):.3e} at node ({i}, {j})"
             )
-        for c2, ok in states:
-            if not ok[i, j]:
-                at = np.zeros(grid.shape, dtype=bool)
-                at[i, j] = True
-                require_admissible(gas, c2, ok, at)
         sides = np.flatnonzero(grid.open_sides[:, i, j])
         if sides.size != 1:
             raise CornerNodeError(

@@ -217,7 +217,8 @@ def test_criterion_9_hopf_lemma(pair_suite):
     mid = 16
     midpoints = [(0, mid), (32, mid), (mid, 0), (mid, 32)]
     for sc in pair_suite:
-        out = sf.hopf_indicator(sc.gas, sc.f_minus_touch, sc.f_plus, midpoints)
+        report = sf.verify_weak_comparison(sc.gas, sc.f_minus_touch, sc.f_plus)
+        out = sf.hopf_indicator(report, midpoints)
         worst = min(worst, min(h.derivative for h in out))
     check(9, worst > 1e-6,
           f"edge-midpoint normal derivative of (f- - f+), min {worst:.3e}")

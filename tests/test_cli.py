@@ -11,7 +11,7 @@ import pytest
 
 from helpers import DEEP_EXPRESSIONS, SMALL_PATCH
 
-from sphereflow import ScalarField, SphericalGrid, cli
+from sphereflow import ScalarField, SphericalGrid, cli, operators
 from sphereflow.fieldio import write_field_csv
 
 
@@ -98,6 +98,33 @@ def test_hopf_command(tmp_path):
     rep = json.loads((tmp_path / "hopf" / "report.json").read_text())
     assert len(rep["hopf"]) > 0
     assert all(entry["derivative"] > 0 for entry in rep["hopf"])
+
+
+def test_hopf_takes_the_gradients_of_compare(tmp_path, monkeypatch):
+    # hopf reads the comparison report, so it differentiates no field again
+    for name, source in (("plus", "0"), ("touch", "0.05")):
+        sc = write_scenario(tmp_path / f"{name}.json", grid=grid_block(17), command={
+            "name": "solve", "boundary": "1.6 + 0.1*cos(theta)", "source": source})
+        assert cli.run(sc, tmp_path / name, quiet=True) == 0
+    real, calls = operators.spherical_gradient, []
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+    for module in list(sys.modules.values()):  # every module that looks it up
+        if module.__name__.startswith("sphereflow") and \
+                getattr(module, "spherical_gradient", None) is real:
+            monkeypatch.setattr(module, "spherical_gradient", counted)
+    counts = {}
+    for name in ("compare", "hopf"):
+        sc = write_scenario(tmp_path / f"{name}.json", grid=grid_block(17), command={
+            "name": name,
+            "field_minus": {"file": str(tmp_path / "touch" / "solution.csv")},
+            "field_plus": {"file": str(tmp_path / "plus" / "solution.csv")}})
+        calls.clear()
+        assert cli.run(sc, tmp_path / name, quiet=True) == 0
+        counts[name] = len(calls)
+    assert counts == {"compare": 6, "hopf": 6}
 
 
 def test_hopf_reads_beta_like_compare(tmp_path):
@@ -343,7 +370,7 @@ SCENARIO_KEYS = {
     "certify_uniform_ellipticity": {"eps"},
     "verify_weak_comparison": {"tol_sub", "tol_order", "beta", "n_quad"},
     "strong_comparison_check": {"gap_tol"},
-    "hopf_indicator": {"tol_touch", "tol_order"},
+    "hopf_indicator": {"tol_touch"},
 }
 
 
@@ -397,7 +424,7 @@ def test_every_key_reaches_its_library_call(tmp_path, monkeypatch):
           "strong_comparison_check": {"gap_tol": 1e-9}}),
         (run("hopf", {"name": "hopf", **pair, **verify, "tol_touch": 1e-8}),
          {"verify_weak_comparison": verify,
-          "hopf_indicator": {"tol_touch": 1e-8, "tol_order": 1e-7}}),
+          "hopf_indicator": {"tol_touch": 1e-8}}),
     ]
     for got, expected in seen:
         for name, values in expected.items():
@@ -453,8 +480,8 @@ def test_hopf_skips_the_indicator_when_ordering_fails(tmp_path, capsys):
 
 
 def test_hopf_indicator_reads_tol_order(tmp_path):
-    # f- exceeds f+ by 2e-6 inside: within tol_order, so both the
-    # comparison and the indicator accept the ordering
+    # f- exceeds f+ by 2e-6 inside: within tol_order, so the comparison
+    # accepts the ordering and the indicator reads it from its report
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
         "name": "hopf", "field_plus": "1.5",
         "field_minus": f"1.5 - 2e-6*{WAVE}", "tol_order": 1e-5})
@@ -724,6 +751,14 @@ def test_non_finite_numbers_are_refused(tmp_path, capsys, block, key, value):
                     "newton_tol": 1e-20}),
     ("beta", {"name": "compare", "field_minus": "1.6", "field_plus": "1.6",
               "beta": 2.0}),
+    # refused with nodes, without them (before the default-node search)
+    # and on an unordered pair
+    ("tol_touch", {"name": "hopf", "field_minus": "1.6", "field_plus": "1.6",
+                   "nodes": [[0, 4]], "tol_touch": -1e-9}),
+    ("tol_touch", {"name": "hopf", "field_minus": "1.6", "field_plus": "1.6",
+                   "tol_touch": -1e-9}),
+    ("tol_touch", {"name": "hopf", "field_minus": f"1.5 + 1e-3*{WAVE}",
+                   "field_plus": "1.5", "tol_touch": -1e-9}),
 ])
 def test_library_refusals_name_the_command_key(tmp_path, capsys, key, command):
     # the library names the key it refuses by its parameter name; the CLI

@@ -278,10 +278,16 @@ def test_verify_identical_fields(solver_pair):
     assert sf.strong_comparison_check(rep) is Dichotomy.IDENTICAL
 
 
+def hopf(gas, f_minus, f_plus, nodes, **kwargs):
+    """hopf_indicator on the pair's comparison report."""
+    return sf.hopf_indicator(sf.verify_weak_comparison(gas, f_minus, f_plus),
+                             nodes, **kwargs)
+
+
 def test_hopf_zero_for_identical_fields(solver_pair):
     gas, grid, f_plus, _, _ = solver_pair
     nodes = sf.straight_edge_nodes(grid)
-    out = sf.hopf_indicator(gas, f_plus, f_plus, nodes)
+    out = hopf(gas, f_plus, f_plus, nodes)
     assert len(out) == len(nodes)
     assert all(h.derivative == 0.0 for h in out)
 
@@ -290,39 +296,57 @@ def test_hopf_positive_for_touching_pair(solver_pair):
     gas, grid, f_plus, _, f_touch = solver_pair
     mid = 16
     nodes = [(0, mid), (32, mid), (mid, 0), (mid, 32)]
-    out = sf.hopf_indicator(gas, f_touch, f_plus, nodes)
+    out = hopf(gas, f_touch, f_plus, nodes)
     assert all(h.derivative > 0.0 for h in out)
 
 
 def test_hopf_corner_and_nontouching_errors(solver_pair):
     gas, grid, f_plus, f_minus, f_touch = solver_pair
     with pytest.raises(sf.CornerNodeError):
-        sf.hopf_indicator(gas, f_touch, f_plus, [(0, 0)])
+        hopf(gas, f_touch, f_plus, [(0, 0)])
     # margin pair does not touch on the boundary
     with pytest.raises(sf.NonTouchingNodeError):
-        sf.hopf_indicator(gas, f_minus, f_plus, [(0, 16)])
+        hopf(gas, f_minus, f_plus, [(0, 16)])
 
 
 def test_hopf_rejects_nodes_off_the_grid(solver_pair):
     gas, grid, f_plus, _, f_touch = solver_pair
+    rep = sf.verify_weak_comparison(gas, f_touch, f_plus)
     for node in [(33, 16), (-1, 16), (16, 16), (0,), (0.0, 16)]:
         with pytest.raises(sf.ConfigError) as err:
-            sf.hopf_indicator(gas, f_touch, f_plus, [node])
+            sf.hopf_indicator(rep, [node])
         assert err.value.key == "boundary_nodes"
         assert isinstance(err.value, ValueError)
 
 
+def test_hopf_refuses_a_bad_tol_touch(gas_b4):
+    # fields 0.1 apart touch nowhere; a nan tolerance made every node touch
+    g = SphericalGrid(*SMALL_PATCH, 9, 9)
+    rep = sf.verify_weak_comparison(gas_b4, ScalarField.constant(g, 1.5),
+                                    ScalarField.constant(g, 1.6))
+    with pytest.raises(sf.NonTouchingNodeError, match="differ by 1.000e-01"):
+        sf.hopf_indicator(rep, [(0, 4)])
+    for tol_touch in (float("nan"), -1e-9):
+        for nodes in ([(0, 4)], []):
+            with pytest.raises(sf.ConfigError, match="tol_touch must be >= 0") as err:
+                sf.hopf_indicator(rep, nodes, tol_touch=tol_touch)
+            assert err.value.key == "tol_touch"
+
+
 def test_hopf_unordered_pair_names_the_interior_node(solver_pair):
     gas, grid, f_plus, f_minus, _ = solver_pair
+    rep = sf.verify_weak_comparison(gas, f_plus, f_minus)  # swapped
     with pytest.raises(ValueError, match="at interior node") as err:
-        sf.hopf_indicator(gas, f_plus, f_minus, [(0, 16)])  # swapped
+        sf.hopf_indicator(rep, [(0, 16)])
     i, j = (int(k) for k in re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
-    assert grid.interior_mask[i, j]
+    assert grid.interior_mask[i, j] and (i, j) == rep.min_gap_node
+    assert f"by {-rep.interior_min_gap:.3e}" in str(err.value)
 
 
 def test_hopf_thin_mask_names_a_masked_node(gas_b4):
     # a strip two theta-nodes wide leaves the straight-edge node (7, 12)
-    # one inward node, too few for any theta stencil
+    # one inward node, too few for any theta stencil: the gradients of the
+    # report a hopf indicator reads refuse the mask
     mask = np.zeros((17, 17), dtype=bool)
     mask[2:15, 2:9] = True
     mask[7:9, 9:15] = True
@@ -330,42 +354,28 @@ def test_hopf_thin_mask_names_a_masked_node(gas_b4):
     assert (7, 12) in sf.straight_edge_nodes(g)
     f = ScalarField.constant(g, 2.0)
     with pytest.raises(sf.GridError, match="too thin") as err:
-        sf.hopf_indicator(gas_b4, f, f.copy(), [(7, 12)])
+        hopf(gas_b4, f, f.copy(), [(7, 12)])
     i, j = (int(k) for k in re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
     assert mask[i, j]
-
-
-def test_hopf_isothermal_overflow_names_node():
-    gas = GasModel(1.0, 1.0, 4.0)
-    g = SphericalGrid(*WIDE_PATCH, 17, 17)
-    vals = np.full(g.shape, 1.0)
-    vals[0, 8] = 40.0  # density exponent (B - z^2 - |q|^2)/2 < -700
-    f = ScalarField(g, vals)
-    with pytest.raises(sf.GasOverflowError) as err:
-        sf.hopf_indicator(gas, f, f.copy(), [(0, 8)])
-    assert err.value.node == (0, 8)
 
 
 @pytest.mark.parametrize("gas, level, spike, error", [
     (GasModel(2.0, 1.0, 4.0), 1.5, 3.0, sf.VacuumError),  # c^2 = 1 + (4 - 9)/2 < 0
     (GasModel(1.0, 1.0, 4.0), 1.0, 40.0, sf.GasOverflowError),  # exponent < -700
 ])
-def test_hopf_checks_admissibility_at_requested_nodes_only(gas, level, spike, error):
+def test_verify_names_the_first_inadmissible_node(gas, level, spike, error):
     # on the notched 17^2 grid, a spike at (0, 13) makes the states at
-    # (0, 12), (0, 13) and (0, 14) inadmissible: no error while only (0, 8)
-    # is requested, and (0, 12) is named once it is, whichever field spikes
+    # (0, 12), (0, 13) and (0, 14) inadmissible: (0, 12), the first in
+    # flat order, is named whichever field spikes
     mask = np.ones((17, 17), dtype=bool)
     mask[:5, :5] = False
     g = SphericalGrid(*SMALL_PATCH, 17, 17, mask=mask)
-    assert {(0, 8), (0, 12)} <= set(sf.straight_edge_nodes(g))
     vals = np.full(g.shape, level)
     vals[0, 13] = spike
     spiked, flat = ScalarField(g, vals), ScalarField.constant(g, level)
-    (out,) = sf.hopf_indicator(gas, spiked, spiked.copy(), [(0, 8)])
-    assert out.derivative == 0.0
-    for f_minus, f_plus in ((spiked, flat), (flat, spiked)):
+    for f_minus, f_plus in ((spiked, spiked.copy()), (spiked, flat), (flat, spiked)):
         with pytest.raises(error) as err:
-            sf.hopf_indicator(gas, f_minus, f_plus, [(0, 8), (0, 12)])
+            sf.verify_weak_comparison(gas, f_minus, f_plus)
         assert err.value.node == (0, 12)
 
 
@@ -379,7 +389,7 @@ def test_hopf_across_the_periodic_seam(gas_b4):
     f_plus = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
     f_minus = ScalarField(g, f_plus.values - 0.01 * np.sin(g.phi_mesh / 2))
     assert (7, 0) in sf.straight_edge_nodes(g)
-    (out,) = sf.hopf_indicator(gas_b4, f_minus, f_plus, [(7, 0)])
+    (out,) = hopf(gas_b4, f_minus, f_plus, [(7, 0)])
     d = f_minus.values - f_plus.values
     expect = ((3 * d[7, 0] - 4 * d[7, 17] + d[7, 16])
               / (2 * g.h_phi * np.sin(g.thetas[7])))
@@ -394,7 +404,7 @@ def test_hopf_one_dimensional_sanity(gas_b4):
     base = ScalarField.constant(g, 1.6)
     bump = ScalarField(
         g, base.values - amp * np.sin(g.theta_mesh - a) * np.sin(b - g.theta_mesh))
-    out = sf.hopf_indicator(gas_b4, bump, base, [(0, 32), (64, 32)])
+    out = hopf(gas_b4, bump, base, [(0, 32), (64, 32)])
     expect = amp * np.sin(b - a)
     for h in out:
         assert h.derivative == pytest.approx(expect, abs=5e-3 * amp)

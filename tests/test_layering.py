@@ -1,7 +1,8 @@
 """No sphereflow module reaches into another module's private names, the
 Bernoulli c^2 is written once, the segment phi_t is formed in one place,
 every face flux takes its weights from one place, the interior's
-connectivity is computed only by the grid, only the solver builds the
+connectivity is computed only by the grid, the strong comparison checks
+read the weak comparison's report, only the solver builds the
 preconditioner, every linear solve goes through solver.interior_solve, the
 flux stencil makes no zero-padded copies, and the package imports no
 scipy."""
@@ -126,6 +127,19 @@ def test_interior_connectivity_is_computed_by_the_grid():
     assert "interior_labels" in _functions(PACKAGE / "grid.py")
     for name in ("solver.py", "comparison.py"):  # BVProblem and strong_comparison_check
         assert _attribute_reads(ast.parse((PACKAGE / name).read_text()), "interior_labels"), name
+
+
+def test_strong_checks_read_the_report():
+    # verify_weak_comparison differentiates each field and checks its
+    # states once; the dichotomy and the Hopf indicators read its report
+    functions = _functions(PACKAGE / "comparison.py")
+    for name in ("strong_comparison_check", "hopf_indicator"):
+        params = functions[name].args.args
+        assert params[0].arg == "report", name
+        assert ast.unparse(params[0].annotation) == "ComparisonReport", name
+        called = set(_called_names(functions[name]))
+        assert not called & {"spherical_gradient", "field_density",
+                             "bernoulli_density", "segment_algebra"}, name
 
 
 def _preconditioner_uses(path):

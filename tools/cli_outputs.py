@@ -2,7 +2,7 @@
 or compare two such output trees number by number.
 
     python tools/cli_outputs.py OUT [--seed 7]
-    python tools/cli_outputs.py --compare A B [--key-rtol forcing=1e-4 ...]
+    python tools/cli_outputs.py --compare A B
 
 For each workload of perfbench/workloads.py, writes its inputs with
 `generate(workload, seed, OUT/<workload>)` and runs, in this process with
@@ -17,14 +17,12 @@ checkouts, made with the same seed, shows every output byte that differs.
 trees must hold the same files.  In JSON files (reports, exit codes) the
 keys, their order, every string, bool, null and integer (exit codes, step
 and matvec counts) must match exactly, and a float x against y within
-|x - y| <= ATOL = 1e-13 or <= RTOL max(|x|, |y|), RTOL = 1e-12;
---key-rtol gives the floats under a key another RTOL.  In CSV files the
-header, the row count, the coordinate columns (theta, phi, i, j) and
-every text that is not a number must match exactly, and a number within
-CSV_RTOL = 1e-14 relative.  nan matches
-nan.  Other files must be byte-identical.  Prints, per file that differs,
-the largest absolute and relative difference (and per --key-rtol key its
-own), then each mismatch; exits 1 on any mismatch, else 0.
+|x - y| <= ATOL = 1e-13 or <= RTOL max(|x|, |y|), RTOL = 1e-12.  In CSV
+files the header, the row count, the coordinate columns (theta, phi, i,
+j) and every text that is not a number must match exactly, and a number
+within CSV_RTOL = 1e-14 relative.  nan matches nan.  Other files must be
+byte-identical.  Prints, per file that differs, the largest absolute and
+relative difference, then each mismatch; exits 1 on any mismatch, else 0.
 """
 
 import argparse
@@ -60,42 +58,37 @@ def run_ops(out, seed):
 class FileDiff:
     """Largest differences and mismatches found in one file."""
 
-    def __init__(self, key_rtol):
-        self.key_rtol, self.mismatches = key_rtol, []
-        self.largest = {None: [0.0, 0.0]}  # key -> [abs, rel]; None: all numbers
+    def __init__(self):
+        self.mismatches, self.largest = [], [0.0, 0.0]  # abs, rel
 
     def exact(self, x, y, where):
         if x != y:
             self.mismatches.append(f"{where}: {x!r} != {y!r}")
 
-    def number(self, x, y, where, rtol, atol=0.0, key=None):
+    def number(self, x, y, where, rtol, atol=0.0):
         if x == y or (math.isnan(x) and math.isnan(y)):
             return
         d = abs(x - y)
         r = d / max(abs(x), abs(y)) if math.isfinite(d) else math.inf
-        for k in {None, key}:
-            top = self.largest.setdefault(k, [0.0, 0.0])
-            top[:] = max(top[0], d), max(top[1], r)
+        self.largest = [max(self.largest[0], d), max(self.largest[1], r)]
         if not (d <= atol or r <= rtol):
             self.mismatches.append(f"{where}: {x!r} vs {y!r} (abs {d:.3g}, rel {r:.3g})")
 
-    def json(self, x, y, where="", key=None):
+    def json(self, x, y, where=""):
         if isinstance(x, dict) and isinstance(y, dict):
             if list(x) != list(y):
                 return self.exact(list(x), list(y), f"{where} keys")
             for k in x:
-                self.json(x[k], y[k], f"{where}.{k}", k)
+                self.json(x[k], y[k], f"{where}.{k}")
         elif isinstance(x, list) and isinstance(y, list):
             if len(x) != len(y):
                 return self.exact(len(x), len(y), f"{where} length")
             for i, (u, v) in enumerate(zip(x, y)):
-                self.json(u, v, f"{where}[{i}]", key)
+                self.json(u, v, f"{where}[{i}]")
         elif isinstance(x, float) or isinstance(y, float):
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
                 return self.exact(x, y, where)
-            rtol = self.key_rtol.get(key, RTOL)
-            self.number(float(x), float(y), where, rtol, ATOL,
-                        key if key in self.key_rtol else None)
+            self.number(float(x), float(y), where, RTOL, ATOL)
         else:
             self.exact(x, y, where)
 
@@ -129,7 +122,7 @@ def _float(text):
         return None
 
 
-def compare_trees(a, b, key_rtol):
+def compare_trees(a, b):
     files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (a, b)]
     failed = False
     for rel in sorted(files[0] ^ files[1]):
@@ -139,27 +132,21 @@ def compare_trees(a, b, key_rtol):
         x, y = (a / rel).read_bytes(), (b / rel).read_bytes()
         if x == y:
             continue
-        diff = FileDiff(key_rtol)
+        diff = FileDiff()
         if rel.suffix == ".json":
             diff.json(json.loads(x), json.loads(y))
         elif rel.suffix == ".csv":
             diff.csv(x.decode(), y.decode())
         else:
             diff.mismatches.append("bytes differ")
-        largest = ", ".join(f"{k or 'max'} abs {d:.3g} rel {r:.3g}"
-                            for k, (d, r) in diff.largest.items())
-        print(f"{rel}: {largest}" + (f", {len(diff.mismatches)} mismatches"
-                                      if diff.mismatches else ""))
+        d, r = diff.largest
+        print(f"{rel}: max abs {d:.3g} rel {r:.3g}"
+              + (f", {len(diff.mismatches)} mismatches" if diff.mismatches else ""))
         for problem in diff.mismatches[:10]:
             print(f"  {problem}")
         failed |= bool(diff.mismatches)
     print("FAIL" if failed else "match within tolerance")
     return 1 if failed else 0
-
-
-def key_rtol(text):
-    key, _, rtol = text.partition("=")
-    return key, float(rtol)
 
 
 def main(argv) -> int:
@@ -169,12 +156,9 @@ def main(argv) -> int:
                         help="workload seed (default 7)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                         help="compare two output trees instead of running")
-    parser.add_argument("--key-rtol", type=key_rtol, action="append", default=[],
-                        metavar="KEY=RTOL", help="relative tolerance of the JSON "
-                        "floats under KEY, reported on their own (repeatable)")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare_trees(*args.compare, dict(args.key_rtol))
+        return compare_trees(*args.compare)
     if args.out is None:
         parser.error("give OUT, or --compare A B")
     return run_ops(args.out, args.seed)
