@@ -215,8 +215,12 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     plain (f+, f+) one and the mixed one using the subsolution value in
     the sound speed), and z >= c for both fields.  The weak-form
     nonnegativity is recorded alongside but does not gate applicability,
-    being a consequence rather than a premise.
+    being a consequence rather than a premise.  tol_sub or tol_order < 0
+    or nan raises ConfigError.
     """
+    for key, tol in (("tol_sub", tol_sub), ("tol_order", tol_order)):
+        if not tol >= 0.0:
+            raise ConfigError(f"{key} must be >= 0, got {tol}", key)
     grid = require_same_grid(f_minus, f_plus)
     m = grid.mask_array
     im = grid.interior_mask

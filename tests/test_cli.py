@@ -759,6 +759,15 @@ def test_non_finite_numbers_are_refused(tmp_path, capsys, block, key, value):
                    "tol_touch": -1e-9}),
     ("tol_touch", {"name": "hopf", "field_minus": f"1.5 + 1e-3*{WAVE}",
                    "field_plus": "1.5", "tol_touch": -1e-9}),
+    # a negative tolerance turned a comparison Inapplicable, exit 2
+    ("tol_sub", {"name": "compare", "field_minus": "1.6", "field_plus": "1.6",
+                 "tol_sub": -1e-3}),
+    ("tol_order", {"name": "compare", "field_minus": "1.6",
+                   "field_plus": "1.6", "tol_order": -0.5}),
+    ("tol_sub", {"name": "hopf", "field_minus": "1.6", "field_plus": "1.6",
+                 "tol_sub": -1e-3}),
+    ("tol_order", {"name": "hopf", "field_minus": "1.6", "field_plus": "1.6",
+                   "tol_order": -0.5}),
 ])
 def test_library_refusals_name_the_command_key(tmp_path, capsys, key, command):
     # the library names the key it refuses by its parameter name; the CLI

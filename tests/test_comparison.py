@@ -264,6 +264,18 @@ def test_verify_swapped_roles_inapplicable(solver_pair):
     assert not rep.hypotheses["boundary_ordering"].passed
 
 
+@pytest.mark.parametrize("key, tol", [
+    ("tol_sub", -1e-3), ("tol_sub", float("nan")),
+    ("tol_order", -0.5), ("tol_order", float("nan"))])
+def test_verify_refuses_a_bad_tolerance(solver_pair, key, tol):
+    # this Pass pair read Inapplicable under a negative or nan tolerance,
+    # on its supersolution sign or its boundary ordering, with no error
+    gas, grid, f_plus, f_minus, _ = solver_pair
+    with pytest.raises(sf.ConfigError, match=f"{key} must be >= 0") as err:
+        sf.verify_weak_comparison(gas, f_minus, f_plus, **{key: tol})
+    assert err.value.key == key
+
+
 def test_verify_identical_fields(solver_pair):
     gas, grid, f_plus, _, _ = solver_pair
     rep = sf.verify_weak_comparison(gas, f_plus, f_plus)

@@ -149,3 +149,61 @@ def test_column_and_row_evaluation_matches_the_full_mesh(text, shape, periodic):
     got = evaluate_expression(text, g).values
     assert got.shape == g.shape and got.flags.writeable
     assert got.tobytes() == want.tobytes()
+
+
+# The language's edges: a value, or an error's class and message (and, for
+# a parse error, its position).  A number token is the longest decimal with
+# an optional exponent, so "2e" is the number 2 and the name e; "1." and
+# ".5e1" are numbers; signs stack and bind outside a power, which is
+# right-associative.
+_PARSE, _DOMAIN = ExpressionParseError, ExpressionDomainError
+_EDGES = [
+    ("2e", _PARSE, "unexpected token 'e' at position 1"),
+    ("1_0", _PARSE, "unexpected token '_0' at position 1"),
+    ("0x10", _PARSE, "unexpected token 'x10' at position 1"),
+    ("\xa01", 1.0, None),                                # no-break space
+    (".5e1", 5.0, None),
+    ("1.", 1.0, None),
+    ("+-+1", -1.0, None),
+    ("2^3^2", 512.0, None),
+    ("-2^-2", -0.25, None),
+    ("sin 1", _PARSE, "unknown identifier 'sin' at position 0"),
+    ("theta(1)", _PARSE, "unknown function 'theta' at position 0"),
+    ("", _PARSE, "expected a number, name or '(' at position 0"),
+    ("1+", _PARSE, "expected a number, name or '(' at position 2"),
+    ("cos(", _PARSE, "expected a number, name or '(' at position 4"),
+    ("phi^", _PARSE, "expected a number, name or '(' at position 4"),
+    ("(1", _PARSE, "expected ')' at position 2"),
+    ("1 $", _PARSE, "unexpected character '$' at position 2"),
+    ("1/0", _DOMAIN, "division by zero at a node (operator at position 1)"),
+    ("2*(0-1)^0.5", _DOMAIN,
+     "power produced a non-finite value (operator at position 7)"),
+]
+
+
+@pytest.mark.parametrize("text, want, message", _EDGES)
+def test_language_edges(grid, text, want, message):
+    if isinstance(want, float):
+        assert np.all(evaluate_expression(text, grid).values == want)
+        return
+    with pytest.raises(want) as err:
+        evaluate_expression(text, grid)
+    assert type(err.value) is want and str(err.value) == message
+    if want is _PARSE:
+        assert message.endswith(f"at position {err.value.position}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, message", [
+    ("theta*1e300*1e300", "expression is non-finite at some node"),
+    ("0^-1", "power produced a non-finite value (operator at position 1)"),
+    ("(theta-theta)^-1",
+     "power produced a non-finite value (operator at position 13)"),
+    ("theta-1e400+1e400", "expression is non-finite at some node"),
+])
+def test_domain_errors_raise_no_numpy_warning(grid, text, message):
+    # numpy's overflow, divide and invalid warnings stay inside the
+    # evaluator: with warnings as errors the domain error still comes out
+    with pytest.raises(ExpressionDomainError) as err:
+        evaluate_expression(text, grid)
+    assert str(err.value) == message

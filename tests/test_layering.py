@@ -4,8 +4,8 @@ every face flux takes its weights from one place, the interior's
 connectivity is computed only by the grid, the strong comparison checks
 read the weak comparison's report, only the solver builds the
 preconditioner, every linear solve goes through solver.interior_solve, the
-flux stencil makes no zero-padded copies, and the package imports no
-scipy."""
+flux stencil makes no zero-padded copies, no module hands text to Python's
+own compiler, and the package imports no scipy."""
 
 import ast
 import os
@@ -196,6 +196,28 @@ def test_operators_make_no_padded_copies():
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "shifted"]
+    assert found == []
+
+
+def _python_compiler_uses(path):
+    """Bare-name calls of eval, exec, compile or __import__, and imports of
+    ast; an attribute call such as re.compile is not one of them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("eval", "exec", "compile", "__import__")):
+            yield f"{path.name}:{node.lineno} calls {node.func.id}"
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom) else [])
+        if "ast" in names:
+            yield f"{path.name}:{node.lineno} imports ast"
+
+
+def test_scenario_text_never_reaches_eval():
+    # the expression language is parsed by its own grammar: a rewrite that
+    # handed scenario text to Python would run whatever a scenario holds
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in _python_compiler_uses(path)]
     assert found == []
 
 
