@@ -3,11 +3,11 @@
 Given a sub/supersolution pair (f-, f+) of the potential-flow equation,
 this module evaluates every hypothesis of the comparison theorems at the
 discrete level (residual signs, boundary ordering, admissibility and
-ellipticity of both fields, z >= c), the pointwise mean-value coefficients
-of the weak-form integrand averaged over the segment between the fields
-and the sign of that integrand, into one ComparisonReport; the strict-or-
-identical dichotomy and the one-sided Hopf boundary indicators read that
-report, so a pair's ordering and admissibility are checked once.
+ellipticity of both fields, z >= c) from one gradient of each field, and
+the sign of the weak-form integrand, whose mean-value coefficients over the
+segment are formed only where h+ = (f- - f+)+ > 0, into one ComparisonReport;
+the strict-or-identical dichotomy and the one-sided Hopf boundary indicators
+read that report, so a pair's ordering and admissibility are checked once.
 
 Hypothesis failures mark a report Inapplicable, never Failed: the theorems
 are conditional, and the harness must not claim a counterexample when the
@@ -44,25 +44,24 @@ class CoefficientFields:
     d: np.ndarray
 
 
-def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
-                            f_plus: ScalarField,
-                            n_quad: int = 8) -> CoefficientFields:
-    """Gauss-Legendre t-averages of the pointwise flux Jacobian over [f-, f+].
-
-    The gradient q+ + t dq and value z+ + t dz of phi_t = t f- + (1-t) f+ are
-    affine in t (segment_algebra), so each coefficient is R = sum w rho less
-    a quadratic form in the moments S_k = sum w t^k rho/c^2, k = 0, 1, 2: e.g.
-    a11 = R - (q1+^2 S0 + 2 q1+ dq1 S1 + dq1^2 S2).  Every quadrature state
-    must be admissible; a vacuum state raises with the offending (node, t).
-    """
-    grid = require_same_grid(f_minus, f_plus)
-    ts, ws = gauss_legendre(n_quad)
-    mask = grid.mask_array
-    q1, q2, z, dq1, dq2, dz, h0, h1, h2 = segment_algebra(gas, f_minus, f_plus)
-    r, s = np.zeros(grid.shape), np.zeros((3,) + grid.shape)
+def _mean_values(gas, quadrature, mask, seg, where=None):
+    """mean_value_coefficients from a Gauss rule and segment_algebra's seg,
+    or only at where's nodes, as flat arrays (None if it has none).  Every
+    Gauss-point state is checked first at every node of mask, t ascending,
+    then in flat node order, by c^2 or the isothermal cap: no density."""
+    ts, ws = quadrature
+    t = ts[:, None, None]
+    _, c2, ok = bernoulli_density(gas, (seg[8] * t + seg[7]) * t + seg[6], False)
+    k = int(np.argmax((mask & ~ok).any(axis=(1, 2))))
+    require_admissible(gas, c2[k], ok[k], mask, float(ts[k]))
+    if where is not None:
+        if not where.any():
+            return None
+        seg, mask = [a[where] for a in seg], True
+    q1, q2, z, dq1, dq2, dz, h0, h1, h2 = seg
+    r, s = np.zeros(z.shape), np.zeros((3,) + z.shape)
     for t, wt in zip(ts, ws):
-        rho, c2, ok = bernoulli_density(gas, h0 + t * (h1 + t * h2))
-        require_admissible(gas, c2, ok, mask, float(t))
+        rho, c2, _ = bernoulli_density(gas, h0 + t * (h1 + t * h2))
         rho = np.where(mask, wt * rho, 0.0)
         r += rho
         s += np.multiply.outer((1.0, t, t * t), rho / np.where(mask, c2, 1.0))
@@ -75,35 +74,51 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
                              b2=-moment(q2, dq2, z, dz), d=2.0 * (r - moment(z, dz, z, dz)))
 
 
+def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
+                            f_plus: ScalarField,
+                            n_quad: int = 8) -> CoefficientFields:
+    """Gauss-Legendre t-averages of the pointwise flux Jacobian over [f-, f+].
+
+    The gradient q+ + t dq and value z+ + t dz of phi_t = t f- + (1-t) f+ are
+    affine in t (segment_algebra), so each coefficient is R = sum w rho less
+    a quadratic form in the moments S_k = sum w t^k rho/c^2, k = 0, 1, 2: e.g.
+    a11 = R - (q1+^2 S0 + 2 q1+ dq1 S1 + dq1^2 S2).  Every quadrature state
+    must be admissible; a vacuum state raises with the offending (node, t).
+    """
+    grid = require_same_grid(f_minus, f_plus)
+    return _mean_values(gas, gauss_legendre(n_quad), grid.mask_array,
+                        segment_algebra(gas, f_minus, f_plus))
+
+
 def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
-                    beta: float = 0.5, n_quad: int = 8) -> np.ndarray:
+                    beta: float = 0.5, n_quad: int = 8, gradients=None) -> np.ndarray:
     """Weak-form integrand F at every node.
 
     F = (1/beta) (h+)^(1/beta - 1) (a_ij di h+ dj h+ + b_i h+ di h+
         - beta c_i h+ di h+ - beta d (h+)^2)  with h+ = max(f- - f+, 0),
     a, b, d from mean_value_coefficients and c_i = 2 b_i.
 
-    Gradients of h+ are taken where h+ > 0 and set to zero elsewhere
-    (h+ is only Lipschitz across its free boundary).
+    F is 0.0 where h+ = 0 (for an ordered pair, everywhere), so a, b, d and
+    the gradient of h+ are formed only where h+ > 0; every quadrature state
+    is still checked.  gradients, if known, are as in segment_algebra.
     """
     grid = require_same_grid(f_minus, f_plus)
     if not 0.0 < beta <= 1.0:
         raise ConfigError("beta must lie in (0, 1]", "beta")
-    co = mean_value_coefficients(gas, f_minus, f_plus, n_quad)
-    m = grid.mask_array
-    hplus = np.where(m, np.maximum(f_minus.values - f_plus.values, 0.0), 0.0)
+    hplus = np.where(grid.mask_array, np.maximum(f_minus.values - f_plus.values, 0.0), 0.0)
     pos = hplus > 0.0
+    co = _mean_values(gas, gauss_legendre(n_quad), grid.mask_array,
+                      segment_algebra(gas, f_minus, f_plus, gradients), pos)
+    F = np.zeros(grid.shape)
+    if co is None:
+        return F
     grad = spherical_gradient(ScalarField(grid, hplus))
-    g1 = np.where(pos, grad.v_theta, 0.0)
-    g2 = np.where(pos, grad.v_phi, 0.0)
-    quad = (
-        co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
-        + co.b1 * hplus * g1 + co.b2 * hplus * g2
-        - beta * (2.0 * co.b1 * hplus * g1 + 2.0 * co.b2 * hplus * g2)
-        - beta * co.d * hplus * hplus
-    )
-    prefactor = np.where(pos, hplus ** (1.0 / beta - 1.0), 0.0) / beta
-    return np.where(m, prefactor * quad, 0.0)
+    g1, g2, h = grad.v_theta[pos], grad.v_phi[pos], hplus[pos]
+    quad = (co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
+            + co.b1 * h * g1 + co.b2 * h * g2
+            - beta * (2.0 * co.b1 * h * g1 + 2.0 * co.b2 * h * g2) - beta * co.d * h * h)
+    F[pos] = h ** (1.0 / beta - 1.0) / beta * quad
+    return F
 
 
 class Dichotomy(Enum):
@@ -255,7 +270,7 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     v, node = _extreme(l2_a, m, minimize=False)
     hyp["mach_elliptic_plus_reading_a"] = HypothesisResult(v < 1.0, node, v)
 
-    c2_mixed = bernoulli_density(gas, gas.head(qsq_p, f_minus.values))[1]
+    c2_mixed = bernoulli_density(gas, gas.head(qsq_p, f_minus.values), False)[1]
     ok = c2_mixed > 0.0
     l2_b = np.where(ok, qsq_p / np.where(ok, c2_mixed, 1.0), np.inf)
     v, node = _extreme(l2_b, m, minimize=False)
@@ -268,7 +283,7 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
         hyp[f"z_above_sound_{tag}"] = HypothesisResult(
             v >= -Z_GE_C_SLACK, node, v)
 
-    F = weak_form_field(gas, f_minus, f_plus, beta, n_quad)
+    F = weak_form_field(gas, f_minus, f_plus, beta, n_quad, ((q1m, q2m), (q1p, q2p)))
     v, node = _extreme(F, m, minimize=True)
     hyp["weak_form_nonnegative"] = HypothesisResult(v >= -WEAK_FORM_TOL, node, v)
 

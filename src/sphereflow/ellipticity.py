@@ -130,7 +130,7 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
     mask = require_same_grid(f_minus, f_plus).mask_array
     q1, q2, z, dq1, dq2, dz, h0, h1, h2 = segment_algebra(gas, f_minus, f_plus)
     k = 0.5 * (gas.gamma - 1.0)  # c^2 = c0^2 + k head, so 1 at gamma = 1
-    c2 = (bernoulli_density(gas, h0)[1], k * h1, k * h2)  # coefficients of 1, t, t^2
+    c2 = (bernoulli_density(gas, h0, False)[1], k * h1, k * h2)  # coefficients of 1, t, t^2
     admit = _least(*c2)
     if gas.gamma == 1.0:  # EXP_CAP - |head/2| is least where head is least or largest
         (lo, t_lo), (hi, t_hi) = _least(h0, h1, h2), _least(-h0, -h1, -h2)

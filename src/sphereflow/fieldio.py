@@ -220,6 +220,6 @@ def _sanitize(obj):
 
 
 def write_json_report(path, payload: dict):
+    text = json.dumps(_sanitize(payload), indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_sanitize(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

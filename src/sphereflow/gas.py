@@ -80,22 +80,24 @@ class FlowType(IntEnum):
         return "EPHV"[int(self)]
 
 
-def bernoulli_density(gas: GasModel, head):
+def bernoulli_density(gas: GasModel, head, with_rho=True):
     """(rho, c^2, admissible) at the Bernoulli head gas.head(|q|^2, z), elementwise.
 
     gamma != 1: rho = (c^2)^(1/(gamma-1)), admissible where c^2 > 0.
     gamma  = 1: rho = rho0 * exp(head/2), the pointwise limit of the power
     law, admissible where the exponent stays within +/-EXP_CAP; c^2 is
     identically 1.  Inadmissible entries carry a finite placeholder density;
-    require_admissible turns them into errors.
+    require_admissible turns them into errors.  Without with_rho, rho is None.
     """
     if gas.gamma == 1.0:
         arg = 0.5 * head
         ok = np.abs(arg) <= EXP_CAP
-        return gas.rho0 * np.exp(np.where(ok, arg, 0.0)), np.ones_like(arg), ok
+        rho = gas.rho0 * np.exp(np.where(ok, arg, 0.0)) if with_rho else None
+        return rho, np.ones_like(arg), ok
     c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
     ok = c2 > 0.0
-    return np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0)), c2, ok
+    rho = np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0)) if with_rho else None
+    return rho, c2, ok
 
 
 def sound_speed_sq(gas: GasModel, s: FlowState):
@@ -103,7 +105,7 @@ def sound_speed_sq(gas: GasModel, s: FlowState):
     c^2 of bernoulli_density (identically 1 for gamma = 1).  May return
     nonpositive values; callers decide whether that is vacuum.
     """
-    return bernoulli_density(gas, gas.head(s.speed_sq(), s.z))[1]
+    return bernoulli_density(gas, gas.head(s.speed_sq(), s.z), False)[1]
 
 
 def require_admissible(gas: GasModel, c2, ok, where=True, t=None):
@@ -158,7 +160,7 @@ def pseudo_mach_sq(gas: GasModel, s: FlowState):
     Raises like density() at a state that bernoulli_density rejects.
     """
     q_sq = s.speed_sq()
-    _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z))
+    _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z), False)
     require_admissible(gas, c2, ok)
     return q_sq / c2
 
@@ -173,7 +175,7 @@ def classify_codes(gas: GasModel, s: FlowState, eps_type: float = DEFAULT_EPS_TY
         raise ConfigError(f"eps_type must be > 0, got {eps_type}", "eps_type")
     q_sq = np.asarray(s.speed_sq(), dtype=float)
     codes = np.full(q_sq.shape, int(FlowType.VACUUM), dtype=np.int8)
-    _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z))
+    _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z), False)
     with np.errstate(divide="ignore", invalid="ignore"):
         l2 = np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)
     codes[ok & (np.abs(l2 - 1.0) <= eps_type)] = int(FlowType.PARABOLIC)

@@ -135,15 +135,17 @@ def field_density(gas: GasModel, f: ScalarField):
     return np.where(m, rho, 0.0), c2, q1, q2
 
 
-def segment_algebra(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField):
+def segment_algebra(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
+                    gradients=None):
     """(q1, q2, z, dq1, dq2, dz, h0, h1, h2) node arrays of phi_t = f+ + t (f- - f+)
     from one gradient of each field: f+'s gradient and value, their increments
     to f-, and the Bernoulli head B - z_t^2 - |q_t|^2 = h0 + h1 t + h2 t^2 of
-    bernoulli_density, so c^2 = c0^2 + (gamma-1)/2 head is quadratic in t."""
+    bernoulli_density, so c^2 = c0^2 + (gamma-1)/2 head is quadratic in t.
+    gradients, if known, are the (q1, q2) of f- and of f+ (field_density's)."""
     require_same_grid(f_minus, f_plus)
-    gm, gp = spherical_gradient(f_minus), spherical_gradient(f_plus)
-    q1, q2, z = gp.v_theta, gp.v_phi, f_plus.values
-    dq1, dq2, dz = gm.v_theta - q1, gm.v_phi - q2, f_minus.values - z
+    (m1, m2), (q1, q2) = gradients or [
+        (g.v_theta, g.v_phi) for g in map(spherical_gradient, (f_minus, f_plus))]
+    z, dq1, dq2, dz = f_plus.values, m1 - q1, m2 - q2, f_minus.values - f_plus.values
     return (q1, q2, z, dq1, dq2, dz, gas.head(q1 * q1 + q2 * q2, z),
             -2.0 * (q1 * dq1 + q2 * dq2 + z * dz), -(dq1 * dq1 + dq2 * dq2 + dz * dz))
 

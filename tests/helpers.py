@@ -13,11 +13,12 @@ from sphereflow import (
     ScalarField,
     density,
     field_density,
+    mean_value_coefficients,
     sound_speed_sq,
 )
 from sphereflow.gas import EXP_CAP
 from sphereflow.grid import STENCILS
-from sphereflow.operators import _phi_modes, spherical_gradient
+from sphereflow.operators import _phi_modes, gauss_legendre, spherical_gradient
 
 # Per-gas scenario data for solver-built comparison pairs.  Boundary levels
 # sit inside the corridor where z >= c holds and the homogeneous solution
@@ -415,3 +416,39 @@ def per_t_mean_value_coefficients(gas, f_minus, f_plus, n_quad):
                            ("b2", -q2 * z * scale), ("d", 2.0 * (rho - z * z * scale))):
             acc[name] = acc[name] + wt * term
     return acc
+
+
+def gauss_state_failures(gas, f_minus, f_plus, n_quad):
+    """(ts, inadmissible, c^2) of the Gauss-point states of phi_t, stacked
+    over t: where the Bernoulli law rejects a masked node's state, and c^2
+    there (1 for the isothermal gas)."""
+    ts = gauss_legendre(n_quad)[0]
+    minus, plus = field_state(f_minus), field_state(f_plus)
+    bad, c2s = [], []
+    for t in ts:
+        q1, q2, z = (t * m + (1.0 - t) * p for m, p in zip(minus, plus))
+        _, c2, ok = reference_bernoulli(gas, q1 * q1 + q2 * q2, z)
+        bad.append(~ok & f_plus.grid.mask_array)
+        c2s.append(c2)
+    return ts, np.array(bad), np.array(c2s)
+
+
+def reference_weak_form_field(gas, f_minus, f_plus, beta=0.5, n_quad=8):
+    """weak_form_field by its full-grid formula: the coefficients at every
+    node, and F = 0 where h+ = 0 by a zero prefactor."""
+    grid = f_plus.grid
+    co = mean_value_coefficients(gas, f_minus, f_plus, n_quad)
+    m = grid.mask_array
+    hplus = np.where(m, np.maximum(f_minus.values - f_plus.values, 0.0), 0.0)
+    pos = hplus > 0.0
+    grad = spherical_gradient(ScalarField(grid, hplus))
+    g1 = np.where(pos, grad.v_theta, 0.0)
+    g2 = np.where(pos, grad.v_phi, 0.0)
+    quad = (
+        co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
+        + co.b1 * hplus * g1 + co.b2 * hplus * g2
+        - beta * (2.0 * co.b1 * hplus * g1 + 2.0 * co.b2 * hplus * g2)
+        - beta * co.d * hplus * hplus
+    )
+    prefactor = np.where(pos, hplus ** (1.0 / beta - 1.0), 0.0) / beta
+    return np.where(m, prefactor * quad, 0.0)

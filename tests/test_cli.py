@@ -101,7 +101,9 @@ def test_hopf_command(tmp_path):
 
 
 def test_hopf_takes_the_gradients_of_compare(tmp_path, monkeypatch):
-    # hopf reads the comparison report, so it differentiates no field again
+    # hopf reads the comparison report, so it differentiates no field again;
+    # the report differentiates each field once, and f- - f+ for the gap's
+    # gradient, and h+ = max(f- - f+, 0) only where it is positive somewhere
     for name, source in (("plus", "0"), ("touch", "0.05")):
         sc = write_scenario(tmp_path / f"{name}.json", grid=grid_block(17), command={
             "name": "solve", "boundary": "1.6 + 0.1*cos(theta)", "source": source})
@@ -116,15 +118,30 @@ def test_hopf_takes_the_gradients_of_compare(tmp_path, monkeypatch):
                 getattr(module, "spherical_gradient", None) is real:
             monkeypatch.setattr(module, "spherical_gradient", counted)
     counts = {}
-    for name in ("compare", "hopf"):
+    touching = {"field_minus": {"file": str(tmp_path / "touch" / "solution.csv")},
+                "field_plus": {"file": str(tmp_path / "plus" / "solution.csv")}}
+    crossing = {"field_minus": "1.6 + 0.01*sin(8*phi)", "field_plus": "1.6"}
+    for name, fields, code in (("compare", touching, 0), ("hopf", touching, 0),
+                               ("crossing", crossing, 2)):
         sc = write_scenario(tmp_path / f"{name}.json", grid=grid_block(17), command={
-            "name": name,
-            "field_minus": {"file": str(tmp_path / "touch" / "solution.csv")},
-            "field_plus": {"file": str(tmp_path / "plus" / "solution.csv")}})
+            "name": "hopf" if name == "hopf" else "compare", **fields})
         calls.clear()
-        assert cli.run(sc, tmp_path / name, quiet=True) == 0
+        assert cli.run(sc, tmp_path / name, quiet=True) == code
         counts[name] = len(calls)
-    assert counts == {"compare": 6, "hopf": 6}
+    assert counts == {"compare": 3, "hopf": 3, "crossing": 4}
+
+
+def test_compare_refuses_an_inadmissible_segment_of_an_ordered_pair(tmp_path, capsys):
+    # f- <= f+ with equality on the first row, both admissible; their
+    # theta-slopes cancel at t = a / 4 between them, where the Chaplygin
+    # c^2 = z^2 + |q|^2 - 1 < 0 (test_comparison._fanned_pair)
+    sc = write_scenario(tmp_path / "fan.json", grid=grid_block(17),
+                        gas={"gamma": -1.0, "rho0": 1.0, "bernoulli": 2.0}, command={
+        "name": "compare",
+        "field_minus": "0.95 - (1 + 8*phi/pi)*(theta - pi/3)",
+        "field_plus": "0.95 + (3 - 8*phi/pi)*(theta - pi/3)"})
+    assert cli.run(sc, tmp_path / "fan", quiet=True) == 1
+    assert "vacuum at node (0, 14), t=0.2372337950418355" in capsys.readouterr().err
 
 
 def test_hopf_reads_beta_like_compare(tmp_path):

@@ -3,7 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import SMALL_PATCH, WIDE_PATCH, per_t_mean_value_coefficients
+from helpers import (
+    PAIR_SCENARIOS,
+    SMALL_PATCH,
+    WIDE_PATCH,
+    gauss_state_failures,
+    per_t_mean_value_coefficients,
+    reference_weak_form_field,
+)
 
 import sphereflow as sf
 from sphereflow import (
@@ -196,6 +203,95 @@ def test_weak_form_zero_when_ordered(gas_b4, wide_grid_33):
     F = weak_form_field(gas_b4, lo, hi, beta=0.5)
     assert np.all(F == 0.0)
     assert weak_form_field(gas_b4, lo, hi, 0.5)[3, 3] == 0.0
+
+
+def _weak_form_grid(kind):
+    if kind == "plain":
+        return SphericalGrid(*SMALL_PATCH, 33, 33)
+    if kind == "masked":  # a hole and a cut corner
+        mask = np.ones((25, 25), dtype=bool)
+        mask[8:14, 10:16] = False
+        mask[:3, :4] = False
+        return SphericalGrid(*WIDE_PATCH, 25, 25, mask=mask)
+    mask = np.zeros((21, 32), dtype=bool)  # a phi-periodic band with a hole
+    mask[3:18] = True
+    mask[9:12, 5:9] = False
+    return SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, 21, 32,
+                         mask=mask, phi_periodic=True)
+
+
+@pytest.mark.parametrize("kind", ["plain", "masked", "periodic"])
+@pytest.mark.parametrize("gamma", [-1.0, 1.0, 1.4, 2.0])
+def test_weak_form_matches_the_full_grid_formula(gamma, kind):
+    # on crossing pairs, where h+ > 0 at some nodes and 0 at others, F and
+    # the report's weak-form minimum carry the bits of the formula that
+    # forms the coefficients at every node
+    g = _weak_form_grid(kind)
+    gas = GasModel(gamma, 1.0, PAIR_SCENARIOS[gamma]["bernoulli"])
+    base = PAIR_SCENARIOS[gamma]["level"] + 0.03 * np.cos(g.theta_mesh)
+    bump = 0.02 * np.cos(6 * g.theta_mesh) * np.sin(4 * g.phi_mesh + 0.3)
+    f_minus, f_plus = ScalarField(g, base + bump), ScalarField(g, base - 0.3 * bump)
+    m = g.mask_array
+    assert (bump[m] > 0.0).any() and (bump[m] <= 0.0).any()
+    for beta in (0.3, 0.5, 1.0):
+        want = reference_weak_form_field(gas, f_minus, f_plus, beta)
+        got = weak_form_field(gas, f_minus, f_plus, beta)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert (got[m] != 0.0).any()
+        least = np.where(m, want, np.inf)
+        node = np.unravel_index(np.argmin(least), g.shape)
+        rep = sf.verify_weak_comparison(gas, f_minus, f_plus, beta=beta)
+        hyp = rep.hypotheses["weak_form_nonnegative"]
+        assert hyp.worst_node == node
+        assert np.float64(hyp.value).view(np.uint64) == least[node].view(np.uint64)
+
+
+def _fanned_pair(level, slope):
+    """An ordered pair on a 17^2 patch whose segment leaves the gas law
+    between admissible endpoints: f+ = level + a (theta - theta_min) and
+    f- = level - (4 slope - a) (theta - theta_min), with a falling from
+    3 slope at phi_min to slope at phi_max.  On the first row phi_t is
+    level, and its theta-slope a - 4 slope t vanishes at t = a / (4 slope):
+    the states near there fail first in the last columns."""
+    g = SphericalGrid(*SMALL_PATCH, 17, 17)
+    d = g.theta_mesh - g.thetas[0]
+    a = slope * (3.0 - 2.0 * (g.phi_mesh - g.phis[0]) / (g.phis[-1] - g.phis[0]))
+    return ScalarField(g, level - (4.0 * slope - a) * d), ScalarField(g, level + a * d)
+
+
+@pytest.mark.parametrize("gas, level, slope", [
+    (GasModel(-1.0, 1.0, 2.0), 0.95, 1.0),  # c^2 = z^2 + |q|^2 - 1 < 0 near q = 0
+    (GasModel(1.0, 1.0, 1500.0), 1.0, 12.0),  # exponent (B - z^2 - |q|^2)/2 > 700
+])
+def test_ordered_pair_checks_every_gauss_state(gas, level, slope):
+    # h+ = 0 at every node, so no weak-form coefficient is formed; every
+    # Gauss-point state is still checked, t ascending, then in flat node
+    # order, which here names another node than node-major order would
+    f_minus, f_plus = _fanned_pair(level, slope)
+    assert np.all(f_minus.values <= f_plus.values)
+    ts, bad, c2 = gauss_state_failures(gas, f_minus, f_plus, 8)
+    assert np.abs(c2).min() > 1e-6 and not bad[[0, -1]].any()  # admissible ends
+    k = int(np.argmax(bad.any(axis=(1, 2))))
+    node = tuple(int(i) for i in np.argwhere(bad[k])[0])
+    assert bad[:, 0, 0].any() and node != (0, 0)
+    at = f" at node {node}, t={float(ts[k])}"
+    if gas.gamma == 1.0:
+        error, message = sf.GasOverflowError, "isothermal density exponent exceeds +/-700" + at
+    else:
+        error, message = sf.VacuumError, f"vacuum{at}: c^2 = {c2[k][node]:.6g} <= 0"
+    for check in (sf.verify_weak_comparison, weak_form_field, sf.mean_value_coefficients):
+        with pytest.raises(error) as err:
+            check(gas, f_minus, f_plus)
+        assert (err.value.node, err.value.t, str(err.value)) == (node, ts[k], message)
+
+
+@pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"n_quad": 0}], ids=["beta", "n_quad"])
+def test_ordered_pair_refuses_a_bad_quadrature(solver_pair, kwargs):
+    gas, _, f_plus, f_minus, _ = solver_pair
+    for check in (sf.verify_weak_comparison, weak_form_field):
+        with pytest.raises(sf.ConfigError) as err:
+            check(gas, f_minus, f_plus, **kwargs)
+        assert err.value.key == next(iter(kwargs))
 
 
 def test_weak_form_positive_from_zeroth_order(gas_b4, wide_grid_33):
