@@ -349,10 +349,11 @@ def hopf_indicator(report: ComparisonReport, boundary_nodes,
                 f"node ({i}, {j}) has {sides.size} outward directions; "
                 "interior sphere condition unverifiable"
             )
-        axis, backward = divmod(int(sides[0]), 2)  # +th, -th, +ph, -ph
-        p1, p2 = (grid.neighbor(i, j, axis, k if backward else -k) for k in (1, 2))
+        axis = int(sides[0]) // 2  # +th, -th, +ph, -ph
+        nodes, idx, _ = grid.stencils[axis]  # one-sided: inward across open faces
+        p1, p2 = idx[:2, np.searchsorted(nodes, i * grid.n_phi + j)]
         h = grid.h_theta if axis == 0 else grid.h_phi * grid.sin_theta[i]
-        deriv = (3.0 * diff[i, j] - 4.0 * diff[p1] + diff[p2]) / (2.0 * h)
+        deriv = (3.0 * diff[i, j] - 4.0 * diff.flat[p1] + diff.flat[p2]) / (2.0 * h)
         results.append(HopfResult(
             i=i, j=j, theta=float(grid.thetas[i]), phi=float(grid.phis[j]),
             derivative=float(deriv),

@@ -3,8 +3,14 @@
 Grids are uniform tensor products excluding neighborhoods of the poles
 (1/sin(theta) blowup is a coordinate artifact, and the conical-flow
 applications live away from the axis).  An optional boolean mask selects
-the closed working set Omega-bar; its discrete boundary consists of masked
-nodes adjacent to unmasked ones plus masked nodes on the patch edge.
+the closed working set Omega-bar.
+
+The grid's connectivity is its open faces, laid out by
+SphericalGrid.on_faces as the flux code reads them.  A face is open when
+both its nodes are masked; the seam face closes a plain grid's phi axis.
+Nodes are neighbours across open faces only: the boundary is the masked
+nodes with a closed face, stencils follow runs of open faces, and the
+interior's components join across them.
 """
 
 from dataclasses import dataclass
@@ -128,47 +134,66 @@ class SphericalGrid:
             return np.ones(self.shape, dtype=bool)
         return self.mask
 
-    def shifted(self, a, axis, off):
-        """Array whose entry at node k is a[k + off] along axis, wrapped
-        across a periodic phi seam, else zero (False) off the patch."""
-        if axis == 1 and self.phi_periodic:
-            return np.roll(a, -off, axis=1)
-        out = np.zeros_like(a)
-        n = a.shape[axis]
-        k = min(abs(off), n)
-        lo, hi = slice(0, n - k), slice(k, n)
-        dst, src = [slice(None)] * 2, [slice(None)] * 2
-        dst[axis], src[axis] = (lo, hi) if off > 0 else (hi, lo)
-        out[tuple(dst)] = a[tuple(src)]
+    def on_faces(self, op, a, axis):
+        """op(a[k + 1], a[k]) on the faces k + 1/2 along axis: n_theta - 1
+        rows of theta faces, and phi faces as an (n_theta, n_phi) array
+        whose last column holds the seam face of a periodic grid, else
+        zeros."""
+        if axis == 0:
+            return op(a[1:], a[:-1])
+        out = np.empty(a.shape, a.dtype)
+        op(a.ravel()[1:], a.ravel()[:-1], out=out.ravel()[:-1])  # flat: rows wrap
+        out[:, -1] = op(a[:, 0], a[:, -1]) if self.phi_periodic else 0
         return out
 
-    def neighbor(self, i, j, axis, off):
-        """The node off steps from (i, j) along axis, wrapped across a
-        periodic phi seam; None off the patch."""
-        node = [i, j]
-        node[axis] += off
-        if axis == 1 and self.phi_periodic:
-            node[1] %= self.n_phi
-        elif not 0 <= node[axis] < self.shape[axis]:
-            return None
-        return tuple(node)
+    def at_nodes(self, op, faces, axis):
+        """op(faces[k + 1/2], faces[k - 1/2]) at the nodes k along axis, for
+        face values laid out by on_faces; zero at the ends of a non-periodic
+        axis."""
+        out, stride = np.empty(self.shape, faces.dtype), self.n_phi if axis == 0 else 1
+        op(faces.ravel()[stride:], faces.ravel()[:-stride], out=out.ravel()[stride:faces.size])
+        o, f = (out, faces) if axis == 0 else (out.T, faces.T)
+        if axis == 1 and self.phi_periodic:  # the seam face closes the ring
+            o[0] = op(f[0], f[-1])
+        else:  # no face pair surrounds them (and the flat pass wrapped rows there)
+            o[0] = o[-1] = 0.0
+        return out
+
+    @cached_property
+    def open_faces(self):
+        """(theta faces, phi faces) laid out by on_faces: True where the
+        face is open, which it is when both its nodes are masked.  The seam
+        column is open only on a periodic grid."""
+        return tuple(self.on_faces(np.logical_and, self.mask_array, axis) for axis in (0, 1))
 
     @cached_property
     def open_sides(self):
-        """(4, n_theta, n_phi) bools: masked nodes without a masked neighbor
-        at +theta, -theta, +phi and -phi, in that order."""
-        m = self.mask_array
-        return np.array([m & ~self.shifted(m, axis, off)
-                         for axis in (0, 1) for off in (1, -1)])
+        """(4, n_theta, n_phi) bools: masked nodes whose face at +theta,
+        -theta, +phi and -phi, in that order, is closed."""
+        m, sides = self.mask_array, []
+        for axis in (0, 1):
+            after = self._faces_after(axis)
+            sides += [m & ~after, m & ~np.take(after, np.arange(-1, self.shape[axis] - 1), axis)]
+        return np.array(sides)
+
+    def _faces_after(self, axis):
+        """Node array of the open faces k + 1/2 after the nodes k along axis:
+        the seam face after the last phi column, a closed face after the
+        last theta row, so that cyclically the face before k is k - 1's."""
+        faces = self.open_faces[axis]
+        return faces if axis else np.concatenate([faces, np.zeros_like(faces[:1])])
 
     @cached_property
     def boundary_mask(self):
-        """Masked nodes on the patch edge or touching an unmasked node."""
-        return self.open_sides.any(0)
+        """Masked nodes with a closed face: on the patch edge or by an unmasked node."""
+        return self.mask_array & ~self.interior_mask
 
     @cached_property
     def interior_mask(self):
-        return self.mask_array & ~self.boundary_mask
+        """Nodes whose four faces are open."""
+        theta, phi = (self.at_nodes(np.logical_and, faces, axis)
+                      for axis, faces in enumerate(self.open_faces))
+        return theta & phi
 
     @cached_property
     def interior_labels(self):
@@ -176,23 +201,25 @@ class SphericalGrid:
         on a periodic grid): 1, 2, ... in flat order of each component's
         first node, 0 off the interior.
 
-        Every node lies on one theta-run and one phi-run of interior nodes.
-        Each round gives every theta-run the least number of the phi-runs
-        it crosses and then every phi-run the least of the theta-runs it
-        crosses, joining the two phi-runs that meet at a periodic seam, so
-        the rounds grow with the turns a path takes, not its length.
+        Every node lies on one theta-run and one phi-run of interior nodes
+        joined by open faces.  Each round gives every theta-run the least
+        number of the phi-runs it crosses and then every phi-run the least
+        of the theta-runs it crosses, joining the two phi-runs that an open
+        seam face joins, so the rounds grow with the turns a path takes,
+        not its length.
         """
         im = self.interior_mask
+        theta, phi = self.open_faces
 
-        def runs(a):  # each node's run along axis 1, and where the runs start
+        def runs(a, joined):  # each node's run along axis 1, and where the runs start
             starts = a.copy()
-            starts[:, 1:] &= ~a[:, :-1]
+            starts[:, 1:] &= ~(a[:, :-1] & joined)
             return (np.cumsum(starts) - 1).reshape(a.shape), np.flatnonzero(starts[a])
 
-        phi_run, phi_starts = runs(im)
-        theta_run, theta_starts = runs(im.T)
+        phi_run, phi_starts = runs(im, phi[:, :-1])
+        theta_run, theta_starts = runs(im.T, theta.T)
         across, along = theta_run.T[im], phi_run.T[im.T]
-        seam = im[:, 0] & im[:, -1] & self.phi_periodic
+        seam = im[:, 0] & im[:, -1] & phi[:, -1]
         ends = phi_run[seam][:, [0, -1]].T
         lab = np.arange(phi_starts.size)
         while lab.size:
@@ -209,42 +236,38 @@ class SphericalGrid:
     @cached_property
     def stencils(self):
         """Per-axis stencil tables of the masked nodes whose derivative
-        stencil is not central, chosen once from the runs of masked neighbors.
+        stencil is not central, chosen once from the runs of open faces.
 
         Entry `axis` (0 = theta, 1 = phi, wrapping when phi_periodic) is
-        (nodes, idx, w1): the flat indices of the masked nodes without two
-        masked neighbors along the axis, then (3, len(nodes)) arrays holding
-        the flat index of each node's three stencil points and their
-        first-derivative weights from STENCILS.  Every stencil point is a
-        masked node.  The other masked nodes are central, which
-        operators._derivative applies by slicing, so a table has O(perimeter)
-        rows.  Raises GridError naming the first masked node that has no
-        usable stencil.
+        (nodes, idx, w1): the flat indices of the masked nodes with a closed
+        face along the axis, then (3, len(nodes)) arrays holding the flat
+        index of each node's three stencil points and their
+        first-derivative weights from STENCILS.  A node's stencil is the
+        first of STENCILS whose points it reaches by runs of open faces, so
+        every stencil point is a masked node.  The other masked nodes are
+        central, which operators._derivative applies by slicing, so a table
+        has O(perimeter) rows.  Raises GridError naming the first masked
+        node that has no usable stencil.
         """
-        m = self.mask_array
         tables = []
-        for axis in (0, 1):
-            # consecutive masked neighbors after and before each node, up to 3
-            runs = np.zeros((2,) + self.shape, dtype=np.int8)
-            for run, sign in zip(runs, (1, -1)):
-                alive = m
-                for off in (1, 2, 3):
-                    alive = alive & self.shifted(m, axis, sign * off)
-                    run += alive
-            nodes = np.flatnonzero(m & ((runs[0] == 0) | (runs[1] == 0)))
-            after, before = (run.ravel()[nodes] for run in runs)
+        for axis, faces in enumerate(self.open_faces):
+            n, after = self.shape[axis], self._faces_after(axis).ravel()
+            nodes = np.flatnonzero(self.mask_array & ~self.at_nodes(np.logical_and, faces, axis))
+            k, stride = (nodes // self.n_phi, self.n_phi) if axis == 0 else (nodes % n, 1)
+            # flat index of the nodes -3, ..., 3 steps along axis, cyclically
+            ring = nodes + ((np.arange(-3, n + 3) % n)[k + np.arange(7)[:, None]] - k) * stride
+            # open faces in a row after and before each node, up to 3
+            runs = [np.logical_and.accumulate(after[ring[rows]]).sum(0)
+                    for rows in ([3, 4, 5], [2, 1, 0])]
             kind = np.full(nodes.size, -1)
             for s, (offs, _) in reversed(list(enumerate(STENCILS))):
-                kind[(after >= max(offs)) & (before >= -min(offs))] = s
+                kind[(runs[0] >= max(offs)) & (runs[1] >= -min(offs))] = s
             if np.any(kind < 0):
                 i, j = np.unravel_index(nodes[np.argmax(kind < 0)], self.shape)
                 raise GridError(f"mask too thin for a derivative stencil at node "
                                 f"({int(i)}, {int(j)})")
-            offsets, w1 = (np.array(col, dtype=np.int8)[kind].T.copy()
-                           for col in zip(*STENCILS))
-            i, j = np.divmod(nodes, self.n_phi)  # the modulo wraps a periodic seam
-            i, j = (i + offsets, j) if axis == 0 else (i, (j + offsets) % self.n_phi)
-            tables.append((nodes, i * self.n_phi + j, w1))
+            offsets, w1 = (np.array(col, dtype=np.int8)[kind].T.copy() for col in zip(*STENCILS))
+            tables.append((nodes, ring[offsets + 3, np.arange(nodes.size)], w1))
         return tuple(tables)
 
     def same_geometry(self, other: "SphericalGrid") -> bool:

@@ -40,51 +40,27 @@ from .gas import (
 from .grid import ScalarField, SphericalGrid, VectorField, require_same_grid
 
 
-def _faces(op, a, grid, axis):
-    """op(a[k + 1], a[k]) on the faces k + 1/2 along axis: n_theta - 1 rows of
-    theta faces, and phi faces as an (n_theta, n_phi) array whose last
-    column holds the seam face of a periodic grid, else zeros."""
-    if axis == 0:
-        return op(a[1:], a[:-1])
-    out = np.empty(a.shape)
-    op(a.ravel()[1:], a.ravel()[:-1], out=out.ravel()[:-1])  # flat: rows wrap
-    out[:, -1] = op(a[:, 0], a[:, -1]) if grid.phi_periodic else 0.0
-    return out
-
-
-def _at_nodes(op, faces, grid, axis):
-    """op(faces[k + 1/2], faces[k - 1/2]) at the nodes k along axis, for face
-    values laid out by _faces; zero at the ends of a non-periodic axis."""
-    out, stride = np.empty(grid.shape), grid.n_phi if axis == 0 else 1
-    op(faces.ravel()[stride:], faces.ravel()[:-stride], out=out.ravel()[stride:faces.size])
-    o, f = (out, faces) if axis == 0 else (out.T, faces.T)
-    if axis == 1 and grid.phi_periodic:  # the seam face closes the ring
-        o[0] = op(f[0], f[-1])
-    else:  # no face pair surrounds them (and the flat pass wrapped rows there)
-        o[0] = o[-1] = 0.0
-    return out
-
-
 def _face_mean(a, grid, axis):
     """Arithmetic mean of a node array on the faces k + 1/2 along axis."""
-    return 0.5 * _faces(np.add, a, grid, axis)
+    return 0.5 * grid.on_faces(np.add, a, axis)
 
 
 def _add_divergence(out, grid, axis, flux, combine=np.subtract):
-    """out += the divergence along axis of face fluxes laid out by _faces
-    (theta faces sin-weighted): combine(flux[k + 1/2], flux[k - 1/2]) /
-    (sin(theta) h), in place, nothing at the ends of a non-periodic axis;
-    exact at interior nodes only."""
-    div = _at_nodes(combine, flux, grid, axis)
+    """out += the divergence along axis of face fluxes laid out by
+    grid.on_faces (theta faces sin-weighted): combine(flux[k + 1/2],
+    flux[k - 1/2]) / (sin(theta) h), in place, nothing at the ends of a
+    non-periodic axis; exact at interior nodes only."""
+    div = grid.at_nodes(combine, flux, axis)
     div /= grid.sin_theta[:, None] * (grid.h_theta if axis == 0 else grid.h_phi)
     out += div
 
 
 def _face_weights(grid):
     """Flux weights w of the unit-density stencil, as columns: the face flux
-    of rho D v is w * rho_face * (v[k + 1] - v[k]) on the faces of _faces,
-    with w = sin(theta_face) / h_theta on theta faces (sin-weighted) and
-    1 / (sin(theta) h_phi) on phi faces.  Every flux operator reads them."""
+    of rho D v is w * rho_face * (v[k + 1] - v[k]) on the faces of
+    grid.on_faces, with w = sin(theta_face) / h_theta on theta faces
+    (sin-weighted) and 1 / (sin(theta) h_phi) on phi faces.  Every flux
+    operator reads them."""
     return grid.sin_theta_face / grid.h_theta, 1.0 / (grid.h_phi * grid.sin_theta[:, None])
 
 
@@ -95,7 +71,7 @@ def _derivative(vals, grid: SphericalGrid, axis):
     (grid.STENCILS) at patch edges and mask boundaries; zero off the mask."""
     vals = np.asarray(vals, dtype=float)
     div = 2.0 * (grid.h_theta if axis == 0 else grid.h_phi)
-    out = _at_nodes(np.add, _faces(np.subtract, vals, grid, axis), grid, axis)
+    out = grid.at_nodes(np.add, grid.on_faces(np.subtract, vals, axis), axis)
     out /= div
     nodes, idx, w1 = grid.stencils[axis]
     flat = vals.ravel()
@@ -156,7 +132,7 @@ def laplace_beltrami(grid: SphericalGrid, v):
     principal_preconditioner(grid) inverts."""
     out = np.zeros(grid.shape)
     for axis, w in enumerate(_face_weights(grid)):
-        _add_divergence(out, grid, axis, w * _faces(np.subtract, v, grid, axis))
+        _add_divergence(out, grid, axis, w * grid.on_faces(np.subtract, v, axis))
     return out
 
 
@@ -232,7 +208,7 @@ def flow_residual(gas: GasModel, f: ScalarField, *, state=None) -> ScalarField:
     out = 2.0 * rho * f.values
     for axis, w in enumerate(_face_weights(grid)):
         _add_divergence(out, grid, axis, w * _face_mean(rho, grid, axis)
-                        * _faces(np.subtract, f.values, grid, axis))
+                        * grid.on_faces(np.subtract, f.values, axis))
     return ScalarField(grid, np.where(grid.interior_mask, out, 0.0))
 
 
@@ -252,7 +228,7 @@ def residual_roundoff(f: ScalarField, rho):
     out = 2.0 * rho * a
     for axis, w in enumerate(_face_weights(grid)):
         _add_divergence(out, grid, axis, w * _face_mean(rho, grid, axis)
-                        * _faces(np.add, a, grid, axis), combine=np.add)
+                        * grid.on_faces(np.add, a, axis), combine=np.add)
     return np.finfo(float).eps * out
 
 
@@ -279,14 +255,14 @@ def flow_jacobian(gas: GasModel, f: ScalarField, *, state=None):
     for (rows, *_), c in zip(tables, coef):
         c.ravel()[rows] = 0.0
     # per axis, flux = a (v[k+1] - v[k]) + b (drho[k+1] + drho[k]) on the faces
-    faces = [(w * _face_mean(rho, grid, axis), 0.5 * w * _faces(np.subtract, vals, grid, axis))
+    faces = [(w * _face_mean(rho, grid, axis), 0.5 * w * grid.on_faces(np.subtract, vals, axis))
              for axis, w in enumerate(_face_weights(grid))]
 
     def apply(v):
-        steps = [_faces(np.subtract, v, grid, axis) for axis in (0, 1)]
+        steps = [grid.on_faces(np.subtract, v, axis) for axis in (0, 1)]
         drho = sz * v
         for axis, (c, step) in enumerate(zip(coef, steps)):  # central differences
-            central = _at_nodes(np.add, step, grid, axis)
+            central = grid.at_nodes(np.add, step, axis)
             central *= c
             drho += central
         flat = v.ravel()
@@ -295,7 +271,7 @@ def flow_jacobian(gas: GasModel, f: ScalarField, *, state=None):
         out += vals2 * drho
         for axis, ((a, b), flux) in enumerate(zip(faces, steps)):
             flux *= a
-            flux += b * _faces(np.add, drho, grid, axis)
+            flux += b * grid.on_faces(np.add, drho, axis)
             _add_divergence(out, grid, axis, flux)
         return out
 

@@ -4,8 +4,8 @@ every face flux takes its weights from one place, the interior's
 connectivity is computed only by the grid, the strong comparison checks
 read the weak comparison's report, only the solver builds the
 preconditioner, every linear solve goes through solver.interior_solve, the
-flux stencil makes no zero-padded copies, no module hands text to Python's
-own compiler, and the package imports no scipy."""
+grid's open faces are its one neighbour rule, no module hands text to
+Python's own compiler, and the package imports no scipy."""
 
 import ast
 import os
@@ -186,17 +186,15 @@ def test_linear_solve_has_one_caller():
     assert owner.lineno <= calls["solver.py"][0] <= owner.end_lineno
 
 
-def test_operators_make_no_padded_copies():
-    # the flux stencil works on face slices: a SphericalGrid.shifted copy
-    # per face average would bring back a zero-filled node array and the
-    # arithmetic on its padding
-    path = PACKAGE / "operators.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    found = [f"operators.py:{node.lineno} calls .shifted"
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "shifted"]
+def test_grid_has_one_neighbour_rule():
+    # every neighbour relation reads SphericalGrid.open_faces, and the flux
+    # stencil works on face slices; a rolled or padded node copy, or a
+    # per-node neighbour method, would be a second rule for a cut face to miss
+    found = [f"{path.name} calls {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _called_names(ast.parse(path.read_text())) if name in ("roll", "pad")]
     assert found == []
+    grid = _functions(PACKAGE / "grid.py")
+    assert "open_faces" in grid and not {"shifted", "neighbor"} & set(grid)
 
 
 def _python_compiler_uses(path):

@@ -331,7 +331,27 @@ def test_derivative_matches_per_node_stencils(kind, periodic, n_theta, n_phi, se
     # same bits as applying every node's stencil on its own, signed zeros
     # included
     rng = np.random.default_rng(seed)
-    g = _stencil_grid(kind, periodic, n_theta, n_phi, rng)
+    _assert_per_node_derivative(_stencil_grid(kind, periodic, n_theta, n_phi, rng), rng)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n_theta=st.integers(3, 10), n_phi=st.sampled_from([3, 4]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_derivative_matches_per_node_stencils_on_small_rings(n_theta, n_phi, seed):
+    # on a phi-periodic ring of 3 or 4 nodes a 3-step run wraps onto the
+    # node itself or onto its other neighbour
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((n_theta, n_phi), dtype=bool)
+    for j in np.flatnonzero(rng.random(n_phi) < 0.8):  # theta lines of 3 nodes or more
+        lo = rng.integers(0, n_theta - 2)
+        mask[lo:rng.integers(lo + 3, n_theta + 1), j] = True
+    mask[:, 0] |= ~mask.any()
+    g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi, n_theta, n_phi,
+                      mask=mask, phi_periodic=True)
+    _assert_per_node_derivative(g, rng)
+
+
+def _assert_per_node_derivative(g, rng):
     vals = np.where(rng.random(g.shape) < 0.3, rng.choice([0.0, -0.0], g.shape),
                     rng.normal(size=g.shape))
     try:
@@ -367,17 +387,17 @@ def test_neighbor_rule_matches_per_node_references(kind, periodic, n_theta,
     assert sf.straight_edge_nodes(g) == [
         (int(i), int(j)) for i, j in np.argwhere(bm)
         if len(outward_directions(g, i, j)) == 1]
-    vals = rng.normal(size=g.shape)
-    for axis in (0, 1):
-        n = g.shape[axis]
-        for off in [*range(-3, 4), n + 1, -n - 1]:
-            moved = g.shifted(vals, axis, off)
-            moved_mask = g.shifted(g.mask_array, axis, off)
-            for i, j in np.ndindex(g.shape):
-                k = stepped_node(g, i, j, *((off, 0) if axis == 0 else (0, off)))
-                assert g.neighbor(i, j, axis, off) == k
-                assert moved[i, j] == (0.0 if k is None else vals[k])
-                assert moved_mask[i, j] == (k is not None and g.mask_array[k])
+    # the face after node (i, j) along each axis is open exactly when both
+    # its nodes are masked; the phi faces' last column is the seam face,
+    # which joins two nodes only on a periodic grid
+    theta, phi = g.open_faces
+    assert theta.shape == (n_theta - 1, n_phi) and phi.shape == g.shape
+    for axis, faces in enumerate(g.open_faces):
+        for i, j in np.ndindex(faces.shape):
+            k = stepped_node(g, i, j, *((1, 0) if axis == 0 else (0, 1)))
+            if k is None:
+                assert axis == 1 and j == n_phi - 1 and not periodic
+            assert faces[i, j] == (k is not None and g.mask_array[i, j] and g.mask_array[k])
 
 
 def _split_mask(n, gap):

@@ -1,10 +1,14 @@
-"""tools/cli_outputs.py --compare: what counts as the same behaviour."""
+"""tools/cli_outputs.py: what --compare counts as the same behaviour, and
+the fixed masked set that takes the same-outputs rule to masks and seams."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+import sphereflow as sf
+from sphereflow import cli
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"
 _spec = importlib.util.spec_from_file_location("cli_outputs", TOOL)
@@ -54,3 +58,20 @@ def test_compare_needs_the_same_files(tmp_path, capsys):
     (b / "w" / "out" / "l2.pgm").write_bytes(b"P5")
     assert cli_outputs.main(["--compare", str(a), str(b)]) == 1
     assert "l2.pgm: only in" in capsys.readouterr().out
+
+
+def test_masked_set_reaches_masks_and_the_seam(tmp_path):
+    # every op of the set succeeds, and hopf reads straight-edge nodes of
+    # each mask, one of them beside the periodic seam
+    ops = cli_outputs.write_masked_set(tmp_path)
+    codes = {op_id: cli.run(tmp_path / op["scenario"], tmp_path / op["out"], quiet=True)
+             for op_id, op in ops.items()}
+    assert codes == dict.fromkeys(ops, 0)
+    for name, (block, mask, nodes) in cli_outputs._masked_grids().items():
+        grid = sf.SphericalGrid(**block, mask=mask)
+        assert set(map(tuple, nodes)) <= set(sf.straight_edge_nodes(grid))
+        report = json.loads((tmp_path / ops[f"{name}_hopf"]["out"] / "report.json").read_text())
+        assert [[h["i"], h["j"]] for h in report["hopf"]] == nodes
+        assert all(h["derivative"] > 0.0 for h in report["hopf"])
+    block, _, nodes = cli_outputs._masked_grids()["periodic_band"]
+    assert block["phi_periodic"] and any(j in (0, block["n_phi"] - 1) for _, j in nodes)

@@ -8,10 +8,17 @@ For each workload of perfbench/workloads.py, writes its inputs with
 `generate(workload, seed, OUT/<workload>)` and runs, in this process with
 `sphereflow.cli.run`, each `cli` op of its plan once, in plan order:
 the warm-ups, then every phase (an op repeated across phases runs once).
-Each op writes into its own `out` directory there, and its workload, id
-and exit code are printed one line each; the exit codes are also kept in
-OUT/<workload>/exit_codes.json.  `diff -r` of the OUT trees of two
-checkouts, made with the same seed, shows every output byte that differs.
+The benchmark's grids are unmasked and not periodic, so a fixed masked set
+follows under OUT/masked, the same for every seed, on two masks read from
+`grid.mask` files: a 25^2 patch with a hole and a cut corner, and a
+phi-periodic band with a hole.  On each it runs a `solve` of f+ and of a
+subsolution f- with f+'s boundary values, `classify` and `certify` of f+,
+and `compare` and `hopf` of the pair, `hopf` at straight-edge nodes that
+include one beside the periodic seam.  Each op writes into its own `out`
+directory there, and its workload, id and exit code are printed one line
+each; the exit codes are also kept in OUT/<workload>/exit_codes.json.
+`diff -r` of the OUT trees of two checkouts, made with the same seed,
+shows every output byte that differs.
 
 --compare A B tells a roundoff change from a change of behaviour.  Both
 trees must hold the same files.  In JSON files (reports, exit codes) the
@@ -31,9 +38,63 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 COORDINATES = ("theta", "phi", "i", "j")
 RTOL, ATOL, CSV_RTOL = 1e-12, 1e-13, 1e-14  # JSON floats; CSV numbers
+MASKED_GAS = {"gamma": 2.0, "rho0": 1.0, "bernoulli": 4.0}
+MASKED_BOUNDARY = "1.6 + 0.1*cos(theta)"
+MASKED_SOURCE = "0.05"  # f-'s, so that f- <= f+ with equal boundary values
+
+
+def _masked_grids():
+    """name: (grid block, mask, hopf nodes) of the fixed masked set."""
+    hole = np.ones((25, 25), dtype=bool)  # a hole and a cut corner
+    hole[8:14, 10:16] = False
+    hole[:3, :4] = False
+    band = np.zeros((21, 32), dtype=bool)  # a phi-periodic band with a hole
+    band[3:18] = True
+    band[9:12, 5:9] = False
+    # the README patch's theta range, where the solver converges from its
+    # harmonic start at MASKED_BOUNDARY
+    rows = {"theta_min": math.pi / 3, "theta_max": math.pi / 2, "phi_min": 0.0}
+    return {
+        "hole_corner": ({**rows, "phi_max": math.pi / 4, "n_theta": 25, "n_phi": 25},
+                        hole, [[7, 12], [11, 9], [0, 10], [3, 1]]),
+        "periodic_band": ({**rows, "phi_max": 2 * math.pi, "n_theta": 21, "n_phi": 32,
+                           "phi_periodic": True},
+                          band, [[3, 0], [17, 31], [8, 6], [10, 4]]),
+    }
+
+
+def write_masked_set(directory):
+    """Write the masked set under directory: per grid its `grid.mask` file
+    and one scenario per op.  Returns the ops by id, in run order."""
+    ops = {}
+    for name, (grid, mask, nodes) in _masked_grids().items():
+        (directory / name).mkdir(parents=True, exist_ok=True)
+        (directory / name / "grid.mask").write_text(
+            "".join(",".join(map(str, row)) + "\n" for row in mask.astype(int).tolist()))
+        fields = {role: {"file": f"../{role}/out/solution.csv"} for role in ("plus", "minus")}
+        pair = {"field_minus": fields["minus"], "field_plus": fields["plus"]}
+        commands = {
+            "plus": {"name": "solve", "boundary": MASKED_BOUNDARY},
+            "minus": {"name": "solve", "boundary": MASKED_BOUNDARY, "source": MASKED_SOURCE},
+            "classify": {"name": "classify", "field": fields["plus"]},
+            "certify": {"name": "certify", "field": fields["plus"]},
+            "compare": {"name": "compare", **pair},
+            "hopf": {"name": "hopf", **pair, "nodes": nodes},
+        }
+        for op, command in commands.items():
+            path = directory / name / op / "scenario.json"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps({"gas": MASKED_GAS,
+                                        "grid": {**grid, "mask": "../grid.mask"},
+                                        "command": command}, indent=1))
+            ops[f"{name}_{op}"] = {"scenario": f"{name}/{op}/scenario.json",
+                                   "out": f"{name}/{op}/out"}
+    return ops
 
 
 def run_ops(out, seed):
@@ -41,11 +102,14 @@ def run_ops(out, seed):
     from sphereflow import cli
     from workloads import WORKLOADS, generate
 
-    for workload in WORKLOADS:
+    for workload in (*WORKLOADS, "masked"):
         directory = out / workload
-        plan = generate(workload, seed, directory)
-        ops = {op["id"]: op for phase in [plan["warmup"], *plan["phases"]]
-               for op in phase if op.get("kind", "cli") == "cli"}
+        if workload == "masked":
+            ops = write_masked_set(directory)
+        else:
+            plan = generate(workload, seed, directory)
+            ops = {op["id"]: op for phase in [plan["warmup"], *plan["phases"]]
+                   for op in phase if op.get("kind", "cli") == "cli"}
         codes = {}
         for op_id, op in ops.items():
             codes[op_id] = cli.run(directory / op["scenario"], directory / op["out"],
