@@ -75,7 +75,6 @@ from .operators import (
 )
 from .solver import (
     BVProblem,
-    SolveOptions,
     SolveReport,
     interior_solve,
     linear_solve,

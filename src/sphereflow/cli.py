@@ -47,7 +47,7 @@ from .fieldio import (
 from .gas import GasModel
 from .grid import SphericalGrid
 from .operators import classify_field
-from .solver import BVProblem, SolveOptions, manufactured_problem, solve_dirichlet
+from .solver import BVProblem, manufactured_problem, solve_dirichlet
 
 
 def _require(block, key, where):
@@ -161,7 +161,7 @@ def _cmd_classify(gas, grid, args, out, classify, pgm: bool = False):
 def _cmd_solve(gas, grid, args, out, solve):
     problem = BVProblem(gas=gas, grid=grid, boundary=args["boundary"],
                         source=args["source"])
-    phi, report = solve_dirichlet(problem, SolveOptions(**solve))
+    phi, report = solve_dirichlet(problem, **solve)
     write_field_csv(out / "solution.csv", phi)
     write_json_report(out / "report.json", report.to_dict())
     passed = report.final_certificate.passed
@@ -247,7 +247,7 @@ _FIELD = {"field": None}
 _PAIR = {"field_minus": None, "field_plus": None}
 _COMMANDS = {
     "classify": (_cmd_classify, (classify_field,), _FIELD, ()),
-    "solve": (_cmd_solve, (SolveOptions,),
+    "solve": (_cmd_solve, (solve_dirichlet,),
               {"boundary": None, "source": "0"}, ()),
     "compare": (_cmd_compare,
                 (verify_weak_comparison, strong_comparison_check), _PAIR, ()),

@@ -38,6 +38,9 @@ class GasModel:
     c0_sq: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("gamma", "rho0", "bernoulli"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}", name)
         if self.gamma < -1.0:
             raise ConfigError(f"gamma must be >= -1, got {self.gamma}", "gamma")
         if self.rho0 <= 0.0:

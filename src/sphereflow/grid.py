@@ -64,6 +64,8 @@ class SphericalGrid:
                 f"grid too small: {self.n_theta} x {self.n_phi} (need >= 3 nodes "
                 "per direction)"
             )
+        if not np.isfinite(self.sin_floor):
+            raise GridError(f"sin_floor must be finite, got {self.sin_floor}")
         lo = min(np.sin(self.theta_min), np.sin(self.theta_max))
         if lo < self.sin_floor:
             raise GridError(

@@ -19,7 +19,9 @@ and stagnation tests and the reports use the sup norm.
 The iteration stops at newton_tol, or where a step stalls at the
 residual's roundoff floor; it raises on the Newton cap, on stagnation and
 when the line search stalls above that floor.  Each accepted step is one
-NewtonStep record of the SolveReport and one DEBUG line.
+NewtonStep record of the SolveReport and one DEBUG line.  newton_tol and
+max_newton are solve_dirichlet's only settings; the rest are the constants
+below.
 """
 
 import logging
@@ -78,31 +80,12 @@ KRYLOV_FLOOR = 1e-12
 # Basis vectors allocated at first, doubled as they fill: a freed full
 # basis would raise the C heap's trim threshold, and so resident memory.
 KRYLOV_ROWS = 8
-
-
-@dataclass
-class SolveOptions:
-    """Newton and inner-solve settings.
-
-    newton_tol bounds the interior residual's sup-norm.  lin_tol is the floor
-    of the forcing term (each inner solve's relative tolerance) and the
-    relative tolerance of the harmonic extension that starts Newton.
-    """
-
-    newton_tol: float = 1e-10
-    max_newton: int = 50
-    max_damping: int = 30
-    lin_tol: float = 1e-12
-    lin_max_iter: int = 5000
-    cert_eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.newton_tol < 1e-14:
-            raise ConfigError("newton_tol must be >= 1e-14", "newton_tol")
-        for name in ("newton_tol", "max_newton", "max_damping", "lin_tol",
-                     "lin_max_iter", "cert_eps"):
-            if not getattr(self, name) > 0:  # nan too
-                raise ConfigError(f"{name} must be positive", name)
+# Halvings the line search tries after the full step; the floor of the
+# forcing term, which is also the harmonic start's relative tolerance; and
+# the matvec cap of every inner solve.
+MAX_DAMPING = 30
+LIN_TOL = 1e-12
+LIN_MAX_ITER = 5000
 
 
 @dataclass
@@ -153,7 +136,8 @@ class SolveReport:
 
 @dataclass
 class BVProblem:
-    """Dirichlet problem: flow operator = source on the masked interior."""
+    """Dirichlet problem: flow operator = source on the masked interior, with
+    the datum finite on the boundary and the source on the interior."""
 
     gas: GasModel
     grid: SphericalGrid
@@ -167,6 +151,9 @@ class BVProblem:
         bm = self.grid.boundary_mask
         if not np.all(np.isfinite(self.boundary.values[bm])):
             raise GridError("boundary datum not finite on the boundary")
+        bad = np.argwhere(self.grid.interior_mask & ~np.isfinite(self.source.values))
+        if bad.size:
+            raise GridError(f"source not finite at interior node {tuple(bad[0].tolist())}")
         if self.grid.interior_labels.max() > 1:
             warnings.warn("interior of the mask is disconnected",
                           stacklevel=2)
@@ -265,17 +252,17 @@ def interior_solve(grid: SphericalGrid, apply_full, rhs, tol, max_iter,
                         precondition or principal_preconditioner(grid))
 
 
-def _harmonic_extension(grid, boundary_vals, opts, precondition):
+def _harmonic_extension(grid, boundary_vals, precondition):
     """Laplace-Beltrami solution on the interior nodes, datum elsewhere (a
     failed inner solve's best iterate, as for a Newton step)."""
     apply_full, im = partial(laplace_beltrami, grid), grid.interior_mask
     out = np.where(im, 0.0, boundary_vals)
-    out[im] = interior_solve(grid, apply_full, -apply_full(out)[im], opts.lin_tol,
-                             opts.lin_max_iter, precondition)[0]
+    out[im] = interior_solve(grid, apply_full, -apply_full(out)[im], LIN_TOL,
+                             LIN_MAX_ITER, precondition)[0]
     return out
 
 
-def _line_search(phi, delta, idx, r, interior_residual, max_damping, floor, eta):
+def _line_search(phi, delta, idx, r, interior_residual, floor, eta):
     """First of lambda = 1, 1/2, ... whose iterate is admissible and meets
     ||r(phi + lambda delta)||_2 <= (1 - DECREASE (1 - eta) lambda) ||r||_2,
     with r the interior residual at phi: (iterate, its (residual, state),
@@ -283,7 +270,7 @@ def _line_search(phi, delta, idx, r, interior_residual, max_damping, floor, eta)
     VacuumEncounteredError when no trial iterate is admissible."""
     res, norm = float(np.max(np.abs(r))), float(np.linalg.norm(r))
     evaluated = None
-    for k in range(max_damping + 1):
+    for k in range(MAX_DAMPING + 1):
         lam = 0.5 ** k
         vals = phi.values.ravel().copy()
         vals[idx] += lam * delta
@@ -301,7 +288,7 @@ def _line_search(phi, delta, idx, r, interior_residual, max_damping, floor, eta)
     return None
 
 
-def _forcing(history, forcing, opts):
+def _forcing(history, forcing, newton_tol):
     """Eisenstat-Walker choice 2 forcing term of the next inner solve.
 
     The ratio is taken of the sup-norm Newton residuals in history and is
@@ -317,20 +304,28 @@ def _forcing(history, forcing, opts):
         safeguard = FORCING_GAMMA * forcing[-1] ** FORCING_ALPHA
         if safeguard > 0.1:
             eta = max(eta, safeguard)
-    return max(min(eta, FORCING_MAX), 0.5 * opts.newton_tol / res, opts.lin_tol)
+    return max(min(eta, FORCING_MAX), 0.5 * newton_tol / res, LIN_TOL)
 
 
-def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
+def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
+                    max_newton: int = 50):
     """Solve the Dirichlet problem; returns (field, SolveReport).
 
-    The initial guess is the harmonic (Laplace-Beltrami) extension of the
-    boundary datum.  Boundary nodes carry the datum bit-exactly.  The
-    returned report embeds an ellipticity certificate of the solution.
+    newton_tol (>= 1e-14) bounds the interior residual's sup norm and
+    max_newton caps the Newton steps; a bad value of either raises
+    ConfigError, naming it, before any work.  The initial guess is the
+    harmonic (Laplace-Beltrami) extension of the boundary datum.  Boundary
+    nodes carry the datum bit-exactly.  The returned report embeds an
+    ellipticity certificate of the solution, at certify_uniform_ellipticity's
+    default eps.
     Raises NonConvergenceError, carrying the last iterate and the report,
     on the Newton cap, on stagnation (naming the node of max |residual|)
     and when the line search stalls above the residual's roundoff floor.
     """
-    opts = opts or SolveOptions()
+    if not newton_tol >= 1e-14:  # nan too
+        raise ConfigError("newton_tol must be >= 1e-14", "newton_tol")
+    if not max_newton > 0:
+        raise ConfigError("max_newton must be positive", "max_newton")
     gas, grid = problem.gas, problem.grid
     idx = np.flatnonzero(grid.interior_mask.ravel())
     if idx.size == 0:
@@ -339,7 +334,7 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
 
     precondition = principal_preconditioner(grid)
     phi = ScalarField(grid, _harmonic_extension(grid, problem.boundary.values,
-                                                opts, precondition))
+                                                precondition))
 
     def interior_residual(f):  # with f's flow state, its one field_density
         state = field_density(gas, f)
@@ -356,9 +351,9 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
             node=err.node) from err
     res = float(np.max(np.abs(r)))
     report = SolveReport(False, res)
-    while res > opts.newton_tol:
-        if report.iterations >= opts.max_newton:
-            raise NonConvergenceError(f"Newton cap {opts.max_newton} reached, residual "
+    while res > newton_tol:
+        if report.iterations >= max_newton:
+            raise NonConvergenceError(f"Newton cap {max_newton} reached, residual "
                                       f"{res:.3e}", field=phi, report=report)
         if (report.iterations >= STAGNATION_STEPS
                 and res > STALL_RATIO * report.residual_history[-1 - STAGNATION_STEPS]):
@@ -366,14 +361,14 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
             raise NonConvergenceError(f"Newton stagnated: {STAGNATION_STEPS} steps cut "
                                       f"the residual only to {res:.3e}, max at node "
                                       f"({i}, {j})", field=phi, report=report)
-        eta = _forcing(report.residual_history, [s.forcing for s in report.steps], opts)
+        eta = _forcing(report.residual_history, [s.forcing for s in report.steps],
+                       newton_tol)
         delta, matvecs, outcome = interior_solve(  # J delta = -r, J at phi
-            grid, flow_jacobian(gas, phi, state=state), -r, eta,
-            opts.lin_max_iter, precondition)
+            grid, flow_jacobian(gas, phi, state=state), -r, eta, LIN_MAX_ITER,
+            precondition)
 
         floor = cache(partial(roundoff_floor, phi, state))
-        step = _line_search(phi, delta, idx, r, interior_residual,
-                            opts.max_damping, floor, eta)
+        step = _line_search(phi, delta, idx, r, interior_residual, floor, eta)
         if step is None:
             if res > floor():
                 raise NonConvergenceError(f"line search stalled at residual {res:.3e}, above "
@@ -385,14 +380,13 @@ def solve_dirichlet(problem: BVProblem, opts: SolveOptions | None = None):
         report.steps.append(NewtonStep(res, eta, matvecs, outcome, lam))
         log.debug("newton step %d: residual %.3e, lambda %g, eta %.2e, inner solve %s, "
                   "%d inner matvecs", report.iterations, res, lam, eta, outcome, matvecs)
-        if (res > max(opts.newton_tol, STALL_RATIO * previous)
+        if (res > max(newton_tol, STALL_RATIO * previous)
                 and res <= roundoff_floor(phi, state)):
             report.stop_reason = "roundoff_floor"
             break
 
     report.converged, report.stop_reason = True, report.stop_reason or "newton_tol"
-    report.final_certificate = certify_uniform_ellipticity(gas, phi, opts.cert_eps,
-                                                           state=state)
+    report.final_certificate = certify_uniform_ellipticity(gas, phi, state=state)
     return phi, report
 
 

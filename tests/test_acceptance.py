@@ -23,7 +23,6 @@ from sphereflow import (
     FlowState,
     GasModel,
     ScalarField,
-    SolveOptions,
     SphericalGrid,
 )
 
@@ -174,7 +173,7 @@ def test_criterion_6_manufactured_solution():
     exact33 = ScalarField.from_function(build,
                                         lambda th, ph: 2 + 0.1 * np.cos(th))
     prob = sf.manufactured_problem(gas, build, exact33)
-    phi, rep = sf.solve_dirichlet(prob, SolveOptions(newton_tol=1e-12))
+    phi, rep = sf.solve_dirichlet(prob, newton_tol=1e-12)
     discrete_err = np.abs(phi.values - exact33.values).max()
     iters = [rep.iterations]
 

@@ -323,6 +323,22 @@ def test_vacuum_solve_exits_one(tmp_path, capsys):
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1
 
 
+def test_nan_source_node_exits_one(tmp_path, capsys):
+    # a nan residual is not above newton_tol, so this solve once "converged"
+    # in 0 Newton iterations
+    g = SphericalGrid(*SMALL_PATCH, 17, 17)
+    source = np.zeros(g.shape)
+    source[8, 8] = np.nan
+    write_field_csv(tmp_path / "source.csv", ScalarField(g, source))
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(17), command={
+        "name": "solve", "boundary": "1.6 + 0.1*cos(theta)",
+        "source": {"file": "source.csv"}})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    assert capsys.readouterr().err == \
+        "error: source not finite at interior node (8, 8)\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
 _BASE = "1.6 + 0.1*cos(theta)"
 _BELOW = _BASE + " - 0.01*sin(6*(theta - pi/3))*sin(4*phi)"  # touches on the edges
 DETERMINISTIC_COMMANDS = {
@@ -381,8 +397,7 @@ SCENARIO_KEYS = {
     "GasModel": {"gamma", "rho0", "bernoulli"},
     "SphericalGrid": {"theta_min", "theta_max", "phi_min", "phi_max",
                       "n_theta", "n_phi", "phi_periodic", "sin_floor"},
-    "SolveOptions": {"newton_tol", "max_newton", "max_damping", "lin_tol",
-                     "lin_max_iter", "cert_eps"},
+    "solve_dirichlet": {"newton_tol", "max_newton"},
     "classify_field": {"eps_type"},
     "certify_uniform_ellipticity": {"eps"},
     "verify_weak_comparison": {"tol_sub", "tol_order", "beta", "n_quad"},
@@ -418,8 +433,7 @@ def test_every_key_reaches_its_library_call(tmp_path, monkeypatch):
     grid = {"theta_min": 1.0, "theta_max": 2.0, "phi_min": 0.0,
             "phi_max": 2 * np.pi, "n_theta": 9, "n_phi": 12,
             "phi_periodic": True, "sin_floor": 1e-4}
-    solve = {"newton_tol": 1e-9, "max_newton": 30, "max_damping": 20,
-             "lin_tol": 1e-11, "lin_max_iter": 4000, "cert_eps": 1e-7}
+    solve = {"newton_tol": 1e-9, "max_newton": 30}
     verify = {"tol_sub": 1e-8, "tol_order": 1e-7, "beta": 0.75, "n_quad": 6}
     pair = {"field_minus": {"file": str(tmp_path / "touch" / "solution.csv")},
             "field_plus": {"file": str(tmp_path / "plus" / "solution.csv")}}
@@ -432,7 +446,7 @@ def test_every_key_reaches_its_library_call(tmp_path, monkeypatch):
          {"certify_uniform_ellipticity": {"eps": 1e-3}}),
         (run("plus", {"name": "solve", "boundary": "1.6 + 0.1*cos(theta)",
                       **solve}),
-         {"SolveOptions": solve}),
+         {"solve_dirichlet": solve}),
         (run("touch", {"name": "solve", "source": "0.05",
                        "boundary": "1.6 + 0.1*cos(theta)"}), {}),
         (run("compare", {"name": "compare", **pair, **verify,
@@ -643,11 +657,11 @@ def test_integral_numbers_and_zero_one_are_accepted():
     assert read["n_theta"] == 9 and type(read["n_theta"]) is int
     assert read["phi_periodic"] is False
     assert type(read["theta_min"]) is float
-    assert cli._options(cli.SolveOptions, {"max_newton": 7})["max_newton"] == 7
+    assert cli._options(cli.solve_dirichlet, {"max_newton": 7})["max_newton"] == 7
 
 
 # A valid command block per command, and a key that only another command
-# reads.
+# reads.  solve also refuses the solver settings that are module constants.
 COMMAND_BLOCKS = {
     "solve": ({"boundary": "1.6 + 0.1*cos(theta)"}, "eps"),
     "classify": ({"field": "1.6"}, "field_minus"),
@@ -658,12 +672,20 @@ COMMAND_BLOCKS = {
 }
 
 
-@pytest.mark.parametrize("name", COMMAND_BLOCKS)
-def test_a_key_of_another_command_is_refused(tmp_path, capsys, name,
+SOLVER_CONSTANTS = {"max_damping": 20, "lin_tol": 1e-11, "lin_max_iter": 4000,
+                    "cert_eps": 1e-7}
+
+
+@pytest.mark.parametrize("name, key", [
+    *(pytest.param(name, key, id=name)
+      for name, (_, key) in COMMAND_BLOCKS.items()),
+    *(pytest.param("solve", key, id=f"solve-{key}") for key in SOLVER_CONSTANTS),
+])
+def test_a_key_of_another_command_is_refused(tmp_path, capsys, name, key,
                                              monkeypatch):
-    block, key = COMMAND_BLOCKS[name]
-    value = {"eps": -5.0, "nodes": [[0, 4]], "gap_tol": -1.0,
-             "pgm": True}.get(key, "1.6")
+    block = COMMAND_BLOCKS[name][0]
+    value = {"eps": -5.0, "nodes": [[0, 4]], "gap_tol": -1.0, "pgm": True,
+             **SOLVER_CONSTANTS}.get(key, "1.6")
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
                         command={"name": name, **block, key: value})
     # refused before any field is read
@@ -744,7 +766,7 @@ def test_nan_eps_type_is_refused(tmp_path, capsys):
     ("grid", "theta_max", float("inf")),
     ("grid", "sin_floor", float("nan")),
     ("command", "newton_tol", float("nan")),
-    ("command", "cert_eps", float("-inf")),
+    ("command", "newton_tol", float("-inf")),
 ])
 def test_non_finite_numbers_are_refused(tmp_path, capsys, block, key, value):
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={

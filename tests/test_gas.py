@@ -20,6 +20,24 @@ def test_model_invariants():
         GasModel(2.0, rho0=0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, args, kwargs, key", [
+    (GasModel, (NAN,), {}, "gamma"),  # with rho0 = 1, 1.0 ** nan == 1.0
+    (GasModel, (NAN, 2.0), {}, "gamma"),
+    (GasModel, (INF,), {}, "gamma"),
+    (GasModel, (1.0, NAN), {}, "rho0"),  # the isothermal c0_sq is 1.0
+    (GasModel, (2.0, 1.0, NAN), {}, "bernoulli"),
+    (GasModel, (2.0, 1.0, INF), {}, "bernoulli"),
+    (sf.SphericalGrid, (1e-6, 1.0, 0.0, 1.0, 9, 9), {"sin_floor": NAN}, "sin_floor"),
+])
+def test_non_finite_parameters_are_refused(make, args, kwargs, key):
+    with pytest.raises((sf.ConfigError, sf.GridError), match=f"^{key} must be finite") as err:
+        make(*args, **kwargs)
+    assert getattr(err.value, "key", key) == key
+
+
 def test_sound_speed_examples():
     gas = GasModel(2.0, 1.0, 4.0)
     assert sf.sound_speed_sq(gas, FlowState(0.0, 0.0, 0.0)) == pytest.approx(3.0, abs=1e-15)

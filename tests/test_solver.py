@@ -11,7 +11,6 @@ from sphereflow import (
     BVProblem,
     GasModel,
     ScalarField,
-    SolveOptions,
     SphericalGrid,
     linear_solve,
 )
@@ -136,14 +135,17 @@ def test_linear_solve_applies_op_at_most_max_iter_times(max_iter):
     assert max_iter - 1 <= len(calls) == matvecs <= max_iter
 
 
-def test_solve_options_validation():
+def test_solve_options_validation(gas_b4, wide_grid_33):
+    prob = BVProblem(gas=gas_b4, grid=wide_grid_33,
+                     boundary=ScalarField.constant(wide_grid_33, 2.0),
+                     source=ScalarField.constant(wide_grid_33, 4.0))
     with pytest.raises(ValueError):
-        SolveOptions(newton_tol=1e-15)
+        sf.solve_dirichlet(prob, newton_tol=1e-15)
     with pytest.raises(ValueError):
-        SolveOptions(max_newton=0)
+        sf.solve_dirichlet(prob, max_newton=0)
     with pytest.raises(sf.ConfigError) as err:
-        SolveOptions(cert_eps=float("nan"))
-    assert err.value.key == "cert_eps"
+        sf.solve_dirichlet(prob, newton_tol=float("nan"))
+    assert err.value.key == "newton_tol"
 
 
 def test_constant_solve(gas_b4, wide_grid_33):
@@ -174,22 +176,22 @@ def test_manufactured_smooth_discrete_exactness(gas_b4, wide_grid_33):
     exact = ScalarField.from_function(wide_grid_33,
                                       lambda th, ph: 2 + 0.1 * np.cos(th))
     prob = sf.manufactured_problem(gas_b4, wide_grid_33, exact)
-    phi, rep = sf.solve_dirichlet(prob, SolveOptions(newton_tol=1e-12))
+    phi, rep = sf.solve_dirichlet(prob, newton_tol=1e-12)
     assert rep.converged
     assert np.abs(phi.values - exact.values).max() <= 1e-10
 
 
 def test_manufactured_random_fields_recovered(gas_b4, wide_grid_33):
     rng = np.random.default_rng(4)
-    opts = SolveOptions(newton_tol=1e-11)
+    newton_tol = 1e-11
     for _ in range(3):
         a1, a2 = rng.uniform(-0.05, 0.05, size=2)
         exact = ScalarField.from_function(
             wide_grid_33,
             lambda th, ph: 2 + a1 * np.cos(th) + a2 * np.sin(th) * np.sin(ph))
         prob = sf.manufactured_problem(gas_b4, wide_grid_33, exact)
-        phi, rep = sf.solve_dirichlet(prob, opts)
-        assert np.abs(phi.values - exact.values).max() <= 100 * opts.newton_tol
+        phi, rep = sf.solve_dirichlet(prob, newton_tol=newton_tol)
+        assert np.abs(phi.values - exact.values).max() <= 100 * newton_tol
 
 
 def test_manufactured_rejects_supersonic(gas_b4):
@@ -214,12 +216,16 @@ def test_problem_fields_must_live_on_the_grid(gas_b4, wide_grid_33):
         sf.manufactured_problem(gas_b4, wide_grid_33, other)
 
 
-def test_nan_boundary_datum_is_refused(gas_b4, wide_grid_33):
-    bnd = ScalarField.constant(wide_grid_33, 1.6)
-    bnd.values[0, 3] = np.nan
-    with pytest.raises(sf.GridError, match="not finite on the boundary"):
-        BVProblem(gas=gas_b4, grid=wide_grid_33, boundary=bnd,
-                  source=ScalarField.constant(wide_grid_33, 0.0))
+@pytest.mark.parametrize("which, node, match", [
+    ("boundary", (0, 3), "not finite on the boundary"),
+    ("source", (8, 8), r"source not finite at interior node \(8, 8\)"),
+], ids=["boundary", "source"])
+def test_nan_boundary_datum_is_refused(gas_b4, wide_grid_33, which, node, match):
+    fields = {"boundary": ScalarField.constant(wide_grid_33, 1.6),
+              "source": ScalarField.constant(wide_grid_33, 0.0)}
+    fields[which].values[node] = np.nan
+    with pytest.raises(sf.GridError, match=match):
+        BVProblem(gas=gas_b4, grid=wide_grid_33, **fields)
 
 
 def test_mask_without_interior_nodes_is_refused(gas_b4):
@@ -249,7 +255,7 @@ def test_nonconvergence_payload(gas_b4):
                      boundary=ScalarField.constant(g, 2.0),
                      source=ScalarField.constant(g, 0.0))
     with pytest.raises((sf.NonConvergenceError, sf.VacuumEncounteredError)) as err:
-        sf.solve_dirichlet(prob, SolveOptions(max_newton=12))
+        sf.solve_dirichlet(prob, max_newton=12)
     if isinstance(err.value, sf.NonConvergenceError):
         assert err.value.field is not None
         assert err.value.report is not None
@@ -262,7 +268,7 @@ def test_newton_cap_attaches_field_and_report(gas_b4):
     prob = BVProblem(gas=gas_b4, grid=g, boundary=bnd,
                      source=ScalarField.constant(g, 0.0))
     with pytest.raises(sf.NonConvergenceError) as err:
-        sf.solve_dirichlet(prob, SolveOptions(max_newton=1))
+        sf.solve_dirichlet(prob, max_newton=1)
     report = err.value.report
     assert not report.converged and report.iterations == 1
     _assert_views_follow_the_steps(report)
@@ -494,7 +500,7 @@ def test_stagnation_names_the_worst_node(gas_b4):
     assert str(err.value).endswith(f"max at node ({i}, {j})")
     # the attached field is the last accepted iterate: every accepted step
     # lowered ||r||_2 below the harmonic start's, though not its sup norm
-    start = sf.solver._harmonic_extension(g, bnd.values, SolveOptions(),
+    start = sf.solver._harmonic_extension(g, bnd.values,
                                           sf.operators.principal_preconditioner(g))
 
     def interior_norm(values):
@@ -630,7 +636,7 @@ def test_reused_preconditioner_keeps_the_inner_total(gas_b4, n, empty_rows):
 def test_roundoff_floor_stop_takes_one_residual(gas_b4, monkeypatch):
     # newton_tol = 1e-14 lies below the floor at 33^2: the full step that
     # fails to lower the residual there ends the line search at once,
-    # instead of max_damping more halvings
+    # instead of MAX_DAMPING more halvings
     evals = []
     search = sf.solver._line_search
 
@@ -644,19 +650,18 @@ def test_roundoff_floor_stop_takes_one_residual(gas_b4, monkeypatch):
         return search(phi, delta, idx, res, residual, *rest)
 
     monkeypatch.setattr(sf.solver, "_line_search", counted)
-    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33),
-                                SolveOptions(newton_tol=1e-14))
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33), newton_tol=1e-14)
     assert rep.converged and rep.stop_reason == "roundoff_floor"
     assert rep.residual_history[-1] > 1e-14
     assert evals[-1] <= 2
 
 
-def test_failed_inner_solve_is_recorded(gas_b4, caplog):
-    # a lin_max_iter too small for the forcing term: Newton goes on with
+def test_failed_inner_solve_is_recorded(gas_b4, caplog, monkeypatch):
+    # a LIN_MAX_ITER too small for the forcing term: Newton goes on with
     # the best iterate, and the report and DEBUG lines say which steps did
-    opts = SolveOptions(lin_max_iter=2)
+    monkeypatch.setattr(sf.solver, "LIN_MAX_ITER", 2)
     with caplog.at_level(logging.DEBUG, logger="sphereflow"):
-        _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 17), opts)
+        _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 17))
     assert rep.converged
     outcomes = [s.inner_outcome for s in rep.steps]
     assert "max_iter" in outcomes
@@ -669,8 +674,8 @@ def test_failed_inner_solve_is_recorded(gas_b4, caplog):
                for outcome, msg in zip(outcomes, steps))
 
 
-def test_harmonic_extension_goes_on_from_its_best_iterate(gas_b4):
-    # a lin_max_iter too small for the initial guess: the extension keeps its
+def test_harmonic_extension_goes_on_from_its_best_iterate(gas_b4, monkeypatch):
+    # a LIN_MAX_ITER too small for the initial guess: the extension keeps its
     # best iterate, as a Newton step does, and the solve then names the node
     # where that guess is inadmissible
     mask = np.ones((33, 33), dtype=bool)
@@ -679,8 +684,9 @@ def test_harmonic_extension_goes_on_from_its_best_iterate(gas_b4):
     bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
     prob = BVProblem(gas=gas_b4, grid=g, boundary=bnd,
                      source=ScalarField.constant(g, 0.0))
+    monkeypatch.setattr(sf.solver, "LIN_MAX_ITER", 2)
     with pytest.raises(sf.VacuumEncounteredError) as err:
-        sf.solve_dirichlet(prob, SolveOptions(lin_max_iter=2))
+        sf.solve_dirichlet(prob)
     assert err.value.node == (0, 9)
     assert str(err.value).endswith("at node (0, 9)")
 
@@ -805,7 +811,7 @@ def test_inner_solves_meet_their_target_without_a_check(gas_b4, monkeypatch, cas
     assert max(ratios) <= 1.0 + 1e-9
 
 
-def test_line_search_exits_name_their_cause(gas_b4):
+def test_line_search_exits_name_their_cause(gas_b4, monkeypatch):
     # the 65^2 corner-notched problem that stagnates with the default
     # damping: one halving finds no admissible iterate, and three find
     # admissible ones, none of which lowers the residual
@@ -817,24 +823,26 @@ def test_line_search_exits_name_their_cause(gas_b4):
         g, lambda th, ph: 1.6 + 0.1 * np.cos(th) + 0.02 * np.sin(th) * np.sin(ph))
     prob = BVProblem(gas=gas_b4, grid=g, boundary=bnd,
                      source=ScalarField.constant(g, 0.0))
+    monkeypatch.setattr(sf.solver, "MAX_DAMPING", 1)
     with pytest.raises(sf.VacuumEncounteredError, match="damping exhausted"):
-        sf.solve_dirichlet(prob, SolveOptions(max_damping=1))
+        sf.solve_dirichlet(prob)
+    monkeypatch.setattr(sf.solver, "MAX_DAMPING", 3)
     with pytest.raises(sf.NonConvergenceError,
                        match="line search stalled at .* above its roundoff floor") as err:
-        sf.solve_dirichlet(prob, SolveOptions(max_damping=3))
+        sf.solve_dirichlet(prob)
     report = err.value.report
     assert not report.converged and report.iterations == 2
     _assert_views_follow_the_steps(report)
 
 
-def test_forcing_safeguard_keeps_a_loose_term_loose(gas_b4):
+def test_forcing_safeguard_keeps_a_loose_term_loose(gas_b4, monkeypatch):
     # Kelley's safeguard: after a forcing term above 1/3, the next may not
     # drop below FORCING_MAX however much the residual fell
-    opts = SolveOptions()
-    assert sf.solver._forcing([1.0, 1e-3], [0.5], opts) == sf.solver.FORCING_MAX
-    assert sf.solver._forcing([1.0, 1e-3], [0.3], opts) == pytest.approx(9e-7)
-    # lin_tol = 0.5 floors every term there, so each step after the first
+    assert sf.solver._forcing([1.0, 1e-3], [0.5], 1e-10) == sf.solver.FORCING_MAX
+    assert sf.solver._forcing([1.0, 1e-3], [0.3], 1e-10) == pytest.approx(9e-7)
+    # LIN_TOL = 0.5 floors every term there, so each step after the first
     # reaches the safeguard; Newton still converges, on one matvec a step
-    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 17), SolveOptions(lin_tol=0.5))
+    monkeypatch.setattr(sf.solver, "LIN_TOL", 0.5)
+    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 17))
     assert rep.converged and rep.iterations > 1
     assert all(s.forcing == 0.5 for s in rep.steps)
