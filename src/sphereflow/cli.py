@@ -44,7 +44,7 @@ from .fieldio import (
     write_pgm,
     write_type_map_csv,
 )
-from .gas import GasModel
+from .gas import EPS_TYPE, GasModel
 from .grid import SphericalGrid
 from .operators import classify_field
 from .solver import BVProblem, manufactured_problem, solve_dirichlet
@@ -143,8 +143,8 @@ def _field_from_spec(spec, grid, base_dir: Path, where: str):
                       f"{{\"file\": <path>}}", key=where)
 
 
-def _cmd_classify(gas, grid, args, out, classify, pgm: bool = False):
-    tm = classify_field(gas, args["field"], **classify)
+def _cmd_classify(gas, grid, args, out, pgm: bool = False):
+    tm = classify_field(gas, args["field"])
     write_type_map_csv(out / "type_map.csv", grid, tm.letters())
     write_l2_csv(out / "l2.csv", grid, tm.l2)
     if pgm:
@@ -152,7 +152,7 @@ def _cmd_classify(gas, grid, args, out, classify, pgm: bool = False):
     counts = tm.counts()
     write_json_report(out / "report.json", {
         "command": "classify",
-        "eps_type": classify["eps_type"],
+        "eps_type": EPS_TYPE,
         "counts": counts,
     })
     return 0, f"classified {grid.n_theta * grid.n_phi} nodes: {counts}"
@@ -246,7 +246,7 @@ def _cmd_manufacture(gas, grid, args, out):
 _FIELD = {"field": None}
 _PAIR = {"field_minus": None, "field_plus": None}
 _COMMANDS = {
-    "classify": (_cmd_classify, (classify_field,), _FIELD, ()),
+    "classify": (_cmd_classify, (), _FIELD, ()),
     "solve": (_cmd_solve, (solve_dirichlet,),
               {"boundary": None, "source": "0"}, ()),
     "compare": (_cmd_compare,

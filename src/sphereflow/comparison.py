@@ -51,9 +51,9 @@ def _mean_values(gas, quadrature, mask, seg, where=None):
     then in flat node order, by c^2 or the isothermal cap: no density."""
     ts, ws = quadrature
     t = ts[:, None, None]
-    _, c2, ok = bernoulli_density(gas, (seg[8] * t + seg[7]) * t + seg[6], False)
+    _, _, ok = bernoulli_density(gas, head := (seg[8] * t + seg[7]) * t + seg[6], False)
     k = int(np.argmax((mask & ~ok).any(axis=(1, 2))))
-    require_admissible(gas, c2[k], ok[k], mask, float(ts[k]))
+    require_admissible(gas, head[k], ok[k], mask, float(ts[k]))
     if where is not None:
         if not where.any():
             return None
@@ -220,8 +220,7 @@ def _extreme(arr, region, minimize):
 
 def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
                            f_plus: ScalarField, tol_sub: float = 1e-9,
-                           tol_order: float = 1e-8, beta: float = 0.5,
-                           n_quad: int = 8) -> ComparisonReport:
+                           tol_order: float = 1e-8) -> ComparisonReport:
     """Check every hypothesis and the interior ordering for a field pair.
 
     Hypotheses (gating): residual signs of the sub/supersolution at
@@ -230,8 +229,8 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     plain (f+, f+) one and the mixed one using the subsolution value in
     the sound speed), and z >= c for both fields.  The weak-form
     nonnegativity is recorded alongside but does not gate applicability,
-    being a consequence rather than a premise.  tol_sub or tol_order < 0
-    or nan raises ConfigError.
+    being a consequence rather than a premise (weak_form_field at beta = 1/2
+    and 8 Gauss points).  tol_sub or tol_order < 0 or nan raises ConfigError.
     """
     for key, tol in (("tol_sub", tol_sub), ("tol_order", tol_order)):
         if not tol >= 0.0:
@@ -283,7 +282,7 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
         hyp[f"z_above_sound_{tag}"] = HypothesisResult(
             v >= -Z_GE_C_SLACK, node, v)
 
-    F = weak_form_field(gas, f_minus, f_plus, beta, n_quad, ((q1m, q2m), (q1p, q2p)))
+    F = weak_form_field(gas, f_minus, f_plus, gradients=((q1m, q2m), (q1p, q2p)))
     v, node = _extreme(F, m, minimize=True)
     hyp["weak_form_nonnegative"] = HypothesisResult(v >= -WEAK_FORM_TOL, node, v)
 

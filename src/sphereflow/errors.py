@@ -25,7 +25,7 @@ class VacuumError(InadmissibleStateError):
 
 
 class GasOverflowError(InadmissibleStateError):
-    """Isothermal density exponent exceeds the double-precision guard."""
+    """Density is not a finite double: isothermal exponent past its guard, or overflow."""
 
 
 class NotEllipticError(SphereflowError):

@@ -20,7 +20,7 @@ from .errors import ConfigError, GasOverflowError, VacuumError
 # double-precision range.
 EXP_CAP = 700.0
 
-DEFAULT_EPS_TYPE = 1e-8
+EPS_TYPE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,21 @@ def bernoulli_density(gas: GasModel, head, with_rho=True):
     gamma != 1: rho = (c^2)^(1/(gamma-1)), admissible where c^2 > 0.
     gamma  = 1: rho = rho0 * exp(head/2), the pointwise limit of the power
     law, admissible where the exponent stays within +/-EXP_CAP; c^2 is
-    identically 1.  Inadmissible entries carry a finite placeholder density;
-    require_admissible turns them into errors.  Without with_rho, rho is None.
+    identically 1.  A rho that overflows to inf is inadmissible too; other
+    rejected entries carry a finite placeholder.  Without with_rho, rho is None.
     """
     if gas.gamma == 1.0:
         arg = 0.5 * head
-        ok = np.abs(arg) <= EXP_CAP
-        rho = gas.rho0 * np.exp(np.where(ok, arg, 0.0)) if with_rho else None
-        return rho, np.ones_like(arg), ok
-    c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
-    ok = c2 > 0.0
-    rho = np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0)) if with_rho else None
-    return rho, c2, ok
+        ok, c2 = np.abs(arg) <= EXP_CAP, np.ones_like(arg)
+    else:
+        c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
+        ok = c2 > 0.0
+    if not with_rho:
+        return None, c2, ok
+    with np.errstate(over="ignore"):
+        rho = (gas.rho0 * np.exp(np.where(ok, arg, 0.0)) if gas.gamma == 1.0
+               else np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0)))
+    return rho, c2, ok & np.isfinite(rho)
 
 
 def sound_speed_sq(gas: GasModel, s: FlowState):
@@ -111,12 +114,11 @@ def sound_speed_sq(gas: GasModel, s: FlowState):
     return bernoulli_density(gas, gas.head(s.speed_sq(), s.z), False)[1]
 
 
-def require_admissible(gas: GasModel, c2, ok, where=True, t=None):
-    """Raise at the first node of `where` that bernoulli_density rejected.
-
-    VacuumError for c^2 <= 0, GasOverflowError for the isothermal exp()
-    guard; both carry the node index (None for pointwise states) and the
-    segment parameter t.
+def require_admissible(gas: GasModel, head, ok, where=True, t=None):
+    """Raise at the first node of `where` that bernoulli_density(gas, head)
+    rejected: VacuumError for c^2 <= 0, else GasOverflowError (the isothermal
+    exp() guard, or a density that is not a finite double).  Both carry the
+    node index (None for pointwise states) and the segment parameter t.
     """
     bad = np.logical_and(where, np.logical_not(ok))
     if not np.any(bad):
@@ -125,22 +127,25 @@ def require_admissible(gas: GasModel, c2, ok, where=True, t=None):
     at = f" at node {node}" if node else ""
     if t is not None:
         at += f", t={t}"
-    if gas.gamma == 1.0:
-        raise GasOverflowError(
-            f"isothermal density exponent exceeds +/-{EXP_CAP:g}{at}",
-            node=node, t=t)
-    value = np.asarray(c2)[node or ()]
-    raise VacuumError(f"vacuum{at}: c^2 = {value:.6g} <= 0", node=node, t=t)
+    head = float(np.asarray(head)[node or ()])
+    c2 = bernoulli_density(gas, head, False)[1]
+    if gas.gamma == 1.0 and abs(0.5 * head) > EXP_CAP:
+        message = f"isothermal density exponent exceeds +/-{EXP_CAP:g}{at}"
+    elif c2 > 0.0:
+        message = f"density is not a finite double{at}: c^2 = {c2:.6g}"
+    else:
+        raise VacuumError(f"vacuum{at}: c^2 = {c2:.6g} <= 0", node=node, t=t)
+    raise GasOverflowError(message, node=node, t=t)
 
 
 def density(gas: GasModel, s: FlowState):
     """Density from the Bernoulli relation (see bernoulli_density).
 
-    Raises VacuumError if c^2 <= 0 and, for gamma = 1, GasOverflowError
-    past the exp() guard.
+    Raises VacuumError if c^2 <= 0, and GasOverflowError past the
+    isothermal exp() guard or where the density is not a finite double.
     """
-    rho, c2, ok = bernoulli_density(gas, gas.head(s.speed_sq(), s.z))
-    require_admissible(gas, c2, ok)
+    rho, _, ok = bernoulli_density(gas, head := gas.head(s.speed_sq(), s.z))
+    require_admissible(gas, head, ok)
     return rho
 
 
@@ -151,8 +156,8 @@ def density_partials(gas: GasModel, s: FlowState):
     c^2/rho, which is exact under c^2 = rho^(gamma-1) and also covers
     gamma = 1 (where the partials are -x * rho).
     """
-    rho, c2, ok = bernoulli_density(gas, gas.head(s.speed_sq(), s.z))
-    require_admissible(gas, c2, ok)
+    rho, c2, ok = bernoulli_density(gas, head := gas.head(s.speed_sq(), s.z))
+    require_admissible(gas, head, ok)
     scale = rho / c2
     return (-s.q1 * scale, -s.q2 * scale, -s.z * scale)
 
@@ -160,41 +165,39 @@ def density_partials(gas: GasModel, s: FlowState):
 def pseudo_mach_sq(gas: GasModel, s: FlowState):
     """Tangential pseudo-Mach number squared, L^2 = |q|^2 / c^2.
 
-    Raises like density() at a state that bernoulli_density rejects.
+    Raises like density() where c^2 or the isothermal exponent is rejected.
     """
     q_sq = s.speed_sq()
-    _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z), False)
-    require_admissible(gas, c2, ok)
+    _, c2, ok = bernoulli_density(gas, head := gas.head(q_sq, s.z), False)
+    require_admissible(gas, head, ok)
     return q_sq / c2
 
 
-def classify_codes(gas: GasModel, s: FlowState, eps_type: float = DEFAULT_EPS_TYPE):
-    """Vectorized type classification; returns FlowType integer codes.
+def classify_codes(gas: GasModel, s: FlowState):
+    """classify_state over arrays (band EPS_TYPE); returns FlowType integer codes.
 
     Vacuum is a classification here, not an error: it marks nodes where
     c^2 <= 0 or (gamma = 1) the density exponent is out of range.
     """
-    if not eps_type > 0.0:
-        raise ConfigError(f"eps_type must be > 0, got {eps_type}", "eps_type")
     q_sq = np.asarray(s.speed_sq(), dtype=float)
     codes = np.full(q_sq.shape, int(FlowType.VACUUM), dtype=np.int8)
     _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z), False)
     with np.errstate(divide="ignore", invalid="ignore"):
         l2 = np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)
-    codes[ok & (np.abs(l2 - 1.0) <= eps_type)] = int(FlowType.PARABOLIC)
-    codes[ok & (l2 > 1.0 + eps_type)] = int(FlowType.HYPERBOLIC)
-    codes[ok & (l2 < 1.0 - eps_type)] = int(FlowType.ELLIPTIC)
+    codes[ok & (np.abs(l2 - 1.0) <= EPS_TYPE)] = int(FlowType.PARABOLIC)
+    codes[ok & (l2 > 1.0 + EPS_TYPE)] = int(FlowType.HYPERBOLIC)
+    codes[ok & (l2 < 1.0 - EPS_TYPE)] = int(FlowType.ELLIPTIC)
     return codes
 
 
-def classify_state(gas: GasModel, s: FlowState, eps_type: float = DEFAULT_EPS_TYPE):
+def classify_state(gas: GasModel, s: FlowState):
     """Classify a single state as Elliptic/Parabolic/Hyperbolic/Vacuum.
 
-    A band of half-width eps_type around L^2 = 1 counts as parabolic; it
+    A band of half-width EPS_TYPE around L^2 = 1 counts as parabolic; it
     exists only to absorb roundoff (analytically the parabolic set has
     measure zero).
     """
-    codes = np.asarray(classify_codes(gas, s, eps_type))
+    codes = np.asarray(classify_codes(gas, s))
     if codes.size != 1:
         raise ValueError("classify_state expects a pointwise state; "
                          "use classify_codes for array states")

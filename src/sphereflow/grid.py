@@ -1,9 +1,9 @@
 """Rectangular (theta, phi) patches on the unit sphere and node-indexed fields.
 
 Grids are uniform tensor products excluding neighborhoods of the poles
-(1/sin(theta) blowup is a coordinate artifact, and the conical-flow
-applications live away from the axis).  An optional boolean mask selects
-the closed working set Omega-bar.
+(sin(theta) >= SIN_FLOOR at both edges: the 1/sin(theta) blowup is a
+coordinate artifact, and the conical-flow applications live away from the
+axis).  An optional boolean mask selects the closed working set Omega-bar.
 
 The grid's connectivity is its open faces, laid out by
 SphericalGrid.on_faces as the flux code reads them.  A face is open when
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridError, GridMismatchError
 
-DEFAULT_SIN_FLOOR = 1e-3
+SIN_FLOOR = 1e-3
 
 # First-derivative stencils in order of preference, each as (offsets,
 # weights in units of 1/(2h)) on the differences f[k + offset] - f[k].
@@ -49,7 +49,6 @@ class SphericalGrid:
     n_phi: int
     mask: np.ndarray | None = None
     phi_periodic: bool = False
-    sin_floor: float = DEFAULT_SIN_FLOOR
 
     def __post_init__(self):
         if not (0.0 < self.theta_min < self.theta_max < np.pi):
@@ -64,13 +63,11 @@ class SphericalGrid:
                 f"grid too small: {self.n_theta} x {self.n_phi} (need >= 3 nodes "
                 "per direction)"
             )
-        if not np.isfinite(self.sin_floor):
-            raise GridError(f"sin_floor must be finite, got {self.sin_floor}")
         lo = min(np.sin(self.theta_min), np.sin(self.theta_max))
-        if lo < self.sin_floor:
+        if lo < SIN_FLOOR:
             raise GridError(
                 f"pole proximity: min sin(theta) = {lo:.3e} < floor "
-                f"{self.sin_floor:.3e}"
+                f"{SIN_FLOOR:.3e}"
             )
         if self.phi_periodic:
             span = self.phi_max - self.phi_min

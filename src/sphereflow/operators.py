@@ -27,13 +27,14 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError, NotEllipticError
+from .errors import ConfigError, InadmissibleStateError, NotEllipticError
 from .gas import (
     FlowState,
     FlowType,
     GasModel,
     bernoulli_density,
     classify_codes,
+    density,
     require_admissible,
     sound_speed_sq,
 )
@@ -100,14 +101,14 @@ def spherical_divergence(v: VectorField) -> ScalarField:
 def field_density(gas: GasModel, f: ScalarField):
     """(rho, c2, q1, q2) node arrays; rho is zero off the mask.
 
-    Raises VacuumError (GasOverflowError for the isothermal exp() guard)
-    naming the first inadmissible masked node.
+    Raises like require_admissible, naming the first inadmissible masked
+    node.
     """
     vf = spherical_gradient(f)
     q1, q2 = vf.v_theta, vf.v_phi
     m = f.grid.mask_array
-    rho, c2, ok = bernoulli_density(gas, gas.head(q1 * q1 + q2 * q2, f.values))
-    require_admissible(gas, c2, ok, m)
+    rho, c2, ok = bernoulli_density(gas, head := gas.head(q1 * q1 + q2 * q2, f.values))
+    require_admissible(gas, head, ok, m)
     return np.where(m, rho, 0.0), c2, q1, q2
 
 
@@ -304,8 +305,8 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     ts, ws = gauss_legendre(n_quad)
     parts = []
     for t, wt in zip(ts, ws):
-        rho, c2, ok = bernoulli_density(gas, h0 + t * (h1 + t * h2))
-        require_admissible(gas, c2, ok, mask, float(t))
+        rho, c2, ok = bernoulli_density(gas, head := h0 + t * (h1 + t * h2))
+        require_admissible(gas, head, ok, mask, float(t))
         state = np.where(mask, rho, 0.0), c2, q1 + t * dq1, q2 + t * dq2
         parts.append((wt, flow_jacobian(gas, ScalarField(grid, z + t * dz), state=state)))
 
@@ -328,12 +329,13 @@ def eigenvalue_ratio(gas: GasModel, s: FlowState) -> float:
     """lambda_max / lambda_min of the principal matrix, equal to 1/(1 - L^2).
 
     Only defined for strictly elliptic states; raises NotEllipticError
-    otherwise.
+    otherwise, and at every state that density() refuses.
     """
-    c2 = sound_speed_sq(gas, s)
-    if c2 <= 0.0:
-        raise NotEllipticError(f"c^2 = {c2:.6g} <= 0")
-    l2 = s.speed_sq() / c2
+    try:
+        density(gas, s)
+    except InadmissibleStateError as err:
+        raise NotEllipticError(str(err)) from err
+    l2 = s.speed_sq() / sound_speed_sq(gas, s)
     if l2 >= 1.0:
         raise NotEllipticError(f"L^2 = {l2:.6g} >= 1")
     return 1.0 / (1.0 - l2)
@@ -354,12 +356,11 @@ class TypeMap:
         return {t.letter: int(np.sum(self.codes == int(t))) for t in FlowType}
 
 
-def classify_field(gas: GasModel, f: ScalarField,
-                   eps_type: float = 1e-8) -> TypeMap:
+def classify_field(gas: GasModel, f: ScalarField) -> TypeMap:
     """Classify every node of a potential field by its local flow type."""
     vf = spherical_gradient(f)
     s = FlowState(vf.v_theta, vf.v_phi, f.values)
-    codes = classify_codes(gas, s, eps_type)
+    codes = classify_codes(gas, s)
     defined = codes != int(FlowType.VACUUM)
     with np.errstate(divide="ignore", invalid="ignore"):
         l2 = np.where(defined, s.speed_sq() / sound_speed_sq(gas, s), np.nan)

@@ -144,14 +144,12 @@ def test_compare_refuses_an_inadmissible_segment_of_an_ordered_pair(tmp_path, ca
     assert "vacuum at node (0, 14), t=0.2372337950418355" in capsys.readouterr().err
 
 
-def test_hopf_reads_beta_like_compare(tmp_path):
+def test_hopf_reads_the_weak_form_like_compare(tmp_path):
     # f- - f+ = 4e-9 at every node, within tol_touch and tol_order, so the
-    # weak-form minimum -d (h+)^(1/beta + 1) > 0 depends on beta
+    # weak-form minimum -d (h+)^3 at beta = 1/2 is positive, not 0.0
     fields = {"field_minus": "1.5 + 4e-9", "field_plus": "1.5"}
-    runs = {"compare": {"name": "compare", "beta": 1.0},
-            "half": {"name": "compare", "beta": 0.5},
-            "hopf": {"name": "hopf", "beta": 1.0, "nodes": [[0, 16]],
-                     "tol_touch": 1e-8}}
+    runs = {"compare": {"name": "compare"},
+            "hopf": {"name": "hopf", "nodes": [[0, 16]], "tol_touch": 1e-8}}
     values = {}
     for name, command in runs.items():
         sc = write_scenario(tmp_path / f"{name}.json",
@@ -160,7 +158,6 @@ def test_hopf_reads_beta_like_compare(tmp_path):
         rep = json.loads((tmp_path / name / "report.json").read_text())
         values[name] = rep["hypotheses"]["weak_form_nonnegative"]["value"]
     assert values["hopf"] == values["compare"] > 0.0
-    assert values["half"] != values["compare"]
 
 
 def test_classify_command(tmp_path):
@@ -238,8 +235,7 @@ def test_malformed_numbers_name_the_key(tmp_path, capsys):
     for key, command in (
             ("newton_tol", {"name": "solve", "boundary": "1.6",
                             "newton_tol": None}),
-            ("eps_type", {"name": "classify", "field": "1.6",
-                          "eps_type": "abc"})):
+            ("pgm", {"name": "classify", "field": "1.6", "pgm": "abc"})):
         sc = write_scenario(tmp_path / f"{key}.json", command=command)
         assert cli.run(sc, tmp_path / key, quiet=True) == 1
         err = capsys.readouterr().err
@@ -339,6 +335,22 @@ def test_nan_source_node_exits_one(tmp_path, capsys):
     assert not any((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize("name, key, message", [
+    ("solve", "boundary", "initial iterate already inadmissible at node (0, 0)"),
+    ("certify", "field", "density is not a finite double at node (0, 0): c^2 = 2.99864"),
+])
+def test_an_overflowing_density_exits_one(tmp_path, capsys, name, key, message):
+    # c^2 > 0 at every node, but rho = (c^2)^1000 overflows past c^2 = 2.03:
+    # solve once "converged" with residual nan, and certify passed with
+    # eps_rho = inf
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                        gas={"gamma": 1.001, "rho0": 1, "bernoulli": 4000},
+                        command={"name": name, key: "1.6 + 0.1*cos(theta)"})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
 _BASE = "1.6 + 0.1*cos(theta)"
 _BELOW = _BASE + " - 0.01*sin(6*(theta - pi/3))*sin(4*phi)"  # touches on the edges
 DETERMINISTIC_COMMANDS = {
@@ -396,13 +408,23 @@ def test_mask_file_round(tmp_path):
 SCENARIO_KEYS = {
     "GasModel": {"gamma", "rho0", "bernoulli"},
     "SphericalGrid": {"theta_min", "theta_max", "phi_min", "phi_max",
-                      "n_theta", "n_phi", "phi_periodic", "sin_floor"},
+                      "n_theta", "n_phi", "phi_periodic"},
     "solve_dirichlet": {"newton_tol", "max_newton"},
-    "classify_field": {"eps_type"},
+    "classify_field": set(),
     "certify_uniform_ellipticity": {"eps"},
-    "verify_weak_comparison": {"tol_sub", "tol_order", "beta", "n_quad"},
+    "verify_weak_comparison": {"tol_sub", "tol_order"},
     "strong_comparison_check": {"gap_tol"},
     "hopf_indicator": {"tol_touch"},
+}
+
+# The scalar keys of each command block: its calls' and its handler's.
+COMMAND_KEYS = {
+    "classify": {"pgm"},
+    "solve": {"newton_tol", "max_newton"},
+    "compare": {"tol_sub", "tol_order", "gap_tol"},
+    "certify": {"eps"},
+    "hopf": {"tol_sub", "tol_order", "tol_touch"},
+    "manufacture": set(),
 }
 
 
@@ -410,6 +432,9 @@ def test_scenario_keys_are_pinned():
     for name, keys in SCENARIO_KEYS.items():
         read = cli._options(getattr(cli, name), dict.fromkeys(keys, 1))
         assert set(read) == keys, name
+    for name, (handler, calls, _, _) in cli._COMMANDS.items():
+        keys = {key for fn in (*calls, handler) for key in cli._scalar_params(fn)}
+        assert keys == COMMAND_KEYS[name], name
 
 
 def test_every_key_reaches_its_library_call(tmp_path, monkeypatch):
@@ -432,16 +457,14 @@ def test_every_key_reaches_its_library_call(tmp_path, monkeypatch):
     gas = {"gamma": 1.4, "rho0": 1.2, "bernoulli": 3.5}
     grid = {"theta_min": 1.0, "theta_max": 2.0, "phi_min": 0.0,
             "phi_max": 2 * np.pi, "n_theta": 9, "n_phi": 12,
-            "phi_periodic": True, "sin_floor": 1e-4}
+            "phi_periodic": True}
     solve = {"newton_tol": 1e-9, "max_newton": 30}
-    verify = {"tol_sub": 1e-8, "tol_order": 1e-7, "beta": 0.75, "n_quad": 6}
+    verify = {"tol_sub": 1e-8, "tol_order": 1e-7}
     pair = {"field_minus": {"file": str(tmp_path / "touch" / "solution.csv")},
             "field_plus": {"file": str(tmp_path / "plus" / "solution.csv")}}
     seen = [
-        (run("classify", {"name": "classify", "field": "1.6",
-                          "eps_type": 1e-6}, gas, grid),
-         {"GasModel": gas, "SphericalGrid": grid,
-          "classify_field": {"eps_type": 1e-6}}),
+        (run("classify", {"name": "classify", "field": "1.6"}, gas, grid),
+         {"GasModel": gas, "SphericalGrid": grid, "classify_field": {}}),
         (run("certify", {"name": "certify", "field": "1.6", "eps": 1e-3}),
          {"certify_uniform_ellipticity": {"eps": 1e-3}}),
         (run("plus", {"name": "solve", "boundary": "1.6 + 0.1*cos(theta)",
@@ -576,11 +599,12 @@ def test_nonconvergence_writes_report_and_solution(tmp_path, capsys):
     (lambda cfg: cfg.update(grid=5), "scenario.grid"),
     (lambda cfg: cfg.update(command=["solve"]), "scenario.command"),
     (lambda cfg: cfg["gas"].update(gamma=3.0, rho0=1e300), "gas.rho0"),
+    (lambda cfg: cfg["grid"].update(sin_floor=1e-4), "grid.sin_floor"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_scenario_errors_name_the_key(tmp_path, capsys, edit, key):
-    # a misspelt key, a block that is not an object and a gas whose
-    # reference sound speed overflows are config errors, not tracebacks or
-    # silently ignored
+    # a misspelt key, a block that is not an object, a gas whose reference
+    # sound speed overflows and the pole floor, a grid constant, are config
+    # errors, not tracebacks or silently ignored
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(17), command={
         "name": "solve", "boundary": "1.6 + 0.1*cos(theta)"})
     cfg = json.loads(sc.read_text())
@@ -589,6 +613,7 @@ def test_scenario_errors_name_the_key(tmp_path, capsys, edit, key):
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_scenario_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
@@ -661,7 +686,9 @@ def test_integral_numbers_and_zero_one_are_accepted():
 
 
 # A valid command block per command, and a key that only another command
-# reads.  solve also refuses the solver settings that are module constants.
+# reads.  Each command also refuses the settings of its calls that are module
+# constants: the solver's, the weak form's beta and n_quad and the parabolic
+# band eps_type.
 COMMAND_BLOCKS = {
     "solve": ({"boundary": "1.6 + 0.1*cos(theta)"}, "eps"),
     "classify": ({"field": "1.6"}, "field_minus"),
@@ -674,18 +701,23 @@ COMMAND_BLOCKS = {
 
 SOLVER_CONSTANTS = {"max_damping": 20, "lin_tol": 1e-11, "lin_max_iter": 4000,
                     "cert_eps": 1e-7}
+CHECK_CONSTANTS = {"compare": {"beta": 1.0, "n_quad": 6},
+                   "hopf": {"beta": 1.0, "n_quad": 6},
+                   "classify": {"eps_type": float("nan")}}
 
 
 @pytest.mark.parametrize("name, key", [
     *(pytest.param(name, key, id=name)
       for name, (_, key) in COMMAND_BLOCKS.items()),
     *(pytest.param("solve", key, id=f"solve-{key}") for key in SOLVER_CONSTANTS),
+    *(pytest.param(name, key, id=f"{name}-{key}")
+      for name, keys in CHECK_CONSTANTS.items() for key in keys),
 ])
 def test_a_key_of_another_command_is_refused(tmp_path, capsys, name, key,
                                              monkeypatch):
     block = COMMAND_BLOCKS[name][0]
     value = {"eps": -5.0, "nodes": [[0, 4]], "gap_tol": -1.0, "pgm": True,
-             **SOLVER_CONSTANTS}.get(key, "1.6")
+             **SOLVER_CONSTANTS, **CHECK_CONSTANTS.get(name, {})}.get(key, "1.6")
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
                         command={"name": name, **block, key: value})
     # refused before any field is read
@@ -750,21 +782,11 @@ def test_gap_tol_is_checked_on_every_compare(tmp_path, capsys, pair,
     assert not (tmp_path / "bad" / "report.json").exists()
 
 
-def test_nan_eps_type_is_refused(tmp_path, capsys):
-    # a NaN band width classified every node of this elliptic field as V
-    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
-        "name": "classify", "field": "1.6", "eps_type": float("nan")})
-    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "'command.eps_type'" in err
-    assert not (tmp_path / "out" / "report.json").exists()
-
-
 @pytest.mark.parametrize("block, key, value", [
     ("gas", "gamma", float("nan")),
     ("gas", "bernoulli", float("inf")),
     ("grid", "theta_max", float("inf")),
-    ("grid", "sin_floor", float("nan")),
+    ("grid", "phi_min", float("nan")),
     ("command", "newton_tol", float("nan")),
     ("command", "newton_tol", float("-inf")),
 ])
@@ -783,13 +805,13 @@ def test_non_finite_numbers_are_refused(tmp_path, capsys, block, key, value):
 
 @pytest.mark.parametrize("key, command", [
     ("eps", {"name": "certify", "field": "1.6", "eps": -5.0}),
-    ("n_quad", {"name": "compare", "field_minus": "1.6", "field_plus": "1.6",
-                "n_quad": 0}),
-    ("eps_type", {"name": "classify", "field": "1.6", "eps_type": 0.0}),
+    ("max_newton", {"name": "solve", "boundary": "1.6 + 0.1*cos(theta)",
+                    "max_newton": 0}),
+    ("gap_tol", {"name": "compare", "field_minus": "1.6", "field_plus": "1.6",
+                 "gap_tol": -1e-9}),
     ("newton_tol", {"name": "solve", "boundary": "1.6 + 0.1*cos(theta)",
                     "newton_tol": 1e-20}),
-    ("beta", {"name": "compare", "field_minus": "1.6", "field_plus": "1.6",
-              "beta": 2.0}),
+    ("eps", {"name": "certify", "field": "1.6", "eps": 0.0}),
     # refused with nodes, without them (before the default-node search)
     # and on an unordered pair
     ("tol_touch", {"name": "hopf", "field_minus": "1.6", "field_plus": "1.6",

@@ -28,6 +28,19 @@ def test_grid_validation():
         sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 5, 5, phi_periodic=True)
 
 
+def test_the_pole_floor_is_a_constant():
+    # sin(theta) >= SIN_FLOOR at both edges, sin_floor's old default
+    assert sf.grid.SIN_FLOOR == 1e-3
+    edge = np.arcsin(1e-3)
+    for scale, refused in ((1.0 + 1e-9, False), (1.0 - 1e-9, True)):
+        for bounds in ((edge * scale, 1.0), (2.0, np.pi - edge * scale)):
+            if refused:
+                with pytest.raises(GridError, match="< floor 1.000e-03$"):
+                    sf.SphericalGrid(*bounds, 0.0, 1.0, 5, 5)
+            else:
+                sf.SphericalGrid(*bounds, 0.0, 1.0, 5, 5)
+
+
 def test_periodic_grid_drops_duplicate_node():
     g = sf.SphericalGrid(1.0, 2.0, 0.0, 2 * np.pi, 5, 8, phi_periodic=True)
     assert g.h_phi == pytest.approx(2 * np.pi / 8)

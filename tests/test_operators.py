@@ -478,6 +478,11 @@ def test_eigenvalue_ratio_refuses_a_vacuum_state(gas_b4):
     # c^2 = 3 - z^2/2 - |q|^2/2 = -1 here, so L^2 is undefined, not large
     with pytest.raises(sf.NotEllipticError, match=r"c\^2 = -1 <= 0"):
         sf.eigenvalue_ratio(gas_b4, FlowState(0.0, 0.0, np.sqrt(8.0)))
+    # past the isothermal exp() guard, where classify_state reads Vacuum,
+    # c^2 = 1 gave the ratio 4/3
+    iso = GasModel(1.0, 1.0, 2000.0)
+    with pytest.raises(sf.NotEllipticError, match="exponent exceeds"):
+        sf.eigenvalue_ratio(iso, FlowState(0.5, 0.0, 0.1))
 
 
 def test_eigenvalue_ratio_identity_random():
@@ -526,7 +531,7 @@ def test_classify_field_paints_types(gas_b4):
     # above (the node states include q = (1, 0), z = 2 which has L^2 = 2)
     g = SphericalGrid(np.pi / 2 - 0.32, np.pi / 2 + 0.12, 0.0, 0.2, 23, 11)
     f = ScalarField.from_function(g, lambda th, ph: 2.0 + (th - np.pi / 2))
-    tm = sf.classify_field(gas_b4, f, eps_type=1e-8)
+    tm = sf.classify_field(gas_b4, f)
     letters = set(tm.letters().ravel().tolist())
     assert "H" in letters and "E" in letters
     counts = tm.counts()

@@ -181,17 +181,21 @@ def test_manufactured_smooth_discrete_exactness(gas_b4, wide_grid_33):
     assert np.abs(phi.values - exact.values).max() <= 1e-10
 
 
-def test_manufactured_random_fields_recovered(gas_b4, wide_grid_33):
-    rng = np.random.default_rng(4)
+def test_manufactured_random_fields_recovered(wide_grid_33):
+    # on every gamma branch: the pair_suite gases, at their levels but 2 at gamma = 2
     newton_tol = 1e-11
-    for _ in range(3):
-        a1, a2 = rng.uniform(-0.05, 0.05, size=2)
-        exact = ScalarField.from_function(
-            wide_grid_33,
-            lambda th, ph: 2 + a1 * np.cos(th) + a2 * np.sin(th) * np.sin(ph))
-        prob = sf.manufactured_problem(gas_b4, wide_grid_33, exact)
-        phi, rep = sf.solve_dirichlet(prob, newton_tol=newton_tol)
-        assert np.abs(phi.values - exact.values).max() <= 100 * newton_tol
+    for gamma, bernoulli, level in ((-1.0, 2.0, 1.5), (1.0, 4.0, 1.25),
+                                    (1.4, 4.0, 1.4), (2.0, 4.0, 2.0)):
+        gas = sf.GasModel(gamma, 1.0, bernoulli)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            a1, a2 = rng.uniform(-0.05, 0.05, size=2)
+            exact = ScalarField.from_function(
+                wide_grid_33,
+                lambda th, ph: level + a1 * np.cos(th) + a2 * np.sin(th) * np.sin(ph))
+            prob = sf.manufactured_problem(gas, wide_grid_33, exact)
+            phi, rep = sf.solve_dirichlet(prob, newton_tol=newton_tol)
+            assert np.abs(phi.values - exact.values).max() <= 100 * newton_tol, gamma
 
 
 def test_manufactured_rejects_supersonic(gas_b4):
