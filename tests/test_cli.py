@@ -703,7 +703,7 @@ SOLVER_CONSTANTS = {"max_damping": 20, "lin_tol": 1e-11, "lin_max_iter": 4000,
                     "cert_eps": 1e-7}
 CHECK_CONSTANTS = {"compare": {"beta": 1.0, "n_quad": 6},
                    "hopf": {"beta": 1.0, "n_quad": 6},
-                   "classify": {"eps_type": float("nan")}}
+                   "classify": {"eps_type": 0.0}}
 
 
 @pytest.mark.parametrize("name, key", [
@@ -780,6 +780,18 @@ def test_gap_tol_is_checked_on_every_compare(tmp_path, capsys, pair,
     err = capsys.readouterr().err
     assert err.startswith("config error") and "'command.gap_tol'" in err
     assert not (tmp_path / "bad" / "report.json").exists()
+
+
+def test_nan_eps_type_is_refused(tmp_path, capsys):
+    # the band width is the constant EPS_TYPE; a nan for the old key is
+    # refused as a key classify does not read, before any number is checked
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "classify", "field": "1.6", "eps_type": float("nan")})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'command.eps_type'" in err
+    assert "command 'classify' does not read it" in err
+    assert not any((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("block, key, value", [
