@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .gas import (EXP_CAP, FlowState, GasModel, bernoulli_density, density,
-                  density_partials, sound_speed_sq)
+from .gas import (FlowState, GasModel, bernoulli_density, density, density_partials,
+                  sound_speed_sq, window_margins)
 from .grid import ScalarField, require_same_grid
 from .operators import field_density, segment_algebra
 
@@ -118,10 +118,10 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
     On phi_t = t f- + (1-t) f+ the head, c^2, c^2 - |q|^2 and z^2 - c^2 are
     quadratics in t (segment_algebra), with least values in closed form.  A
     node records its first failed condition as a NodeViolation at the
-    minimizing t, valued by the least margin: rho_positive, c^2 <= 0 (at
-    gamma = 1, where c^2 = 1, the exp() guard's EXP_CAP - |head/2| < 0);
-    mach_elliptic, c^2 - |q|^2 <= 0 (L^2 >= 1); z_above_sound, z - c below
-    -slack (least at t = 0, 1 or where z^2 - c^2 is); form_positive, where
+    minimizing t, valued by the least margin: rho_positive, the lesser of
+    window_margins' w - lo and hi - w below 0 (w is c^2, or head/2 at
+    gamma = 1); mach_elliptic, c^2 - |q|^2 <= 0 (L^2 >= 1); z_above_sound,
+    z - c below -slack (least at t = 0, 1 or where z^2 - c^2 is); form_positive, where
     those pass, the form's exact minimum over unit vectors (the smallest
     eigenvalue of the comparison matrix's symmetric part) below -slack, or
     a tangential minimum <= 0, at the t where min(c^2 - |q|^2, z^2 - c^2)
@@ -131,10 +131,8 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
     q1, q2, z, dq1, dq2, dz, h0, h1, h2 = segment_algebra(gas, f_minus, f_plus)
     k = 0.5 * (gas.gamma - 1.0)  # c^2 = c0^2 + k head, so 1 at gamma = 1
     c2 = (bernoulli_density(gas, h0, False)[1], k * h1, k * h2)  # coefficients of 1, t, t^2
-    admit = _least(*c2)
-    if gas.gamma == 1.0:  # EXP_CAP - |head/2| is least where head is least or largest
-        (lo, t_lo), (hi, t_hi) = _least(h0, h1, h2), _least(-h0, -h1, -h2)
-        admit = EXP_CAP + 0.5 * np.minimum(lo, hi), np.where(lo <= hi, t_lo, t_hi)
+    (lo, t_lo), (hi, t_hi) = (_least(*p) for p in window_margins(gas, h0, h1, h2))
+    admit = np.minimum(lo, hi), np.where(lo <= hi, t_lo, t_hi)
     mach = _least(c2[0] - (q1 * q1 + q2 * q2), c2[1] - 2.0 * (q1 * dq1 + q2 * dq2),
                   c2[2] - (dq1 * dq1 + dq2 * dq2))
     rad = _least(z * z - c2[0], 2.0 * z * dz - c2[1], dz * dz - c2[2])
@@ -143,10 +141,10 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
     gap = np.minimum(np.minimum(ends[0], ends[1]), ends[2])
     gap = gap, np.where(ends[0] == gap, 0.0, np.where(ends[1] == gap, 1.0, rad[1]))
     t = np.where(mach[0] <= rad[0], mach[1], rad[1])
-    rho, c2_t, _ = bernoulli_density(gas, h0 + t * (h1 + t * h2))
-    c2_t = np.where(c2_t > 0.0, c2_t, 1.0)
+    rho, c2_t, ok = bernoulli_density(gas, h0 + t * (h1 + t * h2))
+    c2_t = np.where(ok, c2_t, 1.0)
     form, tan = _form_minima(q1 + t * dq1, q2 + t * dq2, z + t * dz, c2_t, rho / c2_t)
-    bad = (admit[0] < 0.0 if gas.gamma == 1.0 else admit[0] <= 0.0, mach[0] <= 0.0,
+    bad = (admit[0] < 0.0, mach[0] <= 0.0,
            gap[0] < -Z_GE_C_SLACK, (form < -Z_GE_C_SLACK) | (tan <= 0.0))
     live = mask & ~(bad[0] | bad[1] | bad[2])
 

@@ -21,11 +21,11 @@ class InadmissibleStateError(SphereflowError):
 
 
 class VacuumError(InadmissibleStateError):
-    """Density is undefined: the sound-speed base c^2 dropped to <= 0."""
+    """No density > 0: c^2 dropped to <= 0, or rho underflows to 0.0."""
 
 
 class GasOverflowError(InadmissibleStateError):
-    """Density is not a finite double: isothermal exponent past its guard, or overflow."""
+    """Density overflows the doubles, or the isothermal exponent passes its guard."""
 
 
 class NotEllipticError(SphereflowError):

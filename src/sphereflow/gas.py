@@ -11,6 +11,7 @@ function of the state; array-valued states broadcast elementwise.
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cache
 
 import numpy as np
 
@@ -23,19 +24,52 @@ EXP_CAP = 700.0
 EPS_TYPE = 1e-8
 
 
+def _density(gamma, rho0, w):
+    """rho at the window variable w: rho0 exp(w) at gamma = 1, else w^(1/(gamma-1))."""
+    return rho0 * np.exp(w) if gamma == 1.0 else w ** (1.0 / (gamma - 1.0))
+
+
+@cache
+def _window(gamma, rho0):
+    """[lo, hi]: the doubles w at which rho is a finite double > 0 and
+    c^2 = w > 0, or |w| <= EXP_CAP at gamma = 1 (the one case rho0 enters).
+    Each end is bisected on the bits of the doubles from w = 1 (w = 0 at
+    gamma = 1), where rho is finite and > 0, with the kernel's power or exp()."""
+    def admitted(w):
+        with np.errstate(over="ignore"):
+            return ((abs(w) <= EXP_CAP if gamma == 1.0 else w > 0.0)
+                    and 0.0 < _density(gamma, rho0, np.array([w]))[0] < math.inf)
+
+    def edge(inside, far):  # the last admitted double from inside to far
+        if admitted(far):
+            return far
+        a, b = (int(np.float64(w).view(np.int64)) for w in (inside, far))
+        while abs(b - a) > 1:
+            m = (a + b) // 2
+            a, b = (m, b) if admitted(float(np.int64(m).view(np.float64))) else (a, m)
+        return float(np.int64(a).view(np.float64))
+
+    if gamma == 1.0:
+        return edge(-0.0, -EXP_CAP), edge(0.0, EXP_CAP)
+    return edge(1.0, 0.0), edge(1.0, math.inf)
+
+
 @dataclass(frozen=True)
 class GasModel:
     """Gas law parameters: ratio gamma, reference density and Bernoulli constant.
 
     The squared sound speed at the reference density, ``c0_sq``, is always
     derived as rho0^(gamma-1) (exactly 1 for gamma = 1); storing it freely
-    would let density() and sound_speed_sq() disagree.
+    would let density() and sound_speed_sq() disagree.  ``window`` is
+    (base, slope, lo, hi): w = base + slope head, c^2 or (gamma = 1) head/2,
+    is admissible on [lo, hi] (_window).
     """
 
     gamma: float
     rho0: float = 1.0
     bernoulli: float = 0.0
     c0_sq: float = field(init=False)
+    window: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("gamma", "rho0", "bernoulli"):
@@ -49,10 +83,13 @@ class GasModel:
             c0 = 1.0 if self.gamma == 1.0 else float(self.rho0) ** (self.gamma - 1.0)
         except OverflowError:
             c0 = math.inf
-        if not math.isfinite(c0):
-            raise ConfigError(f"rho0^(gamma - 1) is not a finite double for "
-                              f"rho0 = {self.rho0}, gamma = {self.gamma}", "rho0")
+        base, slope = (0.0, 0.5) if self.gamma == 1.0 else (c0, 0.5 * (self.gamma - 1.0))
+        lo, hi = _window(self.gamma, self.rho0 if self.gamma == 1.0 else 1.0)
+        if not lo <= base <= hi:
+            raise ConfigError(f"rho0^(gamma - 1) gives no density that is a finite double "
+                              f"> 0 for rho0 = {self.rho0}, gamma = {self.gamma}", "rho0")
         object.__setattr__(self, "c0_sq", c0)
+        object.__setattr__(self, "window", (base, slope, lo, hi))
 
     def head(self, q_sq, z):
         """The Bernoulli head B - z^2 - |q|^2 that bernoulli_density reads."""
@@ -86,24 +123,29 @@ class FlowType(IntEnum):
 def bernoulli_density(gas: GasModel, head, with_rho=True):
     """(rho, c^2, admissible) at the Bernoulli head gas.head(|q|^2, z), elementwise.
 
-    gamma != 1: rho = (c^2)^(1/(gamma-1)), admissible where c^2 > 0.
-    gamma  = 1: rho = rho0 * exp(head/2), the pointwise limit of the power
-    law, admissible where the exponent stays within +/-EXP_CAP; c^2 is
-    identically 1.  A rho that overflows to inf is inadmissible too; other
-    rejected entries carry a finite placeholder.  Without with_rho, rho is None.
+    gamma != 1: rho = (c^2)^(1/(gamma-1)).  gamma = 1: rho = rho0 * exp(head/2),
+    the pointwise limit of the power law, with c^2 identically 1.  A state is
+    admissible where w (c^2, or head/2) lies in the gas's window: where rho
+    is a finite double > 0 and c^2 > 0 (|head/2| <= EXP_CAP at gamma = 1),
+    with or without rho.  Rejected entries carry a finite placeholder;
+    without with_rho, rho is None.
     """
-    if gas.gamma == 1.0:
-        arg = 0.5 * head
-        ok, c2 = np.abs(arg) <= EXP_CAP, np.ones_like(arg)
-    else:
-        c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
-        ok = c2 > 0.0
+    base, slope, lo, hi = gas.window
+    w = base + slope * head
+    ok = (lo <= w) & (w <= hi)
+    c2 = np.ones_like(w) if gas.gamma == 1.0 else w
     if not with_rho:
         return None, c2, ok
-    with np.errstate(over="ignore"):
-        rho = (gas.rho0 * np.exp(np.where(ok, arg, 0.0)) if gas.gamma == 1.0
-               else np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0)))
-    return rho, c2, ok & np.isfinite(rho)
+    return _density(gas.gamma, gas.rho0, np.where(ok, w, base)), c2, ok
+
+
+def window_margins(gas: GasModel, h0, h1, h2):
+    """w - lo and hi - w along the head h0 + h1 t + h2 t^2, each as its
+    coefficients of 1, t and t^2 (w is affine in the head): a state is
+    admissible where both are >= 0."""
+    base, slope, lo, hi = gas.window
+    w = base + slope * h0
+    return (w - lo, slope * h1, slope * h2), (hi - w, -slope * h1, -slope * h2)
 
 
 def sound_speed_sq(gas: GasModel, s: FlowState):
@@ -116,8 +158,9 @@ def sound_speed_sq(gas: GasModel, s: FlowState):
 
 def require_admissible(gas: GasModel, head, ok, where=True, t=None):
     """Raise at the first node of `where` that bernoulli_density(gas, head)
-    rejected: VacuumError for c^2 <= 0, else GasOverflowError (the isothermal
-    exp() guard, or a density that is not a finite double).  Both carry the
+    rejected, by the side of the window its w lies on: VacuumError where
+    c^2 <= 0 or rho underflows to 0.0, GasOverflowError where rho is not a
+    finite double or (gamma = 1) |head/2| exceeds EXP_CAP.  Both carry the
     node index (None for pointwise states) and the segment parameter t.
     """
     bad = np.logical_and(where, np.logical_not(ok))
@@ -128,21 +171,23 @@ def require_admissible(gas: GasModel, head, ok, where=True, t=None):
     if t is not None:
         at += f", t={t}"
     head = float(np.asarray(head)[node or ()])
-    c2 = bernoulli_density(gas, head, False)[1]
-    if gas.gamma == 1.0 and abs(0.5 * head) > EXP_CAP:
+    base, slope, lo, hi = gas.window
+    w, c2 = base + slope * head, bernoulli_density(gas, head, False)[1]
+    if gas.gamma == 1.0 and abs(w) > EXP_CAP:
         message = f"isothermal density exponent exceeds +/-{EXP_CAP:g}{at}"
-    elif c2 > 0.0:
-        message = f"density is not a finite double{at}: c^2 = {c2:.6g}"
-    else:
+    elif not c2 > 0.0:
         raise VacuumError(f"vacuum{at}: c^2 = {c2:.6g} <= 0", node=node, t=t)
+    elif (w < lo) if gas.gamma >= 1.0 else (w > hi):  # rho grows with w for gamma >= 1
+        raise VacuumError(f"density underflows to 0{at}: c^2 = {c2:.6g}", node=node, t=t)
+    else:
+        message = f"density is not a finite double{at}: c^2 = {c2:.6g}"
     raise GasOverflowError(message, node=node, t=t)
 
 
 def density(gas: GasModel, s: FlowState):
     """Density from the Bernoulli relation (see bernoulli_density).
 
-    Raises VacuumError if c^2 <= 0, and GasOverflowError past the
-    isothermal exp() guard or where the density is not a finite double.
+    Raises as require_admissible where the state is outside the gas's window.
     """
     rho, _, ok = bernoulli_density(gas, head := gas.head(s.speed_sq(), s.z))
     require_admissible(gas, head, ok)
@@ -165,7 +210,7 @@ def density_partials(gas: GasModel, s: FlowState):
 def pseudo_mach_sq(gas: GasModel, s: FlowState):
     """Tangential pseudo-Mach number squared, L^2 = |q|^2 / c^2.
 
-    Raises like density() where c^2 or the isothermal exponent is rejected.
+    Raises like density(), from bernoulli_density's mask alone.
     """
     q_sq = s.speed_sq()
     _, c2, ok = bernoulli_density(gas, head := gas.head(q_sq, s.z), False)
@@ -176,14 +221,14 @@ def pseudo_mach_sq(gas: GasModel, s: FlowState):
 def classify_codes(gas: GasModel, s: FlowState):
     """classify_state over arrays (band EPS_TYPE); returns FlowType integer codes.
 
-    Vacuum is a classification here, not an error: it marks nodes where
-    c^2 <= 0 or (gamma = 1) the density exponent is out of range.
+    Vacuum is a classification here, not an error: it marks the nodes
+    outside the gas's window, which density() refuses (c^2 <= 0, a density
+    that is not a finite double > 0, or the isothermal exponent guard).
     """
     q_sq = np.asarray(s.speed_sq(), dtype=float)
     codes = np.full(q_sq.shape, int(FlowType.VACUUM), dtype=np.int8)
     _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z), False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l2 = np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)
+    l2 = np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)
     codes[ok & (np.abs(l2 - 1.0) <= EPS_TYPE)] = int(FlowType.PARABOLIC)
     codes[ok & (l2 > 1.0 + EPS_TYPE)] = int(FlowType.HYPERBOLIC)
     codes[ok & (l2 < 1.0 - EPS_TYPE)] = int(FlowType.ELLIPTIC)

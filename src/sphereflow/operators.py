@@ -34,7 +34,7 @@ from .gas import (
     GasModel,
     bernoulli_density,
     classify_codes,
-    density,
+    pseudo_mach_sq,
     require_admissible,
     sound_speed_sq,
 )
@@ -332,10 +332,9 @@ def eigenvalue_ratio(gas: GasModel, s: FlowState) -> float:
     otherwise, and at every state that density() refuses.
     """
     try:
-        density(gas, s)
+        l2 = pseudo_mach_sq(gas, s)
     except InadmissibleStateError as err:
         raise NotEllipticError(str(err)) from err
-    l2 = s.speed_sq() / sound_speed_sq(gas, s)
     if l2 >= 1.0:
         raise NotEllipticError(f"L^2 = {l2:.6g} >= 1")
     return 1.0 / (1.0 - l2)

@@ -314,8 +314,9 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
     newton_tol (>= 1e-14) bounds the interior residual's sup norm and
     max_newton caps the Newton steps; a bad value of either raises
     ConfigError, naming it, before any work.  The initial guess is the
-    harmonic (Laplace-Beltrami) extension of the boundary datum.  Boundary
-    nodes carry the datum bit-exactly.  The returned report embeds an
+    harmonic (Laplace-Beltrami) extension of the boundary datum; where it is
+    inadmissible, its error is raised with "initial iterate: " in front.
+    Boundary nodes carry the datum bit-exactly.  The returned report embeds an
     ellipticity certificate of the solution, at certify_uniform_ellipticity's
     default eps.
     Raises NonConvergenceError, carrying the last iterate and the report,
@@ -345,10 +346,8 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
 
     try:
         r, state = interior_residual(phi)
-    except InadmissibleStateError as err:
-        raise VacuumEncounteredError(
-            f"initial iterate already inadmissible at node {err.node}",
-            node=err.node) from err
+    except InadmissibleStateError as err:  # vacuum, underflow or overflow, as raised
+        raise type(err)(f"initial iterate: {err}", node=err.node, t=err.t) from err
     res = float(np.max(np.abs(r)))
     report = SolveReport(False, res)
     while res > newton_tol:

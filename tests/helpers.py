@@ -347,14 +347,21 @@ SEGMENT_SLACK = 1e-12
 
 
 def reference_bernoulli(gas, q_sq, z):
-    """(rho, c^2, admissible) of the Bernoulli law, elementwise."""
+    """(rho, c^2, admissible) of the Bernoulli law, elementwise: admissible
+    where c^2 > 0 (|head/2| <= EXP_CAP for the isothermal gas) and rho is a
+    finite double > 0, found by forming rho, not from the gas's window;
+    rejected entries carry rho = 1."""
     head = gas.bernoulli - z * z - q_sq
-    if gas.gamma == 1.0:
-        ok = np.abs(0.5 * head) <= EXP_CAP
-        return gas.rho0 * np.exp(np.where(ok, 0.5 * head, 0.0)), np.ones_like(head), ok
-    c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
-    ok = c2 > 0.0
-    return np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0)), c2, ok
+    with np.errstate(over="ignore"):
+        if gas.gamma == 1.0:
+            ok = np.abs(0.5 * head) <= EXP_CAP
+            rho, c2 = gas.rho0 * np.exp(np.where(ok, 0.5 * head, 0.0)), np.ones_like(head)
+        else:
+            c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
+            ok = c2 > 0.0
+            rho = np.where(ok, c2, 1.0) ** (1.0 / (gas.gamma - 1.0))
+    ok = ok & (rho > 0.0) & (rho < np.inf)
+    return np.where(ok, rho, 1.0), c2, ok
 
 
 def field_state(f):

@@ -335,19 +335,43 @@ def test_nan_source_node_exits_one(tmp_path, capsys):
     assert not any((tmp_path / "out").iterdir())
 
 
+OVERFLOW_GAS = {"gamma": 1.001, "rho0": 1, "bernoulli": 4000}
+
+
 @pytest.mark.parametrize("name, key, message", [
-    ("solve", "boundary", "initial iterate already inadmissible at node (0, 0)"),
+    ("solve", "boundary", "initial iterate: density is not a finite double at node (0, 0): "
+                          "c^2 = 2.99864"),
     ("certify", "field", "density is not a finite double at node (0, 0): c^2 = 2.99864"),
 ])
 def test_an_overflowing_density_exits_one(tmp_path, capsys, name, key, message):
     # c^2 > 0 at every node, but rho = (c^2)^1000 overflows past c^2 = 2.03:
     # solve once "converged" with residual nan, and certify passed with
-    # eps_rho = inf
-    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
-                        gas={"gamma": 1.001, "rho0": 1, "bernoulli": 4000},
+    # eps_rho = inf; solve's start error keeps the GasOverflowError's text
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), gas=OVERFLOW_GAS,
                         command={"name": name, key: "1.6 + 0.1*cos(theta)"})
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_an_overflowing_density_is_classified_vacuum(tmp_path):
+    # classify read c^2 alone and painted all 81 nodes of the scenario above E
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), gas=OVERFLOW_GAS,
+                        command={"name": "classify", "field": "1.6 + 0.1*cos(theta)"})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["counts"] == {"E": 0, "P": 0, "H": 0, "V": 81}
+
+
+def test_an_underflowing_density_exits_one(tmp_path, capsys):
+    # c^2 = 1e-3 > 0, but rho = (c^2)^1000 underflows to 0.0, which rho > 0
+    # refuses: certify once exited 2 with eps_rho = 0
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                        gas={"gamma": 1.001, "rho0": 1, "bernoulli": -1994},
+                        command={"name": "certify", "field": "2"})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    assert capsys.readouterr().err == \
+        "error: density underflows to 0 at node (0, 0): c^2 = 0.001\n"
     assert not any((tmp_path / "out").iterdir())
 
 

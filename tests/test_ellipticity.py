@@ -275,6 +275,22 @@ def test_segment_isothermal_overflow_reports_the_exponent_margin():
         assert (v.condition, v.t, v.value) == ("rho_positive", 0.0, EXP_CAP - 999.5)
 
 
+@pytest.mark.parametrize("bernoulli, z, end", [(4000.0, 1.6, 1), (-1994.0, 2.0, 0)],
+                         ids=["overflow", "underflow"])
+def test_segment_density_out_of_doubles_is_not_rho_positive(bernoulli, z, end):
+    # c^2 = 2.99872 and 1e-3 are > 0, but rho = (c^2)^1000 is inf and 0.0
+    # there; the check read c^2 alone and passed both.  The margin is
+    # hi - c^2 past the window's upper end, c^2 - lo below its lower one
+    gas = GasModel(1.001, 1.0, bernoulli)
+    f = ScalarField.constant(SphericalGrid(*WIDE_PATCH, 9, 9), z)
+    rep = sf.check_segment_conditions(gas, f, f)
+    c2 = sound_speed_sq(gas, FlowState(0.0, 0.0, z))
+    margin = gas.window[3] - c2 if end else c2 - gas.window[2]
+    assert len(rep.violations) == 81 and margin < 0.0
+    for v in rep.violations:
+        assert (v.condition, v.t, v.value) == ("rho_positive", 0.0, margin)
+
+
 @contextlib.contextmanager
 def pointwise_pair(minus, plus):
     """Fields whose gradients read as the given node arrays: the segment

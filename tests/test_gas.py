@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import fd_density_partials, fd_hessian, random_admissible_state, random_gas
+from helpers import (fd_density_partials, fd_hessian, random_admissible_state, random_gas,
+                     reference_bernoulli)
 
 import sphereflow as sf
 from sphereflow import FlowState, FlowType, GasModel
@@ -73,6 +78,65 @@ def test_a_density_that_is_not_a_finite_double_is_refused(gas, z, message):
         with pytest.raises(sf.GasOverflowError) as err:
             call(gas, FlowState(0.0, 0.0, z))
         assert str(err.value) == message
+
+
+def _refusal(gas, head):
+    """The error class that a state at head is refused with, from rho
+    formed here: the isothermal guard and an infinite rho overflow, c^2 <= 0
+    and a rho of 0.0 are vacuum."""
+    with np.errstate(over="ignore"):
+        if gas.gamma == 1.0:
+            if abs(0.5 * head) > sf.gas.EXP_CAP:
+                return sf.GasOverflowError
+            rho = gas.rho0 * np.exp(np.array([0.5 * head]))[0]
+        else:
+            c2 = gas.c0_sq + 0.5 * (gas.gamma - 1.0) * head
+            if not c2 > 0.0:
+                return sf.VacuumError
+            rho = (np.array([c2]) ** (1.0 / (gas.gamma - 1.0)))[0]
+    return sf.VacuumError if rho == 0.0 else sf.GasOverflowError
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(gamma=st.sampled_from([-1.0, 0.0, 0.999, 1.0, 1.001, 1.4, 2.0, 3.0]),
+       rho0=st.sampled_from([1.0, 0.5, 3.0, 1e-300, 1e300]),
+       draws=st.lists(st.tuples(st.sampled_from([0, 1]),
+                                st.just(0.0) | st.floats(-1e-3, 1e-3),
+                                st.integers(-3, 3)), min_size=1, max_size=20))
+def test_the_window_admits_what_density_admits(gamma, rho0, draws):
+    # heads near both ends of the window (a relative offset, then a few
+    # doubles), or far out where an end is the largest double: the mask is
+    # the same with and without rho, and equals "rho finite and > 0" found
+    # by forming rho; density raises exactly off it, with the class of the
+    # side it falls on.  c^2 = 3 at gamma = 1.001 overflowed, c^2 = 1e-3
+    # underflowed, and at gamma = 0.999 c^2 = 0.3 overflowed, while the mask
+    # without rho read True
+    try:
+        gas = GasModel(gamma, rho0)
+    except sf.ConfigError:  # rho0^(gamma - 1) leaves the doubles
+        assume(False)
+    base, slope, lo, hi = gas.window
+    heads = []
+    for end, rel, ulps in draws:
+        head = ((lo, hi)[end] - base) / slope
+        head = math.copysign(1e300, head) if abs(head) > 1e300 else head * (1.0 + rel)
+        for _ in range(abs(ulps)):
+            head = math.nextafter(head, math.copysign(math.inf, ulps))
+        heads.append(head)
+    heads = np.array(heads)
+    rho, _, ok = sf.gas.bernoulli_density(gas, heads)
+    assert np.array_equal(sf.gas.bernoulli_density(gas, heads, False)[2], ok)
+    ref_rho, _, ref_ok = reference_bernoulli(gas, gas.bernoulli - heads, 0.0)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(rho[ok], ref_rho[ok]) and np.isfinite(rho).all()
+    for head, admitted, value in zip(heads, ok, rho):
+        shifted = GasModel(gamma, rho0, float(head))  # with q = z = 0, head = B
+        if admitted:
+            assert sf.density(shifted, FlowState(0.0, 0.0, 0.0)) == value
+        else:
+            with pytest.raises(sf.InadmissibleStateError) as err:
+                sf.density(shifted, FlowState(0.0, 0.0, 0.0))
+            assert type(err.value) is _refusal(gas, head)
 
 
 def test_density_partials_examples():

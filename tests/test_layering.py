@@ -1,11 +1,12 @@
 """No sphereflow module reaches into another module's private names, the
-Bernoulli c^2 is written once, the segment phi_t is formed in one place,
-every face flux takes its weights from one place, the interior's
-connectivity is computed only by the grid, the strong comparison checks
-read the weak comparison's report, only the solver builds the
-preconditioner, every linear solve goes through solver.interior_solve, the
-grid's open faces are its one neighbour rule, no module hands text to
-Python's own compiler, and the package imports no scipy."""
+Bernoulli c^2 is written once, admissibility is read from one window, the
+segment phi_t is formed in one place, every face flux takes its weights
+from one place, the interior's connectivity is computed only by the grid,
+the strong comparison checks read the weak comparison's report, only the
+solver builds the preconditioner, every linear solve goes through
+solver.interior_solve, the grid's open faces are its one neighbour rule,
+no module hands text to Python's own compiler, and the package imports no
+scipy."""
 
 import ast
 import os
@@ -38,7 +39,8 @@ def test_no_private_cross_module_imports():
 
 def _gas_law_reads(path):
     """Reads of GasModel.bernoulli or GasModel.c0_sq outside
-    gas.bernoulli_density and the GasModel class body."""
+    gas.bernoulli_density and the GasModel class body, and of EXP_CAP or
+    GasModel.window (the admissibility window's bounds) outside gas.py."""
     tree = ast.parse(path.read_text(), filename=str(path))
     exempt = set()
     for node in ast.walk(tree):
@@ -50,11 +52,20 @@ def _gas_law_reads(path):
                 and node.attr in ("bernoulli", "c0_sq")
                 and node.lineno not in exempt):
             yield f"{path.name}:{node.lineno} reads .{node.attr}"
+        if path.name == "gas.py":
+            continue
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name in ("EXP_CAP", "window"):
+            yield f"{path.name}:{node.lineno} reads {name}"
 
 
 def test_sound_speed_is_written_once():
     # every c^2 comes from bernoulli_density, so no second formula can
-    # drift from the density it must match
+    # drift from the density it must match; and every reader admits a
+    # state by the gas's one window, so no second admissibility rule
+    # (a c^2 > 0 test, an exp() guard) can disagree with density()
     found = [hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in _gas_law_reads(path)]
     assert found == []
