@@ -255,6 +255,7 @@ def speed_sq_excess(gas: GasModel, s: FlowState):
     This is the quantity whose segment convexity transfers ellipticity
     from the endpoints of [phi-, phi+] to the whole segment; its Hessian
     in (q1, q2, z) is the constant matrix returned by convexity_hessian.
+    Polynomial at every state: criterion 2 differentiates it off the window too.
     """
     return s.speed_sq() + s.z * s.z - sound_speed_sq(gas, s)
 

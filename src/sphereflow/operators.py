@@ -14,12 +14,13 @@ The nonlinear operator evaluated by flow_residual is
 
 in conservative (flux) form with arithmetic-mean face densities.  The
 equation holds at interior nodes, with f given at the others, so the flux
-operators (flow_residual, laplace_beltrami, residual_roundoff,
-flow_jacobian) are exact at interior nodes only, and flow_residual is 0.0
-at every other node.  flow_jacobian is its exact derivative there, applied
-matrix-free; segment_jacobian averages it over the segment between two
-fields.  Only first derivatives are taken: the termwise expansion of the
-equation, with its second derivatives, is a reference kept with the tests.
+operators (flow_residual, residual_roundoff, flow_jacobian) are exact there
+only, and flow_residual is 0.0 at every other node.  flow_jacobian, its
+exact derivative, applied matrix-free, is the solver's one linear operator:
+principal_preconditioner inverts it at a constant state, and
+segment_jacobian averages it over the segment between two fields.  Only
+first derivatives are taken: the termwise expansion of the equation, with
+its second derivatives, is a reference kept with the tests.
 """
 
 from dataclasses import dataclass
@@ -127,16 +128,6 @@ def segment_algebra(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
             -2.0 * (q1 * dq1 + q2 * dq2 + z * dz), -(dq1 * dq1 + dq2 * dq2 + dz * dz))
 
 
-def laplace_beltrami(grid: SphericalGrid, v):
-    """D_face(grad_face v) for a value array v, exact at interior nodes: the
-    flux stencil of flow_residual at unit density, which
-    principal_preconditioner(grid) inverts."""
-    out = np.zeros(grid.shape)
-    for axis, w in enumerate(_face_weights(grid)):
-        _add_divergence(out, grid, axis, w * grid.on_faces(np.subtract, v, axis))
-    return out
-
-
 def _phi_modes(m, periodic):
     """Orthonormal eigenvectors (as columns) and eigenvalues of the phi second
     difference on m nodes, zero-ended (sine modes) or periodic (Fourier)."""
@@ -153,22 +144,22 @@ def _phi_modes(m, periodic):
     return basis, lam
 
 
-def principal_preconditioner(grid: SphericalGrid):
+def principal_preconditioner(grid: SphericalGrid, k):
     """Approximate inverse, on interior values in flat order, of the flux
-    stencil v -> D_face(rho_face grad_face v) with face densities from
-    rho_row, 1 on the rows holding a masked node and 0 on the others: the
-    unit-density stencil of laplace_beltrami, cut at empty rows.  It is
-    separable on the bounding box of the interior (the whole ring when phi
-    is periodic), where fast diagonalization (Lynch, Rice & Thomas, Numer.
-    Math. 6 (1964) 185-199) inverts it: per phi mode of the second
-    difference (eigenvalue lam_k <= 0) the theta system times sin(theta) is
-    lam_k W - G, with G = C C^T tridiagonal positive definite and
-    W = diag(rho_row / (sin(theta) h_phi^2)) >= 0.  If C^-1 W C^-T =
-    Q diag(nu) Q^T, its inverse is P diag(1 / (lam_k nu - 1)) P^T with
-    P = C^-T Q: four matrix products and a divide per application.  Box
-    nodes off the interior are solved for and dropped, so it is exact on an
-    interior that fills its box.  A build costs 5-15 applications, so the
-    solver builds one per solve."""
+    stencil v -> D_face(rho_face grad_face v) + k rho_row v, face densities
+    from rho_row, 1 on the rows holding a masked node and 0 on the others:
+    flow_jacobian at a constant state over its density, k = 2 (1 - z^2/c^2).
+    It is separable on the bounding box of the interior (the whole ring
+    when phi is periodic), where fast diagonalization (Lynch, Rice & Thomas,
+    Numer. Math. 6 (1964) 185-199) inverts it: per phi mode of the second
+    difference (eigenvalue lam_m <= 0) the theta system times sin(theta) is
+    lam_m W - G, W = diag(rho_row / (sin(theta) h_phi^2)) >= 0 and G = C C^T
+    the theta stencil minus k diag(rho_row sin(theta)), tridiagonal positive
+    definite for k <= 0.  If C^-1 W C^-T = Q diag(nu) Q^T, its inverse is
+    P diag(1 / (lam_m nu - 1)) P^T with P = C^-T Q: four matrix products and
+    a divide per application.  Box nodes off the interior are solved for
+    and dropped, so it is exact on an interior that fills its box.  A build
+    costs 5-15 applications, so the solver builds one per solve."""
     im = grid.interior_mask
     rows = np.flatnonzero(im.any(axis=1))
     cols = np.flatnonzero(im.any(axis=0) | grid.phi_periodic)
@@ -180,7 +171,7 @@ def principal_preconditioner(grid: SphericalGrid):
     i = np.arange(rows[0], rows[-1] + 1)
     st = grid.sin_theta[i]
     # W is 0 on rows without masked nodes, and G on a row inside three of them
-    diag = face[i - 1] + face[i]
+    diag = face[i - 1] + face[i] - k * rho_row[i] * st
     off = np.diag(face[i[:-1]], 1)
     g = np.diag(np.where(diag > 0.0, diag, 1.0)) - off - off.T
     c_inv = np.linalg.inv(np.linalg.cholesky(g))
@@ -317,8 +308,10 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
 
 
 def principal_matrix(gas: GasModel, s: FlowState):
-    """Second-order coefficient matrix [[c2-q1^2, -q1 q2], [-q1 q2, c2-q2^2]]."""
-    c2 = sound_speed_sq(gas, s)
+    """Second-order coefficient matrix [[c2-q1^2, -q1 q2], [-q1 q2, c2-q2^2]];
+    raises like density() at every state that density() refuses."""
+    _, c2, ok = bernoulli_density(gas, head := gas.head(s.speed_sq(), s.z), False)
+    require_admissible(gas, head, ok)
     return np.array([
         [c2 - s.q1 * s.q1, -s.q1 * s.q2],
         [-s.q1 * s.q2, c2 - s.q2 * s.q2],

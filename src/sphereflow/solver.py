@@ -6,16 +6,17 @@ The Jacobian is the exact derivative of the discrete flux residual
 (operators.flow_jacobian), applied matrix-free, so convergence is
 quadratic near the solution.  Each iterate's flow state (field_density)
 is evaluated once, with its residual, and feeds its Jacobian and roundoff
-floor.  One unit-density operators.principal_preconditioner per solve
-serves every interior_solve: the harmonic initial guess and each Newton
-step's GMRES, which runs only to the Eisenstat-Walker forcing term; a
-failed inner solve is an outcome, not an error, and Newton goes on from
-its best iterate.  GMRES starts from zero, whose residual costs no matvec,
-and interior_solve reuses one interior-embedding array.  The line search
-halves the step until the residual's 2-norm, the norm GMRES minimizes,
-decreases sufficiently and the iterate stays admissible (rho > 0 on the
-mask); vacuum is a hard wall.  newton_tol, the forcing ratio, the stall
-and stagnation tests and the reports use the sup norm.
+floor.  The start is the Newton step from the constant mean datum, so
+flow_jacobian is the one linear operator; one principal_preconditioner per
+solve, built for the start's, serves every interior_solve: the start's and
+each Newton step's GMRES, which runs only to the Eisenstat-Walker forcing
+term.  A failed inner solve is an outcome, not an error, and Newton goes on
+from its best iterate.  GMRES starts from zero, whose residual costs no
+matvec, and interior_solve reuses one interior-embedding array.  The line
+search halves the step until the residual's 2-norm, the norm GMRES
+minimizes, decreases sufficiently and the iterate stays admissible
+(rho > 0 on the mask); vacuum is a hard wall.  newton_tol, the forcing
+ratio, the stall and stagnation tests and the reports use the sup norm.
 The iteration stops at newton_tol, or where a step stalls at the
 residual's roundoff floor; it raises on the Newton cap, on stagnation and
 when the line search stalls above that floor.  Each accepted step is one
@@ -47,7 +48,6 @@ from .operators import (
     field_density,
     flow_jacobian,
     flow_residual,
-    laplace_beltrami,
     principal_preconditioner,
     residual_roundoff,
 )
@@ -81,8 +81,8 @@ KRYLOV_FLOOR = 1e-12
 # basis would raise the C heap's trim threshold, and so resident memory.
 KRYLOV_ROWS = 8
 # Halvings the line search tries after the full step; the floor of the
-# forcing term, which is also the harmonic start's relative tolerance; and
-# the matvec cap of every inner solve.
+# forcing term, which is also the start's relative tolerance; and the matvec
+# cap of every inner solve.
 MAX_DAMPING = 30
 LIN_TOL = 1e-12
 LIN_MAX_ITER = 5000
@@ -238,9 +238,9 @@ def interior_solve(grid: SphericalGrid, apply_full, rhs, tol, max_iter,
 
     apply_full maps value arrays to value arrays; every matvec hands it one
     reused array, which it must neither keep nor write.  precondition acts
-    on interior values; None builds principal_preconditioner(grid).  A failed
-    solve is no error: x is its best iterate, with outcome "max_iter" or
-    "breakdown"."""
+    on interior values; None builds principal_preconditioner(grid, 0.0).
+    A failed solve is no error: x is its best iterate, with outcome
+    "max_iter" or "breakdown"."""
     idx = np.flatnonzero(grid.interior_mask)
     full = np.zeros(grid.shape)
 
@@ -249,17 +249,26 @@ def interior_solve(grid: SphericalGrid, apply_full, rhs, tol, max_iter,
         return apply_full(full).ravel()[idx]
 
     return linear_solve(matvec, rhs, tol, max_iter,
-                        precondition or principal_preconditioner(grid))
+                        precondition or principal_preconditioner(grid, 0.0))
 
 
-def _harmonic_extension(grid, boundary_vals, precondition):
-    """Laplace-Beltrami solution on the interior nodes, datum elsewhere (a
-    failed inner solve's best iterate, as for a Newton step)."""
-    apply_full, im = partial(laplace_beltrami, grid), grid.interior_mask
-    out = np.where(im, 0.0, boundary_vals)
-    out[im] = interior_solve(grid, apply_full, -apply_full(out)[im], LIN_TOL,
-                             LIN_MAX_ITER, precondition)[0]
-    return out
+def _start(problem, idx, interior_residual):
+    """(initial iterate, preconditioner): z + delta on the interior, the
+    datum elsewhere, with z the datum's mean on the boundary, F0 = z and
+    J delta = s - N(F0) - J(datum - z on the boundary), J = flow_jacobian at
+    F0 = rho (Delta_h + k), k = 2 (1 - z^2/c^2), preconditioned for min(k, 0).
+    A function, so that F0's Jacobian is freed before the Newton steps."""
+    grid, datum = problem.grid, problem.boundary.values
+    z = float(np.mean(datum[grid.boundary_mask]))
+    r, state = interior_residual(mean := ScalarField.constant(grid, z))
+    k = 2.0 * (1.0 - z * z / state[1].flat[idx[0]])
+    precondition = principal_preconditioner(grid, min(k, 0.0))
+    jacobian = flow_jacobian(problem.gas, mean, state=state)
+    lift = jacobian(np.where(grid.boundary_mask, datum - z, 0.0)).flat[idx]
+    start = np.where(grid.interior_mask, z, datum)
+    start.flat[idx] += interior_solve(grid, jacobian, -r - lift, LIN_TOL, LIN_MAX_ITER,
+                                      precondition)[0]
+    return ScalarField(grid, start), precondition
 
 
 def _line_search(phi, delta, idx, r, interior_residual, floor, eta):
@@ -314,11 +323,11 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
     newton_tol (>= 1e-14) bounds the interior residual's sup norm and
     max_newton caps the Newton steps; a bad value of either raises
     ConfigError, naming it, before any work.  The initial guess is the
-    harmonic (Laplace-Beltrami) extension of the boundary datum; where it is
-    inadmissible, its error is raised with "initial iterate: " in front.
-    Boundary nodes carry the datum bit-exactly.  The returned report embeds an
-    ellipticity certificate of the solution, at certify_uniform_ellipticity's
-    default eps.
+    Newton step from the constant mean boundary datum (_start); where that
+    state or the guess is inadmissible, its error is raised with
+    "initial iterate: " in front.  Boundary nodes carry the datum
+    bit-exactly.  The returned report embeds an ellipticity certificate of
+    the solution, at certify_uniform_ellipticity's default eps.
     Raises NonConvergenceError, carrying the last iterate and the report,
     on the Newton cap, on stagnation (naming the node of max |residual|)
     and when the line search stalls above the residual's roundoff floor.
@@ -333,10 +342,6 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
         raise GridError("no interior nodes to solve for")
     source_int = problem.source.values.ravel()[idx]
 
-    precondition = principal_preconditioner(grid)
-    phi = ScalarField(grid, _harmonic_extension(grid, problem.boundary.values,
-                                                precondition))
-
     def interior_residual(f):  # with f's flow state, its one field_density
         state = field_density(gas, f)
         return flow_residual(gas, f, state=state).values.flat[idx] - source_int, state
@@ -345,6 +350,7 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
         return ROUNDOFF_ULPS * float(residual_roundoff(f, state[0]).flat[idx].max())
 
     try:
+        phi, precondition = _start(problem, idx, interior_residual)
         r, state = interior_residual(phi)
     except InadmissibleStateError as err:  # vacuum, underflow or overflow, as raised
         raise type(err)(f"initial iterate: {err}", node=err.node, t=err.t) from err

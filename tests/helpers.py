@@ -178,10 +178,11 @@ def expanded_residual(gas, f):
     return ScalarField(grid, np.where(grid.mask_array, out, 0.0))
 
 
-def thomas_preconditioner(grid):
-    """principal_preconditioner by one Thomas sweep per phi mode, row by
-    row: the same separable stencil on the interior's bounding box, with
-    rho_row the unit density's mean over each row's masked nodes."""
+def thomas_preconditioner(grid, k):
+    """principal_preconditioner(grid, k) by one Thomas sweep per phi mode,
+    row by row: the same separable stencil, shifted by k rho_row, on the
+    interior's bounding box, with rho_row the unit density's mean over each
+    row's masked nodes."""
     im = grid.interior_mask
     rows = np.flatnonzero(im.any(axis=1))
     cols = np.flatnonzero(im.any(axis=0) | grid.phi_periodic)
@@ -193,7 +194,7 @@ def thomas_preconditioner(grid):
     i = np.arange(rows[0], rows[-1] + 1)
     st = grid.sin_theta[i, None]
     lower, upper = (face[i + k, None] / (2.0 * st * grid.h_theta ** 2) for k in (-1, 0))
-    inv = rho_row[i, None] / (st * grid.h_phi) ** 2 * lam - lower - upper
+    inv = rho_row[i, None] * (lam / (st * grid.h_phi) ** 2 + k) - lower - upper
     inv[0] = 1.0 / inv[0]
     for r in range(1, i.size):
         inv[r] = 1.0 / (inv[r] - lower[r] * upper[r - 1] * inv[r - 1])

@@ -340,13 +340,14 @@ OVERFLOW_GAS = {"gamma": 1.001, "rho0": 1, "bernoulli": 4000}
 
 @pytest.mark.parametrize("name, key, message", [
     ("solve", "boundary", "initial iterate: density is not a finite double at node (0, 0): "
-                          "c^2 = 2.99864"),
+                          "c^2 = 2.99868"),
     ("certify", "field", "density is not a finite double at node (0, 0): c^2 = 2.99864"),
 ])
 def test_an_overflowing_density_exits_one(tmp_path, capsys, name, key, message):
     # c^2 > 0 at every node, but rho = (c^2)^1000 overflows past c^2 = 2.03:
     # solve once "converged" with residual nan, and certify passed with
-    # eps_rho = inf; solve's start error keeps the GasOverflowError's text
+    # eps_rho = inf; solve's start error keeps the GasOverflowError's text,
+    # at the start's constant mean state
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), gas=OVERFLOW_GAS,
                         command={"name": name, key: "1.6 + 0.1*cos(theta)"})
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1

@@ -4,9 +4,9 @@ segment phi_t is formed in one place, every face flux takes its weights
 from one place, the interior's connectivity is computed only by the grid,
 the strong comparison checks read the weak comparison's report, only the
 solver builds the preconditioner, every linear solve goes through
-solver.interior_solve, the grid's open faces are its one neighbour rule,
-no module hands text to Python's own compiler, and the package imports no
-scipy."""
+solver.interior_solve with flow_jacobian as its operator, the grid's open
+faces are its one neighbour rule, no module hands text to Python's own
+compiler, and the package imports no scipy."""
 
 import ast
 import os
@@ -110,14 +110,14 @@ def _attribute_reads(node, attr):
 
 
 def test_face_fluxes_are_weighted_in_one_place():
-    # the residual, its Jacobian, the rounding scale, the unit-density
-    # stencil and its preconditioner weight their face fluxes alike, so a
-    # change to the face states lands in all of them at once
+    # the residual, its Jacobian, the rounding scale and the preconditioner
+    # weight their face fluxes alike, so a change to the face states lands
+    # in all of them at once
     modules = {path.name: _functions(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert not [name for name, functions in modules.items() if "_face_flux" in functions]
     operators = modules["operators.py"]
-    for name in ("flow_residual", "laplace_beltrami", "residual_roundoff",
-                 "flow_jacobian", "principal_preconditioner"):
+    for name in ("flow_residual", "residual_roundoff", "flow_jacobian",
+                 "principal_preconditioner"):
         assert "_face_weights" in set(_called_names(operators[name])), name
     readers = {path.name: _attribute_reads(ast.parse(path.read_text()), "sin_theta_face")
                for path in sorted(PACKAGE.glob("*.py"))}
@@ -195,6 +195,39 @@ def test_linear_solve_has_one_caller():
                  if isinstance(node, ast.FunctionDef) and node.name == "interior_solve")
     assert list(calls) == ["solver.py"] and len(calls["solver.py"]) == 1
     assert owner.lineno <= calls["solver.py"][0] <= owner.end_lineno
+
+
+def _name(node):
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _solved_operators(path):
+    """The apply_full argument of every interior_solve call in path, a name
+    replaced by every value assigned to it in the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assigned = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, []).append(node.value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "interior_solve":
+            arg = node.args[1]
+            yield from assigned.get(arg.id, [arg]) if isinstance(arg, ast.Name) else [arg]
+
+
+def test_solver_applies_one_linear_operator():
+    # the start and every Newton step solve with flow_jacobian, which the
+    # preconditioner inverts at a constant state; a second operator (the
+    # Laplace-Beltrami stencil of the old harmonic start) would need its
+    # own preconditioner and its own face fluxes
+    solved = list(_solved_operators(PACKAGE / "solver.py"))
+    assert len(solved) >= 2
+    assert all(isinstance(node, ast.Call) and _name(node.func) == "flow_jacobian"
+               for node in solved), [ast.unparse(node) for node in solved]
+    assert "laplace_beltrami" not in _functions(PACKAGE / "operators.py")
 
 
 def test_grid_has_one_neighbour_rule():

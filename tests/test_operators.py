@@ -290,19 +290,27 @@ def test_flow_jacobian_columns_match_finite_differences(kind, periodic, gamma,
 @pytest.mark.parametrize("n_phi,periodic", [(21, False), (16, True), (15, True)],
                          ids=["plain", "periodic-even", "periodic-odd"])
 def test_principal_preconditioner_inverts_theta_only_density(n_phi, periodic):
-    # at unit density (the theta-only density the preconditioner is built
-    # for) the principal part, laplace_beltrami, is separable on a grid
-    # whose interior fills its box, so the preconditioner is its exact
-    # inverse
+    # at a constant state z the Jacobian is rho (Delta_h + k), with
+    # k = 2 (1 - z^2/c^2): the unit-density stencil shifted by k, separable
+    # on a grid whose interior fills its box, so principal_preconditioner(g, k)
+    # is its exact inverse up to the factor rho; with B = 10, z = 2 gives
+    # c^2 = 4 and k = 0 exactly, and z = 2.5 gives k < 0
     span = (0.0, 2 * np.pi) if periodic else (0.0, np.pi / 4)
     g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, *span, 17, n_phi,
                       phi_periodic=periodic)
+    gas = GasModel(2.0, 1.0, 10.0)
     idx = np.flatnonzero(g.interior_mask.ravel())
     v = np.zeros(g.shape)
     v.flat[idx] = np.random.default_rng(7).normal(size=idx.size)
-    principal = sf.operators.laplace_beltrami(g, v)
-    back = sf.operators.principal_preconditioner(g)(principal.ravel()[idx])
-    assert np.abs(back - v.flat[idx]).max() <= 1e-12 * np.abs(v.flat[idx]).max()
+    for z, shift in ((2.0, "zero"), (2.5, "negative")):
+        mean = ScalarField.constant(g, z)
+        rho, c2, *_ = state = sf.field_density(gas, mean)
+        k = 2.0 * (1.0 - z * z / c2.flat[idx[0]])
+        assert (k == 0.0) if shift == "zero" else (k < 0.0)
+        jacobian = sf.flow_jacobian(gas, mean, state=state)(v)
+        back = sf.operators.principal_preconditioner(g, k)(jacobian.ravel()[idx])
+        assert np.abs(back / rho.flat[idx[0]] - v.flat[idx]).max() \
+            <= 1e-12 * np.abs(v.flat[idx]).max()
 
 
 def _stencil_grid(kind, periodic, n_theta, n_phi, rng):
@@ -410,7 +418,8 @@ def _split_mask(n, gap):
                                   "periodic-odd"])
 @pytest.mark.parametrize("n", [17, 65])
 def test_principal_preconditioner_matches_thomas(kind, n):
-    # split: the empty row has rho_row = 0 inside the interior's box
+    # unshifted and shifted by the k < 0 of a constant state; split: the
+    # empty row has rho_row = 0 inside the interior's box
     mask = None
     if kind == "masked":
         mask = np.ones((n, n), dtype=bool)
@@ -423,9 +432,10 @@ def test_principal_preconditioner_matches_thomas(kind, n):
     else:
         g = SphericalGrid(*WIDE_PATCH, n, n, mask=mask)
     x = np.random.default_rng(n).normal(size=int(g.interior_mask.sum()))
-    want = thomas_preconditioner(g)(x)
-    got = sf.operators.principal_preconditioner(g)(x)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for k in (0.0, -0.98):
+        want = thomas_preconditioner(g, k)(x)
+        got = sf.operators.principal_preconditioner(g, k)(x)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_principal_preconditioner_across_three_empty_rows():
@@ -434,8 +444,8 @@ def test_principal_preconditioner_across_three_empty_rows():
     g = SphericalGrid(*WIDE_PATCH, 17, 17, mask=_split_mask(17, 3))
     x = np.random.default_rng(3).normal(size=int(g.interior_mask.sum()))
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert not np.isfinite(thomas_preconditioner(g)(x)).all()
-    assert np.isfinite(sf.operators.principal_preconditioner(g)(x)).all()
+        assert not np.isfinite(thomas_preconditioner(g, 0.0)(x)).all()
+    assert np.isfinite(sf.operators.principal_preconditioner(g, 0.0)(x)).all()
 
 
 def test_operators_keep_no_grid_alive(gas_b4):
@@ -444,7 +454,7 @@ def test_operators_keep_no_grid_alive(gas_b4):
     f = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
     sf.flow_residual(gas_b4, f)
     apply = sf.flow_jacobian(gas_b4, f)
-    precondition = sf.operators.principal_preconditioner(g)
+    precondition = sf.operators.principal_preconditioner(g, -1.0)
     apply(f.values)
     precondition(np.ones(int(g.interior_mask.sum())))
     ref = weakref.ref(g)
@@ -474,6 +484,20 @@ def test_eigenvalue_ratio_examples(gas_b4):
         sf.eigenvalue_ratio(gas_b4, FlowState(1.0, 0.0, 2.0))
 
 
+@pytest.mark.parametrize("params, z, error", [
+    ((2.0, 1.0, 4.0), 3.0, sf.VacuumError),
+    ((1.001, 1.0, 4000.0), 1.6, sf.GasOverflowError),
+], ids=["vacuum", "overflow"])
+def test_principal_matrix_refuses_what_density_refuses(params, z, error):
+    # c^2 = -1.5 at the first state, and rho overflows at c^2 = 2.99872 at
+    # the second: principal_matrix read c^2 alone and returned diag(c^2)
+    gas, s = GasModel(*params), FlowState(0.0, 0.0, z)
+    with pytest.raises(error) as want:
+        sf.density(gas, s)
+    with pytest.raises(error, match=re.escape(str(want.value))):
+        sf.principal_matrix(gas, s)
+
+
 def test_eigenvalue_ratio_refuses_a_vacuum_state(gas_b4):
     # c^2 = 3 - z^2/2 - |q|^2/2 = -1 here, so L^2 is undefined, not large
     with pytest.raises(sf.NotEllipticError, match=r"c\^2 = -1 <= 0"):
@@ -499,11 +523,20 @@ def test_eigenvalue_ratio_identity_random():
 
 def test_principal_form_two_sided_bound():
     # (c^2 - |q|^2)|tau|^2 <= tau' A tau <= c^2 |tau|^2 for every state
+    # density() admits; it refuses the others, as density() does
     rng = np.random.default_rng(43)
+    refused = 0
     for _ in range(10000):
         gas = random_gas(rng, rng.choice([-1.0, 0.0, 1.0, 1.4, 2.0, 3.0]))
         s = FlowState(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5),
                       rng.uniform(-2.0, 2.0))
+        try:
+            sf.density(gas, s)
+        except sf.InadmissibleStateError as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                sf.principal_matrix(gas, s)
+            refused += 1
+            continue
         c2 = sf.sound_speed_sq(gas, s)
         tau = rng.normal(size=2)
         form = tau @ sf.principal_matrix(gas, s) @ tau
@@ -511,6 +544,7 @@ def test_principal_form_two_sided_bound():
         assert form <= c2 * tt + 1e-12 * max(1.0, abs(c2 * tt))
         assert form >= (c2 - s.speed_sq()) * tt - 1e-12 * max(
             1.0, abs((c2 - s.speed_sq()) * tt))
+    assert 0 < refused < 5000
 
 
 def test_periodic_phi_wrap():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import SMALL_PATCH, WIDE_PATCH
+from helpers import SMALL_PATCH, WIDE_PATCH, observed_orders
 
 import sphereflow as sf
 from sphereflow import (
@@ -242,6 +242,52 @@ def test_mask_without_interior_nodes_is_refused(gas_b4):
         sf.solve_dirichlet(prob)
 
 
+def _freestream_case(kind, a, n):
+    """(grid, exact) of the uniform stream f = U . omega, |U| = 1.8, an exact
+    solution with source 0 for the gas (2, 1, 4), whose Mach cone has a
+    half-angle of 40.7 degrees: on the phi-periodic polar band
+    [a, 0.6] x 8 nodes with U along the pole, on the band [0.2, 0.55] x
+    (n - 1) nodes at incidence a, or on the geodesic disc of radius a
+    about U = (pi/2, pi/4) in the box of half-width 1.05 a."""
+    if kind == "polar":
+        g = SphericalGrid(a, 0.6, 0.0, 2 * np.pi, n, 8, phi_periodic=True)
+        return g, ScalarField(g, 1.8 * np.cos(g.theta_mesh))
+    if kind == "incidence":
+        g = SphericalGrid(0.2, 0.55, 0.0, 2 * np.pi, n, n - 1, phi_periodic=True)
+        th, ph = g.theta_mesh, g.phi_mesh
+        return g, ScalarField(g, 1.8 * (np.cos(a) * np.cos(th)
+                                        + np.sin(a) * np.sin(th) * np.cos(ph)))
+    w = 1.05 * a
+    box = (np.pi / 2 - w, np.pi / 2 + w, np.pi / 4 - w, np.pi / 4 + w)
+    plain = SphericalGrid(*box, n, n)
+    cos_d = np.sin(plain.theta_mesh) * np.cos(plain.phi_mesh - np.pi / 4)  # cos of the arc to U
+    g = SphericalGrid(*box, n, n, mask=cos_d >= np.cos(a))
+    return g, ScalarField(g, 1.8 * cos_d)
+
+
+@pytest.mark.parametrize("kind, a, bound", [
+    ("polar", 0.2, 3e-6), ("polar", 0.3, 1e-6), ("polar", 0.4, 2e-7),
+    ("incidence", 0.05, 2e-5), ("incidence", 0.1, 5e-5),
+    ("disc", np.radians(39.0), 1e-4),
+], ids=["polar-0.2", "polar-0.3", "polar-0.4", "incidence-0.05", "incidence-0.1",
+        "disc-39"])
+def test_freestream_inside_the_mach_cone(gas_b4, kind, a, bound):
+    # the paper's delta-wing setting: a harmonic (Laplace-Beltrami) start is
+    # hyperbolic on these bands, where Newton stagnated or reached a
+    # spurious branch whose certificate fails, and inadmissible on the disc
+    # (vacuum at node (5, 5)); the start at the constant mean state converges
+    # on the elliptic branch in at most 5 steps, at second order
+    errors = []
+    for n in (17, 33) if kind != "disc" else (33,):
+        g, exact = _freestream_case(kind, a, n)
+        phi, rep = sf.solve_dirichlet(BVProblem(gas=gas_b4, grid=g, boundary=exact,
+                                                source=ScalarField.constant(g, 0.0)))
+        assert rep.converged and rep.iterations <= 5 and rep.final_certificate.passed
+        errors.append(np.abs(phi.values - exact.values)[g.mask_array].max())
+    assert errors[-1] <= bound
+    assert min(observed_orders(errors), default=2.0) >= 1.9
+
+
 def test_vacuum_boundary_data(wide_grid_33):
     gas = GasModel(2.0, 1.0, -10.0)
     prob = BVProblem(gas=gas, grid=wide_grid_33,
@@ -367,8 +413,7 @@ def _periodic_band():
 @pytest.mark.parametrize("n", [17, 33, 65])
 def test_inner_solve_is_mesh_independent(gas_b4, monkeypatch, n):
     # the separable principal-part preconditioner keeps every inner solve
-    # (the harmonic initial guess and each Newton step) at a matvec count
-    # flat in n
+    # (the start and each Newton step) at a matvec count flat in n
     counts = _counting_inner_solves(monkeypatch)
     g = SphericalGrid(*SMALL_PATCH, n, n)
     bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
@@ -376,7 +421,7 @@ def test_inner_solve_is_mesh_independent(gas_b4, monkeypatch, n):
                                           source=ScalarField.constant(g, 0.0)))
     assert rep.converged and len(counts) == rep.iterations + 1
     assert max(counts) <= 40
-    assert counts[0] <= 3  # exact inverse for the harmonic extension
+    assert counts[0] == 1  # exact inverse of the start's operator
 
 
 @pytest.mark.parametrize("grid", [_notched_grid(65), _periodic_band()],
@@ -476,7 +521,7 @@ def test_readme_scenario_stops_at_the_roundoff_floor(gas_b4, n):
 @pytest.mark.parametrize("n", [33, 65, 129])
 def test_inner_solve_total_is_flat_in_n(gas_b4, monkeypatch, n):
     # Eisenstat-Walker forcing: early inner solves stop at a loose tolerance,
-    # so the whole solve, harmonic extension included, stays cheap
+    # so the whole solve, its start included, stays cheap
     counts = _counting_inner_solves(monkeypatch)
     _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, n))
     assert rep.converged and rep.stop_reason == "newton_tol"
@@ -486,7 +531,7 @@ def test_inner_solve_total_is_flat_in_n(gas_b4, monkeypatch, n):
     assert all(1e-12 <= s.forcing <= 0.5 for s in rep.steps)
 
 
-def test_stagnation_names_the_worst_node(gas_b4):
+def test_stagnation_names_the_worst_node(gas_b4, monkeypatch):
     n = 65
     mask = np.ones((n, n), dtype=bool)
     mask[:16, :16] = False
@@ -495,6 +540,14 @@ def test_stagnation_names_the_worst_node(gas_b4):
         g, lambda th, ph: 1.6 + 0.1 * np.cos(th) + 0.02 * np.sin(th) * np.sin(ph))
     prob = BVProblem(gas=gas_b4, grid=g, boundary=bnd,
                      source=ScalarField.constant(g, 0.0))
+    searched = []  # the interior residual each line search starts from
+    search = sf.solver._line_search
+
+    def spied(phi, delta, idx, r, *rest):
+        searched.append(np.linalg.norm(r))
+        return search(phi, delta, idx, r, *rest)
+
+    monkeypatch.setattr(sf.solver, "_line_search", spied)
     with pytest.raises(sf.NonConvergenceError, match="stagnated") as err:
         sf.solve_dirichlet(prob)
     report = err.value.report
@@ -506,20 +559,18 @@ def test_stagnation_names_the_worst_node(gas_b4):
     i, j = np.unravel_index(np.argmax(r), r.shape)
     assert str(err.value).endswith(f"max at node ({i}, {j})")
     # the attached field is the last accepted iterate: every accepted step
-    # lowered ||r||_2 below the harmonic start's, though not its sup norm
-    start = sf.solver._harmonic_extension(g, bnd.values,
-                                          sf.operators.principal_preconditioner(g))
-
-    def interior_norm(values):
-        r = sf.flow_residual(gas_b4, ScalarField(g, values)).values
-        return np.linalg.norm(r[g.interior_mask])
-    assert interior_norm(err.value.field.values) < interior_norm(start)
+    # lowered ||r||_2, from the start's on, though not its sup norm
+    r_last = sf.flow_residual(gas_b4, err.value.field).values[g.interior_mask]
+    assert len(searched) == report.iterations
+    assert searched == sorted(searched, reverse=True)
+    assert np.linalg.norm(r_last) < searched[-1]
 
 
 def test_preconditioner_is_built_once_per_solve(gas_b4, monkeypatch):
-    # one build, from the grid alone, serves the harmonic extension and
-    # every Newton step, whatever the step count; both modules are watched, so a build
-    # moved back into flow_jacobian is counted too
+    # one build, for the start's shift min(k, 0) with k = 2 (1 - z^2/c^2) at
+    # the mean datum z, serves the start and every Newton step, whatever the
+    # step count; both modules are watched, so a build moved back into
+    # flow_jacobian is counted too
     builds = []
     build = sf.operators.principal_preconditioner
 
@@ -529,35 +580,42 @@ def test_preconditioner_is_built_once_per_solve(gas_b4, monkeypatch):
 
     monkeypatch.setattr(sf.operators, "principal_preconditioner", counted)
     monkeypatch.setattr(sf.solver, "principal_preconditioner", counted)
-    _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33))
+    prob = _readme_problem(gas_b4, 33)
+    _, rep = sf.solve_dirichlet(prob)
     assert rep.converged and rep.iterations >= 5
-    assert len(builds) == 1 and builds[0][1:] == ()
+    z = float(np.mean(prob.boundary.values[prob.grid.boundary_mask]))
+    k = 2.0 * (1.0 - z * z / sf.sound_speed_sq(gas_b4, sf.FlowState(0.0, 0.0, z)))
+    assert k < 0.0 and builds == [(prob.grid, k)]
 
 
-def _spied_laplace_beltrami(grid, seen):
-    """laplace_beltrami on grid, recording whether each argument is zero
-    off the interior."""
+def _spied_jacobian(grid, seen):
+    """flow_jacobian on grid at the constant state z = 2 of the gas
+    (2, 1, 10), where c^2 = 4 and k = 2 (1 - z^2/c^2) = 0, so its apply is
+    rho Delta_h; records whether each argument is zero off the interior."""
+    jacobian = sf.flow_jacobian(GasModel(2.0, 1.0, 10.0), ScalarField.constant(grid, 2.0))
+
     def apply_full(v):
         seen.append(not np.any(v[~grid.interior_mask]))
-        return sf.operators.laplace_beltrami(grid, v)
+        return jacobian(v)
     return apply_full
 
 
 def test_interior_solve_builds_an_exact_preconditioner():
     # with no preconditioner given, interior_solve builds the grid's own,
-    # which inverts laplace_beltrami on a plain patch: its Dirichlet problem
-    # takes at most 3 matvecs, each applied to zeros off the interior
+    # unshifted, which inverts the Jacobian at a constant state with k = 0
+    # on a plain patch: its Dirichlet problem takes at most 3 matvecs, each
+    # applied to zeros off the interior
     g = SphericalGrid(*SMALL_PATCH, 33, 33)
     im, seen = g.interior_mask, []
     datum = np.where(im, 0.0, 1.6 + 0.1 * np.cos(g.theta_mesh) * np.sin(3 * g.phi_mesh))
-    apply_full = _spied_laplace_beltrami(g, seen)
-    rhs = -sf.operators.laplace_beltrami(g, datum)[im]
-    x, matvecs, outcome = sf.interior_solve(g, apply_full, rhs, 1e-12, 50)
+    reference = _spied_jacobian(g, [])
+    rhs = -reference(datum)[im]
+    x, matvecs, outcome = sf.interior_solve(g, _spied_jacobian(g, seen), rhs, 1e-12, 50)
     assert outcome == "converged" and 1 <= matvecs <= 3 and len(seen) == matvecs
     assert all(seen)
     full = datum.copy()
     full[im] = x
-    residual = sf.operators.laplace_beltrami(g, full)[im]
+    residual = reference(full)[im]
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -566,7 +624,7 @@ def test_interior_solve_gives_its_best_iterate_at_max_iter():
     # preconditioner is not exact: the outcome says so and x is finite
     g, seen = _notched_grid(33), []
     rhs = np.ones(int(g.interior_mask.sum()))
-    x, matvecs, outcome = sf.interior_solve(g, _spied_laplace_beltrami(g, seen),
+    x, matvecs, outcome = sf.interior_solve(g, _spied_jacobian(g, seen),
                                             rhs, 1e-12, 1)
     assert (outcome, matvecs, seen) == ("max_iter", 1, [True])
     assert x.shape == rhs.shape and np.all(np.isfinite(x)) and np.any(x)
@@ -596,9 +654,9 @@ def test_interior_solve_counts_every_apply_full_call(gas_b4, holed, max_iter):
 
 
 def test_flow_state_is_evaluated_once_per_iterate(gas_b4, monkeypatch):
-    # one field_density per residual evaluation: the accepted iterate's
-    # state also feeds its Jacobian and its roundoff floor, and the
-    # preconditioner needs none
+    # one field_density per residual evaluation, and one for the start's
+    # constant state: the accepted iterate's state also feeds its Jacobian
+    # and its roundoff floor, and the preconditioner needs none
     calls = []
     density = sf.operators.field_density
 
@@ -611,10 +669,10 @@ def test_flow_state_is_evaluated_once_per_iterate(gas_b4, monkeypatch):
     _, rep = sf.solve_dirichlet(_readme_problem(gas_b4, 33))
     assert rep.converged and rep.iterations >= 5
     assert all(s.step_length == 1.0 for s in rep.steps)  # one residual a step
-    assert len(calls) == len(rep.residual_history)
+    assert len(calls) == len(rep.residual_history) + 1
     # the public Jacobian still evaluates the state itself
     sf.flow_jacobian(gas_b4, ScalarField.constant(_readme_problem(gas_b4, 9).grid, 1.6))
-    assert len(calls) == len(rep.residual_history) + 1
+    assert len(calls) == len(rep.residual_history) + 2
 
 
 @pytest.mark.parametrize("n, empty_rows", [
@@ -681,21 +739,33 @@ def test_failed_inner_solve_is_recorded(gas_b4, caplog, monkeypatch):
                for outcome, msg in zip(outcomes, steps))
 
 
-def test_harmonic_extension_goes_on_from_its_best_iterate(gas_b4, monkeypatch):
-    # a LIN_MAX_ITER too small for the initial guess: the extension keeps its
-    # best iterate, as a Newton step does, and the solve then names the node
-    # where that guess is inadmissible
+def test_start_goes_on_from_its_best_iterate(gas_b4, monkeypatch):
+    # a LIN_MAX_ITER too small for the start's inner solve on a notched
+    # grid, where its preconditioner is not exact: the start keeps its best
+    # iterate, as a Newton step does, and Newton goes on from it; at one
+    # matvec that iterate is inadmissible, and the solve names the node
     mask = np.ones((33, 33), dtype=bool)
     mask[:8, :8] = False
     g = SphericalGrid(*SMALL_PATCH, 33, 33, mask=mask)
     bnd = ScalarField.from_function(g, lambda th, ph: 1.6 + 0.1 * np.cos(th))
     prob = BVProblem(gas=gas_b4, grid=g, boundary=bnd,
                      source=ScalarField.constant(g, 0.0))
+    outcomes, inner = [], sf.solver.interior_solve
+
+    def spied(*args):
+        x, matvecs, outcome = inner(*args)
+        outcomes.append(outcome)
+        return x, matvecs, outcome
+
+    monkeypatch.setattr(sf.solver, "interior_solve", spied)
     monkeypatch.setattr(sf.solver, "LIN_MAX_ITER", 2)
+    _, rep = sf.solve_dirichlet(prob)
+    assert rep.converged and outcomes[0] == "max_iter"
+    monkeypatch.setattr(sf.solver, "LIN_MAX_ITER", 1)
     with pytest.raises(sf.VacuumError) as err:
         sf.solve_dirichlet(prob)
-    assert type(err.value) is sf.VacuumError and err.value.node == (0, 9)
-    assert str(err.value) == "initial iterate: vacuum at node (0, 9): c^2 = -35.8797 <= 0"
+    assert type(err.value) is sf.VacuumError and err.value.node == (5, 8)
+    assert str(err.value) == "initial iterate: vacuum at node (5, 8): c^2 = -0.00934809 <= 0"
 
 
 def test_linear_solve_never_applies_op_to_zeros(gas_b4, monkeypatch):
@@ -820,8 +890,9 @@ def test_inner_solves_meet_their_target_without_a_check(gas_b4, monkeypatch, cas
 
 def test_line_search_exits_name_their_cause(gas_b4, monkeypatch):
     # the 65^2 corner-notched problem that stagnates with the default
-    # damping: one halving finds no admissible iterate, and three find
-    # admissible ones, none of which lowers the residual
+    # damping: one halving finds no admissible iterate, and after a first
+    # step at lambda = 1/8, four find admissible ones, none of which lowers
+    # the residual
     n = 65
     mask = np.ones((n, n), dtype=bool)
     mask[:16, :16] = False
@@ -833,12 +904,12 @@ def test_line_search_exits_name_their_cause(gas_b4, monkeypatch):
     monkeypatch.setattr(sf.solver, "MAX_DAMPING", 1)
     with pytest.raises(sf.VacuumEncounteredError, match="damping exhausted"):
         sf.solve_dirichlet(prob)
-    monkeypatch.setattr(sf.solver, "MAX_DAMPING", 3)
+    monkeypatch.setattr(sf.solver, "MAX_DAMPING", 4)
     with pytest.raises(sf.NonConvergenceError,
                        match="line search stalled at .* above its roundoff floor") as err:
         sf.solve_dirichlet(prob)
     report = err.value.report
-    assert not report.converged and report.iterations == 2
+    assert not report.converged and report.iterations == 1
     _assert_views_follow_the_steps(report)
 
 

@@ -57,7 +57,7 @@ def _masked_grids():
     band[3:18] = True
     band[9:12, 5:9] = False
     # the README patch's theta range, where the solver converges from its
-    # harmonic start at MASKED_BOUNDARY
+    # start at MASKED_BOUNDARY
     rows = {"theta_min": math.pi / 3, "theta_max": math.pi / 2, "phi_min": 0.0}
     return {
         "hole_corner": ({**rows, "phi_max": math.pi / 4, "n_theta": 25, "n_phi": 25},
