@@ -43,7 +43,6 @@ from .errors import (
     NonTouchingNodeError,
     NotEllipticError,
     SphereflowError,
-    VacuumEncounteredError,
     VacuumError,
 )
 from .expressions import evaluate_expression

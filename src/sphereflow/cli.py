@@ -312,12 +312,8 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
         print(f"expression error: {err}", file=sys.stderr)
         return 1
     except NonConvergenceError as err:
-        if err.report is not None:
-            payload = err.report.to_dict()
-            payload["error"] = str(err)
-            write_json_report(out / "report.json", payload)
-        if err.field is not None:
-            write_field_csv(out / "solution.csv", err.field)
+        write_json_report(out / "report.json", {**err.report.to_dict(), "error": str(err)})
+        write_field_csv(out / "solution.csv", err.field)
         print(f"solver failed: {err}", file=sys.stderr)
         return 1
     except SphereflowError as err:

@@ -20,9 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .ellipticity import Z_GE_C_SLACK
+from .ellipticity import Z_GE_C_SLACK, extreme, field_readings
 from .errors import ConfigError, CornerNodeError, NonTouchingNodeError
-from .gas import GasModel, bernoulli_density, require_admissible
+from .gas import GasModel, bernoulli_density, mach_sq, require_admissible
 from .grid import ScalarField, SphericalGrid, require_same_grid
 from .operators import (field_density, flow_residual, gauss_legendre,
                         segment_algebra, spherical_gradient)
@@ -212,13 +212,6 @@ class ComparisonReport:
         }
 
 
-def _extreme(arr, region, minimize):
-    masked = np.where(region, arr, np.inf if minimize else -np.inf)
-    flat = int(np.argmin(masked) if minimize else np.argmax(masked))
-    i, j = np.unravel_index(flat, arr.shape)
-    return float(masked[i, j]), (int(i), int(j))
-
-
 def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
                            f_plus: ScalarField, tol_sub: float = 1e-9,
                            tol_order: float = 1e-8) -> ComparisonReport:
@@ -226,9 +219,10 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
 
     Hypotheses (gating): residual signs of the sub/supersolution at
     interior nodes, boundary ordering, rho > 0 and L^2 < 1 for both fields
-    (the supersolution Mach condition in both literature readings: the
-    plain (f+, f+) one and the mixed one using the subsolution value in
-    the sound speed), and z >= c for both fields.  The weak-form
+    as field_readings reads them (the supersolution Mach condition in both
+    literature readings: the plain (f+, f+) one and the mixed one, mach_sq
+    with the subsolution value in the sound speed), and z >= c for both
+    fields.  The weak-form
     nonnegativity is recorded alongside but does not gate applicability,
     being a consequence rather than a premise (weak_form_field at beta = 1/2
     and 8 Gauss points).  tol_sub or tol_order < 0 or nan raises ConfigError.
@@ -244,52 +238,40 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
 
     state_m, state_p = field_density(gas, f_minus), field_density(gas, f_plus)
     res_minus = flow_residual(gas, f_minus, state=state_m).values
-    v, node = _extreme(res_minus, im, minimize=True)
+    v, node = extreme(res_minus, im, minimize=True)
     hyp["subsolution_sign"] = HypothesisResult(v >= -tol_sub, node, v)
 
     res_plus = flow_residual(gas, f_plus, state=state_p).values
-    v, node = _extreme(res_plus, im, minimize=False)
+    v, node = extreme(res_plus, im, minimize=False)
     hyp["supersolution_sign"] = HypothesisResult(v <= tol_sub, node, v)
 
     bgap = f_minus.values - f_plus.values
-    v, node = _extreme(bgap, bm, minimize=False)
+    v, node = extreme(bgap, bm, minimize=False)
     hyp["boundary_ordering"] = HypothesisResult(v <= tol_order, node, v)
 
-    rho_m, c2_m, q1m, q2m = state_m
-    rho_p, c2_p, q1p, q2p = state_p
-    for tag, rho in (("minus", rho_m), ("plus", rho_p)):
-        v, node = _extreme(rho, m, minimize=True)
+    (_, rho_m, l2_m), (_, rho_p, l2_p) = (field_readings(f_minus, state_m),
+                                          field_readings(f_plus, state_p))
+    for tag, (v, node) in (("minus", rho_m), ("plus", rho_p)):
         hyp[f"rho_positive_{tag}"] = HypothesisResult(v > 0.0, node, v)
-
-    l2_m = (q1m * q1m + q2m * q2m) / np.where(m, c2_m, 1.0)
-    v, node = _extreme(l2_m, m, minimize=False)
-    hyp["mach_elliptic_minus"] = HypothesisResult(v < 1.0, node, v)
-
-    qsq_p = q1p * q1p + q2p * q2p
-    l2_a = qsq_p / np.where(m, c2_p, 1.0)
-    v, node = _extreme(l2_a, m, minimize=False)
-    hyp["mach_elliptic_plus_reading_a"] = HypothesisResult(v < 1.0, node, v)
-
+    q1p, q2p = state_p[2:]
+    qsq_p = q1p * q1p + q2p * q2p  # reading B: f+'s speed, c^2 at f-'s value
     _, c2_mixed, ok = bernoulli_density(gas, gas.head(qsq_p, f_minus.values), False)
-    l2_b = np.where(ok, qsq_p / np.where(ok, c2_mixed, 1.0), np.inf)
-    v, node = _extreme(l2_b, m, minimize=False)
-    hyp["mach_elliptic_plus_reading_b"] = HypothesisResult(v < 1.0, node, v)
+    l2_b = extreme(mach_sq(qsq_p, c2_mixed, ok), m, minimize=False)
+    for tag, (v, node) in (("minus", l2_m), ("plus_reading_a", l2_p), ("plus_reading_b", l2_b)):
+        hyp[f"mach_elliptic_{tag}"] = HypothesisResult(v < 1.0, node, v)
 
-    for tag, (z, c2) in (("minus", (f_minus.values, c2_m)),
-                         ("plus", (f_plus.values, c2_p))):
-        zgap = z - np.sqrt(np.where(m, c2, 1.0))
-        v, node = _extreme(zgap, m, minimize=True)
-        hyp[f"z_above_sound_{tag}"] = HypothesisResult(
-            v >= -Z_GE_C_SLACK, node, v)
+    for tag, f, c2 in (("minus", f_minus, state_m[1]), ("plus", f_plus, state_p[1])):
+        v, node = extreme(f.values - np.sqrt(np.where(m, c2, 1.0)), m, minimize=True)
+        hyp[f"z_above_sound_{tag}"] = HypothesisResult(v >= -Z_GE_C_SLACK, node, v)
 
-    F = weak_form_field(gas, f_minus, f_plus, gradients=((q1m, q2m), (q1p, q2p)))
-    v, node = _extreme(F, m, minimize=True)
+    F = weak_form_field(gas, f_minus, f_plus, gradients=(state_m[2:], state_p[2:]))
+    v, node = extreme(F, m, minimize=True)
     hyp["weak_form_nonnegative"] = HypothesisResult(v >= -WEAK_FORM_TOL, node, v)
 
     gap = f_plus.values - f_minus.values
-    min_gap, gap_node = _extreme(gap, im, minimize=True)
-    max_abs, _ = _extreme(np.abs(gap), im, minimize=False)
-    gdiff = spherical_gradient(ScalarField(grid, f_minus.values - f_plus.values))
+    min_gap, gap_node = extreme(gap, im, minimize=True)
+    max_abs, _ = extreme(np.abs(gap), im, minimize=False)
+    gdiff = spherical_gradient(ScalarField(grid, bgap))
     grad_at = (float(gdiff.v_theta[gap_node]), float(gdiff.v_phi[gap_node]))
 
     return ComparisonReport(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .gas import (FlowState, GasModel, bernoulli_density, density, density_partials,
-                  sound_speed_sq, window_margins)
+                  mach_sq, sound_speed_sq, window_margins)
 from .grid import ScalarField, require_same_grid
 from .operators import field_density, segment_algebra
 
@@ -157,8 +157,8 @@ def check_segment_conditions(gas: GasModel, f_minus: ScalarField,
         failed |= nodes
     worst = None
     if live.any():
-        i, j = np.unravel_index(np.argmin(np.where(live, form, np.inf)), mask.shape)
-        worst = {"i": int(i), "j": int(j), "t": float(t[i, j]), "value": float(form[i, j])}
+        value, (i, j) = extreme(form, live, True)
+        worst = {"i": i, "j": j, "t": float(t[i, j]), "value": value}
     violations.sort(key=lambda v: (v.i, v.j))
     return SegmentCheckReport(pass_mask=~failed, violations=violations, worst=worst)
 
@@ -190,45 +190,51 @@ class EllipticityCertificate:
 MAX_REPORTED_VIOLATIONS = 100
 
 
+def extreme(arr, region, minimize):
+    """(value, (i, j)) of arr's least (minimize) or greatest entry over
+    region, the first in flat order on ties: the one reducer of a reading."""
+    masked = np.where(region, arr, np.inf if minimize else -np.inf)
+    flat = int(masked.argmin() if minimize else masked.argmax())
+    return float(masked.flat[flat]), divmod(flat, masked.shape[1])
+
+
+def field_readings(f: ScalarField, state):
+    """(L^2, (min rho, node), (max L^2, node)) of f over its mask, read once
+    from its field_density state: L^2 is mach_sq's node array (inf off the
+    mask), and the pairs are extreme's readings against rho > 0, L^2 < 1."""
+    rho, c2, q1, q2 = state
+    mask = f.grid.mask_array
+    l2 = mach_sq(q1 * q1 + q2 * q2, c2, mask)
+    return l2, extreme(rho, mask, True), extreme(l2, mask, False)
+
+
 def certify_uniform_ellipticity(gas: GasModel, f: ScalarField, eps: float = 1e-8,
                                 *, state=None) -> EllipticityCertificate:
     """Certify min rho >= eps and max L^2 <= 1 - eps over masked nodes.
 
-    The certificate records the attained margins and, when the field is
-    elliptic, the worst eigenvalue ratio 1/(1 - max L^2).  Vacuum nodes
-    raise, as does eps <= 0 or nan (ConfigError); non-elliptic states
-    merely fail the certificate.  state is field_density(gas, f), if known.
+    The certificate records the attained margins, field_readings' min rho
+    and 1 - max L^2, and, when the field is elliptic, the worst eigenvalue
+    ratio 1/(1 - max L^2).  Vacuum nodes raise, as does eps <= 0 or nan
+    (ConfigError); non-elliptic states merely fail the certificate.  state
+    is field_density(gas, f), if known.
     """
     if not eps > 0.0:
         raise ConfigError(f"eps must be positive, got {eps}", "eps")
-    grid = f.grid
-    mask = grid.mask_array
-    rho, c2, q1, q2 = field_density(gas, f) if state is None else state
-    qsq = q1 * q1 + q2 * q2
-    l2 = np.where(mask, qsq / np.where(mask, c2, 1.0), 0.0)
-
-    rho_masked = np.where(mask, rho, np.inf)
-    l2_masked = np.where(mask, l2, -np.inf)
-    eps_rho = float(np.min(rho_masked))
-    max_l2 = float(np.max(l2_masked))
+    grid, mask = f.grid, f.grid.mask_array
+    state = field_density(gas, f) if state is None else state
+    l2, (eps_rho, _), (max_l2, _) = field_readings(f, state)
+    rho = state[0]
     eps_l = 1.0 - max_l2
     ratio = 1.0 / (1.0 - max_l2) if max_l2 < 1.0 else None
     passed = (eps_rho >= eps) and (eps_l >= eps)
 
-    margin = np.where(mask, np.minimum(rho - eps, (1.0 - l2) - eps), np.inf)
-    wi, wj = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    worst = {
-        "i": int(wi), "j": int(wj),
-        "theta": float(grid.thetas[wi]), "phi": float(grid.phis[wj]),
-    }
-    violations = []
+    def at(i, j):  # a node's record in the certificate
+        return dict(i=int(i), j=int(j), theta=float(grid.thetas[i]), phi=float(grid.phis[j]))
+
+    worst = at(*extreme(np.minimum(rho - eps, (1.0 - l2) - eps), mask, True)[1])
     bad = mask & ((rho < eps) | (l2 > 1.0 - eps))
-    for i, j in np.argwhere(bad)[:MAX_REPORTED_VIOLATIONS]:
-        violations.append({
-            "i": int(i), "j": int(j),
-            "theta": float(grid.thetas[i]), "phi": float(grid.phis[j]),
-            "rho": float(rho[i, j]), "l2": float(l2[i, j]),
-        })
+    violations = [{**at(i, j), "rho": float(rho[i, j]), "l2": float(l2[i, j])}
+                  for i, j in np.argwhere(bad)[:MAX_REPORTED_VIOLATIONS]]
     return EllipticityCertificate(
         eps=eps, eps_rho=eps_rho, eps_L=eps_l, ratio_max=ratio,
         passed=passed, worst_node=worst, violations=violations,

@@ -41,22 +41,19 @@ class GridMismatchError(GridError):
 
 
 class NonConvergenceError(SphereflowError):
-    """Newton stopped short of newton_tol: on its cap, on stagnation or on a
-    line-search stall above the roundoff floor.
+    """Newton stopped short of newton_tol: on its cap, on stagnation, on a
+    line-search stall above the roundoff floor, or with no admissible
+    iterate on the line search; the message names the node of max |residual|.
 
     ``field`` is the last accepted iterate, which has the smallest ||r||_2
     of the solve (every accepted step lowers it) but not always the smallest
     sup-norm residual; ``report`` is the SolveReport so far.
     """
 
-    def __init__(self, message, field=None, report=None):
+    def __init__(self, message, field, report):
         super().__init__(message)
         self.field = field
         self.report = report
-
-
-class VacuumEncounteredError(VacuumError):
-    """Damping exhausted without an admissible (rho > 0) iterate."""
 
 
 class InadmissibleFieldError(SphereflowError):

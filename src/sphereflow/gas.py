@@ -208,31 +208,39 @@ def density_partials(gas: GasModel, s: FlowState):
 
 
 def pseudo_mach_sq(gas: GasModel, s: FlowState):
-    """Tangential pseudo-Mach number squared, L^2 = |q|^2 / c^2.
+    """Tangential pseudo-Mach number squared, L^2 = |q|^2 / c^2 (mach_sq).
 
     Raises like density(), from bernoulli_density's mask alone.
     """
     q_sq = s.speed_sq()
     _, c2, ok = bernoulli_density(gas, head := gas.head(q_sq, s.z), False)
     require_admissible(gas, head, ok)
-    return q_sq / c2
+    return mach_sq(q_sq, c2, ok)
+
+
+def mach_sq(q_sq, c2, ok):
+    """The one L^2 formula, |q|^2 / c^2 where ok and inf elsewhere, with ok
+    and c^2 bernoulli_density's, or a field_density state's c^2 on its mask."""
+    return np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)[()]
+
+
+def mach_codes(l2, ok):
+    """FlowType codes of mach_sq's L^2: vacuum where not ok, parabolic within EPS_TYPE of 1."""
+    codes = np.where(l2 < 1.0, FlowType.ELLIPTIC, FlowType.HYPERBOLIC).astype(np.int8)
+    codes[np.abs(l2 - 1.0) <= EPS_TYPE] = FlowType.PARABOLIC
+    codes[np.logical_not(ok)] = FlowType.VACUUM
+    return codes
 
 
 def classify_codes(gas: GasModel, s: FlowState):
-    """classify_state over arrays (band EPS_TYPE); returns FlowType integer codes.
+    """classify_state over arrays (mach_codes); returns FlowType integer codes.
 
     Vacuum is a classification here, not an error: it marks the nodes
     outside the gas's window, which density() refuses (c^2 <= 0, a density
     that is not a finite double > 0, or the isothermal exponent guard).
     """
-    q_sq = np.asarray(s.speed_sq(), dtype=float)
-    codes = np.full(q_sq.shape, int(FlowType.VACUUM), dtype=np.int8)
-    _, c2, ok = bernoulli_density(gas, gas.head(q_sq, s.z), False)
-    l2 = np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)
-    codes[ok & (np.abs(l2 - 1.0) <= EPS_TYPE)] = int(FlowType.PARABOLIC)
-    codes[ok & (l2 > 1.0 + EPS_TYPE)] = int(FlowType.HYPERBOLIC)
-    codes[ok & (l2 < 1.0 - EPS_TYPE)] = int(FlowType.ELLIPTIC)
-    return codes
+    _, c2, ok = bernoulli_density(gas, gas.head(q_sq := s.speed_sq(), s.z), False)
+    return mach_codes(mach_sq(q_sq, c2, ok), ok)
 
 
 def classify_state(gas: GasModel, s: FlowState):

@@ -34,10 +34,10 @@ from .gas import (
     FlowType,
     GasModel,
     bernoulli_density,
-    classify_codes,
+    mach_codes,
+    mach_sq,
     pseudo_mach_sq,
     require_admissible,
-    sound_speed_sq,
 )
 from .grid import ScalarField, SphericalGrid, VectorField, require_same_grid
 
@@ -349,11 +349,10 @@ class TypeMap:
 
 
 def classify_field(gas: GasModel, f: ScalarField) -> TypeMap:
-    """Classify every node of a potential field by its local flow type."""
+    """Classify every node of a potential field by its local flow type:
+    mach_codes of its L^2 (mach_sq), vacuum where the state is inadmissible."""
     vf = spherical_gradient(f)
-    s = FlowState(vf.v_theta, vf.v_phi, f.values)
-    codes = classify_codes(gas, s)
-    defined = codes != int(FlowType.VACUUM)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l2 = np.where(defined, s.speed_sq() / sound_speed_sq(gas, s), np.nan)
-    return TypeMap(codes=codes, l2=l2)
+    q_sq = vf.v_theta * vf.v_theta + vf.v_phi * vf.v_phi
+    _, c2, ok = bernoulli_density(gas, gas.head(q_sq, f.values), False)
+    l2 = mach_sq(q_sq, c2, ok)
+    return TypeMap(codes=mach_codes(l2, ok), l2=np.where(ok, l2, np.nan))

@@ -18,11 +18,11 @@ minimizes, decreases sufficiently and the iterate stays admissible
 (rho > 0 on the mask); vacuum is a hard wall.  newton_tol, the forcing
 ratio, the stall and stagnation tests and the reports use the sup norm.
 The iteration stops at newton_tol, or where a step stalls at the
-residual's roundoff floor; it raises on the Newton cap, on stagnation and
-when the line search stalls above that floor.  Each accepted step is one
-NewtonStep record of the SolveReport and one DEBUG line.  newton_tol and
-max_newton are solve_dirichlet's only settings; the rest are the constants
-below.
+residual's roundoff floor; it raises NonConvergenceError on the Newton
+cap, on stagnation and when the line search stalls above that floor or
+finds no admissible iterate.  Each accepted step is one NewtonStep record
+of the SolveReport and one DEBUG line.  newton_tol and max_newton are
+solve_dirichlet's only settings; the rest are the constants below.
 """
 
 import logging
@@ -33,14 +33,13 @@ from functools import cache, partial
 
 import numpy as np
 
-from .ellipticity import EllipticityCertificate, certify_uniform_ellipticity
+from .ellipticity import EllipticityCertificate, certify_uniform_ellipticity, field_readings
 from .errors import (
     ConfigError,
     GridError,
     InadmissibleFieldError,
     InadmissibleStateError,
     NonConvergenceError,
-    VacuumEncounteredError,
 )
 from .gas import GasModel
 from .grid import ScalarField, SphericalGrid
@@ -148,12 +147,12 @@ class BVProblem:
         if not self.grid.same_geometry(self.boundary.grid) \
                 or not self.grid.same_geometry(self.source.grid):
             raise GridError("boundary/source fields do not live on the grid")
-        bm = self.grid.boundary_mask
-        if not np.all(np.isfinite(self.boundary.values[bm])):
-            raise GridError("boundary datum not finite on the boundary")
-        bad = np.argwhere(self.grid.interior_mask & ~np.isfinite(self.source.values))
-        if bad.size:
-            raise GridError(f"source not finite at interior node {tuple(bad[0].tolist())}")
+        for name, part, where, nodes in (
+                ("boundary datum", self.boundary, "boundary", self.grid.boundary_mask),
+                ("source", self.source, "interior", self.grid.interior_mask)):
+            bad = np.argwhere(nodes & ~np.isfinite(part.values))
+            if bad.size:
+                raise GridError(f"{name} not finite at {where} node {tuple(bad[0].tolist())}")
         if self.grid.interior_labels.max() > 1:
             warnings.warn("interior of the mask is disconnected",
                           stacklevel=2)
@@ -231,16 +230,15 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
     return x, used, "converged"
 
 
-def interior_solve(grid: SphericalGrid, apply_full, rhs, tol, max_iter,
-                   precondition=None):
+def interior_solve(grid: SphericalGrid, apply_full, rhs, tol, max_iter, precondition):
     """(x, matvecs, outcome) of linear_solve for apply_full(v) = rhs on the
     interior values of grid (flat order), with v zero at the other nodes.
 
     apply_full maps value arrays to value arrays; every matvec hands it one
     reused array, which it must neither keep nor write.  precondition acts
-    on interior values; None builds principal_preconditioner(grid, 0.0).
-    A failed solve is no error: x is its best iterate, with outcome
-    "max_iter" or "breakdown"."""
+    on interior values (the solver's principal_preconditioner).  A failed
+    solve is no error: x is its best iterate, with outcome "max_iter" or
+    "breakdown"."""
     idx = np.flatnonzero(grid.interior_mask)
     full = np.zeros(grid.shape)
 
@@ -248,8 +246,7 @@ def interior_solve(grid: SphericalGrid, apply_full, rhs, tol, max_iter,
         full.ravel()[idx] = x
         return apply_full(full).ravel()[idx]
 
-    return linear_solve(matvec, rhs, tol, max_iter,
-                        precondition or principal_preconditioner(grid, 0.0))
+    return linear_solve(matvec, rhs, tol, max_iter, precondition)
 
 
 def _start(problem, idx, interior_residual):
@@ -275,8 +272,8 @@ def _line_search(phi, delta, idx, r, interior_residual, floor, eta):
     """First of lambda = 1, 1/2, ... whose iterate is admissible and meets
     ||r(phi + lambda delta)||_2 <= (1 - DECREASE (1 - eta) lambda) ||r||_2,
     with r the interior residual at phi: (iterate, its (residual, state),
-    its sup-norm residual, lambda), or None when none does.  Raises
-    VacuumEncounteredError when no trial iterate is admissible."""
+    its sup-norm residual, lambda), or None when none does.  When no trial
+    iterate is admissible, re-raises the smallest step's refusal."""
     res, norm = float(np.max(np.abs(r))), float(np.linalg.norm(r))
     evaluated = None
     for k in range(MAX_DAMPING + 1):
@@ -287,13 +284,13 @@ def _line_search(phi, delta, idx, r, interior_residual, floor, eta):
         try:
             evaluated = interior_residual(cand)
         except InadmissibleStateError:
+            if evaluated is None and k == MAX_DAMPING:
+                raise
             continue
         if np.linalg.norm(evaluated[0]) <= (1.0 - DECREASE * (1.0 - eta) * lam) * norm:
             return cand, evaluated, float(np.max(np.abs(evaluated[0]))), lam
         if k == 0 and res <= floor():  # no shorter step resolves a drop
             return None
-    if evaluated is None:
-        raise VacuumEncounteredError("damping exhausted without an admissible iterate")
     return None
 
 
@@ -328,9 +325,11 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
     "initial iterate: " in front.  Boundary nodes carry the datum
     bit-exactly.  The returned report embeds an ellipticity certificate of
     the solution, at certify_uniform_ellipticity's default eps.
-    Raises NonConvergenceError, carrying the last iterate and the report,
-    on the Newton cap, on stagnation (naming the node of max |residual|)
-    and when the line search stalls above the residual's roundoff floor.
+    Raises NonConvergenceError, carrying the last iterate and the report
+    and naming the node of its max |residual|, on the Newton cap, on
+    stagnation, when the line search stalls above the residual's roundoff
+    floor and when it finds no admissible iterate (quoting the smallest
+    step's refusal).
     """
     if not newton_tol >= 1e-14:  # nan too
         raise ConfigError("newton_tol must be >= 1e-14", "newton_tol")
@@ -356,16 +355,18 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
         raise type(err)(f"initial iterate: {err}", node=err.node, t=err.t) from err
     res = float(np.max(np.abs(r)))
     report = SolveReport(False, res)
+
+    def failure(message):  # at the last iterate phi, whose residual is r
+        i, j = divmod(int(idx[np.argmax(np.abs(r))]), grid.n_phi)
+        return NonConvergenceError(f"{message}, max at node ({i}, {j})", phi, report)
+
     while res > newton_tol:
         if report.iterations >= max_newton:
-            raise NonConvergenceError(f"Newton cap {max_newton} reached, residual "
-                                      f"{res:.3e}", field=phi, report=report)
+            raise failure(f"Newton cap {max_newton} reached, residual {res:.3e}")
         if (report.iterations >= STAGNATION_STEPS
                 and res > STALL_RATIO * report.residual_history[-1 - STAGNATION_STEPS]):
-            i, j = np.unravel_index(idx[np.argmax(np.abs(r))], grid.shape)
-            raise NonConvergenceError(f"Newton stagnated: {STAGNATION_STEPS} steps cut "
-                                      f"the residual only to {res:.3e}, max at node "
-                                      f"({i}, {j})", field=phi, report=report)
+            raise failure(f"Newton stagnated: {STAGNATION_STEPS} steps cut the residual "
+                          f"only to {res:.3e}")
         eta = _forcing(report.residual_history, [s.forcing for s in report.steps],
                        newton_tol)
         delta, matvecs, outcome = interior_solve(  # J delta = -r, J at phi
@@ -373,12 +374,15 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
             precondition)
 
         floor = cache(partial(roundoff_floor, phi, state))
-        step = _line_search(phi, delta, idx, r, interior_residual, floor, eta)
+        try:
+            step = _line_search(phi, delta, idx, r, interior_residual, floor, eta)
+        except InadmissibleStateError as err:
+            raise failure(f"line search found no admissible iterate ({err}); "
+                          f"residual {res:.3e}") from err
         if step is None:
             if res > floor():
-                raise NonConvergenceError(f"line search stalled at residual {res:.3e}, above "
-                                          f"its roundoff floor {floor():.3e}",
-                                          field=phi, report=report)
+                raise failure(f"line search stalled at residual {res:.3e}, above "
+                              f"its roundoff floor {floor():.3e}")
             report.stop_reason = "roundoff_floor"
             break
         previous, (phi, (r, state), res, lam) = res, step
@@ -402,20 +406,19 @@ def manufactured_problem(gas: GasModel, grid: SphericalGrid,
     The source is the discrete flow residual of f_exact (same stencil the
     solver zeroes) and the boundary datum is its trace, so solving the
     problem on the same grid must reproduce f_exact to solver tolerance.
+    Raises InadmissibleFieldError where f_exact is inadmissible, or where
+    its max L^2 (field_readings) is >= 1, naming that node.
     """
     if not grid.same_geometry(f_exact.grid):
         raise GridError("f_exact does not live on the given grid")
     try:
-        _, c2, q1, q2 = state = field_density(gas, f_exact)
+        state = field_density(gas, f_exact)
     except InadmissibleStateError as err:
         raise InadmissibleFieldError(
             f"exact field is inadmissible: {err}") from err
-    m = grid.mask_array
-    l2 = (q1 * q1 + q2 * q2) / np.where(m, c2, 1.0)
-    hyperbolic = np.argwhere(m & (l2 >= 1.0))
-    if hyperbolic.size:
-        i, j = hyperbolic[0]
-        raise InadmissibleFieldError(f"exact field is not elliptic at node ({i}, {j}): "
-                                     f"L^2 = {l2[i, j]:.4g}")
+    _, _, (l2, node) = field_readings(f_exact, state)
+    if l2 >= 1.0:
+        raise InadmissibleFieldError(f"exact field is not elliptic at node {node}: "
+                                     f"L^2 = {l2:.4g}")
     return BVProblem(gas=gas, grid=grid, boundary=f_exact.copy(),
                      source=flow_residual(gas, f_exact, state=state))

@@ -11,8 +11,9 @@ import pytest
 
 from helpers import DEEP_EXPRESSIONS, SMALL_PATCH
 
-from sphereflow import ScalarField, SphericalGrid, cli, operators
-from sphereflow.fieldio import write_field_csv
+from sphereflow import (BVProblem, GasModel, NonConvergenceError, ScalarField, SphericalGrid,
+                        cli, operators, solve_dirichlet, solver)
+from sphereflow.fieldio import read_field_csv, write_field_csv
 
 
 def write_scenario(path, gas=None, grid=None, command=None):
@@ -615,6 +616,47 @@ def test_nonconvergence_writes_report_and_solution(tmp_path, capsys):
     assert "Newton cap 1" in rep["error"] and rep["converged"] is False
     assert len(rep["residuals"]) == 2
     assert (tmp_path / "out" / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("n, max_damping, max_newton, cause", [
+    (17, 30, 1, "Newton cap 1 reached"),
+    (65, 30, 50, "Newton stagnated: 5 steps"),
+    (65, 4, 50, "line search stalled at .* above its roundoff floor"),
+    (65, 1, 50, r"line search found no admissible iterate \(vacuum at node \(15, 16\)"),
+], ids=["cap", "stagnation", "stall", "no_admissible_iterate"])
+def test_every_newton_exit_names_a_node_and_keeps_its_iterate(
+        tmp_path, capsys, monkeypatch, n, max_damping, max_newton, cause):
+    # the solver's four exits short of newton_tol are one NonConvergenceError
+    # naming the node of max |residual| at the last iterate, which it carries
+    # with the report; `solve` writes both and exits 1.  The 65^2 cases are
+    # the corner-notched problem of test_line_search_exits_name_their_cause.
+    monkeypatch.setattr(solver, "MAX_DAMPING", max_damping)
+    mask = np.ones((n, n), dtype=bool)
+    if n == 65:
+        mask[:16, :16] = False
+    g = SphericalGrid(*SMALL_PATCH, n, n, mask=mask)
+    datum = ScalarField(g, 1.6 + 0.1 * np.cos(g.theta_mesh)
+                        + 0.02 * np.sin(g.theta_mesh) * np.sin(g.phi_mesh))
+    gas = GasModel(2.0, 1.0, 4.0)
+    with pytest.raises(NonConvergenceError, match=cause) as err:
+        solve_dirichlet(BVProblem(gas=gas, grid=g, boundary=datum,
+                                  source=ScalarField.constant(g, 0.0)), max_newton=max_newton)
+    last, report = err.value.field, err.value.report
+    r = np.where(g.interior_mask, np.abs(operators.flow_residual(gas, last).values), 0.0)
+    i, j = np.unravel_index(np.argmax(r), r.shape)
+    assert str(err.value).endswith(f", max at node ({i}, {j})") and not report.converged
+
+    (tmp_path / "mask.csv").write_text(
+        "".join(",".join("1" if m else "0" for m in row) + "\n" for row in mask))
+    write_field_csv(tmp_path / "datum.csv", datum)
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(n, mask="mask.csv"), command={
+        "name": "solve", "boundary": {"file": "datum.csv"}, "max_newton": max_newton})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    assert capsys.readouterr().err == f"solver failed: {err.value}\n"
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert saved == {**report.to_dict(), "error": str(err.value)}
+    np.testing.assert_array_equal(
+        read_field_csv(tmp_path / "out" / "solution.csv", g).values, last.values)
 
 
 @pytest.mark.parametrize("edit, key", [

@@ -188,6 +188,19 @@ def test_the_parabolic_band_is_eps_type_wide():
         assert sf.classify_state(gas, s) is kind
 
 
+def test_no_admissible_state_falls_between_the_band_and_its_sides():
+    # on the isothermal gas c^2 = 1, so L^2 = |q|^2 exactly.  At L^2 =
+    # fl(1 - EPS_TYPE), 1 - L^2 rounds above EPS_TYPE, so the state lies
+    # outside the band and is elliptic; read as "below fl(1 - EPS_TYPE)" the
+    # elliptic side missed it, and the state was classified vacuum
+    iso = GasModel(1.0, 1.0, 4.0)
+    edge = 1.0 - sf.gas.EPS_TYPE
+    q1 = float(np.sqrt(edge))
+    s = FlowState(q1, float(np.sqrt(edge - q1 * q1)), 1.0)
+    assert sf.pseudo_mach_sq(iso, s) == edge and 1.0 - edge > sf.gas.EPS_TYPE
+    assert sf.classify_state(iso, s) is FlowType.ELLIPTIC
+
+
 def test_classify_state_refuses_an_array_state():
     gas = GasModel(2.0, 1.0, 4.0)
     s = FlowState(np.array([0.5, 1.0]), np.zeros(2), np.full(2, 2.0))

@@ -1,15 +1,17 @@
 """No sphereflow module reaches into another module's private names, the
-Bernoulli c^2 is written once, admissibility is read from one window, the
-segment phi_t is formed in one place, every face flux takes its weights
-from one place, the interior's connectivity is computed only by the grid,
-the strong comparison checks read the weak comparison's report, only the
-solver builds the preconditioner, every linear solve goes through
-solver.interior_solve with flow_jacobian as its operator, the grid's open
-faces are its one neighbour rule, no module hands text to Python's own
-compiler, and the package imports no scipy."""
+Bernoulli c^2 is written once, L^2 = |q|^2 / c^2 is formed once and a field
+is read against rho > 0 and L^2 < 1 in one place, admissibility is read
+from one window, the segment phi_t is formed in one place, every face flux
+takes its weights from one place, the interior's connectivity is computed
+only by the grid, the strong comparison checks read the weak comparison's
+report, only the solver builds the preconditioner, every linear solve goes
+through solver.interior_solve with flow_jacobian as its operator, the
+grid's open faces are its one neighbour rule, no module hands text to
+Python's own compiler, and the package imports no scipy."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +153,47 @@ def test_strong_checks_read_the_report():
         called = set(_called_names(functions[name]))
         assert not called & {"spherical_gradient", "field_density",
                              "bernoulli_density", "segment_algebra"}, name
+
+
+def _mach_quotients(path):
+    """"module:function" of each quotient of a tangential speed (text naming
+    q1, q2, q_sq, qsq or speed_sq) by a squared sound speed (text naming c2
+    or sound_speed_sq), by the / operator or np.divide."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {}  # line -> innermost enclosing function; ast.walk visits outer ones first
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            num, den = node.left, node.right
+        elif isinstance(node, ast.Call) and _name(node.func) == "divide":
+            num, den = node.args[:2]
+        else:
+            continue
+        if (re.search(r"\bq(1|2|_sq|sq)|speed_sq", ast.unparse(num))
+                and re.search(r"c2|sound_speed_sq", ast.unparse(den))):
+            yield f"{path.name}:{owner.get(node.lineno)}"
+
+
+def test_mach_number_is_formed_once():
+    # L^2 = |q|^2 / c^2 is gas.mach_sq alone, and a field is read against
+    # rho > 0 and L^2 < 1 by ellipticity.field_readings: a second quotient
+    # could mask or round differently from the one the certificate reads
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _mach_quotients(path)]
+    assert found == ["gas.py:mach_sq"]
+    called = {(path.name, name): set(_called_names(node))
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name, node in _functions(path).items()}
+    for reader in (("ellipticity.py", "certify_uniform_ellipticity"),
+                   ("comparison.py", "verify_weak_comparison"),
+                   ("solver.py", "manufactured_problem"),
+                   ("operators.py", "classify_field")):
+        assert called[reader] & {"field_readings", "mach_sq"}, reader
+    for reader in (("ellipticity.py", "field_readings"), ("gas.py", "pseudo_mach_sq"),
+                   ("gas.py", "classify_codes")):
+        assert "mach_sq" in called[reader], reader
+    assert "pseudo_mach_sq" in called[("operators.py", "eigenvalue_ratio")]
 
 
 def _preconditioner_uses(path):
