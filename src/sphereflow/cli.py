@@ -229,10 +229,7 @@ def _cmd_manufacture(gas, grid, args, out):
     write_field_csv(out / "exact.csv", args["exact"])
     write_field_csv(out / "source.csv", problem.source)
     shutil.copyfile(out / "exact.csv", out / "boundary.csv")  # same field
-    write_json_report(out / "report.json", {
-        "command": "manufacture",
-        "admissible": True,
-    })
+    write_json_report(out / "report.json", {"command": "manufacture"})
     return 0, "manufactured problem written (exact/source/boundary)"
 
 

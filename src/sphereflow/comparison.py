@@ -15,7 +15,7 @@ premises are unmet.
 """
 
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from enum import Enum
 
 import numpy as np
@@ -151,10 +151,6 @@ class HopfResult:
     phi: float
     derivative: float
 
-    def to_dict(self):
-        return {"i": self.i, "j": self.j, "theta": self.theta,
-                "phi": self.phi, "derivative": self.derivative}
-
 
 # Conclusion-chain checks that do not gate applicability.
 _NON_GATING = ("weak_form_nonnegative",)
@@ -162,6 +158,10 @@ _NON_GATING = ("weak_form_nonnegative",)
 
 @dataclass
 class ComparisonReport:
+    """verify_weak_comparison's verdict: each hypothesis by name (both Mach
+    readings of f+ as mach_elliptic_plus_reading_a/_b), the interior gap,
+    and what strong_comparison_check and hopf_indicator add to it."""
+
     hypotheses: dict
     interior_min_gap: float
     interior_max_abs_gap: float
@@ -172,14 +172,6 @@ class ComparisonReport:
     dichotomy: Dichotomy | None = None
     components: list = dc_field(default_factory=list)
     hopf: list = dc_field(default_factory=list)
-
-    @property
-    def typo_reading_a_pass(self) -> bool:
-        return self.hypotheses["mach_elliptic_plus_reading_a"].passed
-
-    @property
-    def typo_reading_b_pass(self) -> bool:
-        return self.hypotheses["mach_elliptic_plus_reading_b"].passed
 
     @property
     def applicable(self) -> bool:
@@ -206,9 +198,7 @@ class ComparisonReport:
             "ordering_pass": self.ordering_pass,
             "dichotomy": self.dichotomy.value if self.dichotomy else None,
             **parts,
-            "hopf": [h.to_dict() for h in self.hopf],
-            "typo_reading_A_pass": self.typo_reading_a_pass,
-            "typo_reading_B_pass": self.typo_reading_b_pass,
+            "hopf": [asdict(h) for h in self.hopf],
         }
 
 
@@ -221,8 +211,8 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     interior nodes, boundary ordering, rho > 0 and L^2 < 1 for both fields
     as field_readings reads them (the supersolution Mach condition in both
     literature readings: the plain (f+, f+) one and the mixed one, mach_sq
-    with the subsolution value in the sound speed), and z >= c for both
-    fields.  The weak-form
+    of f+'s |q|^2 from field_readings with the subsolution value in the
+    sound speed), and z >= c for both fields.  The weak-form
     nonnegativity is recorded alongside but does not gate applicability,
     being a consequence rather than a premise (weak_form_field at beta = 1/2
     and 8 Gauss points).  tol_sub or tol_order < 0 or nan raises ConfigError.
@@ -249,12 +239,11 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     v, node = extreme(bgap, bm, minimize=False)
     hyp["boundary_ordering"] = HypothesisResult(v <= tol_order, node, v)
 
-    (_, rho_m, l2_m), (_, rho_p, l2_p) = (field_readings(f_minus, state_m),
-                                          field_readings(f_plus, state_p))
+    _, _, rho_m, l2_m = field_readings(f_minus, state_m)
+    qsq_p, _, rho_p, l2_p = field_readings(f_plus, state_p)
     for tag, (v, node) in (("minus", rho_m), ("plus", rho_p)):
         hyp[f"rho_positive_{tag}"] = HypothesisResult(v > 0.0, node, v)
-    q1p, q2p = state_p[2:]
-    qsq_p = q1p * q1p + q2p * q2p  # reading B: f+'s speed, c^2 at f-'s value
+    # reading B: field_readings' |q|^2 of f+, c^2 at f-'s value
     _, c2_mixed, ok = bernoulli_density(gas, gas.head(qsq_p, f_minus.values), False)
     l2_b = extreme(mach_sq(qsq_p, c2_mixed, ok), m, minimize=False)
     for tag, (v, node) in (("minus", l2_m), ("plus_reading_a", l2_p), ("plus_reading_b", l2_b)):

@@ -199,13 +199,14 @@ def extreme(arr, region, minimize):
 
 
 def field_readings(f: ScalarField, state):
-    """(L^2, (min rho, node), (max L^2, node)) of f over its mask, read once
-    from its field_density state: L^2 is mach_sq's node array (inf off the
-    mask), and the pairs are extreme's readings against rho > 0, L^2 < 1."""
+    """(|q|^2, L^2, (min rho, node), (max L^2, node)) of f over its mask,
+    read once from its field_density state: |q|^2 and L^2 are node arrays,
+    L^2 mach_sq's (inf off the mask), and the pairs are extreme's readings
+    against rho > 0, L^2 < 1."""
     rho, c2, q1, q2 = state
     mask = f.grid.mask_array
-    l2 = mach_sq(q1 * q1 + q2 * q2, c2, mask)
-    return l2, extreme(rho, mask, True), extreme(l2, mask, False)
+    l2 = mach_sq(qsq := q1 * q1 + q2 * q2, c2, mask)
+    return qsq, l2, extreme(rho, mask, True), extreme(l2, mask, False)
 
 
 def certify_uniform_ellipticity(gas: GasModel, f: ScalarField, eps: float = 1e-8,
@@ -222,7 +223,7 @@ def certify_uniform_ellipticity(gas: GasModel, f: ScalarField, eps: float = 1e-8
         raise ConfigError(f"eps must be positive, got {eps}", "eps")
     grid, mask = f.grid, f.grid.mask_array
     state = field_density(gas, f) if state is None else state
-    l2, (eps_rho, _), (max_l2, _) = field_readings(f, state)
+    _, l2, (eps_rho, _), (max_l2, _) = field_readings(f, state)
     rho = state[0]
     eps_l = 1.0 - max_l2
     ratio = 1.0 / (1.0 - max_l2) if max_l2 < 1.0 else None

@@ -341,8 +341,7 @@ class TypeMap:
     l2: np.ndarray     # nan where undefined (vacuum)
 
     def letters(self):
-        lut = np.array(list("EPHV"))
-        return lut[self.codes]
+        return np.array([t.letter for t in FlowType])[self.codes]
 
     def counts(self):
         return {t.letter: int(np.sum(self.codes == int(t))) for t in FlowType}

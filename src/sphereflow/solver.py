@@ -153,7 +153,7 @@ class BVProblem:
             bad = np.argwhere(nodes & ~np.isfinite(part.values))
             if bad.size:
                 raise GridError(f"{name} not finite at {where} node {tuple(bad[0].tolist())}")
-        if self.grid.interior_labels.max() > 1:
+        if self.grid.mask is not None and self.grid.interior_labels.max() > 1:
             warnings.warn("interior of the mask is disconnected",
                           stacklevel=2)
 
@@ -416,7 +416,7 @@ def manufactured_problem(gas: GasModel, grid: SphericalGrid,
     except InadmissibleStateError as err:
         raise InadmissibleFieldError(
             f"exact field is inadmissible: {err}") from err
-    _, _, (l2, node) = field_readings(f_exact, state)
+    *_, (l2, node) = field_readings(f_exact, state)
     if l2 >= 1.0:
         raise InadmissibleFieldError(f"exact field is not elliptic at node {node}: "
                                      f"L^2 = {l2:.4g}")

@@ -67,7 +67,7 @@ def test_solve_and_compare_round_trip(tmp_path):
     rep = json.loads((tmp_path / "cmp" / "report.json").read_text())
     assert rep["verdict"] == "Pass"
     assert rep["dichotomy"] == "Strict"
-    assert rep["typo_reading_A_pass"] and rep["typo_reading_B_pass"]
+    assert all(rep["hypotheses"][f"mach_elliptic_plus_reading_{r}"]["pass"] for r in "ab")
 
     # swapped roles: hypotheses fail, exit code 2
     sc_swap = write_scenario(tmp_path / "swap.json", command={
@@ -379,6 +379,13 @@ def test_an_underflowing_density_exits_one(tmp_path, capsys):
 
 _BASE = "1.6 + 0.1*cos(theta)"
 _BELOW = _BASE + " - 0.01*sin(6*(theta - pi/3))*sin(4*phi)"  # touches on the edges
+PAIR_REPORT_KEYS = {"verdict", "applicable", "hypotheses", "interior_min_gap",
+                    "interior_max_abs_gap", "min_gap_node", "min_gap_grad",
+                    "ordering_pass", "dichotomy", "hopf"}
+HYPOTHESES = {"subsolution_sign", "supersolution_sign", "boundary_ordering",
+              "rho_positive_minus", "rho_positive_plus", "mach_elliptic_minus",
+              "mach_elliptic_plus_reading_a", "mach_elliptic_plus_reading_b",
+              "z_above_sound_minus", "z_above_sound_plus", "weak_form_nonnegative"}
 DETERMINISTIC_COMMANDS = {
     "classify": {"field": "2 + (theta - pi/2)", "pgm": True},
     "solve": {"boundary": _BASE},
@@ -402,11 +409,17 @@ def test_reports_are_deterministic(tmp_path, name):
     assert "report.json" in files
     for file in files:
         assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+    rep = json.loads((tmp_path / "a" / "report.json").read_text())
     if name == "solve":
-        rep = json.loads((tmp_path / "a" / "report.json").read_text())
         assert rep["stop_reason"] == "newton_tol"
         assert len(rep["forcing"]) == len(rep["inner_matvecs"]) == rep["iterations"]
-    if name == "manufacture":  # the source is the residual, 0 where f is data
+    if name in ("compare", "hopf"):  # a hypothesis is read from "hypotheses" only
+        assert set(rep) == PAIR_REPORT_KEYS and set(rep["hypotheses"]) == HYPOTHESES
+        assert [set(h) for h in rep["hopf"]] == [{"i", "j", "theta", "phi", "derivative"}] * (
+            2 if name == "hopf" else 0)
+    if name == "manufacture":  # written only once the exact field is accepted
+        assert rep == {"command": "manufacture"}
+        # the source is the residual, 0 where f is data
         source = np.loadtxt(tmp_path / "a" / "source.csv", delimiter=",", skiprows=1)
         boundary = SphericalGrid(*SMALL_PATCH, 17, 17).boundary_mask.ravel()
         assert np.all(source[boundary, 2] == 0.0)

@@ -345,7 +345,7 @@ def test_verify_solver_pair(solver_pair):
     assert rep.applicable
     assert all(h.passed for h in rep.hypotheses.values())
     assert rep.interior_min_gap > 0.0
-    assert rep.typo_reading_a_pass and rep.typo_reading_b_pass
+    assert all(rep.hypotheses[f"mach_elliptic_plus_reading_{r}"].passed for r in "ab")
     assert sf.strong_comparison_check(rep) is Dichotomy.STRICT
     d = rep.to_dict()
     assert d["dichotomy"] == "Strict"

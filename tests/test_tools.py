@@ -75,3 +75,57 @@ def test_masked_set_reaches_masks_and_the_seam(tmp_path):
         assert all(h["derivative"] > 0.0 for h in report["hopf"])
     block, _, nodes = cli_outputs._masked_grids()["periodic_band"]
     assert block["phi_periodic"] and any(j in (0, block["n_phi"] - 1) for _, j in nodes)
+
+
+_pairs_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", TOOL.with_name("bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_pairs_spec)
+_pairs_spec.loader.exec_module(bench_pairs)
+
+
+def _result_line(round_s, rss, failed=0):
+    metrics = {"setup_s": 0.22, "peak_rss_mb": rss, "round_norm_s": round_s,
+               "op_geomean_norm_s": round_s / 8}
+    return json.dumps({"correct": True, "attempted": 100, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}})
+
+
+def test_bench_pairs_alternates_and_tabulates(tmp_path, monkeypatch, capsys):
+    # canned result lines stand in for the benchmark runs
+    (tmp_path / "BENCHMARK.json").write_text((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    canned = {("parent", 11): _result_line(0.10, 50.0), ("change", 11): _result_line(0.09, 51.0),
+              ("parent", 12): _result_line(0.12, 50.0), ("change", 12): _result_line(0.11, 52.0, 1),
+              ("parent", 13): _result_line(0.14, 50.0), ("change", 13): _result_line(0.15, 53.0)}
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout == tmp_path else "change"
+        calls.append((side, workload, seed, seconds))
+        return canned[side, seed], ""
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(tmp_path), str(tmp_path / "c"), "--workload", "pair_suite",
+                             "--seeds", "11-13"]) == 0
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert {c[1:] for c in calls} == {("pair_suite", s, 15) for s in (11, 12, 13)}
+    out = capsys.readouterr().out.splitlines()
+    assert out[:6] == [f"{side} {seed} {canned[side, seed]}" for side, _, seed, _ in calls]
+    rows = {line.split()[0]: line.split() for line in out[6:]}
+    # round_norm_s: medians 0.12 -> 0.11, parent quartiles 0.10 and 0.14,
+    # the change lower in 2 of 3 pairs
+    assert rows["round_norm_s"][1] == "0.12" and rows["round_norm_s"][4] == "0.11"
+    assert rows["round_norm_s"][-4:] == ["-8.3%", "33.3%", "2/3", "25%"]
+    assert rows["peak_rss_mb"][-2:] == ["0/3", "10%"]
+    assert "  round_norm_s: 0.1/0.09, 0.12/0.11, 0.14/0.15" in out
+    assert out[-2:] == ["parent: correct 3/3, failed ops 0 of 300",
+                        "change: correct 3/3, failed ops 1 of 300"]
+
+
+def test_bench_pairs_reports_a_run_without_result(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *_: (
+        (None, "benchmark failed: boom") if checkout != tmp_path else (_result_line(0.1, 50.0), "")))
+    assert bench_pairs.main([str(tmp_path), str(tmp_path / "c"), "--workload", "w",
+                             "--seeds", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "change 3 no result: benchmark failed: boom" in out and "pairs" not in out
