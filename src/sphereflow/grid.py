@@ -205,9 +205,12 @@ class SphericalGrid:
         number of the phi-runs it crosses and then every phi-run the least
         of the theta-runs it crosses, joining the two phi-runs that an open
         seam face joins, so the rounds grow with the turns a path takes,
-        not its length.
+        not its length.  An unmasked patch or ring has one component by
+        construction, so there the interior mask is the labelling.
         """
         im = self.interior_mask
+        if self.mask is None:
+            return im.astype(np.intp)
         theta, phi = self.open_faces
 
         def runs(a, joined):  # each node's run along axis 1, and where the runs start

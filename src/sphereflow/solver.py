@@ -153,7 +153,7 @@ class BVProblem:
             bad = np.argwhere(nodes & ~np.isfinite(part.values))
             if bad.size:
                 raise GridError(f"{name} not finite at {where} node {tuple(bad[0].tolist())}")
-        if self.grid.mask is not None and self.grid.interior_labels.max() > 1:
+        if self.grid.interior_labels.max() > 1:
             warnings.warn("interior of the mask is disconnected",
                           stacklevel=2)
 

@@ -128,6 +128,17 @@ def test_interior_labels_match_a_breadth_first_search(periodic, n_theta, n_phi, 
     assert np.array_equal(g.interior_labels, bfs_interior_labels(g))
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n_theta, n_phi", [(3, 3), (9, 14), (17, 17)])
+def test_unmasked_interior_is_one_component(periodic, n_theta, n_phi):
+    # an unmasked patch or ring is labelled from its interior mask alone
+    span = (0.0, 2 * np.pi) if periodic else (0.0, 1.0)
+    g = sf.SphericalGrid(1.0, 2.0, *span, n_theta, n_phi, phi_periodic=periodic)
+    labels = g.interior_labels
+    assert labels.dtype == np.intp and labels.max() == 1
+    assert np.array_equal(labels, bfs_interior_labels(g))
+
+
 def test_periodic_ring_cut_twice_has_two_arcs():
     # one cut leaves a single band closed through phi = 0 = 2*pi; a second
     # cut splits it into two arcs, the second of them across the seam

@@ -476,18 +476,6 @@ def test_disconnected_interior_warns(gas_b4):
                   source=ScalarField.constant(g, 4.0))
 
 
-@pytest.mark.parametrize("periodic", [False, True])
-def test_unmasked_problem_leaves_interior_labels_uncomputed(gas_b4, periodic):
-    # an unmasked patch or ring has one interior component by construction,
-    # so the disconnected-interior warning labels masked grids only
-    g = SphericalGrid(np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi if periodic else 1.0,
-                      17, 17, phi_periodic=periodic)
-    BVProblem(gas=gas_b4, grid=g, boundary=ScalarField.constant(g, 2.0),
-              source=ScalarField.constant(g, 4.0))
-    assert "interior_labels" not in vars(g)
-    assert g.interior_labels.max() == 1
-
-
 def test_interior_joined_across_seam_does_not_warn(gas_b4):
     mask = np.ones((9, 12), dtype=bool)
     mask[:, 5:7] = False  # one band, closed up through phi = 0 = 2*pi

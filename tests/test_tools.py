@@ -1,5 +1,6 @@
 """tools/cli_outputs.py: what --compare counts as the same behaviour, and
-the fixed masked set that takes the same-outputs rule to masks and seams."""
+the fixed masked set that takes the same-outputs rule to masks and seams;
+tools/bench_pairs.py on canned run outputs."""
 
 import importlib.util
 import json
@@ -83,49 +84,70 @@ bench_pairs = importlib.util.module_from_spec(_pairs_spec)
 _pairs_spec.loader.exec_module(bench_pairs)
 
 
-def _result_line(round_s, rss, failed=0):
-    metrics = {"setup_s": 0.22, "peak_rss_mb": rss, "round_norm_s": round_s,
-               "op_geomean_norm_s": round_s / 8}
-    return json.dumps({"correct": True, "attempted": 100, "failed": failed,
-                       "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}})
+def _run_output(workloads, round_s, rss):
+    """The standard output of one `run.py --trace 0` run, detail lines and result line."""
+    lines = [json.dumps({"perfbench": {
+        "workload": w, "trace": 0, "attempted": 100, "failed": 0,
+        "end_to_end": {"setup_s": 0.22, "peak_rss_mb": rss, "round_norm_s": round_s,
+                       "op_geomean_norm_s": round_s / 8},
+        "ops": {"op": {"median": round_s, "norm_median": round_s, "bound": 0.25}}}})
+        for w in workloads]
+    lines.append(json.dumps({"correct": True, "attempted": 100 * len(workloads),
+                             "failed": 0, "metrics": {}}))
+    return "\n".join(lines) + "\n"
 
 
-def test_bench_pairs_alternates_and_tabulates(tmp_path, monkeypatch, capsys):
-    # canned result lines stand in for the benchmark runs
-    (tmp_path / "BENCHMARK.json").write_text((TOOL.parents[1] / "BENCHMARK.json").read_text())
-    canned = {("parent", 11): _result_line(0.10, 50.0), ("change", 11): _result_line(0.09, 51.0),
-              ("parent", 12): _result_line(0.12, 50.0), ("change", 12): _result_line(0.11, 52.0, 1),
-              ("parent", 13): _result_line(0.14, 50.0), ("change", 13): _result_line(0.15, 53.0)}
+@pytest.mark.parametrize("workload", ["pair_suite", "all"])
+def test_bench_pairs_alternates_and_compares(tmp_path, monkeypatch, capsys, workload):
+    # canned run outputs stand in for the benchmark runs
+    names = bench_pairs.WORKLOADS if workload == "all" else (workload,)
+    values = {("parent", 11): (0.10, 50.0), ("change", 11): (0.09, 51.0),
+              ("parent", 12): (0.12, 50.0), ("change", 12): (0.11, 52.0),
+              ("parent", 13): (0.14, 50.0), ("change", 13): (0.15, 53.0)}
+    canned = {key: _run_output(names, *v) for key, v in values.items()}
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
-        side = "parent" if checkout == tmp_path else "change"
+        side = checkout.name
         calls.append((side, workload, seed, seconds))
         return canned[side, seed], ""
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    assert bench_pairs.main([str(tmp_path), str(tmp_path / "c"), "--workload", "pair_suite",
-                             "--seeds", "11-13"]) == 0
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", workload, "--seeds", "11-13",
+                             "--out", str(tmp_path / "out")]) == 0
     assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
-    assert {c[1:] for c in calls} == {("pair_suite", s, 15) for s in (11, 12, 13)}
+    assert {c[1:] for c in calls} == {(workload, s, 15) for s in (11, 12, 13)}
+    assert (tmp_path / "out" / "change-12.txt").read_text() == canned["change", 12]
     out = capsys.readouterr().out.splitlines()
-    assert out[:6] == [f"{side} {seed} {canned[side, seed]}" for side, _, seed, _ in calls]
-    rows = {line.split()[0]: line.split() for line in out[6:]}
-    # round_norm_s: medians 0.12 -> 0.11, parent quartiles 0.10 and 0.14,
-    # the change lower in 2 of 3 pairs
-    assert rows["round_norm_s"][1] == "0.12" and rows["round_norm_s"][4] == "0.11"
-    assert rows["round_norm_s"][-4:] == ["-8.3%", "33.3%", "2/3", "25%"]
-    assert rows["peak_rss_mb"][-2:] == ["0/3", "10%"]
-    assert "  round_norm_s: 0.1/0.09, 0.12/0.11, 0.14/0.15" in out
-    assert out[-2:] == ["parent: correct 3/3, failed ops 0 of 300",
-                        "change: correct 3/3, failed ops 1 of 300"]
+    assert out[:6] == [f"{side} {seed} {canned[side, seed].splitlines()[-1]}"
+                       for side, _, seed, _ in calls]
+    for name in names:
+        # compare's table: medians 0.12 -> 0.11, within the 25% bound
+        block = out[out.index(f"== {name}: 3 base runs, 3 head runs"):]
+        row = next(line.split() for line in block if line.split()[0] == "round_norm_s")
+        assert row[1] == "0.12" and row[4] == "0.11" and row[7:] == ["-8.3%", "within",
+                                                                     "bound", "25%"]
+        # then the parent's IQR (quartiles 0.10 and 0.14), 2 of 3 pairs won
+        block = out[out.index(f"== {name}: parent IQR, pairs won, every run parent/change by seed"):]
+        rows = {line.split()[0]: line.split() for line in block[1:5]}
+        assert rows["round_norm_s"] == ["round_norm_s", "33.3%", "2/3",
+                                        "0.1/0.09,", "0.12/0.11,", "0.14/0.15"]
+        assert rows["peak_rss_mb"][1:3] == ["0.0%", "0/3"]
 
 
-def test_bench_pairs_reports_a_run_without_result(tmp_path, monkeypatch, capsys):
-    (tmp_path / "BENCHMARK.json").write_text((TOOL.parents[1] / "BENCHMARK.json").read_text())
-    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *_: (
-        (None, "benchmark failed: boom") if checkout != tmp_path else (_result_line(0.1, 50.0), "")))
-    assert bench_pairs.main([str(tmp_path), str(tmp_path / "c"), "--workload", "w",
-                             "--seeds", "3"]) == 1
+def test_bench_pairs_drops_a_seed_without_result(tmp_path, monkeypatch, capsys):
+    def run_once(checkout, workload, seed, seconds):
+        if checkout.name == "change" and seed == 3:
+            return None, "benchmark failed: boom"
+        return _run_output((workload,), 0.1, 50.0), ""
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "solve_ladder", "--seeds", "3-4",
+                             "--out", str(tmp_path / "out")]) == 1
     out = capsys.readouterr().out
-    assert "change 3 no result: benchmark failed: boom" in out and "pairs" not in out
+    assert "change 3 no result: benchmark failed: boom" in out
+    assert "== solve_ladder: 1 base runs, 1 head runs" in out
+    with pytest.raises(SystemExit):  # run.py's workloads and "all" only
+        bench_pairs.main(["p", "c", "--workload", "w", "--seeds", "3"])

@@ -1,35 +1,37 @@
-"""Run the benchmark in two checkouts in alternating pairs and tabulate
-the end-to-end metrics side by side.
+"""Run the benchmark in two checkouts in alternating pairs and compare them.
 
-    python tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B
+    python tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B [--out DIR]
 
 For each seed s from A to B it runs, from the root of each checkout,
 `perfbench/run.py --workload W --seed s --seconds S --trace 0`, S being
-the parent's BENCHMARK.json `run_seconds`, the parent first on odd seeds
-and the change first on even ones, and prints
-each run's result line (`{"correct", "attempted", "failed", "metrics"}`)
-as `<side> <seed> <line>`.  A run that exits nonzero or prints no result
-line is shown with the tail of its error output and left out of the table.
+BENCHMARK.json's `run_seconds`, the parent first on odd seeds and the
+change first on even ones.  Each run's standard output is kept as
+DIR/<side>-<seed>.txt (DIR a new temporary directory unless given), and
+its result line is printed as `<side> <seed> <line>`; a run that exits
+nonzero is printed with the tail of its error output instead.
 
-Then, per end-to-end metric of the parent's BENCHMARK.json, it prints each
-side's median and quartiles, the change's median against the parent's,
-the parent's interquartile range as a share of its median, how many pairs
-the change wins (a strictly better value, by the metric's `better`), the
-metric's bound, and every run as parent/change by seed.  Last come the
-runs each side reported correct and its failed and attempted ops.
-Exits 1 when some run gave no result line, else 0.
+The runs of the seeds where both sides gave a result then go to
+`perfbench/compare.py`, the parent's as base and the change's as head.
+After its table this tool prints, per workload and end-to-end metric,
+what compare does not: the parent's interquartile range as a share of
+its median, how many pairs the change wins (a strictly better value, by
+the metric's `better`), and every run as parent/change by seed.
+Exits 1 when a run failed or compare finds a metric worse than its bound.
 """
 
 import argparse
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from run import quartiles  # noqa: E402  (the benchmark's own quartiles)
+import compare  # noqa: E402  (the benchmark's own comparison)
+from run import quartiles  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
-RUN_TIMEOUT_S = 240  # run.py ends its own run after 170 s
+RUN_TIMEOUT_S = 600  # run.py ends each workload's run after 170 s
 
 
 def seed_range(text):
@@ -45,7 +47,7 @@ def seed_range(text):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """(result line, or None, and the tail of stderr) of one benchmark run."""
+    """(standard output, or None, and the tail of stderr) of one benchmark run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     try:
@@ -53,37 +55,27 @@ def run_once(checkout, workload, seed, seconds):
                               timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None, f"timed out after {RUN_TIMEOUT_S} s"
-    lines = [line for line in proc.stdout.splitlines() if line.startswith('{"correct"')]
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0:
         return None, "\n".join(proc.stderr.splitlines()[-5:]) or f"exit {proc.returncode}"
-    return lines[-1], ""
+    return proc.stdout, ""
 
 
-def table(results, metrics):
-    """The summary lines for results = {seed: {"parent": dict, "change": dict}}
-    (complete pairs only) and metrics = BENCHMARK.json's end_to_end list."""
-    seeds = sorted(results)
-    out = [f"{len(seeds)} pairs, seeds {', '.join(map(str, seeds))}",
-           f"{'metric':<20} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30}"
-           f" {'change':>8} {'IQR':>6} {'wins':>6} {'bound':>6}"]
-    runs = []
-    for m in metrics:
-        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
-        parent = [results[s]["parent"]["metrics"][name]["value"] for s in seeds]
-        change = [results[s]["change"]["metrics"][name]["value"] for s in seeds]
-        (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
-        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        out.append(f"{name:<20} {f'{pmed:.4g} [{pq1:.4g}, {pq3:.4g}]':<30} "
-                   f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':<30} "
-                   f"{cmed / pmed - 1:>+8.1%} {(pq3 - pq1) / pmed:>6.1%} "
-                   f"{f'{wins}/{len(seeds)}':>6} {m['bound']:>6.0%}")
-        runs.append(f"  {name}: " + ", ".join(f"{p:.4g}/{c:.4g}" for p, c in zip(parent, change)))
-    out += ["every run, parent/change by seed:", *runs]
-    for side in ("parent", "change"):
-        got = [results[s][side] for s in seeds]
-        out.append(f"{side}: correct {sum(bool(r['correct']) for r in got)}/{len(got)}, "
-                   f"failed ops {sum(r['failed'] for r in got)} of "
-                   f"{sum(r['attempted'] for r in got)}")
+def pair_lines(parent, change, metrics):
+    """Per workload and end-to-end metric of BENCHMARK.json: the parent's
+    IQR as a share of its median, the pairs the change wins and every run,
+    from the two sides' run files of the same seeds in the same order."""
+    base, head = compare.load(parent), compare.load(change)
+    out = []
+    for workload in sorted(set(base) & set(head)):
+        out.append(f"== {workload}: parent IQR, pairs won, every run parent/change by seed")
+        for m in metrics:
+            p = [s["end_to_end"][m["name"]] for s in base[workload]]
+            c = [s["end_to_end"][m["name"]] for s in head[workload]]
+            q1, med, q3 = quartiles(p)
+            sign = 1.0 if m["better"] == "lower" else -1.0
+            wins = sum(sign * (y - x) < 0 for x, y in zip(p, c))
+            out.append(f"  {m['name']:<25}{(q3 - q1) / med:>7.1%}{f'{wins}/{len(p)}':>7}  "
+                       + ", ".join(f"{x:.4g}/{y:.4g}" for x, y in zip(p, c)))
     return out
 
 
@@ -91,25 +83,34 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seeds", type=seed_range, required=True)
+    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    results, missing = {}, 0
+    spec = json.loads((compare.ROOT / "BENCHMARK.json").read_text())
+    out = args.out or Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    out.mkdir(parents=True, exist_ok=True)
+    files, failed = {"parent": [], "change": []}, 0
     for seed in args.seeds:
-        sides = ("parent", "change") if seed % 2 else ("change", "parent")
-        for side in sides:
-            line, err = run_once(getattr(args, side), args.workload, seed, spec["run_seconds"])
-            if line is None:
-                missing += 1
+        got = {}
+        for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+            text, err = run_once(getattr(args, side), args.workload, seed, spec["run_seconds"])
+            if text is None:
+                failed += 1
                 print(f"{side} {seed} no result: {err}", flush=True)
                 continue
-            print(f"{side} {seed} {line}", flush=True)
-            results.setdefault(seed, {})[side] = json.loads(line)
-    complete = {s: r for s, r in results.items() if len(r) == 2}
-    if complete:
-        print(f"== {args.workload}: " + "\n".join(table(complete, spec["end_to_end"])))
-    return 1 if missing else 0
+            got[side] = out / f"{side}-{seed}.txt"
+            got[side].write_text(text)
+            print(f"{side} {seed} {text.splitlines()[-1]}", flush=True)
+        if len(got) == 2:
+            for side, path in got.items():
+                files[side].append(str(path))
+    print(f"run outputs in {out}")
+    if not files["parent"]:
+        return 1
+    worse = compare.main(["--base", *files["parent"], "--head", *files["change"]])
+    print("\n".join(pair_lines(files["parent"], files["change"], spec["end_to_end"])))
+    return 1 if failed or worse else 0
 
 
 if __name__ == "__main__":
