@@ -18,6 +18,8 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .comparison import (
     Dichotomy,
@@ -31,6 +33,7 @@ from .errors import (
     ConfigError,
     ExpressionDomainError,
     ExpressionParseError,
+    GridError,
     NonConvergenceError,
     SphereflowError,
 )
@@ -129,6 +132,9 @@ def _build_grid(cfg, base_dir: Path) -> SphericalGrid:
                          "SphericalGrid")
     kwargs = _options(SphericalGrid, block, "grid")
     if "mask" in block:
+        if not isinstance(block["mask"], str):
+            raise ConfigError(f"'grid.mask' must be a file name, got {block['mask']!r}",
+                              key="grid.mask")
         kwargs["mask"] = read_mask_csv(base_dir / block["mask"],
                                        kwargs["n_theta"], kwargs["n_phi"])
     return SphericalGrid(**kwargs)
@@ -137,8 +143,14 @@ def _build_grid(cfg, base_dir: Path) -> SphericalGrid:
 def _field_from_spec(spec, grid, base_dir: Path, where: str):
     if isinstance(spec, str):
         return evaluate_expression(spec, grid)
-    if isinstance(spec, dict) and "file" in spec:
-        return read_field_csv(base_dir / spec["file"], grid)
+    if isinstance(spec, dict) and isinstance(spec.get("file"), str):
+        field = read_field_csv(path := base_dir / spec["file"], grid)
+        bad = np.argwhere(~np.isfinite(field.values))  # as an expression's
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise GridError(f"{path}: value {field.values[i, j]} at node ({i}, {j}) "
+                            "is not finite")
+        return field
     raise ConfigError(f"'{where}' must be given as an expression string or "
                       f"{{\"file\": <path>}}", key=where)
 
@@ -258,7 +270,11 @@ _COMMANDS = {
 def run(scenario_path, out_dir, quiet: bool = False) -> int:
     """Execute one scenario config; returns the process exit code."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"i/o error: {err}", file=sys.stderr)
+        return 1
     path = Path(scenario_path)
     try:
         cfg = json.loads(path.read_text())

@@ -44,13 +44,13 @@ class CoefficientFields:
     d: np.ndarray
 
 
-def _mean_values(gas, quadrature, mask, seg, where=None):
-    """mean_value_coefficients from a Gauss rule and segment_algebra's seg,
-    or only at where's nodes, as flat arrays (None if it has none).  Every
-    Gauss-point state is checked first at every node of mask, t ascending,
-    then in flat node order, against the gas's window, which admits what
-    density() does without forming a density."""
-    ts, ws = quadrature
+def _mean_values(gas, mask, seg, where=None):
+    """mean_value_coefficients from segment_algebra's seg, or only at where's
+    nodes, as flat arrays (None if it has none).  Every Gauss-point state is
+    checked first at every node of mask, t ascending, then in flat node
+    order, against the gas's window, which admits what density() does
+    without forming a density."""
+    ts, ws = gauss_legendre()
     t = ts[:, None, None]
     _, _, ok = bernoulli_density(gas, head := (seg[8] * t + seg[7]) * t + seg[6], False)
     k = int(np.argmax((mask & ~ok).any(axis=(1, 2))))
@@ -76,9 +76,8 @@ def _mean_values(gas, quadrature, mask, seg, where=None):
 
 
 def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
-                            f_plus: ScalarField,
-                            n_quad: int = 8) -> CoefficientFields:
-    """Gauss-Legendre t-averages of the pointwise flux Jacobian over [f-, f+].
+                            f_plus: ScalarField) -> CoefficientFields:
+    """gauss_legendre t-averages of the pointwise flux Jacobian over [f-, f+].
 
     The gradient q+ + t dq and value z+ + t dz of phi_t = t f- + (1-t) f+ are
     affine in t (segment_algebra), so each coefficient is R = sum w rho less
@@ -87,38 +86,34 @@ def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
     must be admissible; a vacuum state raises with the offending (node, t).
     """
     grid = require_same_grid(f_minus, f_plus)
-    return _mean_values(gas, gauss_legendre(n_quad), grid.mask_array,
-                        segment_algebra(gas, f_minus, f_plus))
+    return _mean_values(gas, grid.mask_array, segment_algebra(gas, f_minus, f_plus))
 
 
 def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
-                    beta: float = 0.5, n_quad: int = 8, gradients=None) -> np.ndarray:
+                    gradients=None) -> np.ndarray:
     """Weak-form integrand F at every node.
 
-    F = (1/beta) (h+)^(1/beta - 1) (a_ij di h+ dj h+ + b_i h+ di h+
-        - beta c_i h+ di h+ - beta d (h+)^2)  with h+ = max(f- - f+, 0),
-    a, b, d from mean_value_coefficients and c_i = 2 b_i.
+    F = 2 h+ a_ij di h+ dj h+ - d (h+)^3  with h+ = max(f- - f+, 0) and a, d
+    from mean_value_coefficients: the comparison form at beta = 1/2,
+    (1/beta) (h+)^(1/beta - 1) (a_ij di h+ dj h+ + (1 - 2 beta) b_i h+ di h+
+    - beta d (h+)^2), whose b-terms cancel there.
 
-    F is 0.0 where h+ = 0 (for an ordered pair, everywhere), so a, b, d and
+    F is 0.0 where h+ = 0 (for an ordered pair, everywhere), so a, d and
     the gradient of h+ are formed only where h+ > 0; every quadrature state
     is still checked.  gradients, if known, are as in segment_algebra.
     """
     grid = require_same_grid(f_minus, f_plus)
-    if not 0.0 < beta <= 1.0:
-        raise ConfigError("beta must lie in (0, 1]", "beta")
     hplus = np.where(grid.mask_array, np.maximum(f_minus.values - f_plus.values, 0.0), 0.0)
     pos = hplus > 0.0
-    co = _mean_values(gas, gauss_legendre(n_quad), grid.mask_array,
-                      segment_algebra(gas, f_minus, f_plus, gradients), pos)
+    seg = segment_algebra(gas, f_minus, f_plus, gradients)
+    co = _mean_values(gas, grid.mask_array, seg, pos)
     F = np.zeros(grid.shape)
     if co is None:
         return F
     grad = spherical_gradient(ScalarField(grid, hplus))
     g1, g2, h = grad.v_theta[pos], grad.v_phi[pos], hplus[pos]
-    quad = (co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
-            + co.b1 * h * g1 + co.b2 * h * g2
-            - beta * (2.0 * co.b1 * h * g1 + 2.0 * co.b2 * h * g2) - beta * co.d * h * h)
-    F[pos] = h ** (1.0 / beta - 1.0) / beta * quad
+    quad = co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
+    F[pos] = 2.0 * h * quad - co.d * h * h * h
     return F
 
 
@@ -285,12 +280,13 @@ def hopf_indicator(report: ComparisonReport, boundary_nodes,
 
     Reads the pair's verify_weak_comparison report, which has checked both
     fields' admissibility and stencils.  Every requested node must be a
-    boundary node with exactly one outward direction (straight mask edge;
-    corners fail the interior sphere condition) and must carry equal field
-    values within tol_touch.  tol_touch < 0 or nan raises ConfigError, and
-    an unordered report ValueError naming its interior node.  When f- < f+
-    holds inside and the ellipticity hypotheses are met, the returned
-    derivatives are what the Hopf lemma asserts to be strictly positive.
+    pair of integers (a boolean is not one) naming a boundary node with
+    exactly one outward direction (straight mask edge; corners fail the
+    interior sphere condition) and must carry equal field values within
+    tol_touch.  tol_touch < 0 or nan raises ConfigError, and an unordered
+    report ValueError naming its interior node.  When f- < f+ holds inside
+    and the ellipticity hypotheses are met, the returned derivatives are
+    what the Hopf lemma asserts to be strictly positive.
     """
     if not tol_touch >= 0.0:
         raise ConfigError(f"tol_touch must be >= 0, got {tol_touch}", "tol_touch")
@@ -301,7 +297,7 @@ def hopf_indicator(report: ComparisonReport, boundary_nodes,
     results = []
     for raw in boundary_nodes:
         try:
-            i, j = (operator.index(k) for k in raw)
+            i, j = (operator.index(None if isinstance(k, bool) else k) for k in raw)
         except (TypeError, ValueError):
             raise ConfigError(f"node {raw!r} is not a pair of integers",
                               "boundary_nodes") from None

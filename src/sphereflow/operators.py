@@ -28,7 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError, InadmissibleStateError, NotEllipticError
+from .errors import InadmissibleStateError, NotEllipticError
 from .gas import (
     FlowState,
     FlowType,
@@ -271,20 +271,19 @@ def flow_jacobian(gas: GasModel, f: ScalarField, *, state=None):
 
 
 @cache
-def gauss_legendre(n_quad: int):
-    """Read-only n_quad-point Gauss-Legendre (nodes, weights) on [0, 1]."""
-    if n_quad < 1:
-        raise ConfigError("n_quad must be >= 1", "n_quad")
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+def gauss_legendre():
+    """Read-only 8-point Gauss-Legendre (nodes, weights) on [0, 1], the one
+    rule of every segment average; built on first use, so that a run that
+    averages nothing does not import numpy.polynomial."""
+    x, w = np.polynomial.legendre.leggauss(8)
     t, w = 0.5 * (x + 1.0), 0.5 * w
     t.flags.writeable = w.flags.writeable = False
     return t, w
 
 
-def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
-                     n_quad: int = 8):
+def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField):
     """apply(v) on value arrays: flow_jacobian's apply averaged over phi_t =
-    t f- + (1-t) f+ by n_quad-point Gauss-Legendre in t, so apply(f- - f+)
+    t f- + (1-t) f+ by gauss_legendre in t, so apply(f- - f+)
     = flow_residual(f-) - flow_residual(f+) at interior nodes up to the
     quadrature error.  The state of each phi_t, at gradient q+ + t dq and
     value z+ + t dz, comes from segment_algebra's head, so no phi_t is
@@ -293,7 +292,7 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     grid = require_same_grid(f_minus, f_plus)
     mask = grid.mask_array
     q1, q2, z, dq1, dq2, dz, h0, h1, h2 = segment_algebra(gas, f_minus, f_plus)
-    ts, ws = gauss_legendre(n_quad)
+    ts, ws = gauss_legendre()
     parts = []
     for t, wt in zip(ts, ws):
         rho, c2, ok = bernoulli_density(gas, head := h0 + t * (h1 + t * h2))

@@ -406,14 +406,19 @@ def segment_sweep(gas, minus, plus, n_t, band=0.0):
     return first != "", first, np.where(live, form, np.inf).min(axis=0)
 
 
+def gauss_rule(n_quad):
+    """The n_quad-point Gauss-Legendre (nodes, weights) on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def per_t_mean_value_coefficients(gas, f_minus, f_plus, n_quad):
     """mean_value_coefficients by accumulating the six coefficients at each
-    Gauss-Legendre node of phi_t, off the mask zero."""
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    node of the n_quad-point Gauss-Legendre rule in t, off the mask zero."""
     mask = f_plus.grid.mask_array
     minus, plus = field_state(f_minus), field_state(f_plus)
     acc = dict.fromkeys(("a11", "a12", "a22", "b1", "b2", "d"), 0.0)
-    for t, wt in zip(0.5 * (x + 1.0), 0.5 * w):
+    for t, wt in zip(*gauss_rule(n_quad)):
         q1, q2, z = (t * m + (1.0 - t) * p for m, p in zip(minus, plus))
         rho, c2, ok = reference_bernoulli(gas, q1 * q1 + q2 * q2, z)
         assert ok[mask].all()
@@ -426,11 +431,11 @@ def per_t_mean_value_coefficients(gas, f_minus, f_plus, n_quad):
     return acc
 
 
-def gauss_state_failures(gas, f_minus, f_plus, n_quad):
+def gauss_state_failures(gas, f_minus, f_plus):
     """(ts, inadmissible, c^2) of the Gauss-point states of phi_t, stacked
     over t: where the Bernoulli law rejects a masked node's state, and c^2
     there (1 for the isothermal gas)."""
-    ts = gauss_legendre(n_quad)[0]
+    ts = gauss_legendre()[0]
     minus, plus = field_state(f_minus), field_state(f_plus)
     bad, c2s = [], []
     for t in ts:
@@ -441,22 +446,17 @@ def gauss_state_failures(gas, f_minus, f_plus, n_quad):
     return ts, np.array(bad), np.array(c2s)
 
 
-def reference_weak_form_field(gas, f_minus, f_plus, beta=0.5, n_quad=8):
+def reference_weak_form_field(gas, f_minus, f_plus):
     """weak_form_field by its full-grid formula: the coefficients at every
-    node, and F = 0 where h+ = 0 by a zero prefactor."""
+    node, F = 2 h+ a(grad h+, grad h+) - d (h+)^3 where h+ > 0 and 0.0
+    elsewhere."""
     grid = f_plus.grid
-    co = mean_value_coefficients(gas, f_minus, f_plus, n_quad)
+    co = mean_value_coefficients(gas, f_minus, f_plus)
     m = grid.mask_array
     hplus = np.where(m, np.maximum(f_minus.values - f_plus.values, 0.0), 0.0)
     pos = hplus > 0.0
     grad = spherical_gradient(ScalarField(grid, hplus))
     g1 = np.where(pos, grad.v_theta, 0.0)
     g2 = np.where(pos, grad.v_phi, 0.0)
-    quad = (
-        co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
-        + co.b1 * hplus * g1 + co.b2 * hplus * g2
-        - beta * (2.0 * co.b1 * hplus * g1 + 2.0 * co.b2 * hplus * g2)
-        - beta * co.d * hplus * hplus
-    )
-    prefactor = np.where(pos, hplus ** (1.0 / beta - 1.0), 0.0) / beta
-    return np.where(m, prefactor * quad, 0.0)
+    quad = co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
+    return np.where(pos, 2.0 * hplus * quad - co.d * hplus * hplus * hplus, 0.0)

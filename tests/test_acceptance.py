@@ -76,7 +76,7 @@ def test_criterion_3_matrix_bound_and_positivity():
     for _ in range(10000):
         gas = random_gas(rng, GAMMAS[rng.integers(len(GAMMAS))])
         s = random_admissible_state(rng, gas)
-        H = sf.comparison_matrix(gas, s, 0.5)
+        H = sf.comparison_matrix(gas, s)
         xi = rng.normal(size=3)
         form, bound = sf.quadratic_form_and_bound(H, gas, s, xi)
         scale = max(1.0, abs(form), abs(bound))
@@ -89,7 +89,7 @@ def test_criterion_3_matrix_bound_and_positivity():
         gamma = (-1.0, 1.0, 1.4, 2.0)[rng.integers(4)]
         gas = random_gas_with_supersonic_radial(rng, gamma)
         s = random_admissible_state(rng, gas, elliptic=True, z_above_c=True)
-        H = sf.comparison_matrix(gas, s, 0.5)
+        H = sf.comparison_matrix(gas, s)
         xi = rng.normal(size=3)
         tang = np.hypot(xi[0], xi[1])
         if tang == 0.0:

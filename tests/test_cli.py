@@ -322,7 +322,7 @@ def test_vacuum_solve_exits_one(tmp_path, capsys):
 
 def test_nan_source_node_exits_one(tmp_path, capsys):
     # a nan residual is not above newton_tol, so this solve once "converged"
-    # in 0 Newton iterations
+    # in 0 Newton iterations; the file is refused before BVProblem reads it
     g = SphericalGrid(*SMALL_PATCH, 17, 17)
     source = np.zeros(g.shape)
     source[8, 8] = np.nan
@@ -332,7 +332,7 @@ def test_nan_source_node_exits_one(tmp_path, capsys):
         "source": {"file": "source.csv"}})
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1
     assert capsys.readouterr().err == \
-        "error: source not finite at interior node (8, 8)\n"
+        f"error: {tmp_path / 'source.csv'}: value nan at node (8, 8) is not finite\n"
     assert not any((tmp_path / "out").iterdir())
 
 
@@ -548,7 +548,7 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys, key, command):
 
 @pytest.mark.parametrize("nodes, named", [
     ([[20, 4]], "(20, 4)"), ([[-1, 4]], "(-1, 4)"), ([[4]], "[4]"),
-    (5, "list"),
+    (5, "list"), ([[False, True]], "[False, True]"),  # not node (0, 1)
 ])
 def test_hopf_rejects_nodes_off_the_grid(tmp_path, capsys, nodes, named):
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
@@ -701,6 +701,52 @@ def test_scenario_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
     sc.write_text("5")
     assert cli.run(sc, tmp_path / "out", quiet=True) == 1
     assert capsys.readouterr().err.startswith("config error")
+
+
+def test_an_out_path_that_is_a_file_is_an_io_error(tmp_path, capsys):
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9),
+                        command={"name": "certify", "field": "1.6"})
+    (tmp_path / "taken").write_text("")
+    for out in (tmp_path / "taken", tmp_path / "taken" / "out"):
+        assert cli.run(sc, out, quiet=True) == 1
+        assert capsys.readouterr().err.startswith("i/o error")
+    assert (tmp_path / "taken").read_text() == ""
+
+
+@pytest.mark.parametrize("where, value", [
+    ("grid.mask", 5), ("grid.mask", None), ("command.field", 5), ("command.field", None),
+])
+def test_a_file_name_that_is_not_a_string_is_a_config_error(tmp_path, capsys, where, value):
+    command = {"name": "certify", "field": "1.6"}
+    grid = grid_block(9)
+    if where == "grid.mask":
+        grid["mask"] = value
+    else:
+        command["field"] = {"file": value}
+    sc = write_scenario(tmp_path / "sc.json", grid=grid, command=command)
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{where}'" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    {"name": "classify", "field": {"file": "f.csv"}},
+    {"name": "certify", "field": {"file": "f.csv"}},
+    {"name": "compare", "field_minus": {"file": "f.csv"}, "field_plus": "1.6"},
+], ids=lambda command: command["name"])
+def test_a_non_finite_field_file_is_refused(tmp_path, capsys, command, value):
+    # as an expression is: the file and the first such node are named, and
+    # nothing is classified, differentiated or written
+    grid = SphericalGrid(*SMALL_PATCH, 9, 9)
+    values = np.full(grid.shape, 1.6)
+    values[4, 4] = values[6, 2] = float(value)
+    write_field_csv(tmp_path / "f.csv", ScalarField(grid, values))
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command=command)
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'f.csv'}: value {value} at node (4, 4) is not finite\n"
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_manufacture_boundary_is_the_exact_field(tmp_path):

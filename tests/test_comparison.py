@@ -7,6 +7,7 @@ from helpers import (
     PAIR_SCENARIOS,
     SMALL_PATCH,
     WIDE_PATCH,
+    gauss_rule,
     gauss_state_failures,
     per_t_mean_value_coefficients,
     reference_weak_form_field,
@@ -41,9 +42,18 @@ def solver_pair():
     return gas, grid, f_plus, f_minus, f_touch
 
 
+def _use_rule(monkeypatch, n_quad):
+    """Put the n_quad-point Gauss-Legendre rule in place of the segment
+    averages' own 8-point one (n_quad = 8 keeps their own)."""
+    if n_quad != 8:
+        rule = gauss_rule(n_quad)
+        for module in (sf.operators, sf.comparison):
+            monkeypatch.setattr(module, "gauss_legendre", lambda: rule)
+
+
 def test_mean_value_coefficients_constant(gas_b4, wide_grid_33):
     f = ScalarField.constant(wide_grid_33, 2.0)
-    co = sf.mean_value_coefficients(gas_b4, f, f, n_quad=8)
+    co = sf.mean_value_coefficients(gas_b4, f, f)
     np.testing.assert_allclose(co.a11, 1.0, atol=1e-14)
     np.testing.assert_allclose(co.a22, 1.0, atol=1e-14)
     np.testing.assert_allclose(co.a12, 0.0, atol=1e-15)
@@ -56,21 +66,20 @@ def test_mean_value_coefficients_constant(gas_b4, wide_grid_33):
 def test_mean_value_zero_gap_any_quadrature(gas_b4, wide_grid_33):
     f = ScalarField.from_function(wide_grid_33,
                                   lambda th, ph: 2 + 0.1 * np.cos(th))
-    c1 = sf.mean_value_coefficients(gas_b4, f, f, n_quad=1)
-    c8 = sf.mean_value_coefficients(gas_b4, f, f, n_quad=8)
-    for name in ("a11", "a12", "a22", "b1", "b2", "d"):
-        np.testing.assert_allclose(getattr(c1, name), getattr(c8, name),
-                                   rtol=0, atol=1e-13)
+    # with f- = f+ every t has the endpoint state: the 1-point rule is exact
+    c1 = per_t_mean_value_coefficients(gas_b4, f, f, 1)
+    c8 = sf.mean_value_coefficients(gas_b4, f, f)
+    for name, coef in c1.items():
+        np.testing.assert_allclose(coef, getattr(c8, name), rtol=0, atol=1e-13)
 
 
 def test_mean_value_gauss_convergence(gas_b4, wide_grid_33):
     lo = ScalarField.constant(wide_grid_33, 2.0)
     hi = ScalarField.constant(wide_grid_33, 2.2)
-    c8 = sf.mean_value_coefficients(gas_b4, lo, hi, n_quad=8)
-    c16 = sf.mean_value_coefficients(gas_b4, lo, hi, n_quad=16)
-    for name in ("a11", "a12", "a22", "b1", "b2", "d"):
-        np.testing.assert_allclose(getattr(c8, name), getattr(c16, name),
-                                   rtol=0, atol=1e-12)
+    c8 = sf.mean_value_coefficients(gas_b4, lo, hi)
+    c16 = per_t_mean_value_coefficients(gas_b4, lo, hi, 16)
+    for name, coef in c16.items():
+        np.testing.assert_allclose(getattr(c8, name), coef, rtol=0, atol=1e-12)
 
 
 SEGMENT_AVERAGES = [sf.mean_value_coefficients, sf.segment_jacobian]
@@ -94,17 +103,11 @@ def test_mean_value_grid_mismatch(gas_b4, average):
                 ScalarField.constant(g2, 2.0))
 
 
-@pytest.mark.parametrize("average", SEGMENT_AVERAGES, ids=lambda fn: fn.__name__)
-def test_mean_value_needs_a_quadrature_node(gas_b4, wide_grid_33, average):
-    f = ScalarField.constant(wide_grid_33, 2.0)
-    with pytest.raises(sf.ConfigError) as err:
-        average(gas_b4, f, f, n_quad=0)
-    assert err.value.key == "n_quad"
-
-
 @pytest.mark.parametrize("n_quad", [1, 8, 16])
-def test_mean_value_moments_match_the_per_t_sum(pair_suite, gas_b4, wide_grid_33, n_quad):
+def test_mean_value_moments_match_the_per_t_sum(pair_suite, gas_b4, wide_grid_33, n_quad,
+                                                monkeypatch):
     # the moment form against the coefficients accumulated at each Gauss t,
+    # on the library's own 8-point rule and on two others put in its place,
     # on one solver-built pair per gas and on a pair whose gradients change
     # sign along the segment (q_t = (1 - 2t) q+), where the moment terms
     # cancel down to a small coefficient (a12 = 0 at n_quad = 1, t = 1/2):
@@ -114,8 +117,9 @@ def test_mean_value_moments_match_the_per_t_sum(pair_suite, gas_b4, wide_grid_33
     pairs = [(sc.gas, sc.f_minus, sc.f_plus) for sc in pair_suite[:4]]
     pairs.append((gas_b4, ScalarField(g, 2.05 - bump.values),
                   ScalarField(g, 2.0 + bump.values)))
+    _use_rule(monkeypatch, n_quad)
     for gas, f_minus, f_plus in pairs:
-        got = sf.mean_value_coefficients(gas, f_minus, f_plus, n_quad)
+        got = sf.mean_value_coefficients(gas, f_minus, f_plus)
         want = per_t_mean_value_coefficients(gas, f_minus, f_plus, n_quad)
         scale = max(np.abs(coef).max() for coef in want.values())
         for name, coef in want.items():
@@ -127,9 +131,9 @@ def test_mean_value_overflow_names_node_and_gauss_t(wide_grid_33):
     gas = GasModel(1.0, 1.0, 2000.0)
     f = ScalarField.constant(wide_grid_33, 1.0)
     with pytest.raises(sf.GasOverflowError) as err:
-        sf.mean_value_coefficients(gas, f, f, n_quad=3)
+        sf.mean_value_coefficients(gas, f, f)
     assert err.value.node == (0, 0)
-    assert err.value.t == float(gauss_legendre(3)[0][0])
+    assert err.value.t == float(gauss_legendre()[0][0])
 
 
 def test_segment_jacobian_zero(gas_b4, wide_grid_33):
@@ -142,7 +146,9 @@ def test_segment_jacobian_zero(gas_b4, wide_grid_33):
 def test_segment_jacobian_differentiates_each_field_once(gas_b4, wide_grid_33, n_quad,
                                                          monkeypatch):
     # the quadrature states interpolate the gradients of f- and f+, so no
-    # phi_t is differentiated again, neither in the build nor in apply
+    # phi_t is differentiated again, neither in the build nor in apply, on
+    # the library's own 8-point rule or on another put in its place
+    _use_rule(monkeypatch, n_quad)
     calls = []
     gradient = sf.operators.spherical_gradient
 
@@ -153,7 +159,7 @@ def test_segment_jacobian_differentiates_each_field_once(gas_b4, wide_grid_33, n
     monkeypatch.setattr(sf.operators, "spherical_gradient", counted)
     f_plus = ScalarField.from_function(wide_grid_33, lambda th, ph: 2 + 0.1 * np.cos(th))
     f_minus = ScalarField(wide_grid_33, f_plus.values + 0.01 * np.sin(wide_grid_33.phi_mesh))
-    apply = sf.segment_jacobian(gas_b4, f_minus, f_plus, n_quad=n_quad)
+    apply = sf.segment_jacobian(gas_b4, f_minus, f_plus)
     apply(f_minus.values - f_plus.values)
     assert len(calls) == 2 and calls[0] is f_minus and calls[1] is f_plus
 
@@ -200,9 +206,8 @@ def test_linearization_matches_frechet_derivative(gas_b4, wide_grid_33):
 def test_weak_form_zero_when_ordered(gas_b4, wide_grid_33):
     lo = ScalarField.constant(wide_grid_33, 2.0)
     hi = ScalarField.constant(wide_grid_33, 2.2)
-    F = weak_form_field(gas_b4, lo, hi, beta=0.5)
+    F = weak_form_field(gas_b4, lo, hi)
     assert np.all(F == 0.0)
-    assert weak_form_field(gas_b4, lo, hi, 0.5)[3, 3] == 0.0
 
 
 def _weak_form_grid(kind):
@@ -223,10 +228,9 @@ def _weak_form_grid(kind):
 @pytest.mark.parametrize("kind", ["plain", "masked", "periodic"])
 @pytest.mark.parametrize("gamma", [-1.0, 1.0, 1.4, 2.0])
 def test_weak_form_matches_the_full_grid_formula(gamma, kind):
-    # on crossing pairs, where h+ > 0 at some nodes and 0 at others, F at
-    # every beta and the report's weak-form minimum (beta = 1/2, 8 Gauss
-    # points) carry the bits of the formula that forms the coefficients at
-    # every node
+    # on crossing pairs, where h+ > 0 at some nodes and 0 at others, F and
+    # the report's weak-form minimum carry the bits of the formula that
+    # forms the coefficients at every node
     g = _weak_form_grid(kind)
     gas = GasModel(gamma, 1.0, PAIR_SCENARIOS[gamma]["bernoulli"])
     base = PAIR_SCENARIOS[gamma]["level"] + 0.03 * np.cos(g.theta_mesh)
@@ -234,12 +238,11 @@ def test_weak_form_matches_the_full_grid_formula(gamma, kind):
     f_minus, f_plus = ScalarField(g, base + bump), ScalarField(g, base - 0.3 * bump)
     m = g.mask_array
     assert (bump[m] > 0.0).any() and (bump[m] <= 0.0).any()
-    for beta in (0.3, 0.5, 1.0):
-        want = reference_weak_form_field(gas, f_minus, f_plus, beta)
-        got = weak_form_field(gas, f_minus, f_plus, beta)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert (got[m] != 0.0).any()
-    least = np.where(m, reference_weak_form_field(gas, f_minus, f_plus, 0.5, 8), np.inf)
+    want = reference_weak_form_field(gas, f_minus, f_plus)
+    got = weak_form_field(gas, f_minus, f_plus)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert (got[m] != 0.0).any()
+    least = np.where(m, want, np.inf)
     node = np.unravel_index(np.argmin(least), g.shape)
     hyp = sf.verify_weak_comparison(gas, f_minus, f_plus).hypotheses["weak_form_nonnegative"]
     assert hyp.worst_node == node
@@ -269,7 +272,7 @@ def test_ordered_pair_checks_every_gauss_state(gas, level, slope):
     # order, which here names another node than node-major order would
     f_minus, f_plus = _fanned_pair(level, slope)
     assert np.all(f_minus.values <= f_plus.values)
-    ts, bad, c2 = gauss_state_failures(gas, f_minus, f_plus, 8)
+    ts, bad, c2 = gauss_state_failures(gas, f_minus, f_plus)
     assert np.abs(c2).min() > 1e-6 and not bad[[0, -1]].any()  # admissible ends
     k = int(np.argmax(bad.any(axis=(1, 2))))
     node = tuple(int(i) for i in np.argwhere(bad[k])[0])
@@ -285,20 +288,12 @@ def test_ordered_pair_checks_every_gauss_state(gas, level, slope):
         assert (err.value.node, err.value.t, str(err.value)) == (node, ts[k], message)
 
 
-@pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"n_quad": 0}], ids=["beta", "n_quad"])
-def test_ordered_pair_refuses_a_bad_quadrature(solver_pair, kwargs):
-    gas, _, f_plus, f_minus, _ = solver_pair
-    with pytest.raises(sf.ConfigError) as err:
-        weak_form_field(gas, f_minus, f_plus, **kwargs)
-    assert err.value.key == next(iter(kwargs))
-
-
 def test_weak_form_positive_from_zeroth_order(gas_b4, wide_grid_33):
-    # h+ = 0.2 constant: gradients vanish, F = -2 beta d (h+)^3 / (2 beta)
+    # h+ = 0.2 constant: gradients vanish, F = -d (h+)^3
     lo = ScalarField.constant(wide_grid_33, 2.2)
     hi = ScalarField.constant(wide_grid_33, 2.0)
-    co = sf.mean_value_coefficients(gas_b4, lo, hi, n_quad=8)
-    F = weak_form_field(gas_b4, lo, hi, 0.5)[5, 5]
+    co = sf.mean_value_coefficients(gas_b4, lo, hi)
+    F = weak_form_field(gas_b4, lo, hi)[5, 5]
     d_val = co.d[5, 5]
     assert d_val < 0.0
     expected = 2.0 * 0.2 * (-0.5 * d_val * 0.04)
@@ -306,26 +301,16 @@ def test_weak_form_positive_from_zeroth_order(gas_b4, wide_grid_33):
     assert F > 0.0
 
 
-def test_weak_form_beta_one_has_no_prefactor(gas_b4, wide_grid_33):
-    lo = ScalarField.constant(wide_grid_33, 2.2)
-    hi = ScalarField.constant(wide_grid_33, 2.0)
-    co = sf.mean_value_coefficients(gas_b4, lo, hi, n_quad=8)
-    F1 = weak_form_field(gas_b4, lo, hi, beta=1.0)
-    expected = -1.0 * co.d * 0.04  # - beta d (h+)^2 with beta = 1
-    np.testing.assert_allclose(F1[wide_grid_33.interior_mask],
-                               expected[wide_grid_33.interior_mask],
-                               rtol=1e-12)
-
-
 def test_weak_form_algebraic_identity(gas_b4):
-    # beta F (h+)^(1 - 1/beta) equals the quadratic form wherever h+ > 0
+    # beta F (h+)^(1 - 1/beta) equals the general bracket, b-terms and all,
+    # at beta = 1/2 wherever h+ > 0
     g = SphericalGrid(*WIDE_PATCH, 17, 17)
     rng = np.random.default_rng(3)
     lo = ScalarField(g, 2.05 + 0.02 * rng.random(g.shape))
     hi = ScalarField.constant(g, 2.0)
     beta = 0.5
     co = sf.mean_value_coefficients(gas_b4, lo, hi)
-    F = weak_form_field(gas_b4, lo, hi, beta=beta)
+    F = weak_form_field(gas_b4, lo, hi)
     hplus = np.maximum(lo.values - hi.values, 0.0)
     grad = sf.spherical_gradient(ScalarField(g, hplus))
     g1, g2 = grad.v_theta, grad.v_phi
@@ -419,7 +404,8 @@ def test_hopf_corner_and_nontouching_errors(solver_pair):
 def test_hopf_rejects_nodes_off_the_grid(solver_pair):
     gas, grid, f_plus, _, f_touch = solver_pair
     rep = sf.verify_weak_comparison(gas, f_touch, f_plus)
-    for node in [(33, 16), (-1, 16), (16, 16), (0,), (0.0, 16)]:
+    # (false, true) is not node (0, 1), a touching straight-edge node here
+    for node in [(33, 16), (-1, 16), (16, 16), (0,), (0.0, 16), (False, True), (0, True)]:
         with pytest.raises(sf.ConfigError) as err:
             sf.hopf_indicator(rep, [node])
         assert err.value.key == "boundary_nodes"

@@ -32,10 +32,10 @@ def closed_form_matrix(gas, s):
 
 
 def test_matrix_examples(gas_b4):
-    H = sf.comparison_matrix(gas_b4, FlowState(0.0, 0.0, 2.0), 0.5)
+    H = sf.comparison_matrix(gas_b4, FlowState(0.0, 0.0, 2.0))
     np.testing.assert_allclose(H, np.diag([1.0, 1.0, 3.0]), atol=1e-14)
 
-    H2 = sf.comparison_matrix(gas_b4, FlowState(0.5, 0.0, 2.0), 0.5)
+    H2 = sf.comparison_matrix(gas_b4, FlowState(0.5, 0.0, 2.0))
     np.testing.assert_allclose(
         H2,
         [[0.625, 0.0, 1.0], [0.0, 0.875, 0.0], [-1.0, 0.0, 3.125]],
@@ -44,7 +44,7 @@ def test_matrix_examples(gas_b4):
     # q = 0, z = 0: every off-diagonal entry carries a q or z factor
     for gas in (gas_b4, GasModel(-1.0, 1.0, -1.0), GasModel(1.0, 2.0, 1.0)):
         s0 = FlowState(0.0, 0.0, 0.0)
-        H0 = sf.comparison_matrix(gas, s0, 0.5)
+        H0 = sf.comparison_matrix(gas, s0)
         rho = density(gas, s0)
         c2 = sound_speed_sq(gas, s0)
         np.testing.assert_allclose(
@@ -58,17 +58,18 @@ def test_matrix_matches_closed_form():
         for _ in range(200):
             gas = random_gas(rng, gamma)
             s = random_admissible_state(rng, gas)
-            H = sf.comparison_matrix(gas, s, 0.5)
+            H = sf.comparison_matrix(gas, s)
             np.testing.assert_allclose(H, closed_form_matrix(gas, s),
                                        rtol=1e-12, atol=1e-12)
 
 
 def test_matrix_general_beta_is_flux_jacobian():
-    # columns of H are (dA1, dA2, -beta dB) by (q1, q2, z)
+    # columns of H are (dA1, dA2, -dB/2) by (q1, q2, z): the flux Jacobian
+    # at the weak comparison's beta = 1/2
     gas = GasModel(1.4, 1.2, 3.0)
     s = FlowState(0.3, -0.2, 1.1)
-    beta = 0.8
-    H = sf.comparison_matrix(gas, s, beta)
+    beta = 0.5
+    H = sf.comparison_matrix(gas, s)
     rho = density(gas, s)
     dq1, dq2, dz = density_partials(gas, s)
     expected = np.array([
@@ -77,10 +78,8 @@ def test_matrix_general_beta_is_flux_jacobian():
         [s.q1 * dz, s.q2 * dz, -beta * (2.0 * rho + 2.0 * s.z * dz)],
     ])
     np.testing.assert_allclose(H, expected, rtol=1e-14)
-    with pytest.raises(ValueError):
-        sf.comparison_matrix(gas, s, 0.0)
     with pytest.raises(sf.VacuumError):
-        sf.comparison_matrix(GasModel(2.0, 1.0, 4.0), FlowState(3.0, 0.0, 0.0), 0.5)
+        sf.comparison_matrix(GasModel(2.0, 1.0, 4.0), FlowState(3.0, 0.0, 0.0))
 
 
 def test_upper_block_matches_principal_matrix():
@@ -89,7 +88,7 @@ def test_upper_block_matches_principal_matrix():
         for _ in range(100):
             gas = random_gas(rng, gamma)
             s = random_admissible_state(rng, gas)
-            H = sf.comparison_matrix(gas, s, 0.5)
+            H = sf.comparison_matrix(gas, s)
             rho = density(gas, s)
             c2 = sound_speed_sq(gas, s)
             block = (rho / c2) * sf.principal_matrix(gas, s)
@@ -98,12 +97,12 @@ def test_upper_block_matches_principal_matrix():
 
 def test_form_and_bound_examples(gas_b4):
     s = FlowState(0.0, 0.0, 2.0)
-    H = sf.comparison_matrix(gas_b4, s, 0.5)
+    H = sf.comparison_matrix(gas_b4, s)
     form, bound = sf.quadratic_form_and_bound(H, gas_b4, s, (1.0, 1.0, 1.0))
     assert (form, bound) == pytest.approx((5.0, 5.0), abs=1e-14)
 
     s2 = FlowState(0.5, 0.0, 2.0)
-    H2 = sf.comparison_matrix(gas_b4, s2, 0.5)
+    H2 = sf.comparison_matrix(gas_b4, s2)
     form2, bound2 = sf.quadratic_form_and_bound(H2, gas_b4, s2, (1.0, 1.0, 1.0))
     assert (form2, bound2) == pytest.approx((4.625, 4.375), abs=1e-14)
 
@@ -116,7 +115,7 @@ def test_schwartz_bound_random():
     for _ in range(10000):
         gas = random_gas(rng, rng.choice([-1.0, 0.0, 1.0, 1.4, 2.0, 3.0]))
         s = random_admissible_state(rng, gas)
-        H = sf.comparison_matrix(gas, s, 0.5)
+        H = sf.comparison_matrix(gas, s)
         xi = rng.normal(size=3)
         form, bound = sf.quadratic_form_and_bound(H, gas, s, xi)
         assert form >= bound - 1e-12 * max(1.0, abs(form), abs(bound))
@@ -128,7 +127,7 @@ def test_form_positive_under_hypotheses():
         gas = random_gas_with_supersonic_radial(
             rng, rng.choice([-1.0, 1.0, 1.4, 2.0]))
         s = random_admissible_state(rng, gas, elliptic=True, z_above_c=True)
-        H = sf.comparison_matrix(gas, s, 0.5)
+        H = sf.comparison_matrix(gas, s)
         xi = rng.normal(size=3)
         tang = np.hypot(xi[0], xi[1])
         if tang == 0.0:
@@ -187,7 +186,7 @@ def test_segment_vacuum_in_coefficients(gas_b4):
 
 
 def _symmetric_part(gas, s):
-    H = sf.comparison_matrix(gas, s, 0.5)
+    H = sf.comparison_matrix(gas, s)
     return 0.5 * (H + H.T)
 
 
@@ -199,7 +198,7 @@ def _symmetric_part(gas, s):
 def test_form_minima_is_smallest_eigenvalue(gamma, rho0, bernoulli, speed,
                                             angle, z):
     # the witness is exact: the smallest eigenvalue of the symmetric part
-    # of the beta = 1/2 comparison matrix, and of its tangential block
+    # of the comparison matrix, and of its tangential block
     gas = GasModel(gamma, rho0, bernoulli)
     s = FlowState(speed * np.cos(angle), speed * np.sin(angle), z)
     c2 = sound_speed_sq(gas, s)

@@ -6,8 +6,9 @@ takes its weights from one place, the interior's connectivity is computed
 only by the grid, the strong comparison checks read the weak comparison's
 report, only the solver builds the preconditioner, every linear solve goes
 through solver.interior_solve with flow_jacobian as its operator, the
-grid's open faces are its one neighbour rule, no module hands text to
-Python's own compiler, and the package imports no scipy."""
+grid's open faces are its one neighbour rule, the weak comparison has
+one beta and one Gauss rule, no module hands text to Python's own
+compiler, and the package imports no scipy."""
 
 import ast
 import os
@@ -282,6 +283,28 @@ def test_grid_has_one_neighbour_rule():
     assert found == []
     grid = _functions(PACKAGE / "grid.py")
     assert "open_faces" in grid and not {"shifted", "neighbor"} & set(grid)
+
+
+def _parameters(path):
+    """(function, parameter name) of every function and method in path."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        *filter(None, (args.vararg, args.kwarg))):
+                yield node.name, arg.arg
+
+
+def test_weak_comparison_has_one_beta_and_one_rule():
+    # beta = 1/2, where the weak form's b-terms cancel, and the 8-point
+    # Gauss-Legendre rule are the method's own: a knob that no caller turns
+    # would be a second weak form and a second rule to keep right
+    found = [f"{path.name}:{name}({arg})" for path in sorted(PACKAGE.glob("*.py"))
+             for name, arg in _parameters(path) if arg in ("beta", "n_quad")]
+    assert found == []
+    assert [name for name, _ in _parameters(PACKAGE / "operators.py")
+            if name == "gauss_legendre"] == []
+    assert "gauss_legendre" in _functions(PACKAGE / "operators.py")
 
 
 def _python_compiler_uses(path):
