@@ -16,6 +16,7 @@ import json
 import math
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -130,20 +131,20 @@ def _build_grid(cfg, base_dir: Path) -> SphericalGrid:
     block = _block(cfg, "grid")
     _refuse_unknown_keys(block, "grid", (SphericalGrid,), ("mask",),
                          "SphericalGrid")
-    kwargs = _options(SphericalGrid, block, "grid")
+    grid = SphericalGrid(**_options(SphericalGrid, block, "grid"))  # checks the sizes
     if "mask" in block:
         if not isinstance(block["mask"], str):
             raise ConfigError(f"'grid.mask' must be a file name, got {block['mask']!r}",
                               key="grid.mask")
-        kwargs["mask"] = read_mask_csv(base_dir / block["mask"],
-                                       kwargs["n_theta"], kwargs["n_phi"])
-    return SphericalGrid(**kwargs)
+        grid = replace(grid, mask=read_mask_csv(base_dir / block["mask"], *grid.shape))
+    return grid
 
 
 def _field_from_spec(spec, grid, base_dir: Path, where: str):
     if isinstance(spec, str):
         return evaluate_expression(spec, grid)
     if isinstance(spec, dict) and isinstance(spec.get("file"), str):
+        _refuse_unknown_keys(spec, where, (), ("file",), "a field spec")
         field = read_field_csv(path := base_dir / spec["file"], grid)
         bad = np.argwhere(~np.isfinite(field.values))  # as an expression's
         if bad.size:
@@ -207,6 +208,20 @@ def _cmd_compare(gas, grid, args, out, verify, strong):
                if report.dichotomy else ""))
 
 
+def _nodes(value):
+    """'command.nodes' as a list of pairs of ints, each index read by
+    _convert; a value that is not a list reads as no nodes."""
+    nodes = []
+    for raw in value if isinstance(value, list) else []:
+        try:
+            i, j = raw
+            nodes.append((_convert(int, i), _convert(int, j)))
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad entry in 'command.nodes': node {raw!r} is not a "
+                              "pair of integers", key="command.nodes") from None
+    return nodes
+
+
 def _cmd_hopf(gas, grid, args, out, verify, hopf):
     report = verify_weak_comparison(gas, args["field_minus"],
                                     args["field_plus"], **verify)
@@ -215,8 +230,7 @@ def _cmd_hopf(gas, grid, args, out, verify, hopf):
         (i, j) for i, j in straight_edge_nodes(grid)
         if abs(report.gap.values[i, j]) <= hopf["tol_touch"]]
     try:  # an empty list still has tol_touch and the ordering checked
-        report.hopf = hopf_indicator(report, nodes if isinstance(nodes, list)
-                                     else [], **hopf)
+        report.hopf = hopf_indicator(report, nodes, **hopf)
     except ConfigError as err:  # a ValueError too
         if err.key != "boundary_nodes":
             raise
@@ -247,23 +261,24 @@ def _cmd_manufacture(gas, grid, args, out):
 
 # One row per command: (handler, the library calls whose int, float and bool
 # parameters are its scalar keys, its field keys with their default specs
-# (None: required), its other keys).  The handler's own int, float and bool
-# parameters (pgm) are scalar keys too.  run reads every key, then calls
-# handler(gas, grid, args, out, *options, **flags): args maps the field keys
-# to their fields and the other keys given to their values, options holds a
-# dict of keyword arguments per call.  It returns (exit code, summary line).
+# (None: required), its other keys with their readers).  The handler's own
+# int, float and bool parameters (pgm) are scalar keys too.  run reads every
+# key, then calls handler(gas, grid, args, out, *options, **flags): args maps
+# the field keys to their fields and the other keys given to what their
+# readers return, options holds a dict of keyword arguments per call.  It
+# returns (exit code, summary line).
 _FIELD = {"field": None}
 _PAIR = {"field_minus": None, "field_plus": None}
 _COMMANDS = {
-    "classify": (_cmd_classify, (), _FIELD, ()),
+    "classify": (_cmd_classify, (), _FIELD, {}),
     "solve": (_cmd_solve, (solve_dirichlet,),
-              {"boundary": None, "source": "0"}, ()),
+              {"boundary": None, "source": "0"}, {}),
     "compare": (_cmd_compare,
-                (verify_weak_comparison, strong_comparison_check), _PAIR, ()),
-    "certify": (_cmd_certify, (certify_uniform_ellipticity,), _FIELD, ()),
+                (verify_weak_comparison, strong_comparison_check), _PAIR, {}),
+    "certify": (_cmd_certify, (certify_uniform_ellipticity,), _FIELD, {}),
     "hopf": (_cmd_hopf, (verify_weak_comparison, hopf_indicator), _PAIR,
-             ("nodes",)),
-    "manufacture": (_cmd_manufacture, (), {"exact": None}, ()),
+             {"nodes": _nodes}),
+    "manufacture": (_cmd_manufacture, (), {"exact": None}, {}),
 }
 
 
@@ -288,7 +303,8 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
         print(f"config parse error at line {err.lineno}: {err.msg}",
               file=sys.stderr)
         return 1
-    block_of = dict.fromkeys(_scalar_params(GasModel), "gas")
+    block_of = {**dict.fromkeys(_scalar_params(GasModel), "gas"),
+                **dict.fromkeys(_scalar_params(SphericalGrid), "grid")}
     try:
         if not isinstance(cfg, dict):
             raise ConfigError("the scenario must be a JSON object",
@@ -308,7 +324,7 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
                              ("name", *fields, *other), f"command '{name}'")
         options = [_options(fn, block) for fn in calls]
         flags = _options(handler, block)
-        args = {key: block[key] for key in other if key in block}
+        args = {key: read(block[key]) for key, read in other.items() if key in block}
         for key, default in fields.items():
             args[key] = _field_from_spec(block.get(key, default), grid,
                                          path.parent, f"command.{key}")

@@ -30,26 +30,19 @@ from .operators import (field_density, flow_residual, gauss_legendre,
 WEAK_FORM_TOL = 1e-10
 
 
-@dataclass(eq=False)
-class CoefficientFields:
-    """t-averaged pointwise linearization coefficients as node arrays: the
-    principal block (a11, a12 = a21, a22), the flux sensitivity b to the
-    value (the source sensitivity to the gradient is 2 b) and d."""
-
-    a11: np.ndarray
-    a12: np.ndarray
-    a22: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    d: np.ndarray
-
-
 def _mean_values(gas, mask, seg, where=None):
-    """mean_value_coefficients from segment_algebra's seg, or only at where's
-    nodes, as flat arrays (None if it has none).  Every Gauss-point state is
-    checked first at every node of mask, t ascending, then in flat node
-    order, against the gas's window, which admits what density() does
-    without forming a density."""
+    """gauss_legendre t-averages of the continuous equation's flux Jacobian
+    over the segment of segment_algebra's seg: (a11, a12 = a21, a22, d) as node
+    arrays, or as flat arrays at where's nodes only (None if it has none).
+
+    The gradient q+ + t dq and value z+ + t dz of phi_t = t f- + (1-t) f+ are
+    affine in t, so each coefficient is R = sum w rho less a quadratic form
+    in the moments S_k = sum w t^k rho/c^2, k = 0, 1, 2: e.g. a11 = R -
+    (q1+^2 S0 + 2 q1+ dq1 S1 + dq1^2 S2).  Every Gauss-point state is checked
+    first at every node of mask, t ascending, then in flat node order,
+    against the gas's window, which admits what bernoulli_density does
+    without forming a density; an inadmissible one raises naming (node, t).
+    """
     ts, ws = gauss_legendre()
     t = ts[:, None, None]
     _, _, ok = bernoulli_density(gas, head := (seg[8] * t + seg[7]) * t + seg[6], False)
@@ -70,23 +63,8 @@ def _mean_values(gas, mask, seg, where=None):
     def moment(a, da, b, db):  # sum w a_t b_t rho/c^2 for a_t = a + t da, b_t = b + t db
         return a * b * s[0] + (a * db + da * b) * s[1] + da * db * s[2]
 
-    return CoefficientFields(a11=r - moment(q1, dq1, q1, dq1), a12=-moment(q1, dq1, q2, dq2),
-                             a22=r - moment(q2, dq2, q2, dq2), b1=-moment(q1, dq1, z, dz),
-                             b2=-moment(q2, dq2, z, dz), d=2.0 * (r - moment(z, dz, z, dz)))
-
-
-def mean_value_coefficients(gas: GasModel, f_minus: ScalarField,
-                            f_plus: ScalarField) -> CoefficientFields:
-    """gauss_legendre t-averages of the pointwise flux Jacobian over [f-, f+].
-
-    The gradient q+ + t dq and value z+ + t dz of phi_t = t f- + (1-t) f+ are
-    affine in t (segment_algebra), so each coefficient is R = sum w rho less
-    a quadratic form in the moments S_k = sum w t^k rho/c^2, k = 0, 1, 2: e.g.
-    a11 = R - (q1+^2 S0 + 2 q1+ dq1 S1 + dq1^2 S2).  Every quadrature state
-    must be admissible; a vacuum state raises with the offending (node, t).
-    """
-    grid = require_same_grid(f_minus, f_plus)
-    return _mean_values(gas, grid.mask_array, segment_algebra(gas, f_minus, f_plus))
+    return (r - moment(q1, dq1, q1, dq1), -moment(q1, dq1, q2, dq2),
+            r - moment(q2, dq2, q2, dq2), 2.0 * (r - moment(z, dz, z, dz)))
 
 
 def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
@@ -94,7 +72,7 @@ def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     """Weak-form integrand F at every node.
 
     F = 2 h+ a_ij di h+ dj h+ - d (h+)^3  with h+ = max(f- - f+, 0) and a, d
-    from mean_value_coefficients: the comparison form at beta = 1/2,
+    from _mean_values: the comparison form at beta = 1/2,
     (1/beta) (h+)^(1/beta - 1) (a_ij di h+ dj h+ + (1 - 2 beta) b_i h+ di h+
     - beta d (h+)^2), whose b-terms cancel there.
 
@@ -110,10 +88,11 @@ def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     F = np.zeros(grid.shape)
     if co is None:
         return F
+    a11, a12, a22, d = co
     grad = spherical_gradient(ScalarField(grid, hplus))
     g1, g2, h = grad.v_theta[pos], grad.v_phi[pos], hplus[pos]
-    quad = co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
-    F[pos] = 2.0 * h * quad - co.d * h * h * h
+    quad = a11 * g1 * g1 + 2.0 * a12 * g1 * g2 + a22 * g2 * g2
+    F[pos] = 2.0 * h * quad - d * h * h * h
     return F
 
 

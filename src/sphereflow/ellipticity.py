@@ -1,12 +1,17 @@
-"""Ellipticity algebra: the 3x3 comparison matrix, its lower bound, exact
-segment-condition checks, and uniform-ellipticity certificates.
+"""Ellipticity readings: exact segment-condition checks and
+uniform-ellipticity certificates, elementwise over node arrays.
 
-The comparison matrix packs the (q, z)-Jacobian of the flow fluxes
+The paper's comparison matrix packs the (q, z)-Jacobian of the flow fluxes
 A = rho * q (tangential mass flux) and B = 2 * rho * z (radial source),
-with the last column weighted by -1/2.  Its quadratic form controls the
-sign structure that the weak comparison principle rests on: under
-rho > 0, L^2 < 1 and z >= c the form is nonnegative, and strictly
-positive whenever the tangential part of the test vector is nonzero.
+with the last column weighted by -1/2:
+
+    (rho/c^2) [[c2-q1^2, -q1 q2, q1 z], [-q1 q2, c2-q2^2, q2 z],
+               [-q1 z, -q2 z, z^2-c2]].
+
+Its quadratic form controls the sign structure that the weak comparison
+principle rests on: under rho > 0, L^2 < 1 and z >= c the form is
+nonnegative, and strictly positive whenever the tangential part of the
+test vector is nonzero.  _form_minima reads the form's exact minima.
 """
 
 from dataclasses import dataclass, field
@@ -14,51 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .gas import (FlowState, GasModel, bernoulli_density, density, density_partials,
-                  mach_sq, sound_speed_sq, window_margins)
+from .gas import GasModel, bernoulli_density, mach_sq, window_margins
 from .grid import ScalarField, require_same_grid
 from .operators import field_density, segment_algebra
 
 # Roundoff slack for the z >= c hypothesis (equality is permitted).
 Z_GE_C_SLACK = 1e-12
-
-
-def comparison_matrix(gas: GasModel, s: FlowState) -> np.ndarray:
-    """The 3x3 flux-Jacobian matrix with its last column weighted by -1/2
-    at a pointwise state, from the analytic density partials.
-
-    Row i holds (d A1, d A2, -d B / 2) by q_i (and by z in the last row),
-    the weak comparison's weight beta = 1/2 on B, which is
-    (1/rho^(gamma-2)) [[c2-q1^2, -q1 q2, q1 z], [-q1 q2, c2-q2^2, q2 z],
-    [-q1 z, -q2 z, z^2-c2]].
-    """
-    rho = density(gas, s)
-    dq1, dq2, dz = density_partials(gas, s)
-    q1, q2, z = s.q1, s.q2, s.z
-    return np.array([
-        [rho + q1 * dq1, q2 * dq1, -z * dq1],
-        [q1 * dq2, rho + q2 * dq2, -z * dq2],
-        [q1 * dz, q2 * dz, -(rho + z * dz)],
-    ])
-
-
-def quadratic_form_and_bound(H: np.ndarray, gas: GasModel, s: FlowState,
-                             xi) -> tuple[float, float]:
-    """(sum H_ij xi_i xi_j, Schwartz lower bound) at a comparison matrix H.
-
-    The bound is (1/rho^(gamma-2)) ((c2-|q|^2)(xi1^2+xi2^2) + (z^2-c2) xi3^2)
-    and form >= bound holds for every xi.
-    """
-    xi = np.asarray(xi, dtype=float)
-    form = float(xi @ H @ xi)
-    rho = density(gas, s)
-    c2 = sound_speed_sq(gas, s)
-    scale = rho / c2  # rho^(2-gamma) under c^2 = rho^(gamma-1)
-    bound = scale * (
-        (c2 - s.speed_sq()) * (xi[0] ** 2 + xi[1] ** 2)
-        + (s.z * s.z - c2) * xi[2] ** 2
-    )
-    return form, float(bound)
 
 
 @dataclass
@@ -93,8 +59,8 @@ def _form_minima(q1, q2, z, c2, scale):
     + (z^2 - c2) x3^2), x_t = (x1, x2), over unit vectors x: (over all x,
     over those with x3 = 0).  Elementwise in the node data.
 
-    The form is x^T H x for the comparison matrix H.  The
-    symmetric part of H is block diagonal, with eigenvalues
+    The form is x^T H x for the comparison matrix H (module docstring).
+    The symmetric part of H is block diagonal, with eigenvalues
     scale (c2 - |q|^2) and scale c2 on the tangential block and
     scale (z^2 - c2) on the radial one, so both minima are eigenvalues.
     """

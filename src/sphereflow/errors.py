@@ -8,10 +8,9 @@ class SphereflowError(Exception):
 class InadmissibleStateError(SphereflowError):
     """Base class for states where the Bernoulli density is undefined.
 
-    ``node`` is the (i, j) grid index of the first offending node when the
-    error arises from a field sweep, None for pointwise calls.  ``t`` is the
-    segment parameter when the offending state lies on a convex combination
-    of two fields.
+    ``node`` is the (i, j) grid index of the first offending node.  ``t`` is
+    the segment parameter when the offending state lies on a convex
+    combination of two fields.
     """
 
     def __init__(self, message, node=None, t=None):
@@ -28,12 +27,8 @@ class GasOverflowError(InadmissibleStateError):
     """Density overflows the doubles, or the isothermal exponent passes its guard."""
 
 
-class NotEllipticError(SphereflowError):
-    """Operation requires a strictly elliptic state (L^2 < 1, c^2 > 0)."""
-
-
 class GridError(SphereflowError):
-    """Invalid grid: too small, pole inclusion, bad bounds, or thin mask."""
+    """Invalid grid: pole inclusion, bad bounds, a mask that does not fit, or a thin mask."""
 
 
 class GridMismatchError(GridError):

@@ -1,11 +1,12 @@
-"""Equation of state and pointwise thermodynamic algebra.
+"""Equation of state: the Bernoulli density and sound speed of node arrays.
 
 The gas satisfies p'(rho) = rho^(gamma-1) with gamma >= -1, which covers
 polytropic gases (gamma > 1), the isothermal gas (gamma = 1, where the
 sound speed is identically 1) and the Chaplygin gas (gamma = -1).  A flow
 state on the unit sphere is the triple (q1, q2, z): the two tangential
-velocity components and the radial component z.  Everything here is a pure
-function of the state; array-valued states broadcast elementwise.
+velocity components and the radial component z, which enter the gas law
+through the Bernoulli head B - z^2 - |q|^2 alone.  Everything here acts
+elementwise on node arrays of heads, c^2 and L^2.
 """
 
 import math
@@ -60,7 +61,7 @@ class GasModel:
 
     The squared sound speed at the reference density, ``c0_sq``, is always
     derived as rho0^(gamma-1) (exactly 1 for gamma = 1); storing it freely
-    would let density() and sound_speed_sq() disagree.  ``window`` is
+    would let bernoulli_density's rho and c^2 disagree.  ``window`` is
     (base, slope, lo, hi): w = base + slope head, c^2 or (gamma = 1) head/2,
     is admissible on [lo, hi] (_window).
     """
@@ -94,19 +95,6 @@ class GasModel:
     def head(self, q_sq, z):
         """The Bernoulli head B - z^2 - |q|^2 that bernoulli_density reads."""
         return self.bernoulli - z * z - q_sq
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Pointwise (or elementwise array) velocity triple (q1, q2, z)."""
-
-    q1: float
-    q2: float
-    z: float
-
-    def speed_sq(self):
-        """Tangential speed squared |q|^2."""
-        return self.q1 * self.q1 + self.q2 * self.q2
 
 
 class FlowType(IntEnum):
@@ -148,29 +136,20 @@ def window_margins(gas: GasModel, h0, h1, h2):
     return (w - lo, slope * h1, slope * h2), (hi - w, -slope * h1, -slope * h2)
 
 
-def sound_speed_sq(gas: GasModel, s: FlowState):
-    """Squared sound speed c^2 = c0^2 + (gamma-1)/2 (B - z^2 - |q|^2), the
-    c^2 of bernoulli_density (identically 1 for gamma = 1).  May return
-    nonpositive values; callers decide whether that is vacuum.
+def require_admissible(gas: GasModel, head, ok, where, t=None):
+    """Raise at the first node of the node array where that
+    bernoulli_density(gas, head) rejected, by the side of the window its w
+    lies on: VacuumError where c^2 <= 0 or rho underflows to 0.0,
+    GasOverflowError where rho is not a finite double or (gamma = 1)
+    |head/2| exceeds EXP_CAP.  Both carry the node index and the segment
+    parameter t.
     """
-    return bernoulli_density(gas, gas.head(s.speed_sq(), s.z), False)[1]
-
-
-def require_admissible(gas: GasModel, head, ok, where=True, t=None):
-    """Raise at the first node of `where` that bernoulli_density(gas, head)
-    rejected, by the side of the window its w lies on: VacuumError where
-    c^2 <= 0 or rho underflows to 0.0, GasOverflowError where rho is not a
-    finite double or (gamma = 1) |head/2| exceeds EXP_CAP.  Both carry the
-    node index (None for pointwise states) and the segment parameter t.
-    """
-    bad = np.logical_and(where, np.logical_not(ok))
-    if not np.any(bad):
+    bad = where & ~ok
+    if not bad.any():
         return
-    node = tuple(int(k) for k in np.argwhere(bad)[0]) or None
-    at = f" at node {node}" if node else ""
-    if t is not None:
-        at += f", t={t}"
-    head = float(np.asarray(head)[node or ()])
+    node = tuple(int(k) for k in np.argwhere(bad)[0])
+    at = f" at node {node}" + ("" if t is None else f", t={t}")
+    head = float(head[node])
     base, slope, lo, hi = gas.window
     w, c2 = base + slope * head, bernoulli_density(gas, head, False)[1]
     if gas.gamma == 1.0 and abs(w) > EXP_CAP:
@@ -184,44 +163,10 @@ def require_admissible(gas: GasModel, head, ok, where=True, t=None):
     raise GasOverflowError(message, node=node, t=t)
 
 
-def density(gas: GasModel, s: FlowState):
-    """Density from the Bernoulli relation (see bernoulli_density).
-
-    Raises as require_admissible where the state is outside the gas's window.
-    """
-    rho, _, ok = bernoulli_density(gas, head := gas.head(s.speed_sq(), s.z))
-    require_admissible(gas, head, ok)
-    return rho
-
-
-def density_partials(gas: GasModel, s: FlowState):
-    """(d rho/d q1, d rho/d q2, d rho/d z) at the state.
-
-    Each partial is -x / rho^(gamma-2); rho^(gamma-2) is evaluated as
-    c^2/rho, which is exact under c^2 = rho^(gamma-1) and also covers
-    gamma = 1 (where the partials are -x * rho).
-    """
-    rho, c2, ok = bernoulli_density(gas, head := gas.head(s.speed_sq(), s.z))
-    require_admissible(gas, head, ok)
-    scale = rho / c2
-    return (-s.q1 * scale, -s.q2 * scale, -s.z * scale)
-
-
-def pseudo_mach_sq(gas: GasModel, s: FlowState):
-    """Tangential pseudo-Mach number squared, L^2 = |q|^2 / c^2 (mach_sq).
-
-    Raises like density(), from bernoulli_density's mask alone.
-    """
-    q_sq = s.speed_sq()
-    _, c2, ok = bernoulli_density(gas, head := gas.head(q_sq, s.z), False)
-    require_admissible(gas, head, ok)
-    return mach_sq(q_sq, c2, ok)
-
-
 def mach_sq(q_sq, c2, ok):
     """The one L^2 formula, |q|^2 / c^2 where ok and inf elsewhere, with ok
     and c^2 bernoulli_density's, or a field_density state's c^2 on its mask."""
-    return np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)[()]
+    return np.where(ok, q_sq / np.where(ok, c2, 1.0), np.inf)
 
 
 def mach_codes(l2, ok):
@@ -230,48 +175,3 @@ def mach_codes(l2, ok):
     codes[np.abs(l2 - 1.0) <= EPS_TYPE] = FlowType.PARABOLIC
     codes[np.logical_not(ok)] = FlowType.VACUUM
     return codes
-
-
-def classify_codes(gas: GasModel, s: FlowState):
-    """classify_state over arrays (mach_codes); returns FlowType integer codes.
-
-    Vacuum is a classification here, not an error: it marks the nodes
-    outside the gas's window, which density() refuses (c^2 <= 0, a density
-    that is not a finite double > 0, or the isothermal exponent guard).
-    """
-    _, c2, ok = bernoulli_density(gas, gas.head(q_sq := s.speed_sq(), s.z), False)
-    return mach_codes(mach_sq(q_sq, c2, ok), ok)
-
-
-def classify_state(gas: GasModel, s: FlowState):
-    """Classify a single state as Elliptic/Parabolic/Hyperbolic/Vacuum.
-
-    A band of half-width EPS_TYPE around L^2 = 1 counts as parabolic; it
-    exists only to absorb roundoff (analytically the parabolic set has
-    measure zero).
-    """
-    codes = np.asarray(classify_codes(gas, s))
-    if codes.size != 1:
-        raise ValueError("classify_state expects a pointwise state; "
-                         "use classify_codes for array states")
-    return FlowType(int(codes.reshape(-1)[0]))
-
-
-def speed_sq_excess(gas: GasModel, s: FlowState):
-    """Full squared speed minus squared sound speed: |q|^2 + z^2 - c^2.
-
-    This is the quantity whose segment convexity transfers ellipticity
-    from the endpoints of [phi-, phi+] to the whole segment; its Hessian
-    in (q1, q2, z) is the constant matrix returned by convexity_hessian.
-    Polynomial at every state: criterion 2 differentiates it off the window too.
-    """
-    return s.speed_sq() + s.z * s.z - sound_speed_sq(gas, s)
-
-
-def convexity_hessian(gas: GasModel):
-    """Constant Hessian of speed_sq_excess: (gamma+1) * I (3x3).
-
-    Nonnegative for every admissible gamma >= -1, and exactly zero for the
-    Chaplygin gas gamma = -1.
-    """
-    return (gas.gamma + 1.0) * np.eye(3)

@@ -18,9 +18,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError, GridMismatchError
+from .errors import ConfigError, GridError, GridMismatchError
 
 SIN_FLOOR = 1e-3
+
+# Least h_phi min sin(theta): the stencil weights, at most about
+# 1/(sin(theta) h_phi)^2, stay below 1e100, so that the solver's norms, sums
+# of their squares times the field's, are finite doubles on any grid.  Only
+# h_phi can come near it: theta's span is at least one spacing of the
+# doubles near theta > asin(SIN_FLOOR).
+SPACING_FLOOR = 1e-50
 
 # First-derivative stencils in order of preference, each as (offsets,
 # weights in units of 1/(2h)) on the differences f[k + offset] - f[k].
@@ -59,9 +66,9 @@ class SphericalGrid:
         if not self.phi_min < self.phi_max:
             raise GridError("need phi_min < phi_max")
         if self.n_theta < 3 or self.n_phi < 3:
-            raise GridError(
+            raise ConfigError(
                 f"grid too small: {self.n_theta} x {self.n_phi} (need >= 3 nodes "
-                "per direction)"
+                "per direction)", "n_theta" if self.n_theta < 3 else "n_phi"
             )
         lo = min(np.sin(self.theta_min), np.sin(self.theta_max))
         if lo < SIN_FLOOR:
@@ -69,6 +76,9 @@ class SphericalGrid:
                 f"pole proximity: min sin(theta) = {lo:.3e} < floor "
                 f"{SIN_FLOOR:.3e}"
             )
+        if not self.h_phi * lo >= SPACING_FLOOR:
+            raise ConfigError(f"grid spacing h_phi = {self.h_phi:.6g} times min sin(theta) "
+                              f"is below {SPACING_FLOOR:g}", "phi_max")
         if self.phi_periodic:
             span = self.phi_max - self.phi_min
             if abs(span - 2.0 * np.pi) > 1e-10:

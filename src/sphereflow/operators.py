@@ -28,17 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InadmissibleStateError, NotEllipticError
-from .gas import (
-    FlowState,
-    FlowType,
-    GasModel,
-    bernoulli_density,
-    mach_codes,
-    mach_sq,
-    pseudo_mach_sq,
-    require_admissible,
-)
+from .gas import FlowType, GasModel, bernoulli_density, mach_codes, mach_sq, require_admissible
 from .grid import ScalarField, SphericalGrid, VectorField, require_same_grid
 
 
@@ -88,15 +78,6 @@ def spherical_gradient(f: ScalarField) -> VectorField:
     dth = _derivative(f.values, grid, 0)
     dph = _derivative(f.values, grid, 1)
     return VectorField(grid, dth, dph / grid.sin_theta[:, None])
-
-
-def spherical_divergence(v: VectorField) -> ScalarField:
-    """(1/sin) d/dtheta (sin * v_theta) + (1/sin) d/dphi (v_phi)."""
-    grid = v.grid
-    st = grid.sin_theta[:, None]
-    dth = _derivative(st * v.v_theta, grid, 0)
-    dph = _derivative(v.v_phi, grid, 1)
-    return ScalarField(grid, np.where(grid.mask_array, (dth + dph) / st, 0.0))
 
 
 def field_density(gas: GasModel, f: ScalarField):
@@ -304,32 +285,6 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField):
         return sum(wt * jac(v) for wt, jac in parts)
 
     return apply
-
-
-def principal_matrix(gas: GasModel, s: FlowState):
-    """Second-order coefficient matrix [[c2-q1^2, -q1 q2], [-q1 q2, c2-q2^2]];
-    raises like density() at every state that density() refuses."""
-    _, c2, ok = bernoulli_density(gas, head := gas.head(s.speed_sq(), s.z), False)
-    require_admissible(gas, head, ok)
-    return np.array([
-        [c2 - s.q1 * s.q1, -s.q1 * s.q2],
-        [-s.q1 * s.q2, c2 - s.q2 * s.q2],
-    ])
-
-
-def eigenvalue_ratio(gas: GasModel, s: FlowState) -> float:
-    """lambda_max / lambda_min of the principal matrix, equal to 1/(1 - L^2).
-
-    Only defined for strictly elliptic states; raises NotEllipticError
-    otherwise, and at every state that density() refuses.
-    """
-    try:
-        l2 = pseudo_mach_sq(gas, s)
-    except InadmissibleStateError as err:
-        raise NotEllipticError(str(err)) from err
-    if l2 >= 1.0:
-        raise NotEllipticError(f"L^2 = {l2:.6g} >= 1")
-    return 1.0 / (1.0 - l2)
 
 
 @dataclass

@@ -1,24 +1,23 @@
-"""Shared test utilities: random admissible states and finite-difference
-oracles kept independent of the library code paths they check."""
+"""Shared test utilities: random admissible states, finite-difference and
+per-t oracles kept independent of the library code paths they check, and
+the readers (fields_with_states, bernoulli_state, mean_values_at,
+flux_laplacian) by which a test reaches single states through the array
+path the program runs."""
 
+import contextlib
 import warnings
 from collections import deque
 
 import numpy as np
+import pytest
 
-from sphereflow import (
-    FlowState,
-    GasModel,
-    GridError,
-    ScalarField,
-    density,
-    field_density,
-    mean_value_coefficients,
-    sound_speed_sq,
-)
-from sphereflow.gas import EXP_CAP
+import sphereflow as sf
+from sphereflow import GasModel, GridError, ScalarField, SphericalGrid, VectorField, field_density
+from sphereflow.comparison import _mean_values
+from sphereflow.gas import EXP_CAP, bernoulli_density, require_admissible
 from sphereflow.grid import STENCILS
-from sphereflow.operators import _phi_modes, gauss_legendre, spherical_gradient
+from sphereflow.operators import (_phi_modes, gauss_legendre, segment_algebra,
+                                  spherical_gradient)
 
 # Per-gas scenario data for solver-built comparison pairs.  Boundary levels
 # sit inside the corridor where z >= c holds and the homogeneous solution
@@ -58,7 +57,8 @@ def random_gas_with_supersonic_radial(rng, gamma):
 
 def random_admissible_state(rng, gas, elliptic=False, max_l2=0.98,
                             z_above_c=False, c2_floor=0.05):
-    """Rejection-sample a state with rho > 0 (optionally elliptic, z >= c).
+    """Rejection-sample a state (q1, q2, z) with rho > 0 (optionally
+    elliptic, z >= c), with c^2 from reference_bernoulli.
 
     Keeps c^2 above a floor so density partials stay O(1); near-vacuum
     states blow the scale up and are not what the tolerance checks target.
@@ -67,27 +67,93 @@ def random_admissible_state(rng, gas, elliptic=False, max_l2=0.98,
         z = rng.uniform(0.05, 3.0)
         speed = rng.uniform(0.0, 1.5)
         ang = rng.uniform(0.0, 2.0 * np.pi)
-        s = FlowState(speed * np.cos(ang), speed * np.sin(ang), z)
-        c2 = sound_speed_sq(gas, s)
+        c2 = float(reference_bernoulli(gas, speed * speed, z)[1])
         if c2 <= c2_floor:
             continue
-        if elliptic and s.speed_sq() > max_l2 * c2:
+        if elliptic and speed * speed > max_l2 * c2:
             continue
         if z_above_c and z < np.sqrt(c2):
             continue
-        return s
+        return speed * np.cos(ang), speed * np.sin(ang), z
     raise RuntimeError("state sampling failed")
 
 
-def fd_density_partials(gas, s, h=1e-6):
-    """Central finite differences of density() in each state component."""
+def random_admissible_states(rng, gas, shape, **kwargs):
+    """random_admissible_state drawn for every node of shape, as node arrays
+    (q1, q2, z)."""
+    draws = [random_admissible_state(rng, gas, **kwargs) for _ in range(int(np.prod(shape)))]
+    return tuple(np.array(x).reshape(shape) for x in zip(*draws))
+
+
+@contextlib.contextmanager
+def fields_with_states(*states):
+    """Fields on one grid whose gradients read as given node arrays: each
+    state is (q1, q2, z), node arrays of one shape (at least 3 x 3), and
+    field_density, segment_algebra and every reader built on them see it
+    node by node while the context is open."""
+    grid = SphericalGrid(*WIDE_PATCH, *np.shape(states[0][2]))
+    fields = [ScalarField(grid, np.array(state[2], dtype=float)) for state in states]
+    grads = {id(f): VectorField(grid, *(np.array(q, dtype=float) for q in state[:2]))
+             for f, state in zip(fields, states)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sf.operators, "spherical_gradient", lambda f: grads[id(f)])
+        yield fields
+
+
+def bernoulli_state(gas, q1, q2, z):
+    """(rho, c^2) node arrays (at least 2-D) of the states (q1, q2, z) by
+    bernoulli_density, refused at the first inadmissible one by
+    require_admissible, as field_density refuses a node."""
+    head = np.atleast_2d(gas.head(np.square(q1) + np.square(q2), z))
+    rho, c2, ok = bernoulli_density(gas, head)
+    require_admissible(gas, head, ok, True)
+    return rho, c2
+
+
+def mean_values_at(gas, q1, q2, z):
+    """comparison._mean_values of the pair (f, f) whose nodes carry the
+    states (q1, q2, z), scalars or node arrays of at least 3 x 3: the flux
+    Jacobian (a11, a12, a22, d) at each state, as weak_form_field reads it
+    (floats for scalar states)."""
+    shape = np.broadcast(q1, q2, z).shape
+    state = tuple(np.broadcast_to(x, shape or (3, 3)) for x in (q1, q2, z))
+    with fields_with_states(state, state) as (f_minus, f_plus):
+        co = mean_values(gas, f_minus, f_plus).values()
+    return tuple(co) if shape else tuple(float(c[0, 0]) for c in co)
+
+
+def flux_laplacian(f):
+    """The flux stencil's Laplace-Beltrami Delta_h f at interior nodes (0.0
+    elsewhere): flow_jacobian at the rest state 0 of the gas (2, 1, 4), where
+    q = z = 0 and rho = c^2 = 3, applies div(3 grad v) + 6 v."""
+    g = f.grid
+    apply = sf.flow_jacobian(GasModel(2.0, 1.0, 4.0), ScalarField.constant(g, 0.0))
+    return np.where(g.interior_mask, apply(f.values) / 3.0 - 2.0 * f.values, 0.0)
+
+
+def excess(gas, x):
+    """|q|^2 + z^2 - c^2 at x = (q1, q2, z), with bernoulli_density's c^2:
+    a polynomial at every state, so it is read off the window too."""
+    q_sq = x[0] * x[0] + x[1] * x[1]
+    return q_sq + x[2] * x[2] - bernoulli_density(gas, np.array(gas.head(q_sq, x[2])), False)[1]
+
+
+def principal_matrix(c2, q1, q2):
+    """The paper's principal matrix [[c2 - q1^2, -q1 q2], [-q1 q2, c2 - q2^2]]
+    at one state."""
+    return np.array([[c2 - q1 * q1, -q1 * q2], [-q1 * q2, c2 - q2 * q2]])
+
+
+def fd_density_partials(gas, q1, q2, z, h=1e-6):
+    """Central finite differences of bernoulli_state's rho in q1, q2 and z."""
     out = []
     for k in range(3):
-        dq = [0.0, 0.0, 0.0]
-        dq[k] = h
-        sp = FlowState(s.q1 + dq[0], s.q2 + dq[1], s.z + dq[2])
-        sm = FlowState(s.q1 - dq[0], s.q2 - dq[1], s.z - dq[2])
-        out.append((density(gas, sp) - density(gas, sm)) / (2.0 * h))
+        ends = []
+        for step in (h, -h):
+            state = [q1, q2, z]
+            state[k] = np.add(state[k], step)
+            ends.append(bernoulli_state(gas, *state)[0])
+        out.append((ends[0] - ends[1]) / (2.0 * h))
     return tuple(out)
 
 
@@ -341,7 +407,7 @@ def outward_directions(grid, i, j):
 
 
 # Reference copies of the segment sweeps that check_segment_conditions and
-# mean_value_coefficients made before their closed forms: per value of t,
+# _mean_values made before their closed forms: per value of t,
 # the full state of phi_t = t f- + (1-t) f+ from the endpoint gradients,
 # with the Bernoulli law written out here.  Roundoff slack of z >= c.
 SEGMENT_SLACK = 1e-12
@@ -413,11 +479,11 @@ def gauss_rule(n_quad):
 
 
 def per_t_mean_value_coefficients(gas, f_minus, f_plus, n_quad):
-    """mean_value_coefficients by accumulating the six coefficients at each
+    """comparison._mean_values by accumulating its four coefficients at each
     node of the n_quad-point Gauss-Legendre rule in t, off the mask zero."""
     mask = f_plus.grid.mask_array
     minus, plus = field_state(f_minus), field_state(f_plus)
-    acc = dict.fromkeys(("a11", "a12", "a22", "b1", "b2", "d"), 0.0)
+    acc = dict.fromkeys(MEAN_VALUES, 0.0)
     for t, wt in zip(*gauss_rule(n_quad)):
         q1, q2, z = (t * m + (1.0 - t) * p for m, p in zip(minus, plus))
         rho, c2, ok = reference_bernoulli(gas, q1 * q1 + q2 * q2, z)
@@ -425,10 +491,19 @@ def per_t_mean_value_coefficients(gas, f_minus, f_plus, n_quad):
         rho = np.where(mask, rho, 0.0)
         scale = np.where(mask, rho / np.where(mask, c2, 1.0), 0.0)
         for name, term in (("a11", rho - q1 * q1 * scale), ("a12", -q1 * q2 * scale),
-                           ("a22", rho - q2 * q2 * scale), ("b1", -q1 * z * scale),
-                           ("b2", -q2 * z * scale), ("d", 2.0 * (rho - z * z * scale))):
+                           ("a22", rho - q2 * q2 * scale), ("d", 2.0 * (rho - z * z * scale))):
             acc[name] = acc[name] + wt * term
     return acc
+
+
+MEAN_VALUES = ("a11", "a12", "a22", "d")
+
+
+def mean_values(gas, f_minus, f_plus):
+    """comparison._mean_values over the whole grid of the pair, as
+    weak_form_field forms it, by name (MEAN_VALUES)."""
+    seg = segment_algebra(gas, f_minus, f_plus)
+    return dict(zip(MEAN_VALUES, _mean_values(gas, f_plus.grid.mask_array, seg)))
 
 
 def gauss_state_failures(gas, f_minus, f_plus):
@@ -451,12 +526,12 @@ def reference_weak_form_field(gas, f_minus, f_plus):
     node, F = 2 h+ a(grad h+, grad h+) - d (h+)^3 where h+ > 0 and 0.0
     elsewhere."""
     grid = f_plus.grid
-    co = mean_value_coefficients(gas, f_minus, f_plus)
+    co = mean_values(gas, f_minus, f_plus)
     m = grid.mask_array
     hplus = np.where(m, np.maximum(f_minus.values - f_plus.values, 0.0), 0.0)
     pos = hplus > 0.0
     grad = spherical_gradient(ScalarField(grid, hplus))
     g1 = np.where(pos, grad.v_theta, 0.0)
     g2 = np.where(pos, grad.v_phi, 0.0)
-    quad = co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2 + co.a22 * g2 * g2
-    return np.where(pos, 2.0 * hplus * quad - co.d * hplus * hplus * hplus, 0.0)
+    quad = co["a11"] * g1 * g1 + 2.0 * co["a12"] * g1 * g2 + co["a22"] * g2 * g2
+    return np.where(pos, 2.0 * hplus * quad - co["d"] * hplus * hplus * hplus, 0.0)

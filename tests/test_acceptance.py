@@ -1,30 +1,40 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-execute.  Every tolerance is pinned here, not configurable.
+execute.  Every tolerance is pinned here, not configurable.  Criteria 1-4
+read the paper's algebra through the array readers the CLI runs; where a
+criterion needs the paper's matrices as a reference, they are written out
+in it.
 """
 
 import numpy as np
 
 from helpers import (
     WIDE_PATCH,
+    bernoulli_state,
+    excess,
     expanded_residual,
     fd_hessian,
+    fields_with_states,
+    flux_laplacian,
+    mean_values_at,
     observed_orders,
-    random_admissible_state,
+    principal_matrix,
+    random_admissible_states,
     random_gas,
     random_gas_with_supersonic_radial,
+    reference_bernoulli,
 )
 
 import sphereflow as sf
 from sphereflow import (
     BVProblem,
     Dichotomy,
-    FlowState,
     GasModel,
     ScalarField,
     SphericalGrid,
 )
+from sphereflow.ellipticity import _form_minima, field_readings
 
 GAMMAS = (-1.0, 0.0, 1.0, 1.4, 2.0, 3.0)
 
@@ -35,18 +45,23 @@ def check(num, ok, detail):
 
 
 def test_criterion_1_eigenvalue_ratio_identity():
+    # the certificate's ratio_max and field_readings' L^2 of fields whose
+    # nodes carry 1000 elliptic states (20 per gas), against the eigenvalues
+    # of the paper's principal matrix with c^2 from the reference gas law
     rng = np.random.default_rng(101)
     worst = 0.0
-    count = 0
-    while count < 1000:
-        gamma = GAMMAS[count % len(GAMMAS)]
-        gas = random_gas(rng, gamma)
-        s = random_admissible_state(rng, gas, elliptic=True)
-        brute = np.linalg.eigvalsh(sf.principal_matrix(gas, s))
-        ratio = brute[1] / brute[0]
-        analytic = sf.eigenvalue_ratio(gas, s)
-        worst = max(worst, abs(ratio - analytic) / abs(analytic))
-        count += 1
+    for count in range(50):
+        gas = random_gas(rng, GAMMAS[count % len(GAMMAS)])
+        q1, q2, z = state = random_admissible_states(rng, gas, (4, 5), elliptic=True)
+        with fields_with_states(state) as (f,):
+            cert = sf.certify_uniform_ellipticity(gas, f)
+            _, l2, _, _ = field_readings(f, sf.field_density(gas, f))
+        c2 = reference_bernoulli(gas, q1 * q1 + q2 * q2, z)[1]
+        brute = np.array([np.divide(*np.linalg.eigvalsh(principal_matrix(
+            c2[i, j], q1[i, j], q2[i, j]))[::-1]) for i, j in np.ndindex(4, 5)])
+        analytic = 1.0 / (1.0 - l2.ravel())
+        worst = max(worst, np.abs((brute - analytic) / analytic).max(),
+                    abs(cert.ratio_max - brute.max()) / brute.max())
     check(1, worst <= 1e-12,
           f"1000 elliptic states, worst relative error {worst:.2e}")
 
@@ -56,77 +71,101 @@ def test_criterion_2_convexity_hessian():
     worst = 0.0
     for gamma in GAMMAS:
         gas = GasModel(gamma, 1.0, 4.0)
-
-        def excess(x):
-            return sf.speed_sq_excess(gas, FlowState(x[0], x[1], x[2]))
-
         for _ in range(5):
-            H = fd_hessian(excess, rng.normal(size=3))
+            H = fd_hessian(lambda x: excess(gas, x), rng.normal(size=3))
             worst = max(worst, np.abs(H - (gamma + 1.0) * np.eye(3)).max())
-    exact_zero = np.array_equal(sf.convexity_hessian(GasModel(-1.0)),
-                                np.zeros((3, 3)))
+    # at dyadic states and steps every operation is exact, so the Chaplygin
+    # excess, the constant B - c0^2, has second differences of exactly zero
+    chap = GasModel(-1.0, 1.0, 4.0)
+    exact_zero = all(np.array_equal(fd_hessian(lambda x: excess(chap, x),
+                                               rng.integers(-64, 64, 3) / 64.0, h=2.0 ** -6),
+                                    np.zeros((3, 3))) for _ in range(5))
     check(2, worst <= 1e-6 and exact_zero,
           f"FD Hessian error {worst:.2e}; Chaplygin Hessian exactly zero: "
           f"{exact_zero}")
 
 
+def comparison_matrix(gas, q1, q2, z):
+    """The paper's comparison matrix at one state: the flux Jacobian of
+    A = rho q and B = 2 rho z with its last column weighted by -1/2, in its
+    c^2 = rho^(gamma-1) closed form."""
+    rho, c2 = (float(x[0, 0]) for x in bernoulli_state(gas, q1, q2, z))
+    return rho / c2 * np.array([[c2 - q1 * q1, -q1 * q2, q1 * z],
+                                [-q1 * q2, c2 - q2 * q2, q2 * z],
+                                [-q1 * z, -q2 * z, z * z - c2]])
+
+
 def test_criterion_3_matrix_bound_and_positivity():
+    # _form_minima, the segment check's witness, bounds the form of the
+    # paper's matrix below at every state and is >= 0 under the hypotheses,
+    # where the form is > 0 on unit tangential vectors; the weak form that
+    # compare evaluates reads the matrix's symmetric part (at f- = f+)
     rng = np.random.default_rng(103)
     worst_slack = np.inf
-    for _ in range(10000):
+    worst_weak = 0.0
+    for _ in range(500):
         gas = random_gas(rng, GAMMAS[rng.integers(len(GAMMAS))])
-        s = random_admissible_state(rng, gas)
-        H = sf.comparison_matrix(gas, s)
-        xi = rng.normal(size=3)
-        form, bound = sf.quadratic_form_and_bound(H, gas, s, xi)
-        scale = max(1.0, abs(form), abs(bound))
-        worst_slack = min(worst_slack, (form - bound) / scale)
-    bound_ok = worst_slack >= -1e-12
+        q1, q2, z = state = random_admissible_states(rng, gas, (4, 5))
+        rho, c2 = bernoulli_state(gas, *state)
+        least = _form_minima(q1, q2, z, c2, rho / c2)[0]
+        a11, a12, a22, d = mean_values_at(gas, *state)
+        for i, j in np.ndindex(4, 5):
+            H = comparison_matrix(gas, q1[i, j], q2[i, j], z[i, j])
+            xi = rng.normal(size=3)
+            form, bound = xi @ H @ xi, least[i, j] * (xi @ xi)
+            scale = max(1.0, abs(form), abs(bound))
+            worst_slack = min(worst_slack, (form - bound) / scale)
+            weak = np.array([[a11[i, j], a12[i, j], 0.0], [a12[i, j], a22[i, j], 0.0],
+                             [0.0, 0.0, -0.5 * d[i, j]]])
+            worst_weak = max(worst_weak, np.abs(weak - 0.5 * (H + H.T)).max()
+                             / np.abs(H).max())
+    bound_ok = worst_slack >= -1e-12 and worst_weak <= 1e-12
 
     min_bound = np.inf
     min_form = np.inf
-    for _ in range(2000):
+    for _ in range(100):
         gamma = (-1.0, 1.0, 1.4, 2.0)[rng.integers(4)]
         gas = random_gas_with_supersonic_radial(rng, gamma)
-        s = random_admissible_state(rng, gas, elliptic=True, z_above_c=True)
-        H = sf.comparison_matrix(gas, s)
-        xi = rng.normal(size=3)
-        tang = np.hypot(xi[0], xi[1])
-        if tang == 0.0:
-            continue
-        xi[:2] /= tang
-        form, bound = sf.quadratic_form_and_bound(H, gas, s, xi)
-        min_bound = min(min_bound, bound)
-        min_form = min(min_form, form)
+        q1, q2, z = state = random_admissible_states(rng, gas, (4, 5), elliptic=True,
+                                                     z_above_c=True)
+        rho, c2 = bernoulli_state(gas, *state)
+        min_bound = min(min_bound, _form_minima(q1, q2, z, c2, rho / c2)[0].min())
+        for i, j in np.ndindex(4, 5):
+            H = comparison_matrix(gas, q1[i, j], q2[i, j], z[i, j])
+            xi = rng.normal(size=3)
+            tang = np.hypot(xi[0], xi[1])
+            if tang == 0.0:
+                continue
+            xi[:2] /= tang
+            min_form = min(min_form, xi @ H @ xi)
     hyp_ok = min_bound >= 0.0 and min_form > 0.0
     check(3, bound_ok and hyp_ok,
-          f"worst Schwartz slack {worst_slack:.2e}; under hypotheses "
-          f"min bound {min_bound:.2e}, min form {min_form:.2e}")
+          f"worst Schwartz slack {worst_slack:.2e}; weak form against the "
+          f"matrix {worst_weak:.2e}; under hypotheses min bound {min_bound:.2e}, "
+          f"min form {min_form:.2e}")
 
 
 def test_criterion_4_gas_law_and_continuity():
+    # bernoulli_density's rho and c^2 at 300 states per gamma (30 per gas)
     rng = np.random.default_rng(104)
     worst_rel = 0.0
     for gamma in GAMMAS:
         if gamma == 1.0:
             continue
-        for _ in range(300):
+        for _ in range(10):
             gas = random_gas(rng, gamma)
-            s = random_admissible_state(rng, gas)
-            rho = sf.density(gas, s)
-            c2 = sf.sound_speed_sq(gas, s)
-            worst_rel = max(worst_rel, abs(rho ** (gamma - 1.0) - c2) / abs(c2))
+            rho, c2 = bernoulli_state(gas, *random_admissible_states(rng, gas, (5, 6)))
+            worst_rel = max(worst_rel, (np.abs(rho ** (gamma - 1.0) - c2) / np.abs(c2)).max())
     law_ok = worst_rel <= 1e-12
 
     worst_cont = 0.0
     for _ in range(100):
         rho0 = rng.uniform(0.5, 2.0)
         bern = rng.uniform(0.0, 4.0)
-        s = FlowState(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                      rng.uniform(-1.5, 1.5))
-        iso = sf.density(GasModel(1.0, rho0, bern), s)
+        state = (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1.5, 1.5))
+        iso = bernoulli_state(GasModel(1.0, rho0, bern), *state)[0][0, 0]
         for gamma in (1.0 - 1e-4, 1.0 + 1e-4):
-            near = sf.density(GasModel(gamma, rho0, bern), s)
+            near = bernoulli_state(GasModel(gamma, rho0, bern), *state)[0][0, 0]
             worst_cont = max(worst_cont, abs(near - iso) / iso)
     cont_ok = worst_cont < 1e-3
     check(4, law_ok and cont_ok,
@@ -141,9 +180,8 @@ def test_criterion_5_operator_convergence():
     for n in (33, 65, 129):
         g = SphericalGrid(*WIDE_PATCH, n, n)
         f = ScalarField.from_function(g, lambda th, ph: np.cos(th))
-        lap = sf.spherical_divergence(sf.spherical_gradient(f))
         eig_errors.append(
-            np.abs(lap.values + 2 * np.cos(g.theta_mesh))[g.interior_mask].max())
+            np.abs(flux_laplacian(f) + 2 * np.cos(g.theta_mesh))[g.interior_mask].max())
         f2 = ScalarField.from_function(g, lambda th, ph: 2 + 0.1 * np.cos(th))
         rd = sf.flow_residual(gas, f2)
         re = expanded_residual(gas, f2)

@@ -549,6 +549,8 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys, key, command):
 @pytest.mark.parametrize("nodes, named", [
     ([[20, 4]], "(20, 4)"), ([[-1, 4]], "(-1, 4)"), ([[4]], "[4]"),
     (5, "list"), ([[False, True]], "[False, True]"),  # not node (0, 1)
+    ([[0, 1.5]], "[0, 1.5]"), ([[0, "4"]], "[0, '4']"), ([[True, 4]], "[True, 4]"),
+    ([[0, float("inf")]], "[0, inf]"),
 ])
 def test_hopf_rejects_nodes_off_the_grid(tmp_path, capsys, nodes, named):
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
@@ -1008,3 +1010,55 @@ def test_two_island_pair_is_strict_on_one_and_identical_on_the_other(tmp_path):
     assert right["dichotomy"] == "Strict" and right["node"]["j"] > 17
     assert right["min_gap"] > 0.009 and right["max_abs_gap"] < 0.011
     assert left["max_abs_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("command", [
+    {"name": "certify", "field": "1.6"},
+    {"name": "solve", "boundary": "1.6 + 0.1*cos(theta)"},
+], ids=lambda command: command["name"])
+def test_grid_sizes_are_checked_before_the_mask_is_read(tmp_path, capsys, command):
+    # the mask reader was handed n_phi = -1 and raised numpy's "negative
+    # dimensions are not allowed" out of cli.run
+    (tmp_path / "mask.csv").write_text(THIN_MASK)
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9, n_phi=-1, mask="mask.csv"),
+                        command=command)
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad value for 'grid.n_phi': grid too small: 9 x -1")
+
+
+@pytest.mark.parametrize("phi_max", [1e-300, 1e-60])
+def test_a_grid_spacing_below_the_floor_is_refused(tmp_path, capsys, phi_max):
+    # at phi_max = 1e-300 the preconditioner's weights overflowed (a numpy
+    # RuntimeWarning, then LinAlgError out of cli.run); the floor keeps the
+    # stencil weights 1/(sin(theta) h)^2 below 1e100
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9, phi_max=phi_max), command={
+        "name": "solve", "boundary": "1.6 + 0.1*cos(theta)"})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad value for 'grid.phi_max': grid spacing")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_a_field_spec_refuses_keys_it_does_not_read(tmp_path, capsys):
+    # as every other block does; "scale" passed silently and the run exited 0
+    grid = SphericalGrid(*SMALL_PATCH, 9, 9)
+    write_field_csv(tmp_path / "f.csv", ScalarField.constant(grid, 1.6))
+    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+        "name": "certify", "field": {"file": "f.csv", "scale": 2}})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key 'command.field.scale'")
+
+
+def test_hopf_nodes_read_integral_numbers_as_every_int_key_does(tmp_path):
+    # [0, 4.0] is node (0, 4), as 33.0 is 33 in every int key (booleans,
+    # 1.5 and strings stay refused: test_hopf_rejects_nodes_off_the_grid)
+    reports = []
+    for k, nodes in enumerate(([[0, 4]], [[0, 4.0]], [[0.0, 4.0]])):
+        sc = write_scenario(tmp_path / f"sc{k}.json", grid=grid_block(9), command={
+            "name": "hopf", "field_minus": "1.5", "field_plus": "1.5", "nodes": nodes})
+        assert cli.run(sc, tmp_path / f"out{k}", quiet=True) in (0, 2)
+        reports.append((tmp_path / f"out{k}" / "report.json").read_bytes())
+    assert reports[1] == reports[2] == reports[0]
+    assert [(h["i"], h["j"]) for h in json.loads(reports[0])["hopf"]] == [(0, 4)]

@@ -7,9 +7,12 @@ from helpers import (
     PAIR_SCENARIOS,
     SMALL_PATCH,
     WIDE_PATCH,
+    field_state,
     gauss_rule,
     gauss_state_failures,
+    mean_values,
     per_t_mean_value_coefficients,
+    reference_bernoulli,
     reference_weak_form_field,
 )
 
@@ -53,14 +56,12 @@ def _use_rule(monkeypatch, n_quad):
 
 def test_mean_value_coefficients_constant(gas_b4, wide_grid_33):
     f = ScalarField.constant(wide_grid_33, 2.0)
-    co = sf.mean_value_coefficients(gas_b4, f, f)
-    np.testing.assert_allclose(co.a11, 1.0, atol=1e-14)
-    np.testing.assert_allclose(co.a22, 1.0, atol=1e-14)
-    np.testing.assert_allclose(co.a12, 0.0, atol=1e-15)
-    np.testing.assert_allclose(co.b1, 0.0, atol=1e-15)
-    np.testing.assert_allclose(co.b2, 0.0, atol=1e-15)
+    co = mean_values(gas_b4, f, f)
+    np.testing.assert_allclose(co["a11"], 1.0, atol=1e-14)
+    np.testing.assert_allclose(co["a22"], 1.0, atol=1e-14)
+    np.testing.assert_allclose(co["a12"], 0.0, atol=1e-15)
     # d = 2 rho + 2 z (d rho/d z) = 2 - 8
-    np.testing.assert_allclose(co.d, -6.0, atol=1e-14)
+    np.testing.assert_allclose(co["d"], -6.0, atol=1e-14)
 
 
 def test_mean_value_zero_gap_any_quadrature(gas_b4, wide_grid_33):
@@ -68,24 +69,26 @@ def test_mean_value_zero_gap_any_quadrature(gas_b4, wide_grid_33):
                                   lambda th, ph: 2 + 0.1 * np.cos(th))
     # with f- = f+ every t has the endpoint state: the 1-point rule is exact
     c1 = per_t_mean_value_coefficients(gas_b4, f, f, 1)
-    c8 = sf.mean_value_coefficients(gas_b4, f, f)
+    c8 = mean_values(gas_b4, f, f)
     for name, coef in c1.items():
-        np.testing.assert_allclose(coef, getattr(c8, name), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(coef, c8[name], rtol=0, atol=1e-13)
 
 
 def test_mean_value_gauss_convergence(gas_b4, wide_grid_33):
     lo = ScalarField.constant(wide_grid_33, 2.0)
     hi = ScalarField.constant(wide_grid_33, 2.2)
-    c8 = sf.mean_value_coefficients(gas_b4, lo, hi)
+    c8 = mean_values(gas_b4, lo, hi)
     c16 = per_t_mean_value_coefficients(gas_b4, lo, hi, 16)
     for name, coef in c16.items():
-        np.testing.assert_allclose(getattr(c8, name), coef, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c8[name], coef, rtol=0, atol=1e-12)
 
 
-SEGMENT_AVERAGES = [sf.mean_value_coefficients, sf.segment_jacobian]
+# the weak form's mean-value coefficients and the discrete segment Jacobian
+SEGMENT_AVERAGES = {"mean_value_coefficients": mean_values,
+                    "segment_jacobian": sf.segment_jacobian}
 
 
-@pytest.mark.parametrize("average", SEGMENT_AVERAGES, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("average", SEGMENT_AVERAGES.values(), ids=SEGMENT_AVERAGES)
 def test_mean_value_vacuum_on_segment(gas_b4, wide_grid_33, average):
     lo = ScalarField.constant(wide_grid_33, 2.6)
     hi = ScalarField.constant(wide_grid_33, 2.6)
@@ -94,7 +97,7 @@ def test_mean_value_vacuum_on_segment(gas_b4, wide_grid_33, average):
     assert err.value.t is not None
 
 
-@pytest.mark.parametrize("average", SEGMENT_AVERAGES, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("average", SEGMENT_AVERAGES.values(), ids=SEGMENT_AVERAGES)
 def test_mean_value_grid_mismatch(gas_b4, average):
     g1 = SphericalGrid(*WIDE_PATCH, 9, 9)
     g2 = SphericalGrid(*WIDE_PATCH, 11, 9)
@@ -119,11 +122,11 @@ def test_mean_value_moments_match_the_per_t_sum(pair_suite, gas_b4, wide_grid_33
                   ScalarField(g, 2.0 + bump.values)))
     _use_rule(monkeypatch, n_quad)
     for gas, f_minus, f_plus in pairs:
-        got = sf.mean_value_coefficients(gas, f_minus, f_plus)
+        got = mean_values(gas, f_minus, f_plus)
         want = per_t_mean_value_coefficients(gas, f_minus, f_plus, n_quad)
         scale = max(np.abs(coef).max() for coef in want.values())
         for name, coef in want.items():
-            assert np.abs(getattr(got, name) - coef).max() <= 1e-13 * scale, name
+            assert np.abs(got[name] - coef).max() <= 1e-13 * scale, name
 
 
 def test_mean_value_overflow_names_node_and_gauss_t(wide_grid_33):
@@ -131,7 +134,7 @@ def test_mean_value_overflow_names_node_and_gauss_t(wide_grid_33):
     gas = GasModel(1.0, 1.0, 2000.0)
     f = ScalarField.constant(wide_grid_33, 1.0)
     with pytest.raises(sf.GasOverflowError) as err:
-        sf.mean_value_coefficients(gas, f, f)
+        mean_values(gas, f, f)
     assert err.value.node == (0, 0)
     assert err.value.t == float(gauss_legendre()[0][0])
 
@@ -282,7 +285,7 @@ def test_ordered_pair_checks_every_gauss_state(gas, level, slope):
         error, message = sf.GasOverflowError, "isothermal density exponent exceeds +/-700" + at
     else:
         error, message = sf.VacuumError, f"vacuum{at}: c^2 = {c2[k][node]:.6g} <= 0"
-    for check in (sf.verify_weak_comparison, weak_form_field, sf.mean_value_coefficients):
+    for check in (sf.verify_weak_comparison, weak_form_field, mean_values):
         with pytest.raises(error) as err:
             check(gas, f_minus, f_plus)
         assert (err.value.node, err.value.t, str(err.value)) == (node, ts[k], message)
@@ -292,9 +295,9 @@ def test_weak_form_positive_from_zeroth_order(gas_b4, wide_grid_33):
     # h+ = 0.2 constant: gradients vanish, F = -d (h+)^3
     lo = ScalarField.constant(wide_grid_33, 2.2)
     hi = ScalarField.constant(wide_grid_33, 2.0)
-    co = sf.mean_value_coefficients(gas_b4, lo, hi)
+    co = mean_values(gas_b4, lo, hi)
     F = weak_form_field(gas_b4, lo, hi)[5, 5]
-    d_val = co.d[5, 5]
+    d_val = co["d"][5, 5]
     assert d_val < 0.0
     expected = 2.0 * 0.2 * (-0.5 * d_val * 0.04)
     assert F == pytest.approx(expected, rel=1e-12)
@@ -309,15 +312,22 @@ def test_weak_form_algebraic_identity(gas_b4):
     lo = ScalarField(g, 2.05 + 0.02 * rng.random(g.shape))
     hi = ScalarField.constant(g, 2.0)
     beta = 0.5
-    co = sf.mean_value_coefficients(gas_b4, lo, hi)
+    co = mean_values(gas_b4, lo, hi)
+    # the flux sensitivities b_i = sum w (-q_i z rho/c^2) over the Gauss
+    # states, which the b-free weak form does not form
+    b1 = b2 = 0.0
+    for t, wt in zip(*gauss_legendre()):
+        q1, q2, z = (t * m + (1.0 - t) * p for m, p in zip(field_state(lo), field_state(hi)))
+        rho, c2, _ = reference_bernoulli(gas_b4, q1 * q1 + q2 * q2, z)
+        b1, b2 = b1 - wt * q1 * z * rho / c2, b2 - wt * q2 * z * rho / c2
     F = weak_form_field(gas_b4, lo, hi)
     hplus = np.maximum(lo.values - hi.values, 0.0)
     grad = sf.spherical_gradient(ScalarField(g, hplus))
     g1, g2 = grad.v_theta, grad.v_phi
-    quad = (co.a11 * g1 * g1 + 2.0 * co.a12 * g1 * g2
-            + co.a22 * g2 * g2 + co.b1 * hplus * g1 + co.b2 * hplus * g2
-            - beta * (2.0 * co.b1 * hplus * g1 + 2.0 * co.b2 * hplus * g2)
-            - beta * co.d * hplus * hplus)
+    quad = (co["a11"] * g1 * g1 + 2.0 * co["a12"] * g1 * g2
+            + co["a22"] * g2 * g2 + b1 * hplus * g1 + b2 * hplus * g2
+            - beta * (2.0 * b1 * hplus * g1 + 2.0 * b2 * hplus * g2)
+            - beta * co["d"] * hplus * hplus)
     pos = hplus > 0
     lhs = beta * F[pos] * hplus[pos] ** (1.0 - 1.0 / beta)
     np.testing.assert_allclose(lhs, quad[pos], rtol=0, atol=1e-10)

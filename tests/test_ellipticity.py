@@ -1,4 +1,3 @@
-import contextlib
 import inspect
 
 import numpy as np
@@ -6,136 +5,172 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (SEGMENT_CONDITIONS, WIDE_PATCH, field_state,
-                     random_admissible_state, random_gas,
-                     random_gas_with_supersonic_radial, segment_failures,
-                     segment_sweep)
+from helpers import (SEGMENT_CONDITIONS, WIDE_PATCH, bernoulli_state, field_state,
+                     fields_with_states, mean_values_at, random_admissible_state,
+                     random_admissible_states, random_gas,
+                     random_gas_with_supersonic_radial, reference_bernoulli,
+                     segment_failures, segment_sweep)
 
 import sphereflow as sf
-from sphereflow import FlowState, GasModel, ScalarField, SphericalGrid, VectorField
+from sphereflow import GasModel, ScalarField, SphericalGrid
 from sphereflow.cli import _scalar_params
-from sphereflow.ellipticity import _form_minima
-from sphereflow.gas import EXP_CAP, density, density_partials, sound_speed_sq
+from sphereflow.ellipticity import _form_minima, field_readings
+from sphereflow.gas import EXP_CAP, bernoulli_density
 
 
-def closed_form_matrix(gas, s):
-    """Half-weight comparison matrix straight from the c^2 identity."""
-    rho = density(gas, s)
-    c2 = sound_speed_sq(gas, s)
-    scale = rho / c2  # 1/rho^(gamma-2)
-    q1, q2, z = s.q1, s.q2, s.z
-    return scale * np.array([
+def closed_form_matrix(gas, q1, q2, z):
+    """The paper's half-weight comparison matrix at one state, straight from
+    the c^2 identity: the columns (dA1, dA2, -dB/2) of the flux Jacobian of
+    A = rho q and B = 2 rho z, with rho and c^2 from bernoulli_state."""
+    rho, c2 = (float(x[0, 0]) for x in bernoulli_state(gas, q1, q2, z))
+    return rho / c2 * np.array([
         [c2 - q1 * q1, -q1 * q2, q1 * z],
         [-q1 * q2, c2 - q2 * q2, q2 * z],
         [-q1 * z, -q2 * z, z * z - c2],
     ])
 
 
-def test_matrix_examples(gas_b4):
-    H = sf.comparison_matrix(gas_b4, FlowState(0.0, 0.0, 2.0))
-    np.testing.assert_allclose(H, np.diag([1.0, 1.0, 3.0]), atol=1e-14)
+def weak_form_matrix(gas, q1, q2, z):
+    """The comparison matrix's symmetric part as the weak form reads it,
+    from mean_values_at: [[a11, a12, 0], [a12, a22, 0], [0, 0, -d/2]]."""
+    a11, a12, a22, d = mean_values_at(gas, q1, q2, z)
+    return np.array([[a11, a12, 0.0], [a12, a22, 0.0], [0.0, 0.0, -0.5 * d]])
 
-    H2 = sf.comparison_matrix(gas_b4, FlowState(0.5, 0.0, 2.0))
+
+def _symmetric_part(H):
+    return 0.5 * (H + H.T)
+
+
+def form_minima(gas, q1, q2, z):
+    """_form_minima at states (q1, q2, z) with rho and c^2 from bernoulli_state."""
+    rho, c2 = bernoulli_state(gas, q1, q2, z)
+    return _form_minima(q1, q2, z, c2, rho / c2)
+
+
+def test_matrix_examples(gas_b4):
+    # the weak form reads the matrix's symmetric part: the radial column
+    # (q z) cancels from it
+    H = closed_form_matrix(gas_b4, 0.0, 0.0, 2.0)
+    np.testing.assert_allclose(H, np.diag([1.0, 1.0, 3.0]), atol=1e-14)
+    np.testing.assert_allclose(weak_form_matrix(gas_b4, 0.0, 0.0, 2.0), H, atol=1e-14)
+
+    H2 = closed_form_matrix(gas_b4, 0.5, 0.0, 2.0)
     np.testing.assert_allclose(
         H2,
         [[0.625, 0.0, 1.0], [0.0, 0.875, 0.0], [-1.0, 0.0, 3.125]],
         atol=1e-14)
+    np.testing.assert_allclose(weak_form_matrix(gas_b4, 0.5, 0.0, 2.0),
+                               np.diag([0.625, 0.875, 3.125]), atol=1e-14)
 
     # q = 0, z = 0: every off-diagonal entry carries a q or z factor
     for gas in (gas_b4, GasModel(-1.0, 1.0, -1.0), GasModel(1.0, 2.0, 1.0)):
-        s0 = FlowState(0.0, 0.0, 0.0)
-        H0 = sf.comparison_matrix(gas, s0)
-        rho = density(gas, s0)
-        c2 = sound_speed_sq(gas, s0)
+        rho, c2 = (float(x[0, 0]) for x in bernoulli_state(gas, 0.0, 0.0, 0.0))
         np.testing.assert_allclose(
-            H0, np.diag([rho, rho, -c2 * rho / c2]), atol=1e-14)
+            weak_form_matrix(gas, 0.0, 0.0, 0.0), np.diag([rho, rho, -c2 * rho / c2]),
+            atol=1e-14)
 
 
 def test_matrix_matches_closed_form():
-    # density_partials assembly against the c^2 = rho^(gamma-1) closed form
+    # the weak form's coefficients against the symmetric part of the
+    # c^2 = rho^(gamma-1) closed form
     rng = np.random.default_rng(31)
     for gamma in (-1.0, 0.0, 1.0, 1.4, 2.0, 3.0):
-        for _ in range(200):
+        for _ in range(10):
             gas = random_gas(rng, gamma)
-            s = random_admissible_state(rng, gas)
-            H = sf.comparison_matrix(gas, s)
-            np.testing.assert_allclose(H, closed_form_matrix(gas, s),
-                                       rtol=1e-12, atol=1e-12)
+            state = random_admissible_states(rng, gas, (4, 5))
+            a11, a12, a22, d = mean_values_at(gas, *state)
+            for i, j in np.ndindex(4, 5):
+                H = _symmetric_part(closed_form_matrix(gas, *(x[i, j] for x in state)))
+                got = np.array([[a11[i, j], a12[i, j], 0.0], [a12[i, j], a22[i, j], 0.0],
+                                [0.0, 0.0, -0.5 * d[i, j]]])
+                np.testing.assert_allclose(got, H, rtol=1e-12, atol=1e-12)
 
 
 def test_matrix_general_beta_is_flux_jacobian():
     # columns of H are (dA1, dA2, -dB/2) by (q1, q2, z): the flux Jacobian
-    # at the weak comparison's beta = 1/2
+    # at the weak comparison's beta = 1/2, with the density partials
+    # -x rho/c^2; the weak form reads its symmetric part
     gas = GasModel(1.4, 1.2, 3.0)
-    s = FlowState(0.3, -0.2, 1.1)
+    q1, q2, z = 0.3, -0.2, 1.1
     beta = 0.5
-    H = sf.comparison_matrix(gas, s)
-    rho = density(gas, s)
-    dq1, dq2, dz = density_partials(gas, s)
+    rho, c2 = (float(x[0, 0]) for x in bernoulli_state(gas, q1, q2, z))
+    dq1, dq2, dz = (-x * rho / c2 for x in (q1, q2, z))
     expected = np.array([
-        [rho + s.q1 * dq1, s.q2 * dq1, -beta * 2.0 * s.z * dq1],
-        [s.q1 * dq2, rho + s.q2 * dq2, -beta * 2.0 * s.z * dq2],
-        [s.q1 * dz, s.q2 * dz, -beta * (2.0 * rho + 2.0 * s.z * dz)],
+        [rho + q1 * dq1, q2 * dq1, -beta * 2.0 * z * dq1],
+        [q1 * dq2, rho + q2 * dq2, -beta * 2.0 * z * dq2],
+        [q1 * dz, q2 * dz, -beta * (2.0 * rho + 2.0 * z * dz)],
     ])
-    np.testing.assert_allclose(H, expected, rtol=1e-14)
+    np.testing.assert_allclose(closed_form_matrix(gas, q1, q2, z), expected, rtol=1e-14)
+    np.testing.assert_allclose(weak_form_matrix(gas, q1, q2, z), _symmetric_part(expected),
+                               rtol=1e-12, atol=1e-15)
     with pytest.raises(sf.VacuumError):
-        sf.comparison_matrix(GasModel(2.0, 1.0, 4.0), FlowState(3.0, 0.0, 0.0))
+        mean_values_at(GasModel(2.0, 1.0, 4.0), 3.0, 0.0, 0.0)
 
 
 def test_upper_block_matches_principal_matrix():
+    # the weak form's (a11, a12, a22) is rho/c^2 times the principal matrix
+    # [[c2 - q1^2, -q1 q2], [-q1 q2, c2 - q2^2]]
     rng = np.random.default_rng(37)
     for gamma in (-1.0, 1.0, 2.0):
-        for _ in range(100):
+        for _ in range(5):
             gas = random_gas(rng, gamma)
-            s = random_admissible_state(rng, gas)
-            H = sf.comparison_matrix(gas, s)
-            rho = density(gas, s)
-            c2 = sound_speed_sq(gas, s)
-            block = (rho / c2) * sf.principal_matrix(gas, s)
-            np.testing.assert_allclose(H[:2, :2], block, rtol=1e-12, atol=1e-12)
+            q1, q2, z = state = random_admissible_states(rng, gas, (4, 5))
+            rho, c2 = bernoulli_state(gas, *state)
+            a11, a12, a22, _ = mean_values_at(gas, *state)
+            scale = rho / c2
+            for got, want in ((a11, c2 - q1 * q1), (a12, -q1 * q2), (a22, c2 - q2 * q2)):
+                np.testing.assert_allclose(got, scale * want, rtol=1e-12, atol=1e-12)
 
 
 def test_form_and_bound_examples(gas_b4):
-    s = FlowState(0.0, 0.0, 2.0)
-    H = sf.comparison_matrix(gas_b4, s)
-    form, bound = sf.quadratic_form_and_bound(H, gas_b4, s, (1.0, 1.0, 1.0))
-    assert (form, bound) == pytest.approx((5.0, 5.0), abs=1e-14)
+    # _form_minima reads the least eigenvalues of the matrix's symmetric
+    # part, over all unit vectors and over tangential ones: a lower bound
+    # of the form at every xi
+    H = closed_form_matrix(gas_b4, 0.0, 0.0, 2.0)
+    xi = np.ones(3)
+    assert xi @ H @ xi == pytest.approx(5.0, abs=1e-14)
+    assert form_minima(gas_b4, 0.0, 0.0, 2.0) == pytest.approx((1.0, 1.0), abs=1e-14)
 
-    s2 = FlowState(0.5, 0.0, 2.0)
-    H2 = sf.comparison_matrix(gas_b4, s2)
-    form2, bound2 = sf.quadratic_form_and_bound(H2, gas_b4, s2, (1.0, 1.0, 1.0))
-    assert (form2, bound2) == pytest.approx((4.625, 4.375), abs=1e-14)
+    H2 = closed_form_matrix(gas_b4, 0.5, 0.0, 2.0)
+    assert xi @ H2 @ xi == pytest.approx(4.625, abs=1e-14)
+    least, tan = form_minima(gas_b4, 0.5, 0.0, 2.0)
+    assert (least, tan) == pytest.approx((0.625, 0.625), abs=1e-14)
+    assert xi @ H2 @ xi >= least * (xi @ xi)
 
-    form3, bound3 = sf.quadratic_form_and_bound(H2, gas_b4, s2, (0.0, 0.0, 0.0))
-    assert form3 == 0.0 and bound3 == 0.0
+    zero = np.zeros(3)
+    assert zero @ H2 @ zero == 0.0 and least * (zero @ zero) == 0.0
 
 
 def test_schwartz_bound_random():
     rng = np.random.default_rng(41)
-    for _ in range(10000):
+    for _ in range(500):
         gas = random_gas(rng, rng.choice([-1.0, 0.0, 1.0, 1.4, 2.0, 3.0]))
-        s = random_admissible_state(rng, gas)
-        H = sf.comparison_matrix(gas, s)
-        xi = rng.normal(size=3)
-        form, bound = sf.quadratic_form_and_bound(H, gas, s, xi)
-        assert form >= bound - 1e-12 * max(1.0, abs(form), abs(bound))
+        q1, q2, z = state = random_admissible_states(rng, gas, (4, 5))
+        least = form_minima(gas, *state)[0]
+        for i, j in np.ndindex(4, 5):
+            H = closed_form_matrix(gas, q1[i, j], q2[i, j], z[i, j])
+            xi = rng.normal(size=3)
+            form, bound = xi @ H @ xi, least[i, j] * (xi @ xi)
+            assert form >= bound - 1e-12 * max(1.0, abs(form), abs(bound))
 
 
 def test_form_positive_under_hypotheses():
     rng = np.random.default_rng(43)
-    for _ in range(2000):
+    for _ in range(100):
         gas = random_gas_with_supersonic_radial(
             rng, rng.choice([-1.0, 1.0, 1.4, 2.0]))
-        s = random_admissible_state(rng, gas, elliptic=True, z_above_c=True)
-        H = sf.comparison_matrix(gas, s)
-        xi = rng.normal(size=3)
-        tang = np.hypot(xi[0], xi[1])
-        if tang == 0.0:
-            continue
-        xi[:2] /= tang  # |(xi1, xi2)| = 1
-        form, bound = sf.quadratic_form_and_bound(H, gas, s, xi)
-        assert bound >= -1e-12
-        assert form > 0.0
+        q1, q2, z = state = random_admissible_states(rng, gas, (4, 5), elliptic=True,
+                                                     z_above_c=True)
+        least, tan = form_minima(gas, *state)
+        assert least.min() >= -1e-12 and tan.min() > 0.0
+        for i, j in np.ndindex(4, 5):
+            H = closed_form_matrix(gas, q1[i, j], q2[i, j], z[i, j])
+            xi = rng.normal(size=3)
+            tang = np.hypot(xi[0], xi[1])
+            if tang == 0.0:
+                continue
+            xi[:2] /= tang  # |(xi1, xi2)| = 1
+            assert xi @ H @ xi > 0.0
 
 
 def test_segment_conditions_pass_case(gas_b4):
@@ -185,11 +220,6 @@ def test_segment_vacuum_in_coefficients(gas_b4):
     assert rep.violations[0].condition == "rho_positive"
 
 
-def _symmetric_part(gas, s):
-    H = sf.comparison_matrix(gas, s)
-    return 0.5 * (H + H.T)
-
-
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(gamma=st.sampled_from([-1.0, 1.0, 1.4, 2.0]),
        rho0=st.floats(0.5, 2.0), bernoulli=st.floats(1.0, 5.0),
@@ -200,12 +230,11 @@ def test_form_minima_is_smallest_eigenvalue(gamma, rho0, bernoulli, speed,
     # the witness is exact: the smallest eigenvalue of the symmetric part
     # of the comparison matrix, and of its tangential block
     gas = GasModel(gamma, rho0, bernoulli)
-    s = FlowState(speed * np.cos(angle), speed * np.sin(angle), z)
-    c2 = sound_speed_sq(gas, s)
-    assume(c2 > 0.05)  # admissible and away from vacuum, as in helpers
-    sym = _symmetric_part(gas, s)
+    q1, q2 = speed * np.cos(angle), speed * np.sin(angle)
+    assume(reference_bernoulli(gas, speed * speed, z)[1] > 0.05)  # as in helpers
+    sym = _symmetric_part(closed_form_matrix(gas, q1, q2, z))
     eig = np.linalg.eigvalsh(sym)
-    form_min, tan = _form_minima(s.q1, s.q2, s.z, c2, density(gas, s) / c2)
+    form_min, tan = form_minima(gas, q1, q2, z)
     tol = 1e-12 * np.abs(eig).max()
     assert abs(form_min - eig[0]) <= tol
     assert abs(tan - np.linalg.eigvalsh(sym[:2, :2])[0]) <= tol
@@ -225,19 +254,20 @@ def test_segment_worst_is_brute_force_eigenvalue_minimum(gas_b4):
     # the value is the smallest eigenvalue at the reported (node, t)
     minus, plus = field_state(f_minus), field_state(f_plus)
     i, j, t = w["i"], w["j"], w["t"]
-    s = FlowState(*(t * m[i, j] + (1.0 - t) * p[i, j] for m, p in zip(minus, plus)))
-    eig = np.linalg.eigvalsh(_symmetric_part(gas_b4, s))[0]
+    s = (t * m[i, j] + (1.0 - t) * p[i, j] for m, p in zip(minus, plus))
+    eig = np.linalg.eigvalsh(_symmetric_part(closed_form_matrix(gas_b4, *s)))[0]
     assert abs(w["value"] - eig) <= 1e-12 * abs(eig)
 
     # t is where the form's sign-setting margin min(c^2 - |q|^2, z^2 - c^2)
     # is least at that node, and a dense sweep finds no smaller form value
     # anywhere than the worst one, up to how far the form moves with t
     ts = np.linspace(0.0, 1.0, 2001)
-    states = [FlowState(*(u * m[i, j] + (1.0 - u) * p[i, j]
-                          for m, p in zip(minus, plus))) for u in (t, *ts)]
-    margins = [min(sound_speed_sq(gas_b4, x) - x.speed_sq(),
-                   x.z * x.z - sound_speed_sq(gas_b4, x)) for x in states]
-    assert margins[0] <= min(margins[1:]) + 1e-12
+    u = np.array([t, *ts])
+    q1, q2, z = (u * m[i, j] + (1.0 - u) * p[i, j] for m, p in zip(minus, plus))
+    q_sq = q1 * q1 + q2 * q2
+    c2 = reference_bernoulli(gas_b4, q_sq, z)[1]
+    margins = np.minimum(c2 - q_sq, z * z - c2)
+    assert margins[0] <= margins[1:].min() + 1e-12
     _, _, swept = segment_sweep(gas_b4, minus, plus, ts.size)
     assert swept.min() <= w["value"] + 1e-12
     assert swept.min() >= w["value"] - 1e-3 * abs(w["value"])
@@ -283,24 +313,11 @@ def test_segment_density_out_of_doubles_is_not_rho_positive(bernoulli, z, end):
     gas = GasModel(1.001, 1.0, bernoulli)
     f = ScalarField.constant(SphericalGrid(*WIDE_PATCH, 9, 9), z)
     rep = sf.check_segment_conditions(gas, f, f)
-    c2 = sound_speed_sq(gas, FlowState(0.0, 0.0, z))
+    c2 = bernoulli_density(gas, np.array(gas.head(0.0, z)), False)[1]
     margin = gas.window[3] - c2 if end else c2 - gas.window[2]
     assert len(rep.violations) == 81 and margin < 0.0
     for v in rep.violations:
         assert (v.condition, v.t, v.value) == ("rho_positive", 0.0, margin)
-
-
-@contextlib.contextmanager
-def pointwise_pair(minus, plus):
-    """Fields whose gradients read as the given node arrays: the segment
-    check then sees the endpoint states (q1, q2, z) node by node."""
-    grid = SphericalGrid(*WIDE_PATCH, *np.shape(plus[2]))
-    fields = [ScalarField(grid, np.array(state[2], dtype=float)) for state in (minus, plus)]
-    grads = {id(f): VectorField(grid, *(np.array(q, dtype=float) for q in state[:2]))
-             for f, state in zip(fields, (minus, plus))}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sf.operators, "spherical_gradient", lambda f: grads[id(f)])
-        yield fields
 
 
 def _uniform(state, shape=(3, 3)):
@@ -324,7 +341,7 @@ def _uniform(state, shape=(3, 3)):
      "rho_positive", 1.0, EXP_CAP - 0.5 * (37.5 ** 2 - 2.0)),
 ])
 def test_segment_minimum_at_the_vertex_or_an_end(gas, minus, plus, condition, t, value):
-    with pointwise_pair(_uniform(minus), _uniform(plus)) as (f_minus, f_plus):
+    with fields_with_states(_uniform(minus), _uniform(plus)) as (f_minus, f_plus):
         rep = sf.check_segment_conditions(gas, f_minus, f_plus)
     assert len(rep.violations) == 9
     for v in rep.violations:
@@ -349,8 +366,8 @@ def _segment_pairs(rng, gas, shape):
             s = rng.uniform(0.05, 2.0)
             pair = [(*rng.normal(0.0, s, 2), rng.uniform(0.0, 3.0)) for _ in range(2)]
         elif kind % 3 == 1:
-            pair = [(x.q1, x.q2, x.z) for x in (random_admissible_state(
-                rng, gas, elliptic=True, z_above_c=True) for _ in range(2))]
+            pair = [random_admissible_state(rng, gas, elliptic=True, z_above_c=True)
+                    for _ in range(2)]
         else:  # z >= c reads (1 + k) z^2 >= c0^2 + k (B - |q|^2)
             v, w = rng.uniform(0.0, 1.2), rng.uniform(0.2, 1.0)
             angle = rng.uniform(0.0, 2.0 * np.pi)
@@ -372,7 +389,7 @@ def test_exact_segment_check_is_sound_against_a_dense_sweep(gamma, seed):
     rng = np.random.default_rng(seed)
     gas = random_gas_with_supersonic_radial(rng, gamma)
     minus, plus = _segment_pairs(rng, gas, (12, 20))
-    with pointwise_pair(minus, plus) as (f_minus, f_plus):
+    with fields_with_states(minus, plus) as (f_minus, f_plus):
         rep = sf.check_segment_conditions(gas, f_minus, f_plus)
     # no pair passes that a 2001-point sweep rejects beyond the band, and
     # none is reported under a later condition than the sweep's first ...
@@ -430,12 +447,16 @@ def test_certify_pass_bounds_eigen_ratio(gas_b4, wide_grid_33):
                                   lambda th, ph: 2 + 0.1 * np.cos(th))
     cert = sf.certify_uniform_ellipticity(gas_b4, f, eps)
     assert cert.passed
-    _, _, q1, q2 = sf.field_density(gas_b4, f)
-    z = f.values
-    m = wide_grid_33.mask_array
-    for i, j in np.argwhere(m)[::37]:
-        s = FlowState(q1[i, j], q2[i, j], z[i, j])
-        assert sf.eigenvalue_ratio(gas_b4, s) <= 1.0 / eps + 1e-12
+    # field_readings' L^2 gives each node's eigenvalue ratio 1/(1 - L^2)
+    # of the principal matrix [[c2 - q1^2, -q1 q2], [-q1 q2, c2 - q2^2]]
+    _, c2, q1, q2 = state = sf.field_density(gas_b4, f)
+    _, l2, _, _ = field_readings(f, state)
+    assert cert.ratio_max == pytest.approx(1.0 / (1.0 - l2.max()), rel=1e-15)
+    for i, j in np.argwhere(wide_grid_33.mask_array)[::37]:
+        lam = np.linalg.eigvalsh([[c2[i, j] - q1[i, j] ** 2, -q1[i, j] * q2[i, j]],
+                                  [-q1[i, j] * q2[i, j], c2[i, j] - q2[i, j] ** 2]])
+        assert 1.0 / (1.0 - l2[i, j]) == pytest.approx(lam[1] / lam[0], rel=1e-12)
+        assert 1.0 / (1.0 - l2[i, j]) <= 1.0 / eps + 1e-12
 
 
 def test_certificate_reads_a_given_state():

@@ -22,8 +22,9 @@ def test_grid_validation():
         sf.SphericalGrid(0.0, 1.0, 0.0, 1.0, 5, 5)  # includes the pole
     with pytest.raises(GridError):
         sf.SphericalGrid(1e-4, 1.0, 0.0, 1.0, 5, 5)  # under the sin floor
-    with pytest.raises(GridError):
-        sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 2, 5)  # too small
+    with pytest.raises(sf.ConfigError, match="grid too small") as err:
+        sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 2, 5)  # too small, by the key to mend
+    assert err.value.key == "n_theta"
     with pytest.raises(GridError):
         sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 5, 5, phi_periodic=True)
 
@@ -39,6 +40,21 @@ def test_the_pole_floor_is_a_constant():
                     sf.SphericalGrid(*bounds, 0.0, 1.0, 5, 5)
             else:
                 sf.SphericalGrid(*bounds, 0.0, 1.0, 5, 5)
+
+
+def test_the_spacing_floor_is_a_constant():
+    # h_phi min sin(theta) >= SPACING_FLOOR, refused by the key that sets
+    # the far end of phi's span
+    assert sf.grid.SPACING_FLOOR == 1e-50
+    lo = np.sin(1.0)
+    for scale, refused in ((1.0 + 1e-9, False), (1.0 - 1e-9, True)):
+        phi_max = 4.0 * 1e-50 / lo * scale  # 5 nodes, h_phi = phi_max / 4
+        if refused:
+            with pytest.raises(sf.ConfigError, match="grid spacing") as err:
+                sf.SphericalGrid(1.0, 2.0, 0.0, phi_max, 5, 5)
+            assert err.value.key == "phi_max"
+        else:
+            sf.SphericalGrid(1.0, 2.0, 0.0, phi_max, 5, 5)
 
 
 def test_periodic_grid_drops_duplicate_node():

@@ -12,18 +12,23 @@ from helpers import (
     SMALL_PATCH,
     WIDE_PATCH,
     expanded_residual,
-    observed_orders,
     outward_directions,
+    bernoulli_state,
+    fields_with_states,
+    flux_laplacian,
+    mean_values_at,
     padded_boundary_mask,
     per_node_derivative,
-    random_admissible_state,
+    principal_matrix,
+    random_admissible_states,
     random_gas,
     stepped_node,
     thomas_preconditioner,
 )
 
 import sphereflow as sf
-from sphereflow import FlowState, GasModel, ScalarField, SphericalGrid
+from sphereflow import GasModel, ScalarField, SphericalGrid
+from sphereflow.ellipticity import field_readings
 from sphereflow.gas import bernoulli_density
 from sphereflow.operators import segment_algebra
 
@@ -59,23 +64,24 @@ def test_gradient_examples():
 
 
 def test_divergence_examples():
+    # the flux divergence of a gradient: constants have none, and the
+    # degree-1 harmonics are eigenfunctions with eigenvalue -2
     g = _grid(65, patch=(np.pi / 6, 5 * np.pi / 6, 0.0, np.pi / 2))
     tol = 10.0 * g.h_theta ** 2
 
-    v_const = sf.VectorField(g, np.zeros(g.shape), np.full(g.shape, 2.0))
-    div0 = sf.spherical_divergence(v_const)
-    assert np.abs(div0.values).max() <= tol
+    assert np.abs(flux_laplacian(ScalarField.constant(g, 2.0))).max() <= 1e-13
 
-    v1 = sf.VectorField(g, -np.sin(g.theta_mesh), np.zeros(g.shape))
-    div1 = sf.spherical_divergence(v1)
+    for fn in (lambda th, ph: np.cos(th), lambda th, ph: np.sin(th) * np.sin(ph)):
+        f = ScalarField.from_function(g, fn)
+        i, j = _node_near(g, np.pi / 3, np.pi / 4)
+        assert flux_laplacian(f)[i, j] == pytest.approx(-2.0 * f.values[i, j], abs=tol)
+
+    # cos(2 theta) is not one: Delta = -2 sin(2 theta) cot(theta) - 4 cos(2 theta)
+    f = ScalarField.from_function(g, lambda th, ph: np.cos(2 * th))
     i, j = _node_near(g, np.pi / 3, np.pi / 4)
-    assert div1.values[i, j] == pytest.approx(-2.0 * np.cos(g.thetas[i]), abs=tol)
-
-    v2 = sf.VectorField(g, np.cos(g.theta_mesh), np.zeros(g.shape))
-    div2 = sf.spherical_divergence(v2)
-    i, j = _node_near(g, np.pi / 2, np.pi / 4)
-    expect = np.cos(2 * g.thetas[i]) / np.sin(g.thetas[i])
-    assert div2.values[i, j] == pytest.approx(expect, abs=tol)
+    th = g.thetas[i]
+    expect = -2.0 * np.sin(2 * th) * np.cos(th) / np.sin(th) - 4.0 * np.cos(2 * th)
+    assert flux_laplacian(f)[i, j] == pytest.approx(expect, abs=tol)
 
 
 def test_operators_are_linear():
@@ -94,28 +100,12 @@ def test_operators_are_linear():
     np.testing.assert_allclose(gc.v_phi, a * g1.v_phi + b * g2.v_phi,
                                rtol=0, atol=1e-13 * scale)
 
-    v1 = sf.VectorField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
-    v2 = sf.VectorField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
-    vc = sf.VectorField(g, a * v1.v_theta + b * v2.v_theta,
-                        a * v1.v_phi + b * v2.v_phi)
-    dc = sf.spherical_divergence(vc).values
-    d1 = sf.spherical_divergence(v1).values
-    d2 = sf.spherical_divergence(v2).values
+    dc = flux_laplacian(combo)
+    d1 = flux_laplacian(f1)
+    d2 = flux_laplacian(f2)
     dscale = np.abs(d1).max() + np.abs(d2).max()
     np.testing.assert_allclose(dc, a * d1 + b * d2, rtol=0,
                                atol=1e-13 * dscale)
-
-
-def test_laplace_beltrami_eigenfunction_convergence():
-    errors = []
-    for n in (33, 65, 129):
-        g = _grid(n)
-        f = ScalarField.from_function(g, lambda th, ph: np.cos(th))
-        lap = sf.spherical_divergence(sf.spherical_gradient(f))
-        err = np.abs(lap.values + 2.0 * np.cos(g.theta_mesh))[g.interior_mask]
-        errors.append(err.max())
-    orders = observed_orders(errors)
-    assert min(orders) >= 1.9
 
 
 def test_residual_zero_field(gas_b4, wide_grid_33):
@@ -463,25 +453,49 @@ def test_operators_keep_no_grid_alive(gas_b4):
     assert ref() is None
 
 
+def _weak_form_principal(gas, q1, q2, z):
+    """The principal matrix as the weak form reads it: mean_values_at's
+    (a11, a12, a22) times c^2/rho."""
+    rho, c2 = (float(x[0, 0]) for x in bernoulli_state(gas, q1, q2, z))
+    a11, a12, a22, _ = mean_values_at(gas, q1, q2, z)
+    return c2 / rho * np.array([[a11, a12], [a12, a22]])
+
+
+def _certify_state(gas, q1, q2, z):
+    """certify_uniform_ellipticity of a field whose every node carries the state."""
+    with fields_with_states(tuple(np.full((3, 3), x) for x in (q1, q2, z))) as (f,):
+        return sf.certify_uniform_ellipticity(gas, f)
+
+
+def _refusal(read, *args):
+    """(class, message) of the error read(*args) raises, without the
+    segment parameter t that a segment reader adds."""
+    with pytest.raises(sf.InadmissibleStateError) as err:
+        read(*args)
+    t = "" if err.value.t is None else f", t={err.value.t}"
+    return type(err.value), str(err.value).replace(t, "")
+
+
 def test_principal_matrix_examples(gas_b4):
-    iso = sf.principal_matrix(GasModel(2.0, 1.0, 0.0), FlowState(0.0, 0.0, 0.0))
+    iso = _weak_form_principal(GasModel(2.0, 1.0, 0.0), 0.0, 0.0, 0.0)
     np.testing.assert_allclose(iso, np.eye(3 - 1), atol=1e-15)
 
-    m = sf.principal_matrix(gas_b4, FlowState(0.5, 0.0, 2.0))
+    m = _weak_form_principal(gas_b4, 0.5, 0.0, 2.0)
     np.testing.assert_allclose(m, [[0.625, 0.0], [0.0, 0.875]], atol=1e-15)
 
-    h = sf.principal_matrix(gas_b4, FlowState(1.0, 0.0, 2.0))
+    h = _weak_form_principal(gas_b4, 1.0, 0.0, 2.0)
     np.testing.assert_allclose(h, [[-0.5, 0.0], [0.0, 0.5]], atol=1e-15)
 
 
 def test_eigenvalue_ratio_examples(gas_b4):
-    assert sf.eigenvalue_ratio(gas_b4, FlowState(0.0, 0.0, 1.0)) == 1.0
-    s = FlowState(0.5, 0.0, 2.0)
-    lam = np.linalg.eigvalsh(sf.principal_matrix(gas_b4, s))
-    assert sf.eigenvalue_ratio(gas_b4, s) == pytest.approx(lam[1] / lam[0], rel=1e-12)
-    assert sf.eigenvalue_ratio(gas_b4, s) == pytest.approx(1.4, rel=1e-12)
-    with pytest.raises(sf.NotEllipticError):
-        sf.eigenvalue_ratio(gas_b4, FlowState(1.0, 0.0, 2.0))
+    # the certificate's ratio_max is 1/(1 - L^2), the principal matrix's
+    # eigenvalue ratio; a field that is not elliptic has none
+    assert _certify_state(gas_b4, 0.0, 0.0, 1.0).ratio_max == 1.0
+    lam = np.linalg.eigvalsh(_weak_form_principal(gas_b4, 0.5, 0.0, 2.0))
+    ratio = _certify_state(gas_b4, 0.5, 0.0, 2.0).ratio_max
+    assert ratio == pytest.approx(lam[1] / lam[0], rel=1e-12)
+    assert ratio == pytest.approx(1.4, rel=1e-12)
+    assert _certify_state(gas_b4, 1.0, 0.0, 2.0).ratio_max is None
 
 
 @pytest.mark.parametrize("params, z, error", [
@@ -490,60 +504,66 @@ def test_eigenvalue_ratio_examples(gas_b4):
 ], ids=["vacuum", "overflow"])
 def test_principal_matrix_refuses_what_density_refuses(params, z, error):
     # c^2 = -1.5 at the first state, and rho overflows at c^2 = 2.99872 at
-    # the second: principal_matrix read c^2 alone and returned diag(c^2)
-    gas, s = GasModel(*params), FlowState(0.0, 0.0, z)
-    with pytest.raises(error) as want:
-        sf.density(gas, s)
-    with pytest.raises(error, match=re.escape(str(want.value))):
-        sf.principal_matrix(gas, s)
+    # the second: a reader of c^2 alone would return diag(c^2)
+    gas = GasModel(*params)
+    want = _refusal(bernoulli_state, gas, 0.0, 0.0, z)
+    assert want[0] is error
+    for read in (mean_values_at, _certify_state):
+        assert _refusal(read, gas, 0.0, 0.0, z) == want
 
 
 def test_eigenvalue_ratio_refuses_a_vacuum_state(gas_b4):
     # c^2 = 3 - z^2/2 - |q|^2/2 = -1 here, so L^2 is undefined, not large
-    with pytest.raises(sf.NotEllipticError, match=r"c\^2 = -1 <= 0"):
-        sf.eigenvalue_ratio(gas_b4, FlowState(0.0, 0.0, np.sqrt(8.0)))
-    # past the isothermal exp() guard, where classify_state reads Vacuum,
-    # c^2 = 1 gave the ratio 4/3
+    with pytest.raises(sf.VacuumError, match=r"c\^2 = -1 <= 0"):
+        _certify_state(gas_b4, 0.0, 0.0, np.sqrt(8.0))
+    # past the isothermal exp() guard, where classify_field reads Vacuum,
+    # c^2 = 1 would give the ratio 4/3
     iso = GasModel(1.0, 1.0, 2000.0)
-    with pytest.raises(sf.NotEllipticError, match="exponent exceeds"):
-        sf.eigenvalue_ratio(iso, FlowState(0.5, 0.0, 0.1))
+    with pytest.raises(sf.GasOverflowError, match="exponent exceeds"):
+        _certify_state(iso, 0.5, 0.0, 0.1)
 
 
 def test_eigenvalue_ratio_identity_random():
-    # analytic 1/(1 - L^2) against brute-force eigenvalues
+    # field_readings' 1/(1 - L^2) against brute-force eigenvalues
     rng = np.random.default_rng(41)
     for gamma in (-1.0, 0.0, 1.0, 1.4, 2.0, 3.0):
-        for _ in range(100):
+        for _ in range(5):
             gas = random_gas(rng, gamma)
-            s = random_admissible_state(rng, gas, elliptic=True)
-            lam = np.linalg.eigvalsh(sf.principal_matrix(gas, s))
-            assert sf.eigenvalue_ratio(gas, s) == pytest.approx(
-                lam[1] / lam[0], rel=1e-12)
+            q1, q2, z = state = random_admissible_states(rng, gas, (4, 5), elliptic=True)
+            with fields_with_states(state) as (f,):
+                field = sf.field_density(gas, f)
+                _, l2, _, _ = field_readings(f, field)
+            c2 = field[1]
+            for i, j in np.ndindex(4, 5):
+                lam = np.linalg.eigvalsh(principal_matrix(c2[i, j], q1[i, j], q2[i, j]))
+                assert 1.0 / (1.0 - l2[i, j]) == pytest.approx(lam[1] / lam[0], rel=1e-12)
 
 
 def test_principal_form_two_sided_bound():
-    # (c^2 - |q|^2)|tau|^2 <= tau' A tau <= c^2 |tau|^2 for every state
-    # density() admits; it refuses the others, as density() does
+    # (c^2 - |q|^2)|tau|^2 <= tau' A tau <= c^2 |tau|^2 for the weak form's
+    # principal matrix at every state bernoulli_density admits; it refuses
+    # the others, as field_density does
     rng = np.random.default_rng(43)
     refused = 0
-    for _ in range(10000):
+    for _ in range(500):
         gas = random_gas(rng, rng.choice([-1.0, 0.0, 1.0, 1.4, 2.0, 3.0]))
-        s = FlowState(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5),
-                      rng.uniform(-2.0, 2.0))
-        try:
-            sf.density(gas, s)
-        except sf.InadmissibleStateError as err:
-            with pytest.raises(type(err), match=re.escape(str(err))):
-                sf.principal_matrix(gas, s)
-            refused += 1
+        q1, q2, z = (rng.uniform(-a, a, (4, 5)) for a in (1.5, 1.5, 2.0))
+        _, _, ok = bernoulli_density(gas, gas.head(q1 * q1 + q2 * q2, z))
+        for i, j in np.argwhere(~ok)[:1]:
+            state = (gas, q1[i, j], q2[i, j], z[i, j])
+            assert _refusal(mean_values_at, *state) == _refusal(bernoulli_state, *state)
+        refused += int((~ok).sum())
+        if not ok.any():
             continue
-        c2 = sf.sound_speed_sq(gas, s)
-        tau = rng.normal(size=2)
-        form = tau @ sf.principal_matrix(gas, s) @ tau
-        tt = tau @ tau
-        assert form <= c2 * tt + 1e-12 * max(1.0, abs(c2 * tt))
-        assert form >= (c2 - s.speed_sq()) * tt - 1e-12 * max(
-            1.0, abs((c2 - s.speed_sq()) * tt))
+        q1, q2, z = (np.resize(x[ok], (3, max(3, int(ok.sum())))) for x in (q1, q2, z))
+        rho, c2 = bernoulli_state(gas, q1, q2, z)
+        a11, a12, a22, _ = mean_values_at(gas, q1, q2, z)
+        tau = rng.normal(size=(2,) + q1.shape)
+        form = c2 / rho * (a11 * tau[0] ** 2 + 2.0 * a12 * tau[0] * tau[1] + a22 * tau[1] ** 2)
+        tt = (tau * tau).sum(axis=0)
+        low = (c2 - q1 * q1 - q2 * q2) * tt
+        assert np.all(form <= c2 * tt + 1e-12 * np.maximum(1.0, np.abs(c2 * tt)))
+        assert np.all(form >= low - 1e-12 * np.maximum(1.0, np.abs(low)))
     assert 0 < refused < 5000
 
 
@@ -573,7 +593,7 @@ def test_classify_field_paints_types(gas_b4):
 
 
 def test_gauss_legendre_rule_is_shared_and_read_only():
-    # one 8-point rule for mean_value_coefficients and segment_jacobian:
+    # one 8-point rule for the weak form's coefficients and segment_jacobian:
     # the leggauss nodes and weights mapped to [0, 1], bit for bit
     x, w = np.polynomial.legendre.leggauss(8)
     t, wt = sf.operators.gauss_legendre()
