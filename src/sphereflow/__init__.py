@@ -43,9 +43,8 @@ from .errors import (
 )
 from .expressions import evaluate_expression
 from .gas import FlowType, GasModel
-from .grid import ScalarField, SphericalGrid, VectorField
+from .grid import ScalarField, SphericalGrid
 from .operators import (
-    TypeMap,
     classify_field,
     field_density,
     flow_jacobian,

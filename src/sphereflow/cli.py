@@ -1,12 +1,23 @@
 """Scenario runner: parse a JSON config, dispatch one command, emit artifacts.
 
-Each command is one row of _COMMANDS.  run refuses any key its row does not
-list and reads every key before the handler runs: the handlers only call
-the library and write outputs.  Exit codes: 0 for pass/converged, 2 when
-hypotheses are Inapplicable, a certificate fails or hopf's interior ordering
-fails, 1 for hard errors (vacuum, non-convergence, bad config, I/O).
-Outputs are deterministic: rerunning an identical scenario yields
-byte-identical files (fixed key order, no timestamps).
+Each command is one row of _COMMANDS.  run reads every key before the
+handler runs: the handlers only call the library and write outputs.  Exit
+codes: 0 for pass/converged, 2 when hypotheses are Inapplicable, a
+certificate fails or hopf's interior ordering fails, 1 for hard errors
+(vacuum, non-convergence, bad config, I/O).  Outputs are deterministic:
+rerunning an identical scenario yields byte-identical files (fixed key
+order, no timestamps).
+
+The scenario contract, which a sweep of single-key edits in test_cli holds:
+- every block (gas, grid, command and a {"file": ...} field spec) refuses a
+  key it does not read;
+- a JSON number means the same thing in every int position: 33 and 33.0
+  are 33, in a hopf node too, and 33.5, booleans and strings are refused;
+- run returns 0, 1 or 2 and never raises;
+- a refusal (exit 1) prints one line to stderr, starting with one of
+  "config error: ", "config parse error", "cannot read scenario: ",
+  "expression error: ", "error: ", "solver failed: " or "i/o error: ";
+  exits 0 and 2 print nothing there.
 """
 
 import argparse
@@ -48,7 +59,7 @@ from .fieldio import (
     write_pgm,
     write_type_map_csv,
 )
-from .gas import EPS_TYPE, GasModel
+from .gas import EPS_TYPE, FlowType, GasModel
 from .grid import SphericalGrid
 from .operators import classify_field
 from .solver import BVProblem, manufactured_problem, solve_dirichlet
@@ -157,12 +168,13 @@ def _field_from_spec(spec, grid, base_dir: Path, where: str):
 
 
 def _cmd_classify(gas, grid, args, out, pgm: bool = False):
-    tm = classify_field(gas, args["field"])
-    write_type_map_csv(out / "type_map.csv", grid, tm.letters())
-    write_l2_csv(out / "l2.csv", grid, tm.l2)
+    codes, l2 = classify_field(gas, args["field"])
+    letters = [t.letter for t in FlowType]
+    write_type_map_csv(out / "type_map.csv", grid, np.array(letters)[codes])
+    write_l2_csv(out / "l2.csv", grid, l2)
     if pgm:
-        write_pgm(out / "l2.pgm", tm.l2)
-    counts = tm.counts()
+        write_pgm(out / "l2.pgm", l2)
+    counts = dict(zip(letters, np.bincount(codes.ravel(), minlength=len(letters)).tolist()))
     write_json_report(out / "report.json", {
         "command": "classify",
         "eps_type": EPS_TYPE,

@@ -89,8 +89,8 @@ def weak_form_field(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     if co is None:
         return F
     a11, a12, a22, d = co
-    grad = spherical_gradient(ScalarField(grid, hplus))
-    g1, g2, h = grad.v_theta[pos], grad.v_phi[pos], hplus[pos]
+    g1, g2 = (g[pos] for g in spherical_gradient(ScalarField(grid, hplus)))
+    h = hplus[pos]
     quad = a11 * g1 * g1 + 2.0 * a12 * g1 * g2 + a22 * g2 * g2
     F[pos] = 2.0 * h * quad - d * h * h * h
     return F
@@ -234,8 +234,7 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
     gap = f_plus.values - f_minus.values
     min_gap, gap_node = extreme(gap, im, minimize=True)
     max_abs, _ = extreme(np.abs(gap), im, minimize=False)
-    gdiff = spherical_gradient(ScalarField(grid, bgap))
-    grad_at = (float(gdiff.v_theta[gap_node]), float(gdiff.v_phi[gap_node]))
+    grad_at = tuple(float(g[gap_node]) for g in spherical_gradient(ScalarField(grid, bgap)))
 
     return ComparisonReport(
         hypotheses=hyp,

@@ -24,11 +24,13 @@ class VacuumError(InadmissibleStateError):
 
 
 class GasOverflowError(InadmissibleStateError):
-    """Density overflows the doubles, or the isothermal exponent passes its guard."""
+    """Density overflows the doubles, or the isothermal exponent passes its
+    guard, or a solve's start is too dense for the solver's arithmetic."""
 
 
 class GridError(SphereflowError):
-    """Invalid grid: pole inclusion, bad bounds, a mask that does not fit, or a thin mask."""
+    """Invalid grid data: a mask or field that does not fit, or a thin mask.
+    Bad bounds and sizes are ConfigErrors naming their key."""
 
 
 class GridMismatchError(GridError):

@@ -58,33 +58,34 @@ class SphericalGrid:
     phi_periodic: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.theta_min < self.theta_max < np.pi):
-            raise GridError(
-                f"need 0 < theta_min < theta_max < pi, got "
-                f"[{self.theta_min}, {self.theta_max}]"
-            )
+        if not 0.0 < self.theta_min < np.pi:
+            raise ConfigError(f"need 0 < theta_min < pi, got {self.theta_min}", "theta_min")
+        if not self.theta_min < self.theta_max < np.pi:
+            raise ConfigError(f"need theta_min < theta_max < pi, got "
+                              f"[{self.theta_min}, {self.theta_max}]", "theta_max")
         if not self.phi_min < self.phi_max:
-            raise GridError("need phi_min < phi_max")
+            raise ConfigError(f"need phi_min < phi_max, got [{self.phi_min}, {self.phi_max}]",
+                              "phi_max")
         if self.n_theta < 3 or self.n_phi < 3:
             raise ConfigError(
                 f"grid too small: {self.n_theta} x {self.n_phi} (need >= 3 nodes "
                 "per direction)", "n_theta" if self.n_theta < 3 else "n_phi"
             )
+        if self.n_theta * self.n_phi * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"grid too large: {self.n_theta} x {self.n_phi} (numpy cannot "
+                              "hold a node array of doubles)",
+                              "n_theta" if self.n_theta >= self.n_phi else "n_phi")
+        for key in ("theta_min", "theta_max"):
+            if (sin := np.sin(getattr(self, key))) < SIN_FLOOR:
+                raise ConfigError(f"pole proximity: sin({key}) = {sin:.3e} < floor "
+                                  f"{SIN_FLOOR:.3e}", key)
         lo = min(np.sin(self.theta_min), np.sin(self.theta_max))
-        if lo < SIN_FLOOR:
-            raise GridError(
-                f"pole proximity: min sin(theta) = {lo:.3e} < floor "
-                f"{SIN_FLOOR:.3e}"
-            )
         if not self.h_phi * lo >= SPACING_FLOOR:
             raise ConfigError(f"grid spacing h_phi = {self.h_phi:.6g} times min sin(theta) "
                               f"is below {SPACING_FLOOR:g}", "phi_max")
-        if self.phi_periodic:
-            span = self.phi_max - self.phi_min
-            if abs(span - 2.0 * np.pi) > 1e-10:
-                raise GridError(
-                    "phi_periodic requires phi_max - phi_min = 2*pi"
-                )
+        if self.phi_periodic and abs(self.phi_max - self.phi_min - 2.0 * np.pi) > 1e-10:
+            raise ConfigError("phi_periodic requires phi_max - phi_min = 2*pi, got "
+                              f"{self.phi_max - self.phi_min}", "phi_periodic")
         if self.mask is not None:
             m = np.asarray(self.mask, dtype=bool)
             if m.shape != (self.n_theta, self.n_phi):
@@ -332,19 +333,3 @@ class ScalarField:
     def copy(self):
         return ScalarField(self.grid, self.values.copy())
 
-
-@dataclass(eq=False)
-class VectorField:
-    """Per-node pair (v_theta, v_phi) in the orthonormal spherical frame."""
-
-    grid: SphericalGrid
-    v_theta: np.ndarray
-    v_phi: np.ndarray
-
-    def __post_init__(self):
-        vt = np.asarray(self.v_theta, dtype=float)
-        vp = np.asarray(self.v_phi, dtype=float)
-        if vt.shape != self.grid.shape or vp.shape != self.grid.shape:
-            raise GridError("vector component shape does not match grid")
-        self.v_theta = vt
-        self.v_phi = vp

@@ -23,13 +23,12 @@ first derivatives are taken: the termwise expansion of the equation, with
 its second derivatives, is a reference kept with the tests.
 """
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .gas import FlowType, GasModel, bernoulli_density, mach_codes, mach_sq, require_admissible
-from .grid import ScalarField, SphericalGrid, VectorField, require_same_grid
+from .gas import GasModel, bernoulli_density, mach_codes, mach_sq, require_admissible
+from .grid import ScalarField, SphericalGrid, require_same_grid
 
 
 def _face_mean(a, grid, axis):
@@ -72,12 +71,12 @@ def _derivative(vals, grid: SphericalGrid, axis):
     return out if grid.mask is None else np.where(grid.mask, out, 0.0)
 
 
-def spherical_gradient(f: ScalarField) -> VectorField:
-    """D f = (df/dtheta, df/dphi / sin(theta)) at every masked node."""
+def spherical_gradient(f: ScalarField):
+    """D f = (df/dtheta, df/dphi / sin(theta)) as a pair of node arrays, zero
+    off the mask."""
     grid = f.grid
-    dth = _derivative(f.values, grid, 0)
-    dph = _derivative(f.values, grid, 1)
-    return VectorField(grid, dth, dph / grid.sin_theta[:, None])
+    return (_derivative(f.values, grid, 0),
+            _derivative(f.values, grid, 1) / grid.sin_theta[:, None])
 
 
 def field_density(gas: GasModel, f: ScalarField):
@@ -86,8 +85,7 @@ def field_density(gas: GasModel, f: ScalarField):
     Raises like require_admissible, naming the first inadmissible masked
     node.
     """
-    vf = spherical_gradient(f)
-    q1, q2 = vf.v_theta, vf.v_phi
+    q1, q2 = spherical_gradient(f)
     m = f.grid.mask_array
     rho, c2, ok = bernoulli_density(gas, head := gas.head(q1 * q1 + q2 * q2, f.values))
     require_admissible(gas, head, ok, m)
@@ -102,8 +100,7 @@ def segment_algebra(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField,
     bernoulli_density, so c^2 = c0^2 + (gamma-1)/2 head is quadratic in t.
     gradients, if known, are the (q1, q2) of f- and of f+ (field_density's)."""
     require_same_grid(f_minus, f_plus)
-    (m1, m2), (q1, q2) = gradients or [
-        (g.v_theta, g.v_phi) for g in map(spherical_gradient, (f_minus, f_plus))]
+    (m1, m2), (q1, q2) = gradients or map(spherical_gradient, (f_minus, f_plus))
     z, dq1, dq2, dz = f_plus.values, m1 - q1, m2 - q2, f_minus.values - f_plus.values
     return (q1, q2, z, dq1, dq2, dz, gas.head(q1 * q1 + q2 * q2, z),
             -2.0 * (q1 * dq1 + q2 * dq2 + z * dz), -(dq1 * dq1 + dq2 * dq2 + dz * dz))
@@ -287,25 +284,12 @@ def segment_jacobian(gas: GasModel, f_minus: ScalarField, f_plus: ScalarField):
     return apply
 
 
-@dataclass
-class TypeMap:
-    """Per-node classification codes and the pseudo-Mach-squared map."""
-
-    codes: np.ndarray  # FlowType integer codes
-    l2: np.ndarray     # nan where undefined (vacuum)
-
-    def letters(self):
-        return np.array([t.letter for t in FlowType])[self.codes]
-
-    def counts(self):
-        return {t.letter: int(np.sum(self.codes == int(t))) for t in FlowType}
-
-
-def classify_field(gas: GasModel, f: ScalarField) -> TypeMap:
-    """Classify every node of a potential field by its local flow type:
-    mach_codes of its L^2 (mach_sq), vacuum where the state is inadmissible."""
-    vf = spherical_gradient(f)
-    q_sq = vf.v_theta * vf.v_theta + vf.v_phi * vf.v_phi
+def classify_field(gas: GasModel, f: ScalarField):
+    """(codes, l2) node arrays of a potential field: mach_codes of its L^2
+    (mach_sq) per node, vacuum where the state is inadmissible, and L^2,
+    nan there."""
+    q1, q2 = spherical_gradient(f)
+    q_sq = q1 * q1 + q2 * q2
     _, c2, ok = bernoulli_density(gas, gas.head(q_sq, f.values), False)
     l2 = mach_sq(q_sq, c2, ok)
-    return TypeMap(codes=mach_codes(l2, ok), l2=np.where(ok, l2, np.nan))
+    return mach_codes(l2, ok), np.where(ok, l2, np.nan)

@@ -36,6 +36,7 @@ import numpy as np
 from .ellipticity import EllipticityCertificate, certify_uniform_ellipticity, field_readings
 from .errors import (
     ConfigError,
+    GasOverflowError,
     GridError,
     InadmissibleFieldError,
     InadmissibleStateError,
@@ -322,6 +323,9 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
     ConfigError, naming it, before any work.  The initial guess is the
     Newton step from the constant mean boundary datum (_start); where that
     state or the guess is inadmissible, its error is raised with
+    "initial iterate: " in front, and where its arithmetic overflows the
+    doubles (a density past about 1e150 at the README datum, where the
+    sums of squares of its norms overflow), GasOverflowError with
     "initial iterate: " in front.  Boundary nodes carry the datum
     bit-exactly.  The returned report embeds an ellipticity certificate of
     the solution, at certify_uniform_ellipticity's default eps.
@@ -349,10 +353,14 @@ def solve_dirichlet(problem: BVProblem, *, newton_tol: float = 1e-10,
         return ROUNDOFF_ULPS * float(residual_roundoff(f, state[0]).flat[idx].max())
 
     try:
-        phi, precondition = _start(problem, idx, interior_residual)
-        r, state = interior_residual(phi)
+        with np.errstate(over="raise"):
+            phi, precondition = _start(problem, idx, interior_residual)
+            r, state = interior_residual(phi)
     except InadmissibleStateError as err:  # vacuum, underflow or overflow, as raised
         raise type(err)(f"initial iterate: {err}", node=err.node, t=err.t) from err
+    except FloatingPointError as err:
+        raise GasOverflowError(f"initial iterate: {err}: the density is too large for "
+                               "the solver's arithmetic") from err
     res = float(np.max(np.abs(r)))
     report = SolveReport(False, res)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sphereflow as sf
-from sphereflow import GasModel, GridError, ScalarField, SphericalGrid, VectorField, field_density
+from sphereflow import GasModel, GridError, ScalarField, SphericalGrid, field_density
 from sphereflow.comparison import _mean_values
 from sphereflow.gas import EXP_CAP, bernoulli_density, require_admissible
 from sphereflow.grid import STENCILS
@@ -93,7 +93,7 @@ def fields_with_states(*states):
     node by node while the context is open."""
     grid = SphericalGrid(*WIDE_PATCH, *np.shape(states[0][2]))
     fields = [ScalarField(grid, np.array(state[2], dtype=float)) for state in states]
-    grads = {id(f): VectorField(grid, *(np.array(q, dtype=float) for q in state[:2]))
+    grads = {id(f): tuple(np.array(q, dtype=float) for q in state[:2])
              for f, state in zip(fields, states)}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sf.operators, "spherical_gradient", lambda f: grads[id(f)])
@@ -433,8 +433,7 @@ def reference_bernoulli(gas, q_sq, z):
 
 def field_state(f):
     """(q1, q2, z) node arrays of a field: its gradient and value."""
-    grad = spherical_gradient(f)
-    return grad.v_theta, grad.v_phi, f.values
+    return (*spherical_gradient(f), f.values)
 
 
 SEGMENT_CONDITIONS = ("rho_positive", "mach_elliptic", "z_above_sound", "form_positive")
@@ -530,8 +529,6 @@ def reference_weak_form_field(gas, f_minus, f_plus):
     m = grid.mask_array
     hplus = np.where(m, np.maximum(f_minus.values - f_plus.values, 0.0), 0.0)
     pos = hplus > 0.0
-    grad = spherical_gradient(ScalarField(grid, hplus))
-    g1 = np.where(pos, grad.v_theta, 0.0)
-    g2 = np.where(pos, grad.v_phi, 0.0)
+    g1, g2 = (np.where(pos, g, 0.0) for g in spherical_gradient(ScalarField(grid, hplus)))
     quad = co["a11"] * g1 * g1 + 2.0 * co["a12"] * g1 * g2 + co["a22"] * g2 * g2
     return np.where(pos, 2.0 * hplus * quad - co["d"] * hplus * hplus * hplus, 0.0)

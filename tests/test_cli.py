@@ -1,9 +1,12 @@
+import contextlib
 import functools
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -682,11 +685,20 @@ def test_every_newton_exit_names_a_node_and_keeps_its_iterate(
     (lambda cfg: cfg.update(command=["solve"]), "scenario.command"),
     (lambda cfg: cfg["gas"].update(gamma=3.0, rho0=1e300), "gas.rho0"),
     (lambda cfg: cfg["grid"].update(sin_floor=1e-4), "grid.sin_floor"),
+    (lambda cfg: cfg["grid"].update(theta_max=SMALL_PATCH[0]), "grid.theta_max"),
+    (lambda cfg: cfg["grid"].update(theta_min=0.0), "grid.theta_min"),
+    (lambda cfg: cfg["grid"].update(theta_max=np.pi - 1e-4), "grid.theta_max"),
+    (lambda cfg: cfg["grid"].update(phi_max=0.0), "grid.phi_max"),
+    (lambda cfg: cfg["grid"].update(phi_periodic=True), "grid.phi_periodic"),
+    (lambda cfg: cfg["grid"].update(n_theta=1e300), "grid.n_theta"),
+    (lambda cfg: cfg["grid"].update(n_phi=2 ** 63), "grid.n_phi"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_scenario_errors_name_the_key(tmp_path, capsys, edit, key):
     # a misspelt key, a block that is not an object, a gas whose reference
     # sound speed overflows and the pole floor, a grid constant, are config
-    # errors, not tracebacks or silently ignored
+    # errors, not tracebacks or silently ignored; so are grid bounds out of
+    # order or at a pole (once unkeyed "error: need 0 < theta_min < ...")
+    # and sizes past numpy's index range (once its ValueError out of run)
     sc = write_scenario(tmp_path / "sc.json", grid=grid_block(17), command={
         "name": "solve", "boundary": "1.6 + 0.1*cos(theta)"})
     cfg = json.loads(sc.read_text())
@@ -1062,3 +1074,101 @@ def test_hopf_nodes_read_integral_numbers_as_every_int_key_does(tmp_path):
         reports.append((tmp_path / f"out{k}" / "report.json").read_bytes())
     assert reports[1] == reports[2] == reports[0]
     assert [(h["i"], h["j"]) for h in json.loads(reports[0])["hopf"]] == [(0, 4)]
+
+
+@pytest.mark.parametrize("gas", [{"rho0": 1e300}, {"bernoulli": 1e300}])
+def test_a_gas_too_dense_for_the_solver_exits_one(tmp_path, capsys, gas):
+    # the start's linear solve overflowed its residual norm, a numpy
+    # RuntimeWarning out of run; the other commands read such a gas
+    sc = write_scenario(tmp_path / "sc.json", gas={"gamma": 2.0, "rho0": 1.0, "bernoulli": 4.0,
+                                                   **gas},
+                        grid=grid_block(9), command={"name": "solve", "boundary": _BASE})
+    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+    assert capsys.readouterr().err == ("error: initial iterate: overflow encountered in dot: "
+                                       "the density is too large for the solver's arithmetic\n")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+# The scenario contract of cli's docstring: run returns 0, 1 or 2 and never
+# raises, an exit 1 prints one stderr line with one of these prefixes, and
+# exits 0 and 2 print nothing there.
+REFUSAL_PREFIXES = ("config error: ", "config parse error", "cannot read scenario: ",
+                    "expression error: ", "error: ", "solver failed: ", "i/o error: ")
+SWEEP_BASES = {
+    "classify": {"field": _BASE},
+    "solve": {"boundary": _BASE},
+    "certify": {"field": _BASE},
+    "compare": {"field_minus": {"file": "minus.csv"}, "field_plus": {"file": "plus.csv"}},
+    "hopf": {"field_minus": {"file": "minus.csv"}, "field_plus": {"file": "plus.csv"}},
+    "manufacture": {"exact": _BASE},
+}
+# What each key is set to in turn, after it is deleted.
+SWEEP_POOL = (None, True, False, 0, 1, -1, 0.5, 1e-300, 1e300, float("nan"), float("inf"),
+              -float("inf"), 2 ** 63, -2 ** 63, "", "x", "1.6", "sin(", [], [[0, 4]], [1, 2],
+              {}, {"a": 1}, {"file": "plus.csv"}, {"file": "plus.csv", "scale": 2},
+              {"file": "absent.csv"}, {"file": 5})
+SWEEP_MASK = "".join(",".join("0" if i < 3 and j < 3 else "1" for j in range(9)) + "\n"
+                     for i in range(9))  # the 9^2 patch with a corner cut
+
+
+def _sweep_paths(name):
+    """(block, key) of every key a scenario of command name may carry, the
+    blocks themselves with block None."""
+    handler, calls, fields, other = cli._COMMANDS[name]
+    command = {"name", *fields, *other, *(key for fn in (*calls, handler)
+                                         for key in cli._scalar_params(fn))}
+    return ([(None, key) for key in ("gas", "grid", "command")]
+            + [("gas", key) for key in cli._scalar_params(GasModel)]
+            + [("grid", key) for key in (*cli._scalar_params(SphericalGrid), "mask")]
+            + [("command", key) for key in sorted(command)])
+
+
+def test_single_key_edits_keep_the_scenario_contract(tmp_path):
+    # every command, plain and masked, with each key deleted or set to each
+    # value of SWEEP_POOL; the pair files of compare and hopf are a solved f+
+    # and a touching subsolution below it
+    (tmp_path / "mask.csv").write_text(SWEEP_MASK)
+    mask = np.array([[c == "1" for c in row.split(",")] for row in SWEEP_MASK.split()])
+    escapes, runs = [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for masked in (False, True):
+            grid = grid_block(9, **({"mask": "mask.csv"} if masked else {}))
+            g = SphericalGrid(*SMALL_PATCH, 9, 9, mask=mask if masked else None)
+            for tag, source in (("plus", 0.0), ("minus", 0.05)):
+                problem = BVProblem(gas=GasModel(2.0, 1.0, 4.0), grid=g,
+                                    boundary=ScalarField.from_function(
+                                        g, lambda th, ph: 1.6 + 0.1 * np.cos(th)),
+                                    source=ScalarField.constant(g, source))
+                write_field_csv(tmp_path / f"{tag}.csv", solve_dirichlet(problem)[0])
+            for name, base in SWEEP_BASES.items():
+                cfg = {"gas": {"gamma": 2.0, "rho0": 1.0, "bernoulli": 4.0}, "grid": grid,
+                       "command": {"name": name, **base}}
+                (tmp_path / "sc.json").write_text(json.dumps(cfg))
+                assert cli.run(tmp_path / "sc.json", tmp_path / "out", quiet=True) == 0
+                for block, key in _sweep_paths(name):
+                    for value in (KeyError, *SWEEP_POOL):
+                        edited = {part: dict(cfg[part]) for part in cfg}
+                        parent = edited if block is None else edited[block]
+                        if value is KeyError:
+                            parent.pop(key, None)
+                        else:
+                            parent[key] = value
+                        sc = tmp_path / "sc.json"
+                        sc.write_text(json.dumps(edited))
+                        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+                            try:
+                                code = cli.run(sc, tmp_path / "out", quiet=True)
+                            except Exception as err:  # noqa: BLE001 - what the contract forbids
+                                code = f"raised {type(err).__name__}: {err}"
+                        err = stderr.getvalue()
+                        lines = err.splitlines()
+                        if not (code in (0, 2) and not err
+                                or code == 1 and len(lines) == 1 and err.endswith("\n")
+                                and lines[0].startswith(REFUSAL_PREFIXES)):
+                            escapes.append(f"{name}{' masked' if masked else ''} "
+                                           f"{block}.{key}={value!r}: {code} {err!r}")
+                        runs += 1
+    assert runs > 3000
+    assert not escapes, f"{len(escapes)} of {runs} runs break the contract:\n" + \
+        "\n".join(escapes)

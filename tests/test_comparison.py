@@ -322,8 +322,7 @@ def test_weak_form_algebraic_identity(gas_b4):
         b1, b2 = b1 - wt * q1 * z * rho / c2, b2 - wt * q2 * z * rho / c2
     F = weak_form_field(gas_b4, lo, hi)
     hplus = np.maximum(lo.values - hi.values, 0.0)
-    grad = sf.spherical_gradient(ScalarField(g, hplus))
-    g1, g2 = grad.v_theta, grad.v_phi
+    g1, g2 = sf.spherical_gradient(ScalarField(g, hplus))
     quad = (co["a11"] * g1 * g1 + 2.0 * co["a12"] * g1 * g2
             + co["a22"] * g2 * g2 + b1 * hplus * g1 + b2 * hplus * g2
             - beta * (2.0 * b1 * hplus * g1 + 2.0 * b2 * hplus * g2)

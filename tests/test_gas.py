@@ -176,8 +176,8 @@ def _classify(gas, *states):
     of one 3 x 3 field (the states repeat to fill it)."""
     arrays = tuple(np.resize(np.array(x, dtype=float), (3, 3)) for x in zip(*states))
     with fields_with_states(arrays) as (f,):
-        tm = sf.classify_field(gas, f)
-    return tm.codes.ravel()[:len(states)].tolist(), tm.l2.ravel()[:len(states)]
+        codes, l2 = sf.classify_field(gas, f)
+    return codes.ravel()[:len(states)].tolist(), l2.ravel()[:len(states)]
 
 
 def test_pseudo_mach_examples():
@@ -238,7 +238,7 @@ def test_classify_rotation_invariance():
     ang = rng.uniform(0, 2 * np.pi, q1.shape)
     c, sn = np.cos(ang), np.sin(ang)
     with fields_with_states((q1, q2, z), (c * q1 - sn * q2, sn * q1 + c * q2, z)) as fields:
-        codes = [sf.classify_field(gas, f).codes for f in fields]
+        codes = [sf.classify_field(gas, f)[0] for f in fields]
     np.testing.assert_array_equal(*codes)
 
 

@@ -18,15 +18,21 @@ def test_grid_node_layout():
 
 
 def test_grid_validation():
-    with pytest.raises(GridError):
-        sf.SphericalGrid(0.0, 1.0, 0.0, 1.0, 5, 5)  # includes the pole
-    with pytest.raises(GridError):
-        sf.SphericalGrid(1e-4, 1.0, 0.0, 1.0, 5, 5)  # under the sin floor
-    with pytest.raises(sf.ConfigError, match="grid too small") as err:
-        sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 2, 5)  # too small, by the key to mend
-    assert err.value.key == "n_theta"
-    with pytest.raises(GridError):
-        sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 5, 5, phi_periodic=True)
+    # each refusal names the key to mend, before any array is made
+    for args, kwargs, key, message in (
+        ((0.0, 1.0, 0.0, 1.0, 5, 5), {}, "theta_min", "need 0 < theta_min"),  # the pole
+        ((1e-4, 1.0, 0.0, 1.0, 5, 5), {}, "theta_min", "pole proximity"),  # under the sin floor
+        ((1.0, np.pi - 1e-4, 0.0, 1.0, 5, 5), {}, "theta_max", "pole proximity"),
+        ((1.0, 1.0, 0.0, 1.0, 5, 5), {}, "theta_max", "need theta_min < theta_max"),
+        ((1.0, 4.0, 0.0, 1.0, 5, 5), {}, "theta_max", "need theta_min < theta_max"),
+        ((1.0, 2.0, 0.0, 1.0, 2, 5), {}, "n_theta", "grid too small"),
+        ((1.0, 2.0, 0.0, 1.0, 5, 5), {"phi_periodic": True}, "phi_periodic", "2[*]pi, got 1.0"),
+        ((1.0, 2.0, 0.0, 1.0, 2 ** 63, 5), {}, "n_theta", "grid too large"),  # past numpy's
+        ((1.0, 2.0, 0.0, 1.0, 5, 2 ** 61), {}, "n_phi", "grid too large"),    # index range
+    ):
+        with pytest.raises(sf.ConfigError, match=message) as err:
+            sf.SphericalGrid(*args, **kwargs)
+        assert err.value.key == key
 
 
 def test_the_pole_floor_is_a_constant():
@@ -36,7 +42,7 @@ def test_the_pole_floor_is_a_constant():
     for scale, refused in ((1.0 + 1e-9, False), (1.0 - 1e-9, True)):
         for bounds in ((edge * scale, 1.0), (2.0, np.pi - edge * scale)):
             if refused:
-                with pytest.raises(GridError, match="< floor 1.000e-03$"):
+                with pytest.raises(sf.ConfigError, match="< floor 1.000e-03$"):
                     sf.SphericalGrid(*bounds, 0.0, 1.0, 5, 5)
             else:
                 sf.SphericalGrid(*bounds, 0.0, 1.0, 5, 5)
@@ -99,18 +105,13 @@ def test_stencil_table_holds_edge_nodes_only():
 
 
 def test_grid_refuses_bad_phi_span_and_masks():
-    with pytest.raises(GridError, match="phi_min < phi_max"):
+    with pytest.raises(sf.ConfigError, match="phi_min < phi_max") as err:
         sf.SphericalGrid(1.0, 2.0, 1.0, 1.0, 5, 5)
+    assert err.value.key == "phi_max"
     with pytest.raises(GridError, match=r"mask shape \(4, 5\) != grid shape \(5, 5\)"):
         sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 5, 5, mask=np.ones((4, 5), dtype=bool))
     with pytest.raises(GridError, match="mask selects no nodes"):
         sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 5, 5, mask=np.zeros((5, 5), dtype=bool))
-
-
-def test_vector_field_shape_check():
-    g = sf.SphericalGrid(1.0, 2.0, 0.0, 1.0, 5, 4)
-    with pytest.raises(GridError, match="vector component shape"):
-        sf.VectorField(g, np.zeros((5, 4)), np.zeros((4, 5)))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
