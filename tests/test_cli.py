@@ -179,6 +179,7 @@ def test_classify_command(tmp_path):
     assert (tmp_path / "out" / "l2.pgm").exists()
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["counts"]["H"] > 0
+    assert list(rep["counts"]) == list("EPHV") and sum(rep["counts"].values()) == 23 * 11
 
 
 def test_certify_exit_codes(tmp_path):
@@ -1102,7 +1103,8 @@ SWEEP_BASES = {
     "hopf": {"field_minus": {"file": "minus.csv"}, "field_plus": {"file": "plus.csv"}},
     "manufacture": {"exact": _BASE},
 }
-# What each key is set to in turn, after it is deleted.
+# What each key is set to in turn, after it is deleted (DELETED).
+DELETED = object()
 SWEEP_POOL = (None, True, False, 0, 1, -1, 0.5, 1e-300, 1e300, float("nan"), float("inf"),
               -float("inf"), 2 ** 63, -2 ** 63, "", "x", "1.6", "sin(", [], [[0, 4]], [1, 2],
               {}, {"a": 1}, {"file": "plus.csv"}, {"file": "plus.csv", "scale": 2},
@@ -1129,7 +1131,7 @@ def test_single_key_edits_keep_the_scenario_contract(tmp_path):
     # and a touching subsolution below it
     (tmp_path / "mask.csv").write_text(SWEEP_MASK)
     mask = np.array([[c == "1" for c in row.split(",")] for row in SWEEP_MASK.split()])
-    escapes, runs = [], 0
+    sc, escapes, runs = tmp_path / "sc.json", [], 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for masked in (False, True):
@@ -1144,17 +1146,16 @@ def test_single_key_edits_keep_the_scenario_contract(tmp_path):
             for name, base in SWEEP_BASES.items():
                 cfg = {"gas": {"gamma": 2.0, "rho0": 1.0, "bernoulli": 4.0}, "grid": grid,
                        "command": {"name": name, **base}}
-                (tmp_path / "sc.json").write_text(json.dumps(cfg))
-                assert cli.run(tmp_path / "sc.json", tmp_path / "out", quiet=True) == 0
+                sc.write_text(json.dumps(cfg))
+                assert cli.run(sc, tmp_path / "out", quiet=True) == 0
                 for block, key in _sweep_paths(name):
-                    for value in (KeyError, *SWEEP_POOL):
+                    for value in (DELETED, *SWEEP_POOL):
                         edited = {part: dict(cfg[part]) for part in cfg}
                         parent = edited if block is None else edited[block]
-                        if value is KeyError:
+                        if value is DELETED:
                             parent.pop(key, None)
                         else:
                             parent[key] = value
-                        sc = tmp_path / "sc.json"
                         sc.write_text(json.dumps(edited))
                         with contextlib.redirect_stderr(io.StringIO()) as stderr:
                             try:
@@ -1166,8 +1167,9 @@ def test_single_key_edits_keep_the_scenario_contract(tmp_path):
                         if not (code in (0, 2) and not err
                                 or code == 1 and len(lines) == 1 and err.endswith("\n")
                                 and lines[0].startswith(REFUSAL_PREFIXES)):
+                            edit = "deleted" if value is DELETED else f"={value!r}"
                             escapes.append(f"{name}{' masked' if masked else ''} "
-                                           f"{block}.{key}={value!r}: {code} {err!r}")
+                                           f"{block}.{key}{edit}: {code} {err!r}")
                         runs += 1
     assert runs > 3000
     assert not escapes, f"{len(escapes)} of {runs} runs break the contract:\n" + \
