@@ -1,12 +1,13 @@
 """Scenario runner: parse a JSON config, dispatch one command, emit artifacts.
 
 Each command is one row of _COMMANDS.  run reads every key before the
-handler runs: the handlers only call the library and write outputs.  Exit
-codes: 0 for pass/converged, 2 when hypotheses are Inapplicable, a
-certificate fails or hopf's interior ordering fails, 1 for hard errors
-(vacuum, non-convergence, bad config, I/O).  Outputs are deterministic:
-rerunning an identical scenario yields byte-identical files (fixed key
-order, no timestamps).
+handler runs, each block through _read, which refuses the keys the block
+does not read and converts the rest: the handlers only call the library and
+write outputs.  Exit codes: 0 for pass/converged, 2 when hypotheses are
+Inapplicable, a certificate fails or hopf's interior ordering fails, 1 for
+hard errors (vacuum, non-convergence, bad config, I/O).  Outputs are
+deterministic: rerunning an identical scenario yields byte-identical files
+(fixed key order, no timestamps).
 
 The scenario contract, which a sweep of single-key edits in test_cli holds:
 - every block (gas, grid, command and a {"file": ...} field spec) refuses a
@@ -89,15 +90,6 @@ def _block(cfg, key):
     return block
 
 
-def _refuse_unknown_keys(block, where, calls, other, reader):
-    """Refuse a key that is not in other or a scalar parameter of calls."""
-    allowed = {*other, *(key for fn in calls for key in _scalar_params(fn))}
-    for name in block:
-        if name not in allowed:
-            raise ConfigError(f"unknown key '{where}.{name}': {reader} does "
-                              f"not read it", key=f"{where}.{name}")
-
-
 def _convert(kind, value):
     """value as kind, from a JSON value of that kind: a bool is true, false,
     1 or 0, an int is an integral number and a float is any finite number.
@@ -113,49 +105,37 @@ def _convert(kind, value):
     return kind(value)
 
 
-def _options(fn, block, where="command") -> dict:
-    """Keyword arguments of fn (a function or a dataclass) read from block.
-
-    Every parameter of fn annotated int, float or bool is read under its own
-    name and converted to that type by _convert; it is required when fn
-    gives it no default, and otherwise falls back to that default.
-    """
-    kwargs = {}
-    for name, param in _scalar_params(fn).items():
-        value = (_require(block, name, where) if param.default is param.empty
-                 else block.get(name, param.default))
-        try:
-            kwargs[name] = _convert(param.annotation, value)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ConfigError(f"bad value for '{where}.{name}': {err}",
-                              key=f"{where}.{name}") from err
-    return kwargs
-
-
-def _build_gas(cfg) -> GasModel:
-    block = _block(cfg, "gas")
-    _refuse_unknown_keys(block, "gas", (GasModel,), (), "GasModel")
-    return GasModel(**_options(GasModel, block, "gas"))
-
-
-def _build_grid(cfg, base_dir: Path) -> SphericalGrid:
-    block = _block(cfg, "grid")
-    _refuse_unknown_keys(block, "grid", (SphericalGrid,), ("mask",),
-                         "SphericalGrid")
-    grid = SphericalGrid(**_options(SphericalGrid, block, "grid"))  # checks the sizes
-    if "mask" in block:
-        if not isinstance(block["mask"], str):
-            raise ConfigError(f"'grid.mask' must be a file name, got {block['mask']!r}",
-                              key="grid.mask")
-        grid = replace(grid, mask=read_mask_csv(base_dir / block["mask"], *grid.shape))
-    return grid
+def _read(block, where, reader, calls, other, block_of) -> list:
+    """A dict of keyword arguments per call of calls (functions or dataclasses)
+    read from block, the JSON object at where.  A key that is neither in other
+    nor a scalar parameter of calls (annotated int, float or bool) is refused
+    first.  Each scalar parameter is then read under its name, converted by
+    _convert, and required when its call gives it no default; block_of maps
+    it to where, for run to name the block of a library refusal's bare key."""
+    params = [_scalar_params(fn) for fn in calls]
+    for name in block:
+        if name not in other and not any(name in p for p in params):
+            raise ConfigError(f"unknown key '{where}.{name}': {reader} does "
+                              f"not read it", key=f"{where}.{name}")
+    options = [{} for _ in calls]
+    for kwargs, p in zip(options, params):
+        for name, param in p.items():
+            block_of[name] = where
+            value = (_require(block, name, where) if param.default is param.empty
+                     else block.get(name, param.default))
+            try:
+                kwargs[name] = _convert(param.annotation, value)
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ConfigError(f"bad value for '{where}.{name}': {err}",
+                                  key=f"{where}.{name}") from err
+    return options
 
 
 def _field_from_spec(spec, grid, base_dir: Path, where: str):
     if isinstance(spec, str):
         return evaluate_expression(spec, grid)
     if isinstance(spec, dict) and isinstance(spec.get("file"), str):
-        _refuse_unknown_keys(spec, where, (), ("file",), "a field spec")
+        _read(spec, where, "a field spec", (), ("file",), {})
         field = read_field_csv(path := base_dir / spec["file"], grid)
         bad = np.argwhere(~np.isfinite(field.values))  # as an expression's
         if bad.size:
@@ -274,11 +254,12 @@ def _cmd_manufacture(gas, grid, args, out):
 # One row per command: (handler, the library calls whose int, float and bool
 # parameters are its scalar keys, its field keys with their default specs
 # (None: required), its other keys with their readers).  The handler's own
-# int, float and bool parameters (pgm) are scalar keys too.  run reads every
-# key, then calls handler(gas, grid, args, out, *options, **flags): args maps
-# the field keys to their fields and the other keys given to what their
-# readers return, options holds a dict of keyword arguments per call.  It
-# returns (exit code, summary line).
+# int, float and bool parameters (pgm) are scalar keys too.  _read refuses
+# any other key and converts the scalar ones, a dict of keyword arguments per
+# call (options) and one for the handler (flags); run reads the rest, then
+# calls handler(gas, grid, args, out, *options, **flags): args maps the field
+# keys to their fields and the other keys given to what their readers
+# return.  It returns (exit code, summary line).
 _FIELD = {"field": None}
 _PAIR = {"field_minus": None, "field_plus": None}
 _COMMANDS = {
@@ -315,14 +296,21 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
         print(f"config parse error at line {err.lineno}: {err.msg}",
               file=sys.stderr)
         return 1
-    block_of = {**dict.fromkeys(_scalar_params(GasModel), "gas"),
-                **dict.fromkeys(_scalar_params(SphericalGrid), "grid")}
+    block_of = {}  # the block of each scalar key read, filled by _read
     try:
         if not isinstance(cfg, dict):
             raise ConfigError("the scenario must be a JSON object",
                               key="scenario")
-        gas = _build_gas(cfg)
-        grid = _build_grid(cfg, path.parent)
+        gas = GasModel(**_read(_block(cfg, "gas"), "gas", "GasModel", (GasModel,), (),
+                               block_of)[0])
+        block = _block(cfg, "grid")
+        grid = SphericalGrid(**_read(block, "grid", "SphericalGrid", (SphericalGrid,),
+                                     ("mask",), block_of)[0])  # checks the sizes
+        if "mask" in block:
+            if not isinstance(block["mask"], str):
+                raise ConfigError(f"'grid.mask' must be a file name, got {block['mask']!r}",
+                                  key="grid.mask")
+            grid = replace(grid, mask=read_mask_csv(path.parent / block["mask"], *grid.shape))
         block = _block(cfg, "command")
         name = _require(block, "name", "command")
         if name not in tuple(_COMMANDS):
@@ -330,12 +318,8 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
                 f"unknown command '{name}' (expected one of {tuple(_COMMANDS)})",
                 key="command.name")
         handler, calls, fields, other = _COMMANDS[name]
-        block_of.update(dict.fromkeys((key for fn in (*calls, handler)
-                                       for key in _scalar_params(fn)), "command"))
-        _refuse_unknown_keys(block, "command", (*calls, handler),
-                             ("name", *fields, *other), f"command '{name}'")
-        options = [_options(fn, block) for fn in calls]
-        flags = _options(handler, block)
+        *options, flags = _read(block, "command", f"command '{name}'", (*calls, handler),
+                                ("name", *fields, *other), block_of)
         args = {key: read(block[key]) for key, read in other.items() if key in block}
         for key, default in fields.items():
             args[key] = _field_from_spec(block.get(key, default), grid,

@@ -30,10 +30,10 @@ from .operators import (field_density, flow_residual, gauss_legendre,
 WEAK_FORM_TOL = 1e-10
 
 
-def _mean_values(gas, mask, seg, where=None):
+def _mean_values(gas, mask, seg, where):
     """gauss_legendre t-averages of the continuous equation's flux Jacobian
-    over the segment of segment_algebra's seg: (a11, a12 = a21, a22, d) as node
-    arrays, or as flat arrays at where's nodes only (None if it has none).
+    over the segment of segment_algebra's seg: (a11, a12 = a21, a22, d) as
+    flat arrays at the nodes of where, which are masked (None if it has none).
 
     The gradient q+ + t dq and value z+ + t dz of phi_t = t f- + (1-t) f+ are
     affine in t, so each coefficient is R = sum w rho less a quadratic form
@@ -48,17 +48,15 @@ def _mean_values(gas, mask, seg, where=None):
     _, _, ok = bernoulli_density(gas, head := (seg[8] * t + seg[7]) * t + seg[6], False)
     k = int(np.argmax((mask & ~ok).any(axis=(1, 2))))
     require_admissible(gas, head[k], ok[k], mask, float(ts[k]))
-    if where is not None:
-        if not where.any():
-            return None
-        seg, mask = [a[where] for a in seg], True
-    q1, q2, z, dq1, dq2, dz, h0, h1, h2 = seg
+    if not where.any():
+        return None
+    q1, q2, z, dq1, dq2, dz, h0, h1, h2 = (a[where] for a in seg)
     r, s = np.zeros(z.shape), np.zeros((3,) + z.shape)
     for t, wt in zip(ts, ws):
         rho, c2, _ = bernoulli_density(gas, h0 + t * (h1 + t * h2))
-        rho = np.where(mask, wt * rho, 0.0)
+        rho = wt * rho
         r += rho
-        s += np.multiply.outer((1.0, t, t * t), rho / np.where(mask, c2, 1.0))
+        s += np.multiply.outer((1.0, t, t * t), rho / c2)
 
     def moment(a, da, b, db):  # sum w a_t b_t rho/c^2 for a_t = a + t da, b_t = b + t db
         return a * b * s[0] + (a * db + da * b) * s[1] + da * db * s[2]
@@ -249,7 +247,7 @@ def verify_weak_comparison(gas: GasModel, f_minus: ScalarField,
 
 def straight_edge_nodes(grid: SphericalGrid) -> list:
     """Boundary nodes with exactly one outward direction (no corners)."""
-    return [(int(i), int(j)) for i, j in np.argwhere(grid.open_sides.sum(0) == 1)]
+    return [(int(i), int(j)) for i, j in np.argwhere(grid.closed_sides.sum(0) == 1)]
 
 
 def hopf_indicator(report: ComparisonReport, boundary_nodes,
@@ -287,13 +285,13 @@ def hopf_indicator(report: ComparisonReport, boundary_nodes,
             raise NonTouchingNodeError(
                 f"fields differ by {abs(diff[i, j]):.3e} at node ({i}, {j})"
             )
-        sides = np.flatnonzero(grid.open_sides[:, i, j])
+        sides = np.flatnonzero(grid.closed_sides[:, i, j])
         if sides.size != 1:
             raise CornerNodeError(
                 f"node ({i}, {j}) has {sides.size} outward directions; "
                 "interior sphere condition unverifiable"
             )
-        axis = int(sides[0]) // 2  # +th, -th, +ph, -ph
+        axis = int(sides[0]) // 2  # the closed face: +th, -th, +ph, -ph
         nodes, idx, _ = grid.stencils[axis]  # one-sided: inward across open faces
         p1, p2 = idx[:2, np.searchsorted(nodes, i * grid.n_phi + j)]
         h = grid.h_theta if axis == 0 else grid.h_phi * grid.sin_theta[i]

@@ -177,7 +177,7 @@ class SphericalGrid:
         return tuple(self.on_faces(np.logical_and, self.mask_array, axis) for axis in (0, 1))
 
     @cached_property
-    def open_sides(self):
+    def closed_sides(self):
         """(4, n_theta, n_phi) bools: masked nodes whose face at +theta,
         -theta, +phi and -phi, in that order, is closed."""
         m, sides = self.mask_array, []

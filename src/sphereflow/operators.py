@@ -27,6 +27,7 @@ from functools import cache
 
 import numpy as np
 
+from .errors import GasOverflowError
 from .gas import GasModel, bernoulli_density, mach_codes, mach_sq, require_admissible
 from .grid import ScalarField, SphericalGrid, require_same_grid
 
@@ -172,14 +173,29 @@ def flow_residual(gas: GasModel, f: ScalarField, *, state=None) -> ScalarField:
     """Evaluate the potential-flow operator div(rho D f) + 2 rho f by the
     conservative flux stencil with arithmetic-mean face densities at the
     interior nodes, where the equation holds; 0.0 at every other node.
-    state is field_density(gas, f), if known."""
+    state is field_density(gas, f), if known.  A residual that is not a
+    finite double raises GasOverflowError naming its first interior node."""
     grid = f.grid
     rho = (field_density(gas, f) if state is None else state)[0]
-    out = 2.0 * rho * f.values
-    for axis, w in enumerate(_face_weights(grid)):
-        _add_divergence(out, grid, axis, w * _face_mean(rho, grid, axis)
-                        * grid.on_faces(np.subtract, f.values, axis))
-    return ScalarField(grid, np.where(grid.interior_mask, out, 0.0))
+
+    def residual():
+        out = 2.0 * rho * f.values
+        for axis, w in enumerate(_face_weights(grid)):
+            _add_divergence(out, grid, axis, w * _face_mean(rho, grid, axis)
+                            * grid.on_faces(np.subtract, f.values, axis))
+        return np.where(grid.interior_mask, out, 0.0)
+
+    try:
+        with np.errstate(over="raise"):
+            return ScalarField(grid, residual())
+    except FloatingPointError:  # perhaps off the interior only, where it is 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = residual()
+    if (bad := np.argwhere(~np.isfinite(out))).size:
+        node = tuple(bad[0].tolist())
+        raise GasOverflowError(f"flow residual is not a finite double at node {node}: "
+                               "the density is too large", node=node)
+    return ScalarField(grid, out)
 
 
 def residual_roundoff(f: ScalarField, rho):

@@ -159,7 +159,7 @@ class BVProblem:
                           stacklevel=2)
 
 
-def linear_solve(op, rhs, tol, max_iter, precondition=None):
+def linear_solve(op, rhs, tol, max_iter, precondition):
     """Matrix-free restarted GMRES for op(x) = rhs, right-preconditioned by
     precondition (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856-869).
 
@@ -176,7 +176,6 @@ def linear_solve(op, rhs, tol, max_iter, precondition=None):
     raises on a failed solve.  Deterministic.
     """
     b = np.asarray(rhs, dtype=float).ravel()
-    precondition = precondition or (lambda v: v)
     target = tol * float(np.linalg.norm(b))
     m = min(GMRES_RESTART, max_iter)
     basis = np.empty((min(m, KRYLOV_ROWS) + 1, b.size))

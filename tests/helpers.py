@@ -499,10 +499,14 @@ MEAN_VALUES = ("a11", "a12", "a22", "d")
 
 
 def mean_values(gas, f_minus, f_plus):
-    """comparison._mean_values over the whole grid of the pair, as
-    weak_form_field forms it, by name (MEAN_VALUES)."""
-    seg = segment_algebra(gas, f_minus, f_plus)
-    return dict(zip(MEAN_VALUES, _mean_values(gas, f_plus.grid.mask_array, seg)))
+    """comparison._mean_values at every masked node of the pair, as
+    weak_form_field forms it, as node arrays that are 0.0 off the mask, by
+    name (MEAN_VALUES)."""
+    mask = f_plus.grid.mask_array
+    co = _mean_values(gas, mask, segment_algebra(gas, f_minus, f_plus), mask)
+    full = np.zeros((len(MEAN_VALUES),) + mask.shape)
+    full[:, mask] = co
+    return dict(zip(MEAN_VALUES, full))
 
 
 def gauss_state_failures(gas, f_minus, f_plus):

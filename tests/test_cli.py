@@ -473,7 +473,8 @@ COMMAND_KEYS = {
 
 def test_scenario_keys_are_pinned():
     for name, keys in SCENARIO_KEYS.items():
-        read = cli._options(getattr(cli, name), dict.fromkeys(keys, 1))
+        (read,) = cli._read(dict.fromkeys(keys, 1), "command", name,
+                            (getattr(cli, name),), (), {})
         assert set(read) == keys, name
     for name, (handler, calls, _, _) in cli._COMMANDS.items():
         keys = {key for fn in (*calls, handler) for key in cli._scalar_params(fn)}
@@ -819,11 +820,12 @@ def test_scalar_keys_take_only_their_json_type(tmp_path, capsys, block,
 
 def test_integral_numbers_and_zero_one_are_accepted():
     block = {**grid_block(9), "n_theta": 9.0, "phi_periodic": 0}
-    read = cli._options(cli.SphericalGrid, block, "grid")
+    (read,) = cli._read(block, "grid", "SphericalGrid", (cli.SphericalGrid,), (), {})
     assert read["n_theta"] == 9 and type(read["n_theta"]) is int
     assert read["phi_periodic"] is False
     assert type(read["theta_min"]) is float
-    assert cli._options(cli.solve_dirichlet, {"max_newton": 7})["max_newton"] == 7
+    (read,) = cli._read({"max_newton": 7}, "command", "solve", (cli.solve_dirichlet,), (), {})
+    assert read["max_newton"] == 7
 
 
 # A valid command block per command, and a key that only another command
@@ -1105,10 +1107,10 @@ SWEEP_BASES = {
 }
 # What each key is set to in turn, after it is deleted (DELETED).
 DELETED = object()
-SWEEP_POOL = (None, True, False, 0, 1, -1, 0.5, 1e-300, 1e300, float("nan"), float("inf"),
-              -float("inf"), 2 ** 63, -2 ** 63, "", "x", "1.6", "sin(", [], [[0, 4]], [1, 2],
-              {}, {"a": 1}, {"file": "plus.csv"}, {"file": "plus.csv", "scale": 2},
-              {"file": "absent.csv"}, {"file": 5})
+SWEEP_POOL = (None, True, False, 0, 1, -1, 0.5, 1e-300, 1e300, 1e308, -1e308, float("nan"),
+              float("inf"), -float("inf"), 2 ** 63, -2 ** 63, "", "x", "1.6", "sin(", [],
+              [[0, 4]], [1, 2], {}, {"a": 1}, {"file": "plus.csv"},
+              {"file": "plus.csv", "scale": 2}, {"file": "absent.csv"}, {"file": 5})
 SWEEP_MASK = "".join(",".join("0" if i < 3 and j < 3 else "1" for j in range(9)) + "\n"
                      for i in range(9))  # the 9^2 patch with a corner cut
 

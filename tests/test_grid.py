@@ -128,7 +128,7 @@ def test_every_mask_has_boundary_nodes(periodic, n_theta, n_phi, seed):
     g = sf.SphericalGrid(1.0, 2.0, *span, n_theta, n_phi, mask=mask,
                          phi_periodic=periodic)
     low = np.flatnonzero(mask.any(axis=1))[0]
-    assert g.open_sides[1][low][mask[low]].all()
+    assert g.closed_sides[1][low][mask[low]].all()
     assert g.boundary_mask[low][mask[low]].all()
 
 

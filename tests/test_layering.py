@@ -7,7 +7,8 @@ only by the grid, the strong comparison checks read the weak comparison's
 report, only the solver builds the preconditioner, every linear solve goes
 through solver.interior_solve with flow_jacobian as its operator, the
 grid's open faces are its one neighbour rule, the weak comparison has
-one beta and one Gauss rule, no module hands text to Python's own
+one beta and one Gauss rule, one reader takes the scenario's scalar keys
+from the signatures they feed, no module hands text to Python's own
 compiler, the package imports no scipy, and every public name of the
 package has a caller outside the tests, none of them a pointwise state."""
 
@@ -159,15 +160,21 @@ def test_strong_checks_read_the_report():
                              "bernoulli_density", "segment_algebra"}, name
 
 
+def _owners(tree):
+    """Line -> the innermost function around it, by name."""
+    owner = {}  # ast.walk visits outer functions first
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+    return owner
+
+
 def _mach_quotients(path):
     """"module:function" of each quotient of a tangential speed (text naming
     q1, q2, q_sq, qsq or speed_sq) by a squared sound speed (text naming
     c2), by the / operator or np.divide."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    owner = {}  # line -> innermost enclosing function; ast.walk visits outer ones first
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.name))
+    owner = _owners(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
             num, den = node.left, node.right
@@ -305,6 +312,25 @@ def test_weak_comparison_has_one_beta_and_one_rule():
     assert [name for name, _ in _parameters(PACKAGE / "operators.py")
             if name == "gauss_legendre"] == []
     assert "gauss_legendre" in _functions(PACKAGE / "operators.py")
+
+
+def _call_sites(path, callee):
+    """The innermost function around each call of callee in path, by name
+    or as an attribute ("<module>" outside every function)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = _owners(tree)
+    return [owner.get(node.lineno, "<module>") for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node.func) == callee]
+
+
+def test_scenario_keys_are_read_in_one_place():
+    # cli._read refuses a block's unknown keys, converts its scalar keys and
+    # notes their block for a library refusal, all from one reading of the
+    # signatures; a second reader could accept a key that is not read, or
+    # name the wrong block for a refusal
+    found = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _call_sites(path, "_scalar_params")]
+    assert found == ["cli.py:_read"]
 
 
 def _python_compiler_uses(path):

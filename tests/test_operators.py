@@ -143,6 +143,27 @@ def test_residual_isothermal_overflow_reports_node(wide_grid_33):
     assert "(0, 0)" in str(err.value)
 
 
+def test_residual_past_the_doubles_reports_interior_node(wide_grid_33):
+    # rho = rho0 = 1e307 is a finite double, but 2 rho f and the face
+    # fluxes are not: refused at the first interior node, not returned as inf
+    f = ScalarField.constant(wide_grid_33, 2.0)
+    with pytest.raises(sf.GasOverflowError) as err:
+        sf.flow_residual(GasModel(2.0, 1e307, 4.0), f)
+    assert err.value.node == (1, 1)
+    assert "(1, 1)" in str(err.value)
+
+
+def test_residual_overflow_off_the_interior_is_dropped(gas_b4, wide_grid_33):
+    # the corner's 2 rho f overflows, but the residual is 0.0 there and no
+    # interior node reads the corner's faces
+    f = ScalarField.constant(wide_grid_33, 2.0)
+    rho, *rest = sf.field_density(gas_b4, f)
+    dense = rho.copy()
+    dense[0, 0] = 1e308
+    got = sf.flow_residual(gas_b4, f, state=(dense, *rest)).values
+    assert np.array_equal(got, sf.flow_residual(gas_b4, f).values)
+
+
 def test_thin_mask_names_node():
     mask = np.zeros((9, 9), dtype=bool)
     mask[3:5, :] = True  # a strip two theta-nodes wide
@@ -378,7 +399,7 @@ def test_neighbor_rule_matches_per_node_references(kind, periodic, n_theta,
     for i, j in zip(*np.nonzero(g.mask_array)):
         for d in outward_directions(g, i, j):
             want[sides.index(d), i, j] = True
-    assert np.array_equal(g.open_sides, want)
+    assert np.array_equal(g.closed_sides, want)
     bm = padded_boundary_mask(g)
     assert np.array_equal(g.boundary_mask, bm)
     assert sf.straight_edge_nodes(g) == [

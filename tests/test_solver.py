@@ -16,6 +16,10 @@ from sphereflow import (
 )
 
 
+def identity(v):  # linear_solve without preconditioning
+    return v
+
+
 def test_linear_solve_identity():
     calls = []
 
@@ -24,7 +28,8 @@ def test_linear_solve_identity():
         return x
 
     rhs = np.array([3.0, -1.0, 2.5])
-    x, matvecs, outcome = linear_solve(op, rhs, tol=1e-12, max_iter=50)
+    x, matvecs, outcome = linear_solve(op, rhs, tol=1e-12, max_iter=50,
+                                       precondition=identity)
     np.testing.assert_allclose(x, rhs, rtol=1e-12)
     assert outcome == "converged"
     assert matvecs == len(calls) <= 3  # one residual, one Krylov step, one verify
@@ -50,7 +55,8 @@ def test_linear_solve_singular_operator():
         out[0] = 0.0
         return out
 
-    _, _, outcome = linear_solve(op, np.ones(8), tol=1e-12, max_iter=200)
+    _, _, outcome = linear_solve(op, np.ones(8), tol=1e-12, max_iter=200,
+                                 precondition=identity)
     assert outcome in ("max_iter", "breakdown")
 
 
@@ -64,7 +70,8 @@ def test_singular_operator_keeps_a_finite_best_iterate():
         return out
 
     b = np.ones(8)
-    best, _, outcome = linear_solve(op, b, tol=1e-12, max_iter=200)
+    best, _, outcome = linear_solve(op, b, tol=1e-12, max_iter=200,
+                                    precondition=identity)
     assert outcome in ("max_iter", "breakdown")
     assert np.all(np.isfinite(best))
     np.testing.assert_allclose(b - op(best), np.eye(8)[0], atol=1e-12)
@@ -85,7 +92,8 @@ def test_zero_operator_breaks_down_after_one_matvec():
             calls.append(x.copy())
             return op(x)
 
-        x, matvecs, outcome = linear_solve(counted, rhs, tol=1e-12, max_iter=50)
+        x, matvecs, outcome = linear_solve(counted, rhs, tol=1e-12, max_iter=50,
+                                           precondition=identity)
         assert outcome == "breakdown"
         assert matvecs == len(calls) == 1
         assert np.array_equal(x, np.zeros(b.size))
@@ -93,7 +101,7 @@ def test_zero_operator_breaks_down_after_one_matvec():
 
 def test_linear_solve_zero_rhs():
     x, matvecs, outcome = linear_solve(lambda v: 3.0 * v, np.zeros(5),
-                                       tol=1e-12, max_iter=10)
+                                       tol=1e-12, max_iter=10, precondition=identity)
     assert np.all(x == 0.0)
     assert (matvecs, outcome) == (0, "converged")
 
@@ -111,7 +119,7 @@ def test_restarted_gmres_gives_up_on_a_stalled_cycle():
         return np.roll(x, 1)
 
     x, matvecs, outcome = linear_solve(shift, np.eye(n)[0], tol=1e-12,
-                                       max_iter=1000)
+                                       max_iter=1000, precondition=identity)
     assert outcome == "max_iter"
     assert len(calls) == matvecs == sf.solver.GMRES_RESTART
     assert np.all(x == 0.0)
@@ -130,7 +138,7 @@ def test_linear_solve_applies_op_at_most_max_iter_times(max_iter):
         return d * x
 
     _, matvecs, outcome = linear_solve(op, np.ones(d.size), tol=1e-15,
-                                       max_iter=max_iter)
+                                       max_iter=max_iter, precondition=identity)
     assert outcome == "max_iter"
     assert max_iter - 1 <= len(calls) == matvecs <= max_iter
 
@@ -784,7 +792,8 @@ def test_linear_solve_never_applies_op_to_zeros(gas_b4, monkeypatch):
         return matvec
 
     d = np.linspace(1.0, 4.0, 12)
-    linear_solve(spied(lambda v: d * v), np.ones(12), tol=1e-12, max_iter=50)
+    linear_solve(spied(lambda v: d * v), np.ones(12), tol=1e-12, max_iter=50,
+                 precondition=identity)
     inner = sf.solver.linear_solve
     monkeypatch.setattr(sf.solver, "linear_solve",
                         lambda op, *args, **kw: inner(spied(op), *args, **kw))
@@ -805,7 +814,7 @@ def test_tolerance_of_one_returns_zeros_without_a_matvec():
 
     for tol in (1.0, 3.0):
         x, matvecs, outcome = linear_solve(op, np.arange(1.0, 6.0), tol=tol,
-                                           max_iter=10)
+                                           max_iter=10, precondition=identity)
         assert np.array_equal(x, np.zeros(5))
         assert (matvecs, outcome) == (0, "converged")
     assert seen == []
