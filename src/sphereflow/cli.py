@@ -3,9 +3,9 @@
 Each command is one row of _COMMANDS.  run reads every key before the
 handler runs, each block through _read, which refuses the keys the block
 does not read and converts the rest: the handlers only call the library and
-write outputs.  Exit codes: 0 for pass/converged, 2 when hypotheses are
-Inapplicable, a certificate fails or hopf's interior ordering fails, 1 for
-hard errors (vacuum, non-convergence, bad config, I/O).  Outputs are
+write outputs, with no try.  Exit codes: 0 for pass/converged, 2 when
+hypotheses are Inapplicable, a certificate fails or hopf's interior ordering
+fails, 1 for hard errors (vacuum, non-convergence, bad config, I/O).  Outputs are
 deterministic: rerunning an identical scenario yields byte-identical files
 (fixed key order, no timestamps).
 
@@ -18,7 +18,9 @@ The scenario contract, which a sweep of single-key edits in test_cli holds:
 - a refusal (exit 1) prints one line to stderr, starting with one of
   "config error: ", "config parse error", "cannot read scenario: ",
   "expression error: ", "error: ", "solver failed: " or "i/o error: ";
-  exits 0 and 2 print nothing there.
+  exits 0 and 2 print nothing there;
+- a key's value is refused or accepted whatever the fields' verdict: the
+  library checks its inputs before it reads a pair's ordering.
 """
 
 import argparse
@@ -37,7 +39,6 @@ from . import __version__
 from .comparison import (
     Dichotomy,
     hopf_indicator,
-    straight_edge_nodes,
     strong_comparison_check,
     verify_weak_comparison,
 )
@@ -111,8 +112,9 @@ def _read(block, where, reader, calls, other, block_of) -> list:
     nor a scalar parameter of calls (annotated int, float or bool) is refused
     first.  Each scalar parameter is then read under its name, converted by
     _convert, and required when its call gives it no default; block_of maps
-    it to where, for run to name the block of a library refusal's bare key."""
+    it and each other key to where, for run to name a refused bare key's block."""
     params = [_scalar_params(fn) for fn in calls]
+    block_of.update(dict.fromkeys(other, where))
     for name in block:
         if name not in other and not any(name in p for p in params):
             raise ConfigError(f"unknown key '{where}.{name}': {reader} does "
@@ -187,12 +189,7 @@ def _cmd_certify(gas, grid, args, out, certify):
 def _cmd_compare(gas, grid, args, out, verify, strong):
     report = verify_weak_comparison(gas, args["field_minus"],
                                     args["field_plus"], **verify)
-    try:
-        strong_comparison_check(report, **strong)
-    except ConfigError:  # a ValueError too
-        raise
-    except ValueError:
-        pass  # Inapplicable or unordered: the dichotomy stays undefined
+    strong_comparison_check(report, **strong)  # None: the dichotomy is undefined
     write_json_report(out / "report.json", report.to_dict())
     ok = report.verdict == "Pass" and report.dichotomy is not Dichotomy.ANOMALOUS
     return (0 if ok else 2, f"comparison verdict: {report.verdict}"
@@ -201,45 +198,32 @@ def _cmd_compare(gas, grid, args, out, verify, strong):
 
 
 def _nodes(value):
-    """'command.nodes' as a list of pairs of ints, each index read by
-    _convert; a value that is not a list reads as no nodes."""
+    """'command.nodes', a nonempty list of pairs of ints, each index read by
+    _convert.  Refused under the key nodes, as hopf_indicator refuses a node."""
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"expected a nonempty list of [i, j] pairs, got {value!r}",
+                          key="nodes")
     nodes = []
-    for raw in value if isinstance(value, list) else []:
+    for raw in value:
         try:
             i, j = raw
             nodes.append((_convert(int, i), _convert(int, j)))
         except (TypeError, ValueError):
-            raise ConfigError(f"bad entry in 'command.nodes': node {raw!r} is not a "
-                              "pair of integers", key="command.nodes") from None
+            raise ConfigError(f"node {raw!r} is not a pair of integers", key="nodes") from None
     return nodes
 
 
 def _cmd_hopf(gas, grid, args, out, verify, hopf):
     report = verify_weak_comparison(gas, args["field_minus"],
                                     args["field_plus"], **verify)
-    given = "nodes" in args
-    nodes = args["nodes"] if given else [
-        (i, j) for i, j in straight_edge_nodes(grid)
-        if abs(report.gap.values[i, j]) <= hopf["tol_touch"]]
-    try:  # an empty list still has tol_touch and the ordering checked
-        report.hopf = hopf_indicator(report, nodes, **hopf)
-    except ConfigError as err:  # a ValueError too
-        if err.key != "boundary_nodes":
-            raise
-        raise ConfigError(f"bad entry in 'command.nodes': {err}",
-                          key="command.nodes") from err
-    except ValueError:  # the interior ordering fails
-        write_json_report(out / "report.json", report.to_dict())
-        return 2, "interior ordering fails: hopf indicators skipped"
-    if not report.hopf:
-        raise ConfigError("'command.nodes' must be a nonempty list of pairs" if given
-                          else "no touching straight-edge boundary nodes found",
-                          key="command.nodes")
+    readings = hopf_indicator(report, args.get("nodes"), **hopf)
     write_json_report(out / "report.json", report.to_dict())
-    positive = all(h.derivative > 0.0 for h in report.hopf)
+    if readings is None:
+        return 2, "interior ordering fails: hopf indicators skipped"
+    positive = all(h.derivative > 0.0 for h in readings)
     return (0 if report.applicable and positive else 2,
-            f"hopf indicators at {len(report.hopf)} nodes, "
-            f"min {min(h.derivative for h in report.hopf):.4g}")
+            f"hopf indicators at {len(readings)} nodes, "
+            f"min {min(h.derivative for h in readings):.4g}")
 
 
 def _cmd_manufacture(gas, grid, args, out):
@@ -329,7 +313,7 @@ def run(scenario_path, out_dir, quiet: bool = False) -> int:
             print(summary)
         return code
     except ConfigError as err:
-        if err.key in block_of:  # a library refusal names its bare key
+        if err.key in block_of:  # the refusal names its bare key
             err = f"bad value for '{block_of[err.key]}.{err.key}': {err}"
         print(f"config error: {err}", file=sys.stderr)
         return 1

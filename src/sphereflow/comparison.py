@@ -11,7 +11,8 @@ read that report, so a pair's ordering and admissibility are checked once.
 
 Hypothesis failures mark a report Inapplicable, never Failed: the theorems
 are conditional, and the harness must not claim a counterexample when the
-premises are unmet.
+premises are unmet.  Where they are, or the interior ordering fails, the
+strong checks' readings are undefined, an outcome: they return None.
 """
 
 import operator
@@ -250,56 +251,61 @@ def straight_edge_nodes(grid: SphericalGrid) -> list:
     return [(int(i), int(j)) for i, j in np.argwhere(grid.closed_sides.sum(0) == 1)]
 
 
-def hopf_indicator(report: ComparisonReport, boundary_nodes,
-                   tol_touch: float = 1e-9) -> list:
+def hopf_indicator(report: ComparisonReport, nodes=None,
+                   tol_touch: float = 1e-9) -> list | None:
     """One-sided outward-normal derivative of (f- - f+) at touching nodes.
 
     Reads the pair's verify_weak_comparison report, which has checked both
-    fields' admissibility and stencils.  Every requested node must be a
-    pair of integers (a boolean is not one) naming a boundary node with
-    exactly one outward direction (straight mask edge; corners fail the
-    interior sphere condition) and must carry equal field values within
-    tol_touch.  tol_touch < 0 or nan raises ConfigError, and an unordered
-    report ValueError naming its interior node.  When f- < f+ holds inside
-    and the ellipticity hypotheses are met, the returned derivatives are
-    what the Hopf lemma asserts to be strictly positive.
+    fields' admissibility and stencils.  tol_touch < 0 or nan raises
+    ConfigError; then each node, whatever the ordering, must be a pair of
+    integers (a boolean is not one) naming a boundary node (else ConfigError
+    keyed "nodes") with one outward direction (else CornerNodeError: corners
+    fail the interior sphere condition) where the fields touch within
+    tol_touch (else NonTouchingNodeError).  nodes=None reads every touching
+    straight-edge node (none is a ConfigError keyed "nodes").  An unordered
+    report returns None, report.hopf staying []; else the derivatives are
+    recorded on report.hopf and returned, and under the ellipticity
+    hypotheses the Hopf lemma asserts them to be strictly positive.
     """
     if not tol_touch >= 0.0:
         raise ConfigError(f"tol_touch must be >= 0, got {tol_touch}", "tol_touch")
-    if not report.ordering_pass:
-        raise ValueError(f"f_minus exceeds f_plus at interior node "
-                         f"{report.min_gap_node} by {-report.interior_min_gap:.3e}")
     grid, diff = report.gap.grid, -report.gap.values  # f- - f+
+    if nodes is None:
+        nodes = [n for n in straight_edge_nodes(grid) if abs(diff[n]) <= tol_touch]
+        if not nodes:
+            raise ConfigError("no touching straight-edge boundary nodes found", "nodes")
     results = []
-    for raw in boundary_nodes:
+    for raw in nodes:
         try:
             i, j = (operator.index(None if isinstance(k, bool) else k) for k in raw)
         except (TypeError, ValueError):
-            raise ConfigError(f"node {raw!r} is not a pair of integers",
-                              "boundary_nodes") from None
+            raise ConfigError(f"node {raw!r} is not a pair of integers", "nodes") from None
         if not (0 <= i < grid.n_theta and 0 <= j < grid.n_phi
                 and grid.boundary_mask[i, j]):
             raise ConfigError(f"node ({i}, {j}) is not a boundary node of the "
-                              f"{grid.shape} grid", "boundary_nodes")
-        if abs(diff[i, j]) > tol_touch:
-            raise NonTouchingNodeError(
-                f"fields differ by {abs(diff[i, j]):.3e} at node ({i}, {j})"
-            )
+                              f"{grid.shape} grid", "nodes")
         sides = np.flatnonzero(grid.closed_sides[:, i, j])
         if sides.size != 1:
             raise CornerNodeError(
                 f"node ({i}, {j}) has {sides.size} outward directions; "
                 "interior sphere condition unverifiable"
             )
+        if abs(diff[i, j]) > tol_touch:
+            raise NonTouchingNodeError(
+                f"fields differ by {abs(diff[i, j]):.3e} at node ({i}, {j})"
+            )
         axis = int(sides[0]) // 2  # the closed face: +th, -th, +ph, -ph
-        nodes, idx, _ = grid.stencils[axis]  # one-sided: inward across open faces
-        p1, p2 = idx[:2, np.searchsorted(nodes, i * grid.n_phi + j)]
+        stencil, idx, _ = grid.stencils[axis]  # one-sided: inward across open faces
+        p1, p2 = idx[:2, np.searchsorted(stencil, i * grid.n_phi + j)]
         h = grid.h_theta if axis == 0 else grid.h_phi * grid.sin_theta[i]
         deriv = (3.0 * diff[i, j] - 4.0 * diff.flat[p1] + diff.flat[p2]) / (2.0 * h)
         results.append(HopfResult(
             i=i, j=j, theta=float(grid.thetas[i]), phi=float(grid.phis[j]),
             derivative=float(deriv),
         ))
+    if not report.ordering_pass:
+        return None
+    report.hopf = results
     return results
 
 
@@ -310,7 +316,7 @@ def _dichotomy(min_gap, max_abs_gap, gap_tol):
 
 
 def strong_comparison_check(report: ComparisonReport,
-                            gap_tol: float = 1e-10) -> Dichotomy:
+                            gap_tol: float = 1e-10) -> Dichotomy | None:
     """Classify an ordered pair as Strict, Identical or Anomalous.
 
     Anomalous means an interior touching point between non-identical
@@ -322,14 +328,13 @@ def strong_comparison_check(report: ComparisonReport,
     its components (grid.interior_labels) is classified too.  If their
     classes differ, report.components lists each one (class, min gap, max
     |gap| and its min-gap node), and the pair is Anomalous if some
-    component is, else Mixed.  gap_tol < 0 or nan raises ConfigError.
+    component is, else Mixed.  gap_tol < 0 or nan raises ConfigError; then an
+    Inapplicable or unordered report returns None, the report left as it was.
     """
     if not gap_tol >= 0.0:
         raise ConfigError(f"gap_tol must be >= 0, got {gap_tol}", "gap_tol")
-    if not report.applicable:
-        raise ValueError("hypotheses failed; dichotomy undefined (Inapplicable)")
-    if not report.ordering_pass:
-        raise ValueError("interior ordering violated; dichotomy undefined")
+    if not (report.applicable and report.ordering_pass):
+        return None
     report.dichotomy = _dichotomy(report.interior_min_gap, report.interior_max_abs_gap, gap_tol)
     report.components = []
     if report.dichotomy is not Dichotomy.ANOMALOUS:

@@ -555,28 +555,32 @@ def test_out_of_range_values_name_the_key(tmp_path, capsys, key, command):
     ([[20, 4]], "(20, 4)"), ([[-1, 4]], "(-1, 4)"), ([[4]], "[4]"),
     (5, "list"), ([[False, True]], "[False, True]"),  # not node (0, 1)
     ([[0, 1.5]], "[0, 1.5]"), ([[0, "4"]], "[0, '4']"), ([[True, 4]], "[True, 4]"),
-    ([[0, float("inf")]], "[0, inf]"),
+    ([[0, float("inf")]], "[0, inf]"), (None, "None"), ({}, "{}"), ([], "[]"),
 ])
 def test_hopf_rejects_nodes_off_the_grid(tmp_path, capsys, nodes, named):
-    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
-        "name": "hopf", "field_minus": "1.5", "field_plus": "1.5",
-        "nodes": nodes})
-    assert cli.run(sc, tmp_path / "out", quiet=True) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and "command.nodes" in err and named in err
+    # in one form, on a touching pair and on an unordered one alike
+    for minus in ("1.5", f"1.5 + 1e-3*{WAVE}"):
+        sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+            "name": "hopf", "field_minus": minus, "field_plus": "1.5", "nodes": nodes})
+        assert cli.run(sc, tmp_path / "out", quiet=True) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad value for 'command.nodes': ")
+        assert named in err and len(err.splitlines()) == 1
 
 
 WAVE = "sin(4*(theta-pi/3)*3)*sin(4*phi)"  # zero on the patch edges
 
 
 def test_hopf_skips_the_indicator_when_ordering_fails(tmp_path, capsys):
-    sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
-        "name": "hopf", "field_plus": "1.5",
-        "field_minus": f"1.5 + 1e-3*{WAVE}"})
-    assert cli.run(sc, tmp_path / "out") == 2
-    assert "skipped" in capsys.readouterr().out
-    rep = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert rep["ordering_pass"] is False and rep["hopf"] == []
+    # with the default nodes and with well-formed ones
+    for nodes in ({}, {"nodes": [[0, 4], [4, 8.0]]}):
+        sc = write_scenario(tmp_path / "sc.json", grid=grid_block(9), command={
+            "name": "hopf", "field_plus": "1.5",
+            "field_minus": f"1.5 + 1e-3*{WAVE}", **nodes})
+        assert cli.run(sc, tmp_path / "out") == 2
+        assert "skipped" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["ordering_pass"] is False and rep["hopf"] == []
 
 
 def test_hopf_indicator_reads_tol_order(tmp_path):
@@ -1105,6 +1109,7 @@ SWEEP_BASES = {
     "hopf": {"field_minus": {"file": "minus.csv"}, "field_plus": {"file": "plus.csv"}},
     "manufacture": {"exact": _BASE},
 }
+SWEEP_SWAPPED = {"field_minus": {"file": "plus.csv"}, "field_plus": {"file": "minus.csv"}}
 # What each key is set to in turn, after it is deleted (DELETED).
 DELETED = object()
 SWEEP_POOL = (None, True, False, 0, 1, -1, 0.5, 1e-300, 1e300, 1e308, -1e308, float("nan"),
@@ -1127,10 +1132,24 @@ def _sweep_paths(name):
             + [("command", key) for key in sorted(command)])
 
 
+def _run_quietly(sc, cfg, out):
+    """(exit code, stderr) of cli.run on cfg, written to sc; an exception
+    that escapes run is its code, as text."""
+    sc.write_text(json.dumps(cfg))
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        try:
+            code = cli.run(sc, out, quiet=True)
+        except Exception as err:  # noqa: BLE001 - what the contract forbids
+            code = f"raised {type(err).__name__}: {err}"
+    return code, stderr.getvalue()
+
+
 def test_single_key_edits_keep_the_scenario_contract(tmp_path):
     # every command, plain and masked, with each key deleted or set to each
     # value of SWEEP_POOL; the pair files of compare and hopf are a solved f+
-    # and a touching subsolution below it
+    # and a touching subsolution below it.  Each command-key edit of compare
+    # and hopf runs on the swapped, unordered pair too: a key's value must be
+    # refused there exactly when it is refused on the ordered pair
     (tmp_path / "mask.csv").write_text(SWEEP_MASK)
     mask = np.array([[c == "1" for c in row.split(",")] for row in SWEEP_MASK.split()])
     sc, escapes, runs = tmp_path / "sc.json", [], 0
@@ -1146,33 +1165,37 @@ def test_single_key_edits_keep_the_scenario_contract(tmp_path):
                                     source=ScalarField.constant(g, source))
                 write_field_csv(tmp_path / f"{tag}.csv", solve_dirichlet(problem)[0])
             for name, base in SWEEP_BASES.items():
-                cfg = {"gas": {"gamma": 2.0, "rho0": 1.0, "bernoulli": 4.0}, "grid": grid,
-                       "command": {"name": name, **base}}
-                sc.write_text(json.dumps(cfg))
-                assert cli.run(sc, tmp_path / "out", quiet=True) == 0
+                # the base scenario, then for a pair its swap, exiting 0 and 2
+                cfgs = [{"gas": {"gamma": 2.0, "rho0": 1.0, "bernoulli": 4.0}, "grid": grid,
+                         "command": {"name": name, **pair}}
+                        for pair in (base, SWEEP_SWAPPED)[:2 if name in ("compare", "hopf")
+                                                          else 1]]
+                for cfg, code in zip(cfgs, (0, 2)):
+                    assert _run_quietly(sc, cfg, tmp_path / "out") == (code, "")
                 for block, key in _sweep_paths(name):
                     for value in (DELETED, *SWEEP_POOL):
-                        edited = {part: dict(cfg[part]) for part in cfg}
-                        parent = edited if block is None else edited[block]
-                        if value is DELETED:
-                            parent.pop(key, None)
-                        else:
-                            parent[key] = value
-                        sc.write_text(json.dumps(edited))
-                        with contextlib.redirect_stderr(io.StringIO()) as stderr:
-                            try:
-                                code = cli.run(sc, tmp_path / "out", quiet=True)
-                            except Exception as err:  # noqa: BLE001 - what the contract forbids
-                                code = f"raised {type(err).__name__}: {err}"
-                        err = stderr.getvalue()
-                        lines = err.splitlines()
-                        if not (code in (0, 2) and not err
-                                or code == 1 and len(lines) == 1 and err.endswith("\n")
-                                and lines[0].startswith(REFUSAL_PREFIXES)):
-                            edit = "deleted" if value is DELETED else f"={value!r}"
-                            escapes.append(f"{name}{' masked' if masked else ''} "
-                                           f"{block}.{key}{edit}: {code} {err!r}")
-                        runs += 1
+                        edit = "deleted" if value is DELETED else f"={value!r}"
+                        where = f"{name}{' masked' if masked else ''} {block}.{key}{edit}"
+                        refused = []
+                        for cfg in cfgs if block == "command" else cfgs[:1]:
+                            edited = {part: dict(cfg[part]) for part in cfg}
+                            parent = edited if block is None else edited[block]
+                            if value is DELETED:
+                                parent.pop(key, None)
+                            else:
+                                parent[key] = value
+                            code, err = _run_quietly(sc, edited, tmp_path / "out")
+                            lines = err.splitlines()
+                            if not (code in (0, 2) and not err
+                                    or code == 1 and len(lines) == 1 and err.endswith("\n")
+                                    and lines[0].startswith(REFUSAL_PREFIXES)):
+                                escapes.append(f"{where}: {code} {err!r}")
+                            refused.append(code == 1)
+                            runs += 1
+                        if len(set(refused)) > 1:
+                            escapes.append(f"{where}: refused on the "
+                                           f"{'ordered' if refused[0] else 'swapped'} "
+                                           "pair only")
     assert runs > 3000
     assert not escapes, f"{len(escapes)} of {runs} runs break the contract:\n" + \
         "\n".join(escapes)

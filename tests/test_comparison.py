@@ -412,13 +412,19 @@ def test_hopf_corner_and_nontouching_errors(solver_pair):
 
 def test_hopf_rejects_nodes_off_the_grid(solver_pair):
     gas, grid, f_plus, _, f_touch = solver_pair
-    rep = sf.verify_weak_comparison(gas, f_touch, f_plus)
+    ordered = sf.verify_weak_comparison(gas, f_touch, f_plus)
+    swapped = sf.verify_weak_comparison(gas, f_plus, f_touch)
+    assert ordered.ordering_pass and not swapped.ordering_pass
+    # the nodes are read before the ordering, so either pair refuses them;
     # (false, true) is not node (0, 1), a touching straight-edge node here
-    for node in [(33, 16), (-1, 16), (16, 16), (0,), (0.0, 16), (False, True), (0, True)]:
-        with pytest.raises(sf.ConfigError) as err:
-            sf.hopf_indicator(rep, [node])
-        assert err.value.key == "boundary_nodes"
-        assert isinstance(err.value, ValueError)
+    for rep in (ordered, swapped):
+        for node in [(33, 16), (-1, 16), (16, 16), (0,), (0.0, 16), (False, True),
+                     (0, True)]:
+            with pytest.raises(sf.ConfigError) as err:
+                sf.hopf_indicator(rep, [(0, 16), node])
+            assert err.value.key == "nodes"
+            assert isinstance(err.value, ValueError)
+        assert rep.hopf == []
 
 
 def test_hopf_refuses_a_bad_tol_touch(gas_b4):
@@ -436,13 +442,44 @@ def test_hopf_refuses_a_bad_tol_touch(gas_b4):
 
 
 def test_hopf_unordered_pair_names_the_interior_node(solver_pair):
+    # where f- exceeds f+ inside, the indicators are undefined: an outcome,
+    # not an error.  hopf_indicator returns None and records nothing, and
+    # the report names the interior node
+    gas, grid, f_plus, f_minus, f_touch = solver_pair
+    rep = sf.verify_weak_comparison(gas, f_plus, f_touch)  # swapped
+    for nodes in ([(0, 16)], None):
+        assert sf.hopf_indicator(rep, nodes) is None and rep.hopf == []
+    i, j = rep.min_gap_node
+    assert grid.interior_mask[i, j] and rep.interior_min_gap < 0.0
+    assert rep.to_dict()["hopf"] == [] and rep.to_dict()["ordering_pass"] is False
+    # the nodes are still checked first: off the grid, a corner, apart
+    with pytest.raises(sf.ConfigError, match=r"node \(33, 16\)"):
+        sf.hopf_indicator(rep, [(33, 16)])
+    with pytest.raises(sf.CornerNodeError):
+        sf.hopf_indicator(rep, [(0, 0)])
+    with pytest.raises(sf.NonTouchingNodeError, match=r"at node \(0, 16\)"):
+        sf.hopf_indicator(sf.verify_weak_comparison(gas, f_plus, f_minus), [(0, 16)])
+
+
+def test_hopf_default_nodes_are_the_touching_straight_edge_nodes(solver_pair):
+    # f- = f+ on the boundary's phi < phi_mid half and 0.01 below it on the
+    # rest: nodes=None reads the straight-edge nodes of the first half, the
+    # |gap| <= tol_touch nodes of straight_edge_nodes, and records them
     gas, grid, f_plus, f_minus, _ = solver_pair
-    rep = sf.verify_weak_comparison(gas, f_plus, f_minus)  # swapped
-    with pytest.raises(ValueError, match="at interior node") as err:
-        sf.hopf_indicator(rep, [(0, 16)])
-    i, j = (int(k) for k in re.search(r"\((\d+), (\d+)\)", str(err.value)).groups())
-    assert grid.interior_mask[i, j] and (i, j) == rep.min_gap_node
-    assert f"by {-rep.interior_min_gap:.3e}" in str(err.value)
+    cut = np.where(np.arange(33) < 16, 0.0, 0.01)[None, :]
+    rep = sf.verify_weak_comparison(gas, ScalarField(grid, f_plus.values - cut), f_plus)
+    assert rep.ordering_pass
+    out = sf.hopf_indicator(rep)
+    expected = [n for n in sf.straight_edge_nodes(grid) if n[1] < 16]
+    assert [(h.i, h.j) for h in out] == expected
+    assert expected == [n for n in sf.straight_edge_nodes(grid)
+                        if abs(rep.gap.values[n]) <= 1e-9]
+    assert rep.hopf is out
+    # the margin pair touches nowhere: the default has no node to read
+    margin = sf.verify_weak_comparison(gas, f_minus, f_plus)
+    with pytest.raises(sf.ConfigError, match="no touching straight-edge") as err:
+        sf.hopf_indicator(margin)
+    assert err.value.key == "nodes" and margin.hopf == []
 
 
 def test_hopf_thin_mask_names_a_masked_node(gas_b4):
@@ -608,15 +645,25 @@ def test_many_components_are_classified_each_by_its_own_nodes(gas_b4):
 
 
 def test_strong_check_precondition_error(solver_pair):
+    # an Inapplicable or an unordered report leaves the dichotomy undefined:
+    # an outcome, not an error.  The check returns None and leaves the
+    # report's dichotomy and components as they were; a bad gap_tol is
+    # still refused first
     gas, grid, f_plus, f_minus, _ = solver_pair
     rep = sf.verify_weak_comparison(gas, f_plus, f_minus)  # swapped
-    with pytest.raises(ValueError, match="hypotheses failed"):
-        sf.strong_comparison_check(rep)
+    assert rep.verdict == "Inapplicable" and not rep.ordering_pass
+    assert sf.strong_comparison_check(rep) is None
+    assert rep.dichotomy is None and rep.components == []
+    with pytest.raises(sf.ConfigError, match="gap_tol must be >= 0"):
+        sf.strong_comparison_check(rep, gap_tol=-1.0)
     for h in rep.hypotheses.values():
         h.passed = True
     assert rep.applicable and not rep.ordering_pass
-    with pytest.raises(ValueError, match="interior ordering violated"):
-        sf.strong_comparison_check(rep)
+    parts = [{"dichotomy": "Strict"}]
+    rep.dichotomy, rep.components = Dichotomy.MIXED, parts
+    assert sf.strong_comparison_check(rep) is None
+    assert rep.dichotomy is Dichotomy.MIXED and rep.components is parts
+    assert parts == [{"dichotomy": "Strict"}]
 
 
 def test_verify_evaluates_each_flow_state_once(gas_b4, monkeypatch):

@@ -8,9 +8,10 @@ report, only the solver builds the preconditioner, every linear solve goes
 through solver.interior_solve with flow_jacobian as its operator, the
 grid's open faces are its one neighbour rule, the weak comparison has
 one beta and one Gauss rule, one reader takes the scenario's scalar keys
-from the signatures they feed, no module hands text to Python's own
-compiler, the package imports no scipy, and every public name of the
-package has a caller outside the tests, none of them a pointwise state."""
+from the signatures they feed, the CLI's command handlers catch nothing,
+no module hands text to Python's own compiler, the package imports no
+scipy, and every public name of the package has a caller outside the
+tests, none of them a pointwise state."""
 
 import ast
 import os
@@ -331,6 +332,18 @@ def test_scenario_keys_are_read_in_one_place():
     found = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in _call_sites(path, "_scalar_params")]
     assert found == ["cli.py:_read"]
+
+
+def test_command_handlers_only_call_and_write():
+    # run reads every key before a handler runs and turns each refusal into
+    # its exit code; the library returns its verdicts, so a try in a handler
+    # would read a verdict from an exception
+    handlers = {name: node for name, node in _functions(PACKAGE / "cli.py").items()
+                if name.startswith("_cmd_")}
+    assert len(handlers) == 6
+    found = sorted(name for name, node in handlers.items()
+                   if any(isinstance(sub, (ast.Try, ast.TryStar)) for sub in ast.walk(node)))
+    assert found == []
 
 
 def _python_compiler_uses(path):
