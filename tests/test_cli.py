@@ -1166,10 +1166,9 @@ def test_single_key_edits_keep_the_scenario_contract(tmp_path):
                 write_field_csv(tmp_path / f"{tag}.csv", solve_dirichlet(problem)[0])
             for name, base in SWEEP_BASES.items():
                 # the base scenario, then for a pair its swap, exiting 0 and 2
+                pairs = [base, SWEEP_SWAPPED] if name in ("compare", "hopf") else [base]
                 cfgs = [{"gas": {"gamma": 2.0, "rho0": 1.0, "bernoulli": 4.0}, "grid": grid,
-                         "command": {"name": name, **pair}}
-                        for pair in (base, SWEEP_SWAPPED)[:2 if name in ("compare", "hopf")
-                                                          else 1]]
+                         "command": {"name": name, **pair}} for pair in pairs]
                 for cfg, code in zip(cfgs, (0, 2)):
                     assert _run_quietly(sc, cfg, tmp_path / "out") == (code, "")
                 for block, key in _sweep_paths(name):
@@ -1177,7 +1176,8 @@ def test_single_key_edits_keep_the_scenario_contract(tmp_path):
                         edit = "deleted" if value is DELETED else f"={value!r}"
                         where = f"{name}{' masked' if masked else ''} {block}.{key}{edit}"
                         refused = []
-                        for cfg in cfgs if block == "command" else cfgs[:1]:
+                        for cfg, tag in zip(cfgs if block == "command" else cfgs[:1],
+                                            ("", " on the swapped pair")):
                             edited = {part: dict(cfg[part]) for part in cfg}
                             parent = edited if block is None else edited[block]
                             if value is DELETED:
@@ -1189,7 +1189,7 @@ def test_single_key_edits_keep_the_scenario_contract(tmp_path):
                             if not (code in (0, 2) and not err
                                     or code == 1 and len(lines) == 1 and err.endswith("\n")
                                     and lines[0].startswith(REFUSAL_PREFIXES)):
-                                escapes.append(f"{where}: {code} {err!r}")
+                                escapes.append(f"{where}{tag}: {code} {err!r}")
                             refused.append(code == 1)
                             runs += 1
                         if len(set(refused)) > 1:
